@@ -89,7 +89,7 @@ impl LoopAnalysis {
         let graph = build_loop_graph(l);
         let (sites, lin) = enumerate_sites(l, &graph, symbols);
         let mut spent: u64 = 0;
-        let run = |gk, direction, mode, spent: &mut u64| match Instance::run_ctrl(
+        let run = |gk, direction, mode, spent: &mut u64| match Instance::run(
             &graph,
             &sites,
             gk,
@@ -198,7 +198,7 @@ impl CustomAnalysis {
         }
         let graph = build_loop_graph(l);
         let (sites, _) = enumerate_sites(l, &graph, symbols);
-        let instance = Instance::run_ctrl(
+        let instance = Instance::run(
             &graph,
             &sites,
             spec.into(),

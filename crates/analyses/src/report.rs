@@ -34,13 +34,9 @@ pub fn render_solution(inst: &Instance, graph: &LoopGraph, symbols: &SymbolTable
         let _ = writeln!(
             out,
             "IN [{label}] {}",
-            fmt_tuple(&inst.sol.before[node.index()])
+            fmt_tuple(&inst.sol.before_row(node))
         );
-        let _ = writeln!(
-            out,
-            "OUT[{label}] {}",
-            fmt_tuple(&inst.sol.after[node.index()])
-        );
+        let _ = writeln!(out, "OUT[{label}] {}", fmt_tuple(&inst.sol.after_row(node)));
     }
     out
 }
@@ -54,7 +50,7 @@ pub fn render_solution(inst: &Instance, graph: &LoopGraph, symbols: &SymbolTable
 /// Returns [`crate::AnalyzeError`] if the program is not a single
 /// normalized loop.
 pub fn render_table1(program: &arrayflow_ir::Program) -> Result<String, crate::AnalyzeError> {
-    use arrayflow_core::{solve_traced, Direction, Mode};
+    use arrayflow_core::{solve, solve_passes, Direction, Mode};
 
     let l = program
         .sole_loop()
@@ -70,7 +66,13 @@ pub fn render_table1(program: &arrayflow_ir::Program) -> Result<String, crate::A
         Direction::Forward,
         Mode::Must,
     );
-    let (_, snapshots) = solve_traced(&graph, &built.spec);
+    // The state after initialization and after each iteration pass, up to
+    // the confirming pass that changes nothing.
+    let passes = solve(&graph, &built.spec, None)
+        .expect("no stop check installed")
+        .stats
+        .passes;
+    let snapshots = (0..=passes).map(|k| solve_passes(&graph, &built.spec, k));
 
     let headers: Vec<String> = built
         .spec
@@ -80,7 +82,7 @@ pub fn render_table1(program: &arrayflow_ir::Program) -> Result<String, crate::A
         .collect();
     let mut out = String::new();
     let _ = writeln!(out, "tuples ({})", headers.join(", "));
-    for (k, (ins, outs)) in snapshots.iter().enumerate() {
+    for (k, snapshot) in snapshots.enumerate() {
         let title = if k == 0 {
             "(i) initialization pass".to_string()
         } else {
@@ -96,8 +98,8 @@ pub fn render_table1(program: &arrayflow_ir::Program) -> Result<String, crate::A
             let _ = writeln!(
                 out,
                 "IN [{node}] {:<22} OUT[{node}] {:<22} {label}",
-                fmt_tuple(&ins[node.index()]),
-                fmt_tuple(&outs[node.index()]),
+                fmt_tuple(&snapshot.before_row(node)),
+                fmt_tuple(&snapshot.after_row(node)),
             );
         }
     }

@@ -283,7 +283,7 @@ pub fn constant_distance(gen_sub: &AffineSub, use_sub: &AffineSub) -> Option<u64
         // distance is then arbitrary — report 0 overlap only on equality.
         return (gen_sub.rest == use_sub.rest).then_some(0);
     }
-    let diff = gen_sub.rest.clone() - use_sub.rest.clone();
+    let diff = gen_sub.rest.checked_sub(&use_sub.rest)?;
     let (n, d) = diff.ratio(&gen_sub.coef)?;
     if d != 1 || n < 0 {
         return None;

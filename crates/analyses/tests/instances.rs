@@ -338,7 +338,9 @@ mod live_elements {
             GK::LIVE_ELEMENTS,
             Direction::Backward,
             Mode::May,
-        );
+            None,
+        )
+        .unwrap();
         (p, g, sites, inst)
     }
 
@@ -360,7 +362,7 @@ mod live_elements {
         assert!(
             inst.before(def_node, use_id).covers(1),
             "{:?}",
-            inst.sol.before[def_node.index()]
+            inst.sol.before_row(def_node)
         );
         let _ = g;
     }
@@ -432,4 +434,38 @@ mod live_elements {
         assert_eq!(inst.sol.stats.init_visits, 0);
         let _ = g;
     }
+}
+
+#[test]
+fn overflowing_subscripts_analyze_without_panicking() {
+    // The offset difference of the first pair overflows i64; the second
+    // overflows the i128 kill-range arithmetic of the must derivation.
+    for src in [
+        "do i = 1, UB X[i + 9223372036854775807] := 0; X[i - 9223372036854775807] := 0; end",
+        "do i = 1, 9000000000000000000 X[4611686018427387903*i] := 0; X[i+1] := X[3*i]; end",
+    ] {
+        let p = arrayflow_ir::parse_program(src).unwrap();
+        let a = arrayflow_analyses::analyze_loop(&p).unwrap();
+        a.reuse_pairs();
+        a.redundant_stores();
+        a.dependences(16);
+    }
+}
+
+#[test]
+fn distances_beyond_32_bits_are_exact() {
+    let p = arrayflow_ir::parse_program(
+        "do i = 1, UB A[i+5000000000] := 0; A[i] := A[i+5000000000]; end",
+    )
+    .unwrap();
+    let a = arrayflow_analyses::analyze_loop(&p).unwrap();
+    // The latest 5 000 000 000 instances of A[i+5000000000] reach the
+    // second statement, whose A[i] overwrites the oldest of them.
+    let (def, _) = a.reaching.gens().next().unwrap();
+    let second = arrayflow_graph::NodeId(2);
+    assert_eq!(a.reaching.before(second, def), Dist::Fin(5_000_000_000));
+    assert_eq!(
+        a.reaching.sol.after_at(second, def),
+        Dist::Fin(4_999_999_999)
+    );
 }

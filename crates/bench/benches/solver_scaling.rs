@@ -1,74 +1,132 @@
-//! Solver scaling: analysis time as the loop body grows, for all four
-//! framework instances, plus the bounded (exactly-three-pass) schedule.
-//! The paper's claim is linear work — 3·N node visits for must-problems —
-//! and these benches show the wall-clock consequence.
+//! Solver scaling: where a solve's time goes as the loop body grows. On
+//! the E16 tier shapes (8/32/128/512 statements over 4/8/16/64 arrays,
+//! the loops of `incremental_throughput`), each row times the four canned
+//! framework instances' `FlowTable::build` alone and their complete
+//! `solve`; the fixpoint iteration is the median of their paired
+//! differences (timed back to back), which stays meaningful even where
+//! the table build is most of the solve. The paper's claim is linear
+//! work — 3·N node visits for must-problems — once every flow function is
+//! reduced to constants, so the table build must not outgrow the
+//! iteration.
+//!
+//! Results go to `BENCH_solver.json` at the workspace root, one line per
+//! (row, tier). A run writes the `change` rows and keeps every other row
+//! already in the file: the `parent` rows are the same measurement taken
+//! on the commit before the column solver, kept as the baseline.
 
 use std::hint::black_box;
+use std::path::Path;
+use std::time::Instant;
 
-use arrayflow_analyses::{build_spec, enumerate_sites, GK};
+use arrayflow_analyses::{build_spec, enumerate_sites, BuiltSpec, GK};
 use arrayflow_bench::{bench, report};
-use arrayflow_core::{solve, solve_bounded, Direction, Mode};
+use arrayflow_core::{solve, Direction, FlowTable, Mode};
 use arrayflow_graph::build_loop_graph;
 use arrayflow_workloads::{random_loop, LoopShape};
 
-fn bench_solver() {
+/// The E16 tiers: name, statements, arrays.
+const TIERS: [(&str, usize, usize); 4] = [
+    ("small", 8, 4),
+    ("medium", 32, 8),
+    ("large", 128, 16),
+    ("xlarge", 512, 64),
+];
+
+/// The four canned instances `LoopAnalysis` solves.
+const INSTANCES: [(GK, Direction, Mode); 4] = [
+    (GK::REACHING_DEFS, Direction::Forward, Mode::Must),
+    (GK::AVAILABLE, Direction::Forward, Mode::Must),
+    (GK::BUSY_STORES, Direction::Backward, Mode::Must),
+    (GK::REACHING_REFS, Direction::Forward, Mode::May),
+];
+
+/// Times `part` and `whole` back to back, seven times each with the same
+/// iteration count (calibrated so one timing of `whole` lasts ≥ 20 ms),
+/// and returns the median microseconds per call of `part`, of `whole`,
+/// and of their paired difference.
+fn paired(mut part: impl FnMut(), mut whole: impl FnMut()) -> (f64, f64, f64) {
+    let iters = bench("calibration", &mut whole).iters;
+    let time = |f: &mut dyn FnMut()| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        start.elapsed().as_secs_f64() * 1e6 / iters as f64
+    };
+    let (mut parts, mut wholes, mut diffs) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..7 {
+        let (p, w) = (time(&mut part), time(&mut whole));
+        parts.push(p);
+        wholes.push(w);
+        diffs.push(w - p);
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    (median(&mut parts), median(&mut wholes), median(&mut diffs))
+}
+
+fn main() {
+    println!("\n== solver: four canned instances per call, E16 tier shapes ==");
     let mut rows = Vec::new();
-    for stmts in [8usize, 32, 128, 512] {
+    let mut lines = Vec::new();
+    for (tier, stmts, arrays) in TIERS {
         let p = random_loop(
             &LoopShape {
                 stmts,
-                arrays: 4,
-                cond_pct: 25,
+                arrays,
                 ..LoopShape::default()
             },
             42,
         );
-        let l = p.sole_loop().unwrap().clone();
-        let graph = build_loop_graph(&l);
-        let (sites, _) = enumerate_sites(&l, &graph, &p.symbols);
-
-        #[rustfmt::skip]
-        let cases = [
-            ("must_reaching", GK::REACHING_DEFS, Direction::Forward, Mode::Must),
-            ("available", GK::AVAILABLE, Direction::Forward, Mode::Must),
-            ("busy_bwd", GK::BUSY_STORES, Direction::Backward, Mode::Must),
-            ("reaching_may", GK::REACHING_REFS, Direction::Forward, Mode::May),
-        ];
-        for (name, gk, dir, mode) in cases {
-            let built = build_spec(&sites, gk, dir, mode);
-            rows.push(bench(&format!("{name}/{stmts}"), || {
-                black_box(solve(&graph, black_box(&built.spec)));
-            }));
-        }
-        // The paper-exact schedule (no convergence check) vs run-to-fixpoint.
-        let built = build_spec(&sites, GK::AVAILABLE, Direction::Forward, Mode::Must);
-        rows.push(bench(&format!("available_bounded/{stmts}"), || {
-            black_box(solve_bounded(&graph, black_box(&built.spec)));
-        }));
-    }
-    report("solver", &rows);
-}
-
-fn bench_end_to_end() {
-    let mut rows = Vec::new();
-    for stmts in [8usize, 32, 128] {
-        let p = random_loop(
-            &LoopShape {
-                stmts,
-                arrays: 4,
-                cond_pct: 25,
-                ..LoopShape::default()
+        let l = p.sole_loop().unwrap();
+        let graph = build_loop_graph(l);
+        let (sites, _) = enumerate_sites(l, &graph, &p.symbols);
+        let specs: Vec<BuiltSpec> = INSTANCES
+            .iter()
+            .map(|&(gk, dir, mode)| build_spec(&sites, gk, dir, mode))
+            .collect();
+        let (table_us, solve_us, fixpoint_us) = paired(
+            || {
+                for built in &specs {
+                    black_box(FlowTable::build(&graph, black_box(&built.spec)));
+                }
             },
-            7,
+            || {
+                for built in &specs {
+                    black_box(solve(&graph, black_box(&built.spec), None).unwrap());
+                }
+            },
         );
-        rows.push(bench(&format!("analyze_loop/{stmts}"), || {
+        let end_to_end = bench(&format!("analyze_loop/{stmts}"), || {
             black_box(arrayflow_analyses::analyze_loop(black_box(&p)).unwrap());
-        }));
+        });
+        let analyze_us = end_to_end.ns() / 1e3;
+        println!(
+            "{tier:<7} {stmts:>4} stmts  flow table {table_us:>12.1} us  fixpoint {fixpoint_us:>10.1} us  \
+             solve {solve_us:>12.1} us  analyze_loop {analyze_us:>12.1} us"
+        );
+        lines.push(format!(
+            r#"    {{"row": "change", "tier": "{tier}", "stmts": {stmts}, "arrays": {arrays}, "nodes": {}, "flow_table_us": {table_us:.1}, "fixpoint_us": {fixpoint_us:.1}, "solve_us": {solve_us:.1}, "analyze_loop_us": {analyze_us:.1}}}"#,
+            graph.len(),
+        ));
+        rows.push(end_to_end);
     }
-    report("analyze_loop_end_to_end", &rows);
-}
+    report("analyze_loop end to end", &rows);
 
-fn main() {
-    bench_solver();
-    bench_end_to_end();
+    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_solver.json");
+    let kept: Vec<String> = std::fs::read_to_string(&out)
+        .unwrap_or_default()
+        .lines()
+        .filter(|l| l.contains(r#""row": "#) && !l.contains(r#""row": "change""#))
+        .map(|l| l.trim_end_matches(',').to_string())
+        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let json = format!(
+        "{{\n  \"bench\": \"solver_scaling\",\n  \"unit\": \"microseconds per call of all four canned instances; medians of 7 back-to-back runs, fixpoint_us the median paired difference of solve and flow table\",\n  \"host_threads\": {threads},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        kept.into_iter().chain(lines).collect::<Vec<_>>().join(",\n")
+    );
+    std::fs::write(&out, json).expect("write BENCH_solver.json");
+    println!("\nwrote {}", out.display());
 }

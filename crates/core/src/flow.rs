@@ -8,99 +8,97 @@
 //! paper enumerates), or — for the increment node — applies `x⁺⁺`.
 //! [`FlowTable`] precomputes these constants once so the solver's passes are
 //! pure lattice arithmetic.
+//!
+//! A preserve constant below `⊤` needs a kill site on the generator's own
+//! array (any other array preserves everything), so the build groups the
+//! kill sites by array and evaluates only same-array (generator, kill)
+//! pairs: `Σ_d |K ∩ array(d)|` derivations, where a scan of `K` per node ×
+//! generator cell would cost `N · m · |K|`. The table is stored per column,
+//! the layout the column solver reads: sparse `(node, p)` preserve entries,
+//! the generating node and its post-generate constant.
 
 use arrayflow_graph::{LoopGraph, NodeId};
 
-use crate::lattice::{Dist, DistVec};
-use crate::preserve::node_preserve;
-use crate::problem::{Direction, ProblemSpec};
+use crate::lattice::{lane, Dist};
+use crate::preserve::{post_preserve, preserve_constant};
+use crate::problem::{Direction, KillSite, ProblemSpec};
 
-/// Per-node flow function data.
-#[derive(Debug, Clone)]
-pub struct NodeFlow {
-    /// Preserve constant per tracked reference (`⊤` = identity).
-    pub preserve: Vec<Dist>,
-    /// Whether the node generates each tracked reference.
-    pub generate: Vec<bool>,
-    /// Post-generate preserve constant per tracked reference: kills from
-    /// same-node sites that execute after the generator (see
-    /// [`crate::preserve::node_post_preserve`]). `⊤` when inapplicable.
-    pub post: Vec<Dist>,
-    /// True for the node that carries the `i := i + 1` increment in the
-    /// direction of flow.
-    pub increment: bool,
-}
+/// `gen_node` of a column generated nowhere (its generator sits on the
+/// increment node, whose flow function is `x⁺⁺` alone).
+const NO_NODE: u32 = u32::MAX;
 
-/// Precomputed flow functions for every node of a graph.
+/// Precomputed flow functions for every node of a graph, column by column.
+/// Constants are kept as lanes already normalized against the trip count,
+/// so identity and preserve steps never need re-normalizing.
 #[derive(Debug, Clone)]
 pub struct FlowTable {
-    rows: Vec<NodeFlow>,
-    ub: Option<i64>,
+    /// Column `d`'s preserve entries are `entries[starts[d]..starts[d + 1]]`.
+    pub(crate) starts: Vec<usize>,
+    /// `(node, p)` with `p` below `⊤`, one per node, ascending by node.
+    pub(crate) entries: Vec<(u32, u64)>,
+    /// Per column: the generating node, or [`NO_NODE`].
+    pub(crate) gen_node: Vec<u32>,
+    /// Per column: the post-generate constant (`⊤` when none applies).
+    pub(crate) post: Vec<u64>,
+    /// The node carrying `i := i + 1` in the direction of flow.
+    pub(crate) increment: NodeId,
+    /// Lanes at or above this collapse to `⊤` (see [`lane::top_from`]).
+    pub(crate) top_from: u64,
 }
 
 impl FlowTable {
     /// Builds the table for `spec` over `graph`.
     pub fn build(graph: &LoopGraph, spec: &ProblemSpec) -> Self {
-        let m = spec.width();
-        let increment_node = match spec.direction {
+        let increment = match spec.direction {
             Direction::Forward => graph.exit(),
             Direction::Backward => graph.entry(),
         };
-        let rows = graph
-            .node_ids()
-            .map(|node| {
-                let increment = node == increment_node;
-                let mut preserve = vec![Dist::Top; m];
-                let mut generate = vec![false; m];
-                let mut post = vec![Dist::Top; m];
-                if !increment {
-                    for (d, gen) in spec.gens.iter().enumerate() {
-                        preserve[d] =
-                            node_preserve(gen, node, &spec.kills, graph, spec.direction, spec.mode);
-                        generate[d] = gen.node == node;
-                        if generate[d] {
-                            post[d] = crate::preserve::node_post_preserve(
-                                gen,
-                                node,
-                                &spec.kills,
-                                graph,
-                                spec.direction,
-                                spec.mode,
-                            );
-                        }
-                    }
+        let top_from = lane::top_from(graph.ub);
+        let norm = |d: Dist| lane::normalize(lane::encode(d), top_from);
+        // Kill sites by array, then node: a generator's candidates are one
+        // contiguous run, and its same-node kills sit next to each other.
+        let mut kills: Vec<&KillSite> = spec.kills.iter().filter(|k| k.node != increment).collect();
+        kills.sort_by_key(|k| (k.array, k.node));
+        let m = spec.width();
+        let mut table = FlowTable {
+            starts: Vec::with_capacity(m + 1),
+            entries: Vec::new(),
+            gen_node: Vec::with_capacity(m),
+            post: Vec::with_capacity(m),
+            increment,
+            top_from,
+        };
+        table.starts.push(0);
+        for gen in &spec.gens {
+            let array = gen.aref.array;
+            let first = kills.partition_point(|k| k.array < array);
+            let generates = gen.node != increment;
+            let mut post = Dist::Top;
+            for kill in kills[first..].iter().take_while(|k| k.array == array) {
+                let p = norm(preserve_constant(
+                    gen,
+                    kill,
+                    graph,
+                    spec.direction,
+                    spec.mode,
+                ));
+                let start = *table.starts.last().expect("pushed above");
+                match table.entries[start..].last_mut() {
+                    Some((node, q)) if *node == kill.node.0 => *q = (*q).min(p),
+                    _ if p != lane::TOP => table.entries.push((kill.node.0, p)),
+                    _ => {}
                 }
-                NodeFlow {
-                    preserve,
-                    generate,
-                    post,
-                    increment,
+                if generates && kill.node == gen.node {
+                    post = post.min(post_preserve(gen, kill, graph, spec.direction, spec.mode));
                 }
-            })
-            .collect();
-        Self { rows, ub: graph.ub }
-    }
-
-    /// The flow data for one node.
-    pub fn row(&self, node: NodeId) -> &NodeFlow {
-        &self.rows[node.index()]
-    }
-
-    /// Applies node `n`'s flow function: `out = fₙ(inp)`.
-    pub fn apply(&self, node: NodeId, inp: &[Dist], out: &mut DistVec) {
-        let row = &self.rows[node.index()];
-        out.clear();
-        if row.increment {
-            out.extend(inp.iter().map(|x| x.incr().normalize(self.ub)));
-            return;
-        }
-        for (d, &x) in inp.iter().enumerate() {
-            let mut v = x.min(row.preserve[d]);
-            if row.generate[d] {
-                v = v.max(Dist::Fin(0)).min(row.post[d]);
             }
-            out.push(v.normalize(self.ub));
+            table
+                .gen_node
+                .push(if generates { gen.node.0 } else { NO_NODE });
+            table.post.push(norm(post));
+            table.starts.push(table.entries.len());
         }
+        table
     }
 }
 
@@ -145,40 +143,48 @@ mod tests {
             spec.add_kill(*node, *array, KillKind::Exact(sub.clone()));
         }
         let table = FlowTable::build(&graph, &spec);
+        // Which columns node `n` generates, and its preserve constants.
+        let row = |n: u32| -> (Vec<bool>, Vec<Dist>) {
+            let preserve = |d: usize| {
+                let column = &table.entries[table.starts[d]..table.starts[d + 1]];
+                let entry = column.iter().find(|&&(node, _)| node == n);
+                entry.map_or(Dist::Top, |&(_, p)| lane::decode(p))
+            };
+            (
+                (0..4).map(|d| table.gen_node[d] == n).collect(),
+                (0..4).map(preserve).collect(),
+            )
+        };
 
         // f₁ = (max(x₁,0), x₂, x₃, x₄)
-        let r1 = table.row(NodeId(1));
-        assert_eq!(r1.generate, vec![true, false, false, false]);
-        assert_eq!(r1.preserve, vec![Dist::Top; 4]);
-        // f₂ = (x₁, max(x₂,0), x₃, x₄)
-        let r2 = table.row(NodeId(2));
-        assert_eq!(r2.generate, vec![false, true, false, false]);
-        assert_eq!(r2.preserve, vec![Dist::Top; 4]);
-        // f₄ (paper node 3) = (min(x₁,1), x₂, max(x₃,0), x₄)
-        let r4 = table.row(NodeId(4));
-        assert_eq!(r4.generate, vec![false, false, true, false]);
         assert_eq!(
-            r4.preserve,
-            vec![Dist::Fin(1), Dist::Top, Dist::Top, Dist::Top]
+            row(1),
+            (vec![true, false, false, false], vec![Dist::Top; 4])
+        );
+        // f₂ = (x₁, max(x₂,0), x₃, x₄)
+        assert_eq!(
+            row(2),
+            (vec![false, true, false, false], vec![Dist::Top; 4])
+        );
+        // f₄ (paper node 3) = (min(x₁,1), x₂, max(x₃,0), x₄)
+        assert_eq!(
+            row(4),
+            (
+                vec![false, false, true, false],
+                vec![Dist::Fin(1), Dist::Top, Dist::Top, Dist::Top]
+            )
         );
         // f₅ (paper node 4) = (x₁, min(x₂,0), x₃, max(x₄,0))
-        let r5 = table.row(NodeId(5));
-        assert_eq!(r5.generate, vec![false, false, false, true]);
         assert_eq!(
-            r5.preserve,
-            vec![Dist::Top, Dist::Fin(0), Dist::Top, Dist::Top]
+            row(5),
+            (
+                vec![false, false, false, true],
+                vec![Dist::Top, Dist::Fin(0), Dist::Top, Dist::Top]
+            )
         );
-        // exit applies ++
-        assert!(table.row(graph.exit()).increment);
-        let mut out = Vec::new();
-        table.apply(
-            graph.exit(),
-            &[Dist::Fin(1), Dist::Fin(0), Dist::Bottom, Dist::Top],
-            &mut out,
-        );
-        assert_eq!(
-            out,
-            vec![Dist::Fin(2), Dist::Fin(1), Dist::Bottom, Dist::Top]
-        );
+        // exit applies ++ and nothing else
+        assert_eq!(table.increment, graph.exit());
+        assert_eq!(row(6), (vec![false; 4], vec![Dist::Top; 4]));
+        assert!(table.post.iter().all(|&p| p == lane::TOP));
     }
 }

@@ -73,22 +73,9 @@ impl Dist {
         }
     }
 
-    /// The finite distance, if this value is finite.
-    pub fn finite(self) -> Option<u64> {
-        match self {
-            Dist::Fin(x) => Some(x),
-            _ => None,
-        }
-    }
-
     /// True for `⊥`.
     pub fn is_bottom(self) -> bool {
         self == Dist::Bottom
-    }
-
-    /// True for `⊤`.
-    pub fn is_top(self) -> bool {
-        self == Dist::Top
     }
 }
 
@@ -122,27 +109,64 @@ impl fmt::Display for Dist {
     }
 }
 
-impl From<u64> for Dist {
-    fn from(x: u64) -> Self {
-        Dist::Fin(x)
+/// Packed lane encoding of [`Dist`], the solver's storage format:
+/// `⊥ = 0`, `Fin(k) = k + 1`, `⊤ = u64::MAX`. The encoding is
+/// order-preserving, so the must-meet is integer `min` and the may-meet
+/// integer `max` on lanes. Lanes are 64 bits wide because finite
+/// distances are not bounded by 32 bits: a loop over `A[i+5000000000]`
+/// carries a reuse at distance 5 000 000 000. Finite distances at or
+/// above `u64::MAX − 1` saturate to `⊤`; every real distance is below
+/// `2⁶³`, the largest trip count an `i64` bound can name.
+pub(crate) mod lane {
+    use super::Dist;
+
+    /// The lane of `⊤`.
+    pub const TOP: u64 = u64::MAX;
+
+    /// Encodes a distance.
+    pub fn encode(d: Dist) -> u64 {
+        match d {
+            Dist::Bottom => 0,
+            Dist::Fin(k) => k.saturating_add(1),
+            Dist::Top => TOP,
+        }
     }
-}
 
-/// A tuple of lattice values, one per generating reference (an element of
-/// `Lᵐ` in the paper).
-pub type DistVec = Vec<Dist>;
-
-/// Component-wise must-meet of two tuples.
-pub fn meet_min(a: &mut DistVec, b: &[Dist]) {
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x = (*x).min(y);
+    /// Decodes a lane.
+    pub fn decode(l: u64) -> Dist {
+        match l {
+            0 => Dist::Bottom,
+            TOP => Dist::Top,
+            k => Dist::Fin(k - 1),
+        }
     }
-}
 
-/// Component-wise may-meet of two tuples.
-pub fn meet_max(a: &mut DistVec, b: &[Dist]) {
-    for (x, &y) in a.iter_mut().zip(b) {
-        *x = (*x).max(y);
+    /// `x⁺⁺` on a lane: fixes `⊥` and `⊤`.
+    pub fn incr(l: u64) -> u64 {
+        if l == 0 || l == TOP {
+            l
+        } else {
+            l + 1
+        }
+    }
+
+    /// The smallest lane [`Dist::normalize`] collapses to `⊤` for trip
+    /// count `ub`: `Fin(x)` with `x ≥ UB − 1`, i.e. lanes `≥ UB`. `⊤`
+    /// itself when the trip count is unknown, so nothing collapses.
+    pub fn top_from(ub: Option<i64>) -> u64 {
+        match ub {
+            Some(ub) if ub >= 1 => ub as u64,
+            _ => TOP,
+        }
+    }
+
+    /// [`Dist::normalize`] on a lane, given [`top_from`]'s threshold.
+    pub fn normalize(l: u64, top_from: u64) -> u64 {
+        if l >= top_from {
+            TOP
+        } else {
+            l
+        }
     }
 }
 
@@ -222,52 +246,60 @@ mod tests {
             }
         }
     }
-}
 
-/// Property-test versions of the lattice laws; compiled only when the
-/// default-off `proptest` feature is enabled (requires re-adding the
-/// `proptest` dev-dependency — the workspace builds offline without it).
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_dist() -> impl Strategy<Value = Dist> {
-        prop_oneof![
-            Just(Dist::Bottom),
-            (0u64..100).prop_map(Dist::Fin),
-            Just(Dist::Top),
-        ]
+    /// A seeded draw from `⊥`, `0..100` and `⊤`.
+    fn arb_dist(rng: &mut arrayflow_workloads::Prng) -> Dist {
+        match rng.below(4) {
+            0 => Dist::Bottom,
+            1 => Dist::Top,
+            _ => Dist::Fin(rng.below(100)),
+        }
     }
 
-    proptest! {
-        #[test]
-        fn min_is_meet(a in arb_dist(), b in arb_dist(), c in arb_dist()) {
-            // Commutative, associative, idempotent, and a lower bound.
-            prop_assert_eq!(a.min(b), b.min(a));
-            prop_assert_eq!(a.min(b).min(c), a.min(b.min(c)));
-            prop_assert_eq!(a.min(a), a);
-            prop_assert!(a.min(b) <= a && a.min(b) <= b);
+    #[test]
+    fn lattice_laws_on_seeded_draws() {
+        let mut rng = arrayflow_workloads::Prng::seed_from_u64(0x1a77);
+        for _ in 0..2000 {
+            let (a, b, c) = (arb_dist(&mut rng), arb_dist(&mut rng), arb_dist(&mut rng));
+            // min is the meet: commutative, associative, idempotent, a
+            // lower bound; max is the join.
+            assert_eq!(a.min(b), b.min(a));
+            assert_eq!(a.min(b).min(c), a.min(b.min(c)));
+            assert_eq!(a.min(a), a);
+            assert!(a.min(b) <= a && a.min(b) <= b);
+            assert_eq!(a.max(b), b.max(a));
+            assert_eq!(a.max(a), a);
+            assert!(a.max(b) >= a && a.max(b) >= b);
+            assert!(a > b || a.incr() <= b.incr(), "++ is monotone");
+            assert_eq!(a.min(a.max(b)), a);
+            assert_eq!(a.max(a.min(b)), a);
         }
+    }
 
-        #[test]
-        fn max_is_join(a in arb_dist(), b in arb_dist()) {
-            prop_assert_eq!(a.max(b), b.max(a));
-            prop_assert_eq!(a.max(a), a);
-            prop_assert!(a.max(b) >= a && a.max(b) >= b);
-        }
-
-        #[test]
-        fn incr_is_monotone(a in arb_dist(), b in arb_dist()) {
-            if a <= b {
-                prop_assert!(a.incr() <= b.incr());
+    #[test]
+    fn lanes_agree_with_dist() {
+        let big = [u32::MAX as u64 - 1, u32::MAX as u64, u32::MAX as u64 + 1];
+        let dom: Vec<Dist> = std::iter::once(Dist::Bottom)
+            .chain((0u64..8).chain(big).chain([i64::MAX as u64]).map(Dist::Fin))
+            .chain(std::iter::once(Dist::Top))
+            .collect();
+        for &a in &dom {
+            let la = lane::encode(a);
+            assert_eq!(lane::decode(la), a, "round trip of {a}");
+            assert_eq!(lane::decode(lane::incr(la)), a.incr(), "{a}++");
+            for ub in [None, Some(1), Some(2), Some(9), Some(i64::MAX)] {
+                let top_from = lane::top_from(ub);
+                assert_eq!(
+                    lane::decode(lane::normalize(la, top_from)),
+                    a.normalize(ub),
+                    "normalize {a} under {ub:?}"
+                );
             }
-        }
-
-        #[test]
-        fn absorption(a in arb_dist(), b in arb_dist()) {
-            prop_assert_eq!(a.min(a.max(b)), a);
-            prop_assert_eq!(a.max(a.min(b)), a);
+            for &b in &dom {
+                let lb = lane::encode(b);
+                assert_eq!(lane::decode(la.min(lb)), a.min(b), "min({a}, {b})");
+                assert_eq!(lane::decode(la.max(lb)), a.max(b), "max({a}, {b})");
+            }
         }
     }
 }

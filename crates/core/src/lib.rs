@@ -17,7 +17,18 @@
 //! `exit` node. [`solve`] computes the fixed point in at most three passes
 //! over the loop body for must-problems and two for may-problems;
 //! [`solve_bounded`] runs exactly that schedule so the bound itself is
-//! testable.
+//! testable, and [`solve_passes`] stops after any number of passes (the
+//! paper's per-pass Table 1).
+//!
+//! There is one solver. [`FlowTable::build`] reduces every flow function to
+//! its constants, evaluating only same-array (generator, kill) pairs; the
+//! solver then converges the solution one column — one tracked reference —
+//! at a time over packed `u64` lanes, which is sound because the framework
+//! is separable (each column evolves independently). A [`Solution`] carries
+//! the fixed point, each column's [`ColumnProfile`] entry (the pass that
+//! last changed it) and the [`SolveStats`] of the equivalent round-robin
+//! schedule, so incremental re-analysis can re-solve only the columns an
+//! edit dirties and [`Solution::splice`] the rest.
 //!
 //! ```
 //! use arrayflow_core::{solve, Direction, Mode, ProblemSpec, KillKind, Dist};
@@ -37,7 +48,7 @@
 //!     None,
 //! );
 //! spec.add_kill(arrayflow_graph::NodeId(1), a, KillKind::Exact(AffineSub::simple(1, 1)));
-//! let sol = solve(&g, &spec);
+//! let sol = solve(&g, &spec, None).unwrap();
 //! // Every previous instance of A[i+1] reaches the top of the body.
 //! assert_eq!(sol.before_at(arrayflow_graph::NodeId(1), d), Dist::Top);
 //! ```
@@ -47,17 +58,14 @@ pub mod lattice;
 pub mod preserve;
 pub mod problem;
 pub mod solver;
-pub mod worklist;
 
-pub use flow::{FlowTable, NodeFlow};
-pub use lattice::{meet_max, meet_min, Dist, DistVec};
-pub use preserve::{node_preserve, preserve_constant};
+#[cfg(test)]
+mod oracle;
+
+pub use flow::FlowTable;
+pub use lattice::Dist;
+pub use preserve::preserve_constant;
 pub use problem::{CustomSpec, Direction, GenRef, KillKind, KillSite, Mode, ProblemSpec, RefId};
 pub use solver::{
-    solve, solve_bounded, solve_ctrl, solve_traced, solve_traced_ctrl, Snapshot, Solution,
-    SolveStats, StopCheck, Stopped,
-};
-pub use worklist::{
-    solve_profiled, solve_profiled_ctrl, solve_worklist, solve_worklist_ctrl, stats_from_profile,
-    ColumnProfile, WorklistRun, WorklistStats,
+    solve, solve_bounded, solve_passes, ColumnProfile, Solution, SolveStats, StopCheck, Stopped,
 };

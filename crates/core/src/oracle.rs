@@ -1,0 +1,265 @@
+//! The round-robin oracle the column solver is checked against: the
+//! textbook schedule over dense per-node tuples of [`Dist`], with every
+//! flow constant derived cell by cell — independent of the lane encoding,
+//! the kill-indexed flow table and the per-column schedule.
+
+use arrayflow_graph::{build_loop_graph, LoopGraph, NodeId};
+use arrayflow_ir::AffineSub;
+use arrayflow_workloads::{random_loop, LoopShape};
+
+use crate::lattice::Dist;
+use crate::preserve::{post_preserve, preserve_constant};
+use crate::problem::{CustomSpec, Direction, KillKind, Mode, ProblemSpec};
+use crate::solver::{solve, solve_bounded, solve_passes, Solution, SolveStats};
+
+/// `(before, after)` tuples per node.
+type State = (Vec<Vec<Dist>>, Vec<Vec<Dist>>);
+
+/// Round-robin passes until one changes nothing, or exactly `max_passes`.
+/// `on_state` sees the state after initialization (`k = 0`) and after
+/// each pass `k`. Returns the final state, the statistics and the last
+/// pass that changed each column.
+fn round_robin(
+    graph: &LoopGraph,
+    spec: &ProblemSpec,
+    max_passes: Option<usize>,
+    mut on_state: impl FnMut(usize, &State),
+) -> (State, SolveStats, Vec<u32>) {
+    let (n, m, ub) = (graph.len(), spec.width(), graph.ub);
+    let increment = match spec.direction {
+        Direction::Forward => graph.exit(),
+        Direction::Backward => graph.entry(),
+    };
+    let mut preserve = vec![vec![Dist::Top; m]; n];
+    let mut post = vec![Dist::Top; m];
+    for kill in spec.kills.iter().filter(|k| k.node != increment) {
+        // Any other array preserves everything (`preserve_constant` says ⊤
+        // before anything else); skipping it only saves time.
+        for (d, gen) in spec.gens.iter().enumerate() {
+            if gen.aref.array != kill.array {
+                continue;
+            }
+            let (dir, mode) = (spec.direction, spec.mode);
+            let cell = &mut preserve[kill.node.index()][d];
+            *cell = (*cell).min(preserve_constant(gen, kill, graph, dir, mode));
+            if gen.node == kill.node {
+                post[d] = post[d].min(post_preserve(gen, kill, graph, dir, mode));
+            }
+        }
+    }
+    let generates = |node: NodeId, d: usize| node != increment && spec.gens[d].node == node;
+    let mut order = graph.rpo().to_vec();
+    if spec.direction == Direction::Backward {
+        order.reverse();
+    }
+    let preds = |node| match spec.direction {
+        Direction::Forward => graph.preds(node),
+        Direction::Backward => graph.succs(node),
+    };
+    let meet_of = |node: NodeId, after: &[Vec<Dist>], mode: Mode| -> Vec<Dist> {
+        let column = |d| {
+            preds(node)
+                .iter()
+                .map(move |p: &NodeId| after[p.index()][d])
+        };
+        (0..m)
+            .map(|d| match mode {
+                Mode::Must => column(d).fold(Dist::Top, Dist::min),
+                Mode::May => column(d).fold(Dist::Bottom, Dist::max),
+            })
+            .collect()
+    };
+
+    let mut stats = SolveStats::default();
+    let must = spec.mode == Mode::Must;
+    let start = if must { Dist::Bottom } else { Dist::Top };
+    let (mut before, mut after) = (vec![vec![start; m]; n], vec![vec![start; m]; n]);
+    if must {
+        for (i, &node) in order.iter().enumerate() {
+            stats.init_visits += 1;
+            let inp = if i == 0 {
+                vec![Dist::Bottom; m]
+            } else {
+                meet_of(node, &after, Mode::Must)
+            };
+            after[node.index()] = (0..m)
+                .map(|d| {
+                    if generates(node, d) {
+                        Dist::Top
+                    } else {
+                        inp[d]
+                    }
+                })
+                .collect();
+            before[node.index()] = inp;
+        }
+    }
+    let mut state = (before, after);
+    on_state(0, &state);
+    let mut profile = vec![0; m];
+    let last = *order.last().expect("non-empty");
+    for pass in 1.. {
+        let (before, after) = &mut state;
+        let mut changed = false;
+        for (i, &node) in order.iter().enumerate() {
+            stats.iter_visits += 1;
+            let inp = if i == 0 {
+                after[last.index()].clone()
+            } else {
+                meet_of(node, after, spec.mode)
+            };
+            let (b, a) = (&mut before[node.index()], &mut after[node.index()]);
+            for (d, &x) in inp.iter().enumerate() {
+                let out = if node == increment {
+                    x.incr()
+                } else if generates(node, d) {
+                    x.min(preserve[node.index()][d])
+                        .max(Dist::Fin(0))
+                        .min(post[d])
+                } else {
+                    x.min(preserve[node.index()][d])
+                }
+                .normalize(ub);
+                if x != b[d] || out != a[d] {
+                    (b[d], a[d]) = (x, out);
+                    profile[d] = pass as u32;
+                    changed = true;
+                }
+            }
+        }
+        stats.passes = pass;
+        if changed {
+            stats.changing_passes = pass;
+        }
+        on_state(pass, &state);
+        if max_passes.map_or(!changed, |k| pass >= k) {
+            break;
+        }
+        assert!(pass < 64, "oracle did not converge");
+    }
+    (state, stats, profile)
+}
+
+/// `custom`'s problem over a loop of one-dimensional references: sites in
+/// a generating role with an affine subscript generate, sites in a killing
+/// role kill — exactly when affine, the whole array otherwise.
+fn spec_of(graph: &LoopGraph, custom: CustomSpec) -> ProblemSpec {
+    let mut spec = ProblemSpec::new(custom.direction, custom.mode);
+    let mut origin = 0;
+    for node in graph.node_ids() {
+        for site in &graph.node(node).refs {
+            let sub = AffineSub::from_expr(&site.aref.subs[0], graph.iv);
+            let (gen, kill) = match site.is_def {
+                true => (custom.gen_defs, custom.kill_defs),
+                false => (custom.gen_uses, custom.kill_uses),
+            };
+            if let (true, Some(sub)) = (gen, &sub) {
+                let id = spec.add_gen(node, site.aref.clone(), sub.clone(), site.is_def, site.stmt);
+                spec.gens[id.index()].origin = Some(origin);
+            }
+            if kill {
+                spec.add_kill(
+                    node,
+                    site.aref.array,
+                    sub.map_or(KillKind::AllOfArray, KillKind::Exact),
+                );
+                let k = spec.kills.last_mut().expect("just pushed");
+                k.is_def = site.is_def;
+                k.origin = Some(origin);
+            }
+            origin += 1;
+        }
+    }
+    spec
+}
+
+fn assert_state(sol: &Solution, (before, after): &State, ctx: &str) {
+    for (i, (b, a)) in before.iter().zip(after).enumerate() {
+        let node = NodeId(i as u32);
+        assert_eq!(&sol.before_row(node), b, "{ctx}: IN[{node}]");
+        assert_eq!(&sol.after_row(node), a, "{ctx}: OUT[{node}]");
+    }
+}
+
+/// Values, statistics, profile, the bounded schedule and every per-pass
+/// snapshot of the column solver against the oracle's. `snapshots: false`
+/// checks the fixed point alone.
+fn check(graph: &LoopGraph, spec: &ProblemSpec, snapshots: bool, ctx: &str) {
+    let sol = solve(graph, spec, None).unwrap();
+    let (fixed, stats, profile) = round_robin(graph, spec, None, |k, state| {
+        if snapshots {
+            assert_state(
+                &solve_passes(graph, spec, k),
+                state,
+                &format!("{ctx} pass {k}"),
+            );
+        }
+    });
+    assert_state(&sol, &fixed, ctx);
+    assert_eq!(sol.stats, stats, "{ctx}: stats");
+    assert_eq!(sol.profile, profile, "{ctx}: profile");
+    if snapshots {
+        let (bounded, bounded_stats, _) = round_robin(graph, spec, Some(2), |_, _| {});
+        let sol = solve_bounded(graph, spec);
+        assert_state(&sol, &bounded, &format!("{ctx} bounded"));
+        assert_eq!(sol.stats, bounded_stats, "{ctx}: bounded stats");
+    }
+}
+
+/// The four canned instances' spec bits: must-reaching definitions,
+/// δ-available values, δ-busy stores and δ-reaching references.
+const CANNED: [u8; 4] = [0b00_0101, 0b00_0111, 0b01_1001, 0b10_0111];
+
+#[test]
+fn column_solver_matches_round_robin_on_the_e16_tiers() {
+    // The four E16 tier shapes (statements / arrays) under every valid
+    // custom spec, which includes the four canned instances. The largest
+    // tier checks per-pass snapshots and the bounded schedule for the
+    // canned instances only, which keeps the suite quick in debug builds.
+    for (stmts, arrays, seeds) in [
+        (8, 4, 0..6),
+        (32, 8, 0..3),
+        (128, 16, 0..2),
+        (512, 64, 0..1),
+    ] {
+        let shape = LoopShape {
+            stmts,
+            arrays,
+            ..LoopShape::default()
+        };
+        for seed in seeds {
+            let p = random_loop(&shape, 42 + seed);
+            let graph = build_loop_graph(p.sole_loop().unwrap());
+            for bits in 0..64 {
+                let Some(custom) = CustomSpec::from_bits(bits) else {
+                    continue;
+                };
+                let snapshots = stmts < 512 || CANNED.contains(&bits);
+                let ctx = format!("{stmts}/{arrays} seed {seed} {custom}");
+                check(&graph, &spec_of(&graph, custom), snapshots, &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn column_solver_matches_round_robin_on_fig1() {
+    let p = arrayflow_ir::parse_program(
+        "do i = 1, UB
+           C[i+2] := C[i] * 2;
+           B[2*i] := C[i] + x;
+           if C[i] == 0 then C[i] := B[i-1]; end
+           B[i] := C[i+1];
+         end",
+    )
+    .unwrap();
+    let graph = build_loop_graph(p.sole_loop().unwrap());
+    for custom in (0..64).filter_map(CustomSpec::from_bits) {
+        check(
+            &graph,
+            &spec_of(&graph, custom),
+            true,
+            &format!("fig1 {custom}"),
+        );
+    }
+}

@@ -21,6 +21,7 @@
 //! fall back to the sound side of the respective mode.
 
 use arrayflow_graph::LoopGraph;
+use arrayflow_ir::{AffineSub, LinExpr};
 
 use crate::lattice::Dist;
 use crate::problem::{Direction, GenRef, KillKind, KillSite, Mode};
@@ -55,7 +56,7 @@ pub fn preserve_constant(
 }
 
 /// [`preserve_constant`] with an explicit `pr`. The post-generate kills of
-/// [`node_post_preserve`] force `pr = 0`: a killer executing *after* the
+/// [`post_preserve`] force `pr = 0`: a killer executing *after* the
 /// generator within the same node can destroy even the instance created
 /// this iteration.
 pub fn preserve_constant_with_pr(
@@ -82,32 +83,25 @@ pub fn preserve_constant_with_pr(
         KillKind::Exact(sub) => sub,
     };
 
-    // Numerator of k(i): forward (a₁−a₂)·i + (b₁−b₂); backward negated.
-    let (da, db) = match direction {
-        Direction::Forward => (
-            gen.sub.coef.clone() - kill_sub.coef.clone(),
-            gen.sub.rest.clone() - kill_sub.rest.clone(),
-        ),
-        Direction::Backward => (
-            kill_sub.coef.clone() - gen.sub.coef.clone(),
-            kill_sub.rest.clone() - gen.sub.rest.clone(),
-        ),
-    };
     let denom = &gen.sub.coef;
-
     if denom.is_zero() {
-        return invariant_generator(gen, kill_sub, pr, ub, mode);
+        return invariant_generator(gen, kill_sub, pr, ub, mode).unwrap_or(undecidable(mode));
     }
-
+    // Numerator of k(i): forward (a₁−a₂)·i + (b₁−b₂); backward negated.
+    let (g, k) = match direction {
+        Direction::Forward => (&gen.sub, kill_sub),
+        Direction::Backward => (kill_sub, &gen.sub),
+    };
     // k(i) = qa·i + qb with qa = Δa/a₁ and qb = Δb/a₁, both exact rationals
-    // when they exist at all (symbolic parts must cancel).
-    let (Some(qa), Some(qb)) = (da.ratio(denom), db.ratio(denom)) else {
+    // when they exist at all (symbolic parts must cancel). A difference
+    // or ratio that overflows `i64` is as undecidable as a symbolic one.
+    let ratio = |a: &LinExpr, b: &LinExpr| a.checked_sub(b)?.ratio(denom);
+    let (Some(qa), Some(qb)) = (ratio(&g.coef, &k.coef), ratio(&g.rest, &k.rest)) else {
         return undecidable(mode);
     };
-
     match mode {
         Mode::May => definite_kill(qa, qb, pr, ub),
-        Mode::Must => must_constant(qa, qb, pr, ub, direction),
+        Mode::Must => must_constant(qa, qb, pr, ub, direction).unwrap_or(undecidable(mode)),
     }
 }
 
@@ -121,46 +115,39 @@ fn undecidable(mode: Mode) -> Dist {
 
 /// The generator is loop-invariant (`a₁ = 0`): all its instances share one
 /// location, so any killer that can touch that location destroys them all.
+/// `None` when the location difference overflows `i64`.
 fn invariant_generator(
     gen: &GenRef,
-    kill_sub: &arrayflow_ir::AffineSub,
+    kill_sub: &AffineSub,
     pr: u64,
     ub: Option<i64>,
     mode: Mode,
-) -> Dist {
-    let diff = kill_sub.rest.clone() - gen.sub.rest.clone();
+) -> Option<Dist> {
+    // b₁ − b₂: the killer hits the location when a₂·i = b₁ − b₂.
+    let diff = gen.sub.rest.checked_sub(&kill_sub.rest)?;
     if kill_sub.coef.is_zero() {
         // Invariant vs invariant: overlap iff b₂ = b₁.
         if diff.is_zero() {
             // Same location rewritten every iteration.
-            return match (mode, pr) {
+            return Some(match (mode, pr) {
                 (Mode::Must, _) => Dist::Bottom,
                 (Mode::May, 0) => Dist::Bottom,
                 (Mode::May, _) => Dist::Top, // δ < pr instances are unaffected
-            };
+            });
         }
-        if let Some(c) = diff.as_constant() {
-            debug_assert!(c != 0);
-            return Dist::Top; // provably disjoint locations
-        }
-        return undecidable(mode);
+        // Provably disjoint locations, unless the difference is symbolic.
+        return diff.is_constant().then_some(Dist::Top);
     }
-    // Invariant generator vs a sweeping killer a₂·i + b₂: the killer hits
-    // the location when a₂·i = b₁ − b₂ for some i ∈ I.
+    // Invariant generator vs a sweeping killer a₂·i + b₂.
     match mode {
-        Mode::May => Dist::Top, // never a definite per-distance kill
+        Mode::May => Some(Dist::Top), // never a definite per-distance kill
         Mode::Must => {
-            let (Some(a2), Some(d)) = (kill_sub.coef.as_constant(), (-diff).as_constant()) else {
-                return Dist::Bottom;
+            let (Some(a2), Some(d)) = (kill_sub.coef.as_constant(), diff.as_constant()) else {
+                return Some(Dist::Bottom);
             };
-            if a2 != 0 && d % a2 == 0 {
-                let i0 = d / a2;
-                let hit = i0 >= 1 && ub.is_none_or(|ub| i0 <= ub);
-                if hit {
-                    return Dist::Bottom;
-                }
-            }
-            Dist::Top
+            let (a2, d) = (a2 as i128, d as i128);
+            let hit = d % a2 == 0 && d / a2 >= 1 && ub.is_none_or(|ub| d / a2 <= ub as i128);
+            Some(if hit { Dist::Bottom } else { Dist::Top })
         }
     }
 }
@@ -176,39 +163,41 @@ fn invariant_generator(
 /// `X[3]` never kills instances of `X[i+4]`, because `i = −1` is outside
 /// the loop) and keeps the subsumption property over the dependence-based
 /// baseline.
+///
+/// Every step is checked `i128` arithmetic: `None` when one overflows
+/// (e.g. `X[4611686018427387903·i]` over a trip count near `i64::MAX`),
+/// which the caller answers with the sound `undecidable` constant.
 fn must_constant(
     qa: (i64, i64),
     qb: (i64, i64),
     pr: u64,
     ub: Option<i64>,
     direction: Direction,
-) -> Dist {
+) -> Option<Dist> {
     let pr = pr as i128;
     if qa.0 == 0 {
         // k is the constant qb.
         let (n, d) = (qb.0 as i128, qb.1 as i128);
         if n < pr * d {
-            return Dist::Top; // k < pr: no instance killed
+            return Some(Dist::Top); // k < pr: no instance killed
         }
         if d != 1 && n != pr * d {
             // Non-integer constant: a kill would need an integer distance,
             // so none ever occurs. (Slightly sharper than the paper's
             // ⌈k⌉ − 1 approximation, and exact.)
-            return Dist::Top;
+            return Some(Dist::Top);
         }
         // Integer constant c ≥ pr: a kill at distance c needs a valid
         // source iteration, i.e. the loop must run at least c + 1 times.
         let c = n / d;
-        if let Some(ub) = ub {
-            if (ub as i128) < c + 1 {
-                return Dist::Top;
-            }
+        if ub.is_some_and(|ub| (ub as i128) < c + 1) {
+            return Some(Dist::Top);
         }
-        return if n == pr * d {
+        return Some(if n == pr * d {
             Dist::Bottom // k ≡ pr: every instance killed
         } else {
             Dist::Fin((c - 1) as u64) // c > pr: p = c − 1
-        };
+        });
     }
 
     // Common denominator: k(i) = (A·i + B) / Dn with Dn > 0.
@@ -222,62 +211,63 @@ fn must_constant(
     //   instance existence (see above)
     //   A·i + B ≥ pr·Dn (+1 for strict)         (kill depth)
     // All are linear in i; intersect them into [lo, hi].
-    let mut lo: i128 = 1;
-    let mut hi: i128 = ub.map_or(i128::MAX / 4, |u| u as i128);
-    let add = |e: i128, f: i128, lo: &mut i128, hi: &mut i128, feasible: &mut bool| {
-        // constraint e·i ≥ f
-        match e.cmp(&0) {
-            std::cmp::Ordering::Greater => *lo = (*lo).max(ceil_div(f, e)),
-            std::cmp::Ordering::Less => *hi = (*hi).min(floor_div(f, e)),
-            std::cmp::Ordering::Equal => {
-                if f > 0 {
-                    *feasible = false;
-                }
-            }
-        }
+    let mut range = Range {
+        lo: 1,
+        hi: ub.map_or(i128::MAX / 4, |u| u as i128),
     };
-    let mut feasible = true;
-    match direction {
+    match (direction, ub) {
         // i − k(i) ≥ 1  ⟺  (Dn − A)·i ≥ B + Dn
-        Direction::Forward => add(dn - a, b + dn, &mut lo, &mut hi, &mut feasible),
+        (Direction::Forward, _) => range.at_least(dn.checked_sub(a)?, b.checked_add(dn)?),
         // i + k(i) ≤ UB ⟺ −(Dn + A)·i ≥ B − UB·Dn (only with a known UB)
-        Direction::Backward => {
-            if let Some(u) = ub {
-                add(
-                    -(dn + a),
-                    b - u as i128 * dn,
-                    &mut lo,
-                    &mut hi,
-                    &mut feasible,
-                );
-            }
-        }
+        (Direction::Backward, Some(u)) => range.at_least(
+            dn.checked_add(a)?.checked_neg()?,
+            b.checked_sub((u as i128).checked_mul(dn)?)?,
+        ),
+        (Direction::Backward, None) => {}
     }
 
     // Exact hit at distance pr within the feasible range → ⊥ (the paper's
     // case-1 answer extended to non-constant k; its ⌈min k > pr⌉ − 1
     // approximation alone would be unsound here).
-    let c0 = pr * dn - b; // A·i == c0 ⟺ k(i) == pr
-    if feasible && c0 % a == 0 {
-        let i0 = c0 / a;
-        if i0 >= lo && i0 <= hi {
-            return Dist::Bottom;
-        }
+    let c0 = (pr * dn).checked_sub(b)?; // A·i == c0 ⟺ k(i) == pr
+    if c0 % a == 0 && (range.lo..=range.hi).contains(&(c0 / a)) {
+        return Some(Dist::Bottom);
     }
 
     // Strictly-above-pr kills: add A·i ≥ pr·Dn − B + 1 and take the minimum
     // k over the interval (at the lo end when k increases, hi when it
     // decreases).
-    add(a, pr * dn - b + 1, &mut lo, &mut hi, &mut feasible);
-    if !feasible || lo > hi {
-        return Dist::Top;
+    range.at_least(a, c0.checked_add(1)?);
+    let Range { lo, hi } = range;
+    if lo > hi {
+        return Some(Dist::Top);
     }
     let i_star = if a > 0 { lo } else { hi };
-    let k_num = a * i_star + b;
+    let k_num = a.checked_mul(i_star)?.checked_add(b)?;
     debug_assert!(k_num > pr * dn);
     let p = ceil_div(k_num, dn) - 1;
     debug_assert!(p >= 0);
-    Dist::Fin(p as u64)
+    Some(Dist::Fin(u64::try_from(p).ok()?))
+}
+
+/// The integer iterations satisfying a conjunction of constraints
+/// `e·i ≥ f`: `[lo, hi]`, empty when `lo > hi`.
+struct Range {
+    lo: i128,
+    hi: i128,
+}
+
+impl Range {
+    /// Intersects with `e·i ≥ f`.
+    fn at_least(&mut self, e: i128, f: i128) {
+        match e.cmp(&0) {
+            std::cmp::Ordering::Greater => self.lo = self.lo.max(ceil_div(f, e)),
+            std::cmp::Ordering::Less => self.hi = self.hi.min(floor_div(f, e)),
+            // 0 ≥ f: all or nothing.
+            std::cmp::Ordering::Equal if f > 0 => self.hi = self.lo - 1,
+            std::cmp::Ordering::Equal => {}
+        }
+    }
 }
 
 /// May-mode *definite kill* rule (paper §3.3): only a killer of the form
@@ -325,76 +315,41 @@ fn floor_div(a: i128, b: i128) -> i128 {
     }
 }
 
-/// Combines the preserve constants of every kill site in a node that applies
-/// to `gen`: composition of `min`s is `min` of the constants.
-pub fn node_preserve(
-    gen: &GenRef,
-    node: arrayflow_graph::NodeId,
-    kills: &[KillSite],
-    graph: &LoopGraph,
-    direction: Direction,
-    mode: Mode,
-) -> Dist {
-    let mut p = Dist::Top;
-    for kill in kills.iter().filter(|k| k.node == node) {
-        p = p.min(preserve_constant(gen, kill, graph, direction, mode));
-    }
-    p
-}
-
-/// The *post-generate* preserve constant for a reference generated in
-/// `node`: kills from sites in the same node that execute **after** the
-/// generating reference in the direction of flow. Such a killer can destroy
-/// the distance-0 instance the node just created — a case the paper's
-/// `pr = 1` same-node convention does not cover (e.g. in
-/// `A[2i−1] := A[i+2] + 2`, the definition overwrites the element the use
-/// just read whenever `2i−1 = i+2`).
+/// The *post-generate* preserve constant of one kill site `kill` in the
+/// generator's own node: kill sites that execute **after** the generating
+/// reference in the direction of flow can destroy the distance-0 instance
+/// the node just created — a case the paper's `pr = 1` same-node
+/// convention does not cover (e.g. in `A[2i−1] := A[i+2] + 2`, the
+/// definition overwrites the element the use just read whenever
+/// `2i−1 = i+2`). `⊤` when the site does not post-kill.
 ///
 /// Within an assignment, uses execute before the definition; so forward
 /// problems post-kill use-generators by the statement's definition, and
 /// backward problems post-kill the definition by the statement's uses.
 /// Summary nodes have unknown internal order, so every non-self kill site
 /// applies. A kill site that *is* the generator never post-kills it.
-pub fn node_post_preserve(
+pub fn post_preserve(
     gen: &GenRef,
-    node: arrayflow_graph::NodeId,
-    kills: &[KillSite],
+    kill: &KillSite,
     graph: &LoopGraph,
     direction: Direction,
     mode: Mode,
 ) -> Dist {
-    let is_summary = graph.node(node).is_summary();
-    let mut p = Dist::Top;
-    for kill in kills.iter().filter(|k| k.node == node) {
-        let self_site = match (gen.origin, kill.origin) {
-            (Some(a), Some(b)) => a == b,
-            // Hand-built specs without origins: a def kill with the
-            // generator's own subscript in the generator's node is the
-            // generator.
-            _ => {
-                gen.is_def == kill.is_def
-                    && matches!(&kill.kind, KillKind::Exact(s) if *s == gen.sub)
-            }
+    let self_site = match (gen.origin, kill.origin) {
+        (Some(a), Some(b)) => a == b,
+        // Hand-built specs without origins: a def kill with the generator's
+        // own subscript in the generator's node is the generator.
+        _ => gen.is_def == kill.is_def && matches!(&kill.kind, KillKind::Exact(s) if *s == gen.sub),
+    };
+    let applies = graph.node(kill.node).is_summary()
+        || match direction {
+            Direction::Forward => kill.is_def && !gen.is_def,
+            Direction::Backward => !kill.is_def && gen.is_def,
         };
-        if self_site {
-            continue;
-        }
-        let applies = if is_summary {
-            true
-        } else {
-            match direction {
-                Direction::Forward => kill.is_def && !gen.is_def,
-                Direction::Backward => !kill.is_def && gen.is_def,
-            }
-        };
-        if !applies {
-            continue;
-        }
-        p = p.min(preserve_constant_with_pr(
-            gen, kill, graph.ub, direction, mode, 0,
-        ));
+    if self_site || !applies {
+        return Dist::Top;
     }
-    p
+    preserve_constant_with_pr(gen, kill, graph.ub, direction, mode, 0)
 }
 
 #[cfg(test)]
@@ -761,6 +716,37 @@ mod tests {
         // Backward k ≡ ((1−1)i + (1−0))/1 = 1 > pr = 0 → p = 0.
         assert_eq!(pb, Dist::Fin(0));
         let _ = p;
+    }
+
+    #[test]
+    fn overflowing_arithmetic_is_undecidable() {
+        // X[i + MAX] against X[i − MAX]: the offset difference overflows
+        // i64, so the relation is undecidable — ⊥ for must, ⊤ for may.
+        let (max, min1) = (
+            AffineSub::simple(1, i64::MAX),
+            AffineSub::simple(1, -i64::MAX),
+        );
+        assert_eq!(
+            p_of(max.clone(), min1.clone(), None, Mode::Must),
+            Dist::Bottom
+        );
+        assert_eq!(p_of(max, min1, None, Mode::May), Dist::Top);
+        // X[(2⁶²−1)·i] against X[i+1] over 9·10¹⁸ iterations: a·i* + b
+        // overflows i128 in the must derivation.
+        let big = AffineSub::simple(4611686018427387903, 0);
+        let ub = Some(9_000_000_000_000_000_000);
+        assert_eq!(
+            p_of(big.clone(), AffineSub::simple(1, 1), ub, Mode::Must),
+            Dist::Bottom
+        );
+        assert_eq!(p_of(big, AffineSub::simple(3, 0), ub, Mode::May), Dist::Top);
+        // An invariant generator against a killer whose location
+        // difference overflows.
+        let (hi, lo) = (
+            AffineSub::simple(0, i64::MAX),
+            AffineSub::simple(-1, i64::MIN),
+        );
+        assert_eq!(p_of(hi, lo, None, Mode::Must), Dist::Bottom);
     }
 
     #[test]

@@ -272,16 +272,6 @@ impl ProblemSpec {
     pub fn width(&self) -> usize {
         self.gens.len()
     }
-
-    /// The generating references located in `node`.
-    pub fn gens_in(&self, node: NodeId) -> impl Iterator<Item = &GenRef> {
-        self.gens.iter().filter(move |g| g.node == node)
-    }
-
-    /// The killing sites located in `node`.
-    pub fn kills_in(&self, node: NodeId) -> impl Iterator<Item = &KillSite> {
-        self.kills.iter().filter(move |k| k.node == node)
-    }
 }
 
 #[cfg(test)]

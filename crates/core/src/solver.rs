@@ -13,16 +13,29 @@
 //! and `f ∘ f_exit ∘ f` is weakly idempotent, the greatest fixed point is
 //! reached after **two** iteration passes — `3·N` node visits in total.
 //! May-problems start from "all instances" instead and converge after two
-//! passes (`2·N` visits) with the dual meet. The solver iterates to an
-//! observed fixed point, records how many passes actually changed values,
-//! and [`solve_bounded`] runs exactly the paper's schedule so the bound can
-//! be validated against the general solver.
+//! passes (`2·N` visits) with the dual meet.
+//!
+//! The framework is separable: meet and every flow function act on each
+//! tracked reference independently, so each *column* of the solution
+//! evolves on its own. The solver therefore converges one column at a time
+//! over packed, column-major lanes ([`crate::lattice`]'s `lane` encoding),
+//! emulating the round-robin schedule per column: a column runs passes in
+//! flow order until one leaves it unchanged, and the pass that last
+//! changed it is its [`ColumnProfile`] entry. The state after `k` passes of
+//! every column is exactly the round-robin state after `k` passes, so
+//! [`solve_passes`] yields the paper's per-pass Table 1 snapshots,
+//! [`solve_bounded`] runs exactly the paper's schedule, and the reported
+//! [`SolveStats`] are the round-robin schedule's: `max(profile) + 1`
+//! passes of `N` visits each (the last one confirming), plus the
+//! initialization pass for must-problems.
+
+use std::sync::Arc;
 
 use arrayflow_graph::{LoopGraph, NodeId};
 
 use crate::flow::FlowTable;
-use crate::lattice::{meet_max, meet_min, Dist, DistVec};
-use crate::problem::{Direction, Mode, ProblemSpec};
+use crate::lattice::{lane, Dist};
+use crate::problem::{Direction, Mode, ProblemSpec, RefId};
 
 /// Solver instrumentation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,73 +58,111 @@ impl SolveStats {
     pub fn visits_to_fix(&self, nodes: usize) -> usize {
         self.init_visits + self.changing_passes * nodes
     }
-}
 
-/// The fixed point: one tuple per node on each side of its flow function.
-///
-/// Tuples are oriented in the direction of information flow: for a forward
-/// problem `before[n]` is the solution at node entry and `after[n]` at node
-/// exit; for a backward problem `before[n]` is at node *exit* (the paper's
-/// `IN` for backward problems) and `after[n]` at node entry.
-#[derive(Debug, Clone)]
-pub struct Solution {
-    /// Flow-order input of each node, indexed by node.
-    pub before: Vec<DistVec>,
-    /// Flow-order output of each node.
-    pub after: Vec<DistVec>,
-    /// Instrumentation.
-    pub stats: SolveStats,
-}
-
-impl Solution {
-    /// The solution component for reference `d` flowing into `node`.
-    pub fn before_at(&self, node: NodeId, d: crate::problem::RefId) -> Dist {
-        self.before[node.index()][d.index()]
-    }
-
-    /// The solution component for reference `d` flowing out of `node`.
-    pub fn after_at(&self, node: NodeId, d: crate::problem::RefId) -> Dist {
-        self.after[node.index()][d.index()]
-    }
-}
-
-pub(crate) struct View<'g> {
-    graph: &'g LoopGraph,
-    pub(crate) order: Vec<NodeId>,
-}
-
-impl<'g> View<'g> {
-    pub(crate) fn new(graph: &'g LoopGraph, direction: Direction) -> Self {
-        let order = match direction {
-            Direction::Forward => graph.rpo().to_vec(),
-            Direction::Backward => graph.rpo().iter().rev().copied().collect(),
-        };
-        Self { graph, order }
-    }
-
-    pub(crate) fn first(&self) -> NodeId {
-        self.order[0]
-    }
-
-    pub(crate) fn last(&self) -> NodeId {
-        *self.order.last().expect("graphs are non-empty")
-    }
-
-    pub(crate) fn preds(&self, node: NodeId, direction: Direction) -> &[NodeId] {
-        match direction {
-            Direction::Forward => self.graph.preds(node),
-            Direction::Backward => self.graph.succs(node),
+    /// The round-robin schedule behind a column profile: `passes`
+    /// iteration passes of `nodes` visits (`max(profile) + 1` when run to
+    /// the fixed point), plus the initialization pass for must-problems.
+    fn of_profile(profile: &[u32], nodes: usize, mode: Mode, passes: Option<usize>) -> Self {
+        let changing_passes = profile.iter().copied().max().unwrap_or(0) as usize;
+        let passes = passes.unwrap_or(changing_passes + 1);
+        SolveStats {
+            init_visits: if mode == Mode::Must { nodes } else { 0 },
+            iter_visits: passes * nodes,
+            passes,
+            changing_passes,
         }
     }
 }
 
-/// A cooperative stop request observed between iteration passes: the
-/// caller's `should_stop` closure returned `true` before the fixed point
-/// was reached. Carries how many iteration passes completed before the
-/// solver yielded — the *wasted work* a cancelled request actually cost.
+/// Per-column convergence profile: for each tracked reference, the last
+/// iteration pass (1-based) in which its column changed anywhere, or 0 if
+/// it never moved after initialization. `max(profile) ==
+/// stats.changing_passes` by construction.
+pub type ColumnProfile = Vec<u32>;
+
+/// The fixed point: one lattice value per node and tracked reference on
+/// each side of the node's flow function, stored column by column as
+/// packed lanes.
+///
+/// Values are oriented in the direction of information flow: for a forward
+/// problem "before" is the solution at node entry and "after" at node
+/// exit; for a backward problem "before" is at node *exit* (the paper's
+/// `IN` for backward problems) and "after" at node entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Solution {
+    nodes: usize,
+    /// Per column: the node-indexed "before" lanes, then the "after"
+    /// lanes. Columns are immutable once solved, so solutions that splice
+    /// a column share it instead of copying it.
+    columns: Vec<Arc<[u64]>>,
+    /// Last changing pass per column (see [`ColumnProfile`]).
+    pub profile: ColumnProfile,
+    /// Instrumentation, in round-robin-equivalent terms.
+    pub stats: SolveStats,
+}
+
+impl Solution {
+    /// Number of tracked references (columns).
+    pub fn width(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// The solution component for reference `d` flowing into `node`.
+    pub fn before_at(&self, node: NodeId, d: RefId) -> Dist {
+        lane::decode(self.columns[d.index()][node.index()])
+    }
+
+    /// The solution component for reference `d` flowing out of `node`.
+    pub fn after_at(&self, node: NodeId, d: RefId) -> Dist {
+        lane::decode(self.columns[d.index()][self.nodes + node.index()])
+    }
+
+    /// The tuple flowing into `node`, one value per reference.
+    pub fn before_row(&self, node: NodeId) -> Vec<Dist> {
+        (0..self.width() as u32)
+            .map(|d| self.before_at(node, RefId(d)))
+            .collect()
+    }
+
+    /// The tuple flowing out of `node`, one value per reference.
+    pub fn after_row(&self, node: NodeId) -> Vec<Dist> {
+        (0..self.width() as u32)
+            .map(|d| self.after_at(node, RefId(d)))
+            .collect()
+    }
+
+    /// Assembles a converged solution over a `nodes`-node graph column by
+    /// column — the incremental splice: each `(source, column)` pair names
+    /// a column of a solution over the same graph, which the result shares
+    /// rather than copies; its profile entry travels with it, and the
+    /// statistics are re-derived from the spliced profile.
+    pub fn splice<'a>(
+        nodes: usize,
+        mode: Mode,
+        columns: impl IntoIterator<Item = (&'a Solution, usize)>,
+    ) -> Solution {
+        let (columns, profile): (Vec<_>, ColumnProfile) = columns
+            .into_iter()
+            .map(|(src, d)| (Arc::clone(&src.columns[d]), src.profile[d]))
+            .unzip();
+        let stats = SolveStats::of_profile(&profile, nodes, mode, None);
+        Solution {
+            nodes,
+            columns,
+            profile,
+            stats,
+        }
+    }
+}
+
+/// A cooperative stop request: the caller's `should_stop` closure returned
+/// `true` before the fixed point was reached. Carries how many passes of
+/// work completed before the solver yielded — the *wasted work* a
+/// cancelled request actually cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stopped {
-    /// Iteration passes fully executed before the stop was observed.
+    /// Whole round-robin-equivalent passes (`N · m` node-column visits
+    /// each) the columns finished before the stop add up to.
     pub passes_completed: usize,
 }
 
@@ -123,217 +174,268 @@ impl std::fmt::Display for Stopped {
 
 impl std::error::Error for Stopped {}
 
-/// A cooperative stop check, polled by the solver between iteration
-/// passes. `None` costs a single branch per pass — the same dormant-seam
-/// contract as the fault surface.
+/// A cooperative stop check. The solver polls it before its first column
+/// and then at the first column boundary after each further pass of work
+/// (see [`Stopped::passes_completed`]), so a request that dies mid-solve
+/// costs at most about one more pass. `None` costs a single branch per
+/// poll — the same dormant-seam contract as the fault surface.
 pub type StopCheck<'a> = &'a (dyn Fn() -> bool + 'a);
 
-/// Solves `spec` over `graph`, iterating to an observed fixed point.
+/// A pass cap no structured loop graph comes near: columns converge within
+/// three passes (two changing, one confirming).
+const HARD_CAP: u32 = 64;
+
+/// Solves `spec` over `graph`, iterating every column to an observed fixed
+/// point. Polls `should_stop` between columns (see [`StopCheck`]) and
+/// yields [`Stopped`] as soon as it returns `true`; with `None` the solve
+/// always completes.
 ///
 /// # Panics
 ///
-/// Panics if the fixed point is not reached within a generous pass budget —
+/// Panics if a column does not converge within a generous pass budget —
 /// impossible for graphs produced by `arrayflow-graph`, whose bodies are
 /// acyclic.
-pub fn solve(graph: &LoopGraph, spec: &ProblemSpec) -> Solution {
-    solve_with_passes(graph, spec, usize::MAX)
-}
-
-/// Like [`solve`], but polls `should_stop` between iteration passes and
-/// yields [`Stopped`] (with the pass count spent so far) as soon as it
-/// returns `true` — the cooperative-cancellation entry point the serving
-/// stack uses so an already-dead request costs at most one pass. With
-/// `None` the check is a single branch per pass and the result is
-/// identical to [`solve`].
-pub fn solve_ctrl(
+pub fn solve(
     graph: &LoopGraph,
     spec: &ProblemSpec,
     should_stop: Option<StopCheck<'_>>,
 ) -> Result<Solution, Stopped> {
-    solve_impl(graph, spec, usize::MAX, None, should_stop)
-}
-
-/// [`solve_traced`] with a cooperative stop check (see [`solve_ctrl`]).
-pub fn solve_traced_ctrl(
-    graph: &LoopGraph,
-    spec: &ProblemSpec,
-    should_stop: Option<StopCheck<'_>>,
-) -> Result<(Solution, Vec<Snapshot>), Stopped> {
-    let mut snapshots = Vec::new();
-    let sol = solve_impl(graph, spec, usize::MAX, Some(&mut snapshots), should_stop)?;
-    Ok((sol, snapshots))
+    run(graph, spec, None, should_stop)
 }
 
 /// Runs exactly the paper's schedule: the initialization pass (must) plus
 /// two iteration passes, without checking for convergence. The result
-/// equals [`solve`] on structured loop graphs — asserted throughout the
+/// equals [`solve`]'s on structured loop graphs — asserted throughout the
 /// test suite — which is precisely the paper's efficiency theorem.
 pub fn solve_bounded(graph: &LoopGraph, spec: &ProblemSpec) -> Solution {
-    solve_with_passes(graph, spec, 2)
+    solve_passes(graph, spec, 2)
 }
 
-/// One snapshot of the equation system's state: `(before, after)` tuples
-/// per node.
-pub type Snapshot = (Vec<DistVec>, Vec<DistVec>);
-
-/// Like [`solve`], additionally recording a [`Snapshot`] after the
-/// initialization pass (must-problems) and after every iteration pass —
-/// this regenerates the paper's Table 1 column by column.
-pub fn solve_traced(graph: &LoopGraph, spec: &ProblemSpec) -> (Solution, Vec<Snapshot>) {
-    let mut snapshots = Vec::new();
-    let sol = solve_impl(graph, spec, usize::MAX, Some(&mut snapshots), None)
-        .expect("no stop check installed");
-    (sol, snapshots)
+/// The state after the initialization and `passes` iteration passes: the
+/// round-robin snapshot the paper's Table 1 prints per pass (`passes = 0`
+/// is the initialization pass alone). Statistics report exactly `passes`
+/// iteration passes.
+pub fn solve_passes(graph: &LoopGraph, spec: &ProblemSpec, passes: usize) -> Solution {
+    run(graph, spec, Some(passes), None).expect("no stop check installed")
 }
 
-fn solve_with_passes(graph: &LoopGraph, spec: &ProblemSpec, max_passes: usize) -> Solution {
-    solve_impl(graph, spec, max_passes, None, None).expect("no stop check installed")
+/// Flow order and the flow predecessors of each position in it.
+struct Schedule {
+    /// Node indices in flow order.
+    order: Vec<usize>,
+    /// Position `i`'s predecessors are `preds[starts[i]..starts[i + 1]]`;
+    /// the first position's only predecessor is the last (the back edge).
+    starts: Vec<usize>,
+    preds: Vec<usize>,
+    /// The farthest position a change at position `i` reaches within a
+    /// pass: its last flow successor (`i` itself for the last position).
+    reach: Vec<usize>,
 }
 
-fn solve_impl(
+impl Schedule {
+    fn new(graph: &LoopGraph, direction: Direction) -> Self {
+        let mut order: Vec<usize> = graph.rpo().iter().map(|n| n.index()).collect();
+        if direction == Direction::Backward {
+            order.reverse();
+        }
+        let mut pos = vec![0; graph.len()];
+        for (i, &node) in order.iter().enumerate() {
+            pos[node] = i;
+        }
+        let mut s = Schedule {
+            starts: vec![0],
+            preds: Vec::with_capacity(order.len() + 1),
+            reach: Vec::with_capacity(order.len()),
+            order,
+        };
+        for (i, &node) in s.order.iter().enumerate() {
+            let node = NodeId(node as u32);
+            let (preds, succs) = match direction {
+                Direction::Forward => (graph.preds(node), graph.succs(node)),
+                Direction::Backward => (graph.succs(node), graph.preds(node)),
+            };
+            if i == 0 {
+                s.preds.push(*s.order.last().expect("graphs are non-empty"));
+            } else {
+                s.preds.extend(preds.iter().map(|p| p.index()));
+            }
+            s.starts.push(s.preds.len());
+            s.reach
+                .push(succs.iter().map(|n| pos[n.index()]).fold(i, usize::max));
+        }
+        s
+    }
+}
+
+/// The one solver: every column in turn, passes capped at `cap` when set.
+fn run(
     graph: &LoopGraph,
     spec: &ProblemSpec,
-    max_passes: usize,
-    mut trace: Option<&mut Vec<Snapshot>>,
+    cap: Option<usize>,
     should_stop: Option<StopCheck<'_>>,
 ) -> Result<Solution, Stopped> {
-    let m = spec.width();
-    let n = graph.len();
     let table = FlowTable::build(graph, spec);
-    let view = View::new(graph, spec.direction);
-    let mut stats = SolveStats::default();
-
-    let mut before: Vec<DistVec> = vec![vec![Dist::Bottom; m]; n];
-    let mut after: Vec<DistVec> = vec![vec![Dist::Bottom; m]; n];
-
-    match spec.mode {
-        Mode::Must => {
-            // Initialization pass: visits in flow order over the acyclic
-            // body; OUT⁰ = ⊤ at generate sites, IN⁰ propagated, kills
-            // ignored (paper §3.2).
-            for &node in &view.order {
-                stats.init_visits += 1;
-                let inp = if node == view.first() {
-                    vec![Dist::Bottom; m]
-                } else {
-                    meet_of_preds(&view, node, spec, &after, Mode::Must, m)
-                };
-                let row = table.row(node);
-                let out = inp
-                    .iter()
-                    .enumerate()
-                    .map(|(d, &x)| if row.generate[d] { Dist::Top } else { x })
-                    .collect::<Vec<_>>();
-                before[node.index()] = inp;
-                after[node.index()] = out;
-            }
+    let schedule = Schedule::new(graph, spec.direction);
+    let (n, m) = (graph.len(), spec.width());
+    let poll = |passes_completed| match should_stop.is_some_and(|stop| stop()) {
+        true => Err(Stopped { passes_completed }),
+        false => Ok(()),
+    };
+    poll(0)?;
+    let (mut columns, mut profile) = (Vec::with_capacity(m), Vec::with_capacity(m));
+    // Column d is solved in `lanes` (before, then after), which stays hot
+    // in cache, and then copied out once. Its preserve constants are
+    // scattered over the nodes and cleared again after its solve.
+    let mut lanes = vec![0; 2 * n];
+    let mut preserve = vec![lane::TOP; n];
+    let cap32 = cap.map_or(HARD_CAP, |c| c.min(HARD_CAP as usize) as u32);
+    let (mut work, mut polled) = (0, 0);
+    for d in 0..m {
+        let entries = &table.entries[table.starts[d]..table.starts[d + 1]];
+        for &(node, p) in entries {
+            preserve[node as usize] = p;
         }
-        Mode::May => {
-            // Start from "all instances"; the preserve functions lower the
-            // values to the greatest fixed point within two passes (§3.3).
-            for v in before.iter_mut().chain(after.iter_mut()) {
-                v.fill(Dist::Top);
-            }
-        }
-    }
-    if let Some(trace) = trace.as_deref_mut() {
-        trace.push((before.clone(), after.clone()));
-    }
-
-    let hard_cap = 64;
-    let mut pass = 0;
-    loop {
-        if let Some(stop) = should_stop {
-            if stop() {
-                return Err(Stopped {
-                    passes_completed: pass,
-                });
-            }
-        }
-        pass += 1;
-        let mut changed = false;
-        for &node in &view.order {
-            stats.iter_visits += 1;
-            let inp = if node == view.first() {
-                // Only the back edge feeds the first node in flow order.
-                after[view.last().index()].clone()
-            } else {
-                meet_of_preds(&view, node, spec, &after, spec.mode, m)
-            };
-            let mut out = Vec::with_capacity(m);
-            table.apply(node, &inp, &mut out);
-            if before[node.index()] != inp {
-                before[node.index()] = inp;
-                changed = true;
-            }
-            if after[node.index()] != out {
-                after[node.index()] = out;
-                changed = true;
-            }
-        }
-        stats.passes = pass;
-        if changed {
-            stats.changing_passes = pass;
-        }
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.push((before.clone(), after.clone()));
-        }
-        if pass >= max_passes || (!changed && max_passes == usize::MAX) {
-            break;
+        let (b, a) = lanes.split_at_mut(n);
+        let last_change = match spec.mode {
+            Mode::Must => solve_column::<true>(&schedule, &table, d, &preserve, cap32, b, a),
+            Mode::May => solve_column::<false>(&schedule, &table, d, &preserve, cap32, b, a),
+        };
+        columns.push(Arc::from(&lanes[..]));
+        profile.push(last_change);
+        for &(node, _) in entries {
+            preserve[node as usize] = lane::TOP;
         }
         assert!(
-            pass < hard_cap,
-            "fixed point not reached within {hard_cap} passes — non-structured graph?"
+            cap.is_some() || last_change < HARD_CAP,
+            "fixed point not reached within {HARD_CAP} passes — non-structured graph?"
         );
+        // One pass of work is one column-pass per column: poll once more
+        // each time the finished columns complete another.
+        work += last_change as usize + 1;
+        if work / m > polled && d + 1 < m {
+            polled = work / m;
+            poll(polled)?;
+        }
     }
-
+    let stats = SolveStats::of_profile(&profile, schedule.order.len(), spec.mode, cap);
     Ok(Solution {
-        before,
-        after,
+        nodes: n,
+        columns,
+        profile,
         stats,
     })
 }
 
-pub(crate) fn meet_of_preds(
-    view: &View<'_>,
-    node: NodeId,
-    spec: &ProblemSpec,
-    after: &[DistVec],
-    mode: Mode,
-    m: usize,
-) -> DistVec {
-    let preds = view.preds(node, spec.direction);
-    let mut acc = match mode {
-        Mode::Must => vec![Dist::Top; m],
-        Mode::May => vec![Dist::Bottom; m],
-    };
-    for &p in preds {
-        match mode {
-            Mode::Must => meet_min(&mut acc, &after[p.index()]),
-            Mode::May => meet_max(&mut acc, &after[p.index()]),
+/// Initializes and iterates column `d` of table `t` in place, returning
+/// the last pass that changed it (at most `cap`). `preserve` holds the
+/// column's preserve lane per node (`⊤` = identity); `MUST` selects the
+/// meet: `min` for must-problems, `max` for may-problems.
+fn solve_column<const MUST: bool>(
+    s: &Schedule,
+    t: &FlowTable,
+    d: usize,
+    preserve: &[u64],
+    cap: u32,
+    before: &mut [u64],
+    after: &mut [u64],
+) -> u32 {
+    // The generating node is out of range when the column has none.
+    let (gen, post, increment) = (t.gen_node[d] as usize, t.post[d], t.increment.index());
+    let preds = |i: usize| &s.preds[s.starts[i]..s.starts[i + 1]];
+    if MUST {
+        // Nodes off the flow order keep ⊥; the lanes hold the last column.
+        if s.order.len() < before.len() {
+            before.fill(0);
+            after.fill(0);
+        }
+        // Initialization pass in flow order over the acyclic body:
+        // OUT⁰ = ⊤ at the generator, IN⁰ propagated, kills ignored.
+        for (i, &node) in s.order.iter().enumerate() {
+            let inp = if i == 0 {
+                0
+            } else {
+                meet::<true>(preds(i), after)
+            };
+            before[node] = inp;
+            after[node] = if node == gen { lane::TOP } else { inp };
+        }
+    } else {
+        // Start from "all instances"; the preserve functions lower the
+        // values to the greatest fixed point within two passes.
+        before.fill(lane::TOP);
+        after.fill(lane::TOP);
+    }
+    // Generation floor `Fin(0)`, normalized like every stored constant.
+    let floor = lane::normalize(1, t.top_from);
+    for pass in 1..=cap {
+        let mut changed = false;
+        // Pass 1 starts from the initialization state, which ignores the
+        // kills: every node is visited. Every later pass starts from a
+        // state in which each node but the first agrees with its inputs,
+        // so it follows only the changes it makes: positions past
+        // `frontier` would recompute the values they hold. The round-robin
+        // schedule visits them anyway, to no effect.
+        let mut frontier = if pass == 1 { usize::MAX } else { 0 };
+        for (i, &node) in s.order.iter().enumerate() {
+            if i > frontier {
+                break;
+            }
+            let inp = meet::<MUST>(preds(i), after);
+            let out = if node == increment {
+                lane::normalize(lane::incr(inp), t.top_from)
+            } else if node == gen {
+                inp.min(preserve[node]).max(floor).min(post)
+            } else {
+                inp.min(preserve[node])
+            };
+            if after[node] != out {
+                frontier = frontier.max(s.reach[i]);
+            }
+            if before[node] != inp || after[node] != out {
+                (before[node], after[node]) = (inp, out);
+                changed = true;
+            }
+        }
+        if !changed {
+            return pass - 1;
         }
     }
-    acc
+    cap
+}
+
+/// The meet of the predecessors' outputs: `min` (identity `⊤`) when
+/// `MUST`, else `max` (identity `⊥`).
+fn meet<const MUST: bool>(preds: &[usize], after: &[u64]) -> u64 {
+    if MUST {
+        preds.iter().fold(lane::TOP, |acc, &p| acc.min(after[p]))
+    } else {
+        preds.iter().fold(0, |acc, &p| acc.max(after[p]))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{KillKind, RefId};
+    use crate::problem::KillKind;
     use arrayflow_graph::build_loop_graph;
     use arrayflow_ir::{parse_program, AffineSub, ArrayRef, Expr};
 
     /// Builds the must-reaching-definitions spec for the paper's Fig. 1 loop
     /// by hand (the analyses crate automates this).
     fn fig3_spec() -> (arrayflow_ir::Program, ProblemSpec) {
-        let p = parse_program(
-            "do i = 1, UB
+        fig3_spec_ub("UB")
+    }
+
+    /// [`fig3_spec`] with trip count `ub`.
+    fn fig3_spec_ub(ub: &str) -> (arrayflow_ir::Program, ProblemSpec) {
+        let p = parse_program(&format!(
+            "do i = 1, {ub}
                C[i+2] := C[i] * 2;
                B[2*i] := C[i] + x;
                if C[i] == 0 then C[i] := B[i-1]; end
                B[i] := C[i+1];
-             end",
-        )
+             end"
+        ))
         .unwrap();
         let c = p.symbols.lookup_array("C").unwrap();
         let b = p.symbols.lookup_array("B").unwrap();
@@ -360,43 +462,57 @@ mod tests {
         v.to_vec()
     }
 
+    /// Same lattice values, whatever the statistics.
+    fn same_values(a: &Solution, b: &Solution) -> bool {
+        a.columns == b.columns
+    }
+
+    fn full(graph: &LoopGraph, spec: &ProblemSpec) -> Solution {
+        solve(graph, spec, None).unwrap()
+    }
+
     #[test]
     fn reproduces_paper_table1_fixed_point() {
         use Dist::{Bottom as B, Fin, Top as T};
         let (p, spec) = fig3_spec();
         let graph = build_loop_graph(p.sole_loop().unwrap());
-        let sol = solve(&graph, &spec);
+        let sol = full(&graph, &spec);
+        let before = |n: u32| sol.before_row(NodeId(n));
+        let after = |n: u32| sol.after_row(NodeId(n));
 
         // Paper node 1 (= our node 1): IN = (2, 1, ⊥, ⊤)
-        assert_eq!(sol.before[1], tup(&[Fin(2), Fin(1), B, T]));
-        assert_eq!(sol.after[1], tup(&[Fin(2), Fin(1), B, T]));
+        assert_eq!(before(1), tup(&[Fin(2), Fin(1), B, T]));
+        assert_eq!(after(1), tup(&[Fin(2), Fin(1), B, T]));
         // Paper node 2: same IN, OUT
-        assert_eq!(sol.before[2], tup(&[Fin(2), Fin(1), B, T]));
-        assert_eq!(sol.after[2], tup(&[Fin(2), Fin(1), B, T]));
+        assert_eq!(before(2), tup(&[Fin(2), Fin(1), B, T]));
+        assert_eq!(after(2), tup(&[Fin(2), Fin(1), B, T]));
         // Paper node 3 (guarded assign, our node 4): IN = (2,1,⊥,⊤), OUT = (1,1,0,⊤)
-        assert_eq!(sol.before[4], tup(&[Fin(2), Fin(1), B, T]));
-        assert_eq!(sol.after[4], tup(&[Fin(1), Fin(1), Fin(0), T]));
+        assert_eq!(before(4), tup(&[Fin(2), Fin(1), B, T]));
+        assert_eq!(after(4), tup(&[Fin(1), Fin(1), Fin(0), T]));
         // Paper node 4 (our node 5): IN = (1,1,⊥,⊤), OUT = (1,0,⊥,⊤)
-        assert_eq!(sol.before[5], tup(&[Fin(1), Fin(1), B, T]));
-        assert_eq!(sol.after[5], tup(&[Fin(1), Fin(0), B, T]));
+        assert_eq!(before(5), tup(&[Fin(1), Fin(1), B, T]));
+        assert_eq!(after(5), tup(&[Fin(1), Fin(0), B, T]));
         // Paper node 5 (exit, our node 6): IN = (1,0,⊥,⊤), OUT = (2,1,⊥,⊤)
-        assert_eq!(sol.before[6], tup(&[Fin(1), Fin(0), B, T]));
-        assert_eq!(sol.after[6], tup(&[Fin(2), Fin(1), B, T]));
+        assert_eq!(before(6), tup(&[Fin(1), Fin(0), B, T]));
+        assert_eq!(after(6), tup(&[Fin(2), Fin(1), B, T]));
     }
 
     #[test]
     fn must_fixed_point_within_two_passes() {
         let (p, spec) = fig3_spec();
         let graph = build_loop_graph(p.sole_loop().unwrap());
-        let sol = solve(&graph, &spec);
+        let sol = full(&graph, &spec);
         assert!(
             sol.stats.changing_passes <= 2,
             "paper bound violated: {:?}",
             sol.stats
         );
-        let bounded = solve_bounded(&graph, &spec);
-        assert_eq!(sol.before, bounded.before);
-        assert_eq!(sol.after, bounded.after);
+        assert!(same_values(&sol, &solve_bounded(&graph, &spec)));
+        // The profile reconstructs the statistics.
+        assert_eq!(
+            SolveStats::of_profile(&sol.profile, graph.len(), Mode::Must, None),
+            sol.stats
+        );
     }
 
     #[test]
@@ -404,18 +520,18 @@ mod tests {
         let (p, mut spec) = fig3_spec();
         spec.mode = Mode::May;
         let graph = build_loop_graph(p.sole_loop().unwrap());
-        let sol = solve(&graph, &spec);
+        let sol = full(&graph, &spec);
         assert!(sol.stats.changing_passes <= 2, "{:?}", sol.stats);
         assert_eq!(sol.stats.init_visits, 0);
         // May-reaching: along the path avoiding the guarded kill, instances
         // of C[i+2] survive, so the may solution at node 5 covers at least
         // what the must solution covers.
-        let must = solve(&graph, &fig3_spec().1);
-        for n in 0..graph.len() {
-            for d in 0..spec.width() {
+        let must = full(&graph, &fig3_spec().1);
+        for n in graph.node_ids() {
+            for d in (0..spec.width() as u32).map(RefId) {
                 assert!(
-                    sol.before[n][d] >= must.before[n][d],
-                    "may must dominate must at node {n} ref {d}"
+                    sol.before_at(n, d) >= must.before_at(n, d),
+                    "may must dominate must at node {n} ref {d:?}"
                 );
             }
         }
@@ -423,72 +539,36 @@ mod tests {
 
     #[test]
     fn may_reaching_sees_through_the_conditional() {
-        use Dist::Top as T;
         let (p, mut spec) = fig3_spec();
         spec.mode = Mode::May;
         let graph = build_loop_graph(p.sole_loop().unwrap());
-        let sol = solve(&graph, &spec);
+        let sol = full(&graph, &spec);
         // C[i+2] instances *may* survive the conditional kill in node 4
         // (the else path), so all instances may reach node 5.
-        assert_eq!(sol.before_at(NodeId(5), RefId(0)), T);
+        assert_eq!(sol.before_at(NodeId(5), RefId(0)), Dist::Top);
     }
 
     #[test]
     fn solution_respects_ub_normalization() {
         // Same loop with UB = 3: distances clamp at ⊤ = UB − 1 = 2.
-        let src = "do i = 1, 3
-               C[i+2] := C[i] * 2;
-               B[2*i] := C[i] + x;
-               if C[i] == 0 then C[i] := B[i-1]; end
-               B[i] := C[i+1];
-             end";
-        let p = parse_program(src).unwrap();
-        let c = p.symbols.lookup_array("C").unwrap();
-        let b = p.symbols.lookup_array("B").unwrap();
-        let mut spec = ProblemSpec::new(Direction::Forward, Mode::Must);
-        for (node, array, sub) in [
-            (NodeId(1), c, AffineSub::simple(1, 2)),
-            (NodeId(2), b, AffineSub::simple(2, 0)),
-            (NodeId(4), c, AffineSub::simple(1, 0)),
-            (NodeId(5), b, AffineSub::simple(1, 0)),
-        ] {
-            spec.add_gen(
-                node,
-                ArrayRef::new(array, Expr::Const(0)),
-                sub.clone(),
-                true,
-                None,
-            );
-            spec.add_kill(node, array, KillKind::Exact(sub));
-        }
+        let (p, spec) = fig3_spec_ub("3");
         let graph = build_loop_graph(p.sole_loop().unwrap());
-        let sol = solve(&graph, &spec);
+        let sol = full(&graph, &spec);
         // IN[1] first component was 2 = UB − 1 → ⊤ after normalization.
-        assert_eq!(sol.before[1][0], Dist::Top);
+        assert_eq!(sol.before_at(NodeId(1), RefId(0)), Dist::Top);
     }
 
     #[test]
-    fn solve_ctrl_without_stop_check_matches_solve() {
-        let (p, spec) = fig3_spec();
-        let graph = build_loop_graph(p.sole_loop().unwrap());
-        let sol = solve(&graph, &spec);
-        let ctrl = solve_ctrl(&graph, &spec, None).unwrap();
-        assert_eq!(sol.before, ctrl.before);
-        assert_eq!(sol.after, ctrl.after);
-        assert_eq!(sol.stats, ctrl.stats);
-    }
-
-    #[test]
-    fn solve_ctrl_stops_before_the_first_pass() {
+    fn stop_check_stops_before_the_first_column() {
         let (p, spec) = fig3_spec();
         let graph = build_loop_graph(p.sole_loop().unwrap());
         let stop = || true;
-        let err = solve_ctrl(&graph, &spec, Some(&stop)).unwrap_err();
+        let err = solve(&graph, &spec, Some(&stop)).unwrap_err();
         assert_eq!(err.passes_completed, 0);
     }
 
     #[test]
-    fn solve_ctrl_stop_after_one_pass_reports_one_wasted_pass() {
+    fn stop_after_one_pass_of_work_reports_one_wasted_pass() {
         use std::cell::Cell;
         let (p, spec) = fig3_spec();
         let graph = build_loop_graph(p.sole_loop().unwrap());
@@ -498,8 +578,31 @@ mod tests {
             polls.set(n);
             n > 1 // allow exactly one pass, stop on the second poll
         };
-        let err = solve_ctrl(&graph, &spec, Some(&stop)).unwrap_err();
+        let err = solve(&graph, &spec, Some(&stop)).unwrap_err();
         assert_eq!(err.passes_completed, 1);
+        // Without a stop the same solve polls at most once per pass.
+        let polls = Cell::new(0usize);
+        let count = || {
+            polls.set(polls.get() + 1);
+            false
+        };
+        let sol = solve(&graph, &spec, Some(&count)).unwrap();
+        assert!(same_values(&sol, &full(&graph, &spec)));
+        assert!(polls.get() <= sol.stats.passes, "{} polls", polls.get());
+    }
+
+    #[test]
+    fn capped_solves_stop_at_the_cap() {
+        let (p, spec) = fig3_spec();
+        let graph = build_loop_graph(p.sole_loop().unwrap());
+        let init = solve_passes(&graph, &spec, 0);
+        assert_eq!((init.stats.passes, init.stats.iter_visits), (0, 0));
+        // Table 1 (i): only generate sites are ⊤ after initialization.
+        assert_eq!(init.after_at(NodeId(1), RefId(0)), Dist::Top);
+        assert_eq!(init.before_at(NodeId(1), RefId(0)), Dist::Bottom);
+        let one = solve_passes(&graph, &spec, 1);
+        assert_eq!((one.stats.passes, one.stats.changing_passes), (1, 1));
+        assert!(!same_values(&one, &init));
     }
 
     #[test]
@@ -507,8 +610,53 @@ mod tests {
         let p = parse_program("do i = 1, 10 A[i] := 0; end").unwrap();
         let graph = build_loop_graph(p.sole_loop().unwrap());
         let spec = ProblemSpec::new(Direction::Forward, Mode::Must);
-        let sol = solve(&graph, &spec);
-        assert!(sol.before.iter().all(|v| v.is_empty()));
+        let sol = full(&graph, &spec);
+        assert_eq!(sol.width(), 0);
+        assert!(sol.before_row(NodeId(1)).is_empty());
         assert!(sol.stats.changing_passes <= 1);
+    }
+
+    #[test]
+    fn distances_beyond_32_bits_survive() {
+        // A[i] reads what A[i+5000000000] wrote 5 000 000 000 iterations
+        // earlier: the reuse distance overflows a u32 lane.
+        let p = parse_program("do i = 1, UB A[i+5000000000] := 0; A[i] := A[i+5000000000]; end")
+            .unwrap();
+        let graph = build_loop_graph(p.sole_loop().unwrap());
+        let a = p.symbols.lookup_array("A").unwrap();
+        let mut spec = ProblemSpec::new(Direction::Forward, Mode::Must);
+        let d = spec.add_gen(
+            NodeId(1),
+            ArrayRef::new(a, Expr::Const(0)),
+            AffineSub::simple(1, 5_000_000_000),
+            true,
+            None,
+        );
+        spec.add_kill(
+            NodeId(1),
+            a,
+            KillKind::Exact(AffineSub::simple(1, 5_000_000_000)),
+        );
+        spec.add_kill(NodeId(2), a, KillKind::Exact(AffineSub::simple(1, 0)));
+        let sol = full(&graph, &spec);
+        assert_eq!(sol.before_at(NodeId(2), d), Dist::Fin(5_000_000_000));
+        assert_eq!(sol.after_at(NodeId(2), d), Dist::Fin(4_999_999_999));
+    }
+
+    #[test]
+    fn splice_copies_columns_and_rederives_stats() {
+        let (p, spec) = fig3_spec();
+        let graph = build_loop_graph(p.sole_loop().unwrap());
+        let sol = full(&graph, &spec);
+        let n = graph.len();
+        let same = Solution::splice(n, Mode::Must, (0..4).map(|d| (&sol, d)));
+        assert_eq!(same, sol);
+        let swapped = Solution::splice(n, Mode::Must, [(&sol, 1), (&sol, 0)]);
+        assert_eq!(swapped.width(), 2);
+        assert_eq!(
+            swapped.before_at(NodeId(5), RefId(1)),
+            sol.before_at(NodeId(5), RefId(0))
+        );
+        assert_eq!(swapped.profile, vec![sol.profile[1], sol.profile[0]]);
     }
 }

@@ -7,11 +7,7 @@ use arrayflow_analyses::instances::Instance;
 use arrayflow_analyses::sites::enumerate_sites;
 use arrayflow_analyses::spec::{build_spec, GK};
 use arrayflow_analyses::{AnalyzeError, LoopAnalysis};
-use arrayflow_core::{
-    solve_worklist_ctrl, stats_from_profile, ColumnProfile, Direction, Mode, ProblemSpec, Solution,
-    StopCheck,
-};
-use arrayflow_graph::build_loop_graph;
+use arrayflow_core::{solve, Direction, GenRef, Mode, ProblemSpec, RefId, Solution, StopCheck};
 use arrayflow_ir::{
     apply_edit, fingerprint_loop, normalize, Assign, Edit, EditError, EditShape, Fingerprint,
     LValue, Program, Stmt, StmtId,
@@ -68,7 +64,8 @@ pub struct DeltaOutcome {
     pub dirty_columns: usize,
     /// Total columns across the four instances after the edit.
     pub total_columns: usize,
-    /// Node visits the narrowed worklist solves actually spent.
+    /// Node visits the narrowed solves spent, in round-robin-equivalent
+    /// terms (`(init + passes) · nodes` summed over instances).
     pub solver_visits: usize,
     /// Node visits four fresh round-robin solves of the full specs would
     /// have spent (`(init + passes · nodes)` summed over instances).
@@ -85,10 +82,9 @@ pub struct Session {
     norm: Program,
     /// Canonical fingerprint of the normalized sole loop.
     fingerprint: Fingerprint,
-    /// The converged analysis of the normalized loop.
+    /// The converged analysis of the normalized loop; each instance's
+    /// solution carries its column profile.
     analysis: LoopAnalysis,
-    /// Per-instance convergence profiles (same order as [`INSTANCES`]).
-    profiles: [ColumnProfile; 4],
     /// Edits applied so far.
     edits: u64,
     /// Edits that fell back to a full re-analysis.
@@ -98,43 +94,10 @@ pub struct Session {
 fn analyze_norm_ctrl(
     norm: &Program,
     should_stop: Option<StopCheck<'_>>,
-) -> Result<(Fingerprint, LoopAnalysis, [ColumnProfile; 4]), AnalyzeError> {
+) -> Result<(Fingerprint, LoopAnalysis), AnalyzeError> {
     let l = norm.sole_loop().ok_or(AnalyzeError::NotASingleLoop)?;
-    if !l.is_normalized() {
-        return Err(AnalyzeError::NotNormalized);
-    }
-    let fingerprint = fingerprint_loop(l, &norm.symbols);
-    let graph = build_loop_graph(l);
-    let (sites, lin) = enumerate_sites(l, &graph, &norm.symbols);
-    let mut spent: u64 = 0;
-    let mut runs = Vec::with_capacity(INSTANCES.len());
-    for &(gk, dir, mode) in INSTANCES.iter() {
-        match Instance::run_profiled_ctrl(&graph, &sites, gk, dir, mode, should_stop) {
-            Ok((i, p)) => {
-                spent += i.sol.stats.passes as u64;
-                runs.push((i, p));
-            }
-            Err(s) => {
-                return Err(AnalyzeError::Stopped {
-                    passes: spent + s.passes_completed as u64,
-                })
-            }
-        }
-    }
-    let (reaching_refs, p3) = runs.pop().expect("four instances");
-    let (busy, p2) = runs.pop().expect("four instances");
-    let (available, p1) = runs.pop().expect("four instances");
-    let (reaching, p0) = runs.pop().expect("four instances");
-    let analysis = LoopAnalysis {
-        symbols: lin.symbols,
-        graph,
-        sites,
-        reaching,
-        available,
-        busy,
-        reaching_refs,
-    };
-    Ok((fingerprint, analysis, [p0, p1, p2, p3]))
+    let analysis = LoopAnalysis::of_loop_ctrl(l, &norm.symbols, should_stop)?;
+    Ok((fingerprint_loop(l, &norm.symbols), analysis))
 }
 
 /// Arrays an assignment's reference sites touch (as generator or kill).
@@ -187,13 +150,12 @@ impl Session {
         let mut norm = program.clone();
         normalize(&mut norm);
         norm.renumber();
-        let (fingerprint, analysis, profiles) = analyze_norm_ctrl(&norm, should_stop)?;
+        let (fingerprint, analysis) = analyze_norm_ctrl(&norm, should_stop)?;
         Ok(Self {
             raw: program,
             norm,
             fingerprint,
             analysis,
-            profiles,
             edits: 0,
             fallbacks: 0,
         })
@@ -307,7 +269,7 @@ impl Session {
 
         let n = graph.len();
         let mut outcome = DeltaOutcome::default();
-        let mut instances: Vec<(Instance, ColumnProfile)> = Vec::with_capacity(4);
+        let mut instances: Vec<Instance> = Vec::with_capacity(4);
         let mut spent_passes: u64 = 0;
         for (k, &(gk, dir, mode)) in INSTANCES.iter().enumerate() {
             let built = build_spec(&sites, gk, dir, mode);
@@ -317,7 +279,6 @@ impl Session {
                 &self.analysis.busy,
                 &self.analysis.reaching_refs,
             ][k];
-            let old_profile = &self.profiles[k];
             // Old column index by old site index.
             let old_col: HashMap<usize, usize> = old
                 .built
@@ -330,106 +291,60 @@ impl Session {
             let m = built.spec.gens.len();
             outcome.total_columns += m;
             // Classify each new column: clean columns name the old column
-            // they splice from, dirty ones are re-solved.
-            let mut clean: Vec<Option<usize>> = Vec::with_capacity(m);
+            // they splice from, dirty ones are re-solved as the columns of
+            // a narrowed spec over the same kill sites.
             let mut narrow = ProblemSpec::new(dir, mode);
             narrow.kills = built.spec.kills.clone();
-            let mut narrow_cols = Vec::new();
-            for (col, gen) in built.spec.gens.iter().enumerate() {
+            let mut columns: Vec<(bool, usize)> = Vec::with_capacity(m);
+            for gen in &built.spec.gens {
                 let old_site = gen
                     .origin
                     .and_then(|o| map_site(o as usize))
                     .filter(|_| gen.node != en && !dirty_arrays.contains(&gen.aref.array));
                 match old_site.and_then(|s| old_col.get(&s).copied()) {
-                    Some(oc) => clean.push(Some(oc)),
+                    Some(oc) => columns.push((false, oc)),
                     None => {
-                        clean.push(None);
-                        let id = narrow.add_gen(
-                            gen.node,
-                            gen.aref.clone(),
-                            gen.sub.clone(),
-                            gen.is_def,
-                            gen.stmt,
-                        );
-                        narrow.gens[id.index()].origin = gen.origin;
-                        narrow_cols.push(col);
+                        let id = RefId(narrow.gens.len() as u32);
+                        columns.push((true, id.index()));
+                        narrow.gens.push(GenRef { id, ..gen.clone() });
                     }
                 }
             }
-            outcome.dirty_columns += narrow_cols.len();
+            outcome.dirty_columns += narrow.gens.len();
 
-            // Re-converge the dirtied columns with the worklist solver and
-            // splice the clean ones from the cached fixed point.
-            let run = solve_worklist_ctrl(&graph, &narrow, should_stop).map_err(|s| {
+            // Re-converge the dirtied columns, then splice every column,
+            // re-solved or clean, into the new solution.
+            let dirty = solve(&graph, &narrow, should_stop).map_err(|s| {
                 DeltaError::Analyze(AnalyzeError::Stopped {
                     passes: spent_passes + s.passes_completed as u64,
                 })
             })?;
-            spent_passes += run.stats.passes as u64;
-            outcome.solver_visits += run.stats.init_visits + run.stats.iter_visits;
-            let mut narrow_pos = vec![usize::MAX; m];
-            for (pos, &col) in narrow_cols.iter().enumerate() {
-                narrow_pos[col] = pos;
-            }
-            let mut profile = vec![0u32; m];
-            let mut before = vec![Vec::with_capacity(m); n];
-            let mut after = vec![Vec::with_capacity(m); n];
-            for (col, slot) in clean.iter().enumerate() {
-                match slot {
-                    Some(oc) => profile[col] = old_profile[*oc],
-                    None => profile[col] = run.profile[narrow_pos[col]],
-                }
-            }
-            for i in 0..n {
-                for (col, slot) in clean.iter().enumerate() {
-                    let (b, a) = match slot {
-                        Some(oc) => (old.sol.before[i][*oc], old.sol.after[i][*oc]),
-                        None => {
-                            let p = narrow_pos[col];
-                            (run.solution.before[i][p], run.solution.after[i][p])
-                        }
-                    };
-                    before[i].push(b);
-                    after[i].push(a);
-                }
-            }
-            let stats = stats_from_profile(&profile, n, mode);
-            outcome.full_solver_visits += stats.init_visits + stats.passes * n;
-            let sol = Solution {
-                before,
-                after,
-                stats,
-            };
-            instances.push((Instance { gk, built, sol }, profile));
+            spent_passes += dirty.stats.passes as u64;
+            outcome.solver_visits += dirty.stats.init_visits + dirty.stats.iter_visits;
+            let sol = Solution::splice(
+                n,
+                mode,
+                columns.iter().map(|&(is_dirty, c)| match is_dirty {
+                    true => (&dirty, c),
+                    false => (&old.sol, c),
+                }),
+            );
+            outcome.full_solver_visits += sol.stats.init_visits + sol.stats.iter_visits;
+            instances.push(Instance { gk, built, sol });
         }
 
-        let (p3, i3) = {
-            let (i, p) = instances.pop().expect("four");
-            (p, i)
-        };
-        let (p2, i2) = {
-            let (i, p) = instances.pop().expect("four");
-            (p, i)
-        };
-        let (p1, i1) = {
-            let (i, p) = instances.pop().expect("four");
-            (p, i)
-        };
-        let (p0, i0) = {
-            let (i, p) = instances.pop().expect("four");
-            (p, i)
-        };
+        let [reaching, available, busy, reaching_refs]: [Instance; 4] =
+            instances.try_into().expect("four instances");
         self.fingerprint = fingerprint_loop(l, &norm.symbols);
         self.analysis = LoopAnalysis {
             symbols: lin.symbols,
             graph,
             sites,
-            reaching: i0,
-            available: i1,
-            busy: i2,
-            reaching_refs: i3,
+            reaching,
+            available,
+            busy,
+            reaching_refs,
         };
-        self.profiles = [p0, p1, p2, p3];
         self.raw = raw;
         self.norm = norm;
         self.edits += 1;
@@ -445,22 +360,21 @@ impl Session {
         _shape: EditShape,
         should_stop: Option<StopCheck<'_>>,
     ) -> Result<DeltaOutcome, DeltaError> {
-        let (fingerprint, analysis, profiles) = analyze_norm_ctrl(&norm, should_stop)?;
+        let (fingerprint, analysis) = analyze_norm_ctrl(&norm, should_stop)?;
         let mut outcome = DeltaOutcome {
             fallback: true,
             ..DeltaOutcome::default()
         };
-        for (k, (_, _, mode)) in INSTANCES.iter().enumerate() {
-            let stats = stats_from_profile(&profiles[k], analysis.graph.len(), *mode);
-            outcome.total_columns += profiles[k].len();
-            outcome.solver_visits += stats.init_visits + stats.passes * analysis.graph.len();
+        let a = &analysis;
+        for inst in [&a.reaching, &a.available, &a.busy, &a.reaching_refs] {
+            outcome.total_columns += inst.sol.width();
+            outcome.solver_visits += inst.sol.stats.init_visits + inst.sol.stats.iter_visits;
         }
         outcome.full_solver_visits = outcome.solver_visits;
         self.raw = raw;
         self.norm = norm;
         self.fingerprint = fingerprint;
         self.analysis = analysis;
-        self.profiles = profiles;
         self.edits += 1;
         self.fallbacks += 1;
         Ok(outcome)

@@ -106,6 +106,23 @@ impl LinExpr {
         out
     }
 
+    /// `self − rhs`, or `None` when the constant or a coefficient
+    /// overflows `i64` — the form untrusted subscripts are differenced in,
+    /// since `X[i + 9223372036854775807]` against `X[i − 9223372036854775807]`
+    /// is a valid program whose offset difference is not.
+    pub fn checked_sub(&self, rhs: &LinExpr) -> Option<LinExpr> {
+        let mut out = self.clone();
+        out.constant = out.constant.checked_sub(rhs.constant)?;
+        for (&s, &c) in &rhs.terms {
+            let e = out.terms.entry(s).or_insert(0);
+            *e = e.checked_sub(c)?;
+            if *e == 0 {
+                out.terms.remove(&s);
+            }
+        }
+        Some(out)
+    }
+
     /// Substitutes a linear expression for a symbol.
     pub fn substitute(&self, s: VarId, replacement: &LinExpr) -> Self {
         let c = self.coeff(s);
@@ -162,7 +179,7 @@ impl LinExpr {
                 return None;
             }
         }
-        Some(reduce(num, den))
+        reduce(num, den)
     }
 
     /// Renders the expression using a name resolver for symbols.
@@ -174,16 +191,17 @@ impl LinExpr {
     }
 }
 
-/// Reduces a fraction to lowest terms with positive denominator.
-fn reduce(num: i64, den: i64) -> (i64, i64) {
+/// Reduces a fraction to lowest terms with positive denominator; `None`
+/// when that form does not fit `i64` (e.g. `i64::MIN / −1`).
+fn reduce(num: i64, den: i64) -> Option<(i64, i64)> {
     assert!(den != 0, "zero denominator");
-    let g = gcd(num.unsigned_abs(), den.unsigned_abs()) as i64;
-    let (mut n, mut d) = (num / g, den / g);
+    let g = gcd(num.unsigned_abs(), den.unsigned_abs()) as i128;
+    let (mut n, mut d) = (num as i128 / g, den as i128 / g);
     if d < 0 {
         n = -n;
         d = -d;
     }
-    (n, d)
+    Some((i64::try_from(n).ok()?, i64::try_from(d).ok()?))
 }
 
 fn gcd(a: u64, b: u64) -> u64 {
@@ -317,6 +335,24 @@ mod tests {
         let b = LinExpr::term(s(1), 9) + LinExpr::constant(-3);
         let c = a.clone() + b.clone();
         assert_eq!(c - b, a);
+    }
+
+    #[test]
+    fn checked_sub_reports_overflow() {
+        let a = LinExpr::term(s(0), 2) + LinExpr::constant(7);
+        let b = LinExpr::term(s(0), 2) + LinExpr::constant(-3);
+        assert_eq!(a.checked_sub(&b), Some(LinExpr::constant(10)));
+        let max = LinExpr::constant(i64::MAX);
+        assert_eq!(max.checked_sub(&LinExpr::constant(-i64::MAX)), None);
+        assert_eq!(
+            LinExpr::term(s(1), i64::MIN).checked_sub(&s(1).into()),
+            None
+        );
+        // i64::MIN / −1 has no i64 numerator.
+        assert_eq!(
+            LinExpr::constant(i64::MIN).ratio(&LinExpr::constant(-1)),
+            None
+        );
     }
 
     #[test]

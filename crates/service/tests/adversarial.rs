@@ -211,6 +211,44 @@ fn degenerate_programs_are_answered_not_crashed() {
 }
 
 #[test]
+fn overflowing_subscripts_are_analyzed_without_a_worker_panic() {
+    // Accepted programs whose subscript arithmetic overflows i64 (offset
+    // differences) or i128 (the must-mode kill range): each is answered
+    // with a report, and no worker panics on the way.
+    let (addr, server) = start();
+    let mut s = Session::connect(&addr);
+    let programs = [
+        "do i = 1, UB X[i + 9223372036854775807] := 0; X[i - 9223372036854775807] := 0; end",
+        "do i = 1, 9000000000000000000 X[4611686018427387903*i] := 0; X[i+1] := X[3*i]; end",
+    ];
+    for (i, p) in programs.iter().enumerate() {
+        let frame = format!(
+            r#"{{"id": {i}, "verb": "analyze", "program": {}}}"#,
+            Json::Str(p.to_string())
+        );
+        let resp = s.send(&frame);
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{p}: {resp:?}"
+        );
+    }
+    let resp = s.send(r#"{"id": 7, "verb": "metrics"}"#);
+    let panics = resp
+        .get("result")
+        .and_then(|r| r.get("metrics"))
+        .and_then(Json::as_arr)
+        .expect("metrics array")
+        .iter()
+        .find(|m| m.get("name").and_then(Json::as_str) == Some("arrayflow_worker_panics_total"))
+        .and_then(|m| m.get("value"))
+        .and_then(Json::as_u64);
+    assert_eq!(panics, Some(0));
+    s.send(r#"{"id": 9, "verb": "shutdown"}"#);
+    server.join().expect("server").expect("run");
+}
+
+#[test]
 fn fault_plan_plus_hostility_still_answers_everything() {
     // The adversarial stream with faults injected underneath: parse
     // errors, panics, and hostile frames interleaved — every frame is

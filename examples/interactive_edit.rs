@@ -6,8 +6,9 @@
 //! and fully analyzes the loop, then retains the converged lattice
 //! state), and replays a chain of single-statement edits with the
 //! `delta` verb. Each delta re-converges from the cached fixed point,
-//! seeding the worklist with only the dirtied lattice columns — the
-//! response reports how much of the loop actually had to be re-solved.
+//! re-solving only the dirtied lattice columns and splicing the rest —
+//! the response reports how much of the loop actually had to be
+//! re-solved.
 //! A structural edit (replacing an assignment with a conditional)
 //! demonstrates the recorded fallback to a full re-analysis.
 //!

@@ -5,10 +5,19 @@
 //! schedule must agree with the run-to-fixpoint solver.
 
 use arrayflow::analyses::{build_spec, enumerate_sites, GK};
-use arrayflow::core::{solve, solve_bounded, Direction, Mode};
-use arrayflow::graph::build_loop_graph;
+use arrayflow::core::{solve, solve_bounded, Direction, Dist, Mode, RefId, Solution};
+use arrayflow::graph::{build_loop_graph, LoopGraph, NodeId};
 use arrayflow::workloads::{all_kernels, random_loop, LoopShape};
 use arrayflow_ir::Program;
+
+/// One side of every node's flow function, as tuples.
+fn rows(
+    graph: &LoopGraph,
+    sol: &Solution,
+    side: fn(&Solution, NodeId) -> Vec<Dist>,
+) -> Vec<Vec<Dist>> {
+    graph.node_ids().map(|n| side(sol, n)).collect()
+}
 
 fn check_all_instances(p: &Program, tag: &str) {
     let l = p.sole_loop().expect("single loop");
@@ -32,14 +41,16 @@ fn check_all_instances(p: &Program, tag: &str) {
     ];
     for (name, gk, dir, mode) in cases {
         let built = build_spec(&sites, gk, dir, mode);
-        let full = solve(&graph, &built.spec);
+        let full = solve(&graph, &built.spec, None).unwrap();
         let bounded = solve_bounded(&graph, &built.spec);
         assert_eq!(
-            full.before, bounded.before,
+            rows(&graph, &full, Solution::before_row),
+            rows(&graph, &bounded, Solution::before_row),
             "{tag}/{name}: bounded IN differs"
         );
         assert_eq!(
-            full.after, bounded.after,
+            rows(&graph, &full, Solution::after_row),
+            rows(&graph, &bounded, Solution::after_row),
             "{tag}/{name}: bounded OUT differs"
         );
         assert!(
@@ -113,18 +124,22 @@ fn may_solution_dominates_must_solution() {
         let must = solve(
             &graph,
             &build_spec(&sites, GK::AVAILABLE, Direction::Forward, Mode::Must).spec,
-        );
+            None,
+        )
+        .unwrap();
         let may = solve(
             &graph,
             &build_spec(&sites, GK::REACHING_REFS, Direction::Forward, Mode::May).spec,
-        );
-        for n in 0..graph.len() {
-            for d in 0..must.before[n].len() {
+            None,
+        )
+        .unwrap();
+        for n in graph.node_ids() {
+            for d in (0..must.width() as u32).map(RefId) {
                 assert!(
-                    may.before[n][d] >= must.before[n][d],
-                    "seed {seed}: node {n} ref {d}: may {} < must {}",
-                    may.before[n][d],
-                    must.before[n][d]
+                    may.before_at(n, d) >= must.before_at(n, d),
+                    "seed {seed}: node {n} ref {d:?}: may {} < must {}",
+                    may.before_at(n, d),
+                    must.before_at(n, d)
                 );
             }
         }
