@@ -8,8 +8,8 @@
 //! JSON encode/decode, socket round-trip, queueing and re-parsing the
 //! DSL on every request. A fresh server (cold cache) serves every run;
 //! only the client phase is on the clock (setup and teardown are not).
-//! On unix the same workload also runs through the poll(2) event loop —
-//! the regression gate for replacing thread-per-connection I/O.
+//! The server is the node's one TCP listener, the poll(2) event loop
+//! (unix only).
 
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Write};
@@ -17,10 +17,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use arrayflow_bench::time;
-use arrayflow_engine::{Engine, EngineConfig};
+use arrayflow_engine::{Engine, EngineConfig, Problem, ProblemSet};
 use arrayflow_ir::pretty::print_program;
 use arrayflow_ir::{parse_program, Program};
-use arrayflow_service::{Json, Server, ServiceConfig};
+use arrayflow_service::{Json, ServiceConfig};
 use arrayflow_workloads::{random_loop, LoopShape};
 
 const BATCH: usize = 400;
@@ -110,11 +110,12 @@ fn main() {
         let engine = Engine::new(EngineConfig::default());
         for src in &sources {
             let program = parse_program(src).expect("workload re-parses");
-            black_box(engine.analyze_with(
+            black_box(engine.solve(
                 0,
                 &program,
-                arrayflow_engine::ProblemSet::ALL,
+                Problem::Canned(ProblemSet::ALL),
                 EngineConfig::default().dep_max_distance,
+                None,
             ));
         }
     });
@@ -126,39 +127,6 @@ fn main() {
         "direct engine", base_rps
     );
 
-    for clients in [1usize, 4, 8] {
-        let d = median3_inner(|| {
-            let server = Server::bind(
-                "127.0.0.1:0",
-                ServiceConfig {
-                    queue_capacity: 1024,
-                    request_timeout: Duration::from_secs(30),
-                    ..ServiceConfig::default()
-                },
-            )
-            .expect("bind loopback");
-            let addr = server.local_addr().expect("local addr");
-            let service = server.service();
-            let server_thread = std::thread::spawn(move || server.run());
-
-            let (d, ()) = time(|| run_clients(addr, &lines, clients));
-
-            service.shutdown();
-            server_thread.join().expect("server thread").expect("run");
-            d
-        });
-        let rps = BATCH as f64 / d.as_secs_f64();
-        println!(
-            "{:<24}  {:>10.1} requests/sec  ({:.2}x of direct engine)",
-            format!("service, {clients} client(s)"),
-            rps,
-            rps / base_rps,
-        );
-    }
-
-    // The same cold-cache JSON workload through the poll(2) event loop:
-    // the regression gate for replacing thread-per-connection (E14 asks
-    // this to stay within 5% of the threaded rows above).
     #[cfg(unix)]
     for clients in [1usize, 4, 8] {
         use arrayflow_service::{EventServer, ProtoMode, Service};

@@ -27,7 +27,7 @@ mod imp {
     use std::time::Duration;
 
     use arrayflow_bench::time;
-    use arrayflow_engine::{Engine, EngineConfig, ProblemSet};
+    use arrayflow_engine::{Engine, EngineConfig, Problem, ProblemSet};
     use arrayflow_ir::pretty::print_program;
     use arrayflow_ir::{parse_program, Program};
     use arrayflow_service::{
@@ -82,12 +82,12 @@ mod imp {
         let engine = Engine::new(EngineConfig::default());
         for src in &sources {
             let p = parse_program(src).expect("workload re-parses");
-            engine.analyze_with(0, &p, ProblemSet::ALL, bound);
+            engine.solve(0, &p, Problem::Canned(ProblemSet::ALL), bound, None);
         }
         let base = median3(|| {
             for src in &sources {
                 let p = parse_program(src).expect("workload re-parses");
-                black_box(engine.analyze_with(0, &p, ProblemSet::ALL, bound));
+                black_box(engine.solve(0, &p, Problem::Canned(ProblemSet::ALL), bound, None));
             }
         });
         let base_rps = BATCH as f64 / base.as_secs_f64();

@@ -147,10 +147,13 @@ fn replicator_ships_existing_and_incremental_records() {
     for i in 0..8u128 {
         assert_eq!(dst.get(&key(i)), src.get(&key(i)), "key {i}");
     }
+    // The fake replica imports a batch before acking it, so `dst` can
+    // reach 8 records before the shipper thread has read the ack and
+    // counted them. Shutdown joins the shipper, settling the counters.
+    replicator.shutdown();
     let stats = replicator.stats();
     assert!(stats.syncs >= 1, "{stats:?}");
     assert!(stats.shipped_records >= 5, "{stats:?}");
-    replicator.shutdown();
 }
 
 #[test]

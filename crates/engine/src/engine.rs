@@ -88,6 +88,61 @@ impl EngineConfig {
     }
 }
 
+/// What a query solves: a selection of the canned framework instances,
+/// or one user-specified (G, K) problem. Part of every cache key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Problem {
+    /// The canned instances in the set.
+    Canned(ProblemSet),
+    /// A user-specified (G, K) problem.
+    Custom(CustomSpec),
+}
+
+impl Problem {
+    /// A custom spec that names one of the canned instances folds onto
+    /// that instance's singleton selection, so an equivalent custom
+    /// request shares the canned cache entry and produces a
+    /// byte-identical report to the built-in selection.
+    fn folded(self) -> Problem {
+        use arrayflow_core::{Direction, Mode};
+        let Problem::Custom(spec) = self else {
+            return self;
+        };
+        let gk = (spec.gen_defs, spec.gen_uses, spec.kill_defs, spec.kill_uses);
+        let fwd = spec.direction == Direction::Forward;
+        let must = spec.mode == Mode::Must;
+        let pick = |reaching, available, busy, reaching_refs| {
+            Problem::Canned(ProblemSet {
+                reaching,
+                available,
+                busy,
+                reaching_refs,
+            })
+        };
+        match (gk, fwd, must) {
+            ((true, false, true, false), true, true) => pick(true, false, false, false),
+            ((true, true, true, false), true, true) => pick(false, true, false, false),
+            ((true, false, false, true), false, true) => pick(false, false, true, false),
+            ((true, true, true, false), true, false) => pick(false, false, false, true),
+            _ => self,
+        }
+    }
+
+    /// The memo-cache key of one loop's report under this problem.
+    fn key(self, fingerprint: Fingerprint, dep_max_distance: u64) -> CacheKey {
+        let (problems, custom) = match self {
+            Problem::Canned(problems) => (problems, None),
+            Problem::Custom(spec) => (ProblemSet::NONE, Some(spec)),
+        };
+        CacheKey {
+            fingerprint,
+            problems,
+            dep_max_distance,
+            custom,
+        }
+    }
+}
+
 /// Why a program of a batch failed. The distinction matters to callers:
 /// an [`AnalysisError::Analysis`] is the framework rejecting the input
 /// (deterministic, retrying is pointless), an
@@ -502,73 +557,76 @@ impl Engine {
     /// every loop from the cache when possible. Uses the engine-wide
     /// problem selection and distance bound from [`EngineConfig`].
     pub fn analyze_one(&self, index: usize, program: &Program) -> BatchResult {
-        self.analyze_with(
+        self.solve(
             index,
             program,
-            self.config.problems,
+            Problem::Canned(self.config.problems),
             self.config.dep_max_distance,
+            None,
         )
     }
 
-    /// Like [`Engine::analyze_one`], but with a per-query problem selection
-    /// and dependence distance bound. Both are part of the cache key, so
-    /// queries with different selections coexist in the memo cache without
-    /// interfering — this is what lets one shared engine serve callers with
-    /// different needs (e.g. the analysis service, where each request names
-    /// its own problems).
+    /// Analyzes one program under a per-query [`Problem`] and dependence
+    /// distance bound — the one solve entry behind every verb. Both are
+    /// part of the cache key, so queries with different selections or
+    /// specs coexist in the memo cache and the persistent tier without
+    /// interfering. A custom spec naming a canned instance is answered
+    /// from (and populates) the canned entry, byte-identical to the
+    /// built-in selection; every custom solve counts in
+    /// `arrayflow_custom_requests_total{spec=...}`.
+    ///
+    /// `should_stop` is polled between solver passes: when it fires the
+    /// result carries [`AnalysisError::Cancelled`] with the wasted pass
+    /// count. Loops completed *before* the stop are cached normally (they
+    /// are complete solutions); the interrupted loop leaves no trace in
+    /// any cache tier.
     ///
     /// The solve runs panic-isolated: a panicking solver (adversarial
-    /// input, injected fault) is caught here, counted in
+    /// input, injected fault) is caught, counted in
     /// `arrayflow_worker_panics_total`, and returned as a per-program
     /// [`AnalysisError::Internal`] — it cannot take down the batch, the
     /// worker thread, or a serving request.
-    pub fn analyze_with(
+    pub fn solve(
         &self,
         index: usize,
         program: &Program,
-        problems: ProblemSet,
-        dep_max_distance: u64,
-    ) -> BatchResult {
-        self.analyze_with_ctrl(index, program, problems, dep_max_distance, None)
-    }
-
-    /// Like [`Engine::analyze_with`], but polls `should_stop` between
-    /// solver passes. When the check fires the result carries
-    /// [`AnalysisError::Cancelled`] with the wasted pass count; loops
-    /// completed *before* the stop are cached normally (they are complete
-    /// solutions), the interrupted loop leaves no trace in any cache
-    /// tier. With `None` the result is identical to
-    /// [`Engine::analyze_with`].
-    pub fn analyze_with_ctrl(
-        &self,
-        index: usize,
-        program: &Program,
-        problems: ProblemSet,
+        problem: Problem,
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> BatchResult {
+        if let Problem::Custom(spec) = problem {
+            self.registry
+                .counter_with(
+                    "arrayflow_custom_requests_total",
+                    "custom (G, K) problems solved, by canonical spec label",
+                    &[("spec", &spec.label())],
+                )
+                .inc();
+        }
+        let problem = problem.folded();
         // The closure borrows `self` and `program` immutably; the caches
         // it touches guard their state behind their own locks, which a
         // panic in the (lock-free) solve phase cannot poison.
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.analyze_with_inner(index, program, problems, dep_max_distance, should_stop)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                self.ins.worker_panics.inc();
-                BatchResult::internal_failure(
-                    index,
-                    format!("solver panicked: {}", panic_message(payload.as_ref())),
-                )
-            }
-        }
+        self.isolated("solver", || {
+            self.solve_inner(index, program, problem, dep_max_distance, should_stop)
+        })
+        .unwrap_or_else(|message| BatchResult::internal_failure(index, message))
     }
 
-    fn analyze_with_inner(
+    /// Runs `f`, converting a panic into a counted
+    /// `"{what} panicked: ..."` message.
+    fn isolated<T>(&self, what: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+        catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+            self.ins.worker_panics.inc();
+            format!("{what} panicked: {}", panic_message(payload.as_ref()))
+        })
+    }
+
+    fn solve_inner(
         &self,
         index: usize,
         program: &Program,
-        problems: ProblemSet,
+        problem: Problem,
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> BatchResult {
@@ -589,12 +647,7 @@ impl Engine {
         let mut loops = Vec::new();
         for l in loops_innermost_first(&p) {
             let fingerprint = fingerprint_loop(l, &p.symbols);
-            let key = CacheKey {
-                fingerprint,
-                problems,
-                dep_max_distance,
-                custom: None,
-            };
+            let key = problem.key(fingerprint, dep_max_distance);
             let hit = {
                 let _span = observed_span("cache_get", &self.ins.phase_cache_get);
                 self.cache.get(&key)
@@ -614,13 +667,22 @@ impl Engine {
                             panic!("injected solver fault");
                         }
                     }
-                    AnalysisReport::of_loop_ctrl(
-                        l,
-                        &p.symbols,
-                        problems,
-                        dep_max_distance,
-                        should_stop,
-                    )
+                    match problem {
+                        Problem::Canned(problems) => AnalysisReport::of_loop_ctrl(
+                            l,
+                            &p.symbols,
+                            problems,
+                            dep_max_distance,
+                            should_stop,
+                        ),
+                        Problem::Custom(spec) => AnalysisReport::of_custom_ctrl(
+                            l,
+                            &p.symbols,
+                            spec,
+                            dep_max_distance,
+                            should_stop,
+                        ),
+                    }
                 };
                 match solved {
                     Ok(r) => {
@@ -674,262 +736,36 @@ impl Engine {
         }
     }
 
-    /// When a wire-submitted spec names one of the canned instances, the
-    /// canned singleton [`ProblemSet`] to delegate to — so an equivalent
-    /// custom request shares the canned cache entry and produces a
-    /// byte-identical report to the built-in verb.
-    fn canned_equivalent(spec: CustomSpec) -> Option<ProblemSet> {
-        use arrayflow_core::{Direction, Mode};
-        let gk = (spec.gen_defs, spec.gen_uses, spec.kill_defs, spec.kill_uses);
-        let fwd = spec.direction == Direction::Forward;
-        let must = spec.mode == Mode::Must;
-        let pick = |reaching, available, busy, reaching_refs| ProblemSet {
-            reaching,
-            available,
-            busy,
-            reaching_refs,
-        };
-        match (gk, fwd, must) {
-            ((true, false, true, false), true, true) => Some(pick(true, false, false, false)),
-            ((true, true, true, false), true, true) => Some(pick(false, true, false, false)),
-            ((true, false, false, true), false, true) => Some(pick(false, false, true, false)),
-            ((true, true, true, false), true, false) => Some(pick(false, false, false, true)),
-            _ => None,
-        }
-    }
-
-    /// Analyzes one program under a user-specified (G, K) problem — the
-    /// engine half of the `custom` verb. The spec is part of the cache
-    /// key ([`CacheKey::custom`]), so distinct specs over the same loop
-    /// coexist in the memo cache and the persistent tier; a spec that
-    /// names a canned instance delegates to [`Engine::analyze_with`] with
-    /// the singleton selection, sharing the canned cache entry and
-    /// producing a byte-identical report to the built-in verb.
-    ///
-    /// Every request increments
-    /// `arrayflow_custom_requests_total{spec=...}` with the spec's
-    /// canonical label. Panic isolation matches [`Engine::analyze_with`].
-    pub fn analyze_custom(
-        &self,
-        index: usize,
-        program: &Program,
-        spec: CustomSpec,
-        dep_max_distance: u64,
-    ) -> BatchResult {
-        self.analyze_custom_ctrl(index, program, spec, dep_max_distance, None)
-    }
-
-    /// [`Engine::analyze_custom`] with a cooperative stop check (see
-    /// [`Engine::analyze_with_ctrl`]).
-    pub fn analyze_custom_ctrl(
-        &self,
-        index: usize,
-        program: &Program,
-        spec: CustomSpec,
-        dep_max_distance: u64,
-        should_stop: Option<arrayflow_core::StopCheck<'_>>,
-    ) -> BatchResult {
-        self.registry
-            .counter_with(
-                "arrayflow_custom_requests_total",
-                "custom (G, K) problems solved, by canonical spec label",
-                &[("spec", &spec.label())],
-            )
-            .inc();
-        if let Some(problems) = Self::canned_equivalent(spec) {
-            return self.analyze_with_ctrl(index, program, problems, dep_max_distance, should_stop);
-        }
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.analyze_custom_inner(index, program, spec, dep_max_distance, should_stop)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                self.ins.worker_panics.inc();
-                BatchResult::internal_failure(
-                    index,
-                    format!("solver panicked: {}", panic_message(payload.as_ref())),
-                )
-            }
-        }
-    }
-
-    fn analyze_custom_inner(
-        &self,
-        index: usize,
-        program: &Program,
-        spec: CustomSpec,
-        dep_max_distance: u64,
-        should_stop: Option<arrayflow_core::StopCheck<'_>>,
-    ) -> BatchResult {
-        let start = Instant::now();
-        let mut stats = QueryStats::default();
-        let mut error: Option<AnalysisError> = None;
-
-        let mut p = program.clone();
-        {
-            let _span = observed_span("normalize", &self.ins.phase_normalize);
-            arrayflow_ir::normalize(&mut p);
-            p.renumber();
-        }
-
-        let mut loops = Vec::new();
-        for l in loops_innermost_first(&p) {
-            let fingerprint = fingerprint_loop(l, &p.symbols);
-            let key = CacheKey {
-                fingerprint,
-                problems: ProblemSet::NONE,
-                dep_max_distance,
-                custom: Some(spec),
-            };
-            let hit = {
-                let _span = observed_span("cache_get", &self.ins.phase_cache_get);
-                self.cache.get(&key)
-            };
-            let report = if let Some(hit) = hit {
-                stats.cache_hits += 1;
-                hit
-            } else {
-                stats.cache_misses += 1;
-                let solved = {
-                    let _span = observed_span("solve", &self.ins.phase_solve);
-                    if let Some(faults) = &self.faults {
-                        if let Some(delay) = faults.solve_latency() {
-                            std::thread::sleep(delay);
-                        }
-                        if faults.solver_panic() {
-                            panic!("injected solver fault");
-                        }
-                    }
-                    AnalysisReport::of_custom_ctrl(
-                        l,
-                        &p.symbols,
-                        spec,
-                        dep_max_distance,
-                        should_stop,
-                    )
-                };
-                match solved {
-                    Ok(r) => {
-                        stats.solver_passes += r.solver_passes() as u64;
-                        stats.node_visits += r.node_visits() as u64;
-                        for (problem, s) in r.instance_stats() {
-                            if let Some(h) = self.ins.pass_histogram(problem) {
-                                h.observe(passes_to_fix(&s));
-                            }
-                        }
-                        let r = Arc::new(r);
-                        {
-                            let _span = observed_span("cache_insert", &self.ins.phase_cache_insert);
-                            self.cache.insert(key, Arc::clone(&r));
-                        }
-                        r
-                    }
-                    Err(arrayflow_analyses::AnalyzeError::Stopped { passes }) => {
-                        stats.solver_passes += passes;
-                        error.get_or_insert(AnalysisError::Cancelled { passes });
-                        break;
-                    }
-                    Err(e) => {
-                        error.get_or_insert_with(|| AnalysisError::Analysis(e.to_string()));
-                        continue;
-                    }
-                }
-            };
-            loops.push(LoopReport {
-                fingerprint,
-                report,
-            });
-        }
-
-        stats.micros = start.elapsed().as_micros() as u64;
-        self.ins.programs.inc();
-        self.ins.loops.add(stats.cache_hits + stats.cache_misses);
-        self.ins.solver_passes.add(stats.solver_passes);
-        self.ins.node_visits.add(stats.node_visits);
-        self.ins.busy_us.add(stats.micros);
-
-        BatchResult {
-            index,
-            loops,
-            error,
-            stats,
-        }
-    }
-
     /// The fingerprint-first fast path: probes the memo cache (and, on a
     /// memory miss, the persistent second tier, promoting a tier hit)
-    /// for an already-analyzed loop — **before any parse or normalize
-    /// work exists to skip**. This is what makes lookup-dominated
-    /// traffic cost close to a cache probe: a client that precomputed
-    /// the canonical fingerprint of a loop it has seen before gets the
-    /// stored report without the server ever touching the DSL text.
+    /// for an already-analyzed loop under `problem` — **before any parse
+    /// or normalize work exists to skip**. This is what makes
+    /// lookup-dominated traffic cost close to a cache probe: a client that
+    /// precomputed the canonical fingerprint of a loop it has seen before
+    /// gets the stored report without the server ever touching the DSL
+    /// text. A custom spec naming a canned instance probes the canned
+    /// entry, so custom probes hit entries the built-in verb populated
+    /// (and vice versa).
     ///
     /// A hit counts in `arrayflow_fingerprint_fast_hits_total`, a miss
     /// in `arrayflow_fingerprint_misses_total`; callers fall back to
-    /// full analysis (when they also have source) on `None`.
-    pub fn analyze_by_fingerprint(
+    /// [`Engine::solve`] (when they also have source) on `None`.
+    pub fn probe(
         &self,
         fingerprint: Fingerprint,
-        problems: ProblemSet,
+        problem: Problem,
         dep_max_distance: u64,
     ) -> Option<Arc<AnalysisReport>> {
-        let key = CacheKey {
-            fingerprint,
-            problems,
-            dep_max_distance,
-            custom: None,
-        };
+        let key = problem.folded().key(fingerprint, dep_max_distance);
         let hit = {
             let _span = observed_span("cache_get", &self.ins.phase_cache_get);
             self.cache.get(&key)
         };
-        match hit {
-            Some(report) => {
-                self.ins.fingerprint_fast_hits.inc();
-                Some(report)
-            }
-            None => {
-                self.ins.fingerprint_misses.inc();
-                None
-            }
+        match &hit {
+            Some(_) => self.ins.fingerprint_fast_hits.inc(),
+            None => self.ins.fingerprint_misses.inc(),
         }
-    }
-
-    /// The custom-spec twin of [`Engine::analyze_by_fingerprint`]: probes
-    /// the cache tiers for a `(fingerprint, spec)` pair. Specs naming a
-    /// canned instance probe the canned key they delegate to, so a custom
-    /// probe hits entries the built-in verb populated (and vice versa).
-    pub fn analyze_custom_by_fingerprint(
-        &self,
-        fingerprint: Fingerprint,
-        spec: CustomSpec,
-        dep_max_distance: u64,
-    ) -> Option<Arc<AnalysisReport>> {
-        match Self::canned_equivalent(spec) {
-            Some(problems) => self.analyze_by_fingerprint(fingerprint, problems, dep_max_distance),
-            None => {
-                let key = CacheKey {
-                    fingerprint,
-                    problems: ProblemSet::NONE,
-                    dep_max_distance,
-                    custom: Some(spec),
-                };
-                let hit = {
-                    let _span = observed_span("cache_get", &self.ins.phase_cache_get);
-                    self.cache.get(&key)
-                };
-                match hit {
-                    Some(report) => {
-                        self.ins.fingerprint_fast_hits.inc();
-                        Some(report)
-                    }
-                    None => {
-                        self.ins.fingerprint_misses.inc();
-                        None
-                    }
-                }
-            }
-        }
+        hit
     }
 
     /// Opens an interactive analysis session: fully analyzes the program
@@ -949,7 +785,7 @@ impl Engine {
     }
 
     /// [`Engine::open_session`] with a cooperative stop check (see
-    /// [`Engine::analyze_with_ctrl`]): a cancelled open yields
+    /// [`Engine::solve`]): a cancelled open yields
     /// [`AnalysisError::Cancelled`] before any session, cache entry or
     /// memoization exists.
     pub fn open_session_ctrl(
@@ -992,7 +828,7 @@ impl Engine {
     }
 
     /// [`Engine::analyze_delta`] with a cooperative stop check (see
-    /// [`Engine::analyze_with_ctrl`]): a cancelled delta yields
+    /// [`Engine::solve`]): a cancelled delta yields
     /// [`AnalysisError::Cancelled`] and leaves the session byte-identical
     /// to its pre-edit state — nothing is memoized, no delta is recorded.
     pub fn analyze_delta_ctrl(
@@ -1003,29 +839,21 @@ impl Engine {
     ) -> Result<DeltaReport, AnalysisError> {
         self.ins.delta_requests.inc();
         let dep_max_distance = self.config.dep_max_distance;
-        let applied = catch_unwind(AssertUnwindSafe(|| {
-            self.sessions.with_session(session, |s| {
-                s.apply_ctrl(edit, should_stop).map(|outcome| {
-                    let report = AnalysisReport::of_analysis(
-                        s.fingerprint(),
-                        s.analysis(),
-                        ProblemSet::ALL,
-                        dep_max_distance,
-                    );
-                    (outcome, report)
+        let applied = self
+            .isolated("delta", || {
+                self.sessions.with_session(session, |s| {
+                    s.apply_ctrl(edit, should_stop).map(|outcome| {
+                        let report = AnalysisReport::of_analysis(
+                            s.fingerprint(),
+                            s.analysis(),
+                            ProblemSet::ALL,
+                            dep_max_distance,
+                        );
+                        (outcome, report)
+                    })
                 })
             })
-        }));
-        let applied = match applied {
-            Ok(a) => a,
-            Err(payload) => {
-                self.ins.worker_panics.inc();
-                return Err(AnalysisError::Internal(format!(
-                    "delta panicked: {}",
-                    panic_message(payload.as_ref())
-                )));
-            }
-        };
+            .map_err(AnalysisError::Internal)?;
         let Some(applied) = applied else {
             return Err(AnalysisError::SessionLost(format!(
                 "unknown or expired session {session}"
@@ -1078,12 +906,7 @@ impl Engine {
     /// Session-path reports are computed for [`ProblemSet::ALL`]; park
     /// them in the memo cache so batch queries for the same loop hit.
     fn memoize_session_report(&self, report: &Arc<AnalysisReport>) {
-        let key = CacheKey {
-            fingerprint: report.fingerprint,
-            problems: ProblemSet::ALL,
-            dep_max_distance: report.dep_max_distance,
-            custom: None,
-        };
+        let key = Problem::Canned(ProblemSet::ALL).key(report.fingerprint, report.dep_max_distance);
         let _span = observed_span("cache_insert", &self.ins.phase_cache_insert);
         self.cache.insert(key, Arc::clone(report));
     }

@@ -30,7 +30,8 @@
 //! use arrayflow_engine::{Engine, EngineConfig};
 //! use arrayflow_ir::parse_program;
 //!
-//! let engine = Engine::new(EngineConfig::default());
+//! // One worker: two could both miss while racing on the first solve.
+//! let engine = Engine::new(EngineConfig { workers: 1, ..Default::default() });
 //! let batch: Vec<_> = ["i", "j"] // alpha-equivalent: one solve, one hit
 //!     .iter()
 //!     .map(|iv| parse_program(&format!(
@@ -51,6 +52,6 @@ pub use cache::{
 };
 pub use engine::{
     passes_to_fix, AnalysisError, BatchResult, DeltaReport, Engine, EngineConfig, EngineStats,
-    LoopReport, QueryStats, SOLVER_PASS_BUCKETS,
+    LoopReport, Problem, QueryStats, SOLVER_PASS_BUCKETS,
 };
 pub use report::{AnalysisReport, CustomResult, CustomValue, InstanceStats, ProblemSet};

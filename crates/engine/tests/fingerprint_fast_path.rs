@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use arrayflow_engine::{Engine, EngineConfig, ProblemSet};
+use arrayflow_engine::{Engine, EngineConfig, Problem, ProblemSet};
 use arrayflow_ir::{fingerprint_loop, parse_program};
 
 const SRC: &str = "do i = 1, 100 A[i+2] := A[i] + x; end";
@@ -24,24 +24,24 @@ fn miss_then_hit_with_counters() {
         ..Default::default()
     });
     let fp = canonical_fingerprint(SRC);
-    let problems = ProblemSet::ALL;
+    let problems = Problem::Canned(ProblemSet::ALL);
     let dist = engine.config().dep_max_distance;
 
     // Nothing analyzed yet: the probe misses and says so.
-    assert!(engine.analyze_by_fingerprint(fp, problems, dist).is_none());
+    assert!(engine.probe(fp, problems, dist).is_none());
     assert_eq!(engine.stats().fingerprint_misses, 1);
     assert_eq!(engine.stats().fingerprint_fast_hits, 0);
 
     // Full analysis populates the cache under the same key.
     let program = parse_program(SRC).unwrap();
-    let full = engine.analyze_with(0, &program, problems, dist);
+    let full = engine.solve(0, &program, problems, dist, None);
     assert!(full.error.is_none());
     assert_eq!(full.loops.len(), 1);
     assert_eq!(full.loops[0].fingerprint, fp);
 
     // Now the probe hits — and returns the *same* report allocation the
     // full path cached, so responses built from it are byte-identical.
-    let hit = engine.analyze_by_fingerprint(fp, problems, dist).unwrap();
+    let hit = engine.probe(fp, problems, dist).unwrap();
     assert!(Arc::ptr_eq(&hit, &full.loops[0].report));
     assert_eq!(engine.stats().fingerprint_fast_hits, 1);
     assert_eq!(engine.stats().fingerprint_misses, 1);
@@ -56,19 +56,19 @@ fn distinct_problem_sets_are_distinct_keys() {
     let fp = canonical_fingerprint(SRC);
     let dist = engine.config().dep_max_distance;
     let program = parse_program(SRC).unwrap();
-    engine.analyze_with(0, &program, ProblemSet::ALL, dist);
+    engine.solve(0, &program, Problem::Canned(ProblemSet::ALL), dist, None);
 
     // Same fingerprint, different problem selection: a different key.
     let reaching_only = ProblemSet::from_bits(0b0001).unwrap();
     assert!(engine
-        .analyze_by_fingerprint(fp, reaching_only, dist)
+        .probe(fp, Problem::Canned(reaching_only), dist)
         .is_none());
     assert!(engine
-        .analyze_by_fingerprint(fp, ProblemSet::ALL, dist)
+        .probe(fp, Problem::Canned(ProblemSet::ALL), dist)
         .is_some());
     // And a different distance bound misses too.
     assert!(engine
-        .analyze_by_fingerprint(fp, ProblemSet::ALL, dist + 1)
+        .probe(fp, Problem::Canned(ProblemSet::ALL), dist + 1)
         .is_none());
 }
 
@@ -76,7 +76,7 @@ fn distinct_problem_sets_are_distinct_keys() {
 fn counters_appear_in_metrics_exposition() {
     let engine = Engine::default();
     let fp = canonical_fingerprint(SRC);
-    engine.analyze_by_fingerprint(fp, ProblemSet::ALL, 8);
+    engine.probe(fp, Problem::Canned(ProblemSet::ALL), 8);
     let text = engine.registry().snapshot().render_prometheus();
     assert!(text.contains("arrayflow_fingerprint_misses_total 1"));
     assert!(text.contains("arrayflow_fingerprint_fast_hits_total 0"));

@@ -1,7 +1,7 @@
 //! Engine-level session behavior: delta reports must render byte-identical
 //! to fresh full analyses, and the session store must enforce its bounds.
 
-use arrayflow_engine::{Engine, EngineConfig};
+use arrayflow_engine::{Engine, EngineConfig, Problem};
 use arrayflow_ir::{parse_program, Edit};
 use arrayflow_workloads::{random_edit, random_loop, LoopShape};
 
@@ -47,7 +47,11 @@ fn delta_metrics_and_memoization() {
     let (id, report) = engine.open_session(&p).unwrap();
     // The session-path report is memoized: a fingerprint-first probe hits.
     assert!(engine
-        .analyze_by_fingerprint(report.fingerprint, report.problems, report.dep_max_distance)
+        .probe(
+            report.fingerprint,
+            Problem::Canned(report.problems),
+            report.dep_max_distance
+        )
         .is_some());
 
     let ids = arrayflow_workloads::assign_ids(&{
@@ -62,9 +66,9 @@ fn delta_metrics_and_memoization() {
     let delta = engine.analyze_delta(id, &edit).unwrap();
     assert!(!delta.fallback);
     assert!(engine
-        .analyze_by_fingerprint(
+        .probe(
             delta.fingerprint,
-            delta.report.problems,
+            Problem::Canned(delta.report.problems),
             delta.report.dep_max_distance
         )
         .is_some());

@@ -1,35 +1,35 @@
-#![cfg(feature = "proptest")]
-
 //! Property: pretty-printing a program and re-parsing it yields a
 //! structurally identical program (same statements, same evaluation
-//! behaviour), for arbitrarily generated ASTs.
-
-use proptest::prelude::*;
+//! behaviour), for randomly generated ASTs. The cases come from the
+//! seeded in-crate PRNG, so every run checks the same 128 programs.
 
 use arrayflow_ir::interp::run_with;
 use arrayflow_ir::pretty::print_program;
 use arrayflow_ir::stmt::{ArrayRef, Assign, Block, LValue, Loop, Stmt};
 use arrayflow_ir::{parse_program, BinOp, Cond, Expr, Program, RelOp};
+use arrayflow_workloads::Prng;
+
+const CASES: u64 = 128;
 
 /// Generates an expression over scalars s0..s2, arrays A0..A1 and iv `i`,
-/// with bounded depth.
-fn arb_expr(depth: u32) -> BoxedStrategy<RawExpr> {
-    let leaf = prop_oneof![
-        (-9i64..=9).prop_map(RawExpr::Const),
-        (0u8..3).prop_map(RawExpr::Scalar),
-        Just(RawExpr::Iv),
-    ];
-    leaf.prop_recursive(depth, 16, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone(), 0u8..4).prop_map(|(l, r, op)| RawExpr::Bin(
-                op,
-                Box::new(l),
-                Box::new(r)
-            )),
-            (0u8..2, inner).prop_map(|(a, s)| RawExpr::Elem(a, Box::new(s))),
-        ]
-    })
-    .boxed()
+/// at most `depth` operators deep.
+fn arb_expr(rng: &mut Prng, depth: u32) -> RawExpr {
+    if depth == 0 || rng.ratio(1, 2) {
+        return match rng.below(3) {
+            0 => RawExpr::Const(rng.range_i64(-9, 9)),
+            1 => RawExpr::Scalar(rng.below(3) as u8),
+            _ => RawExpr::Iv,
+        };
+    }
+    if rng.ratio(1, 2) {
+        let op = rng.below(4) as u8;
+        let l = arb_expr(rng, depth - 1);
+        let r = arb_expr(rng, depth - 1);
+        RawExpr::Bin(op, Box::new(l), Box::new(r))
+    } else {
+        let a = rng.below(2) as u8;
+        RawExpr::Elem(a, Box::new(arb_expr(rng, depth - 1)))
+    }
 }
 
 /// AST sketch independent of interned ids.
@@ -49,26 +49,34 @@ enum RawStmt {
     If(RawExpr, u8, RawExpr, Vec<RawStmt>, Vec<RawStmt>),
 }
 
-fn arb_stmt(depth: u32) -> BoxedStrategy<RawStmt> {
-    let assign = prop_oneof![
-        (0u8..3, arb_expr(2)).prop_map(|(v, e)| RawStmt::AssignScalar(v, e)),
-        (0u8..2, arb_expr(2), arb_expr(2)).prop_map(|(a, s, e)| RawStmt::AssignElem(a, s, e)),
-    ];
-    if depth == 0 {
-        return assign.boxed();
+/// Generates a statement: an assignment, or (one time in five while
+/// `depth` allows) an `if` whose branches nest further statements.
+fn arb_stmt(rng: &mut Prng, depth: u32) -> RawStmt {
+    if depth == 0 || !rng.ratio(1, 5) {
+        return if rng.ratio(1, 2) {
+            let v = rng.below(3) as u8;
+            RawStmt::AssignScalar(v, arb_expr(rng, 2))
+        } else {
+            let a = rng.below(2) as u8;
+            let sub = arb_expr(rng, 2);
+            RawStmt::AssignElem(a, sub, arb_expr(rng, 2))
+        };
     }
-    prop_oneof![
-        4 => assign,
-        1 => (
-            arb_expr(1),
-            0u8..6,
-            arb_expr(1),
-            prop::collection::vec(arb_stmt(depth - 1), 1..3),
-            prop::collection::vec(arb_stmt(depth - 1), 0..2),
-        )
-            .prop_map(|(l, op, r, t, e)| RawStmt::If(l, op, r, t, e)),
-    ]
-    .boxed()
+    let l = arb_expr(rng, 1);
+    let op = rng.below(6) as u8;
+    let r = arb_expr(rng, 1);
+    let then_len = 1 + rng.below_usize(2);
+    let then_blk = (0..then_len).map(|_| arb_stmt(rng, depth - 1)).collect();
+    let else_len = rng.below_usize(2);
+    let else_blk = (0..else_len).map(|_| arb_stmt(rng, depth - 1)).collect();
+    RawStmt::If(l, op, r, then_blk, else_blk)
+}
+
+/// One seeded case: one to five statements.
+fn arb_program(seed: u64) -> Vec<RawStmt> {
+    let mut rng = Prng::seed_from_u64(seed);
+    let len = 1 + rng.below_usize(5);
+    (0..len).map(|_| arb_stmt(&mut rng, 2)).collect()
 }
 
 fn realize(raw: &[RawStmt]) -> Program {
@@ -193,26 +201,39 @@ fn behaviour(p: &Program) -> Result<String, arrayflow_ir::InterpError> {
     Ok(out)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+fn print_parse_print_is_stable(raw: &[RawStmt]) {
+    let p = realize(raw);
+    let once = print_program(&p);
+    let reparsed = parse_program(&once).unwrap_or_else(|e| panic!("re-parse failed: {e}\n{once}"));
+    let twice = print_program(&reparsed);
+    assert_eq!(once, twice, "printing is not a fixpoint for {raw:?}");
+}
 
-    #[test]
-    fn print_parse_print_is_stable(raw in prop::collection::vec(arb_stmt(2), 1..6)) {
-        let p = realize(&raw);
-        let once = print_program(&p);
-        let reparsed = parse_program(&once)
-            .unwrap_or_else(|e| panic!("re-parse failed: {e}\n{once}"));
-        let twice = print_program(&reparsed);
-        prop_assert_eq!(&once, &twice, "printing is not a fixpoint");
-    }
+fn reparsed_program_behaves_identically(raw: &[RawStmt]) {
+    let p = realize(raw);
+    let reparsed = parse_program(&print_program(&p)).unwrap();
+    // Division by zero may occur in either — but must occur in both.
+    assert_eq!(behaviour(&p), behaviour(&reparsed), "{raw:?}");
+}
 
-    #[test]
-    fn reparsed_program_behaves_identically(raw in prop::collection::vec(arb_stmt(2), 1..6)) {
-        let p = realize(&raw);
-        let reparsed = parse_program(&print_program(&p)).unwrap();
-        // Division by zero may occur in either — but must occur in both.
-        let b1 = behaviour(&p);
-        let b2 = behaviour(&reparsed);
-        prop_assert_eq!(b1, b2);
+#[test]
+fn printing_is_a_fixpoint_on_random_programs() {
+    for seed in 0..CASES {
+        print_parse_print_is_stable(&arb_program(seed));
     }
+}
+
+#[test]
+fn reparsed_random_programs_behave_identically() {
+    for seed in 0..CASES {
+        reparsed_program_behaves_identically(&arb_program(seed));
+    }
+}
+
+#[test]
+fn minimal_assignment_round_trips() {
+    // A case the former shrinking search once reduced a failure to.
+    let raw = [RawStmt::AssignScalar(0, RawExpr::Const(0))];
+    print_parse_print_is_stable(&raw);
+    reparsed_program_behaves_identically(&raw);
 }

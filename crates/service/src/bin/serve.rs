@@ -1,7 +1,7 @@
 //! The `serve` binary: the analysis service on TCP or stdio.
 //!
 //! ```text
-//! serve [--listen ADDR] [--stdio] [--io event|threads] [--proto auto|json]
+//! serve [--listen ADDR] [--stdio] [--proto auto|json]
 //!       [--workers N] [--engine-workers N]
 //!       [--queue N] [--timeout-ms N] [--idle-timeout-ms N] [--max-frame BYTES]
 //!       [--cache-capacity N] [--distance-bound N]
@@ -22,17 +22,16 @@
 //! (requires `--store`) ships the segment log to the named peer so it can
 //! serve this node's reports warm after a failover.
 //!
-//! `--io event` (the default on unix) runs one `poll(2)` event loop
-//! multiplexing every connection onto the worker pool; `--io threads`
-//! keeps the thread-per-connection listener. `--proto auto` (default)
-//! sniffs each connection's first bytes — `AFWIRE01` magic selects the
-//! binary protocol, anything else newline-JSON; `--proto json` pins the
-//! legacy JSON protocol. The threaded listener is JSON-only.
+//! TCP serving is one `poll(2)` event loop multiplexing every connection
+//! onto the worker pool (unix only; elsewhere use `--stdio` or
+//! `--router`). `--proto auto` (default) sniffs each connection's first
+//! bytes — `AFWIRE01` magic selects the binary protocol, anything else
+//! newline-JSON; `--proto json` pins the legacy JSON protocol.
 //!
 //! Defaults: listen on 127.0.0.1:7433, one service worker and one engine
 //! worker per hardware thread, 256-deep queue, 5000 ms deadline, 1 MiB
-//! frames. On the event loop, `--idle-timeout-ms` (default 60000; 0
-//! disables) reaps connections that make no read progress and are owed
+//! frames. `--idle-timeout-ms` (default 60000; 0 disables) reaps
+//! connections that make no read progress and are owed
 //! nothing — the slow-loris guard. Clients may send a `deadline_ms`
 //! budget (JSON field or binary frame prefix); the effective deadline is
 //! the smaller of that budget and `--timeout-ms`, and expired or
@@ -66,19 +65,12 @@ use std::time::Duration;
 
 use arrayflow_cluster::Topology;
 use arrayflow_resilience::FaultPlan;
-use arrayflow_service::{run_stdio, RouterConfig, RouterServer, Server, Service, ServiceConfig};
+use arrayflow_service::{run_stdio, RouterConfig, RouterServer, Service, ServiceConfig};
 use arrayflow_store::StoreConfig;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum IoModel {
-    Event,
-    Threads,
-}
 
 struct Args {
     listen: String,
     stdio: bool,
-    io: IoModel,
     proto_json_only: bool,
     config: ServiceConfig,
     router_nodes: Option<String>,
@@ -90,11 +82,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7433".to_string(),
         stdio: false,
-        io: if cfg!(unix) {
-            IoModel::Event
-        } else {
-            IoModel::Threads
-        },
         proto_json_only: false,
         config: ServiceConfig::default(),
         router_nodes: None,
@@ -107,18 +94,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--listen" => args.listen = value("--listen")?,
             "--stdio" => args.stdio = true,
-            "--io" => {
-                args.io = match value("--io")?.as_str() {
-                    "event" => {
-                        if !cfg!(unix) {
-                            return Err("--io event requires unix (poll)".to_string());
-                        }
-                        IoModel::Event
-                    }
-                    "threads" => IoModel::Threads,
-                    other => return Err(format!("unknown io model `{other}` (event|threads)")),
-                }
-            }
             "--proto" => {
                 args.proto_json_only = match value("--proto")?.as_str() {
                     "auto" => false,
@@ -196,7 +171,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "serve [--listen ADDR] [--stdio] [--io event|threads] [--proto auto|json] \
+                    "serve [--listen ADDR] [--stdio] [--proto auto|json] \
                      [--workers N] [--engine-workers N] \
                      [--queue N] [--timeout-ms N] [--idle-timeout-ms N] [--max-frame BYTES] \
                      [--cache-capacity N] \
@@ -226,36 +201,24 @@ fn store_config(config: &mut ServiceConfig) -> Result<&mut StoreConfig, String> 
         .ok_or_else(|| "pass --store DIR before store tuning flags".to_string())
 }
 
-/// Binds and runs the selected listener. The outer `Err` is a bind
-/// failure; the inner result is the server's run outcome.
-fn run_listener(
-    args: &Args,
-    service: std::sync::Arc<Service>,
-) -> std::io::Result<std::io::Result<()>> {
-    match args.io {
-        #[cfg(unix)]
-        IoModel::Event => {
-            use arrayflow_service::{EventServer, ProtoMode};
-            let server = EventServer::bind(args.listen.as_str(), service)?;
-            announce(&server.local_addr(), &args.listen, "event loop");
-            let mode = if args.proto_json_only {
-                ProtoMode::Json
-            } else {
-                ProtoMode::Auto
-            };
-            Ok(server.run(mode))
-        }
-        #[cfg(not(unix))]
-        IoModel::Event => unreachable!("--io event rejected at parse time off unix"),
-        IoModel::Threads => {
-            if !args.proto_json_only {
-                eprintln!("serve: note: the threaded listener speaks JSON only");
-            }
-            let server = Server::attach(args.listen.as_str(), service)?;
-            announce(&server.local_addr(), &args.listen, "thread per connection");
-            Ok(server.run())
-        }
-    }
+/// Binds and runs the event loop. The outer `Err` is a bind failure;
+/// the inner result is the server's run outcome.
+#[cfg(unix)]
+fn run_listener(args: &Args, service: Arc<Service>) -> std::io::Result<std::io::Result<()>> {
+    use arrayflow_service::{EventServer, ProtoMode};
+    let server = EventServer::bind(args.listen.as_str(), service)?;
+    announce(&server.local_addr(), &args.listen, "event loop");
+    let mode = if args.proto_json_only {
+        ProtoMode::Json
+    } else {
+        ProtoMode::Auto
+    };
+    Ok(server.run(mode))
+}
+
+#[cfg(not(unix))]
+fn run_listener(_: &Args, _: Arc<Service>) -> std::io::Result<std::io::Result<()>> {
+    unreachable!("TCP serving is refused before the service starts off unix")
 }
 
 // The `listening on ADDR` line is parsed by tooling (tests spawn serve
@@ -326,6 +289,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         return run_router(&args);
+    }
+    if !args.stdio && !cfg!(unix) {
+        eprintln!("serve: TCP serving needs poll(2) (unix); use --stdio or --router");
+        return ExitCode::from(2);
     }
     let has_store = args.config.store.is_some();
     let report_store = |svc: &Service| {

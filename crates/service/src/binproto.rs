@@ -1,30 +1,30 @@
-//! The binary protocol's service-side half: maps `AFWIRE01` frames
-//! (decoded by `arrayflow-wire`) onto the same [`Service`] core the JSON
-//! transport uses — same worker pool, same counters, same error taxonomy.
+//! The binary edge codec: decodes `AFWIRE01` frames (via
+//! `arrayflow-wire`) onto the one request model and encodes the
+//! service's answers back into response frames — the same dispatch,
+//! worker pool, counters and error taxonomy as the JSON edge.
 //!
-//! The one thing this path has that JSON does not: a **fingerprint-first
-//! fast path**. An analyze request carrying a client-precomputed
-//! fingerprint probes the memo cache (and, through it, the persistent
-//! tier) *before* any parse or normalize work; on a hit the stored report
-//! encoding ships back directly, and the request never touches the worker
-//! pool.
+//! Analyze and custom frames may carry a client-precomputed fingerprint:
+//! the **fingerprint-first fast path** probes the memo cache (and,
+//! through it, the persistent tier) *before* any parse or normalize work;
+//! on a hit the stored report encoding ships back directly, and the
+//! request never touches the worker pool.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use arrayflow_engine::{CustomSpec, ProblemSet};
-use arrayflow_ir::{Edit, Fingerprint, StmtId};
-use arrayflow_obs::{observed_span, Trace};
+use arrayflow_engine::{BatchResult, DeltaReport, LoopReport, QueryStats};
+use arrayflow_ir::Fingerprint;
+use arrayflow_obs::{observed_span, with_current};
 use arrayflow_resilience::CancelToken;
-use arrayflow_store::codec::encode_report;
+use arrayflow_store::codec::{decode_report, encode_report};
 use arrayflow_wire::encode_frame;
 use arrayflow_wire::proto::{
-    strip_deadline, AnalyzeOk, AnalyzeRequest, CustomRequest, DeltaOk, LoopEntry, Request,
-    Response, SessionOk,
+    strip_deadline, AnalyzeOk, DeltaOk, LoopEntry, Request, Response, SessionOk,
 };
 
+use crate::json::Json;
 use crate::proto::{ErrorKind, ServiceError};
-use crate::service::{JobOutput, Service, Work};
+use crate::service::{asks_shutdown, Answer, Decoded, Service};
 
 /// The outcome of handling one binary frame.
 pub struct BinaryResponse {
@@ -63,23 +63,131 @@ pub fn kind_from_byte(b: u8) -> Option<ErrorKind> {
     })
 }
 
-fn frame_of(resp: &Response) -> Vec<u8> {
+/// Decodes one request frame: strips the deadline prefix (framing, not
+/// request content — a prefix that fails to decode is hostile by
+/// definition), then decodes the request.
+pub(crate) fn decode_request(tag: u8, payload: &[u8]) -> Decoded {
+    let protocol = |message: String| ServiceError::new(ErrorKind::Protocol, message);
+    let (tag, budget_ms, offset) =
+        strip_deadline(tag, payload).map_err(|e| protocol(format!("bad deadline prefix: {e}")))?;
+    let req = Request::decode(tag, &payload[offset..])
+        .map_err(|e| protocol(format!("bad frame: {e}")))?;
+    Ok((req, budget_ms))
+}
+
+/// Encodes one outcome as the response frame to request `id`.
+pub(crate) fn response_frame(id: u64, outcome: Result<Answer, ServiceError>) -> Vec<u8> {
+    let text = |text: String| Response::Text { id, text };
+    let resp = match outcome {
+        Err(e) => Response::Err {
+            id,
+            kind: kind_byte(e.kind),
+            message: e.message,
+        },
+        Ok(Answer::Text(t)) => text(t.into()),
+        Ok(Answer::Object(json)) => text(json.to_string()),
+        // Binary metrics ship the Prometheus exposition directly — the
+        // form a scraper wants, with no JSON wrapper to unpick.
+        Ok(Answer::Metrics(json)) => text(
+            json.get("prometheus")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string(),
+        ),
+        Ok(Answer::Loops(r)) => Response::Analyze(AnalyzeOk {
+            id,
+            loops: r
+                .loops
+                .iter()
+                .map(|l| LoopEntry {
+                    fingerprint: l.fingerprint.0.to_le_bytes(),
+                    report: encode_report(&l.report),
+                })
+                .collect(),
+            cache_hits: r.stats.cache_hits,
+            cache_misses: r.stats.cache_misses,
+            solver_passes: r.stats.solver_passes,
+            node_visits: r.stats.node_visits,
+        }),
+        Ok(Answer::Session(session, report)) => Response::Session(SessionOk {
+            id,
+            session,
+            fingerprint: report.fingerprint.0.to_le_bytes(),
+            report: encode_report(&report),
+        }),
+        Ok(Answer::Delta(d)) => Response::Delta(DeltaOk {
+            id,
+            session: d.session,
+            fingerprint: d.fingerprint.0.to_le_bytes(),
+            report: encode_report(&d.report),
+            fallback: d.fallback,
+            dirty_columns: d.dirty_columns as u64,
+            total_columns: d.total_columns as u64,
+        }),
+    };
     encode_frame(resp.tag(), &resp.encode_payload())
 }
 
-fn err_response(id: u64, kind: ErrorKind, message: impl Into<String>) -> Response {
-    Response::Err {
-        id,
-        kind: kind_byte(kind),
-        message: message.into(),
+/// The inverse of [`response_frame`] for a node's answer: what the router's
+/// JSON edge renders a forwarded response from, decoding the report
+/// bytes back into reports.
+pub(crate) fn answer_of(tag: u8, payload: &[u8]) -> Result<Answer, ServiceError> {
+    let report = |bytes: &[u8]| {
+        decode_report(bytes).map(Arc::new).map_err(|e| {
+            ServiceError::new(
+                ErrorKind::Protocol,
+                format!("node sent an undecodable report: {e}"),
+            )
+        })
+    };
+    match Response::decode(tag, payload) {
+        Ok(Response::Analyze(ok)) => Ok(Answer::Loops(BatchResult {
+            index: 0,
+            loops: ok
+                .loops
+                .iter()
+                .map(|l| {
+                    Ok(LoopReport {
+                        fingerprint: Fingerprint(u128::from_le_bytes(l.fingerprint)),
+                        report: report(&l.report)?,
+                    })
+                })
+                .collect::<Result<_, ServiceError>>()?,
+            error: None,
+            stats: QueryStats {
+                cache_hits: ok.cache_hits,
+                cache_misses: ok.cache_misses,
+                solver_passes: ok.solver_passes,
+                node_visits: ok.node_visits,
+                micros: 0,
+            },
+        })),
+        Ok(Response::Session(ok)) => Ok(Answer::Session(ok.session, report(&ok.report)?)),
+        Ok(Response::Delta(ok)) => Ok(Answer::Delta(DeltaReport {
+            session: ok.session,
+            fingerprint: Fingerprint(u128::from_le_bytes(ok.fingerprint)),
+            report: report(&ok.report)?,
+            fallback: ok.fallback,
+            dirty_columns: ok.dirty_columns as usize,
+            total_columns: ok.total_columns as usize,
+        })),
+        Ok(Response::Err { kind, message, .. }) => Err(ServiceError::new(
+            kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
+            message,
+        )),
+        _ => Err(ServiceError::new(
+            ErrorKind::Protocol,
+            "node sent an unexpected response",
+        )),
     }
 }
 
 impl Service {
-    /// Handles one decoded binary frame (tag + payload). Cheap verbs and
-    /// fingerprint cache hits answer inline — `respond` runs before this
-    /// returns; full analyses go through the bounded queue with `respond`
-    /// called from a worker. `respond` is invoked exactly once either way.
+    /// The event edge for binary frames (tag + payload): decode, then the
+    /// one dispatch. Cheap verbs, validation errors and fingerprint cache
+    /// hits answer inline — `respond` runs before this returns; solver
+    /// work goes through the bounded queue with `respond` called from a
+    /// worker. `respond` is invoked exactly once either way.
     pub fn handle_binary_frame_async(
         self: &Arc<Self>,
         tag: u8,
@@ -102,481 +210,20 @@ impl Service {
     ) {
         let accepted = Instant::now();
         let trace = self.begin_trace();
-        // The deadline prefix is framing, not request content: strip it
-        // before the request decoder sees the payload. A frame whose
-        // prefix fails to decode is hostile by definition.
-        let (tag, budget_ms, offset) = match strip_deadline(tag, payload) {
-            Ok(parts) => parts,
-            Err(e) => {
-                let resp =
-                    err_response(0, ErrorKind::Protocol, format!("bad deadline prefix: {e}"));
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        };
-        let payload = &payload[offset..];
-        let decoded = {
+        let decoded = with_current(&trace, || {
             let _span = observed_span("decode", &self.ins().phase_decode);
-            Request::decode(tag, payload)
-        };
-        let req = match decoded {
-            Err(e) => {
-                // The id could not be recovered from a frame that failed to
-                // decode; 0 is the protocol's "unattributable" id.
-                let resp = err_response(0, ErrorKind::Protocol, format!("bad frame: {e}"));
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
+            decode_request(tag, payload)
+        });
+        // The id of a frame that failed to decode cannot be recovered; 0
+        // is the protocol's "unattributable" id.
+        let id = decoded.as_ref().map_or(0, |(req, _)| req.id());
+        let shutdown = asks_shutdown(&decoded);
+        self.dispatch_async(trace, accepted, decoded, cancel, respond, move |outcome| {
+            BinaryResponse {
+                shutdown: shutdown && outcome.is_ok(),
+                frame: response_frame(id, outcome),
             }
-            Ok(req) => req,
-        };
-        match req {
-            Request::Ping { id } => {
-                let resp = Response::Text {
-                    id,
-                    text: "pong".into(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Stats { id } => {
-                let resp = Response::Text {
-                    id,
-                    text: self.stats_json().to_string(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Metrics { id } => {
-                // Binary metrics ship the Prometheus exposition directly —
-                // the form a scraper wants, with no JSON wrapper to unpick.
-                let resp = Response::Text {
-                    id,
-                    text: self.render_exposition(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Health { id } => {
-                let resp = Response::Text {
-                    id,
-                    text: self.health_json().to_string(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Replicate { id, batch } => {
-                let resp = match self.apply_replica_batch(&batch) {
-                    Ok(json) => Response::Text {
-                        id,
-                        text: json.to_string(),
-                    },
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Compact { id } => {
-                let resp = match self.compact_store() {
-                    Ok(json) => Response::Text {
-                        id,
-                        text: json.to_string(),
-                    },
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, false));
-            }
-            Request::Shutdown { id } => {
-                self.shutdown();
-                let resp = Response::Text {
-                    id,
-                    text: "shutting down".into(),
-                };
-                respond(self.finish_binary(&trace, accepted, resp, true));
-            }
-            Request::Analyze(a) => {
-                self.analyze_binary(a, budget_ms, cancel, accepted, trace, respond)
-            }
-            Request::Custom(c) => {
-                self.custom_binary(c, budget_ms, cancel, accepted, trace, respond)
-            }
-            Request::Open { id, source } => {
-                self.open_binary(id, source, budget_ms, cancel, accepted, trace, respond)
-            }
-            // The carried fingerprint is the router's shard key; the node
-            // itself resolves the session by id alone.
-            Request::Delta {
-                id,
-                session,
-                fingerprint: _,
-                stmt,
-                text,
-            } => self.delta_binary(
-                id, session, stmt, text, budget_ms, cancel, accepted, trace, respond,
-            ),
-        }
-    }
-
-    /// An `open` frame: UTF-8-check the source, then run the full
-    /// analysis + session retention through the worker queue.
-    #[allow(clippy::too_many_arguments)]
-    fn open_binary(
-        self: &Arc<Self>,
-        id: u64,
-        source: Vec<u8>,
-        budget_ms: Option<u64>,
-        cancel: CancelToken,
-        accepted: Instant,
-        trace: Arc<Trace>,
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let source = match String::from_utf8(source) {
-            Ok(s) => s,
-            Err(_) => {
-                let resp = err_response(id, ErrorKind::Parse, "program source is not valid UTF-8");
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        };
-        let deadline = self.effective_deadline(budget_ms);
-        let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            Work::Open { program: source },
-            accepted,
-            deadline,
-            cancel,
-            trace,
-            Box::new(move |outcome| {
-                let resp = match outcome {
-                    Ok(JobOutput::Session(session, report)) => Response::Session(SessionOk {
-                        id,
-                        session,
-                        fingerprint: report.fingerprint.0.to_le_bytes(),
-                        report: encode_report(&report),
-                    }),
-                    Ok(_) => err_response(id, ErrorKind::Protocol, "internal: job output mismatch"),
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(svc.finish_binary(&trace_done, accepted, resp, false));
-            }),
-        );
-    }
-
-    /// A `delta` frame: UTF-8-check the replacement text, then re-converge
-    /// the session through the worker queue.
-    #[allow(clippy::too_many_arguments)]
-    fn delta_binary(
-        self: &Arc<Self>,
-        id: u64,
-        session: u64,
-        stmt: u64,
-        text: Vec<u8>,
-        budget_ms: Option<u64>,
-        cancel: CancelToken,
-        accepted: Instant,
-        trace: Arc<Trace>,
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let text = match String::from_utf8(text) {
-            Ok(s) => s,
-            Err(_) => {
-                let resp = err_response(id, ErrorKind::Parse, "edit text is not valid UTF-8");
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        };
-        let edit = Edit {
-            // Out-of-u32-range ids name nothing; saturate into a clean
-            // "no such statement" rejection instead of wrapping.
-            stmt: StmtId(u32::try_from(stmt).unwrap_or(u32::MAX)),
-            text,
-        };
-        let deadline = self.effective_deadline(budget_ms);
-        let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            Work::Delta { session, edit },
-            accepted,
-            deadline,
-            cancel,
-            trace,
-            Box::new(move |outcome| {
-                let resp = match outcome {
-                    Ok(JobOutput::Delta(d)) => Response::Delta(DeltaOk {
-                        id,
-                        session: d.session,
-                        fingerprint: d.fingerprint.0.to_le_bytes(),
-                        report: encode_report(&d.report),
-                        fallback: d.fallback,
-                        dirty_columns: d.dirty_columns as u64,
-                        total_columns: d.total_columns as u64,
-                    }),
-                    Ok(_) => err_response(id, ErrorKind::Protocol, "internal: job output mismatch"),
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(svc.finish_binary(&trace_done, accepted, resp, false));
-            }),
-        );
-    }
-
-    fn analyze_binary(
-        self: &Arc<Self>,
-        req: AnalyzeRequest,
-        budget_ms: Option<u64>,
-        cancel: CancelToken,
-        accepted: Instant,
-        trace: Arc<Trace>,
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let id = req.id;
-        let deadline = self.effective_deadline(budget_ms);
-        let problems = match req.problems {
-            None => self.config().engine.problems,
-            Some(bits) => match ProblemSet::from_bits(bits) {
-                Some(p) => p,
-                None => {
-                    let resp = err_response(
-                        id,
-                        ErrorKind::Protocol,
-                        format!("bad problem-set bits {bits:#06b}"),
-                    );
-                    respond(self.finish_binary(&trace, accepted, resp, false));
-                    return;
-                }
-            },
-        };
-        let distance_bound = req
-            .distance_bound
-            .unwrap_or(self.config().engine.dep_max_distance);
-
-        // Fingerprint-first: probe the cache tiers before any parse work.
-        if let Some(fp_bytes) = req.fingerprint {
-            let fp = Fingerprint(u128::from_le_bytes(fp_bytes));
-            if let Some(report) = self
-                .engine()
-                .analyze_by_fingerprint(fp, problems, distance_bound)
-            {
-                let resp = Response::Analyze(AnalyzeOk {
-                    id,
-                    loops: vec![LoopEntry {
-                        fingerprint: fp_bytes,
-                        report: encode_report(&report),
-                    }],
-                    cache_hits: 1,
-                    cache_misses: 0,
-                    solver_passes: 0,
-                    node_visits: 0,
-                });
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        }
-
-        // Miss (or no fingerprint): full analysis needs source.
-        let source = match req.source {
-            Some(src) => match String::from_utf8(src) {
-                Ok(s) => s,
-                Err(_) => {
-                    let resp =
-                        err_response(id, ErrorKind::Parse, "program source is not valid UTF-8");
-                    respond(self.finish_binary(&trace, accepted, resp, false));
-                    return;
-                }
-            },
-            None => {
-                let resp = err_response(
-                    id,
-                    ErrorKind::Analysis,
-                    "unknown fingerprint (supply program source to analyze)",
-                );
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        };
-
-        let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            Work::Analyze {
-                program: source,
-                problems,
-                distance_bound,
-            },
-            accepted,
-            deadline,
-            cancel,
-            trace,
-            Box::new(move |outcome| {
-                let resp = match outcome {
-                    Ok(JobOutput::Analyze(result)) => Response::Analyze(AnalyzeOk {
-                        id,
-                        loops: result
-                            .loops
-                            .iter()
-                            .map(|l| LoopEntry {
-                                fingerprint: l.fingerprint.0.to_le_bytes(),
-                                report: encode_report(&l.report),
-                            })
-                            .collect(),
-                        cache_hits: result.stats.cache_hits,
-                        cache_misses: result.stats.cache_misses,
-                        solver_passes: result.stats.solver_passes,
-                        node_visits: result.stats.node_visits,
-                    }),
-                    Ok(_) => err_response(id, ErrorKind::Protocol, "internal: job output mismatch"),
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(svc.finish_binary(&trace_done, accepted, resp, false));
-            }),
-        );
-    }
-
-    /// A `custom` frame: re-validate the spec byte and distance bound
-    /// (defense in depth behind the wire decoder — both checks reject,
-    /// never panic), probe the cache tiers by fingerprint when one came
-    /// along, and otherwise run the user's (G, K) problem through the
-    /// worker queue.
-    fn custom_binary(
-        self: &Arc<Self>,
-        req: CustomRequest,
-        budget_ms: Option<u64>,
-        cancel: CancelToken,
-        accepted: Instant,
-        trace: Arc<Trace>,
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let id = req.id;
-        let deadline = self.effective_deadline(budget_ms);
-        let Some(spec) = CustomSpec::from_bits(req.spec) else {
-            let resp = err_response(
-                id,
-                ErrorKind::Protocol,
-                format!("bad custom-spec bits {:#08b}", req.spec),
-            );
-            respond(self.finish_binary(&trace, accepted, resp, false));
-            return;
-        };
-        let distance_bound = req
-            .distance_bound
-            .unwrap_or(self.config().engine.dep_max_distance);
-        if distance_bound > CustomSpec::MAX_DISTANCE_BOUND {
-            let resp = err_response(
-                id,
-                ErrorKind::Protocol,
-                format!(
-                    "distance bound {distance_bound} exceeds the {} cap",
-                    CustomSpec::MAX_DISTANCE_BOUND
-                ),
-            );
-            respond(self.finish_binary(&trace, accepted, resp, false));
-            return;
-        }
-
-        // Fingerprint-first: the custom key probes the same tiers.
-        if let Some(fp_bytes) = req.fingerprint {
-            let fp = Fingerprint(u128::from_le_bytes(fp_bytes));
-            if let Some(report) =
-                self.engine()
-                    .analyze_custom_by_fingerprint(fp, spec, distance_bound)
-            {
-                let resp = Response::Analyze(AnalyzeOk {
-                    id,
-                    loops: vec![LoopEntry {
-                        fingerprint: fp_bytes,
-                        report: encode_report(&report),
-                    }],
-                    cache_hits: 1,
-                    cache_misses: 0,
-                    solver_passes: 0,
-                    node_visits: 0,
-                });
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        }
-
-        let source = match req.source {
-            Some(src) => match String::from_utf8(src) {
-                Ok(s) => s,
-                Err(_) => {
-                    let resp =
-                        err_response(id, ErrorKind::Parse, "program source is not valid UTF-8");
-                    respond(self.finish_binary(&trace, accepted, resp, false));
-                    return;
-                }
-            },
-            None => {
-                let resp = err_response(
-                    id,
-                    ErrorKind::Analysis,
-                    "unknown fingerprint (supply program source to analyze)",
-                );
-                respond(self.finish_binary(&trace, accepted, resp, false));
-                return;
-            }
-        };
-
-        let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            Work::Custom {
-                program: source,
-                spec,
-                distance_bound,
-            },
-            accepted,
-            deadline,
-            cancel,
-            trace,
-            Box::new(move |outcome| {
-                let resp = match outcome {
-                    Ok(JobOutput::Analyze(result)) => Response::Analyze(AnalyzeOk {
-                        id,
-                        loops: result
-                            .loops
-                            .iter()
-                            .map(|l| LoopEntry {
-                                fingerprint: l.fingerprint.0.to_le_bytes(),
-                                report: encode_report(&l.report),
-                            })
-                            .collect(),
-                        cache_hits: result.stats.cache_hits,
-                        cache_misses: result.stats.cache_misses,
-                        solver_passes: result.stats.solver_passes,
-                        node_visits: result.stats.node_visits,
-                    }),
-                    Ok(_) => err_response(id, ErrorKind::Protocol, "internal: job output mismatch"),
-                    Err(e) => err_response(id, e.kind, e.message),
-                };
-                respond(svc.finish_binary(&trace_done, accepted, resp, false));
-            }),
-        );
-    }
-
-    /// The binary counterpart of `finish_json`: outcome counters, latency
-    /// histogram, slow-request log, then the encoded frame.
-    fn finish_binary(
-        &self,
-        trace: &Arc<Trace>,
-        accepted: Instant,
-        resp: Response,
-        is_shutdown: bool,
-    ) -> BinaryResponse {
-        let (outcome_name, cancelled) = match &resp {
-            Response::Err { kind, .. } => {
-                let kind = kind_from_byte(*kind).unwrap_or(ErrorKind::Protocol);
-                self.counter_for(kind).inc();
-                (kind.as_str(), kind == ErrorKind::Cancelled)
-            }
-            _ => {
-                self.ins().ok.inc();
-                ("ok", false)
-            }
-        };
-        // Same accounting as the JSON path: cancelled work keeps its own
-        // counters and never skews `requests` or the latency histogram.
-        if !cancelled {
-            self.observe_request(trace, accepted, outcome_name);
-        }
-        BinaryResponse {
-            frame: frame_of(&resp),
-            shutdown: is_shutdown && !matches!(resp, Response::Err { .. }),
-        }
+        });
     }
 
     /// The response to a binary frame whose declared payload exceeds the
@@ -584,8 +231,7 @@ impl Service {
     /// request latency histogram — the frame was discarded, not timed.
     pub fn oversized_binary_response(&self, declared: u64) -> BinaryResponse {
         self.ins().oversized_frames.inc();
-        let resp = err_response(
-            0,
+        let e = ServiceError::new(
             ErrorKind::Protocol,
             format!(
                 "frame of {declared} bytes exceeds the {} byte cap",
@@ -593,22 +239,18 @@ impl Service {
             ),
         );
         BinaryResponse {
-            frame: frame_of(&resp),
+            frame: response_frame(0, Err(e)),
             shutdown: false,
         }
     }
-}
-
-/// Turns a [`ServiceError`] into an encoded error frame (used by
-/// transports for framing-level failures that never reach the service).
-pub fn error_frame(id: u64, e: &ServiceError) -> Vec<u8> {
-    frame_of(&err_response(id, e.kind, e.message.clone()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
+    use arrayflow_engine::{CustomSpec, ProblemSet};
+    use arrayflow_wire::proto::{AnalyzeRequest, CustomRequest};
     use std::sync::mpsc;
 
     const SRC: &str = "do i = 1, 100 A[i+2] := A[i] + x; end";

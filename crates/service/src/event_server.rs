@@ -1,7 +1,6 @@
-//! The event-driven server: one `poll(2)` loop multiplexing every
-//! connection onto the shared [`Service`] worker pool, replacing the
-//! thread-per-connection [`Server`](crate::server::Server) for high
-//! connection counts.
+//! The event-driven server: one `poll(2)` loop multiplexing every TCP
+//! connection onto the shared [`Service`] worker pool — the node's only
+//! TCP listener.
 //!
 //! Per connection the loop runs a small state machine:
 //!
@@ -12,13 +11,13 @@
 //! ```
 //!
 //! * **Reads** are nonblocking; complete frames are handed to the service
-//!   (`handle_frame_async` / `handle_binary_frame_async`). Cheap verbs
-//!   answer inline; `analyze` goes through the bounded queue and a worker
+//!   (`handle_frame_async_ctrl` / `handle_binary_frame_async_ctrl`, both
+//!   onto the one dispatch). Cheap verbs and fingerprint hits answer
+//!   inline; solver verbs go through the bounded queue and a worker
 //!   invokes the completion later.
 //! * **Responses** carry a per-connection sequence number; a `BTreeMap`
 //!   holds completions that finish out of order so bytes are written in
-//!   request order — same contract as the threaded server, checkable by a
-//!   pipelining client.
+//!   request order — checkable by a pipelining client.
 //! * **Completions** cross threads via a mutexed queue plus a socketpair
 //!   [`Waker`] that pulls the loop out of
 //!   `poll`.
@@ -45,7 +44,7 @@ use arrayflow_resilience::CancelToken;
 use arrayflow_wire::event::{set_backlog, wake_pair, Poller, Waker, POLLIN, POLLOUT};
 use arrayflow_wire::{detect, Detect, FrameDecoder, FrameEvent};
 
-use crate::binproto::error_frame;
+use crate::binproto::response_frame;
 use crate::proto::{ErrorKind, ServiceError};
 use crate::service::Service;
 
@@ -193,8 +192,7 @@ impl Conn {
 }
 
 /// An event-driven TCP listener over a shared [`Service`]. Unix-only
-/// (`poll(2)`); on other platforms use the threaded
-/// [`Server`](crate::server::Server).
+/// (`poll(2)`); other platforms serve over stdio.
 pub struct EventServer {
     listener: TcpListener,
     service: Arc<Service>,
@@ -563,7 +561,14 @@ fn feed_decided(
                             ErrorKind::Protocol,
                             format!("unrecoverable framing error: {e}"),
                         );
-                        push_completion(completions, waker, id, seq, error_frame(0, &err), false);
+                        push_completion(
+                            completions,
+                            waker,
+                            id,
+                            seq,
+                            response_frame(0, Err(err)),
+                            false,
+                        );
                         conn.closing = true;
                         break;
                     }

@@ -9,18 +9,27 @@
 //! answered from the shared memoizing [`Engine`](arrayflow_engine::Engine)
 //! whenever an alpha-equivalent loop has been analyzed before.
 //!
-//! The wire format is newline-framed JSON (see [`proto`]), implemented
-//! with the in-crate encoder/decoder in [`json`] — the workspace builds
-//! with zero external dependencies. Robustness is the design center:
+//! Two protocols share one request model
+//! ([`arrayflow_wire::proto::Request`]): newline-framed JSON (the
+//! [`proto`] edge codec, built on the in-crate encoder/decoder in
+//! [`json`] — the workspace builds with zero external dependencies) and
+//! `AFWIRE01` binary frames (the [`binproto`] edge codec). Each edge
+//! decodes onto the model and encodes answers back; everything between
+//! is one dispatch. TCP is served by one `poll(2)` event loop
+//! ([`EventServer`], unix), stdio by a blocking loop ([`run_stdio`]).
+//! Robustness is the design center:
 //!
 //! * a **bounded in-flight queue** with explicit `overloaded` errors on
 //!   backpressure, never unbounded buffering;
-//! * a **per-request deadline** answered with a `timeout` error;
+//! * a **per-request deadline**: expired work is shed and answered
+//!   `cancelled` (the blocking stdio edge answers `timeout` when its own
+//!   wait runs out);
 //! * a **frame size cap** — oversized lines are discarded in bounded
 //!   memory and answered with a `protocol` error, and the connection
 //!   stays usable;
 //! * a **structured error taxonomy** ([`ErrorKind`]: `parse`,
-//!   `analysis`, `timeout`, `overloaded`, `protocol`) — hostile bytes
+//!   `analysis`, `timeout`, `overloaded`, `protocol`, `session_lost`,
+//!   `cancelled`) — hostile bytes
 //!   produce error responses, not panics or dropped connections;
 //! * **graceful shutdown** that drains every queued request before the
 //!   workers exit;
@@ -79,7 +88,10 @@ pub use client::{Client, ClientConfig, ClientError, OpenedSession};
 #[cfg(unix)]
 pub use event_server::{EventServer, ProtoMode};
 pub use json::{Json, JsonError};
-pub use proto::{ErrorKind, Request, ServiceError, Verb};
+/// The JSON edge's decoded request line, [`proto::JsonRequest`], under
+/// the crate-root name callers already use.
+pub use proto::JsonRequest as Request;
+pub use proto::{ErrorKind, ServiceError};
 pub use router::{Router, RouterConfig, RouterServer};
-pub use server::{run_stdio, Frame, FrameReader, Server};
+pub use server::{run_stdio, Frame, FrameReader};
 pub use service::{FrameResponse, Service, ServiceConfig, ServiceStats, LATENCY_BUCKETS_US};

@@ -1,4 +1,6 @@
-//! The wire protocol: newline-framed JSON requests and responses.
+//! The JSON edge codec: newline-framed JSON requests and responses,
+//! decoded onto the one request model ([`arrayflow_wire::proto::Request`])
+//! and encoded back from the service's answers.
 //!
 //! One request per line, one response line per request, in order:
 //!
@@ -34,57 +36,16 @@ use std::fmt;
 use arrayflow_engine::{
     AnalysisReport, BatchResult, CustomSpec, DeltaReport, Direction, Mode, ProblemSet,
 };
+use arrayflow_wire::proto::{AnalyzeRequest, CustomRequest, Request};
 
 use crate::json::Json;
+use crate::service::Answer;
 
-/// What a request asks the service to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verb {
-    /// Parse `program` and analyze every loop.
-    Analyze,
-    /// Parse `program` and solve a user-specified (G, K) problem over
-    /// every loop: the request's `spec` object picks which site roles
-    /// generate and kill, the direction, and the confluence mode.
-    Custom,
-    /// Open an incremental analysis session over `program`: full
-    /// analysis now, converged lattice state retained for `delta`.
-    Open,
-    /// Apply one statement replacement to an open session and
-    /// re-converge from the cached fixed point.
-    Delta,
-    /// Report engine + service statistics.
-    Stats,
-    /// Report every registered metric: structured JSON plus the
-    /// Prometheus text exposition.
-    Metrics,
-    /// Liveness check; echoes `"pong"`.
-    Ping,
-    /// Node health + identity: `{"status": "ok", "node": ..., "shutting_down": ...}`.
-    /// The cluster router's failover probe.
-    Health,
-    /// Compact the persistent report store (requires `--store`).
-    Compact,
-    /// Begin graceful shutdown (drain in-flight work, then exit).
-    Shutdown,
-}
-
-impl Verb {
-    fn parse(s: &str) -> Option<Verb> {
-        match s {
-            "analyze" => Some(Verb::Analyze),
-            "custom" => Some(Verb::Custom),
-            "open" => Some(Verb::Open),
-            "delta" => Some(Verb::Delta),
-            "stats" => Some(Verb::Stats),
-            "metrics" => Some(Verb::Metrics),
-            "ping" => Some(Verb::Ping),
-            "health" => Some(Verb::Health),
-            "compact" => Some(Verb::Compact),
-            "shutdown" => Some(Verb::Shutdown),
-            _ => None,
-        }
-    }
-}
+/// The verbs a JSON request may name.
+const VERBS: [&str; 10] = [
+    "analyze", "custom", "open", "delta", "stats", "metrics", "health", "compact", "shutdown",
+    "ping",
+];
 
 /// The failure classes a response can carry. Everything the server
 /// can get wrong maps onto exactly one of these, so clients can switch on
@@ -181,33 +142,16 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// A decoded request.
+/// One decoded JSON request line: the client's id, the request in the
+/// one request model, and the client's deadline budget.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Request {
+pub struct JsonRequest {
     /// Client-chosen correlation id, echoed back verbatim (any JSON value;
     /// `null` when absent).
     pub id: Json,
-    /// The operation.
-    pub verb: Verb,
-    /// DSL program text (required for `analyze` and `open`).
-    pub program: Option<String>,
-    /// Problem selection (default: all four instances).
-    pub problems: Option<ProblemSet>,
-    /// User-specified (G, K) problem spec (required for `custom`).
-    pub spec: Option<CustomSpec>,
-    /// Dependence distance bound (default: server config).
-    pub distance_bound: Option<u64>,
-    /// Session id from a prior `open` (required for `delta`).
-    pub session: Option<u64>,
-    /// The session's base fingerprint as returned by `open` (required for
-    /// `delta`): 32 hex characters, exactly as responses render it. The
-    /// cluster router hashes it to pin the whole session to one shard; a
-    /// single node ignores it.
-    pub fingerprint: Option<[u8; 16]>,
-    /// Statement id to replace (required for `delta`).
-    pub stmt: Option<u64>,
-    /// Replacement statement source (required for `delta`).
-    pub text: Option<String>,
+    /// The request. Its wire id is 0: JSON correlates by [`Self::id`].
+    /// `analyze` and `custom` never carry a fingerprint from this edge.
+    pub request: Request,
     /// Client deadline budget in milliseconds, optional on any verb and
     /// ignored by servers predating it (unknown JSON fields are skipped).
     /// Clamped at decode to [`arrayflow_wire::proto::MAX_DEADLINE_MS`];
@@ -216,11 +160,11 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
 }
 
-impl Request {
+impl JsonRequest {
     /// Decodes a request from one JSON frame. The returned error pairs the
     /// [`ServiceError`] with whatever `id` could be recovered, so the
     /// response still correlates.
-    pub fn decode(frame: &[u8]) -> Result<Request, (Json, ServiceError)> {
+    pub fn decode(frame: &[u8]) -> Result<JsonRequest, (Json, ServiceError)> {
         let v = Json::parse(frame).map_err(|e| {
             (
                 Json::Null,
@@ -233,37 +177,27 @@ impl Request {
         if !matches!(v, Json::Obj(_)) {
             return Err(fail("request must be a JSON object".into()));
         }
-        let verb_str = v
+        let verb = v
             .get("verb")
             .and_then(Json::as_str)
             .ok_or_else(|| fail("missing or non-string `verb`".into()))?;
-        let verb =
-            Verb::parse(verb_str).ok_or_else(|| fail(format!("unknown verb `{verb_str}`")))?;
+        if !VERBS.contains(&verb) {
+            return Err(fail(format!("unknown verb `{verb}`")));
+        }
 
         let program = match v.get("program") {
             None | Some(Json::Null) => None,
             Some(Json::Str(s)) => Some(s.clone()),
             Some(_) => return Err(fail("`program` must be a string".into())),
         };
-        if verb == Verb::Analyze && program.is_none() {
-            return Err(fail("`analyze` requires a `program` string".into()));
-        }
-        if verb == Verb::Custom && program.is_none() {
-            return Err(fail("`custom` requires a `program` string".into()));
-        }
-        if verb == Verb::Open && program.is_none() {
-            return Err(fail("`open` requires a `program` string".into()));
+        if matches!(verb, "analyze" | "custom" | "open") && program.is_none() {
+            return Err(fail(format!("`{verb}` requires a `program` string")));
         }
 
         let problems = match v.get("problems") {
             None | Some(Json::Null) => None,
             Some(Json::Arr(items)) => {
-                let mut set = ProblemSet {
-                    reaching: false,
-                    available: false,
-                    busy: false,
-                    reaching_refs: false,
-                };
+                let mut set = ProblemSet::NONE;
                 for item in items {
                     match item.as_str() {
                         Some("reaching") => set.reaching = true,
@@ -292,7 +226,7 @@ impl Request {
             Some(s @ Json::Obj(_)) => Some(parse_custom_spec(s).map_err(&fail)?),
             Some(_) => return Err(fail("`spec` must be an object".into())),
         };
-        if verb == Verb::Custom {
+        if verb == "custom" {
             if spec.is_none() {
                 return Err(fail("`custom` requires a `spec` object".into()));
             }
@@ -334,7 +268,7 @@ impl Request {
             ),
             Some(_) => return Err(fail("`fingerprint` must be a hex string".into())),
         };
-        if verb == Verb::Delta {
+        if verb == "delta" {
             for (field, present) in [
                 ("session", session.is_some()),
                 ("fingerprint", fingerprint.is_some()),
@@ -347,17 +281,44 @@ impl Request {
             }
         }
 
-        Ok(Request {
+        // Every field a verb requires was checked above.
+        let source = program.map(String::into_bytes);
+        let request = match verb {
+            "analyze" => Request::Analyze(AnalyzeRequest {
+                id: 0,
+                fingerprint: None,
+                problems: problems.map(ProblemSet::bits),
+                distance_bound,
+                source,
+            }),
+            "custom" => Request::Custom(CustomRequest {
+                id: 0,
+                spec: spec.map_or(0, CustomSpec::bits),
+                fingerprint: None,
+                distance_bound,
+                source,
+            }),
+            "open" => Request::Open {
+                id: 0,
+                source: source.unwrap_or_default(),
+            },
+            "delta" => Request::Delta {
+                id: 0,
+                session: session.unwrap_or_default(),
+                fingerprint: fingerprint.unwrap_or_default(),
+                stmt: stmt.unwrap_or_default(),
+                text: text.unwrap_or_default().into_bytes(),
+            },
+            "stats" => Request::Stats { id: 0 },
+            "metrics" => Request::Metrics { id: 0 },
+            "health" => Request::Health { id: 0 },
+            "compact" => Request::Compact { id: 0 },
+            "shutdown" => Request::Shutdown { id: 0 },
+            _ => Request::Ping { id: 0 },
+        };
+        Ok(JsonRequest {
             id,
-            verb,
-            program,
-            problems,
-            spec,
-            distance_bound,
-            session,
-            fingerprint,
-            stmt,
-            text,
+            request,
             deadline_ms,
         })
     }
@@ -466,12 +427,31 @@ pub fn encode_err(id: &Json, err: &ServiceError) -> String {
     .to_string()
 }
 
+/// Encodes one outcome as its response line (without trailing newline).
+pub(crate) fn encode_outcome(id: &Json, outcome: Result<Answer, ServiceError>) -> String {
+    match outcome {
+        Ok(answer) => encode_ok(id, answer_json(answer)),
+        Err(e) => encode_err(id, &e),
+    }
+}
+
+/// The `result` object of an answer.
+fn answer_json(answer: Answer) -> Json {
+    match answer {
+        Answer::Text(text) => Json::Str(text.into()),
+        Answer::Object(json) | Answer::Metrics(json) => json,
+        Answer::Loops(r) => analyze_result_json(&r),
+        Answer::Session(session, report) => session_result_json(session, &report),
+        Answer::Delta(d) => delta_result_json(&d),
+    }
+}
+
 /// Renders one [`BatchResult`] as the `analyze` result object. The
 /// per-loop `report` strings are exactly
 /// [`arrayflow_engine::AnalysisReport::render`] — byte-identical to what a
 /// direct in-process `Engine` call produces, which the integration tests
 /// assert.
-pub fn analyze_result_json(r: &BatchResult) -> Json {
+fn analyze_result_json(r: &BatchResult) -> Json {
     let loops = r
         .loops
         .iter()
@@ -510,7 +490,7 @@ pub fn analyze_result_json(r: &BatchResult) -> Json {
 
 /// Renders an `open` result: the new session id, the loop's canonical
 /// fingerprint (the `delta` routing key), and the rendered initial report.
-pub fn session_result_json(session: u64, report: &AnalysisReport) -> Json {
+fn session_result_json(session: u64, report: &AnalysisReport) -> Json {
     Json::Obj(vec![
         ("session".into(), Json::Num(session as f64)),
         (
@@ -527,7 +507,7 @@ pub fn session_result_json(session: u64, report: &AnalysisReport) -> Json {
 /// (fast path vs full fallback, columns re-solved). Requests keep routing
 /// by the fingerprint `open` returned — that is the session's shard key
 /// for its whole lifetime.
-pub fn delta_result_json(d: &DeltaReport) -> Json {
+fn delta_result_json(d: &DeltaReport) -> Json {
     Json::Obj(vec![
         ("session".into(), Json::Num(d.session as f64)),
         ("fingerprint".into(), Json::Str(d.fingerprint.to_string())),
@@ -542,78 +522,103 @@ pub fn delta_result_json(d: &DeltaReport) -> Json {
 mod tests {
     use super::*;
 
+    fn decode(frame: &[u8]) -> JsonRequest {
+        JsonRequest::decode(frame).unwrap()
+    }
+
     #[test]
     fn decodes_minimal_analyze() {
-        let r = Request::decode(br#"{"id": 3, "verb": "analyze", "program": "x := 1;"}"#).unwrap();
+        let r = decode(br#"{"id": 3, "verb": "analyze", "program": "x := 1;"}"#);
         assert_eq!(r.id, Json::Num(3.0));
-        assert_eq!(r.verb, Verb::Analyze);
-        assert_eq!(r.program.as_deref(), Some("x := 1;"));
-        assert_eq!(r.problems, None);
-        assert_eq!(r.distance_bound, None);
+        assert_eq!(
+            r.request,
+            Request::Analyze(AnalyzeRequest {
+                id: 0,
+                fingerprint: None,
+                problems: None,
+                distance_bound: None,
+                source: Some(b"x := 1;".to_vec()),
+            })
+        );
     }
 
     #[test]
     fn decodes_problem_selection() {
-        let r = Request::decode(
+        let r = decode(
             br#"{"verb": "analyze", "program": "x := 1;", "problems": ["available", "busy"], "distance_bound": 4}"#,
-        )
-        .unwrap();
-        let p = r.problems.unwrap();
+        );
+        let Request::Analyze(a) = r.request else {
+            panic!("expected analyze, got {:?}", r.request);
+        };
+        let p = ProblemSet::from_bits(a.problems.unwrap()).unwrap();
         assert!(!p.reaching && p.available && p.busy && !p.reaching_refs);
-        assert_eq!(r.distance_bound, Some(4));
+        assert_eq!(a.distance_bound, Some(4));
         assert_eq!(r.id, Json::Null);
     }
 
     #[test]
     fn rejects_bad_shapes_with_recovered_id() {
-        let (id, e) = Request::decode(br#"{"id": "q7", "verb": "nope"}"#).unwrap_err();
+        let (id, e) = JsonRequest::decode(br#"{"id": "q7", "verb": "nope"}"#).unwrap_err();
         assert_eq!(id.as_str(), Some("q7"));
         assert_eq!(e.kind, ErrorKind::Protocol);
         assert!(e.message.contains("unknown verb"));
 
-        let (_, e) = Request::decode(br#"{"id": 1, "verb": "analyze"}"#).unwrap_err();
+        let (_, e) = JsonRequest::decode(br#"{"id": 1, "verb": "analyze"}"#).unwrap_err();
         assert!(e.message.contains("requires a `program`"));
 
-        let (id, e) = Request::decode(b"not json at all").unwrap_err();
+        let (id, e) = JsonRequest::decode(b"not json at all").unwrap_err();
         assert_eq!(id, Json::Null);
         assert_eq!(e.kind, ErrorKind::Protocol);
     }
 
     #[test]
     fn decodes_open_and_delta() {
-        let r = Request::decode(br#"{"id": 1, "verb": "open", "program": "x := 1;"}"#).unwrap();
-        assert_eq!(r.verb, Verb::Open);
-        assert_eq!(r.program.as_deref(), Some("x := 1;"));
+        let r = decode(br#"{"id": 1, "verb": "open", "program": "x := 1;"}"#);
+        assert_eq!(
+            r.request,
+            Request::Open {
+                id: 0,
+                source: b"x := 1;".to_vec()
+            }
+        );
 
         let fp = "000102030405060708090a0b0c0d0e0f";
         let frame = format!(
             r#"{{"id": 2, "verb": "delta", "session": 7, "fingerprint": "{fp}", "stmt": 3, "text": "A[i] := 1;"}}"#
         );
-        let r = Request::decode(frame.as_bytes()).unwrap();
-        assert_eq!(r.verb, Verb::Delta);
-        assert_eq!(r.session, Some(7));
-        assert_eq!(r.stmt, Some(3));
-        assert_eq!(r.text.as_deref(), Some("A[i] := 1;"));
+        let Request::Delta {
+            session,
+            fingerprint,
+            stmt,
+            text,
+            ..
+        } = decode(frame.as_bytes()).request
+        else {
+            panic!("expected delta");
+        };
+        assert_eq!(session, 7);
+        assert_eq!(stmt, 3);
+        assert_eq!(text, b"A[i] := 1;");
         // Display renders the u128 big-endian-first as hex; wire bytes are
         // the little-endian u128 layout, so the round trip must agree with
         // Fingerprint's own rendering.
-        let fp_bytes = r.fingerprint.unwrap();
-        let rendered = arrayflow_ir::Fingerprint(u128::from_le_bytes(fp_bytes)).to_string();
+        let rendered = arrayflow_ir::Fingerprint(u128::from_le_bytes(fingerprint)).to_string();
         assert_eq!(rendered, fp);
     }
 
     #[test]
     fn rejects_incomplete_delta_and_bad_fingerprints() {
-        let (_, e) = Request::decode(br#"{"verb": "delta", "session": 1}"#).unwrap_err();
+        let (_, e) = JsonRequest::decode(br#"{"verb": "delta", "session": 1}"#).unwrap_err();
         assert_eq!(e.kind, ErrorKind::Protocol);
         assert!(e.message.contains("requires a"), "{}", e.message);
 
-        let (_, e) = Request::decode(br#"{"verb": "open"}"#).unwrap_err();
+        let (_, e) = JsonRequest::decode(br#"{"verb": "open"}"#).unwrap_err();
         assert!(e.message.contains("requires a `program`"), "{}", e.message);
 
-        let (_, e) =
-            Request::decode(br#"{"verb": "delta", "session": 1, "fingerprint": "xyz", "stmt": 0, "text": "x := 1;"}"#)
-                .unwrap_err();
+        let (_, e) = JsonRequest::decode(
+            br#"{"verb": "delta", "session": 1, "fingerprint": "xyz", "stmt": 0, "text": "x := 1;"}"#,
+        )
+        .unwrap_err();
         assert!(e.message.contains("32 hex"), "{}", e.message);
 
         assert_eq!(parse_fingerprint_hex("0"), None);
@@ -622,25 +627,24 @@ mod tests {
 
     #[test]
     fn decodes_custom_spec() {
-        let r = Request::decode(
+        let spec_of = |frame: &[u8]| match decode(frame).request {
+            Request::Custom(c) => CustomSpec::from_bits(c.spec).unwrap(),
+            other => panic!("expected custom, got {other:?}"),
+        };
+        let spec = spec_of(
             br#"{"id": 4, "verb": "custom", "program": "x := 1;",
                  "spec": {"gen": ["uses"], "kill": ["defs"],
                           "direction": "backward", "mode": "may"}}"#,
-        )
-        .unwrap();
-        assert_eq!(r.verb, Verb::Custom);
-        let spec = r.spec.unwrap();
+        );
         assert!(!spec.gen_defs && spec.gen_uses && spec.kill_defs && !spec.kill_uses);
         assert_eq!(spec.direction, Direction::Backward);
         assert_eq!(spec.mode, Mode::May);
         assert_eq!(spec.label(), "gu-kd-bwd-may");
 
         // direction/mode default to forward/must; kill may be absent.
-        let r = Request::decode(
+        let spec = spec_of(
             br#"{"verb": "custom", "program": "x := 1;", "spec": {"gen": ["defs", "uses"]}}"#,
-        )
-        .unwrap();
-        let spec = r.spec.unwrap();
+        );
         assert!(spec.gen_defs && spec.gen_uses && !spec.kill_defs && !spec.kill_uses);
         assert_eq!(spec.direction, Direction::Forward);
         assert_eq!(spec.mode, Mode::Must);
@@ -648,8 +652,7 @@ mod tests {
 
     #[test]
     fn rejects_hostile_custom_specs() {
-        let err = |frame: &[u8]| Request::decode(frame).unwrap_err().1;
-
+        let err = |frame: &[u8]| JsonRequest::decode(frame).unwrap_err().1;
         let e = err(br#"{"verb": "custom", "program": "x := 1;"}"#);
         assert_eq!(e.kind, ErrorKind::Protocol);
         assert!(e.message.contains("requires a `spec`"), "{}", e.message);
@@ -708,21 +711,19 @@ mod tests {
 
     #[test]
     fn decodes_and_clamps_deadline_ms() {
-        let r =
-            Request::decode(br#"{"verb": "analyze", "program": "x := 1;", "deadline_ms": 250}"#)
-                .unwrap();
+        let r = decode(br#"{"verb": "analyze", "program": "x := 1;", "deadline_ms": 250}"#);
         assert_eq!(r.deadline_ms, Some(250));
 
         // Absent or null: no budget.
-        let r = Request::decode(br#"{"verb": "ping"}"#).unwrap();
+        let r = decode(br#"{"verb": "ping"}"#);
         assert_eq!(r.deadline_ms, None);
-        let r = Request::decode(br#"{"verb": "ping", "deadline_ms": null}"#).unwrap();
+        let r = decode(br#"{"verb": "ping", "deadline_ms": null}"#);
         assert_eq!(r.deadline_ms, None);
 
         // Zero is preserved (already expired), absurd values are clamped.
-        let r = Request::decode(br#"{"verb": "ping", "deadline_ms": 0}"#).unwrap();
+        let r = decode(br#"{"verb": "ping", "deadline_ms": 0}"#);
         assert_eq!(r.deadline_ms, Some(0));
-        let r = Request::decode(br#"{"verb": "ping", "deadline_ms": 99999999999999}"#).unwrap();
+        let r = decode(br#"{"verb": "ping", "deadline_ms": 99999999999999}"#);
         assert_eq!(r.deadline_ms, Some(arrayflow_wire::proto::MAX_DEADLINE_MS));
 
         // Mistyped budgets are protocol errors, not panics.
@@ -731,7 +732,7 @@ mod tests {
             br#"{"verb": "ping", "deadline_ms": 1.5}"#.as_slice(),
             br#"{"verb": "ping", "deadline_ms": "soon"}"#.as_slice(),
         ] {
-            let (_, e) = Request::decode(frame).unwrap_err();
+            let (_, e) = JsonRequest::decode(frame).unwrap_err();
             assert_eq!(e.kind, ErrorKind::Protocol);
             assert!(e.message.contains("deadline_ms"), "{}", e.message);
         }

@@ -2,14 +2,15 @@
 //!
 //! The router owns no engine and no store. It terminates client
 //! connections (both newline-JSON and `AFWIRE01` binary, sniffed per
-//! connection exactly like a node does), computes each analyze request's
-//! canonical 128-bit fingerprint — taken verbatim from binary
-//! fingerprint-first requests, computed from source otherwise — and
-//! consistent-hashes it across the node list
-//! ([`Topology`]), so every alpha-equivalent
-//! loop lands on the same node's memo cache and segment log. Aggregate
-//! cache capacity multiplies with node count instead of diluting the way
-//! random load balancing would.
+//! connection exactly like a node does), decodes both with the node's
+//! edge codecs onto the one request model, answers cheap verbs itself and
+//! forwards every solver verb one way: keyed by the request's canonical
+//! 128-bit fingerprint — carried by fingerprint-first requests, computed
+//! from source otherwise — consistent-hashed across the node list
+//! ([`Topology`]), so every alpha-equivalent loop lands on the same
+//! node's memo cache and segment log. Aggregate cache capacity multiplies
+//! with node count instead of diluting the way random load balancing
+//! would.
 //!
 //! **Failover.** Each backend carries a health flag (refreshed by a
 //! background prober speaking the `health` verb), a
@@ -42,18 +43,17 @@ use arrayflow_engine::fingerprint_route_hash;
 use arrayflow_ir as ir;
 use arrayflow_obs::{Counter, Registry};
 use arrayflow_resilience::CircuitBreaker;
-use arrayflow_store::codec::decode_report;
 use arrayflow_wire::encode_frame;
 use arrayflow_wire::frame::read_frame;
 use arrayflow_wire::proto::{
-    strip_deadline, with_deadline, AnalyzeOk, AnalyzeRequest, CustomRequest, DeltaOk,
-    Request as WireRequest, Response as WireResponse, SessionOk,
+    with_deadline, AnalyzeRequest, CustomRequest, Request as WireRequest, Response as WireResponse,
 };
 
-use crate::binproto::{kind_byte, kind_from_byte};
+use crate::binproto::{answer_of, decode_request, response_frame};
 use crate::json::Json;
-use crate::proto::{encode_err, encode_ok, ErrorKind, Request, ServiceError, Verb};
+use crate::proto::{encode_err, encode_outcome, ErrorKind, JsonRequest, ServiceError};
 use crate::server::{Frame, FrameReader};
+use crate::service::Answer;
 
 /// How long a blocked read waits before re-checking the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(50);
@@ -539,16 +539,56 @@ impl Router {
         Json::Obj(vec![("nodes".into(), Json::Obj(nodes))])
     }
 
-    /// Routes one analyze request expressed as a binary frame under
-    /// `deadline`, decoding the response only as far as failover
-    /// accounting needs.
-    fn forward_analyze(
+    /// Handles one decoded request from either edge: cheap verbs are
+    /// answered here (`stats`, `metrics` and `compact` fan out to every
+    /// node), every solver verb takes the one forward.
+    fn handle(&self, req: WireRequest, budget_ms: Option<u64>, accepted: Instant) -> Routed {
+        let answer = match req {
+            WireRequest::Ping { .. } => Answer::Text("pong"),
+            WireRequest::Health { .. } => Answer::Object(self.health_json()),
+            WireRequest::Stats { .. } => Answer::Object(self.stats_json()),
+            WireRequest::Metrics { .. } => Answer::Metrics(Json::Obj(vec![(
+                "prometheus".into(),
+                Json::Str(self.merged_exposition()),
+            )])),
+            WireRequest::Compact { .. } => Answer::Object(self.compact_json()),
+            WireRequest::Shutdown { .. } => {
+                self.shutdown();
+                Answer::Text("shutting down")
+            }
+            WireRequest::Replicate { .. } => {
+                return Routed::Local(Err(ServiceError::new(
+                    ErrorKind::Protocol,
+                    "replicate targets a node, not the router",
+                )))
+            }
+            req => {
+                return match self.forward(req, budget_ms, accepted) {
+                    Ok((tag, payload)) => Routed::Forwarded(tag, payload),
+                    Err(e) => Routed::Local(Err(e)),
+                }
+            }
+        };
+        Routed::Local(Ok(answer))
+    }
+
+    /// The one forward: route by [`route_key`], re-encode the request with
+    /// the client's *remaining* budget as its deadline prefix (when it sent
+    /// one) so elapsed router time is never double-spent on the node, then
+    /// try the primary and on failure its replica. The node's response
+    /// comes back undecoded, except to count a failed-over analyze the
+    /// replica answered warm.
+    fn forward(
         &self,
-        hash: u64,
-        frame: &[u8],
-        deadline: Duration,
+        mut req: WireRequest,
+        budget_ms: Option<u64>,
+        accepted: Instant,
     ) -> Result<(u8, Vec<u8>), ServiceError> {
-        let ((tag, payload), via_replica) = self.forward_routed(hash, frame, deadline)?;
+        let hash = route_key(&mut req);
+        let budget = budget_ms.map(|ms| Duration::from_millis(ms).min(self.config.request_timeout));
+        let (deadline, remaining_ms) = self.forward_deadline(accepted, budget)?;
+        let frame = forward_frame(req.tag(), &req.encode_payload(), remaining_ms);
+        let ((tag, payload), via_replica) = self.forward_routed(hash, &frame, deadline)?;
         if via_replica {
             if let Ok(WireResponse::Analyze(ok)) = WireResponse::decode(tag, &payload) {
                 if ok.cache_hits > 0 {
@@ -559,345 +599,118 @@ impl Router {
         Ok((tag, payload))
     }
 
-    /// Handles one decoded binary client frame; returns the response
-    /// frame and whether this was an accepted shutdown. A deadline prefix
-    /// on the frame is stripped here and re-attached to the forward with
-    /// the *remaining* budget, so elapsed router time is never double-
-    /// spent on the node.
+    /// Handles one binary client frame; returns the response frame and
+    /// whether this was an accepted shutdown. Forwarded responses pass
+    /// through byte for byte.
     fn handle_binary(&self, tag: u8, payload: &[u8]) -> (Vec<u8>, bool) {
         let accepted = Instant::now();
-        let (tag, budget_ms, offset) = match strip_deadline(tag, payload) {
-            Ok(parts) => parts,
-            Err(e) => {
-                return (
-                    err_frame(0, ErrorKind::Protocol, format!("bad deadline prefix: {e}")),
-                    false,
-                )
-            }
+        let (req, budget_ms) = match decode_request(tag, payload) {
+            Ok(decoded) => decoded,
+            Err(e) => return (response_frame(0, Err(e)), false),
         };
-        let payload = &payload[offset..];
-        let budget = budget_ms.map(|ms| Duration::from_millis(ms).min(self.config.request_timeout));
-        let req = match WireRequest::decode(tag, payload) {
-            Ok(req) => req,
-            Err(e) => {
-                return (
-                    err_frame(0, ErrorKind::Protocol, format!("bad frame: {e}")),
-                    false,
-                )
-            }
+        let (id, shutdown) = (req.id(), matches!(req, WireRequest::Shutdown { .. }));
+        let frame = match self.handle(req, budget_ms, accepted) {
+            Routed::Forwarded(tag, payload) => encode_frame(tag, &payload),
+            Routed::Local(outcome) => response_frame(id, outcome),
         };
-        match req {
-            WireRequest::Ping { id } => (text_frame(id, "pong".into()), false),
-            WireRequest::Health { id } => (text_frame(id, self.health_json().to_string()), false),
-            WireRequest::Stats { id } => (text_frame(id, self.stats_json().to_string()), false),
-            WireRequest::Metrics { id } => (text_frame(id, self.merged_exposition()), false),
-            WireRequest::Compact { id } => (text_frame(id, self.compact_json().to_string()), false),
-            WireRequest::Shutdown { id } => {
-                self.shutdown();
-                (text_frame(id, "shutting down".into()), true)
-            }
-            WireRequest::Replicate { id, .. } => (
-                err_frame(
-                    id,
-                    ErrorKind::Protocol,
-                    "replicate targets a node, not the router",
-                ),
-                false,
-            ),
-            WireRequest::Analyze(ref a) => (
-                self.forward_binary(a.id, analyze_route_hash(a), tag, payload, accepted, budget),
-                false,
-            ),
-            WireRequest::Custom(ref c) => (
-                self.forward_binary(c.id, custom_route_hash(c), tag, payload, accepted, budget),
-                false,
-            ),
-            // Sessions are shard-sticky: `open` routes by the source's
-            // canonical fingerprint, and every `delta` carries that same
-            // base fingerprint back, so the whole session lands on one
-            // node's session store. A failover mid-session surfaces as a
-            // typed `session_lost` error — the replica never held the
-            // session — and the client re-opens and replays.
-            WireRequest::Open { id, ref source } => (
-                self.forward_binary(id, open_route_hash(source), tag, payload, accepted, budget),
-                false,
-            ),
-            WireRequest::Delta {
-                id, fingerprint, ..
-            } => {
-                let hash =
-                    fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fingerprint)));
-                (
-                    self.forward_binary(id, hash, tag, payload, accepted, budget),
-                    false,
-                )
-            }
-        }
+        (frame, shutdown)
     }
 
-    /// One routed binary forward under the request's remaining budget: the
-    /// stripped frame is re-encoded with the remaining milliseconds as its
-    /// deadline prefix (when the client sent one) so the node sheds the
-    /// job if the budget runs out there too.
-    fn forward_binary(
-        &self,
-        id: u64,
-        hash: u64,
-        tag: u8,
-        payload: &[u8],
-        accepted: Instant,
-        budget: Option<Duration>,
-    ) -> Vec<u8> {
-        let attempt =
-            self.forward_deadline(accepted, budget)
-                .and_then(|(deadline, remaining_ms)| {
-                    let frame = forward_frame(tag, payload, remaining_ms);
-                    self.forward_analyze(hash, &frame, deadline)
-                });
-        match attempt {
-            Ok((rtag, rpayload)) => encode_frame(rtag, &rpayload),
-            Err(e) => err_frame(id, e.kind, e.message),
-        }
-    }
-
-    /// Handles one JSON client line; returns the response line (no
-    /// newline) and whether this was an accepted shutdown. A `deadline_ms`
-    /// field on the request becomes the forward's remaining-budget
-    /// deadline, exactly as the binary prefix does.
+    /// Handles one JSON client line with the node's JSON codec; returns
+    /// the response line (no newline) and whether this was an accepted
+    /// shutdown. Forwarded responses are rendered exactly as the node's
+    /// own JSON edge renders them.
     fn handle_json(&self, frame: &[u8]) -> (String, bool) {
         let accepted = Instant::now();
-        let req = match Request::decode(frame) {
+        let req = match JsonRequest::decode(frame) {
             Ok(req) => req,
             Err((id, e)) => return (encode_err(&id, &e), false),
         };
-        let id = req.id.clone();
-        let result = match req.verb {
-            Verb::Ping => Ok(Json::Str("pong".into())),
-            Verb::Health => Ok(self.health_json()),
-            Verb::Stats => Ok(self.stats_json()),
-            Verb::Metrics => Ok(Json::Obj(vec![(
-                "prometheus".into(),
-                Json::Str(self.merged_exposition()),
-            )])),
-            Verb::Compact => Ok(self.compact_json()),
-            Verb::Shutdown => {
-                self.shutdown();
-                return (encode_ok(&id, Json::Str("shutting down".into())), true);
+        let shutdown = matches!(req.request, WireRequest::Shutdown { .. });
+        let outcome = match self.handle(req.request, req.deadline_ms, accepted) {
+            Routed::Local(outcome) => outcome,
+            Routed::Forwarded(tag, payload) => answer_of(tag, &payload),
+        };
+        (encode_outcome(&req.id, outcome), shutdown)
+    }
+}
+
+/// What the router did with a request.
+enum Routed {
+    /// Answered (or refused) by the router itself.
+    Local(Result<Answer, ServiceError>),
+    /// The node's response frame, tag and payload.
+    Forwarded(u8, Vec<u8>),
+}
+
+/// The shard key of a forwarded request: the carried fingerprint, else
+/// the canonical fingerprint of a sole-loop source, else a stable hash of
+/// the source bytes. A `delta` carries its session's base fingerprint —
+/// the one `open` returned, computed from the same source `open` routed
+/// by — so a whole session lands on one node's session store. A custom
+/// spec is never part of the key: every spec over one loop shards to the
+/// node that caches that loop.
+///
+/// When an `analyze` or `custom` source normalizes to exactly one loop,
+/// the fingerprint is also attached to the request, so the node answers a
+/// warm loop with a cache probe. A nest routes by its outer loop but gets
+/// no fingerprint: a probe would answer that one loop, where the full
+/// answer reports every loop of the nest.
+fn route_key(req: &mut WireRequest) -> u64 {
+    let by_fingerprint =
+        |fp: [u8; 16]| fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
+    let (slot, source) = match req {
+        WireRequest::Delta { fingerprint, .. } => return by_fingerprint(*fingerprint),
+        WireRequest::Analyze(AnalyzeRequest {
+            fingerprint,
+            source,
+            ..
+        })
+        | WireRequest::Custom(CustomRequest {
+            fingerprint,
+            source,
+            ..
+        }) => {
+            if let Some(fp) = *fingerprint {
+                return by_fingerprint(fp);
             }
-            Verb::Analyze => self.analyze_json(&req, accepted),
-            Verb::Custom => self.custom_json(&req, accepted),
-            Verb::Open => self.open_json(&req, accepted),
-            Verb::Delta => self.delta_json(&req, accepted),
-        };
-        match result {
-            Ok(json) => (encode_ok(&id, json), false),
-            Err(e) => (encode_err(&id, &e), false),
+            (Some(fingerprint), source.as_deref().unwrap_or_default())
         }
-    }
-
-    /// A JSON request's deadline budget, capped by the per-forward limit.
-    fn json_budget(&self, req: &Request) -> Option<Duration> {
-        req.deadline_ms
-            .map(|ms| Duration::from_millis(ms).min(self.config.request_timeout))
-    }
-
-    /// A JSON analyze: computed-fingerprint routing, binary forwarding,
-    /// response re-rendered to the JSON shape a node would produce.
-    fn analyze_json(&self, req: &Request, accepted: Instant) -> Result<Json, ServiceError> {
-        let source = require(req.program.as_deref(), "analyze", "program")?;
-        let fingerprint = fingerprint_of_source(source);
-        let hash = match fingerprint {
-            Some(fp) => fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp))),
-            None => source_route_hash(source.as_bytes()),
-        };
-        let wire = WireRequest::Analyze(AnalyzeRequest {
-            id: self.fresh_id(),
-            fingerprint,
-            problems: req.problems.map(|p| p.bits()),
-            distance_bound: req.distance_bound,
-            source: Some(source.as_bytes().to_vec()),
-        });
-        let (deadline, remaining_ms) = self.forward_deadline(accepted, self.json_budget(req))?;
-        let frame = forward_frame(wire.tag(), &wire.encode_payload(), remaining_ms);
-        let (tag, payload) = self.forward_analyze(hash, &frame, deadline)?;
-        match WireResponse::decode(tag, &payload) {
-            Ok(WireResponse::Analyze(ok)) => analyze_ok_to_json(&ok),
-            Ok(WireResponse::Err { kind, message, .. }) => Err(ServiceError::new(
-                kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
-                message,
-            )),
-            _ => Err(ServiceError::new(
-                ErrorKind::Protocol,
-                "node sent an unexpected response to analyze",
-            )),
-        }
-    }
-
-    /// A JSON `custom`: the user's (G, K) problem forwarded as a binary
-    /// `custom` frame, routed exactly like `analyze` — by the source's
-    /// canonical fingerprint — so two specs over the same loop land on the
-    /// same node's memo cache (the spec is part of the cache key there,
-    /// never the routing key).
-    fn custom_json(&self, req: &Request, accepted: Instant) -> Result<Json, ServiceError> {
-        let source = require(req.program.as_deref(), "custom", "program")?;
-        let spec = require(req.spec, "custom", "spec")?;
-        let fingerprint = fingerprint_of_source(source);
-        let hash = match fingerprint {
-            Some(fp) => fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp))),
-            None => source_route_hash(source.as_bytes()),
-        };
-        let wire = WireRequest::Custom(CustomRequest {
-            id: self.fresh_id(),
-            spec: spec.bits(),
-            fingerprint,
-            distance_bound: req.distance_bound,
-            source: Some(source.as_bytes().to_vec()),
-        });
-        let (deadline, remaining_ms) = self.forward_deadline(accepted, self.json_budget(req))?;
-        let frame = forward_frame(wire.tag(), &wire.encode_payload(), remaining_ms);
-        let (tag, payload) = self.forward_analyze(hash, &frame, deadline)?;
-        match WireResponse::decode(tag, &payload) {
-            Ok(WireResponse::Analyze(ok)) => analyze_ok_to_json(&ok),
-            Ok(WireResponse::Err { kind, message, .. }) => Err(ServiceError::new(
-                kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
-                message,
-            )),
-            _ => Err(ServiceError::new(
-                ErrorKind::Protocol,
-                "node sent an unexpected response to custom",
-            )),
-        }
-    }
-
-    /// A JSON `open`: route by the source's canonical fingerprint, forward
-    /// as a binary `open` frame, re-render the node's session response to
-    /// the JSON shape the node itself would produce.
-    fn open_json(&self, req: &Request, accepted: Instant) -> Result<Json, ServiceError> {
-        let source = require(req.program.as_deref(), "open", "program")?;
-        let wire = WireRequest::Open {
-            id: self.fresh_id(),
-            source: source.as_bytes().to_vec(),
-        };
-        let (deadline, remaining_ms) = self.forward_deadline(accepted, self.json_budget(req))?;
-        let frame = forward_frame(wire.tag(), &wire.encode_payload(), remaining_ms);
-        let hash = open_route_hash(source.as_bytes());
-        let ((tag, payload), _) = self.forward_routed(hash, &frame, deadline)?;
-        match WireResponse::decode(tag, &payload) {
-            Ok(WireResponse::Session(ok)) => session_ok_to_json(&ok),
-            Ok(WireResponse::Err { kind, message, .. }) => Err(ServiceError::new(
-                kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
-                message,
-            )),
-            _ => Err(ServiceError::new(
-                ErrorKind::Protocol,
-                "node sent an unexpected response to open",
-            )),
-        }
-    }
-
-    /// A JSON `delta`: route by the carried base fingerprint (the one
-    /// `open` returned — the session's shard key), forward as a binary
-    /// `delta` frame.
-    fn delta_json(&self, req: &Request, accepted: Instant) -> Result<Json, ServiceError> {
-        let fingerprint = require(req.fingerprint, "delta", "fingerprint")?;
-        let wire = WireRequest::Delta {
-            id: self.fresh_id(),
-            session: require(req.session, "delta", "session")?,
-            fingerprint,
-            stmt: require(req.stmt, "delta", "stmt")?,
-            text: require(req.text.clone(), "delta", "text")?.into_bytes(),
-        };
-        let (deadline, remaining_ms) = self.forward_deadline(accepted, self.json_budget(req))?;
-        let frame = forward_frame(wire.tag(), &wire.encode_payload(), remaining_ms);
-        let hash = fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fingerprint)));
-        let ((tag, payload), _) = self.forward_routed(hash, &frame, deadline)?;
-        match WireResponse::decode(tag, &payload) {
-            Ok(WireResponse::Delta(ok)) => delta_ok_to_json(&ok),
-            Ok(WireResponse::Err { kind, message, .. }) => Err(ServiceError::new(
-                kind_from_byte(kind).unwrap_or(ErrorKind::Protocol),
-                message,
-            )),
-            _ => Err(ServiceError::new(
-                ErrorKind::Protocol,
-                "node sent an unexpected response to delta",
-            )),
-        }
-    }
-}
-
-/// A field `proto::Request::decode` is supposed to guarantee. The router
-/// answers its absence with a protocol error rather than trusting the
-/// invariant with a panic — hand-crafted frames and decode-layer drift
-/// must never take the process down (they did: `delta` frames with a
-/// missing `fingerprint` or `session` hit an `.expect()` here).
-fn require<T>(value: Option<T>, verb: &str, field: &str) -> Result<T, ServiceError> {
-    value.ok_or_else(|| {
-        ServiceError::new(
-            ErrorKind::Protocol,
-            format!("`{verb}` requires a `{field}` field"),
-        )
-    })
-}
-
-/// The routing hash of a custom request: identical to
-/// [`analyze_route_hash`] — fingerprint first, canonicalized source next,
-/// stable byte hash last — because the spec is deliberately not part of
-/// the routing key. Every spec over one loop shards to the same node,
-/// where the spec-extended cache key keeps the entries distinct.
-fn custom_route_hash(req: &CustomRequest) -> u64 {
-    if let Some(fp) = req.fingerprint {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
-    }
-    let source = req.source.as_deref().unwrap_or(b"");
-    if let Some(fp) = std::str::from_utf8(source)
+        WireRequest::Open { source, .. } => (None, source.as_slice()),
+        _ => (None, &[][..]),
+    };
+    let Some((fp, flat)) = std::str::from_utf8(source)
         .ok()
-        .and_then(fingerprint_of_source)
-    {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
+        .and_then(sole_loop_fingerprint)
+    else {
+        return source_route_hash(source);
+    };
+    if let (Some(slot), true) = (slot, flat) {
+        *slot = Some(fp);
     }
-    source_route_hash(source)
-}
-
-/// The routing hash of a binary analyze request: the canonical
-/// fingerprint when the client sent one (or the source yields one),
-/// a stable byte hash of the source otherwise.
-fn analyze_route_hash(req: &AnalyzeRequest) -> u64 {
-    if let Some(fp) = req.fingerprint {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
-    }
-    let source = req.source.as_deref().unwrap_or(b"");
-    if let Some(fp) = std::str::from_utf8(source)
-        .ok()
-        .and_then(fingerprint_of_source)
-    {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
-    }
-    source_route_hash(source)
-}
-
-/// The routing hash of an `open` request: the canonical fingerprint of
-/// its source when it is a single-loop program, a stable byte hash
-/// otherwise — the same keys `analyze` routes by, so a session opens on
-/// the shard that already caches its loop.
-fn open_route_hash(source: &[u8]) -> u64 {
-    if let Some(fp) = std::str::from_utf8(source)
-        .ok()
-        .and_then(fingerprint_of_source)
-    {
-        return fingerprint_route_hash(ir::Fingerprint(u128::from_le_bytes(fp)));
-    }
-    source_route_hash(source)
+    by_fingerprint(fp)
 }
 
 /// Mirrors `arrayflow::fingerprint`: the canonical fingerprint of a
-/// single-loop program, `None` when the source does not parse to exactly
-/// one top-level loop (those route by source hash instead).
-fn fingerprint_of_source(source: &str) -> Option<[u8; 16]> {
+/// program whose body is one loop, and whether that loop is the only one
+/// (no loop nested in it). `None` when the source does not parse to
+/// exactly one top-level loop.
+fn sole_loop_fingerprint(source: &str) -> Option<([u8; 16], bool)> {
+    fn nests(body: &[ir::Stmt]) -> bool {
+        body.iter().any(|s| match s {
+            ir::Stmt::Do(_) => true,
+            ir::Stmt::If {
+                then_blk, else_blk, ..
+            } => nests(then_blk) || nests(else_blk),
+            ir::Stmt::Assign(_) => false,
+        })
+    }
     let mut program = ir::parse_program(source).ok()?;
     ir::normalize(&mut program);
     program.renumber();
     let l = program.sole_loop()?;
-    Some(ir::fingerprint_loop(l, &program.symbols).0.to_le_bytes())
+    let fp = ir::fingerprint_loop(l, &program.symbols);
+    Some((fp.0.to_le_bytes(), !nests(&l.body)))
 }
 
 /// FNV-1a over the source bytes, splitmix-finished — the fallback
@@ -914,82 +727,6 @@ fn source_route_hash(source: &[u8]) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Renders a decoded [`AnalyzeOk`] as the JSON `analyze` result object a
-/// node's JSON transport produces — the report strings are byte-identical
-/// because both sides render the same `AnalysisReport`.
-fn analyze_ok_to_json(ok: &AnalyzeOk) -> Result<Json, ServiceError> {
-    let mut loops = Vec::with_capacity(ok.loops.len());
-    for entry in &ok.loops {
-        let report = decode_report(&entry.report).map_err(|e| {
-            ServiceError::new(
-                ErrorKind::Protocol,
-                format!("node sent an undecodable report: {e}"),
-            )
-        })?;
-        loops.push(Json::Obj(vec![
-            (
-                "fingerprint".into(),
-                Json::Str(ir::Fingerprint(u128::from_le_bytes(entry.fingerprint)).to_string()),
-            ),
-            ("report".into(), Json::Str(report.render())),
-        ]));
-    }
-    Ok(Json::Obj(vec![
-        ("loops".into(), Json::Arr(loops)),
-        ("error".into(), Json::Null),
-        (
-            "stats".into(),
-            Json::Obj(vec![
-                ("cache_hits".into(), Json::Num(ok.cache_hits as f64)),
-                ("cache_misses".into(), Json::Num(ok.cache_misses as f64)),
-                ("solver_passes".into(), Json::Num(ok.solver_passes as f64)),
-                ("node_visits".into(), Json::Num(ok.node_visits as f64)),
-            ]),
-        ),
-    ]))
-}
-
-/// Renders a decoded [`SessionOk`] as the JSON `open` result object a
-/// node's JSON transport produces.
-fn session_ok_to_json(ok: &SessionOk) -> Result<Json, ServiceError> {
-    let report = decode_report(&ok.report).map_err(|e| {
-        ServiceError::new(
-            ErrorKind::Protocol,
-            format!("node sent an undecodable report: {e}"),
-        )
-    })?;
-    Ok(Json::Obj(vec![
-        ("session".into(), Json::Num(ok.session as f64)),
-        (
-            "fingerprint".into(),
-            Json::Str(ir::Fingerprint(u128::from_le_bytes(ok.fingerprint)).to_string()),
-        ),
-        ("report".into(), Json::Str(report.render())),
-    ]))
-}
-
-/// Renders a decoded [`DeltaOk`] as the JSON `delta` result object a
-/// node's JSON transport produces.
-fn delta_ok_to_json(ok: &DeltaOk) -> Result<Json, ServiceError> {
-    let report = decode_report(&ok.report).map_err(|e| {
-        ServiceError::new(
-            ErrorKind::Protocol,
-            format!("node sent an undecodable report: {e}"),
-        )
-    })?;
-    Ok(Json::Obj(vec![
-        ("session".into(), Json::Num(ok.session as f64)),
-        (
-            "fingerprint".into(),
-            Json::Str(ir::Fingerprint(u128::from_le_bytes(ok.fingerprint)).to_string()),
-        ),
-        ("report".into(), Json::Str(report.render())),
-        ("fallback".into(), Json::Bool(ok.fallback)),
-        ("dirty_columns".into(), Json::Num(ok.dirty_columns as f64)),
-        ("total_columns".into(), Json::Num(ok.total_columns as f64)),
-    ]))
 }
 
 /// Merges `from` into `into`: numbers sum, objects recurse on matching
@@ -1023,20 +760,6 @@ fn forward_frame(tag: u8, payload: &[u8], remaining_ms: Option<u64>) -> Vec<u8> 
         }
         None => encode_frame(tag, payload),
     }
-}
-
-fn text_frame(id: u64, text: String) -> Vec<u8> {
-    let resp = WireResponse::Text { id, text };
-    encode_frame(resp.tag(), &resp.encode_payload())
-}
-
-fn err_frame(id: u64, kind: ErrorKind, message: impl Into<String>) -> Vec<u8> {
-    let resp = WireResponse::Err {
-        id,
-        kind: kind_byte(kind),
-        message: message.into(),
-    };
-    encode_frame(resp.tag(), &resp.encode_payload())
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -1086,7 +809,8 @@ fn serve_binary_client(router: &Arc<Router>, mut stream: TcpStream, first: u8) -
         let (tag, payload) = match read_frame(&mut reader, router.config.max_frame_bytes) {
             Ok(frame) => frame,
             Err(e) => {
-                let frame = err_frame(0, ErrorKind::Protocol, format!("bad frame: {e}"));
+                let e = ServiceError::new(ErrorKind::Protocol, format!("bad frame: {e}"));
+                let frame = response_frame(0, Err(e));
                 let _ = writer.write_all(&frame);
                 let _ = writer.flush();
                 return Ok(());
@@ -1233,6 +957,21 @@ impl RouterServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binproto::kind_from_byte;
+
+    fn analyze(fingerprint: Option<[u8; 16]>, source: Option<&str>) -> WireRequest {
+        WireRequest::Analyze(AnalyzeRequest {
+            id: 1,
+            fingerprint,
+            problems: None,
+            distance_bound: None,
+            source: source.map(|s| s.as_bytes().to_vec()),
+        })
+    }
+
+    fn key(mut req: WireRequest) -> u64 {
+        route_key(&mut req)
+    }
 
     #[test]
     fn route_hash_prefers_the_canonical_fingerprint() {
@@ -1240,30 +979,12 @@ mod tests {
         // whether the fingerprint arrives precomputed or as source.
         let a = "do i = 1, 100 A[i+2] := A[i] + x; end";
         let b = "do j = 1, 100 B[j+2] := B[j] + y; end";
-        let fp = fingerprint_of_source(a).unwrap();
-        assert_eq!(fingerprint_of_source(b), Some(fp));
+        let (fp, _) = sole_loop_fingerprint(a).unwrap();
+        assert_eq!(sole_loop_fingerprint(b), Some((fp, true)));
 
-        let by_source = analyze_route_hash(&AnalyzeRequest {
-            id: 1,
-            fingerprint: None,
-            problems: None,
-            distance_bound: None,
-            source: Some(a.as_bytes().to_vec()),
-        });
-        let by_fp = analyze_route_hash(&AnalyzeRequest {
-            id: 2,
-            fingerprint: Some(fp),
-            problems: None,
-            distance_bound: None,
-            source: None,
-        });
-        let alpha = analyze_route_hash(&AnalyzeRequest {
-            id: 3,
-            fingerprint: None,
-            problems: None,
-            distance_bound: None,
-            source: Some(b.as_bytes().to_vec()),
-        });
+        let by_source = key(analyze(None, Some(a)));
+        let by_fp = key(analyze(Some(fp), None));
+        let alpha = key(analyze(None, Some(b)));
         assert_eq!(by_source, by_fp);
         assert_eq!(by_source, alpha);
     }
@@ -1271,16 +992,32 @@ mod tests {
     #[test]
     fn multi_loop_source_falls_back_to_a_stable_byte_hash() {
         let src = "do i = 1, 9 A[i] := 1; end do j = 1, 9 B[j] := 2; end";
-        assert_eq!(fingerprint_of_source(src), None);
-        let h1 = analyze_route_hash(&AnalyzeRequest {
-            id: 1,
-            fingerprint: None,
-            problems: None,
-            distance_bound: None,
-            source: Some(src.as_bytes().to_vec()),
-        });
+        assert_eq!(sole_loop_fingerprint(src), None);
+        let h1 = key(analyze(None, Some(src)));
         assert_eq!(h1, source_route_hash(src.as_bytes()));
         assert_ne!(h1, source_route_hash(b"different"));
+    }
+
+    #[test]
+    fn only_single_loop_sources_get_a_fingerprint_attached() {
+        // A flat loop: routed by its fingerprint, which is attached so
+        // the node can answer from cache by probe.
+        let flat = "do i = 1, 40 X[i+1] := X[i]; end";
+        let mut req = analyze(None, Some(flat));
+        let hash = route_key(&mut req);
+        let (fp, flat) = sole_loop_fingerprint(flat).unwrap();
+        assert!(flat);
+        assert_eq!(hash, key(analyze(Some(fp), None)));
+        assert!(matches!(req, WireRequest::Analyze(a) if a.fingerprint == Some(fp)));
+
+        // A nest: routed by its outer loop, but left without a
+        // fingerprint — a probe would answer the outer loop alone.
+        let nest = "do j = 1, 50 do i = 1, 40 X[i+1] := X[i]; Y[i] := X[i+1]; end end";
+        let (outer, flat) = sole_loop_fingerprint(nest).unwrap();
+        assert!(!flat);
+        let mut req = analyze(None, Some(nest));
+        assert_eq!(route_key(&mut req), key(analyze(Some(outer), None)));
+        assert!(matches!(req, WireRequest::Analyze(a) if a.fingerprint.is_none()));
     }
 
     #[test]
@@ -1337,66 +1074,24 @@ mod tests {
     }
 
     #[test]
-    fn a_request_that_slips_past_decode_still_answers_not_panics() {
-        // Defense in depth behind `Request::decode`: even a request struct
-        // violating the per-verb invariants gets a protocol error from
-        // every forwarding handler, never a panic.
-        let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
-        let router = Router::new(RouterConfig::new(topology));
-        let bare = Request {
-            id: Json::Num(1.0),
-            verb: Verb::Delta,
-            program: None,
-            problems: None,
-            spec: None,
-            distance_bound: None,
-            session: None,
-            fingerprint: None,
-            stmt: None,
-            text: None,
-            deadline_ms: None,
-        };
-        let now = Instant::now();
-        for result in [
-            router.delta_json(&bare, now),
-            router.analyze_json(&bare, now),
-            router.open_json(&bare, now),
-            router.custom_json(&bare, now),
-        ] {
-            let e = result.expect_err("missing fields must be an error");
-            assert_eq!(e.kind, ErrorKind::Protocol);
-        }
-    }
-
-    #[test]
     fn custom_routes_by_the_same_keys_as_analyze() {
         // The spec is part of the cache key, never the routing key: every
         // spec over one loop must shard to the node that caches it.
         let src = "do i = 1, 100 A[i+2] := A[i] + x; end";
-        let fp = fingerprint_of_source(src).unwrap();
-        let by_fp = custom_route_hash(&CustomRequest {
-            id: 1,
-            spec: 0b01,
-            fingerprint: Some(fp),
-            distance_bound: None,
-            source: None,
-        });
-        let by_source = custom_route_hash(&CustomRequest {
-            id: 2,
-            spec: 0b10_0110,
-            fingerprint: None,
-            distance_bound: None,
-            source: Some(src.as_bytes().to_vec()),
-        });
+        let (fp, _) = sole_loop_fingerprint(src).unwrap();
+        let custom = |spec, fingerprint, source: Option<&str>| {
+            key(WireRequest::Custom(CustomRequest {
+                id: 1,
+                spec,
+                fingerprint,
+                distance_bound: None,
+                source: source.map(|s| s.as_bytes().to_vec()),
+            }))
+        };
+        let by_fp = custom(0b01, Some(fp), None);
+        let by_source = custom(0b10_0110, None, Some(src));
         assert_eq!(by_fp, by_source);
-        let analyze = analyze_route_hash(&AnalyzeRequest {
-            id: 3,
-            fingerprint: Some(fp),
-            problems: None,
-            distance_bound: None,
-            source: None,
-        });
-        assert_eq!(by_fp, analyze);
+        assert_eq!(by_fp, key(analyze(Some(fp), None)));
     }
 
     #[test]

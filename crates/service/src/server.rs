@@ -1,22 +1,17 @@
-//! Transports: a TCP listener (thread-per-connection) and a stdio loop,
-//! both speaking the newline-framed protocol of [`crate::proto`] against
-//! one shared [`Service`].
+//! The blocking transports' pieces: newline framing with a hard size cap
+//! ([`FrameReader`]) and the stdio loop, speaking the JSON protocol of
+//! [`crate::proto`] against one shared [`Service`]. TCP serving is the
+//! event loop in [`crate::event_server`].
 //!
 //! Framing is resilient by construction: lines longer than the configured
 //! maximum are discarded (bounded memory) and answered with a `protocol`
-//! error, after which the connection keeps working; reads use a short
-//! timeout so connection threads observe shutdown promptly; and a final
-//! unterminated line at EOF still gets a response.
+//! error, after which the stream keeps working; and a final unterminated
+//! line at EOF still gets a response.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufWriter, Write};
 use std::sync::Arc;
-use std::time::Duration;
 
-use crate::service::{Service, ServiceConfig};
-
-/// How long a blocked read waits before re-checking the shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(50);
+use crate::service::Service;
 
 /// What [`FrameReader::next_frame`] produced.
 #[derive(Debug, PartialEq, Eq)]
@@ -116,125 +111,6 @@ impl<R: BufRead> FrameReader<R> {
                 }
             }
         }
-    }
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Serves one TCP connection until EOF, error, or service shutdown.
-fn handle_connection(stream: TcpStream, service: Arc<Service>) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(READ_POLL))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    let mut frames = FrameReader::new(reader, service.config().max_frame_bytes);
-    loop {
-        match frames.next_frame() {
-            Ok(Some(Frame::Complete)) => {
-                let resp = service.handle_frame(frames.frame());
-                writer.write_all(resp.line.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                if resp.shutdown {
-                    return Ok(());
-                }
-            }
-            Ok(Some(Frame::Oversized)) => {
-                let line = service.oversized_frame_response();
-                writer.write_all(line.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-            }
-            Ok(None) => return Ok(()),
-            Err(e) if is_timeout(&e) => {
-                // Idle (or slow) connection: poll the shutdown flag. A
-                // partially read frame stays buffered in the FrameReader.
-                if service.is_shutdown() {
-                    return Ok(());
-                }
-            }
-            Err(_) => return Ok(()), // peer reset — nothing left to say
-        }
-    }
-}
-
-/// A TCP front-end over a [`Service`].
-///
-/// ```no_run
-/// use arrayflow_service::{Server, ServiceConfig};
-///
-/// let server = Server::bind("127.0.0.1:7433", ServiceConfig::default()).unwrap();
-/// eprintln!("listening on {}", server.local_addr().unwrap());
-/// server.run().unwrap(); // blocks until a client sends `shutdown`
-/// ```
-pub struct Server {
-    service: Arc<Service>,
-    listener: TcpListener,
-}
-
-impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// service worker pool (opening and recovering the report store when
-    /// one is configured). The listener does not accept until
-    /// [`Server::run`].
-    pub fn bind(addr: impl ToSocketAddrs, config: ServiceConfig) -> io::Result<Server> {
-        Self::attach(addr, Service::start(config)?)
-    }
-
-    /// Binds `addr` in front of an already-started service. Lets callers
-    /// (like the `serve` binary) distinguish a store-open failure from a
-    /// bind failure.
-    pub fn attach(addr: impl ToSocketAddrs, service: Arc<Service>) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(Server { service, listener })
-    }
-
-    /// The bound address (useful with ephemeral ports).
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// A handle to the shared service, e.g. to call
-    /// [`Service::shutdown`] programmatically or read statistics.
-    pub fn service(&self) -> Arc<Service> {
-        Arc::clone(&self.service)
-    }
-
-    /// Accepts connections until shutdown, then drains: stops accepting,
-    /// joins every connection thread (each finishes its in-flight frame),
-    /// and joins the worker pool (which answers everything still queued).
-    pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.service.is_shutdown() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.service.record_connection();
-                    let service = Arc::clone(&self.service);
-                    connections.push(std::thread::spawn(move || {
-                        let _ = handle_connection(stream, service);
-                    }));
-                }
-                Err(e) if is_timeout(&e) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    // Reap finished connection threads so long-lived
-                    // servers do not accumulate handles.
-                    connections.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        for h in connections {
-            let _ = h.join();
-        }
-        self.service.join_workers();
-        Ok(())
     }
 }
 

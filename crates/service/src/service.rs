@@ -2,12 +2,18 @@
 //! and a worker pool, with per-request deadlines, a structured error
 //! taxonomy, service-level counters and graceful drain-on-shutdown.
 //!
-//! Transport-agnostic: both the TCP listener and the stdio loop feed raw
-//! frames to [`Service::handle_frame`] and write back the returned line.
-//! Cheap verbs (`ping`, `stats`, `shutdown`) are answered inline on the
-//! transport thread; `analyze` goes through the queue so a flood of
-//! expensive requests degrades into explicit `overloaded` errors instead
-//! of unbounded memory growth or latency collapse.
+//! Requests have one model, [`arrayflow_wire::proto::Request`]. Each
+//! protocol is an edge codec onto it — [`crate::proto`] for newline
+//! JSON, [`crate::binproto`] for `AFWIRE01` frames — so every verb is
+//! validated, probed and queued once, by one dispatch. Cheap
+//! verbs (`ping`, `stats`, `shutdown`, …) and fingerprint cache hits are
+//! answered inline on the transport thread; solver verbs go through the
+//! queue so a flood of expensive requests degrades into explicit
+//! `overloaded` errors instead of unbounded memory growth or latency
+//! collapse. The edges differ only in how they wait: the blocking edge
+//! ([`Service::handle_frame`], for stdio and in-process callers) waits
+//! for the worker up to the deadline, the event edges hand a completion
+//! to the worker and return.
 
 use std::collections::VecDeque;
 use std::io;
@@ -19,22 +25,20 @@ use std::time::{Duration, Instant};
 
 use arrayflow_cluster::{Replicator, ReplicatorConfig};
 use arrayflow_engine::{
-    AnalysisReport, BatchResult, CustomSpec, DeltaReport, Engine, EngineConfig, EngineStats,
-    ProblemSet,
+    AnalysisError, AnalysisReport, BatchResult, CustomSpec, DeltaReport, Engine, EngineConfig,
+    EngineStats, LoopReport, Problem, ProblemSet, QueryStats,
 };
-use arrayflow_ir::{parse_program_bytes, Edit, StmtId};
+use arrayflow_ir::{parse_program_bytes, Edit, Fingerprint, StmtId};
 use arrayflow_obs::{
     observed_span, with_current, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue,
     Registry, Trace, PHASE_BUCKETS_US,
 };
 use arrayflow_resilience::{panic_message, CancelToken, FaultSurface};
 use arrayflow_store::{PersistentTier, Store, StoreConfig};
+use arrayflow_wire::proto::Request;
 
 use crate::json::Json;
-use crate::proto::{
-    analyze_result_json, delta_result_json, encode_err, encode_ok, session_result_json, ErrorKind,
-    Request, ServiceError, Verb,
-};
+use crate::proto::{encode_err, encode_outcome, ErrorKind, JsonRequest, ServiceError};
 
 /// Upper edges of the request latency histogram, in microseconds; the
 /// final bucket is unbounded.
@@ -62,7 +66,8 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Per-request deadline, measured from the moment the frame is
     /// accepted. Requests that spend longer than this queued (or whose
-    /// analysis overruns it) answer with a `timeout` error.
+    /// analysis overruns it) are shed with a `cancelled` error; the
+    /// blocking edge answers `timeout` when its own wait runs out.
     pub request_timeout: Duration,
     /// Maximum accepted frame (request line) size in bytes; longer lines
     /// are discarded and answered with a `protocol` error.
@@ -203,74 +208,81 @@ impl ServiceStats {
     }
 }
 
-/// How a finished queued job reaches whoever is waiting: a boxed
-/// one-shot closure, so the blocking transports (an `mpsc` send the
-/// submitting thread waits on) and the event-driven server (append to a
-/// completion queue, wake the poll loop) share one queue and one worker
-/// pool.
-pub(crate) type Reply = Box<dyn FnOnce(Result<JobOutput, ServiceError>) + Send>;
-
-/// The engine work a queued job carries. Everything that runs a solver —
-/// full analyses, session opens (a full analysis that also retains
-/// state), and delta re-convergences — goes through the bounded queue so
-/// a flood degrades into explicit `overloaded` errors.
-pub(crate) enum Work {
-    /// A stateless `analyze`.
-    Analyze {
-        /// DSL source of the program to analyze.
-        program: String,
-        /// Which problem instances to solve.
-        problems: ProblemSet,
-        /// Dependence distance bound for the report.
-        distance_bound: u64,
-    },
-    /// A `custom`: solve a user-specified (G, K) problem over a program.
-    Custom {
-        /// DSL source of the program to analyze.
-        program: String,
-        /// The user's (G, K) spec: which site roles generate and kill,
-        /// direction, and confluence mode.
-        spec: CustomSpec,
-        /// Dependence distance bound for the report.
-        distance_bound: u64,
-    },
-    /// An `open`: full analysis plus session retention.
-    Open {
-        /// DSL source of the program to open a session over.
-        program: String,
-    },
-    /// A `delta`: one statement replacement against an open session.
-    Delta {
-        /// The session id from a prior `open`.
-        session: u64,
-        /// The statement replacement to apply.
-        edit: Edit,
-    },
-}
-
-/// What a finished job produced, matching its [`Work`] variant.
-pub(crate) enum JobOutput {
-    /// The batch result of a stateless `analyze`.
-    Analyze(BatchResult),
-    /// The session id and initial report of an `open`.
+/// What a request produced, before an edge encodes it: the JSON codec
+/// ([`crate::proto`]) and the binary codec ([`crate::binproto`]) render
+/// the same answer into their own shapes.
+pub(crate) enum Answer {
+    /// A bare string result: `pong`, `shutting down`.
+    Text(&'static str),
+    /// A structured result (`stats`, `health`, `compact`, `replicate`):
+    /// the JSON edge embeds the object, the binary edge ships its text.
+    Object(Json),
+    /// The `metrics` scrape: the JSON edge embeds the object, the binary
+    /// edge ships its `prometheus` member, the bare text exposition.
+    Metrics(Json),
+    /// The per-loop reports of an `analyze` or `custom`.
+    Loops(BatchResult),
+    /// The new session id and initial report of an `open`.
     Session(u64, Arc<AnalysisReport>),
     /// The re-analysis of a `delta`.
     Delta(DeltaReport),
 }
 
-impl JobOutput {
-    /// Renders this output as the JSON `result` object its verb returns.
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            JobOutput::Analyze(r) => analyze_result_json(r),
-            JobOutput::Session(session, report) => session_result_json(*session, report),
-            JobOutput::Delta(d) => delta_result_json(d),
-        }
+/// How an answer reaches whoever is waiting: a boxed one-shot closure,
+/// so the blocking edge (an `mpsc` send the submitting thread waits on)
+/// and the event edges (encode, then hand the bytes to the poll loop)
+/// share one dispatch, one queue and one worker pool.
+pub(crate) type Reply = Box<dyn FnOnce(Result<Answer, ServiceError>) + Send>;
+
+/// The solver task a queued job carries. Everything that runs a solver —
+/// analyses, session opens (a full analysis that also retains state), and
+/// delta re-convergences — goes through the bounded queue so a flood
+/// degrades into explicit `overloaded` errors.
+enum Task {
+    /// `analyze` or `custom`: parse the source, solve `problem` per loop.
+    Solve {
+        source: String,
+        problem: Problem,
+        distance_bound: u64,
+    },
+    /// `open`: full analysis plus session retention.
+    Open { source: String },
+    /// `delta`: one statement replacement against an open session.
+    Delta { session: u64, edit: Edit },
+}
+
+/// A request as an edge decoded it: the request and its deadline
+/// budget, or the protocol error that stopped the decode.
+pub(crate) type Decoded = Result<(Request, Option<u64>), ServiceError>;
+
+/// True for a decoded `shutdown`: the transport stops reading after
+/// sending its answer.
+pub(crate) fn asks_shutdown(decoded: &Decoded) -> bool {
+    matches!(decoded, Ok((Request::Shutdown { .. }, _)))
+}
+
+/// Encodes one outcome on the JSON edge.
+fn json_response(
+    id: &Json,
+    outcome: Result<Answer, ServiceError>,
+    shutdown: bool,
+) -> FrameResponse {
+    FrameResponse {
+        shutdown: shutdown && outcome.is_ok(),
+        line: encode_outcome(id, outcome),
     }
 }
 
+/// How [`Service::step`] disposes of a request.
+enum Step {
+    /// Answered on the calling thread.
+    Done(Answer),
+    /// Solver work for the queue.
+    Queue(Task),
+}
+
 struct Job {
-    work: Work,
+    task: Task,
     /// When the frame was accepted by `handle_frame` — the deadline base.
     accepted: Instant,
     enqueued: Instant,
@@ -558,7 +570,7 @@ impl Service {
     /// router's failover probes key on. Answered inline on the transport
     /// thread — a wedged worker pool must not make a healthy node look
     /// dead, and an unhealthy queue shows up in `queued` anyway.
-    pub(crate) fn health_json(&self) -> Json {
+    fn health_json(&self) -> Json {
         Json::Obj(vec![
             ("status".into(), Json::Str("ok".into())),
             (
@@ -572,23 +584,13 @@ impl Service {
         ])
     }
 
-    /// The full Prometheus exposition, stamped with this node's `node`
-    /// label when one is configured.
-    pub(crate) fn render_exposition(&self) -> String {
-        let snapshot = self.registry.snapshot();
-        match &self.config.node_id {
-            Some(id) => snapshot.render_prometheus_with(&[("node", id)]),
-            None => snapshot.render_prometheus(),
-        }
-    }
-
     /// Applies a replication batch to the local store — the replica-side
     /// half of the `replicate` verb. The memo cache warms through the
     /// tier on the first fingerprint probe of each key, so a failover
     /// request reads warm bytes from disk even before memory fills.
     /// Errors are protocol-kind (a corrupt batch) or analysis-kind
     /// (local I/O).
-    pub(crate) fn apply_replica_batch(&self, batch: &[u8]) -> Result<Json, ServiceError> {
+    fn apply_replica_batch(&self, batch: &[u8]) -> Result<Json, ServiceError> {
         let Some(tier) = &self.tier else {
             return Err(ServiceError::new(
                 ErrorKind::Protocol,
@@ -662,108 +664,38 @@ impl Service {
         self.ins.connections.inc();
     }
 
-    /// Handles one raw frame end-to-end: decode, dispatch, count, encode.
+    /// The blocking JSON edge (stdio and in-process callers): decode one
+    /// frame, dispatch it, wait for the answer, count and encode it.
     /// Never panics and never drops a request silently — hostile bytes
     /// come back as structured `protocol` errors. Each frame gets a trace
     /// with per-phase spans; when [`ServiceConfig::slow_log_micros`] is
     /// set, requests over the threshold log the span breakdown to stderr.
+    ///
+    /// This edge waits, so it enforces the deadline itself: when the
+    /// budget runs out before a worker answers, the job is cancelled and
+    /// the caller gets a `timeout` error.
     pub fn handle_frame(&self, frame: &[u8]) -> FrameResponse {
         let accepted = Instant::now();
-        let trace = Trace::start(self.next_trace_id.fetch_add(1, Ordering::Relaxed));
-        let (id, outcome, is_shutdown) = with_current(&trace, || {
-            let decoded = {
-                let _span = observed_span("decode", &self.ins.phase_decode);
-                Request::decode(frame)
-            };
-            match decoded {
-                Err((id, e)) => (id, Err(e), false),
-                Ok(req) => {
-                    let id = req.id.clone();
-                    let is_shutdown = req.verb == Verb::Shutdown;
-                    (id, self.dispatch(req, accepted), is_shutdown)
-                }
-            }
-        });
-        self.finish_json(&trace, accepted, &id, outcome, is_shutdown)
+        let trace = self.begin_trace();
+        let (id, decoded) = self.decode_json(&trace, frame);
+        let shutdown = asks_shutdown(&decoded);
+        let outcome = decoded
+            .and_then(|(req, budget_ms)| self.dispatch_and_wait(req, budget_ms, &trace, accepted));
+        self.finish(&trace, accepted, outcome, |o| {
+            json_response(&id, o, shutdown)
+        })
     }
 
-    /// Counts and encodes one finished JSON request: outcome counters,
-    /// the latency histogram, the slow-request log. Shared by the
-    /// blocking [`Service::handle_frame`] and the event-driven
-    /// [`Service::handle_frame_async`], so both transports feed the same
-    /// instruments.
-    pub(crate) fn finish_json(
-        &self,
-        trace: &Arc<Trace>,
-        accepted: Instant,
-        id: &Json,
-        outcome: Result<Json, ServiceError>,
-        is_shutdown: bool,
-    ) -> FrameResponse {
-        let (line, outcome_name, is_shutdown) = match &outcome {
-            Ok(result) => {
-                self.ins.ok.inc();
-                (encode_ok(id, result.clone()), "ok", is_shutdown)
-            }
-            Err(e) => {
-                self.counter_for(e.kind).inc();
-                (encode_err(id, e), e.kind.as_str(), false)
-            }
-        };
-        // Cancelled work answered nobody in time: like oversized frames it
-        // keeps its own counters and stays out of `requests` and the
-        // latency histogram, where a flood of dead requests would otherwise
-        // masquerade as a latency regression.
-        if !matches!(&outcome, Err(e) if e.kind == ErrorKind::Cancelled) {
-            self.observe_request(trace, accepted, outcome_name);
-        }
-        FrameResponse {
-            line,
-            shutdown: is_shutdown,
-        }
-    }
-
-    /// The shared per-request bookkeeping: `requests` counter, latency
-    /// histogram, slow-request log.
-    pub(crate) fn observe_request(&self, trace: &Arc<Trace>, accepted: Instant, outcome: &str) {
-        self.ins.requests.inc();
-        let elapsed_us = accepted.elapsed().as_micros() as u64;
-        self.ins.latency.observe(elapsed_us);
-        if let Some(threshold) = self.config.slow_log_micros {
-            if elapsed_us >= threshold {
-                eprintln!(
-                    "serve: slow-request trace={} outcome={} total_us={} {}",
-                    trace.id(),
-                    outcome,
-                    elapsed_us,
-                    trace.breakdown()
-                );
-            }
-        }
-    }
-
-    /// The nonblocking counterpart of [`Service::handle_frame`] for the
-    /// event-driven server: cheap verbs are answered inline (`respond` is
-    /// called before this returns), `analyze` goes through the same
-    /// bounded queue and worker pool with `respond` called from the
-    /// worker when the job completes. `respond` is called exactly once.
+    /// The event edge for JSON frames: cheap verbs and validation errors
+    /// are answered inline (`respond` runs before this returns), solver
+    /// verbs go through the bounded queue with `respond` called from the
+    /// worker. `respond` is called exactly once. The caller-owned
+    /// [`CancelToken`] is the connection's: a teardown cancels everything
+    /// the connection still has queued or in flight.
     ///
-    /// Deadline semantics differ from the blocking path in one way: the
-    /// deadline is enforced by the worker when it picks the job up (and
-    /// by the queue bound before that), not by a waiting transport
-    /// thread — there is none.
-    pub fn handle_frame_async(
-        self: &Arc<Self>,
-        frame: &[u8],
-        respond: Box<dyn FnOnce(FrameResponse) + Send>,
-    ) {
-        self.handle_frame_async_ctrl(frame, CancelToken::new(), respond)
-    }
-
-    /// [`Service::handle_frame_async`] with a caller-owned [`CancelToken`]:
-    /// the event server hands each frame its connection's token, so a
-    /// teardown cancels everything that connection still has queued or
-    /// in flight.
+    /// Nobody waits here, so the deadline is enforced by the worker when
+    /// it picks the job up (and mid-solve): an expired job answers
+    /// `cancelled`, not `timeout`.
     pub fn handle_frame_async_ctrl(
         self: &Arc<Self>,
         frame: &[u8],
@@ -771,50 +703,149 @@ impl Service {
         respond: Box<dyn FnOnce(FrameResponse) + Send>,
     ) {
         let accepted = Instant::now();
-        let trace = Trace::start(self.next_trace_id.fetch_add(1, Ordering::Relaxed));
-        let decoded = with_current(&trace, || {
-            let _span = observed_span("decode", &self.ins.phase_decode);
-            Request::decode(frame)
+        let trace = self.begin_trace();
+        let (id, decoded) = self.decode_json(&trace, frame);
+        let shutdown = asks_shutdown(&decoded);
+        self.dispatch_async(trace, accepted, decoded, cancel, respond, move |o| {
+            json_response(&id, o, shutdown)
         });
-        let req = match decoded {
-            Err((id, e)) => {
-                respond(self.finish_json(&trace, accepted, &id, Err(e), false));
-                return;
-            }
-            Ok(req) => req,
-        };
-        let id = req.id.clone();
-        if !matches!(
-            req.verb,
-            Verb::Analyze | Verb::Custom | Verb::Open | Verb::Delta
-        ) {
-            let is_shutdown = req.verb == Verb::Shutdown;
-            let outcome = with_current(&trace, || self.dispatch_cheap(&req));
-            respond(self.finish_json(&trace, accepted, &id, outcome, is_shutdown));
-            return;
+    }
+
+    /// Decodes one JSON frame under the request's trace and decode span.
+    fn decode_json(&self, trace: &Arc<Trace>, frame: &[u8]) -> (Json, Decoded) {
+        let decoded = with_current(trace, || {
+            let _span = observed_span("decode", &self.ins.phase_decode);
+            JsonRequest::decode(frame)
+        });
+        match decoded {
+            Ok(r) => (r.id, Ok((r.request, r.deadline_ms))),
+            Err((id, e)) => (id, Err(e)),
         }
-        let deadline = self.effective_deadline(req.deadline_ms);
-        let work = self.work_of(req);
+    }
+
+    /// The event edges' shared tail: dispatch, then count, encode and
+    /// respond on whichever thread answers.
+    pub(crate) fn dispatch_async<T: 'static>(
+        self: &Arc<Self>,
+        trace: Arc<Trace>,
+        accepted: Instant,
+        decoded: Decoded,
+        cancel: CancelToken,
+        respond: Box<dyn FnOnce(T) + Send>,
+        encode: impl FnOnce(Result<Answer, ServiceError>) -> T + Send + 'static,
+    ) {
         let svc = Arc::clone(self);
-        let trace_done = Arc::clone(&trace);
-        self.submit_async(
-            work,
-            accepted,
-            deadline,
-            cancel,
-            trace,
-            Box::new(move |outcome| {
-                let outcome = outcome.map(|o| o.to_json());
-                respond(svc.finish_json(&trace_done, accepted, &id, outcome, false));
-            }),
-        );
+        let done = Arc::clone(&trace);
+        let reply: Reply =
+            Box::new(move |outcome| respond(svc.finish(&done, accepted, outcome, encode)));
+        match decoded {
+            Ok((req, budget_ms)) => {
+                self.dispatch(req, budget_ms, cancel, &trace, accepted, reply);
+            }
+            Err(e) => reply(Err(e)),
+        }
+    }
+
+    /// Dispatches on the calling thread and waits for the answer, at most
+    /// until the deadline — the blocking edge's half of the contract.
+    fn dispatch_and_wait(
+        &self,
+        req: Request,
+        budget_ms: Option<u64>,
+        trace: &Arc<Trace>,
+        accepted: Instant,
+    ) -> Result<Answer, ServiceError> {
+        let cancel = CancelToken::new();
+        let (tx, rx) = mpsc::channel();
+        let reply: Reply = Box::new(move |outcome| {
+            // The waiter may have timed out and gone; that is fine.
+            let _ = tx.send(outcome);
+        });
+        let shutting_down = || ServiceError::new(ErrorKind::Overloaded, "service is shutting down");
+        let Some(deadline) = self.dispatch(req, budget_ms, cancel.clone(), trace, accepted, reply)
+        else {
+            // Answered inline: the reply is already in the channel.
+            return rx.recv().unwrap_or_else(|_| Err(shutting_down()));
+        };
+        // The deadline is measured from frame acceptance, not from
+        // enqueue, so decode time cannot silently extend the budget. A
+        // budget gone before the wait begins is a plain deadline miss —
+        // answer `timeout` without racing the worker's `cancelled` reply
+        // for the channel.
+        let remaining = deadline.saturating_sub(accepted.elapsed());
+        let received = if remaining.is_zero() {
+            Err(mpsc::RecvTimeoutError::Timeout)
+        } else {
+            rx.recv_timeout(remaining)
+        };
+        match received {
+            Ok(outcome) => outcome,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                // Nobody waits for this answer anymore: flag the job so a
+                // worker sheds it at dequeue (or mid-solve) instead of
+                // finishing work whose reply lands in a dead channel.
+                cancel.cancel();
+                Err(ServiceError::new(
+                    ErrorKind::Timeout,
+                    format!("deadline of {} ms exceeded", deadline.as_millis()),
+                ))
+            }
+            // Workers always reply before exiting (the queue is drained on
+            // shutdown), so disconnection means the pool is gone entirely.
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(shutting_down()),
+        }
+    }
+
+    /// Counts one answered request — its outcome, and unless it was
+    /// cancelled its latency (through `encode`) and the slow-request log —
+    /// then returns the encoded response. Shared by every edge, so both
+    /// protocols feed the same instruments.
+    fn finish<T>(
+        &self,
+        trace: &Arc<Trace>,
+        accepted: Instant,
+        outcome: Result<Answer, ServiceError>,
+        encode: impl FnOnce(Result<Answer, ServiceError>) -> T,
+    ) -> T {
+        let (outcome_name, cancelled) = match &outcome {
+            Ok(_) => {
+                self.ins.ok.inc();
+                ("ok", false)
+            }
+            Err(e) => {
+                self.counter_for(e.kind).inc();
+                (e.kind.as_str(), e.kind == ErrorKind::Cancelled)
+            }
+        };
+        let encoded = encode(outcome);
+        // Cancelled work answered nobody in time: like oversized frames it
+        // keeps its own counters and stays out of `requests` and the
+        // latency histogram, where a flood of dead requests would otherwise
+        // masquerade as a latency regression.
+        if !cancelled {
+            self.ins.requests.inc();
+            let elapsed_us = accepted.elapsed().as_micros() as u64;
+            self.ins.latency.observe(elapsed_us);
+            if let Some(threshold) = self.config.slow_log_micros {
+                if elapsed_us >= threshold {
+                    eprintln!(
+                        "serve: slow-request trace={} outcome={} total_us={} {}",
+                        trace.id(),
+                        outcome_name,
+                        elapsed_us,
+                        trace.breakdown()
+                    );
+                }
+            }
+        }
+        encoded
     }
 
     /// Resolves a request's effective deadline: `min(client budget, the
     /// server's own cap)`. A client can only tighten the deadline, never
     /// extend it; requests carrying a budget are counted so operators can
     /// see propagation working end to end.
-    pub(crate) fn effective_deadline(&self, client_ms: Option<u64>) -> Duration {
+    fn effective_deadline(&self, client_ms: Option<u64>) -> Duration {
         match client_ms {
             Some(ms) => {
                 self.ins.deadline_propagated.inc();
@@ -852,7 +883,7 @@ impl Service {
         &self.ins
     }
 
-    pub(crate) fn counter_for(&self, kind: ErrorKind) -> &Counter {
+    fn counter_for(&self, kind: ErrorKind) -> &Counter {
         match kind {
             ErrorKind::Parse => &self.ins.parse_errors,
             ErrorKind::Analysis => &self.ins.analysis_errors,
@@ -864,79 +895,151 @@ impl Service {
         }
     }
 
-    fn dispatch(&self, req: Request, accepted: Instant) -> Result<Json, ServiceError> {
-        match req.verb {
-            Verb::Analyze | Verb::Custom | Verb::Open | Verb::Delta => {
-                let deadline = self.effective_deadline(req.deadline_ms);
-                let work = self.work_of(req);
-                self.submit_and_wait(work, accepted, deadline)
-                    .map(|o| o.to_json())
-            }
-            _ => self.dispatch_cheap(&req),
-        }
-    }
-
-    /// Builds the queued [`Work`] for a solver verb, resolving per-request
-    /// fields against the configured defaults. The decode layer guarantees
-    /// the per-verb required fields are present.
-    pub(crate) fn work_of(&self, req: Request) -> Work {
-        match req.verb {
-            Verb::Analyze => Work::Analyze {
-                program: req.program.expect("decode guarantees program for analyze"),
-                problems: req.problems.unwrap_or(self.config.engine.problems),
-                distance_bound: req
-                    .distance_bound
-                    .unwrap_or(self.config.engine.dep_max_distance),
-            },
-            Verb::Custom => Work::Custom {
-                program: req.program.expect("decode guarantees program for custom"),
-                spec: req.spec.expect("decode guarantees spec for custom"),
-                distance_bound: req
-                    .distance_bound
-                    .unwrap_or(self.config.engine.dep_max_distance),
-            },
-            Verb::Open => Work::Open {
-                program: req.program.expect("decode guarantees program for open"),
-            },
-            Verb::Delta => {
-                let stmt = req.stmt.expect("decode guarantees stmt for delta");
-                Work::Delta {
-                    session: req.session.expect("decode guarantees session for delta"),
-                    edit: Edit {
-                        // An out-of-u32-range id cannot name any statement;
-                        // saturating keeps it a clean "no such statement"
-                        // edit error instead of a silent wrap onto one.
-                        stmt: StmtId(u32::try_from(stmt).unwrap_or(u32::MAX)),
-                        text: req.text.expect("decode guarantees text for delta"),
-                    },
+    /// The one dispatch behind every edge: answers cheap verbs and
+    /// fingerprint cache hits inline and queues solver work. `reply` is
+    /// invoked exactly once — before this returns when the request was
+    /// answered inline (or the queue rejected it), from a worker
+    /// otherwise. Returns the job's deadline when it was queued.
+    fn dispatch(
+        &self,
+        req: Request,
+        budget_ms: Option<u64>,
+        cancel: CancelToken,
+        trace: &Arc<Trace>,
+        accepted: Instant,
+        reply: Reply,
+    ) -> Option<Duration> {
+        let solver = matches!(
+            req,
+            Request::Analyze(_) | Request::Custom(_) | Request::Open { .. } | Request::Delta { .. }
+        );
+        let deadline = if solver {
+            self.effective_deadline(budget_ms)
+        } else {
+            self.config.request_timeout
+        };
+        match with_current(trace, || self.step(req)) {
+            Ok(Step::Done(answer)) => reply(Ok(answer)),
+            Err(e) => reply(Err(e)),
+            Ok(Step::Queue(task)) => {
+                if self.enqueue_job(task, accepted, deadline, cancel, Arc::clone(trace), reply) {
+                    return Some(deadline);
                 }
             }
-            _ => unreachable!("only solver verbs carry queued work"),
         }
+        None
     }
 
-    /// Every verb that answers without touching the worker pool.
-    /// The solver verbs must not come through here.
-    fn dispatch_cheap(&self, req: &Request) -> Result<Json, ServiceError> {
-        match req.verb {
-            Verb::Ping => Ok(Json::Str("pong".into())),
-            Verb::Health => Ok(self.health_json()),
-            Verb::Stats => Ok(self.stats_json()),
-            Verb::Metrics => Ok(self.metrics_json()),
-            Verb::Compact => self.compact_store(),
-            Verb::Shutdown => {
-                self.shutdown();
-                Ok(Json::Str("shutting down".into()))
+    /// Each verb once: answers the cheap ones, applies defaults and
+    /// validates the solver ones, and for `analyze`/`custom` carrying a
+    /// fingerprint probes the caches right here on the transport thread —
+    /// a hit never touches the queue, the parser or the normalizer.
+    fn step(&self, req: Request) -> Result<Step, ServiceError> {
+        let protocol = |message: String| ServiceError::new(ErrorKind::Protocol, message);
+        let utf8 = |bytes: Vec<u8>, what: &str| {
+            String::from_utf8(bytes).map_err(|_| {
+                ServiceError::new(ErrorKind::Parse, format!("{what} is not valid UTF-8"))
+            })
+        };
+        let defaults = &self.config.engine;
+        let (fingerprint, source, problem, distance_bound) = match req {
+            Request::Ping { .. } => return Ok(Step::Done(Answer::Text("pong"))),
+            Request::Health { .. } => return Ok(Step::Done(Answer::Object(self.health_json()))),
+            Request::Stats { .. } => return Ok(Step::Done(Answer::Object(self.stats_json()))),
+            Request::Metrics { .. } => return Ok(Step::Done(Answer::Metrics(self.metrics_json()))),
+            Request::Compact { .. } => {
+                return self.compact_store().map(|j| Step::Done(Answer::Object(j)))
             }
-            Verb::Analyze | Verb::Custom | Verb::Open | Verb::Delta => {
-                unreachable!("solver verbs are dispatched through the worker pool")
+            Request::Replicate { batch, .. } => {
+                return self
+                    .apply_replica_batch(&batch)
+                    .map(|j| Step::Done(Answer::Object(j)))
+            }
+            Request::Shutdown { .. } => {
+                self.shutdown();
+                return Ok(Step::Done(Answer::Text("shutting down")));
+            }
+            Request::Open { source, .. } => {
+                let source = utf8(source, "program source")?;
+                return Ok(Step::Queue(Task::Open { source }));
+            }
+            // The carried fingerprint is the router's shard key; the node
+            // itself resolves the session by id alone.
+            Request::Delta {
+                session,
+                stmt,
+                text,
+                ..
+            } => {
+                let edit = Edit {
+                    // An out-of-u32-range id cannot name any statement;
+                    // saturating keeps it a clean "no such statement"
+                    // edit error instead of a silent wrap onto one.
+                    stmt: StmtId(u32::try_from(stmt).unwrap_or(u32::MAX)),
+                    text: utf8(text, "edit text")?,
+                };
+                return Ok(Step::Queue(Task::Delta { session, edit }));
+            }
+            Request::Analyze(a) => {
+                let problems = match a.problems {
+                    None => defaults.problems,
+                    Some(bits) => ProblemSet::from_bits(bits)
+                        .ok_or_else(|| protocol(format!("bad problem-set bits {bits:#06b}")))?,
+                };
+                let bound = a.distance_bound.unwrap_or(defaults.dep_max_distance);
+                (a.fingerprint, a.source, Problem::Canned(problems), bound)
+            }
+            Request::Custom(c) => {
+                let spec = CustomSpec::from_bits(c.spec)
+                    .ok_or_else(|| protocol(format!("bad custom-spec bits {:#08b}", c.spec)))?;
+                // Custom problems come from untrusted callers experimenting
+                // with the framework; bound the distance lattice they can
+                // ask for instead of letting a huge bound grind the solver.
+                let bound = c.distance_bound.unwrap_or(defaults.dep_max_distance);
+                if bound > CustomSpec::MAX_DISTANCE_BOUND {
+                    return Err(protocol(format!(
+                        "distance bound {bound} exceeds the {} cap",
+                        CustomSpec::MAX_DISTANCE_BOUND
+                    )));
+                }
+                (c.fingerprint, c.source, Problem::Custom(spec), bound)
+            }
+        };
+        // Fingerprint-first: probe the cache tiers before any parse work.
+        if let Some(bytes) = fingerprint {
+            let fingerprint = Fingerprint(u128::from_le_bytes(bytes));
+            if let Some(report) = self.engine.probe(fingerprint, problem, distance_bound) {
+                return Ok(Step::Done(Answer::Loops(BatchResult {
+                    index: 0,
+                    loops: vec![LoopReport {
+                        fingerprint,
+                        report,
+                    }],
+                    error: None,
+                    stats: QueryStats {
+                        cache_hits: 1,
+                        ..QueryStats::default()
+                    },
+                })));
             }
         }
+        // Miss (or no fingerprint): a full analysis needs source.
+        let source = source.ok_or_else(|| {
+            ServiceError::new(
+                ErrorKind::Analysis,
+                "unknown fingerprint (supply program source to analyze)",
+            )
+        })?;
+        Ok(Step::Queue(Task::Solve {
+            source: utf8(source, "program source")?,
+            problem,
+            distance_bound,
+        }))
     }
 
     /// The `compact` verb: flushes pending appends, rewrites live records
     /// into fresh segments, and reports what was reclaimed.
-    pub(crate) fn compact_store(&self) -> Result<Json, ServiceError> {
+    fn compact_store(&self) -> Result<Json, ServiceError> {
         let Some(tier) = &self.tier else {
             return Err(ServiceError::new(
                 ErrorKind::Protocol,
@@ -957,97 +1060,27 @@ impl Service {
         ]))
     }
 
-    fn submit_and_wait(
-        &self,
-        work: Work,
-        accepted: Instant,
-        deadline: Duration,
-    ) -> Result<JobOutput, ServiceError> {
-        let trace = arrayflow_obs::trace::current().expect("handle_frame installed a trace");
-
-        let cancel = CancelToken::new();
-        let (tx, rx) = mpsc::channel();
-        self.enqueue_job(
-            work,
-            accepted,
-            deadline,
-            cancel.clone(),
-            trace,
-            Box::new(move |outcome| {
-                // The waiter may have timed out and gone; that is fine.
-                let _ = tx.send(outcome);
-            }),
-        )
-        .map_err(|(e, _reply)| e)?;
-
-        // The deadline is measured from frame acceptance, not from
-        // enqueue, so decode time cannot silently extend the budget.
-        let remaining = deadline.saturating_sub(accepted.elapsed());
-        if remaining.is_zero() {
-            // The budget was gone before we could wait. A worker will
-            // shed the queued job, but from the blocking caller's view
-            // this is a plain deadline miss — answer `timeout` without
-            // racing the worker's `cancelled` reply for the channel.
-            cancel.cancel();
-            return Err(ServiceError::new(
-                ErrorKind::Timeout,
-                format!("deadline of {} ms exceeded", deadline.as_millis()),
-            ));
-        }
-        match rx.recv_timeout(remaining) {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Nobody is waiting for this answer anymore: flag the job
-                // so a worker sheds it at dequeue (or mid-solve) instead
-                // of finishing work whose reply lands in a dead channel.
-                cancel.cancel();
-                Err(ServiceError::new(
-                    ErrorKind::Timeout,
-                    format!("deadline of {} ms exceeded", deadline.as_millis()),
-                ))
-            }
-            // Workers always reply before exiting (the queue is drained on
-            // shutdown), so disconnection means the pool is gone entirely.
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::new(
-                ErrorKind::Overloaded,
-                "service is shutting down",
-            )),
-        }
-    }
-
-    /// Pushes a job onto the bounded queue. On `Ok` the `reply` closure is
-    /// guaranteed to be invoked exactly once by a worker; on rejection
-    /// (`Overloaded`: queue full or service stopping) the closure is
-    /// handed back un-invoked along with the error, so the caller decides
-    /// how to deliver the rejection.
+    /// Pushes a job onto the bounded queue and returns `true`; a worker
+    /// then invokes `reply` exactly once. When the queue is full or the
+    /// service is stopping, `reply` gets the `overloaded` error right here
+    /// and this returns `false`.
     fn enqueue_job(
         &self,
-        work: Work,
+        task: Task,
         accepted: Instant,
         deadline: Duration,
         cancel: CancelToken,
         trace: Arc<Trace>,
         reply: Reply,
-    ) -> Result<(), (ServiceError, Reply)> {
-        {
-            let mut q = self.queue.lock().unwrap();
-            if self.is_shutdown() {
-                return Err((
-                    ServiceError::new(ErrorKind::Overloaded, "service is shutting down"),
-                    reply,
-                ));
-            }
-            if q.len() >= self.config.queue_capacity {
-                return Err((
-                    ServiceError::new(
-                        ErrorKind::Overloaded,
-                        format!("queue full ({} in flight)", q.len()),
-                    ),
-                    reply,
-                ));
-            }
+    ) -> bool {
+        let mut q = self.queue.lock().unwrap();
+        let rejection = if self.is_shutdown() {
+            "service is shutting down".to_string()
+        } else if q.len() >= self.config.queue_capacity {
+            format!("queue full ({} in flight)", q.len())
+        } else {
             q.push_back(Job {
-                work,
+                task,
                 accepted,
                 enqueued: Instant::now(),
                 deadline,
@@ -1056,28 +1089,13 @@ impl Service {
                 reply,
             });
             self.ins.queue_depth_hwm.set_max(q.len() as u64);
-        }
-        self.job_ready.notify_one();
-        Ok(())
-    }
-
-    /// Fire-and-forget job submission for the event-driven server: no
-    /// thread blocks waiting, so the deadline is enforced only by the
-    /// worker when it dequeues the job. `reply` is invoked exactly once —
-    /// inline (before this returns) when the queue rejects the job, from
-    /// a worker otherwise.
-    pub(crate) fn submit_async(
-        &self,
-        work: Work,
-        accepted: Instant,
-        deadline: Duration,
-        cancel: CancelToken,
-        trace: Arc<Trace>,
-        reply: Reply,
-    ) {
-        if let Err((e, reply)) = self.enqueue_job(work, accepted, deadline, cancel, trace, reply) {
-            reply(Err(e));
-        }
+            drop(q);
+            self.job_ready.notify_one();
+            return true;
+        };
+        drop(q);
+        reply(Err(ServiceError::new(ErrorKind::Overloaded, rejection)));
+        false
     }
 
     fn worker_loop(self: Arc<Self>) {
@@ -1185,7 +1203,7 @@ impl Service {
         )
     }
 
-    fn run_job(&self, job: &Job) -> Result<JobOutput, ServiceError> {
+    fn run_job(&self, job: &Job) -> Result<Answer, ServiceError> {
         // Dequeue-time shedding: a job whose client is gone or whose
         // budget drained while it sat queued is dropped for the cost of
         // two loads — the metastable-failure amplifier (a queue full of
@@ -1208,84 +1226,42 @@ impl Service {
             parse_program_bytes(source.as_bytes())
                 .map_err(|e| ServiceError::new(ErrorKind::Parse, e.to_string()))
         };
-        match &job.work {
-            Work::Analyze {
-                program,
-                problems,
+        // Rejected programs and edits are analysis-kind errors (the frame
+        // was well-formed, the request could not be satisfied); a session
+        // the node does not hold — expired here, or never replicated to a
+        // failed-over replica — is the typed `session_lost`, telling the
+        // client to re-open and replay.
+        let failed = |e: AnalysisError| match e {
+            AnalysisError::Cancelled { passes } => self.shed_job(job, passes, "mid-analysis"),
+            AnalysisError::SessionLost(_) => {
+                ServiceError::new(ErrorKind::SessionLost, e.to_string())
+            }
+            _ => ServiceError::new(ErrorKind::Analysis, e.to_string()),
+        };
+        match &job.task {
+            Task::Solve {
+                source,
+                problem,
                 distance_bound,
             } => {
-                let program = parse(program)?;
-                let result = self.engine.analyze_with_ctrl(
-                    0,
-                    &program,
-                    *problems,
-                    *distance_bound,
-                    should_stop,
-                );
-                if let Some(e) = &result.error {
-                    if let Some(passes) = e.wasted_passes() {
-                        return Err(self.shed_job(job, passes, "mid-analysis"));
-                    }
-                    return Err(ServiceError::new(ErrorKind::Analysis, e.to_string()));
+                let mut result =
+                    self.engine
+                        .solve(0, &parse(source)?, *problem, *distance_bound, should_stop);
+                match result.error.take() {
+                    Some(e) => Err(failed(e)),
+                    None => Ok(Answer::Loops(result)),
                 }
-                Ok(JobOutput::Analyze(result))
             }
-            Work::Custom {
-                program,
-                spec,
-                distance_bound,
-            } => {
-                let program = parse(program)?;
-                let result = self.engine.analyze_custom_ctrl(
-                    0,
-                    &program,
-                    *spec,
-                    *distance_bound,
-                    should_stop,
-                );
-                if let Some(e) = &result.error {
-                    if let Some(passes) = e.wasted_passes() {
-                        return Err(self.shed_job(job, passes, "mid-analysis"));
-                    }
-                    return Err(ServiceError::new(ErrorKind::Analysis, e.to_string()));
-                }
-                Ok(JobOutput::Analyze(result))
-            }
-            Work::Open { program } => {
-                let program = parse(program)?;
-                let (session, report) = self
-                    .engine
-                    .open_session_ctrl(&program, should_stop)
-                    .map_err(|e| match e.wasted_passes() {
-                        Some(passes) => self.shed_job(job, passes, "mid-analysis"),
-                        None => ServiceError::new(ErrorKind::Analysis, e.to_string()),
-                    })?;
-                Ok(JobOutput::Session(session, report))
-            }
-            Work::Delta { session, edit } => {
-                // Rejected edits are analysis-kind errors (the frame was
-                // well-formed, the request could not be satisfied); a
-                // session the node does not hold — expired here, or never
-                // replicated to a failed-over replica — is the typed
-                // `session_lost`, telling the client to re-open and
-                // replay rather than treat it as an analysis failure.
-                let delta = self
-                    .engine
-                    .analyze_delta_ctrl(*session, edit, should_stop)
-                    .map_err(|e| {
-                        if let Some(passes) = e.wasted_passes() {
-                            return self.shed_job(job, passes, "mid-analysis");
-                        }
-                        let kind = match &e {
-                            arrayflow_engine::AnalysisError::SessionLost(_) => {
-                                ErrorKind::SessionLost
-                            }
-                            _ => ErrorKind::Analysis,
-                        };
-                        ServiceError::new(kind, e.to_string())
-                    })?;
-                Ok(JobOutput::Delta(delta))
-            }
+            Task::Open { source } => self
+                .engine
+                .open_session_ctrl(&parse(source)?, should_stop)
+                .map(|(session, report)| Answer::Session(session, report))
+                .map_err(failed),
+            Task::Delta { session, edit } => self
+                .engine
+                .analyze_delta_ctrl(*session, edit, should_stop)
+                .map(Answer::Delta)
+                .map_err(failed),
         }
     }
 
@@ -1329,7 +1305,7 @@ impl Service {
 
     /// The `stats` verb payload: engine and cache one-liners (their
     /// `Display` impls) plus the structured service counters.
-    pub(crate) fn stats_json(&self) -> Json {
+    fn stats_json(&self) -> Json {
         let e = self.engine_stats();
         let s = self.stats();
         let errors = Json::Obj(vec![
@@ -1466,6 +1442,11 @@ impl Service {
     /// whichever form they prefer.
     fn metrics_json(&self) -> Json {
         let snapshot = self.registry.snapshot();
+        // Stamped with this node's `node` label when one is configured.
+        let exposition = match &self.config.node_id {
+            Some(id) => snapshot.render_prometheus_with(&[("node", id)]),
+            None => snapshot.render_prometheus(),
+        };
         let metrics = snapshot
             .metrics
             .iter()
@@ -1493,7 +1474,7 @@ impl Service {
             .collect();
         Json::Obj(vec![
             ("metrics".into(), Json::Arr(metrics)),
-            ("prometheus".into(), Json::Str(self.render_exposition())),
+            ("prometheus".into(), Json::Str(exposition)),
         ])
     }
 }

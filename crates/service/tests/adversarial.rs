@@ -3,12 +3,13 @@
 //! same — every line sent gets exactly one framed JSON response (ok or
 //! structured error), the connection is never dropped, and the service
 //! still answers clean work afterwards.
+#![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
-use arrayflow_service::{Json, Server, ServiceConfig};
+use arrayflow_service::{EventServer, Json, ProtoMode, Service, ServiceConfig};
 
 struct Session {
     reader: BufReader<TcpStream>,
@@ -60,13 +61,20 @@ impl Session {
 }
 
 fn start() -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let config = ServiceConfig {
+    start_with(ServiceConfig {
         max_frame_bytes: 64 * 1024,
         ..ServiceConfig::default()
-    };
-    let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr().expect("addr").to_string();
-    (addr, std::thread::spawn(move || server.run()))
+    })
+}
+
+fn start_with(config: ServiceConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = EventServer::attach(listener, Service::start(config).expect("start"));
+    (
+        addr,
+        std::thread::spawn(move || server.run(ProtoMode::Auto)),
+    )
 }
 
 fn error_kind(resp: &Json) -> &str {
@@ -259,9 +267,7 @@ fn fault_plan_plus_hostility_still_answers_everything() {
         )),
         ..ServiceConfig::default()
     };
-    let server = Server::bind("127.0.0.1:0", config).expect("bind");
-    let addr = server.local_addr().expect("addr").to_string();
-    let server_thread = std::thread::spawn(move || server.run());
+    let (addr, server_thread) = start_with(config);
     let mut s = Session::connect(&addr);
 
     for i in 0..60 {

@@ -7,9 +7,7 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use arrayflow_service::{
-    Client, ClientConfig, ClientError, ErrorKind, Server, Service, ServiceConfig,
-};
+use arrayflow_service::{Client, ClientConfig, ClientError, ErrorKind, Service, ServiceConfig};
 
 /// A fast-retry config for tests: small deadlines, deterministic jitter.
 fn test_config() -> ClientConfig {
@@ -173,11 +171,15 @@ fn wedged_server_costs_bounded_time() {
     server.join().expect("fake server");
 }
 
+#[cfg(unix)]
 #[test]
 fn full_session_against_the_real_service() {
-    let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
-    let addr = server.local_addr().expect("addr").to_string();
-    let server_thread = thread::spawn(move || server.run());
+    use arrayflow_service::{EventServer, ProtoMode};
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let service = Service::start(ServiceConfig::default()).expect("start");
+    let server = EventServer::attach(listener, service);
+    let server_thread = thread::spawn(move || server.run(ProtoMode::Auto));
 
     let mut client = Client::connect(addr, test_config()).expect("connect");
     let a = client

@@ -78,13 +78,18 @@ impl JsonClient {
     }
 
     fn request(&mut self, line: &str) -> Json {
+        let resp = self.line(line);
+        Json::parse(resp.as_bytes()).unwrap_or_else(|e| panic!("unframed response {resp:?}: {e}"))
+    }
+
+    /// Sends one request line and returns the raw response line.
+    fn line(&mut self, line: &str) -> String {
         self.writer.write_all(line.as_bytes()).unwrap();
         self.writer.write_all(b"\n").unwrap();
         let mut resp = String::new();
         let n = self.reader.read_line(&mut resp).expect("response");
         assert!(n > 0, "connection closed mid-request");
-        Json::parse(resp.trim_end().as_bytes())
-            .unwrap_or_else(|e| panic!("unframed response {resp:?}: {e}"))
+        resp.trim_end().to_string()
     }
 }
 
@@ -436,4 +441,51 @@ fn sessions_stay_pinned_to_one_shard_through_the_router() {
     assert_eq!(owners, 1, "the session never moved between shards");
 
     cluster.shutdown();
+}
+
+#[test]
+fn routed_nests_answer_like_the_node_warm_and_cold() {
+    // Regression: the router attached the outer loop's fingerprint to
+    // every forwarded sole-loop program, so once the nest was warm the
+    // node's fingerprint probe answered that one loop instead of all.
+    let ports = reserve_ports(2);
+    let node_addr = format!("127.0.0.1:{}", ports[0]);
+    let router_addr = format!("127.0.0.1:{}", ports[1]);
+    let _node = spawn_serve(&[
+        "--listen".into(),
+        node_addr.clone(),
+        "--node-id".into(),
+        "n1".into(),
+    ]);
+    let _router = spawn_serve(&[
+        "--listen".into(),
+        router_addr.clone(),
+        "--router".into(),
+        format!("n1={node_addr}"),
+    ]);
+    let nest =
+        Json::Str("do j = 1, 50 do i = 1, 40 X[i+1] := X[i]; Y[i] := X[i+1]; end end".into());
+    let loops = |line: &str| {
+        Json::parse(line.as_bytes())
+            .unwrap()
+            .get("result")
+            .and_then(|r| r.get("loops"))
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len)
+    };
+    for frame in [
+        format!(r#"{{"id": 1, "verb": "analyze", "program": {nest}}}"#),
+        format!(
+            r#"{{"id": 2, "verb": "custom", "program": {nest}, "spec": {{"gen": ["uses"], "kill": ["defs"], "direction": "backward", "mode": "may"}}}}"#
+        ),
+    ] {
+        let mut routed = JsonClient::connect(&router_addr);
+        let cold = routed.line(&frame);
+        let direct = JsonClient::connect(&node_addr).line(&frame);
+        assert_eq!(loops(&direct), Some(2), "{direct}");
+        assert_eq!(loops(&cold), Some(2), "{cold}");
+        for _ in 0..2 {
+            assert_eq!(routed.line(&frame), direct, "warm routed answer moved");
+        }
+    }
 }

@@ -1,14 +1,15 @@
 //! Loopback-TCP integration tests: concurrent clients, response/request
 //! id matching, byte-identical reports vs the direct in-process engine,
 //! the negative paths of the error taxonomy, and graceful-shutdown drain.
+#![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use arrayflow_engine::{Engine, EngineConfig};
-use arrayflow_service::{Json, Server, Service, ServiceConfig};
+use arrayflow_service::{EventServer, Json, ProtoMode, Service, ServiceConfig};
 
 /// One test client: a connection plus line-oriented send/receive.
 struct Client {
@@ -53,10 +54,11 @@ impl Client {
 }
 
 fn spawn_server(config: ServiceConfig) -> (std::net::SocketAddr, Arc<Service>) {
-    let server = Server::bind("127.0.0.1:0", config).expect("bind loopback");
-    let addr = server.local_addr().unwrap();
-    let service = server.service();
-    std::thread::spawn(move || server.run().unwrap());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let service = Service::start(config).expect("start service");
+    let server = EventServer::attach(listener, Arc::clone(&service));
+    std::thread::spawn(move || server.run(ProtoMode::Auto).unwrap());
     (addr, service)
 }
 
@@ -272,7 +274,7 @@ fn unknown_verb_is_protocol_error() {
 }
 
 #[test]
-fn deadline_miss_is_timeout_error_and_connection_survives() {
+fn deadline_miss_is_cancelled_and_connection_survives() {
     let (addr, service) = spawn_server(ServiceConfig {
         workers: 1,
         request_timeout: Duration::ZERO,
@@ -280,14 +282,15 @@ fn deadline_miss_is_timeout_error_and_connection_survives() {
     });
     let mut client = Client::connect(addr);
     client.send(r#"{"id": 1, "verb": "analyze", "program": "x := 1;"}"#);
-    assert_eq!(error_kind(&client.recv_json()), "timeout");
+    // The event loop waits for nobody: the worker sheds the expired job.
+    assert_eq!(error_kind(&client.recv_json()), "cancelled");
     // Cheap verbs bypass the queue and still work.
     client.send(r#"{"id": 2, "verb": "ping"}"#);
     assert_eq!(
         client.recv_json().get("ok").and_then(Json::as_bool),
         Some(true)
     );
-    assert_eq!(service.stats().timeouts, 1);
+    assert_eq!(service.stats().cancelled_expired, 1);
     service.shutdown();
     service.join_workers();
 }

@@ -21,11 +21,7 @@ use arrayflow::prelude::*;
 use arrayflow::service::Json;
 
 fn main() -> std::io::Result<()> {
-    // Server side: bind an ephemeral port and serve in the background.
-    // (In production you would run the `serve` binary instead.)
-    let server = Server::bind("127.0.0.1:0", ServiceConfig::default())?;
-    let addr = server.local_addr()?;
-    let server_thread = std::thread::spawn(move || server.run());
+    let (addr, server_thread) = serve()?;
     println!("server on {addr}\n");
 
     let mut client =
@@ -127,3 +123,28 @@ fn main() -> std::io::Result<()> {
     server_thread.join().expect("server thread")?;
     Ok(())
 }
+
+/// Server side: binds an ephemeral port and runs the event loop in the
+/// background. (In production you would run the `serve` binary instead.)
+#[cfg(unix)]
+fn serve() -> std::io::Result<Background> {
+    use arrayflow::service::{EventServer, ProtoMode};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    let server = EventServer::attach(listener, Service::start(ServiceConfig::default())?);
+    Ok((
+        addr,
+        std::thread::spawn(move || server.run(ProtoMode::Auto)),
+    ))
+}
+
+#[cfg(not(unix))]
+fn serve() -> std::io::Result<Background> {
+    eprintln!("the in-process server is the event loop, which requires unix (poll)");
+    std::process::exit(2)
+}
+
+type Background = (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<std::io::Result<()>>,
+);

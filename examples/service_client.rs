@@ -11,9 +11,9 @@
 //! hit), a raw problem-selected `analyze`, a structured error, `stats`,
 //! and finally `shutdown`, which drains the server and stops it.
 //!
-//! Run with `cargo run --example service_client`. With `--fingerprint`
-//! (unix only) the session instead runs against the event-driven server
-//! and demonstrates the binary protocol's fingerprint-first fast path:
+//! Run with `cargo run --example service_client` (unix: the server is
+//! the `poll(2)` event loop). With `--fingerprint` the session instead
+//! demonstrates the binary protocol's fingerprint-first fast path:
 //! the client computes the canonical fingerprint locally
 //! ([`arrayflow::fingerprint`]) and the server answers from its cache
 //! without parsing anything.
@@ -27,11 +27,7 @@ fn main() -> std::io::Result<()> {
     if std::env::args().any(|a| a == "--fingerprint") {
         return fingerprint_session();
     }
-    // Server side: bind an ephemeral port and serve in the background.
-    // (In production you would run the `serve` binary instead.)
-    let server = Server::bind("127.0.0.1:0", ServiceConfig::default())?;
-    let addr = server.local_addr()?;
-    let server_thread = std::thread::spawn(move || server.run());
+    let (addr, server_thread) = serve()?;
     println!("server on {addr}\n");
 
     // Client side: deadlines and retries come from the config; the
@@ -93,18 +89,36 @@ fn main() -> std::io::Result<()> {
     Ok(())
 }
 
-/// The `--fingerprint` walkthrough: binary protocol against the
-/// event-driven server, with the client precomputing the canonical
-/// fingerprint so repeat requests skip the parser entirely.
+/// Server side: binds an ephemeral port and runs the event loop in the
+/// background. (In production you would run the `serve` binary instead.)
 #[cfg(unix)]
-fn fingerprint_session() -> std::io::Result<()> {
+fn serve() -> std::io::Result<Background> {
     use arrayflow::service::{EventServer, ProtoMode};
-
-    let service = arrayflow::service::Service::start(ServiceConfig::default())?;
     let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
-    let server = EventServer::attach(listener, service);
-    let server_thread = std::thread::spawn(move || server.run(ProtoMode::Auto));
+    let server = EventServer::attach(listener, Service::start(ServiceConfig::default())?);
+    Ok((
+        addr,
+        std::thread::spawn(move || server.run(ProtoMode::Auto)),
+    ))
+}
+
+#[cfg(not(unix))]
+fn serve() -> std::io::Result<Background> {
+    eprintln!("the in-process server is the event loop, which requires unix (poll)");
+    std::process::exit(2)
+}
+
+type Background = (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<std::io::Result<()>>,
+);
+
+/// The `--fingerprint` walkthrough: the binary protocol, with the client
+/// precomputing the canonical fingerprint so repeat requests skip the
+/// parser entirely.
+fn fingerprint_session() -> std::io::Result<()> {
+    let (addr, server_thread) = serve()?;
     println!("event server on {addr} (binary protocol)\n");
 
     let src = "do i = 1, 100 A[i+2] := A[i] + x; end";
@@ -148,10 +162,4 @@ fn fingerprint_session() -> std::io::Result<()> {
     server_thread.join().expect("server thread")?;
     println!("\nserver drained and stopped");
     Ok(())
-}
-
-#[cfg(not(unix))]
-fn fingerprint_session() -> std::io::Result<()> {
-    eprintln!("--fingerprint needs the event server, which requires unix (poll)");
-    std::process::exit(2)
 }

@@ -86,7 +86,7 @@ pub mod prelude {
     pub use arrayflow_engine::{Engine, EngineConfig};
     pub use arrayflow_ir::{parse_program, Fingerprint, LoopBuilder, Program};
     pub use arrayflow_resilience::{CircuitBreaker, FaultPlan, FaultSurface};
-    pub use arrayflow_service::{Client, ClientConfig, Server, Service, ServiceConfig};
+    pub use arrayflow_service::{Client, ClientConfig, Service, ServiceConfig};
     pub use arrayflow_store::{Store, StoreConfig};
 
     pub use crate::{fingerprint, prepare};
