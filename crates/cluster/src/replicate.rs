@@ -15,8 +15,6 @@
 //! [`Store::import_frames`] dedupes by live key. The queue is bounded:
 //! overflow drops the record (counted), never blocks the writer thread.
 
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -26,9 +24,8 @@ use arrayflow_obs::{Counter, Registry};
 use arrayflow_resilience::Backoff;
 use arrayflow_store::segment::frame_record;
 use arrayflow_store::{encode_record, Record, ReplicationSink, Store};
-use arrayflow_wire::encode_frame;
-use arrayflow_wire::frame::read_frame;
 use arrayflow_wire::proto::{Request, Response};
+use arrayflow_wire::Connection;
 
 /// Replicator tuning.
 #[derive(Debug, Clone)]
@@ -42,9 +39,10 @@ pub struct ReplicatorConfig {
     pub max_buffer: usize,
     /// Cap on a single replicate frame's payload.
     pub max_frame_bytes: usize,
-    /// Deadline on each replicate round trip (ack read and frame
-    /// write). A wedged replica costs at most this long per attempt
-    /// instead of hanging the ship thread indefinitely.
+    /// Deadline on dialing the replica and on each replicate round trip
+    /// (frame write and ack read). An unreachable or wedged replica costs
+    /// at most this long per attempt instead of hanging the ship thread
+    /// — and with it [`Replicator::shutdown`] — indefinitely.
     pub request_timeout: Duration,
 }
 
@@ -183,7 +181,7 @@ impl Replicator {
     }
 
     fn run(&self, store: Arc<Store>, config: ReplicatorConfig) {
-        let mut conn: Option<TcpStream> = None;
+        let mut conn: Option<Connection> = None;
         let mut backoff = Backoff::new(Duration::from_millis(50), Duration::from_secs(2));
         let mut next_id = 1u64;
         loop {
@@ -206,8 +204,8 @@ impl Replicator {
                 // incremental shipping. An unreachable replica backs off
                 // without ever touching the analysis path.
                 match self.connect_and_sync(&store, &config, &mut next_id) {
-                    Some(stream) => {
-                        conn = Some(stream);
+                    Some(c) => {
+                        conn = Some(c);
                         backoff.reset();
                     }
                     None => {
@@ -223,7 +221,7 @@ impl Replicator {
             }
 
             if !batch.is_empty() {
-                if let Some(stream) = conn.as_mut() {
+                if let Some(c) = conn.as_mut() {
                     let mut bytes = Vec::new();
                     for (key, report) in &batch {
                         let payload = encode_record(&Record::Put {
@@ -232,7 +230,7 @@ impl Replicator {
                         });
                         bytes.extend_from_slice(&frame_record(&payload));
                     }
-                    if self.ship(stream, &config, &mut next_id, bytes) {
+                    if self.ship(c, &config, &mut next_id, bytes) {
                         self.ins.shipped.add(batch.len() as u64);
                         self.ins.batches.inc();
                     } else {
@@ -257,56 +255,39 @@ impl Replicator {
         store: &Store,
         config: &ReplicatorConfig,
         next_id: &mut u64,
-    ) -> Option<TcpStream> {
-        let mut stream = match TcpStream::connect(&config.replica_addr) {
-            Ok(s) => s,
-            Err(_) => {
-                self.ins.errors.inc();
-                return None;
-            }
+    ) -> Option<Connection> {
+        let Ok(mut conn) = Connection::dial(&config.replica_addr, config.request_timeout) else {
+            self.ins.errors.inc();
+            return None;
         };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(config.request_timeout));
-        let _ = stream.set_write_timeout(Some(config.request_timeout));
-        let batch = store.export_live();
-        if self.ship(&mut stream, config, next_id, batch) {
+        let synced = self.ship(&mut conn, config, next_id, store.export_live());
+        synced.then(|| {
             self.ins.syncs.inc();
-            Some(stream)
-        } else {
-            None
-        }
+            conn
+        })
     }
 
     /// Sends one replicate frame and waits for the ack. `true` on a
     /// well-formed OK response.
     fn ship(
         &self,
-        stream: &mut TcpStream,
+        conn: &mut Connection,
         config: &ReplicatorConfig,
         next_id: &mut u64,
         batch: Vec<u8>,
     ) -> bool {
         let id = *next_id;
         *next_id += 1;
-        let req = Request::Replicate { id, batch };
-        let frame = encode_frame(req.tag(), &req.encode_payload());
-        if stream.write_all(&frame).is_err() {
+        let frame = Request::Replicate { id, batch }.to_frame(None);
+        let acked = conn
+            .exchange_frame(&frame, config.request_timeout, config.max_frame_bytes)
+            .is_ok_and(|(tag, payload)| {
+                matches!(Response::decode(tag, &payload), Ok(Response::Text { id: rid, .. }) if rid == id)
+            });
+        if !acked {
             self.ins.errors.inc();
-            return false;
         }
-        match read_frame(stream, config.max_frame_bytes) {
-            Ok((tag, payload)) => match Response::decode(tag, &payload) {
-                Ok(Response::Text { id: rid, .. }) if rid == id => true,
-                _ => {
-                    self.ins.errors.inc();
-                    false
-                }
-            },
-            Err(_) => {
-                self.ins.errors.inc();
-                false
-            }
-        }
+        acked
     }
 }
 

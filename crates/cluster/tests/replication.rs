@@ -211,3 +211,36 @@ fn replicator_survives_replica_coming_up_late() {
     );
     replicator.shutdown();
 }
+
+/// A replica that drops SYNs must not hold shutdown hostage: the
+/// shipper's dial is bounded by `request_timeout`. A listener re-listened
+/// with a zero backlog, holding one connection it never accepts, drops
+/// every further SYN, so a dial to it hangs until its timeout.
+#[cfg(target_os = "linux")]
+#[test]
+fn shutdown_is_prompt_while_the_replica_drops_syns() {
+    use std::os::fd::AsRawFd;
+
+    let src_dir = TempDir::new("repl-silent-src");
+    let src = Arc::new(Store::open(StoreConfig::at(&src_dir.0)).unwrap());
+    src.put(key(1), report(1, 1)).unwrap();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    arrayflow_wire::event::set_backlog(listener.as_raw_fd(), 0).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let _queued = std::net::TcpStream::connect(addr).unwrap();
+
+    let registry = Registry::new();
+    let mut config = ReplicatorConfig::to(addr.to_string());
+    config.interval = Duration::from_millis(20);
+    config.request_timeout = Duration::from_millis(300);
+    let replicator = Replicator::start(Arc::clone(&src), config, &registry);
+    assert!(
+        wait_for(Duration::from_secs(10), || replicator.stats().errors > 0),
+        "the shipper's dial never gave up"
+    );
+    let started = Instant::now();
+    replicator.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(3), "shutdown took {took:?}");
+}

@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::expr::{BinOp, Cond, Expr, RelOp};
+use crate::parser::ParseError;
 use crate::stmt::{ArrayRef, Assign, Block, LValue, Loop, LoopBound, Program, Stmt};
 use crate::symbols::{ArrayId, SymbolTable, VarId};
 
@@ -297,6 +298,20 @@ pub fn fingerprint_loop(l: &Loop, symbols: &SymbolTable) -> Fingerprint {
     let mut c = Canonicalizer::new(symbols);
     c.do_loop(l);
     c.finish()
+}
+
+/// Fingerprints the source of a program whose body is exactly one loop,
+/// the way the engine keys its cache: parse, normalize (which renumbers),
+/// then [`fingerprint_loop`] the sole loop. The flag is true when that loop
+/// is flat (no loop nested in it). `Ok(None)` when the program is not
+/// exactly one top-level loop.
+pub fn fingerprint_source(source: &str) -> Result<Option<(Fingerprint, bool)>, ParseError> {
+    let mut program = crate::parse_program(source)?;
+    crate::normalize(&mut program);
+    Ok(program.sole_loop().map(|l| {
+        let flat = crate::visit::count_stmts(&l.body).loops == 0;
+        (fingerprint_loop(l, &program.symbols), flat)
+    }))
 }
 
 /// Fingerprints a whole program body (top-level statements in order).

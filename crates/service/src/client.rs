@@ -1,8 +1,9 @@
 //! A resilient TCP client for the analysis service.
 //!
-//! [`Client`] speaks the newline-framed JSON protocol (see [`proto`]) and
-//! layers the fault-tolerance a long-lived caller needs on top of a raw
-//! socket:
+//! [`Client`] sends every verb as one [`arrayflow_wire::proto::Request`],
+//! encoded by the protocol of its connection (newline-framed JSON, see
+//! [`proto`], or `AFWIRE01`), and layers the fault-tolerance a long-lived
+//! caller needs on top of a raw [`arrayflow_wire::Connection`]:
 //!
 //! * **reconnect** — a dropped or half-dead connection is replaced
 //!   transparently on the next request, *into the same protocol mode*:
@@ -17,7 +18,7 @@
 //!   costs one backoff delay, not the whole retry budget;
 //! * **per-request deadlines** — connect and read/write timeouts from
 //!   [`ClientConfig`], so a wedged server costs bounded time, never a
-//!   hang;
+//!   hang, and a response is read up to a size cap, never unbounded;
 //! * **retries with jittered exponential backoff** — transport failures
 //!   and `overloaded` responses are retried up to
 //!   [`ClientConfig::max_retries`] times with full-jitter delays from
@@ -27,7 +28,8 @@
 //!
 //! Structured service errors other than `overloaded` (`parse`,
 //! `analysis`, `timeout`, `protocol`) are *not* retried: the server
-//! answered, the answer is a fact about the request.
+//! answered, the answer is a fact about the request. Nor is an
+//! undecodable response ([`ClientError::Protocol`]).
 //!
 //! ```no_run
 //! use arrayflow_service::{Client, ClientConfig};
@@ -42,24 +44,23 @@
 //! [`proto`]: crate::proto
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io;
 use std::time::{Duration, Instant};
 
-use arrayflow_engine::{CustomSpec, Direction, Mode};
+use arrayflow_engine::CustomSpec;
 use arrayflow_resilience::{Backoff, RetryBudget};
-use arrayflow_wire::frame::read_frame;
 use arrayflow_wire::proto::{
-    with_deadline, AnalyzeOk, AnalyzeRequest, CustomRequest, DeltaOk, Request as WireRequest,
+    ceil_millis, AnalyzeOk, AnalyzeRequest, CustomRequest, DeltaOk, Request as WireRequest,
     Response as WireResponse, SessionOk,
 };
+use arrayflow_wire::Connection;
 
 use crate::binproto::kind_from_byte;
 use crate::json::Json;
-use crate::proto::ErrorKind;
+use crate::proto::{classify, parse_fingerprint_hex, ErrorKind, JsonRequest, BAD_FINGERPRINT};
 
-/// Cap on a single binary response frame the client will buffer. Reports
-/// are small; anything near this is a protocol violation, not data.
+/// Cap on a single response (frame payload or JSON line) the client will
+/// buffer. Reports are small; anything near this is a protocol violation.
 const MAX_RESPONSE_FRAME: usize = 64 << 20;
 
 /// Tuning for a [`Client`]: deadlines and the retry envelope.
@@ -79,11 +80,11 @@ pub struct ClientConfig {
     /// Seed for the jitter stream; `None` seeds from the clock. Fix it
     /// for reproducible retry timing in tests.
     pub backoff_seed: Option<u64>,
-    /// Overall per-request deadline budget. Sent to the server as
-    /// `deadline_ms` (JSON) or a deadline frame prefix (binary) so it can
-    /// shed the work when the budget runs out, and bounding the whole
-    /// retry envelope client-side: each attempt's socket timeout is the
-    /// *remaining* budget (never more than `request_timeout`), and no
+    /// Overall per-request deadline budget. Each attempt sends what
+    /// remains of it (rounded up to whole ms) as `deadline_ms` (JSON) or
+    /// a deadline frame prefix (binary) so the server can shed the work
+    /// when it runs out; client-side each attempt's socket timeout is the
+    /// remaining budget (never more than `request_timeout`), and no
     /// attempt starts once the budget is spent. `None` keeps the
     /// per-attempt `request_timeout` as the only deadline.
     pub deadline: Option<Duration>,
@@ -127,7 +128,8 @@ pub enum ClientError {
         /// The human-readable `error.message`.
         message: String,
     },
-    /// The server's response line was not a valid protocol frame.
+    /// The response was over the size cap or undecodable (the connection
+    /// is dropped), or the request has no form in its protocol.
     Protocol(String),
     /// The configured [`ClientConfig::deadline`] budget was spent before
     /// another attempt could start. The last transport or service error
@@ -211,30 +213,21 @@ pub struct OpenedSession {
     pub line: String,
 }
 
-/// The protocol a connection was opened with. The server locks each
-/// connection to the protocol of its first bytes, so a mode switch means
-/// a redial.
+/// The protocol a connection was opened with, and its connection slot.
+/// The server locks each connection to the protocol of its first bytes,
+/// so a mode switch means a redial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnMode {
-    Json,
-    Binary,
+    Json = 0,
+    Binary = 1,
 }
 
-impl ConnMode {
-    /// The connection-slot index for this mode.
-    fn slot(self) -> usize {
-        match self {
-            ConnMode::Json => 0,
-            ConnMode::Binary => 1,
-        }
-    }
-}
-
-/// One live connection: a write half and a buffered read half over the
-/// same socket, locked to one protocol.
-struct Conn {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
+/// A successful answer, in the protocol the request went out in.
+enum Reply {
+    /// The JSON `ok` response line, trailing newline included.
+    Line(String),
+    /// The decoded binary response.
+    Frame(WireResponse),
 }
 
 /// A reconnecting, retrying client for the analysis service.
@@ -249,7 +242,7 @@ pub struct Client {
     /// One slot per [`ConnMode`]: the server pins each connection to the
     /// protocol of its first bytes, so the slot *is* the negotiated mode
     /// and survives reconnects.
-    conns: [Option<Conn>; 2],
+    conns: [Option<Connection>; 2],
     next_id: u64,
     connects: u64,
     retries: u64,
@@ -335,23 +328,8 @@ impl Client {
     /// response line (reports, per-request cache stats). Idempotent, so
     /// transport failures and `overloaded` responses are retried.
     pub fn analyze(&mut self, program: &str) -> Result<String, ClientError> {
-        let id = self.fresh_id();
-        let frame = self.encode_request(vec![
-            ("id".into(), Json::Num(id as f64)),
-            ("verb".into(), Json::Str("analyze".into())),
-            ("program".into(), Json::Str(program.into())),
-        ]);
-        self.request(&frame)
-    }
-
-    /// Encodes a JSON request, appending the configured deadline budget
-    /// as `deadline_ms` so the server (and any router on the path) can
-    /// shed the work once the budget runs out.
-    fn encode_request(&self, mut fields: Vec<(String, Json)>) -> String {
-        if let Some(budget) = self.config.deadline {
-            fields.push(("deadline_ms".into(), Json::Num(budget.as_millis() as f64)));
-        }
-        Json::Obj(fields).to_string()
+        let req = self.analyze_req(None, Some(program));
+        self.request(req)
     }
 
     /// Solves a user-specified (G, K) problem over `program`; on success
@@ -360,14 +338,8 @@ impl Client {
     /// values in a `custom` section. Idempotent, so transport failures
     /// and `overloaded` responses are retried.
     pub fn custom(&mut self, program: &str, spec: CustomSpec) -> Result<String, ClientError> {
-        let id = self.fresh_id();
-        let frame = self.encode_request(vec![
-            ("id".into(), Json::Num(id as f64)),
-            ("verb".into(), Json::Str("custom".into())),
-            ("program".into(), Json::Str(program.into())),
-            ("spec".into(), spec_to_json(spec)),
-        ]);
-        self.request(&frame)
+        let req = self.custom_req(spec, None, Some(program));
+        self.request(req)
     }
 
     /// Opens an incremental analysis session over `program`: the server
@@ -377,21 +349,17 @@ impl Client {
     /// TTL/capacity bounds reclaim it).
     pub fn open_session(&mut self, program: &str) -> Result<OpenedSession, ClientError> {
         let id = self.fresh_id();
-        let frame = self.encode_request(vec![
-            ("id".into(), Json::Num(id as f64)),
-            ("verb".into(), Json::Str("open".into())),
-            ("program".into(), Json::Str(program.into())),
-        ]);
-        let line = self.request(&frame)?;
+        let line = self.request(WireRequest::Open {
+            id,
+            source: program.into(),
+        })?;
         let json = Json::parse(line.as_bytes())
             .map_err(|e| ClientError::Protocol(format!("unparseable open result: {e}")))?;
-        let result = json.get("result");
-        let session = result
-            .and_then(|r| r.get("session"))
+        let result = |field: &str| json.get("result")?.get(field);
+        let session = result("session")
             .and_then(Json::as_u64)
             .ok_or_else(|| ClientError::Protocol("open result has no `session` id".into()))?;
-        let fingerprint = result
-            .and_then(|r| r.get("fingerprint"))
+        let fingerprint = result("fingerprint")
             .and_then(Json::as_str)
             .ok_or_else(|| ClientError::Protocol("open result has no `fingerprint`".into()))?
             .to_string();
@@ -405,8 +373,10 @@ impl Client {
     /// Applies one statement replacement to an open session and returns
     /// the server's `ok` line (re-analyzed report, fallback flag, dirty
     /// column counts). `fingerprint` is the base fingerprint from
-    /// [`Client::open_session`]. Statement replacement is idempotent, so
-    /// transport failures and `overloaded` responses are retried.
+    /// [`Client::open_session`]; a malformed one is refused as the server
+    /// would refuse it (a `protocol` service error), without a round
+    /// trip. Statement replacement is idempotent, so transport failures
+    /// and `overloaded` responses are retried.
     pub fn delta(
         &mut self,
         session: u64,
@@ -414,60 +384,184 @@ impl Client {
         stmt: u64,
         text: &str,
     ) -> Result<String, ClientError> {
+        let fingerprint =
+            parse_fingerprint_hex(fingerprint).ok_or_else(|| ClientError::Service {
+                kind: Some(ErrorKind::Protocol),
+                message: BAD_FINGERPRINT.into(),
+            })?;
         let id = self.fresh_id();
-        let frame = self.encode_request(vec![
-            ("id".into(), Json::Num(id as f64)),
-            ("verb".into(), Json::Str("delta".into())),
-            ("session".into(), Json::Num(session as f64)),
-            ("fingerprint".into(), Json::Str(fingerprint.into())),
-            ("stmt".into(), Json::Num(stmt as f64)),
-            ("text".into(), Json::Str(text.into())),
-        ]);
-        self.request(&frame)
+        self.request(WireRequest::Delta {
+            id,
+            session,
+            fingerprint,
+            stmt,
+            text: text.into(),
+        })
     }
 
     /// `ping` round trip; proves liveness end to end.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.call("ping").map(drop)
+        let id = self.fresh_id();
+        self.request(WireRequest::Ping { id }).map(drop)
     }
 
     /// Fetches the server's `stats` response line.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        self.call("stats")
+        let id = self.fresh_id();
+        self.request(WireRequest::Stats { id })
     }
 
     /// Fetches the server's `metrics` response line (JSON metrics plus
     /// the Prometheus exposition).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        self.call("metrics")
+        let id = self.fresh_id();
+        self.request(WireRequest::Metrics { id })
     }
 
     /// Asks the server to drain and stop.
     pub fn shutdown(&mut self) -> Result<String, ClientError> {
-        self.call("shutdown")
+        let id = self.fresh_id();
+        self.request(WireRequest::Shutdown { id })
     }
 
-    /// Sends a bare `{id, verb}` request.
-    pub fn call(&mut self, verb: &str) -> Result<String, ClientError> {
-        let frame = Json::Obj(vec![
-            ("id".into(), Json::Num(self.fresh_id() as f64)),
-            ("verb".into(), Json::Str(verb.into())),
-        ]);
-        self.request(&frame.to_string())
-    }
-
-    /// Sends one pre-encoded request frame (no trailing newline) with
-    /// the full resilience envelope, returning the server's `ok`
+    /// Sends `req` over the JSON protocol, its wire id as the JSON `id`,
+    /// with the full resilience envelope, returning the server's `ok`
     /// response line. Only send idempotent requests through this —
     /// ambiguous transport failures are resent.
-    pub fn request(&mut self, frame: &str) -> Result<String, ClientError> {
+    pub fn request(&mut self, req: WireRequest) -> Result<String, ClientError> {
+        match self.send(ConnMode::Json, &req)? {
+            Reply::Line(line) => Ok(line),
+            Reply::Frame(_) => unreachable!("a JSON exchange answers with a line"),
+        }
+    }
+
+    /// Analyzes one DSL program over the binary protocol, returning the
+    /// decoded response (per-loop fingerprints + store-codec report
+    /// bytes, per-request cache stats).
+    pub fn analyze_binary(&mut self, program: &str) -> Result<AnalyzeOk, ClientError> {
+        let req = self.analyze_req(None, Some(program));
+        self.request_binary(&req).and_then(analyzed)
+    }
+
+    /// The fingerprint-first fast path: probes the server's caches with a
+    /// precomputed fingerprint (see `arrayflow::fingerprint`), optionally
+    /// shipping the source as fallback so a cache miss still analyzes
+    /// instead of erroring.
+    pub fn analyze_fingerprint(
+        &mut self,
+        fingerprint: [u8; 16],
+        source: Option<&str>,
+    ) -> Result<AnalyzeOk, ClientError> {
+        let req = self.analyze_req(Some(fingerprint), source);
+        self.request_binary(&req).and_then(analyzed)
+    }
+
+    /// Opens an incremental analysis session over the binary protocol;
+    /// the returned [`SessionOk`] carries the session id, its base
+    /// fingerprint bytes (carry them on every [`Client::delta_binary`])
+    /// and the store-codec encoding of the initial report.
+    pub fn open_session_binary(&mut self, program: &str) -> Result<SessionOk, ClientError> {
+        let id = self.fresh_id();
+        let source = program.into();
+        match self.request_binary(&WireRequest::Open { id, source })? {
+            WireResponse::Session(ok) => Ok(ok),
+            other => Err(unexpected("a session response", other)),
+        }
+    }
+
+    /// Applies one statement replacement to an open session over the
+    /// binary protocol. `fingerprint` is the base fingerprint from
+    /// [`Client::open_session_binary`] (the session's shard key at the
+    /// cluster router). Idempotent, so retried on transport failures.
+    pub fn delta_binary(
+        &mut self,
+        session: u64,
+        fingerprint: [u8; 16],
+        stmt: u64,
+        text: &str,
+    ) -> Result<DeltaOk, ClientError> {
+        let id = self.fresh_id();
+        let text = text.into();
+        let req = WireRequest::Delta {
+            id,
+            session,
+            fingerprint,
+            stmt,
+            text,
+        };
+        match self.request_binary(&req)? {
+            WireResponse::Delta(ok) => Ok(ok),
+            other => Err(unexpected("a delta response", other)),
+        }
+    }
+
+    /// Solves a user-specified (G, K) problem over the binary protocol.
+    /// The response reuses the analyze shape: per-loop fingerprints and
+    /// store-codec report bytes whose decoded form carries the custom
+    /// section.
+    pub fn custom_binary(
+        &mut self,
+        program: &str,
+        spec: CustomSpec,
+    ) -> Result<AnalyzeOk, ClientError> {
+        let req = self.custom_req(spec, None, Some(program));
+        self.request_binary(&req).and_then(analyzed)
+    }
+
+    /// The fingerprint-first fast path for a custom problem: probes the
+    /// server's caches under the spec-extended key, optionally shipping
+    /// the source as fallback so a miss still solves instead of erroring.
+    pub fn custom_fingerprint(
+        &mut self,
+        fingerprint: [u8; 16],
+        spec: CustomSpec,
+        source: Option<&str>,
+    ) -> Result<AnalyzeOk, ClientError> {
+        let req = self.custom_req(spec, Some(fingerprint), source);
+        self.request_binary(&req).and_then(analyzed)
+    }
+
+    /// Binary `ping` round trip.
+    pub fn ping_binary(&mut self) -> Result<(), ClientError> {
+        let id = self.fresh_id();
+        match self.request_binary(&WireRequest::Ping { id })? {
+            WireResponse::Text { .. } => Ok(()),
+            other => Err(unexpected("a text response", other)),
+        }
+    }
+
+    /// Fetches the Prometheus metrics exposition over the binary
+    /// protocol (the binary `metrics` verb ships it without a JSON
+    /// wrapper).
+    pub fn metrics_prometheus(&mut self) -> Result<String, ClientError> {
+        let id = self.fresh_id();
+        match self.request_binary(&WireRequest::Metrics { id })? {
+            WireResponse::Text { text, .. } => Ok(text),
+            other => Err(unexpected("a text response", other)),
+        }
+    }
+
+    /// Sends `req` over the binary protocol with the same resilience
+    /// envelope as [`Client::request`], returning the decoded response.
+    pub fn request_binary(&mut self, req: &WireRequest) -> Result<WireResponse, ClientError> {
+        match self.send(ConnMode::Binary, req)? {
+            Reply::Frame(resp) => Ok(resp),
+            Reply::Line(_) => unreachable!("a binary exchange answers with a frame"),
+        }
+    }
+
+    /// The retry envelope around [`Client::attempt`]: reconnect on
+    /// transport failure, jittered backoff retries for `Io` and
+    /// `overloaded` outcomes, every attempt bounded by — and carrying —
+    /// the remaining deadline budget.
+    fn send(&mut self, mode: ConnMode, req: &WireRequest) -> Result<Reply, ClientError> {
         let mut backoff = self.fresh_backoff();
         let started = Instant::now();
         let mut last: Option<ClientError> = None;
         loop {
-            let timeout = self.attempt_timeout(started, &mut last)?;
-            let err = match self.attempt(frame, timeout) {
-                Ok(line) => return Ok(line),
+            let (timeout, deadline_ms) = self.attempt_deadline(started, &mut last)?;
+            let err = match self.attempt(mode, req, timeout, deadline_ms) {
+                Ok(reply) => return Ok(reply),
                 Err(e) => e,
             };
             if !err.is_retryable()
@@ -495,16 +589,17 @@ impl Client {
         }
     }
 
-    /// The next attempt's socket deadline: the remaining overall budget,
-    /// never more than `request_timeout`. `Err` when the budget is spent
-    /// before the attempt could start.
-    fn attempt_timeout(
+    /// The next attempt's socket deadline — the remaining overall budget,
+    /// never more than `request_timeout` — and the budget it carries on
+    /// the wire, the remainder rounded up to whole milliseconds. `Err`
+    /// when the budget is spent before the attempt could start.
+    fn attempt_deadline(
         &self,
         started: Instant,
         last: &mut Option<ClientError>,
-    ) -> Result<Duration, ClientError> {
+    ) -> Result<(Duration, Option<u64>), ClientError> {
         let Some(budget) = self.config.deadline else {
-            return Ok(self.config.request_timeout);
+            return Ok((self.config.request_timeout, None));
         };
         let remaining = budget.saturating_sub(started.elapsed());
         if remaining.is_zero() {
@@ -513,261 +608,47 @@ impl Client {
                 last_error: last.take().map(Box::new),
             });
         }
-        Ok(remaining.min(self.config.request_timeout))
+        Ok((
+            remaining.min(self.config.request_timeout),
+            Some(ceil_millis(remaining)),
+        ))
     }
 
-    /// Analyzes one DSL program over the binary protocol, returning the
-    /// decoded response (per-loop fingerprints + store-codec report
-    /// bytes, per-request cache stats).
-    pub fn analyze_binary(&mut self, program: &str) -> Result<AnalyzeOk, ClientError> {
-        let id = self.fresh_id();
-        self.analyze_request(AnalyzeRequest {
-            id,
-            fingerprint: None,
-            problems: None,
-            distance_bound: None,
-            source: Some(program.as_bytes().to_vec()),
-        })
-    }
-
-    /// The fingerprint-first fast path: probes the server's caches with a
-    /// precomputed fingerprint (see `arrayflow::fingerprint`), optionally
-    /// shipping the source as fallback so a cache miss still analyzes
-    /// instead of erroring.
-    pub fn analyze_fingerprint(
+    /// One attempt: encode `req` for `mode`, exchange it on that mode's
+    /// connection under `timeout`, decode the answer. A transport failure
+    /// drops every connection (a late response would desync request and
+    /// response pairing); an answer that cannot be trusted drops this
+    /// one and is not retried.
+    fn attempt(
         &mut self,
-        fingerprint: [u8; 16],
-        source: Option<&str>,
-    ) -> Result<AnalyzeOk, ClientError> {
-        let id = self.fresh_id();
-        self.analyze_request(AnalyzeRequest {
-            id,
-            fingerprint: Some(fingerprint),
-            problems: None,
-            distance_bound: None,
-            source: source.map(|s| s.as_bytes().to_vec()),
-        })
-    }
-
-    /// Opens an incremental analysis session over the binary protocol;
-    /// the returned [`SessionOk`] carries the session id, its base
-    /// fingerprint bytes (carry them on every [`Client::delta_binary`])
-    /// and the store-codec encoding of the initial report.
-    pub fn open_session_binary(&mut self, program: &str) -> Result<SessionOk, ClientError> {
-        let id = self.fresh_id();
-        let req = WireRequest::Open {
-            id,
-            source: program.as_bytes().to_vec(),
-        };
-        match self.request_binary(&req)? {
-            WireResponse::Session(ok) => Ok(ok),
-            other => Err(ClientError::Protocol(format!(
-                "expected a session response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Applies one statement replacement to an open session over the
-    /// binary protocol. `fingerprint` is the base fingerprint from
-    /// [`Client::open_session_binary`] (the session's shard key at the
-    /// cluster router). Idempotent, so retried on transport failures.
-    pub fn delta_binary(
-        &mut self,
-        session: u64,
-        fingerprint: [u8; 16],
-        stmt: u64,
-        text: &str,
-    ) -> Result<DeltaOk, ClientError> {
-        let id = self.fresh_id();
-        let req = WireRequest::Delta {
-            id,
-            session,
-            fingerprint,
-            stmt,
-            text: text.as_bytes().to_vec(),
-        };
-        match self.request_binary(&req)? {
-            WireResponse::Delta(ok) => Ok(ok),
-            other => Err(ClientError::Protocol(format!(
-                "expected a delta response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Solves a user-specified (G, K) problem over the binary protocol.
-    /// The response reuses the analyze shape: per-loop fingerprints and
-    /// store-codec report bytes whose decoded form carries the custom
-    /// section.
-    pub fn custom_binary(
-        &mut self,
-        program: &str,
-        spec: CustomSpec,
-    ) -> Result<AnalyzeOk, ClientError> {
-        let id = self.fresh_id();
-        self.custom_request(CustomRequest {
-            id,
-            spec: spec.bits(),
-            fingerprint: None,
-            distance_bound: None,
-            source: Some(program.as_bytes().to_vec()),
-        })
-    }
-
-    /// The fingerprint-first fast path for a custom problem: probes the
-    /// server's caches under the spec-extended key, optionally shipping
-    /// the source as fallback so a miss still solves instead of erroring.
-    pub fn custom_fingerprint(
-        &mut self,
-        fingerprint: [u8; 16],
-        spec: CustomSpec,
-        source: Option<&str>,
-    ) -> Result<AnalyzeOk, ClientError> {
-        let id = self.fresh_id();
-        self.custom_request(CustomRequest {
-            id,
-            spec: spec.bits(),
-            fingerprint: Some(fingerprint),
-            distance_bound: None,
-            source: source.map(|s| s.as_bytes().to_vec()),
-        })
-    }
-
-    fn custom_request(&mut self, req: CustomRequest) -> Result<AnalyzeOk, ClientError> {
-        match self.request_binary(&WireRequest::Custom(req))? {
-            WireResponse::Analyze(ok) => Ok(ok),
-            other => Err(ClientError::Protocol(format!(
-                "expected an analyze response, got {other:?}"
-            ))),
-        }
-    }
-
-    fn analyze_request(&mut self, req: AnalyzeRequest) -> Result<AnalyzeOk, ClientError> {
-        match self.request_binary(&WireRequest::Analyze(req))? {
-            WireResponse::Analyze(ok) => Ok(ok),
-            other => Err(ClientError::Protocol(format!(
-                "expected an analyze response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Binary `ping` round trip.
-    pub fn ping_binary(&mut self) -> Result<(), ClientError> {
-        let id = self.fresh_id();
-        match self.request_binary(&WireRequest::Ping { id })? {
-            WireResponse::Text { .. } => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected a text response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Fetches the Prometheus metrics exposition over the binary
-    /// protocol (the binary `metrics` verb ships it without a JSON
-    /// wrapper).
-    pub fn metrics_prometheus(&mut self) -> Result<String, ClientError> {
-        let id = self.fresh_id();
-        match self.request_binary(&WireRequest::Metrics { id })? {
-            WireResponse::Text { text, .. } => Ok(text),
-            other => Err(ClientError::Protocol(format!(
-                "expected a text response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Sends one binary request with the same resilience envelope as
-    /// [`Client::request`]: reconnect on transport failure, jittered
-    /// backoff retries for `Io` and `overloaded` outcomes. The connection
-    /// is (re)dialed in binary mode if it was speaking JSON.
-    pub fn request_binary(&mut self, req: &WireRequest) -> Result<WireResponse, ClientError> {
-        let (tag, payload) = (req.tag(), req.encode_payload());
-        let mut backoff = self.fresh_backoff();
-        let started = Instant::now();
-        let mut last: Option<ClientError> = None;
-        loop {
-            let timeout = self.attempt_timeout(started, &mut last)?;
-            // With a budget configured, each attempt carries the
-            // *remaining* milliseconds as its deadline prefix, so the
-            // server sheds the job right when the client stops waiting.
-            let frame = match self.config.deadline {
-                Some(budget) => {
-                    let remaining = budget.saturating_sub(started.elapsed());
-                    let (dtag, dpayload) =
-                        with_deadline(tag, &payload, remaining.as_millis() as u64);
-                    arrayflow_wire::encode_frame(dtag, &dpayload)
-                }
-                None => arrayflow_wire::encode_frame(tag, &payload),
-            };
-            let err = match self.attempt_binary(&frame, timeout) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => e,
-            };
-            if !err.is_retryable()
-                || backoff.attempt() >= self.config.max_retries
-                || !self.retry_budget.try_acquire()
-            {
-                return Err(err);
-            }
-            self.retries += 1;
-            last = Some(err);
-            std::thread::sleep(backoff.next_delay());
-        }
-    }
-
-    fn attempt_binary(
-        &mut self,
-        frame: &[u8],
+        mode: ConnMode,
+        req: &WireRequest,
         timeout: Duration,
-    ) -> Result<WireResponse, ClientError> {
-        let (tag, payload) = match self.send_recv_binary(frame, timeout) {
-            Ok(f) => f,
+        deadline_ms: Option<u64>,
+    ) -> Result<Reply, ClientError> {
+        let frame = encode_attempt(mode, req, deadline_ms)?;
+        let exchanged = self.ensure_conn(mode).and_then(|conn| match mode {
+            ConnMode::Json => conn
+                .exchange_line(&frame, timeout, MAX_RESPONSE_FRAME)
+                .map(decode_line),
+            ConnMode::Binary => conn
+                .exchange_frame(&frame, timeout, MAX_RESPONSE_FRAME)
+                .map(|(tag, payload)| decode_frame(tag, &payload)),
+        });
+        let decoded = match exchanged {
+            Ok(decoded) => decoded,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                Err(ClientError::Protocol(format!("unframeable response: {e}")))
+            }
             Err(e) => {
                 self.transport_failure();
                 return Err(ClientError::Io(e));
             }
         };
-        let resp = match WireResponse::decode(tag, &payload) {
-            Ok(resp) => resp,
-            Err(e) => {
-                // The stream may be desynced; force a redial, but do not
-                // retry — a malformed response is a fact, not a flake.
-                self.conns[ConnMode::Binary.slot()] = None;
-                return Err(ClientError::Protocol(format!("undecodable response: {e}")));
-            }
-        };
-        match resp {
-            WireResponse::Err { kind, message, .. } => Err(ClientError::Service {
-                kind: kind_from_byte(kind),
-                message,
-            }),
-            ok => Ok(ok),
+        if let Err(ClientError::Protocol(_)) = decoded {
+            self.conns[mode as usize] = None;
         }
-    }
-
-    fn send_recv_binary(&mut self, frame: &[u8], timeout: Duration) -> io::Result<(u8, Vec<u8>)> {
-        let conn = self.ensure_conn(ConnMode::Binary)?;
-        // Socket options live on the shared file description, so setting
-        // them on the write half also bounds the buffered reader's reads.
-        conn.writer.set_read_timeout(Some(timeout))?;
-        conn.writer.set_write_timeout(Some(timeout))?;
-        conn.writer.write_all(frame)?;
-        conn.writer.flush()?;
-        read_frame(&mut conn.reader, MAX_RESPONSE_FRAME)
-    }
-
-    /// One attempt: ensure a connection, write the frame, read and
-    /// classify the response line.
-    fn attempt(&mut self, frame: &str, timeout: Duration) -> Result<String, ClientError> {
-        let line = match self.send_recv(frame, timeout) {
-            Ok(line) => line,
-            Err(e) => {
-                // The socket is in an unknown state (a late response
-                // would desync request/response pairing) — drop it and
-                // let the next attempt redial.
-                self.transport_failure();
-                return Err(ClientError::Io(e));
-            }
-        };
-        classify(&line)
+        decoded
     }
 
     /// A transport-level failure: every connection to the active address
@@ -782,50 +663,44 @@ impl Client {
         }
     }
 
-    fn send_recv(&mut self, frame: &str, timeout: Duration) -> io::Result<String> {
-        let conn = self.ensure_conn(ConnMode::Json)?;
-        conn.writer.set_read_timeout(Some(timeout))?;
-        conn.writer.set_write_timeout(Some(timeout))?;
-        conn.writer.write_all(frame.as_bytes())?;
-        conn.writer.write_all(b"\n")?;
-        conn.writer.flush()?;
-        let mut line = String::new();
-        let n = conn.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(line)
-    }
-
-    fn ensure_conn(&mut self, mode: ConnMode) -> io::Result<&mut Conn> {
-        let slot = mode.slot();
+    fn ensure_conn(&mut self, mode: ConnMode) -> io::Result<&mut Connection> {
+        let slot = mode as usize;
         if self.conns[slot].is_none() {
-            let addr = self.addrs[self.active]
-                .to_socket_addrs()?
-                .next()
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-                })?;
-            let stream = TcpStream::connect_timeout(&addr, self.config.connect_timeout)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(self.config.request_timeout))?;
-            stream.set_write_timeout(Some(self.config.request_timeout))?;
-            let reader = BufReader::new(stream.try_clone()?);
-            self.conns[slot] = Some(Conn {
-                writer: stream,
-                reader,
-            });
+            let conn = Connection::dial(&self.addrs[self.active], self.config.connect_timeout)?;
+            self.conns[slot] = Some(conn);
             self.connects += 1;
         }
-        Ok(self.conns[slot].as_mut().expect("connection just ensured"))
+        Ok(self.conns[slot].as_mut().expect("connection just dialed"))
     }
 
     fn fresh_id(&mut self) -> u64 {
         self.next_id += 1;
         self.next_id
+    }
+
+    fn analyze_req(&mut self, fingerprint: Option<[u8; 16]>, source: Option<&str>) -> WireRequest {
+        WireRequest::Analyze(AnalyzeRequest {
+            id: self.fresh_id(),
+            fingerprint,
+            problems: None,
+            distance_bound: None,
+            source: source.map(Into::into),
+        })
+    }
+
+    fn custom_req(
+        &mut self,
+        spec: CustomSpec,
+        fingerprint: Option<[u8; 16]>,
+        source: Option<&str>,
+    ) -> WireRequest {
+        WireRequest::Custom(CustomRequest {
+            id: self.fresh_id(),
+            spec: spec.bits(),
+            fingerprint,
+            distance_bound: None,
+            source: source.map(Into::into),
+        })
     }
 }
 
@@ -842,74 +717,69 @@ impl fmt::Debug for Client {
     }
 }
 
-/// Renders a [`CustomSpec`] as the JSON `spec` object the protocol takes.
-fn spec_to_json(spec: CustomSpec) -> Json {
-    let roles = |defs: bool, uses: bool| {
-        let mut out = Vec::new();
-        if defs {
-            out.push(Json::Str("defs".into()));
+/// One attempt's bytes: `req` in `mode`'s encoding — a JSON line through
+/// [`JsonRequest::encode`], or an `AFWIRE01` frame — carrying
+/// `deadline_ms` when a budget is configured.
+fn encode_attempt(
+    mode: ConnMode,
+    req: &WireRequest,
+    deadline_ms: Option<u64>,
+) -> Result<Vec<u8>, ClientError> {
+    match mode {
+        ConnMode::Json => {
+            let line = JsonRequest {
+                id: Json::Num(req.id() as f64),
+                request: req.clone(),
+                deadline_ms,
+            }
+            .encode()
+            .map_err(ClientError::Protocol)?;
+            Ok(format!("{line}\n").into_bytes())
         }
-        if uses {
-            out.push(Json::Str("uses".into()));
-        }
-        Json::Arr(out)
-    };
-    Json::Obj(vec![
-        ("gen".into(), roles(spec.gen_defs, spec.gen_uses)),
-        ("kill".into(), roles(spec.kill_defs, spec.kill_uses)),
-        (
-            "direction".into(),
-            Json::Str(
-                match spec.direction {
-                    Direction::Forward => "forward",
-                    Direction::Backward => "backward",
-                }
-                .into(),
-            ),
-        ),
-        (
-            "mode".into(),
-            Json::Str(
-                match spec.mode {
-                    Mode::Must => "must",
-                    Mode::May => "may",
-                }
-                .into(),
-            ),
-        ),
-    ])
+        ConnMode::Binary => Ok(req.to_frame(deadline_ms)),
+    }
 }
 
-/// Splits a response line into ok / structured error / protocol noise.
-fn classify(line: &str) -> Result<String, ClientError> {
-    let json = Json::parse(line.as_bytes())
-        .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
-    match json.get("ok").and_then(Json::as_bool) {
-        Some(true) => Ok(line.to_string()),
-        Some(false) => {
-            let error = json.get("error");
-            let kind = error
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str)
-                .and_then(ErrorKind::from_wire);
-            let message = error
-                .and_then(|e| e.get("message"))
-                .and_then(Json::as_str)
-                .unwrap_or("server sent no error message")
-                .to_string();
-            Err(ClientError::Service { kind, message })
-        }
-        None => Err(ClientError::Protocol(
-            "response frame has no boolean `ok` field".to_string(),
-        )),
+/// A JSON response line: the `ok` line itself, or its structured error.
+fn decode_line(line: Vec<u8>) -> Result<Reply, ClientError> {
+    let line = String::from_utf8(line)
+        .map_err(|_| ClientError::Protocol("response line is not UTF-8".into()))?;
+    classify(&line)?;
+    Ok(Reply::Line(line))
+}
+
+/// A binary response frame: the decoded response, or its structured
+/// error.
+fn decode_frame(tag: u8, payload: &[u8]) -> Result<Reply, ClientError> {
+    match WireResponse::decode(tag, payload) {
+        Ok(WireResponse::Err { kind, message, .. }) => Err(ClientError::Service {
+            kind: kind_from_byte(kind),
+            message,
+        }),
+        Ok(resp) => Ok(Reply::Frame(resp)),
+        Err(e) => Err(ClientError::Protocol(format!("undecodable response: {e}"))),
     }
+}
+
+/// The analyze-shaped answer of `analyze` and `custom`.
+fn analyzed(resp: WireResponse) -> Result<AnalyzeOk, ClientError> {
+    match resp {
+        WireResponse::Analyze(ok) => Ok(ok),
+        other => Err(unexpected("an analyze response", other)),
+    }
+}
+
+/// A well-formed answer of the wrong shape for the verb asked.
+fn unexpected(expected: &str, got: WireResponse) -> ClientError {
+    ClientError::Protocol(format!("expected {expected}, got {got:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
-    use std::net::TcpListener;
+    use arrayflow_wire::frame::read_frame;
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
@@ -1090,13 +960,13 @@ mod tests {
         let b = json_server("B", false, conns);
         let mut client = Client::new_multi([a.clone(), b], cfg());
 
-        let line = client.call("ping").unwrap();
+        let line = client.request(WireRequest::Ping { id: 1 }).unwrap();
         assert!(line.contains("pong-A"), "{line}");
         assert_eq!(client.active_addr(), a);
 
         // A is dark now; the next request rotates to B inside the retry
         // envelope instead of exhausting it against the dead node.
-        let line = client.call("ping").unwrap();
+        let line = client.request(WireRequest::Ping { id: 2 }).unwrap();
         assert!(line.contains("pong-B"), "{line}");
         assert!(client.failovers() >= 1, "{client:?}");
         assert_ne!(client.active_addr(), a);
@@ -1196,20 +1066,91 @@ mod tests {
         assert_eq!(client.connects(), 0, "no attempt may dial: {client:?}");
     }
 
+    /// The JSON line the client's first attempt at `req` would send.
+    fn first_json_attempt(client: &Client, req: &WireRequest) -> String {
+        let (_, deadline_ms) = client.attempt_deadline(Instant::now(), &mut None).unwrap();
+        let line = encode_attempt(ConnMode::Json, req, deadline_ms).unwrap();
+        String::from_utf8(line).unwrap()
+    }
+
     #[test]
     fn configured_deadline_rides_on_json_requests() {
         let mut config = cfg();
         config.deadline = Some(Duration::from_millis(250));
-        let client = Client::new("127.0.0.1:1", config);
-        let frame = client.encode_request(vec![
-            ("id".into(), Json::Num(1.0)),
-            ("verb".into(), Json::Str("analyze".into())),
-        ]);
+        let mut client = Client::new("127.0.0.1:1", config);
+        let req = client.analyze_req(None, Some("x := 1;"));
+        let frame = first_json_attempt(&client, &req);
         assert!(frame.contains(r#""deadline_ms":250"#), "{frame}");
 
         let bare = Client::new("127.0.0.1:1", cfg());
-        let frame = bare.encode_request(vec![("id".into(), Json::Num(1.0))]);
+        let frame = first_json_attempt(&bare, &WireRequest::Ping { id: 1 });
         assert!(!frame.contains("deadline_ms"), "{frame}");
+    }
+
+    #[test]
+    fn every_json_attempt_carries_the_remaining_budget() {
+        // The server takes 30 ms to answer `overloaded`, so the retry
+        // must ship a budget at least 30 ms smaller than the first
+        // attempt's — and never the 0 that means "already expired".
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let Ok((mut stream, _)) = listener.accept() else {
+                return;
+            };
+            while let Some(line) = read_json_line(&mut stream, None) {
+                let json = Json::parse(line.as_bytes()).unwrap();
+                let _ = seen_tx.send(json.get("deadline_ms").and_then(Json::as_u64));
+                std::thread::sleep(Duration::from_millis(30));
+                let id = json.get("id").cloned().unwrap_or(Json::Null);
+                let resp = format!(
+                    "{{\"id\":{id},\"ok\":false,\"error\":{{\"kind\":\"overloaded\",\
+                     \"message\":\"queue full\"}}}}\n"
+                );
+                if stream.write_all(resp.as_bytes()).is_err() {
+                    return;
+                }
+            }
+        });
+        let mut config = cfg();
+        config.max_retries = 1;
+        config.deadline = Some(Duration::from_secs(2));
+        let mut client = Client::new(addr, config);
+        let err = client.analyze("x := 1;").expect_err("always overloaded");
+        assert!(matches!(err, ClientError::Service { .. }), "{err:?}");
+        assert_eq!(client.retries(), 1, "{client:?}");
+        let first = seen_rx.recv().unwrap().expect("first attempt budget");
+        let retry = seen_rx.recv().unwrap().expect("retry budget");
+        assert!(retry >= 1, "{retry}");
+        assert!(retry + 30 <= first, "first {first} ms, retry {retry} ms");
+    }
+
+    #[test]
+    fn an_endless_json_response_is_a_protocol_error() {
+        // A server streaming one byte past the cap without a newline must
+        // not grow the client's buffer without bound: the read stops at
+        // the cap, the connection drops, and nothing is retried.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            let Ok((mut stream, _)) = listener.accept() else {
+                return;
+            };
+            let _ = read_json_line(&mut stream, None);
+            let _ = stream.write_all(&vec![b'x'; MAX_RESPONSE_FRAME + 1]);
+            // Hold the socket open until the client is done.
+            let _ = done_rx.recv();
+        });
+        let mut client = Client::new(addr, cfg());
+        let started = Instant::now();
+        let err = client.ping().expect_err("the response never ends");
+        let elapsed = started.elapsed();
+        drop(done_tx);
+        assert!(matches!(err, ClientError::Protocol(_)), "{err:?}");
+        assert_eq!(client.retries(), 0, "{client:?}");
+        assert!(elapsed < cfg().request_timeout / 2, "{elapsed:?}");
     }
 
     #[test]

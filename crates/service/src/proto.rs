@@ -1,6 +1,8 @@
 //! The JSON edge codec: newline-framed JSON requests and responses,
 //! decoded onto the one request model ([`arrayflow_wire::proto::Request`])
-//! and encoded back from the service's answers.
+//! and encoded back from the service's answers — and, for the
+//! [`Client`](crate::Client), the other way round: requests encoded from
+//! the model ([`JsonRequest::encode`]) and response lines classified back.
 //!
 //! One request per line, one response line per request, in order:
 //!
@@ -38,8 +40,12 @@ use arrayflow_engine::{
 };
 use arrayflow_wire::proto::{AnalyzeRequest, CustomRequest, Request};
 
+use crate::client::ClientError;
 use crate::json::Json;
 use crate::service::Answer;
+
+/// Why a malformed `fingerprint` is refused, by the decoder and the client.
+pub(crate) const BAD_FINGERPRINT: &str = "`fingerprint` must be 32 hex characters";
 
 /// The verbs a JSON request may name.
 const VERBS: [&str; 10] = [
@@ -184,12 +190,20 @@ impl JsonRequest {
         if !VERBS.contains(&verb) {
             return Err(fail(format!("unknown verb `{verb}`")));
         }
-
-        let program = match v.get("program") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s.clone()),
-            Some(_) => return Err(fail("`program` must be a string".into())),
+        let str_field = |name: &str| match v.get(name) {
+            None | Some(Json::Null) => Ok(None),
+            Some(Json::Str(s)) => Ok(Some(s.clone())),
+            Some(_) => Err(fail(format!("`{name}` must be a string"))),
         };
+        let uint_field = |name: &str| match v.get(name) {
+            None | Some(Json::Null) => Ok(None),
+            Some(n) => match n.as_u64() {
+                Some(n) => Ok(Some(n)),
+                None => Err(fail(format!("`{name}` must be a non-negative integer"))),
+            },
+        };
+
+        let program = str_field("program")?;
         if matches!(verb, "analyze" | "custom" | "open") && program.is_none() {
             return Err(fail(format!("`{verb}` requires a `program` string")));
         }
@@ -213,13 +227,7 @@ impl JsonRequest {
             Some(_) => return Err(fail("`problems` must be an array of names".into())),
         };
 
-        let distance_bound =
-            match v.get("distance_bound") {
-                None | Some(Json::Null) => None,
-                Some(n) => Some(n.as_u64().ok_or_else(|| {
-                    fail("`distance_bound` must be a non-negative integer".into())
-                })?),
-            };
+        let distance_bound = uint_field("distance_bound")?;
 
         let spec = match v.get("spec") {
             None | Some(Json::Null) => None,
@@ -243,29 +251,16 @@ impl JsonRequest {
             }
         }
 
-        let uint_field = |name: &str| -> Result<Option<u64>, (Json, ServiceError)> {
-            match v.get(name) {
-                None | Some(Json::Null) => Ok(None),
-                Some(n) => Ok(Some(n.as_u64().ok_or_else(|| {
-                    fail(format!("`{name}` must be a non-negative integer"))
-                })?)),
-            }
-        };
         let session = uint_field("session")?;
         let stmt = uint_field("stmt")?;
         let deadline_ms =
             uint_field("deadline_ms")?.map(|ms| ms.min(arrayflow_wire::proto::MAX_DEADLINE_MS));
-        let text = match v.get("text") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(s.clone()),
-            Some(_) => return Err(fail("`text` must be a string".into())),
-        };
+        let text = str_field("text")?;
         let fingerprint = match v.get("fingerprint") {
             None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(
-                parse_fingerprint_hex(s)
-                    .ok_or_else(|| fail("`fingerprint` must be 32 hex characters".into()))?,
-            ),
+            Some(Json::Str(s)) => {
+                Some(parse_fingerprint_hex(s).ok_or_else(|| fail(BAD_FINGERPRINT.into()))?)
+            }
             Some(_) => return Err(fail("`fingerprint` must be a hex string".into())),
         };
         if verb == "delta" {
@@ -321,6 +316,89 @@ impl JsonRequest {
             request,
             deadline_ms,
         })
+    }
+
+    /// Encodes the request as one JSON frame (no trailing newline), the
+    /// exact inverse of [`JsonRequest::decode`] for every request it
+    /// produces. The wire id is not carried: JSON correlates by
+    /// [`Self::id`]. `Err` names what JSON cannot carry: `replicate`, a
+    /// fingerprint on `analyze`/`custom`, non-UTF-8 text, or problem or
+    /// spec bits out of range.
+    pub fn encode(&self) -> Result<String, String> {
+        let num = |n: u64| Json::Num(n as f64);
+        let text = |bytes: &[u8]| match std::str::from_utf8(bytes) {
+            Ok(s) => Ok(Json::Str(s.into())),
+            Err(_) => Err("request text is not UTF-8".to_string()),
+        };
+        let program = |source: &Option<Vec<u8>>| source.as_deref().map(text).transpose();
+        let (verb, fields) = match &self.request {
+            Request::Ping { .. } => ("ping", vec![]),
+            Request::Stats { .. } => ("stats", vec![]),
+            Request::Metrics { .. } => ("metrics", vec![]),
+            Request::Health { .. } => ("health", vec![]),
+            Request::Compact { .. } => ("compact", vec![]),
+            Request::Shutdown { .. } => ("shutdown", vec![]),
+            Request::Open { source, .. } => ("open", vec![("program", Some(text(source)?))]),
+            Request::Delta {
+                session,
+                fingerprint,
+                stmt,
+                text: edit,
+                ..
+            } => {
+                let hex = arrayflow_ir::Fingerprint(u128::from_le_bytes(*fingerprint));
+                let fields = vec![
+                    ("session", Some(num(*session))),
+                    ("fingerprint", Some(Json::Str(hex.to_string()))),
+                    ("stmt", Some(num(*stmt))),
+                    ("text", Some(text(edit)?)),
+                ];
+                ("delta", fields)
+            }
+            Request::Analyze(a) if a.fingerprint.is_none() => {
+                let problems = match a.problems.map(ProblemSet::from_bits) {
+                    Some(None) => return Err("problem bits out of range".into()),
+                    set => set.flatten().map(|p| {
+                        flagged(&[
+                            (p.reaching, "reaching"),
+                            (p.available, "available"),
+                            (p.busy, "busy"),
+                            (p.reaching_refs, "reaching_refs"),
+                        ])
+                    }),
+                };
+                let fields = vec![
+                    ("program", program(&a.source)?),
+                    ("problems", problems),
+                    ("distance_bound", a.distance_bound.map(num)),
+                ];
+                ("analyze", fields)
+            }
+            Request::Custom(c) if c.fingerprint.is_none() => {
+                let spec = CustomSpec::from_bits(c.spec).ok_or("spec bits out of range")?;
+                let fields = vec![
+                    ("program", program(&c.source)?),
+                    ("spec", Some(custom_spec_json(spec))),
+                    ("distance_bound", c.distance_bound.map(num)),
+                ];
+                ("custom", fields)
+            }
+            Request::Analyze(_) | Request::Custom(_) => {
+                return Err("JSON `analyze` and `custom` carry no fingerprint".into())
+            }
+            Request::Replicate { .. } => return Err("`replicate` has no JSON form".into()),
+        };
+        let head = [
+            ("id", Some(self.id.clone())),
+            ("verb", Some(Json::Str(verb.into()))),
+        ];
+        let members = head
+            .into_iter()
+            .chain(fields)
+            .chain([("deadline_ms", self.deadline_ms.map(num))])
+            .filter_map(|(name, value)| Some((name.to_string(), value?)))
+            .collect();
+        Ok(Json::Obj(members).to_string())
     }
 }
 
@@ -390,6 +468,28 @@ fn parse_custom_spec(v: &Json) -> Result<CustomSpec, String> {
     })
 }
 
+/// The names whose flag is set, as a JSON array of strings.
+fn flagged(names: &[(bool, &str)]) -> Json {
+    let set = names.iter().filter(|n| n.0);
+    Json::Arr(set.map(|n| Json::Str(n.1.into())).collect())
+}
+
+/// Renders a [`CustomSpec`] as the `spec` object, every member spelled
+/// out: the inverse of [`parse_custom_spec`].
+fn custom_spec_json(spec: CustomSpec) -> Json {
+    let roles = |defs, uses| flagged(&[(defs, "defs"), (uses, "uses")]);
+    let word = |first: bool, yes: &str, no: &str| Json::Str(if first { yes } else { no }.into());
+    Json::Obj(vec![
+        ("gen".into(), roles(spec.gen_defs, spec.gen_uses)),
+        ("kill".into(), roles(spec.kill_defs, spec.kill_uses)),
+        (
+            "direction".into(),
+            word(spec.direction == Direction::Forward, "forward", "backward"),
+        ),
+        ("mode".into(), word(spec.mode == Mode::Must, "must", "may")),
+    ])
+}
+
 /// Parses the 32-hex-char fingerprint rendering
 /// ([`arrayflow_ir::Fingerprint`]'s `Display`) back to its wire bytes
 /// (little-endian `u128`, matching the binary protocol's layout).
@@ -425,6 +525,26 @@ pub fn encode_err(id: &Json, err: &ServiceError) -> String {
         ),
     ])
     .to_string()
+}
+
+/// Splits a response line into ok / structured error / protocol noise:
+/// the client's inverse of [`encode_ok`] and [`encode_err`].
+pub(crate) fn classify(line: &str) -> Result<(), ClientError> {
+    let json = Json::parse(line.as_bytes())
+        .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))?;
+    let error = |field: &str| json.get("error")?.get(field)?.as_str();
+    match json.get("ok").and_then(Json::as_bool) {
+        Some(true) => Ok(()),
+        Some(false) => Err(ClientError::Service {
+            kind: error("kind").and_then(ErrorKind::from_wire),
+            message: error("message")
+                .unwrap_or("server sent no error message")
+                .to_string(),
+        }),
+        None => Err(ClientError::Protocol(
+            "response frame has no boolean `ok` field".to_string(),
+        )),
+    }
 }
 
 /// Encodes one outcome as its response line (without trailing newline).
@@ -756,6 +876,103 @@ mod tests {
         );
         // Unknown kinds still degrade gracefully.
         assert_eq!(ErrorKind::from_wire("future_kind"), None);
+    }
+
+    #[test]
+    fn encode_is_the_exact_inverse_of_decode() {
+        let source = Some(b"do i = 1, 9 A[i+2] := A[i]; end".to_vec());
+        let mut fingerprint = [0u8; 16];
+        fingerprint
+            .iter_mut()
+            .zip(0u8..)
+            .for_each(|(b, i)| *b = i * 17);
+        let mut requests = vec![
+            Request::Ping { id: 0 },
+            Request::Stats { id: 0 },
+            Request::Metrics { id: 0 },
+            Request::Health { id: 0 },
+            Request::Compact { id: 0 },
+            Request::Shutdown { id: 0 },
+            Request::Open {
+                id: 0,
+                source: b"x := 1;".to_vec(),
+            },
+            Request::Delta {
+                id: 0,
+                session: 7,
+                fingerprint,
+                stmt: 3,
+                text: b"A[i] := 1;".to_vec(),
+            },
+        ];
+        for distance_bound in [None, Some(4)] {
+            for problems in (0..16).map(Some).chain([None]) {
+                requests.push(Request::Analyze(AnalyzeRequest {
+                    id: 0,
+                    fingerprint: None,
+                    problems,
+                    distance_bound,
+                    source: source.clone(),
+                }));
+            }
+            for spec in (0..=u8::MAX).filter(|&b| CustomSpec::from_bits(b).is_some()) {
+                requests.push(Request::Custom(CustomRequest {
+                    id: 0,
+                    spec,
+                    fingerprint: None,
+                    distance_bound,
+                    source: source.clone(),
+                }));
+            }
+        }
+        assert_eq!(requests.len(), 8 + 2 * (17 + 48));
+        for request in requests {
+            for id in [Json::Str("q7".into()), Json::Num(42.0), Json::Null] {
+                for deadline_ms in [None, Some(0), Some(250)] {
+                    let r = JsonRequest {
+                        id: id.clone(),
+                        request: request.clone(),
+                        deadline_ms,
+                    };
+                    let line = r.encode().unwrap();
+                    assert_eq!(decode(line.as_bytes()), r, "{line}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encode_refuses_what_json_cannot_carry() {
+        let refused = |request| {
+            let r = JsonRequest {
+                id: Json::Null,
+                request,
+                deadline_ms: None,
+            };
+            r.encode().unwrap_err()
+        };
+        let e = refused(Request::Replicate {
+            id: 1,
+            batch: vec![1, 2, 3],
+        });
+        assert!(e.contains("replicate"), "{e}");
+        let probe = Some([9u8; 16]);
+        let e = refused(Request::Analyze(AnalyzeRequest {
+            id: 0,
+            fingerprint: probe,
+            problems: None,
+            distance_bound: None,
+            source: Some(b"x := 1;".to_vec()),
+        }));
+        assert!(e.contains("fingerprint"), "{e}");
+        let e = refused(Request::Custom(CustomRequest {
+            id: 0,
+            spec: 0b01,
+            fingerprint: probe,
+            distance_bound: None,
+            source: None,
+        }));
+        assert!(e.contains("fingerprint"), "{e}");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!
 //! **Failover.** Each backend carries a health flag (refreshed by a
 //! background prober speaking the `health` verb), a
-//! [`CircuitBreaker`], and a small pool of binary-mode connections. A
+//! [`CircuitBreaker`], and a small pool of binary-mode connections
+//! ([`arrayflow_wire::Connection`], the client's connection type). A
 //! forward that fails rotates to the shard's designated replica — node
 //! `(i+1) % n`, the peer `serve --replicate-to` keeps warm with the
 //! primary's segment log — and is counted in
@@ -43,11 +44,11 @@ use arrayflow_engine::fingerprint_route_hash;
 use arrayflow_ir as ir;
 use arrayflow_obs::{Counter, Registry};
 use arrayflow_resilience::CircuitBreaker;
-use arrayflow_wire::encode_frame;
 use arrayflow_wire::frame::read_frame;
 use arrayflow_wire::proto::{
-    with_deadline, AnalyzeRequest, CustomRequest, Request as WireRequest, Response as WireResponse,
+    ceil_millis, AnalyzeRequest, CustomRequest, Request as WireRequest, Response as WireResponse,
 };
+use arrayflow_wire::{encode_frame, Connection};
 
 use crate::binproto::{answer_of, decode_request, response_frame};
 use crate::json::Json;
@@ -103,31 +104,14 @@ impl RouterConfig {
 struct Backend {
     healthy: AtomicBool,
     breaker: CircuitBreaker,
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Connection>>,
 }
 
 impl Backend {
-    fn dial(&self, addr: &str, config: &RouterConfig) -> io::Result<TcpStream> {
-        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-        })?;
-        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(config.request_timeout))?;
-        stream.set_write_timeout(Some(config.request_timeout))?;
-        Ok(stream)
-    }
-
-    fn exchange(
-        stream: &mut TcpStream,
-        frame: &[u8],
-        config: &RouterConfig,
-        deadline: Duration,
-    ) -> io::Result<(u8, Vec<u8>)> {
-        stream.set_read_timeout(Some(deadline))?;
-        stream.set_write_timeout(Some(deadline))?;
-        stream.write_all(frame)?;
-        read_frame(stream, config.max_frame_bytes)
+    /// Feeds one round trip's outcome to the breaker and health flag.
+    fn record(&self, ok: bool) {
+        self.breaker.record(ok);
+        self.healthy.store(ok, Ordering::SeqCst);
     }
 
     /// One request/response round trip on a pooled connection, bounded by
@@ -145,22 +129,22 @@ impl Backend {
         // keep the guard alive across `put_back`, re-locking the pool
         // mutex while it is still held.
         let pooled = self.pool.lock().unwrap().pop();
-        if let Some(mut stream) = pooled {
-            if let Ok(resp) = Self::exchange(&mut stream, frame, config, deadline) {
-                self.put_back(stream);
+        if let Some(mut conn) = pooled {
+            if let Ok(resp) = conn.exchange_frame(frame, deadline, config.max_frame_bytes) {
+                self.put_back(conn);
                 return Ok(resp);
             }
         }
-        let mut stream = self.dial(addr, config)?;
-        let resp = Self::exchange(&mut stream, frame, config, deadline)?;
-        self.put_back(stream);
+        let mut conn = Connection::dial(addr, config.connect_timeout)?;
+        let resp = conn.exchange_frame(frame, deadline, config.max_frame_bytes)?;
+        self.put_back(conn);
         Ok(resp)
     }
 
-    fn put_back(&self, stream: TcpStream) {
+    fn put_back(&self, conn: Connection) {
         let mut pool = self.pool.lock().unwrap();
         if pool.len() < POOL_CAP {
-            pool.push(stream);
+            pool.push(conn);
         }
     }
 }
@@ -286,18 +270,9 @@ impl Router {
             return None;
         }
         let addr = &self.config.topology.node(slot).addr;
-        match backend.round_trip(addr, frame, &self.config, deadline) {
-            Ok(resp) => {
-                backend.breaker.record(true);
-                backend.healthy.store(true, Ordering::SeqCst);
-                Some(resp)
-            }
-            Err(_) => {
-                backend.breaker.record(false);
-                backend.healthy.store(false, Ordering::SeqCst);
-                None
-            }
-        }
+        let resp = backend.round_trip(addr, frame, &self.config, deadline).ok();
+        backend.record(resp.is_some());
+        resp
     }
 
     /// The per-forward deadline for a request accepted at `accepted` with
@@ -325,7 +300,7 @@ impl Router {
             ));
         }
         self.ins.deadline_forwards.inc();
-        Ok((remaining, Some(remaining.as_millis() as u64)))
+        Ok((remaining, Some(ceil_millis(remaining))))
     }
 
     /// Routes `frame` by `hash` under `deadline`: primary shard first,
@@ -369,8 +344,7 @@ impl Router {
     ) -> Vec<(String, Option<WireResponse>)> {
         (0..self.backends.len())
             .map(|slot| {
-                let req = make_req(self.fresh_id());
-                let frame = encode_frame(req.tag(), &req.encode_payload());
+                let frame = make_req(self.fresh_id()).to_frame(None);
                 let resp = self
                     .try_backend(slot, &frame, self.config.request_timeout)
                     .and_then(|(tag, payload)| WireResponse::decode(tag, &payload).ok());
@@ -383,24 +357,20 @@ impl Router {
     /// and the probe counters.
     fn probe_all(&self) {
         for slot in 0..self.backends.len() {
-            let req = WireRequest::Health {
+            let frame = WireRequest::Health {
                 id: self.fresh_id(),
-            };
-            let frame = encode_frame(req.tag(), &req.encode_payload());
+            }
+            .to_frame(None);
             self.ins.probes.inc();
             let backend = &self.backends[slot];
             let addr = &self.config.topology.node(slot).addr;
-            match backend.round_trip(addr, &frame, &self.config, self.config.request_timeout) {
-                Ok(_) => {
-                    backend.breaker.record(true);
-                    backend.healthy.store(true, Ordering::SeqCst);
-                }
-                Err(_) => {
-                    self.ins.probe_failures.inc();
-                    backend.breaker.record(false);
-                    backend.healthy.store(false, Ordering::SeqCst);
-                }
+            let ok = backend
+                .round_trip(addr, &frame, &self.config, self.config.request_timeout)
+                .is_ok();
+            if !ok {
+                self.ins.probe_failures.inc();
             }
+            backend.record(ok);
         }
     }
 
@@ -587,7 +557,7 @@ impl Router {
         let hash = route_key(&mut req);
         let budget = budget_ms.map(|ms| Duration::from_millis(ms).min(self.config.request_timeout));
         let (deadline, remaining_ms) = self.forward_deadline(accepted, budget)?;
-        let frame = forward_frame(req.tag(), &req.encode_payload(), remaining_ms);
+        let frame = req.to_frame(remaining_ms);
         let ((tag, payload), via_replica) = self.forward_routed(hash, &frame, deadline)?;
         if via_replica {
             if let Ok(WireResponse::Analyze(ok)) = WireResponse::decode(tag, &payload) {
@@ -681,36 +651,14 @@ fn route_key(req: &mut WireRequest) -> u64 {
     };
     let Some((fp, flat)) = std::str::from_utf8(source)
         .ok()
-        .and_then(sole_loop_fingerprint)
+        .and_then(|s| ir::fingerprint_source(s).ok().flatten())
     else {
         return source_route_hash(source);
     };
     if let (Some(slot), true) = (slot, flat) {
-        *slot = Some(fp);
+        *slot = Some(fp.0.to_le_bytes());
     }
-    by_fingerprint(fp)
-}
-
-/// Mirrors `arrayflow::fingerprint`: the canonical fingerprint of a
-/// program whose body is one loop, and whether that loop is the only one
-/// (no loop nested in it). `None` when the source does not parse to
-/// exactly one top-level loop.
-fn sole_loop_fingerprint(source: &str) -> Option<([u8; 16], bool)> {
-    fn nests(body: &[ir::Stmt]) -> bool {
-        body.iter().any(|s| match s {
-            ir::Stmt::Do(_) => true,
-            ir::Stmt::If {
-                then_blk, else_blk, ..
-            } => nests(then_blk) || nests(else_blk),
-            ir::Stmt::Assign(_) => false,
-        })
-    }
-    let mut program = ir::parse_program(source).ok()?;
-    ir::normalize(&mut program);
-    program.renumber();
-    let l = program.sole_loop()?;
-    let fp = ir::fingerprint_loop(l, &program.symbols);
-    Some((fp.0.to_le_bytes(), !nests(&l.body)))
+    fingerprint_route_hash(fp)
 }
 
 /// FNV-1a over the source bytes, splitmix-finished — the fallback
@@ -747,18 +695,6 @@ fn merge_numeric(into: &mut Json, from: &Json) {
             }
         }
         _ => {}
-    }
-}
-
-/// Encodes a forwarded request frame, re-attaching the remaining budget
-/// as a deadline prefix when the client sent one.
-fn forward_frame(tag: u8, payload: &[u8], remaining_ms: Option<u64>) -> Vec<u8> {
-    match remaining_ms {
-        Some(ms) => {
-            let (ftag, fpayload) = with_deadline(tag, payload, ms);
-            encode_frame(ftag, &fpayload)
-        }
-        None => encode_frame(tag, payload),
     }
 }
 
@@ -958,6 +894,7 @@ impl RouterServer {
 mod tests {
     use super::*;
     use crate::binproto::kind_from_byte;
+    use arrayflow_wire::proto::with_deadline;
 
     fn analyze(fingerprint: Option<[u8; 16]>, source: Option<&str>) -> WireRequest {
         WireRequest::Analyze(AnalyzeRequest {
@@ -979,8 +916,9 @@ mod tests {
         // whether the fingerprint arrives precomputed or as source.
         let a = "do i = 1, 100 A[i+2] := A[i] + x; end";
         let b = "do j = 1, 100 B[j+2] := B[j] + y; end";
-        let (fp, _) = sole_loop_fingerprint(a).unwrap();
-        assert_eq!(sole_loop_fingerprint(b), Some((fp, true)));
+        let (fp, _) = ir::fingerprint_source(a).unwrap().unwrap();
+        assert_eq!(ir::fingerprint_source(b).unwrap(), Some((fp, true)));
+        let fp = fp.0.to_le_bytes();
 
         let by_source = key(analyze(None, Some(a)));
         let by_fp = key(analyze(Some(fp), None));
@@ -992,7 +930,7 @@ mod tests {
     #[test]
     fn multi_loop_source_falls_back_to_a_stable_byte_hash() {
         let src = "do i = 1, 9 A[i] := 1; end do j = 1, 9 B[j] := 2; end";
-        assert_eq!(sole_loop_fingerprint(src), None);
+        assert_eq!(ir::fingerprint_source(src).unwrap(), None);
         let h1 = key(analyze(None, Some(src)));
         assert_eq!(h1, source_route_hash(src.as_bytes()));
         assert_ne!(h1, source_route_hash(b"different"));
@@ -1005,7 +943,8 @@ mod tests {
         let flat = "do i = 1, 40 X[i+1] := X[i]; end";
         let mut req = analyze(None, Some(flat));
         let hash = route_key(&mut req);
-        let (fp, flat) = sole_loop_fingerprint(flat).unwrap();
+        let (fp, flat) = ir::fingerprint_source(flat).unwrap().unwrap();
+        let fp = fp.0.to_le_bytes();
         assert!(flat);
         assert_eq!(hash, key(analyze(Some(fp), None)));
         assert!(matches!(req, WireRequest::Analyze(a) if a.fingerprint == Some(fp)));
@@ -1013,7 +952,8 @@ mod tests {
         // A nest: routed by its outer loop, but left without a
         // fingerprint — a probe would answer the outer loop alone.
         let nest = "do j = 1, 50 do i = 1, 40 X[i+1] := X[i]; Y[i] := X[i+1]; end end";
-        let (outer, flat) = sole_loop_fingerprint(nest).unwrap();
+        let (outer, flat) = ir::fingerprint_source(nest).unwrap().unwrap();
+        let outer = outer.0.to_le_bytes();
         assert!(!flat);
         let mut req = analyze(None, Some(nest));
         assert_eq!(route_key(&mut req), key(analyze(Some(outer), None)));
@@ -1078,7 +1018,8 @@ mod tests {
         // The spec is part of the cache key, never the routing key: every
         // spec over one loop must shard to the node that caches it.
         let src = "do i = 1, 100 A[i+2] := A[i] + x; end";
-        let (fp, _) = sole_loop_fingerprint(src).unwrap();
+        let (fp, _) = ir::fingerprint_source(src).unwrap().unwrap();
+        let fp = fp.0.to_le_bytes();
         let custom = |spec, fingerprint, source: Option<&str>| {
             key(WireRequest::Custom(CustomRequest {
                 id: 1,

@@ -25,7 +25,9 @@
 //! version, malformed length, CRC mismatch) is unrecoverable on a binary
 //! stream and surfaces as a [`FrameError`]; the connection should close.
 
-use std::io::{self, Read};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use crate::codec::{put_varint, DecodeError, Reader};
 use crate::crc::crc32;
@@ -256,23 +258,17 @@ pub fn read_frame(reader: &mut impl Read, max_payload: usize) -> io::Result<(u8,
         return Err(invalid(FrameError::BadVersion(head[8]).to_string()));
     }
     let tag = head[9];
-    // Varint length, one byte at a time.
-    let mut len: u64 = 0;
+    // The length varint: read up to its last byte (ten at most), decode
+    // with the shared codec.
+    let mut varint = Vec::with_capacity(10);
     let mut byte = [0u8; 1];
-    for shift in (0..64).step_by(7) {
+    while varint.len() < 10 && varint.last().is_none_or(|b| b & 0x80 != 0) {
         reader.read_exact(&mut byte)?;
-        let bits = (byte[0] & 0x7F) as u64;
-        if shift == 63 && bits > 1 {
-            return Err(invalid(FrameError::BadLength.to_string()));
-        }
-        len |= bits << shift;
-        if byte[0] & 0x80 == 0 {
-            break;
-        }
-        if shift == 63 {
-            return Err(invalid(FrameError::BadLength.to_string()));
-        }
+        varint.push(byte[0]);
     }
+    let len = Reader::new(&varint)
+        .varint()
+        .map_err(|_| invalid(FrameError::BadLength.to_string()))?;
     if len > max_payload as u64 {
         return Err(invalid(format!("frame payload of {len} bytes exceeds cap")));
     }
@@ -284,6 +280,78 @@ pub fn read_frame(reader: &mut impl Read, max_payload: usize) -> io::Result<(u8,
         return Err(invalid(FrameError::BadCrc.to_string()));
     }
     Ok((tag, payload))
+}
+
+/// A blocking request/response connection, the one way the service's
+/// client, the cluster router's backend pool and the store replicator
+/// dial a peer: a connect timeout and `TCP_NODELAY`, every read and write
+/// of an exchange bounded by its deadline, and buffered reads capped per
+/// response. `io::ErrorKind::InvalidData` means the peer answered over
+/// the cap or unframeably: drop the connection. Any other error is
+/// transport.
+pub struct Connection {
+    stream: BufReader<TcpStream>,
+}
+
+impl Connection {
+    /// Dials the first address `addr` resolves to, giving up after
+    /// `connect_timeout`.
+    pub fn dial(addr: &str, connect_timeout: Duration) -> io::Result<Connection> {
+        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
+        })?;
+        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
+        stream.set_nodelay(true)?;
+        Ok(Connection {
+            stream: BufReader::new(stream),
+        })
+    }
+
+    /// Writes one request frame and reads back one frame whose payload
+    /// is at most `max_payload` bytes ([`read_frame`]); each read and
+    /// write waits at most `timeout`.
+    pub fn exchange_frame(
+        &mut self,
+        frame: &[u8],
+        timeout: Duration,
+        max_payload: usize,
+    ) -> io::Result<(u8, Vec<u8>)> {
+        self.send(frame, timeout)?;
+        read_frame(&mut self.stream, max_payload)
+    }
+
+    /// Writes one newline-terminated request line and reads back one
+    /// response line, trailing newline included, of at most `max_len`
+    /// bytes before the newline; each read and write waits at most
+    /// `timeout`.
+    pub fn exchange_line(
+        &mut self,
+        line: &[u8],
+        timeout: Duration,
+        max_len: usize,
+    ) -> io::Result<Vec<u8>> {
+        self.send(line, timeout)?;
+        let mut response = Vec::new();
+        let limit = (max_len as u64).saturating_add(1);
+        (&mut self.stream)
+            .take(limit)
+            .read_until(b'\n', &mut response)?;
+        if response.last() == Some(&b'\n') {
+            Ok(response)
+        } else if response.len() > max_len {
+            let cap = format!("response line exceeds the {max_len} byte cap");
+            Err(io::Error::new(io::ErrorKind::InvalidData, cap))
+        } else {
+            Err(io::ErrorKind::UnexpectedEof.into())
+        }
+    }
+
+    fn send(&mut self, bytes: &[u8], timeout: Duration) -> io::Result<()> {
+        let stream = self.stream.get_mut();
+        stream.set_read_timeout(Some(timeout))?;
+        stream.set_write_timeout(Some(timeout))?;
+        stream.write_all(bytes)
+    }
 }
 
 #[cfg(test)]
@@ -405,6 +473,42 @@ mod tests {
     }
 
     #[test]
+    fn connection_caps_lines_and_frames() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 64];
+            // Line exchange: a fitting line, then one byte over the cap.
+            let _ = stream.read(&mut buf).unwrap();
+            stream.write_all(b"0123456789\n").unwrap();
+            let _ = stream.read(&mut buf).unwrap();
+            stream.write_all(b"0123456789A\n").unwrap();
+            // Frame exchange on a second connection: a fitting frame,
+            // then one whose payload is over the cap.
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = stream.read(&mut buf).unwrap();
+            stream.write_all(&encode_frame(0x81, b"fits")).unwrap();
+            let _ = stream.read(&mut buf).unwrap();
+            stream.write_all(&encode_frame(0x81, b"too long")).unwrap();
+        });
+        let timeout = Duration::from_secs(5);
+        let mut conn = Connection::dial(&addr, timeout).unwrap();
+        let line = conn.exchange_line(b"a\n", timeout, 10).unwrap();
+        assert_eq!(line, b"0123456789\n");
+        let err = conn.exchange_line(b"b\n", timeout, 10).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let mut conn = Connection::dial(&addr, timeout).unwrap();
+        let frame = conn.exchange_frame(b"x", timeout, 4).unwrap();
+        assert_eq!(frame, (0x81, b"fits".to_vec()));
+        let err = conn.exchange_frame(b"y", timeout, 4).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        peer.join().unwrap();
+    }
+
+    #[test]
     fn blocking_read_frame_round_trips() {
         let frame = encode_frame(0x03, b"stats please");
         let mut cursor = &frame[..];
@@ -420,5 +524,11 @@ mod tests {
         let mut cursor = &head[..];
         let err = read_frame(&mut cursor, 4096).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A length varint that never terminates is malformed, not a hang.
+        let mut head = encode_frame(0x02, b"")[..10].to_vec();
+        head.extend_from_slice(&[0xFF; 10]);
+        let err = read_frame(&mut &head[..], 4096).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("length"), "{err}");
     }
 }

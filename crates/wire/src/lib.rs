@@ -12,6 +12,8 @@
 //!   and skips oversized payloads in bounded memory, so a hostile peer
 //!   cannot balloon the server. [`frame::detect`] classifies a connection
 //!   as binary or newline-JSON from its first bytes.
+//!   [`frame::Connection`] is the one blocking outbound connection, for
+//!   the service's client, the router's backends and the replicator.
 //! * [`proto`] — typed request/response messages. Analysis reports travel
 //!   as opaque store-codec bytes so cache hits are shipped verbatim,
 //!   never re-serialized.
@@ -34,4 +36,4 @@ pub mod proto;
 
 pub use codec::{DecodeError, DecodeResult, Reader};
 pub use crc::crc32;
-pub use frame::{detect, encode_frame, Detect, FrameDecoder, FrameError, FrameEvent};
+pub use frame::{detect, encode_frame, Connection, Detect, FrameDecoder, FrameError, FrameEvent};

@@ -31,7 +31,10 @@
 //! primary to its designated replica, shipped verbatim so the replica's
 //! cache and segment log stay warm for failover.
 
+use std::time::Duration;
+
 use crate::codec::{put_bytes, put_u128, put_varint, DecodeError, DecodeResult, Reader};
+use crate::frame::encode_frame;
 
 /// Request frame tags.
 pub const TAG_PING: u8 = 0x01;
@@ -107,6 +110,13 @@ pub fn with_deadline(tag: u8, payload: &[u8], deadline_ms: u64) -> (u8, Vec<u8>)
     (tag | TAG_DEADLINE_BIT, out)
 }
 
+/// A remaining budget in the whole milliseconds the wire carries, rounded
+/// up: an attempt with under a millisecond left still ships `1`, never
+/// the `0` that means "already expired".
+pub fn ceil_millis(remaining: Duration) -> u64 {
+    u64::try_from(remaining.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX)
+}
+
 const BODY_TEXT: u8 = 0;
 const BODY_ANALYZE: u8 = 1;
 const BODY_SESSION: u8 = 2;
@@ -116,6 +126,34 @@ const FLAG_SOURCE: u8 = 1 << 0;
 const FLAG_FINGERPRINT: u8 = 1 << 1;
 const FLAG_PROBLEMS: u8 = 1 << 2;
 const FLAG_DISTANCE: u8 = 1 << 3;
+
+/// The flag byte and the optional fields it announces, in wire order: the
+/// shared tail of analyze and custom payloads.
+fn put_flagged(
+    out: &mut Vec<u8>,
+    fingerprint: &Option<[u8; 16]>,
+    problems: Option<u8>,
+    distance_bound: Option<u64>,
+    source: &Option<Vec<u8>>,
+) {
+    let flag = |present: bool, bit: u8| if present { bit } else { 0 };
+    out.push(
+        flag(source.is_some(), FLAG_SOURCE)
+            | flag(fingerprint.is_some(), FLAG_FINGERPRINT)
+            | flag(problems.is_some(), FLAG_PROBLEMS)
+            | flag(distance_bound.is_some(), FLAG_DISTANCE),
+    );
+    if let Some(fp) = fingerprint {
+        out.extend_from_slice(fp);
+    }
+    out.extend(problems);
+    if let Some(d) = distance_bound {
+        put_varint(out, d);
+    }
+    if let Some(src) = source {
+        put_bytes(out, src);
+    }
+}
 
 /// An analyze request: at least one of `source` / `fingerprint` must be
 /// present. With only a fingerprint the server probes its caches and
@@ -308,59 +346,31 @@ impl Request {
             }
             Request::Analyze(a) => {
                 put_varint(&mut out, a.id);
-                let mut flags = 0u8;
-                if a.source.is_some() {
-                    flags |= FLAG_SOURCE;
-                }
-                if a.fingerprint.is_some() {
-                    flags |= FLAG_FINGERPRINT;
-                }
-                if a.problems.is_some() {
-                    flags |= FLAG_PROBLEMS;
-                }
-                if a.distance_bound.is_some() {
-                    flags |= FLAG_DISTANCE;
-                }
-                out.push(flags);
-                if let Some(fp) = &a.fingerprint {
-                    out.extend_from_slice(fp);
-                }
-                if let Some(p) = a.problems {
-                    out.push(p);
-                }
-                if let Some(d) = a.distance_bound {
-                    put_varint(&mut out, d);
-                }
-                if let Some(src) = &a.source {
-                    put_bytes(&mut out, src);
-                }
+                put_flagged(
+                    &mut out,
+                    &a.fingerprint,
+                    a.problems,
+                    a.distance_bound,
+                    &a.source,
+                );
             }
             Request::Custom(c) => {
                 put_varint(&mut out, c.id);
                 out.push(c.spec);
-                let mut flags = 0u8;
-                if c.source.is_some() {
-                    flags |= FLAG_SOURCE;
-                }
-                if c.fingerprint.is_some() {
-                    flags |= FLAG_FINGERPRINT;
-                }
-                if c.distance_bound.is_some() {
-                    flags |= FLAG_DISTANCE;
-                }
-                out.push(flags);
-                if let Some(fp) = &c.fingerprint {
-                    out.extend_from_slice(fp);
-                }
-                if let Some(d) = c.distance_bound {
-                    put_varint(&mut out, d);
-                }
-                if let Some(src) = &c.source {
-                    put_bytes(&mut out, src);
-                }
+                put_flagged(&mut out, &c.fingerprint, None, c.distance_bound, &c.source);
             }
         }
         out
+    }
+
+    /// Encodes the whole request frame, behind a deadline prefix
+    /// ([`with_deadline`]) when `deadline_ms` is given.
+    pub fn to_frame(&self, deadline_ms: Option<u64>) -> Vec<u8> {
+        let (tag, payload) = match deadline_ms {
+            Some(ms) => with_deadline(self.tag(), &self.encode_payload(), ms),
+            None => (self.tag(), self.encode_payload()),
+        };
+        encode_frame(tag, &payload)
     }
 
     /// Decodes a request from a frame's tag + payload.
@@ -1085,6 +1095,14 @@ mod tests {
         let (tag, payload) = with_deadline(TAG_PING, &inner, 0);
         let (_, budget, _) = strip_deadline(tag, &payload).unwrap();
         assert_eq!(budget, Some(0));
+    }
+
+    #[test]
+    fn remaining_budgets_round_up_to_whole_milliseconds() {
+        assert_eq!(ceil_millis(Duration::from_micros(200)), 1);
+        assert_eq!(ceil_millis(Duration::from_micros(249_100)), 250);
+        assert_eq!(ceil_millis(Duration::ZERO), 0);
+        assert_eq!(ceil_millis(Duration::from_millis(250)), 250);
     }
 
     #[test]

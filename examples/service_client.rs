@@ -8,8 +8,9 @@
 //! exponential backoff retries for transport failures and `overloaded`
 //! responses. The session walks through every verb: `ping`, two
 //! `analyze` calls (alpha-equivalent programs, so the second is a cache
-//! hit), a raw problem-selected `analyze`, a structured error, `stats`,
-//! and finally `shutdown`, which drains the server and stops it.
+//! hit), a hand-built problem-selected `analyze` request, a structured
+//! error, `stats`, and finally `shutdown`, which drains the server and
+//! stops it.
 //!
 //! Run with `cargo run --example service_client` (unix: the server is
 //! the `poll(2)` event loop). With `--fingerprint` the session instead
@@ -20,8 +21,10 @@
 //!
 //! [`Client`]: arrayflow_service::Client
 
+use arrayflow::engine::ProblemSet;
 use arrayflow::prelude::*;
 use arrayflow::service::ClientError;
+use arrayflow::wire::proto::{AnalyzeRequest, Request};
 
 fn main() -> std::io::Result<()> {
     if std::env::args().any(|a| a == "--fingerprint") {
@@ -56,12 +59,22 @@ fn main() -> std::io::Result<()> {
     );
     assert!(b.contains("\"cache_hits\":1"), "expected a cache hit");
 
-    // Pre-encoded frames still work for anything the typed helpers do
-    // not cover — here, problem selection (only δ-busy stores).
+    // Any request the typed helpers do not cover can be built by hand
+    // and sent over JSON — here, problem selection (only δ-busy stores).
     let busy = client
-        .request(
-            r#"{"id": 100, "verb": "analyze", "program": "do i = 1, 50 A[i] := 0; A[i] := B[i]; end", "problems": ["busy"]}"#,
-        )
+        .request(Request::Analyze(AnalyzeRequest {
+            id: 100,
+            fingerprint: None,
+            problems: Some(
+                ProblemSet {
+                    busy: true,
+                    ..ProblemSet::NONE
+                }
+                .bits(),
+            ),
+            distance_bound: None,
+            source: Some(b"do i = 1, 50 A[i] := 0; A[i] := B[i]; end".to_vec()),
+        }))
         .expect("problem-selected analyze");
     println!("← {busy}");
 

@@ -98,9 +98,9 @@ pub mod prelude {
 /// fingerprint-first fast path
 /// ([`Client::analyze_fingerprint`](arrayflow_service::Client::analyze_fingerprint)).
 ///
-/// Mirrors the engine's keying precisely: normalize, renumber, then
-/// fingerprint the sole outermost loop. Errors if the program does not
-/// parse or does not consist of exactly one top-level loop.
+/// The same pipeline the cluster router shards by
+/// ([`ir::fingerprint_source`]). Errors if the program does not parse or
+/// does not consist of exactly one top-level loop.
 ///
 /// ```
 /// use arrayflow::prelude::*;
@@ -111,13 +111,10 @@ pub mod prelude {
 /// assert_eq!(fp, fp2);
 /// ```
 pub fn fingerprint(source: &str) -> Result<[u8; 16], String> {
-    let mut program = ir::parse_program(source).map_err(|e| e.to_string())?;
-    ir::normalize(&mut program);
-    program.renumber();
-    let l = program
-        .sole_loop()
+    let (fp, _flat) = ir::fingerprint_source(source)
+        .map_err(|e| e.to_string())?
         .ok_or_else(|| "program must consist of exactly one top-level loop".to_string())?;
-    Ok(ir::fingerprint_loop(l, &program.symbols).0.to_le_bytes())
+    Ok(fp.0.to_le_bytes())
 }
 
 /// The front-end preparation pipeline the paper assumes has already run
