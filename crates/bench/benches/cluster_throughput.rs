@@ -25,7 +25,7 @@ use arrayflow_bench::time;
 use arrayflow_cluster::Topology;
 use arrayflow_ir::pretty::print_program;
 use arrayflow_service::{
-    EventServer, Json, ProtoMode, RouterConfig, RouterServer, Service, ServiceConfig,
+    EventServer, Json, ProtoMode, Router, RouterConfig, Service, ServiceConfig,
 };
 use arrayflow_workloads::{random_loop, LoopShape};
 
@@ -210,10 +210,10 @@ fn run_cluster(n: usize, warm: &[String], lines: &[String]) -> ClusterRun {
     let topology = Topology::parse(&spec, 0).expect("topology");
     let mut config = RouterConfig::new(topology);
     config.probe_interval = Duration::from_secs(3600);
-    let server = RouterServer::bind("127.0.0.1:0", config).expect("bind router");
+    let router = Router::start(config).expect("start router");
+    let server = EventServer::bind("127.0.0.1:0", router.clone()).expect("bind router");
     let router_addr = server.local_addr().expect("router addr").to_string();
-    let router = server.router();
-    let router_thread = std::thread::spawn(move || server.run());
+    let router_thread = std::thread::spawn(move || server.run(ProtoMode::Auto));
 
     let _ = run_stream(&router_addr, warm);
     let before: Vec<(u64, u64)> = nodes

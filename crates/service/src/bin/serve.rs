@@ -15,7 +15,8 @@
 //!
 //! Cluster mode: `--router NODES` (comma-separated `addr` or `id=addr`
 //! entries) turns this process into the coordinator — it owns no engine
-//! or store, consistent-hashes each analyze's canonical fingerprint
+//! or store, serves on the node's event loop, consistent-hashes each
+//! analyze's canonical fingerprint
 //! across the nodes, fails over to a shard's designated replica, and
 //! merges `stats`/`metrics` cluster-wide. On a node, `--node-id` labels
 //! every Prometheus series with `node="ID"`, and `--replicate-to ADDR`
@@ -23,16 +24,17 @@
 //! serve this node's reports warm after a failover.
 //!
 //! TCP serving is one `poll(2)` event loop multiplexing every connection
-//! onto the worker pool (unix only; elsewhere use `--stdio` or
-//! `--router`). `--proto auto` (default) sniffs each connection's first
+//! onto the worker pool, or in router mode onto the forwarder pool (unix
+//! only; elsewhere use `--stdio`). Both modes share the listener
+//! settings: `--proto auto` (default) sniffs each connection's first
 //! bytes — `AFWIRE01` magic selects the binary protocol, anything else
-//! newline-JSON; `--proto json` pins the legacy JSON protocol.
+//! newline-JSON; `--proto json` pins the legacy JSON protocol; and
+//! `--idle-timeout-ms` (default 60000; 0 disables) reaps connections that
+//! make no read progress and are owed nothing — the slow-loris guard.
 //!
 //! Defaults: listen on 127.0.0.1:7433, one service worker and one engine
 //! worker per hardware thread, 256-deep queue, 5000 ms deadline, 1 MiB
-//! frames. `--idle-timeout-ms` (default 60000; 0 disables) reaps
-//! connections that make no read progress and are owed
-//! nothing — the slow-loris guard. Clients may send a `deadline_ms`
+//! frames. Clients may send a `deadline_ms`
 //! budget (JSON field or binary frame prefix); the effective deadline is
 //! the smaller of that budget and `--timeout-ms`, and expired or
 //! abandoned jobs are shed mid-analysis instead of running to
@@ -65,13 +67,14 @@ use std::time::Duration;
 
 use arrayflow_cluster::Topology;
 use arrayflow_resilience::FaultPlan;
-use arrayflow_service::{run_stdio, RouterConfig, RouterServer, Service, ServiceConfig};
+use arrayflow_service::{run_stdio, FrameHandler, Router, RouterConfig, Service, ServiceConfig};
 use arrayflow_store::StoreConfig;
 
 struct Args {
     listen: String,
     stdio: bool,
     proto_json_only: bool,
+    idle_timeout: Duration,
     config: ServiceConfig,
     router_nodes: Option<String>,
     probe_interval: Duration,
@@ -83,6 +86,7 @@ fn parse_args() -> Result<Args, String> {
         listen: "127.0.0.1:7433".to_string(),
         stdio: false,
         proto_json_only: false,
+        idle_timeout: Duration::from_secs(60),
         config: ServiceConfig::default(),
         router_nodes: None,
         probe_interval: Duration::from_millis(500),
@@ -108,8 +112,7 @@ fn parse_args() -> Result<Args, String> {
                 args.config.request_timeout = Duration::from_millis(parse(&value("--timeout-ms")?)?)
             }
             "--idle-timeout-ms" => {
-                args.config.idle_timeout =
-                    Duration::from_millis(parse(&value("--idle-timeout-ms")?)?)
+                args.idle_timeout = Duration::from_millis(parse(&value("--idle-timeout-ms")?)?)
             }
             "--max-frame" => args.config.max_frame_bytes = parse(&value("--max-frame")?)?,
             "--cache-capacity" => {
@@ -180,7 +183,9 @@ fn parse_args() -> Result<Args, String> {
                      [--store-queue N] [--store-breaker-threshold N] \
                      [--store-breaker-cooldown-ms N] [--slow-log MICROS] [--fault-plan SPEC] \
                      [--node-id ID] [--replicate-to ADDR] [--replicate-interval-ms N] \
-                     [--router NODES] [--probe-interval-ms N] [--vnodes N]"
+                     [--router NODES] [--probe-interval-ms N] [--vnodes N]\n\
+                     --listen, --proto and --idle-timeout-ms set the event loop \
+                     of a node and of a --router alike (TCP serving is unix-only)."
                 );
                 std::process::exit(0);
             }
@@ -201,13 +206,21 @@ fn store_config(config: &mut ServiceConfig) -> Result<&mut StoreConfig, String> 
         .ok_or_else(|| "pass --store DIR before store tuning flags".to_string())
 }
 
-/// Binds and runs the event loop. The outer `Err` is a bind failure;
-/// the inner result is the server's run outcome.
+/// Binds and runs the event loop, for a node or a router. The outer
+/// `Err` is a bind failure; the inner result is the server's run outcome.
 #[cfg(unix)]
-fn run_listener(args: &Args, service: Arc<Service>) -> std::io::Result<std::io::Result<()>> {
+fn run_listener<H: FrameHandler>(
+    args: &Args,
+    handler: Arc<H>,
+) -> std::io::Result<std::io::Result<()>> {
     use arrayflow_service::{EventServer, ProtoMode};
-    let server = EventServer::bind(args.listen.as_str(), service)?;
-    announce(&server.local_addr(), &args.listen, "event loop");
+    let server = EventServer::bind(args.listen.as_str(), handler)?.idle_timeout(args.idle_timeout);
+    // The `listening on ADDR` line is parsed by tooling (tests spawn
+    // serve on port 0 and scrape the real address).
+    match server.local_addr() {
+        Ok(addr) => eprintln!("serve: listening on {addr}"),
+        Err(_) => eprintln!("serve: listening on {}", args.listen),
+    }
     let mode = if args.proto_json_only {
         ProtoMode::Json
     } else {
@@ -217,29 +230,18 @@ fn run_listener(args: &Args, service: Arc<Service>) -> std::io::Result<std::io::
 }
 
 #[cfg(not(unix))]
-fn run_listener(_: &Args, _: Arc<Service>) -> std::io::Result<std::io::Result<()>> {
-    unreachable!("TCP serving is refused before the service starts off unix")
+fn run_listener<H: FrameHandler>(_: &Args, _: Arc<H>) -> std::io::Result<std::io::Result<()>> {
+    unreachable!("TCP serving is refused before anything starts off unix")
 }
 
-// The `listening on ADDR` line is parsed by tooling (tests spawn serve
-// on port 0 and scrape the real address), so the io model gets its own
-// line instead of a suffix.
-fn announce(addr: &std::io::Result<std::net::SocketAddr>, fallback: &str, model: &str) {
-    eprintln!("serve: io model: {model}");
-    match addr {
-        Ok(addr) => eprintln!("serve: listening on {addr}"),
-        Err(_) => eprintln!("serve: listening on {fallback}"),
-    }
-}
-
-/// Router mode: no engine, no store — bind, announce, route.
-fn run_router(args: &Args) -> ExitCode {
-    let spec = args.router_nodes.as_deref().expect("router mode checked");
+/// Router mode: no engine, no store — the forwarder pool behind the
+/// event loop.
+fn start_router(args: &Args, spec: &str) -> Result<Arc<Router>, ExitCode> {
     let topology = match Topology::parse(spec, args.vnodes) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("serve: invalid --router `{spec}`: {e}");
-            return ExitCode::from(2);
+            return Err(ExitCode::from(2));
         }
     };
     eprintln!(
@@ -255,24 +257,33 @@ fn run_router(args: &Args) -> ExitCode {
     let mut config = RouterConfig::new(topology);
     config.probe_interval = args.probe_interval;
     config.request_timeout = args.config.request_timeout.max(Duration::from_secs(1));
-    let server = match RouterServer::bind(args.listen.as_str(), config) {
-        Ok(server) => server,
+    Router::start(config).map_err(|e| {
+        eprintln!("serve: error: cannot start the router: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Node mode: starting the service opens (and crash-recovers) the report
+/// store; failure is a structured one-line diagnostic and a nonzero
+/// exit, never a panic.
+fn start_node(args: &Args) -> Result<Arc<Service>, ExitCode> {
+    let service = match Service::start(args.config.clone()) {
+        Ok(service) => service,
         Err(e) => {
-            eprintln!("serve: error: cannot bind {}: {e}", args.listen);
-            return ExitCode::FAILURE;
+            eprintln!("serve: error: cannot open report store: {e}");
+            return Err(ExitCode::FAILURE);
         }
     };
-    announce(&server.local_addr(), &args.listen, "router");
-    match server.run() {
-        Ok(()) => {
-            eprintln!("serve: drained and stopped");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("serve: {e}");
-            ExitCode::FAILURE
-        }
+    if args.config.store.is_some() {
+        eprintln!(
+            "serve: store warm-started {} report(s)",
+            service.warm_loaded()
+        );
     }
+    if let Some(addr) = &args.config.replicate_to {
+        eprintln!("serve: replicating store to {addr}");
+    }
+    Ok(service)
 }
 
 fn main() -> ExitCode {
@@ -283,47 +294,36 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.router_nodes.is_some() {
-        if args.stdio || args.config.store.is_some() || args.config.replicate_to.is_some() {
-            eprintln!("serve: --router excludes --stdio, --store and --replicate-to");
-            return ExitCode::from(2);
-        }
-        return run_router(&args);
-    }
-    if !args.stdio && !cfg!(unix) {
-        eprintln!("serve: TCP serving needs poll(2) (unix); use --stdio or --router");
+    if args.router_nodes.is_some()
+        && (args.stdio || args.config.store.is_some() || args.config.replicate_to.is_some())
+    {
+        eprintln!("serve: --router excludes --stdio, --store and --replicate-to");
         return ExitCode::from(2);
     }
-    let has_store = args.config.store.is_some();
-    let report_store = |svc: &Service| {
-        if has_store {
-            eprintln!("serve: store warm-started {} report(s)", svc.warm_loaded());
-        }
-    };
-    // Starting the service opens (and crash-recovers) the report store;
-    // failure is a structured one-line diagnostic and a nonzero exit,
-    // never a panic.
-    let service = match Service::start(args.config.clone()) {
-        Ok(service) => service,
-        Err(e) => {
-            eprintln!("serve: error: cannot open report store: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    report_store(&service);
-    if let Some(addr) = &args.config.replicate_to {
-        eprintln!("serve: replicating store to {addr}");
+    if !args.stdio && !cfg!(unix) {
+        eprintln!("serve: TCP serving needs poll(2) (unix); use --stdio");
+        return ExitCode::from(2);
     }
-    let result = if args.stdio {
-        eprintln!("serve: stdio mode (one JSON request per line)");
-        run_stdio(service)
+    let listened = if let Some(spec) = &args.router_nodes {
+        match start_router(&args, spec) {
+            Ok(router) => run_listener(&args, router),
+            Err(code) => return code,
+        }
     } else {
-        match run_listener(&args, service) {
-            Ok(result) => result,
-            Err(e) => {
-                eprintln!("serve: error: cannot bind {}: {e}", args.listen);
-                return ExitCode::FAILURE;
+        match start_node(&args) {
+            Ok(service) if args.stdio => {
+                eprintln!("serve: stdio mode (one JSON request per line)");
+                Ok(run_stdio(service))
             }
+            Ok(service) => run_listener(&args, service),
+            Err(code) => return code,
+        }
+    };
+    let result = match listened {
+        Ok(result) => result,
+        Err(e) => {
+            eprintln!("serve: error: cannot bind {}: {e}", args.listen);
+            return ExitCode::FAILURE;
         }
     };
     match result {

@@ -10,11 +10,9 @@
 //! request never touches the worker pool.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use arrayflow_engine::{BatchResult, DeltaReport, LoopReport, QueryStats};
 use arrayflow_ir::Fingerprint;
-use arrayflow_obs::{observed_span, with_current};
 use arrayflow_resilience::CancelToken;
 use arrayflow_store::codec::{decode_report, encode_report};
 use arrayflow_wire::encode_frame;
@@ -24,15 +22,13 @@ use arrayflow_wire::proto::{
 
 use crate::json::Json;
 use crate::proto::{ErrorKind, ServiceError};
-use crate::service::{asks_shutdown, Answer, Decoded, Service};
+use crate::server::FrameHandler;
+use crate::service::{Answer, Decoded, Service};
 
 /// The outcome of handling one binary frame.
 pub struct BinaryResponse {
     /// The complete response frame (header + payload), ready to write.
     pub frame: Vec<u8>,
-    /// True when the request was a `shutdown`; the transport should send
-    /// the frame, stop reading, and let the server drain.
-    pub shutdown: bool,
 }
 
 /// [`ErrorKind`] as a single wire byte. Stable protocol values: new kinds
@@ -128,6 +124,16 @@ pub(crate) fn response_frame(id: u64, outcome: Result<Answer, ServiceError>) -> 
     encode_frame(resp.tag(), &resp.encode_payload())
 }
 
+/// The answer to a binary frame declaring `declared` payload bytes over
+/// a `cap`-byte frame cap, on every edge that reads `AFWIRE01`.
+pub(crate) fn oversized_frame(declared: u64, cap: usize) -> Vec<u8> {
+    let e = ServiceError::new(
+        ErrorKind::Protocol,
+        format!("frame of {declared} bytes exceeds the {cap} byte cap"),
+    );
+    response_frame(0, Err(e))
+}
+
 /// The inverse of [`response_frame`] for a node's answer: what the router's
 /// JSON edge renders a forwarded response from, decoding the report
 /// bytes back into reports.
@@ -183,65 +189,17 @@ pub(crate) fn answer_of(tag: u8, payload: &[u8]) -> Result<Answer, ServiceError>
 }
 
 impl Service {
-    /// The event edge for binary frames (tag + payload): decode, then the
-    /// one dispatch. Cheap verbs, validation errors and fingerprint cache
-    /// hits answer inline — `respond` runs before this returns; solver
-    /// work goes through the bounded queue with `respond` called from a
-    /// worker. `respond` is invoked exactly once either way.
+    /// The event edge for binary frames (tag + payload), answered through
+    /// [`FrameHandler::answer_binary`] with a connection-less cancel
+    /// token. `respond` is invoked exactly once.
     pub fn handle_binary_frame_async(
         self: &Arc<Self>,
         tag: u8,
         payload: &[u8],
         respond: Box<dyn FnOnce(BinaryResponse) + Send>,
     ) {
-        self.handle_binary_frame_async_ctrl(tag, payload, CancelToken::new(), respond)
-    }
-
-    /// [`Service::handle_binary_frame_async`] with a caller-owned
-    /// [`CancelToken`] — the event server hands each frame its
-    /// connection's token so a teardown cancels the connection's queued
-    /// and in-flight work.
-    pub fn handle_binary_frame_async_ctrl(
-        self: &Arc<Self>,
-        tag: u8,
-        payload: &[u8],
-        cancel: CancelToken,
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let accepted = Instant::now();
-        let trace = self.begin_trace();
-        let decoded = with_current(&trace, || {
-            let _span = observed_span("decode", &self.ins().phase_decode);
-            decode_request(tag, payload)
-        });
-        // The id of a frame that failed to decode cannot be recovered; 0
-        // is the protocol's "unattributable" id.
-        let id = decoded.as_ref().map_or(0, |(req, _)| req.id());
-        let shutdown = asks_shutdown(&decoded);
-        self.dispatch_async(trace, accepted, decoded, cancel, respond, move |outcome| {
-            BinaryResponse {
-                shutdown: shutdown && outcome.is_ok(),
-                frame: response_frame(id, outcome),
-            }
-        });
-    }
-
-    /// The response to a binary frame whose declared payload exceeds the
-    /// size cap. Counted in the oversized-frames counter, *not* the
-    /// request latency histogram — the frame was discarded, not timed.
-    pub fn oversized_binary_response(&self, declared: u64) -> BinaryResponse {
-        self.ins().oversized_frames.inc();
-        let e = ServiceError::new(
-            ErrorKind::Protocol,
-            format!(
-                "frame of {declared} bytes exceeds the {} byte cap",
-                self.config().max_frame_bytes
-            ),
-        );
-        BinaryResponse {
-            frame: response_frame(0, Err(e)),
-            shutdown: false,
-        }
+        let respond = move |frame| respond(BinaryResponse { frame });
+        self.answer_binary(tag, payload, CancelToken::new(), Box::new(respond));
     }
 }
 
@@ -289,7 +247,6 @@ mod tests {
                 text: "pong".into()
             }
         );
-        assert!(!out.shutdown);
     }
 
     #[test]
@@ -489,8 +446,8 @@ mod tests {
     fn oversized_counts_in_its_own_counter_not_latency() {
         let svc = svc();
         let before = svc.stats();
-        let out = svc.oversized_binary_response(1 << 30);
-        let resp = decode_response_frame(&out.frame);
+        let frame = svc.oversized_binary(1 << 30);
+        let resp = decode_response_frame(&frame);
         assert!(matches!(resp, Response::Err { .. }));
         let after = svc.stats();
         assert_eq!(after.oversized_frames, before.oversized_frames + 1);

@@ -1,37 +1,45 @@
 //! The event-driven server: one `poll(2)` loop multiplexing every TCP
-//! connection onto the shared [`Service`] worker pool — the node's only
-//! TCP listener.
+//! connection onto a [`FrameHandler`] — a node's
+//! [`Service`](crate::Service) or a cluster [`Router`](crate::Router).
+//! It is the crate's only TCP listener.
 //!
 //! Per connection the loop runs a small state machine:
 //!
 //! ```text
 //!              first bytes
 //!   Detecting ─────────────┬── "AFWIRE01…" ──> Binary (FrameDecoder)
-//!                          └── anything else ─> Json  (newline framing)
+//!                          └── anything else ─> Json  (JsonLines)
 //! ```
 //!
-//! * **Reads** are nonblocking; complete frames are handed to the service
-//!   (`handle_frame_async_ctrl` / `handle_binary_frame_async_ctrl`, both
-//!   onto the one dispatch). Cheap verbs and fingerprint hits answer
-//!   inline; solver verbs go through the bounded queue and a worker
-//!   invokes the completion later.
+//! * **Reads** are nonblocking; complete frames are handed to the handler
+//!   ([`FrameHandler::answer_json`] / [`FrameHandler::answer_binary`]).
+//!   Cheap verbs answer inline. A node queues solver verbs for its
+//!   workers, a router queues forwards for its forwarder pool; either
+//!   way the answer arrives later, on another thread.
 //! * **Responses** carry a per-connection sequence number; a `BTreeMap`
-//!   holds completions that finish out of order so bytes are written in
+//!   holds answers that finish out of order so bytes are written in
 //!   request order — checkable by a pipelining client.
-//! * **Completions** cross threads via a mutexed queue plus a socketpair
-//!   [`Waker`] that pulls the loop out of
-//!   `poll`.
+//! * **Answers write through**: the thread that completes the answer
+//!   whose turn it is writes it to the socket itself, under the
+//!   connection's outbox lock. Only leftovers (a full socket), a closing
+//!   connection or a failed write reach the loop, through a mutexed list
+//!   plus a socketpair [`Waker`] that pulls it out of `poll` — so an
+//!   answered request costs the loop no wake-up.
 //! * **Backpressure**: a connection whose write buffer passes the high
 //!   watermark stops being read (`POLLIN` dropped) until the buffer
 //!   drains below the low watermark — a slow reader throttles itself,
 //!   not the server.
 //! * **Oversized frames** (both protocols) are rejected from the length
-//!   prefix / line cap *before* buffering, counted in the oversized-frame
-//!   counter, and never enter the latency histogram.
+//!   prefix / line cap *before* buffering and answered with the
+//!   handler's oversized answers.
+//! * **Idle sweep**: a connection that made no read progress for the idle
+//!   timeout and is owed nothing is closed — the slow-loris guard.
+//! * **End of stream**: a final JSON line without its newline is still
+//!   answered before the connection closes.
 //!
-//! Shutdown (the `shutdown` verb or [`Service::shutdown`]) stops the
-//! accept loop and frame reads, drains every queued job and write buffer,
-//! then joins the workers.
+//! Shutdown (the `shutdown` verb, or the handler's own shutdown) stops
+//! the accept loop and frame reads, flushes every owed response, then
+//! drains the handler.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -46,7 +54,7 @@ use arrayflow_wire::{detect, Detect, FrameDecoder, FrameEvent};
 
 use crate::binproto::response_frame;
 use crate::proto::{ErrorKind, ServiceError};
-use crate::service::Service;
+use crate::server::{FrameHandler, JsonEvent, JsonLines, Respond};
 
 /// Write-buffer high watermark: a connection buffering more response
 /// bytes than this stops being read until it drains.
@@ -55,6 +63,8 @@ const WRITE_HIGH_WATER: usize = 1 << 20;
 const WRITE_LOW_WATER: usize = 64 << 10;
 /// Read chunk size.
 const READ_CHUNK: usize = 64 << 10;
+/// The idle timeout unless [`EventServer::idle_timeout`] sets another.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Which protocols a listener accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,15 +80,8 @@ pub enum ProtoMode {
     Json,
 }
 
-/// One finished response on its way back to the event loop.
-struct Completion {
-    conn: u64,
-    seq: u64,
-    bytes: Vec<u8>,
-    shutdown: bool,
-}
-
-type Completions = Arc<Mutex<Vec<Completion>>>;
+/// Connections an answering thread flagged for the loop (see [`Outbox`]).
+type Flagged = Arc<Mutex<Vec<u64>>>;
 
 enum Proto {
     /// Accumulating the first bytes until the protocol is known.
@@ -87,85 +90,96 @@ enum Proto {
     Binary(FrameDecoder),
 }
 
-/// Incremental newline framing with the same oversized discipline as the
-/// blocking [`FrameReader`](crate::server::FrameReader): a line over the
-/// cap is discarded in bounded memory (never buffered whole), reported
-/// once at its terminating newline, and the stream stays usable.
-struct JsonLines {
-    line: Vec<u8>,
-    max: usize,
-    dropping: bool,
+/// A connection's write side, shared with the threads that answer its
+/// frames. Whichever thread completes the answer that is next in request
+/// order writes it straight to the socket; the loop hears only about what
+/// it must act on — bytes the socket would not take, a connection that is
+/// closing, a failed write — so a delivered answer costs no wake-up.
+struct Outbox {
+    stream: Arc<TcpStream>,
+    /// Bytes the socket has not taken yet, response order.
+    out: VecDeque<u8>,
+    /// Sequence number of the next response allowed into `out`.
+    next_to_send: u64,
+    /// Responses that completed out of order, waiting their turn.
+    ready: BTreeMap<u64, Vec<u8>>,
+    /// Last response delivery, for the idle sweep.
+    delivered: Instant,
+    /// Set by the loop: the connection closes once it is owed nothing.
+    closing: bool,
+    /// A write failed; the loop reaps the connection.
+    broken: bool,
 }
 
-enum JsonEvent {
-    Line(Vec<u8>),
-    Oversized,
-}
-
-impl JsonLines {
-    fn new(max: usize) -> Self {
-        JsonLines {
-            line: Vec::new(),
-            max,
-            dropping: false,
+impl Outbox {
+    /// Takes answer `seq` and writes everything now in order. Returns
+    /// whether the loop must look at the connection.
+    fn deliver(&mut self, seq: u64, bytes: Vec<u8>) -> bool {
+        self.ready.insert(seq, bytes);
+        while let Some(bytes) = self.ready.remove(&self.next_to_send) {
+            self.out.extend(bytes);
+            self.next_to_send += 1;
         }
+        self.delivered = Instant::now();
+        self.flush();
+        self.closing || self.broken || !self.out.is_empty()
     }
 
-    fn feed(&mut self, chunk: &[u8], mut emit: impl FnMut(JsonEvent)) {
-        for &b in chunk {
-            if b == b'\n' {
-                if self.dropping {
-                    self.dropping = false;
-                    emit(JsonEvent::Oversized);
-                } else {
-                    emit(JsonEvent::Line(std::mem::take(&mut self.line)));
+    /// Writes as much of `out` as the socket accepts.
+    fn flush(&mut self) {
+        while !self.out.is_empty() && !self.broken {
+            // One write per answer: a wrapped ring buffer would otherwise
+            // go out as two segments.
+            let head = self.out.make_contiguous();
+            match (&*self.stream).write(head) {
+                Ok(0) => self.broken = true,
+                Ok(n) => {
+                    self.out.drain(..n);
                 }
-            } else if self.dropping {
-                // Discard until the newline resynchronizes the stream.
-            } else {
-                self.line.push(b);
-                if self.line.len() > self.max {
-                    self.line.clear();
-                    self.dropping = true;
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => self.broken = true,
             }
         }
     }
 }
 
 struct Conn {
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     proto: Proto,
-    /// Bytes ready to write, response order.
-    out: VecDeque<u8>,
+    outbox: Arc<Mutex<Outbox>>,
     /// Sequence number assigned to the next frame read off this conn.
     next_seq: u64,
-    /// Sequence number of the next response allowed into `out`.
-    next_to_send: u64,
-    /// Responses that completed out of order, waiting their turn.
-    ready: BTreeMap<u64, Vec<u8>>,
     /// No more frames are read; the conn closes once fully flushed.
     closing: bool,
     /// POLLIN withheld because `out` passed the high watermark.
     paused: bool,
     /// Interest bits currently registered with the poller.
     interest: i16,
-    /// Shared with every job this connection submitted; cancelled when
-    /// the connection is reaped so workers shed its dead work.
+    /// Shared with every frame this connection handed over; cancelled
+    /// when the connection is reaped so the handler sheds its dead work.
     cancel: CancelToken,
-    /// Last read progress or response delivery, for the idle sweep.
+    /// Last read progress, for the idle sweep.
     last_activity: Instant,
 }
 
 impl Conn {
     fn new(stream: TcpStream, proto: Proto) -> Self {
+        let stream = Arc::new(stream);
+        let outbox = Outbox {
+            stream: Arc::clone(&stream),
+            out: VecDeque::new(),
+            next_to_send: 0,
+            ready: BTreeMap::new(),
+            delivered: Instant::now(),
+            closing: false,
+            broken: false,
+        };
         Conn {
             stream,
             proto,
-            out: VecDeque::new(),
+            outbox: Arc::new(Mutex::new(outbox)),
             next_seq: 0,
-            next_to_send: 0,
-            ready: BTreeMap::new(),
             closing: false,
             paused: false,
             interest: POLLIN,
@@ -175,41 +189,42 @@ impl Conn {
     }
 
     /// All assigned frames answered and all bytes written.
-    fn flushed(&self) -> bool {
-        self.out.is_empty() && self.next_to_send == self.next_seq
-    }
-
-    fn desired_interest(&self) -> i16 {
-        let mut i = 0;
-        if !self.closing && !self.paused {
-            i |= POLLIN;
-        }
-        if !self.out.is_empty() {
-            i |= POLLOUT;
-        }
-        i
+    fn flushed(&self, outbox: &Outbox) -> bool {
+        outbox.out.is_empty() && outbox.next_to_send == self.next_seq
     }
 }
 
-/// An event-driven TCP listener over a shared [`Service`]. Unix-only
-/// (`poll(2)`); other platforms serve over stdio.
-pub struct EventServer {
+/// An event-driven TCP listener over a shared [`FrameHandler`].
+/// Unix-only (`poll(2)`); other platforms serve over stdio.
+pub struct EventServer<H> {
     listener: TcpListener,
-    service: Arc<Service>,
+    handler: Arc<H>,
+    idle_timeout: Duration,
 }
 
-impl EventServer {
+impl<H: FrameHandler> EventServer<H> {
     /// Binds `addr` and prepares the event loop.
-    pub fn bind(addr: &str, service: Arc<Service>) -> io::Result<EventServer> {
-        Ok(EventServer {
-            listener: TcpListener::bind(addr)?,
-            service,
-        })
+    pub fn bind(addr: &str, handler: Arc<H>) -> io::Result<EventServer<H>> {
+        Ok(EventServer::attach(TcpListener::bind(addr)?, handler))
     }
 
     /// Wraps an already-bound listener (tests pick port 0 this way).
-    pub fn attach(listener: TcpListener, service: Arc<Service>) -> EventServer {
-        EventServer { listener, service }
+    pub fn attach(listener: TcpListener, handler: Arc<H>) -> EventServer<H> {
+        EventServer {
+            listener,
+            handler,
+            idle_timeout: IDLE_TIMEOUT,
+        }
+    }
+
+    /// Sets the idle timeout (`serve --idle-timeout-ms`, default 60 s): a
+    /// connection that has sent no bytes for this long and is owed no
+    /// answer — including a slow-loris peer parked mid-frame — is closed
+    /// and counted through [`FrameHandler::reaped`]. `Duration::ZERO`
+    /// disables the sweep.
+    pub fn idle_timeout(mut self, timeout: Duration) -> EventServer<H> {
+        self.idle_timeout = timeout;
+        self
     }
 
     /// The bound address.
@@ -217,13 +232,7 @@ impl EventServer {
         self.listener.local_addr()
     }
 
-    /// The shared service.
-    pub fn service(&self) -> &Arc<Service> {
-        &self.service
-    }
-
-    /// Runs the event loop until shutdown, then drains and joins the
-    /// worker pool.
+    /// Runs the event loop until shutdown, then drains the handler.
     pub fn run(self, mode: ProtoMode) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         // std's listen backlog is 128; a connect flood overflows that
@@ -231,7 +240,13 @@ impl EventServer {
         // the loop works either way, slow-accept clients just retry.
         let _ = set_backlog(self.listener.as_raw_fd(), 4096);
         let (mut wake, waker) = wake_pair()?;
-        let completions: Completions = Arc::new(Mutex::new(Vec::new()));
+        let flagged: Flagged = Arc::new(Mutex::new(Vec::new()));
+        let dispatch = Dispatch {
+            handler: &self.handler,
+            flagged: &flagged,
+            waker: &waker,
+            mode,
+        };
 
         let mut poller = Poller::new();
         let listener_fd = self.listener.as_raw_fd();
@@ -243,12 +258,17 @@ impl EventServer {
         let mut by_fd: HashMap<RawFd, u64> = HashMap::new();
         let mut next_conn_id: u64 = 0;
         let mut accepting = true;
+        let mut accept_paused = false;
         let mut events = Vec::new();
         let mut touched: Vec<u64> = Vec::new();
         let mut dead: Vec<u64> = Vec::new();
         let mut buf = vec![0u8; READ_CHUNK];
 
         loop {
+            if accept_paused && accepting {
+                accept_paused = false;
+                poller.reregister(listener_fd, POLLIN);
+            }
             // A bounded wait so an external shutdown() is noticed promptly
             // even with no traffic.
             poller.wait(Some(Duration::from_millis(100)), &mut events)?;
@@ -267,12 +287,12 @@ impl EventServer {
                                     continue;
                                 }
                                 let _ = stream.set_nodelay(true);
-                                self.service.ins().connections.inc();
+                                self.handler.connected();
                                 let proto = match mode {
                                     ProtoMode::Auto => Proto::Detecting(Vec::new()),
-                                    ProtoMode::Json => Proto::Json(JsonLines::new(
-                                        self.service.config().max_frame_bytes,
-                                    )),
+                                    ProtoMode::Json => {
+                                        Proto::Json(JsonLines::new(self.handler.max_frame_bytes()))
+                                    }
                                 };
                                 let id = next_conn_id;
                                 next_conn_id += 1;
@@ -283,7 +303,15 @@ impl EventServer {
                             }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                            Err(_) => break,
+                            // Out of file descriptors, say: the pending
+                            // connection stays queued, so stop polling the
+                            // listener until the next tick instead of
+                            // spinning on it.
+                            Err(_) => {
+                                accept_paused = true;
+                                poller.reregister(listener_fd, 0);
+                                break;
+                            }
                         }
                     }
                     continue;
@@ -302,18 +330,10 @@ impl EventServer {
                 }
                 let mut broken = false;
                 if ev.readable() && !conn.closing && !conn.paused {
-                    broken = read_conn(
-                        conn,
-                        id,
-                        &mut buf,
-                        &self.service,
-                        &completions,
-                        &waker,
-                        mode,
-                    );
+                    broken = dispatch.read(conn, id, &mut buf);
                 }
                 if ev.writable() {
-                    broken = broken || flush_conn(conn);
+                    conn.outbox.lock().unwrap().flush();
                 }
                 if broken {
                     dead.push(id);
@@ -322,48 +342,29 @@ impl EventServer {
                 }
             }
 
-            // Deliver finished responses in request order, per connection.
-            let done: Vec<Completion> = std::mem::take(&mut *completions.lock().unwrap());
-            for c in done {
-                let Some(conn) = conns.get_mut(&c.conn) else {
-                    // The connection died while its job ran; drop the bytes.
-                    continue;
-                };
-                conn.ready.insert(c.seq, c.bytes);
-                conn.last_activity = Instant::now();
-                if c.shutdown {
-                    conn.closing = true;
-                }
-                while let Some(bytes) = conn.ready.remove(&conn.next_to_send) {
-                    conn.out.extend(bytes);
-                    conn.next_to_send += 1;
-                }
-                if flush_conn(conn) {
-                    dead.push(c.conn);
-                } else {
-                    touched.push(c.conn);
-                }
-            }
+            // Connections an answering thread flagged; one that died
+            // while its job ran is gone already.
+            touched.append(&mut flagged.lock().unwrap());
 
             // Slow-loris guard: a connection that made no read progress for
             // the idle timeout and is owed nothing (no in-flight response,
             // nothing buffered) is reaped — half-open peers and half-frame
             // writers can no longer pin a slot forever. ZERO disables it.
-            let idle_timeout = self.service.config().idle_timeout;
-            if !idle_timeout.is_zero() {
+            if !self.idle_timeout.is_zero() {
                 for (&id, conn) in conns.iter() {
+                    let outbox = conn.outbox.lock().unwrap();
                     if !conn.closing
-                        && conn.flushed()
-                        && conn.last_activity.elapsed() >= idle_timeout
+                        && conn.flushed(&outbox)
+                        && conn.last_activity.max(outbox.delivered).elapsed() >= self.idle_timeout
                     {
-                        self.service.ins().idle_disconnects.inc();
+                        self.handler.reaped();
                         dead.push(id);
                     }
                 }
             }
 
             // Global shutdown: stop accepting, stop reading, drain.
-            if self.service.is_shutdown() {
+            if self.handler.is_shutdown() {
                 if accepting {
                     accepting = false;
                     poller.deregister(listener_fd);
@@ -381,16 +382,23 @@ impl EventServer {
                 let Some(conn) = conns.get_mut(&id) else {
                     continue;
                 };
-                if conn.out.len() >= WRITE_HIGH_WATER {
+                let mut outbox = conn.outbox.lock().unwrap();
+                outbox.closing = conn.closing;
+                let pending = outbox.out.len();
+                if pending >= WRITE_HIGH_WATER {
                     conn.paused = true;
-                } else if conn.paused && conn.out.len() <= WRITE_LOW_WATER {
+                } else if conn.paused && pending <= WRITE_LOW_WATER {
                     conn.paused = false;
                 }
-                if conn.closing && conn.flushed() {
+                if outbox.broken || conn.closing && conn.flushed(&outbox) {
                     dead.push(id);
                     continue;
                 }
-                let want = conn.desired_interest();
+                drop(outbox);
+                let mut want = if pending > 0 { POLLOUT } else { 0 };
+                if !conn.closing && !conn.paused {
+                    want |= POLLIN;
+                }
                 if want != conn.interest {
                     conn.interest = want;
                     poller.reregister(conn.stream.as_raw_fd(), want);
@@ -399,8 +407,8 @@ impl EventServer {
             for &id in dead.iter() {
                 if let Some(conn) = conns.remove(&id) {
                     // Nobody is left to read the answers: flag every job
-                    // this connection submitted so workers shed them
-                    // instead of burning solver passes on dead work.
+                    // this connection submitted so the handler sheds them
+                    // instead of burning work on a dead connection.
                     conn.cancel.cancel();
                     let fd = conn.stream.as_raw_fd();
                     poller.deregister(fd);
@@ -408,237 +416,150 @@ impl EventServer {
                 }
             }
 
-            if self.service.is_shutdown() && conns.is_empty() {
+            if self.handler.is_shutdown() && conns.is_empty() {
                 break;
             }
         }
-        self.service.join_workers();
+        self.handler.drain();
         Ok(())
     }
 }
 
-/// Reads everything available from one connection and feeds the state
-/// machine. Returns `true` when the connection is gone.
-fn read_conn(
-    conn: &mut Conn,
-    id: u64,
-    buf: &mut [u8],
-    service: &Arc<Service>,
-    completions: &Completions,
-    waker: &Waker,
+/// How one connection's frames reach the handler and their answers come
+/// back.
+struct Dispatch<'a, H> {
+    handler: &'a Arc<H>,
+    flagged: &'a Flagged,
+    waker: &'a Waker,
     mode: ProtoMode,
-) -> bool {
-    loop {
-        match conn.stream.read(buf) {
-            Ok(0) => {
-                // EOF: no more frames will arrive; flush what is owed.
-                conn.closing = true;
-                return false;
-            }
-            Ok(n) => {
-                conn.last_activity = Instant::now();
-                feed_bytes(conn, id, &buf[..n], service, completions, waker, mode);
-                if conn.closing || conn.out.len() >= WRITE_HIGH_WATER {
+}
+
+impl<H: FrameHandler> Dispatch<'_, H> {
+    /// Reads everything available from one connection and feeds the state
+    /// machine. Returns `true` when the connection is gone.
+    fn read(&self, conn: &mut Conn, id: u64, buf: &mut [u8]) -> bool {
+        loop {
+            match (&*conn.stream).read(buf) {
+                Ok(0) => {
+                    // EOF: no more frames will arrive. A final JSON line
+                    // without its newline is still answered; then flush
+                    // what is owed.
+                    if let Proto::Json(lines) = &mut conn.proto {
+                        if let Some(event) = lines.finish() {
+                            let respond = self.respond(id, &mut conn.next_seq, &conn.outbox, true);
+                            self.json(event, &conn.cancel, respond);
+                        }
+                    }
+                    conn.closing = true;
                     return false;
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
-        }
-    }
-}
-
-/// Routes a chunk of fresh bytes through the connection's protocol state.
-fn feed_bytes(
-    conn: &mut Conn,
-    id: u64,
-    chunk: &[u8],
-    service: &Arc<Service>,
-    completions: &Completions,
-    waker: &Waker,
-    mode: ProtoMode,
-) {
-    // Resolve detection first so the real protocol sees the whole prefix.
-    if let Proto::Detecting(prefix) = &mut conn.proto {
-        prefix.extend_from_slice(chunk);
-        let decided = match detect(prefix) {
-            Detect::NeedMore => return,
-            Detect::Binary if mode == ProtoMode::Auto => {
-                Proto::Binary(FrameDecoder::new(service.config().max_frame_bytes))
-            }
-            _ => Proto::Json(JsonLines::new(service.config().max_frame_bytes)),
-        };
-        let buffered = std::mem::take(prefix);
-        conn.proto = decided;
-        feed_decided(conn, id, &buffered, service, completions, waker);
-        return;
-    }
-    feed_decided(conn, id, chunk, service, completions, waker);
-}
-
-fn feed_decided(
-    conn: &mut Conn,
-    id: u64,
-    chunk: &[u8],
-    service: &Arc<Service>,
-    completions: &Completions,
-    waker: &Waker,
-) {
-    match &mut conn.proto {
-        Proto::Detecting(_) => unreachable!("detection resolved by feed_bytes"),
-        Proto::Json(lines) => {
-            let mut frames: Vec<JsonEvent> = Vec::new();
-            lines.feed(chunk, |ev| frames.push(ev));
-            for ev in frames {
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                match ev {
-                    JsonEvent::Oversized => {
-                        let mut line = service.oversized_frame_response().into_bytes();
-                        line.push(b'\n');
-                        push_completion(completions, waker, id, seq, line, false);
-                    }
-                    JsonEvent::Line(line) => {
-                        let (completions, waker) = (Arc::clone(completions), waker.clone());
-                        service.handle_frame_async_ctrl(
-                            &line,
-                            conn.cancel.clone(),
-                            Box::new(move |resp| {
-                                let mut bytes = resp.line.into_bytes();
-                                bytes.push(b'\n');
-                                push_completion(
-                                    &completions,
-                                    &waker,
-                                    id,
-                                    seq,
-                                    bytes,
-                                    resp.shutdown,
-                                );
-                            }),
-                        );
+                Ok(n) => {
+                    conn.last_activity = Instant::now();
+                    self.feed(conn, id, &buf[..n]);
+                    if conn.closing || conn.outbox.lock().unwrap().out.len() >= WRITE_HIGH_WATER {
+                        return false;
                     }
                 }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return true,
             }
         }
-        Proto::Binary(decoder) => {
-            decoder.extend(chunk);
-            loop {
-                match decoder.next() {
-                    Ok(None) => break,
-                    Ok(Some(FrameEvent::Oversized { declared, .. })) => {
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        let resp = service.oversized_binary_response(declared);
-                        push_completion(completions, waker, id, seq, resp.frame, false);
-                    }
-                    Ok(Some(FrameEvent::Frame { tag, payload })) => {
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        let (completions, waker) = (Arc::clone(completions), waker.clone());
-                        service.handle_binary_frame_async_ctrl(
-                            tag,
-                            &payload,
-                            conn.cancel.clone(),
-                            Box::new(move |resp| {
-                                push_completion(
-                                    &completions,
-                                    &waker,
-                                    id,
-                                    seq,
-                                    resp.frame,
-                                    resp.shutdown,
-                                );
-                            }),
-                        );
-                    }
-                    Err(e) => {
-                        // Framing is unrecoverable (bad magic mid-stream,
-                        // CRC mismatch): answer once, then close.
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        let err = ServiceError::new(
-                            ErrorKind::Protocol,
-                            format!("unrecoverable framing error: {e}"),
-                        );
-                        push_completion(
-                            completions,
-                            waker,
-                            id,
-                            seq,
-                            response_frame(0, Err(err)),
-                            false,
-                        );
-                        conn.closing = true;
-                        break;
+    }
+
+    /// Routes a chunk of fresh bytes through the connection's protocol
+    /// state.
+    fn feed(&self, conn: &mut Conn, id: u64, chunk: &[u8]) {
+        // Resolve detection first so the real protocol sees the whole prefix.
+        if let Proto::Detecting(prefix) = &mut conn.proto {
+            prefix.extend_from_slice(chunk);
+            let max = self.handler.max_frame_bytes();
+            let decided = match detect(prefix) {
+                Detect::NeedMore => return,
+                Detect::Binary if self.mode == ProtoMode::Auto => {
+                    Proto::Binary(FrameDecoder::new(max))
+                }
+                _ => Proto::Json(JsonLines::new(max)),
+            };
+            let buffered = std::mem::take(prefix);
+            conn.proto = decided;
+            return self.feed(conn, id, &buffered);
+        }
+        let Conn {
+            proto,
+            outbox,
+            next_seq,
+            cancel,
+            closing,
+            ..
+        } = conn;
+        match proto {
+            Proto::Detecting(_) => unreachable!("detection resolved above"),
+            Proto::Json(lines) => {
+                for event in lines.feed(chunk) {
+                    self.json(event, cancel, self.respond(id, next_seq, outbox, true));
+                }
+            }
+            Proto::Binary(decoder) => {
+                decoder.extend(chunk);
+                loop {
+                    match decoder.next() {
+                        Ok(None) => break,
+                        Ok(Some(FrameEvent::Oversized { declared, .. })) => {
+                            let frame = self.handler.oversized_binary(declared);
+                            self.respond(id, next_seq, outbox, false)(frame);
+                        }
+                        Ok(Some(FrameEvent::Frame { tag, payload })) => {
+                            let respond = self.respond(id, next_seq, outbox, false);
+                            self.handler
+                                .answer_binary(tag, &payload, cancel.clone(), respond);
+                        }
+                        Err(e) => {
+                            // Framing is unrecoverable (bad magic mid-stream,
+                            // CRC mismatch): answer once, then close.
+                            let err = ServiceError::new(
+                                ErrorKind::Protocol,
+                                format!("unrecoverable framing error: {e}"),
+                            );
+                            self.respond(id, next_seq, outbox, false)(response_frame(0, Err(err)));
+                            *closing = true;
+                            break;
+                        }
                     }
                 }
             }
         }
     }
-}
 
-fn push_completion(
-    completions: &Completions,
-    waker: &Waker,
-    conn: u64,
-    seq: u64,
-    bytes: Vec<u8>,
-    shutdown: bool,
-) {
-    completions.lock().unwrap().push(Completion {
-        conn,
-        seq,
-        bytes,
-        shutdown,
-    });
-    waker.wake();
-}
+    fn json(&self, event: JsonEvent, cancel: &CancelToken, respond: Respond) {
+        match event {
+            JsonEvent::Oversized => respond(self.handler.oversized_json().into_bytes()),
+            JsonEvent::Line(line) => self.handler.answer_json(&line, cancel.clone(), respond),
+        }
+    }
 
-/// Writes as much of the connection's buffered output as the socket
-/// accepts. Returns `true` when the connection is gone.
-fn flush_conn(conn: &mut Conn) -> bool {
-    while !conn.out.is_empty() {
-        let (head, _) = conn.out.as_slices();
-        match conn.stream.write(head) {
-            Ok(0) => return true,
-            Ok(n) => {
-                conn.out.drain(..n);
+    /// Where the answer to the connection's next frame goes: into its
+    /// outbox under the next sequence number, waking the loop only when
+    /// the outbox needs it. A JSON answer gets its newline here.
+    fn respond(
+        &self,
+        conn: u64,
+        next_seq: &mut u64,
+        outbox: &Arc<Mutex<Outbox>>,
+        json: bool,
+    ) -> Respond {
+        let seq = *next_seq;
+        *next_seq += 1;
+        let (outbox, flagged) = (Arc::clone(outbox), Arc::clone(self.flagged));
+        let waker = self.waker.clone();
+        Box::new(move |mut bytes| {
+            if json {
+                bytes.push(b'\n');
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return true,
-        }
-    }
-    false
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_lines_split_and_cap() {
-        let mut j = JsonLines::new(8);
-        let mut got = Vec::new();
-        j.feed(b"abc\nlongerthan8bytes\nde", |ev| got.push(ev));
-        j.feed(b"f\n", |ev| got.push(ev));
-        assert_eq!(got.len(), 3);
-        assert!(matches!(&got[0], JsonEvent::Line(l) if l == b"abc"));
-        assert!(matches!(&got[1], JsonEvent::Oversized));
-        assert!(matches!(&got[2], JsonEvent::Line(l) if l == b"def"));
-    }
-
-    #[test]
-    fn oversized_line_uses_bounded_memory() {
-        let mut j = JsonLines::new(1024);
-        let chunk = vec![b'x'; 64 << 10];
-        for _ in 0..64 {
-            j.feed(&chunk, |_| panic!("no newline yet"));
-            assert!(j.line.len() <= 1025, "dropping should clear the buffer");
-        }
-        let mut got = Vec::new();
-        j.feed(b"\n", |ev| got.push(ev));
-        assert!(matches!(got.as_slice(), [JsonEvent::Oversized]));
+            if outbox.lock().unwrap().deliver(seq, bytes) {
+                flagged.lock().unwrap().push(conn);
+                waker.wake();
+            }
+        })
     }
 }

@@ -16,8 +16,9 @@
 //! `AFWIRE01` binary frames (the [`binproto`] edge codec). Each edge
 //! decodes onto the model and encodes answers back; everything between
 //! is one dispatch. TCP is served by one `poll(2)` event loop
-//! ([`EventServer`], unix), stdio by a blocking loop ([`run_stdio`]).
-//! Robustness is the design center:
+//! ([`EventServer`], unix) for a node and for a cluster [`Router`] alike,
+//! stdio by a blocking loop ([`run_stdio`]); every edge frames JSON lines
+//! the same way. Robustness is the design center:
 //!
 //! * a **bounded in-flight queue** with explicit `overloaded` errors on
 //!   backpressure, never unbounded buffering;
@@ -92,6 +93,6 @@ pub use json::{Json, JsonError};
 /// the crate-root name callers already use.
 pub use proto::JsonRequest as Request;
 pub use proto::{ErrorKind, ServiceError};
-pub use router::{Router, RouterConfig, RouterServer};
-pub use server::{run_stdio, Frame, FrameReader};
+pub use router::{Router, RouterConfig};
+pub use server::{run_stdio, FrameHandler, Respond};
 pub use service::{FrameResponse, Service, ServiceConfig, ServiceStats, LATENCY_BUCKETS_US};

@@ -527,6 +527,15 @@ pub fn encode_err(id: &Json, err: &ServiceError) -> String {
     .to_string()
 }
 
+/// The answer to a JSON line over a `cap`-byte frame cap, on every edge
+/// that reads JSON lines.
+pub(crate) fn oversized_line(cap: usize) -> String {
+    encode_err(
+        &Json::Null,
+        &ServiceError::new(ErrorKind::Protocol, format!("frame exceeds {cap} bytes")),
+    )
+}
+
 /// Splits a response line into ok / structured error / protocol noise:
 /// the client's inverse of [`encode_ok`] and [`encode_err`].
 pub(crate) fn classify(line: &str) -> Result<(), ClientError> {

@@ -29,38 +29,46 @@
 //! series ([`merge_expositions`]), the router's own metrics riding along
 //! as `node="router"`.
 //!
-//! Requests on one client connection are forwarded sequentially, so
-//! pipelined requests come back in request order — the per-connection
-//! ordering contract of both protocols survives the extra hop.
+//! **Serving.** The router is a [`FrameHandler`] on the node's own event
+//! loop, so sniffing, framing, idle reaping and response order are the
+//! node's. Cheap verbs answer on the loop's thread; forwards and fan-outs
+//! go to a fixed pool of forwarder threads (`POOL_CAP` per node) doing
+//! blocking round trips. A connection's pipelined requests are forwarded
+//! concurrently, and the loop writes the answers back in request order.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::VecDeque;
+use std::io::{self, PipeReader, PipeWriter, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use arrayflow_cluster::{merge_expositions, Topology};
 use arrayflow_engine::fingerprint_route_hash;
 use arrayflow_ir as ir;
 use arrayflow_obs::{Counter, Registry};
-use arrayflow_resilience::CircuitBreaker;
-use arrayflow_wire::frame::read_frame;
+use arrayflow_resilience::{panic_message, CancelToken, CircuitBreaker};
 use arrayflow_wire::proto::{
     ceil_millis, AnalyzeRequest, CustomRequest, Request as WireRequest, Response as WireResponse,
 };
 use arrayflow_wire::{encode_frame, Connection};
 
-use crate::binproto::{answer_of, decode_request, response_frame};
+use crate::binproto::{answer_of, decode_request, oversized_frame, response_frame};
 use crate::json::Json;
-use crate::proto::{encode_err, encode_outcome, ErrorKind, JsonRequest, ServiceError};
-use crate::server::{Frame, FrameReader};
-use crate::service::Answer;
+use crate::proto::{encode_outcome, oversized_line, ErrorKind, JsonRequest, ServiceError};
+use crate::server::{FrameHandler, Respond};
+use crate::service::{Answer, Decoded};
 
-/// How long a blocked read waits before re-checking the shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(50);
+/// How often the prober re-checks the shutdown flag between rounds.
+const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
-/// Idle backend connections kept per node.
+/// Idle backend connections kept per node, and forwarder threads per
+/// node: every forwarder can hold one pooled connection.
 const POOL_CAP: usize = 8;
+
+/// Frames queued per forwarder before the router answers `overloaded`.
+const QUEUE_PER_FORWARDER: usize = 256;
 
 /// Router tuning. Start from [`RouterConfig::new`] and adjust.
 #[derive(Debug, Clone)]
@@ -152,6 +160,8 @@ impl Backend {
 #[derive(Clone)]
 struct RouterInstruments {
     connections: Counter,
+    idle_disconnects: Counter,
+    oversized_frames: Counter,
     forwards: Counter,
     failovers: Counter,
     replica_warm_hits: Counter,
@@ -168,6 +178,16 @@ impl RouterInstruments {
             connections: registry.counter(
                 "arrayflow_router_connections_total",
                 "client connections accepted by the router",
+            ),
+            // The event loop's own counters, under the node's family names
+            // so a merged exposition shows every loop's count by `node`.
+            idle_disconnects: registry.counter(
+                "arrayflow_idle_disconnects_total",
+                "connections closed by the idle sweep (slow-loris peers included)",
+            ),
+            oversized_frames: registry.counter(
+                "arrayflow_oversized_frames_total",
+                "frames discarded for exceeding the size cap (excluded from request latency)",
             ),
             forwards: registry.counter(
                 "arrayflow_router_forwards_total",
@@ -205,8 +225,8 @@ impl RouterInstruments {
     }
 }
 
-/// The routing core, shared by every client-connection thread and the
-/// prober. [`RouterServer`] owns the listener in front of it.
+/// The routing core: the event loop's handler, its forwarder pool and
+/// the health prober share it.
 pub struct Router {
     config: RouterConfig,
     backends: Vec<Backend>,
@@ -214,11 +234,58 @@ pub struct Router {
     ins: RouterInstruments,
     shutdown: AtomicBool,
     next_id: AtomicU64,
+    /// Forwards waiting for a forwarder, and the forwarders waiting for
+    /// work.
+    pool: Mutex<Pool>,
+    /// Per forwarder, the pipe that wakes it (see [`Pool::idle`]).
+    wakers: Vec<PipeWriter>,
+    /// The forwarders and the prober, joined by [`FrameHandler::drain`].
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// The forwarder pool's shared state.
+#[derive(Default)]
+struct Pool {
+    /// Forwards waiting for a forwarder, oldest first.
+    queue: VecDeque<Forward>,
+    /// Idle forwarders, most recently idle last. A forwarder waits for
+    /// work by reading its own pipe rather than on a condition variable:
+    /// a pipe wake-up tells the scheduler the waker is about to sleep, so
+    /// the forwarder runs on the loop's CPU as soon as the loop polls
+    /// again instead of queueing behind a busy one.
+    idle: Vec<usize>,
+}
+
+/// A frame waiting for a forwarder: the connection's token, cancelled
+/// when the loop reaps the connection, and the forward itself.
+struct Forward {
+    cancel: CancelToken,
+    run: Box<dyn FnOnce(&Router) + Send>,
 }
 
 impl Router {
-    /// Builds the routing core over `config.topology`.
-    pub fn new(config: RouterConfig) -> Arc<Router> {
+    /// Builds the routing core over `config.topology` and starts its
+    /// forwarder pool (`POOL_CAP` threads per node) and health prober.
+    pub fn start(config: RouterConfig) -> io::Result<Arc<Router>> {
+        let (router, waits) = Router::new(config)?;
+        let router = Arc::new(router);
+        let mut threads: Vec<_> = waits
+            .into_iter()
+            .enumerate()
+            .map(|(me, wait)| {
+                let router = Arc::clone(&router);
+                std::thread::spawn(move || router.forward_loop(me, wait))
+            })
+            .collect();
+        let prober = Arc::clone(&router);
+        threads.push(std::thread::spawn(move || prober.probe_loop()));
+        *router.threads.lock().unwrap() = threads;
+        Ok(router)
+    }
+
+    /// The routing core alone, with no threads, and the pipe each
+    /// forwarder waits on.
+    fn new(config: RouterConfig) -> io::Result<(Router, Vec<PipeReader>)> {
         let registry = Registry::new();
         let ins = RouterInstruments::registered(&registry);
         let backends = config
@@ -230,15 +297,24 @@ impl Router {
                 breaker: CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
                 pool: Mutex::new(Vec::new()),
             })
-            .collect();
-        Arc::new(Router {
+            .collect::<Vec<_>>();
+        let (waits, wakers) = (0..POOL_CAP * backends.len())
+            .map(|_| io::pipe())
+            .collect::<io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
+        let router = Router {
             config,
             backends,
             registry,
             ins,
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
-        })
+            pool: Mutex::new(Pool::default()),
+            wakers,
+            threads: Mutex::new(Vec::new()),
+        };
+        Ok((router, waits))
     }
 
     /// The router's own metrics registry.
@@ -251,9 +327,15 @@ impl Router {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Begins shutdown: the accept loop stops, connection threads drain.
+    /// Begins shutdown: the event loop stops accepting and reading, the
+    /// forwarders finish what is queued, the prober stops.
     pub fn shutdown(&self) {
+        // Under the pool lock, so no forwarder goes idle after the wake-ups.
+        let mut pool = self.pool.lock().unwrap();
         self.shutdown.store(true, Ordering::SeqCst);
+        for me in pool.idle.drain(..) {
+            let _ = (&self.wakers[me]).write(&[1]);
+        }
     }
 
     fn fresh_id(&self) -> u64 {
@@ -371,6 +453,19 @@ impl Router {
                 self.ins.probe_failures.inc();
             }
             backend.record(ok);
+        }
+    }
+
+    /// The prober thread: a probe round every `probe_interval` until
+    /// shutdown.
+    fn probe_loop(&self) {
+        while !self.is_shutdown() {
+            self.probe_all();
+            let mut waited = Duration::ZERO;
+            while waited < self.config.probe_interval && !self.is_shutdown() {
+                std::thread::sleep(SHUTDOWN_POLL);
+                waited += SHUTDOWN_POLL;
+            }
         }
     }
 
@@ -569,40 +664,178 @@ impl Router {
         Ok((tag, payload))
     }
 
-    /// Handles one binary client frame; returns the response frame and
-    /// whether this was an accepted shutdown. Forwarded responses pass
-    /// through byte for byte.
-    fn handle_binary(&self, tag: u8, payload: &[u8]) -> (Vec<u8>, bool) {
-        let accepted = Instant::now();
-        let (req, budget_ms) = match decode_request(tag, payload) {
+    /// Takes one decoded frame from the event loop. Decode errors and
+    /// cheap verbs are answered right here, on the loop's thread; forwards
+    /// and fan-outs are queued for the forwarder pool, and a full queue
+    /// answers `overloaded`, as a node's does.
+    fn submit(
+        &self,
+        edge: Edge,
+        decoded: Decoded,
+        accepted: Instant,
+        cancel: CancelToken,
+        respond: Respond,
+    ) {
+        let (req, budget_ms) = match decoded {
             Ok(decoded) => decoded,
-            Err(e) => return (response_frame(0, Err(e)), false),
+            Err(e) => return respond(edge.encode(Routed::Local(Err(e)))),
         };
-        let (id, shutdown) = (req.id(), matches!(req, WireRequest::Shutdown { .. }));
-        let frame = match self.handle(req, budget_ms, accepted) {
-            Routed::Forwarded(tag, payload) => encode_frame(tag, &payload),
-            Routed::Local(outcome) => response_frame(id, outcome),
+        if let WireRequest::Ping { .. }
+        | WireRequest::Health { .. }
+        | WireRequest::Shutdown { .. }
+        | WireRequest::Replicate { .. } = req
+        {
+            return respond(edge.encode(self.handle(req, budget_ms, accepted)));
+        }
+        let mut pool = self.pool.lock().unwrap();
+        let rejection = if self.is_shutdown() {
+            "router is shutting down".to_string()
+        } else if pool.queue.len() >= QUEUE_PER_FORWARDER * self.wakers.len() {
+            format!("queue full ({} in flight)", pool.queue.len())
+        } else {
+            let run = move |router: &Router| {
+                respond(answer(&edge, || router.handle(req, budget_ms, accepted)))
+            };
+            pool.queue.push_back(Forward {
+                cancel,
+                run: Box::new(run),
+            });
+            let idle = pool.idle.pop();
+            drop(pool);
+            if let Some(me) = idle {
+                let _ = (&self.wakers[me]).write(&[1]);
+            }
+            return;
         };
-        (frame, shutdown)
+        drop(pool);
+        let e = ServiceError::new(ErrorKind::Overloaded, rejection);
+        respond(edge.encode(Routed::Local(Err(e))));
     }
 
-    /// Handles one JSON client line with the node's JSON codec; returns
-    /// the response line (no newline) and whether this was an accepted
-    /// shutdown. Forwarded responses are rendered exactly as the node's
-    /// own JSON edge renders them.
-    fn handle_json(&self, frame: &[u8]) -> (String, bool) {
-        let accepted = Instant::now();
-        let req = match JsonRequest::decode(frame) {
-            Ok(req) => req,
-            Err((id, e)) => return (encode_err(&id, &e), false),
-        };
-        let shutdown = matches!(req.request, WireRequest::Shutdown { .. });
-        let outcome = match self.handle(req.request, req.deadline_ms, accepted) {
-            Routed::Local(outcome) => outcome,
-            Routed::Forwarded(tag, payload) => answer_of(tag, &payload),
-        };
-        (encode_outcome(&req.id, outcome), shutdown)
+    /// Forwarder `me`: takes queued frames until shutdown has drained the
+    /// queue, reading `wait` while idle. Work whose connection the loop
+    /// reaped is skipped, since nobody is left to read its answer.
+    fn forward_loop(&self, me: usize, mut wait: PipeReader) {
+        loop {
+            let job = {
+                let mut pool = self.pool.lock().unwrap();
+                let job = pool.queue.pop_front();
+                if job.is_none() {
+                    if self.is_shutdown() {
+                        return;
+                    }
+                    pool.idle.push(me);
+                }
+                job
+            };
+            match job {
+                Some(job) if !job.cancel.is_cancelled() => (job.run)(self),
+                Some(_) => {}
+                None => {
+                    let _ = wait.read(&mut [0u8]);
+                }
+            }
+        }
     }
+}
+
+/// The router's side of the event loop.
+impl FrameHandler for Router {
+    fn answer_json(self: &Arc<Self>, line: &[u8], cancel: CancelToken, respond: Respond) {
+        let accepted = Instant::now();
+        let (edge, decoded) = match JsonRequest::decode(line) {
+            Ok(r) => (Edge::Json(r.id), Ok((r.request, r.deadline_ms))),
+            Err((id, e)) => (Edge::Json(id), Err(e)),
+        };
+        self.submit(edge, decoded, accepted, cancel, respond);
+    }
+
+    fn answer_binary(
+        self: &Arc<Self>,
+        tag: u8,
+        payload: &[u8],
+        cancel: CancelToken,
+        respond: Respond,
+    ) {
+        let accepted = Instant::now();
+        let decoded = decode_request(tag, payload);
+        // The id of a frame that failed to decode cannot be recovered; 0
+        // is the protocol's "unattributable" id.
+        let edge = Edge::Binary(decoded.as_ref().map_or(0, |(req, _)| req.id()));
+        self.submit(edge, decoded, accepted, cancel, respond);
+    }
+
+    fn max_frame_bytes(&self) -> usize {
+        self.config.max_frame_bytes
+    }
+
+    fn oversized_json(&self) -> String {
+        self.ins.oversized_frames.inc();
+        oversized_line(self.config.max_frame_bytes)
+    }
+
+    fn oversized_binary(&self, declared: u64) -> Vec<u8> {
+        self.ins.oversized_frames.inc();
+        oversized_frame(declared, self.config.max_frame_bytes)
+    }
+
+    fn is_shutdown(&self) -> bool {
+        Router::is_shutdown(self)
+    }
+
+    fn drain(&self) {
+        let threads: Vec<_> = self.threads.lock().unwrap().drain(..).collect();
+        for handle in threads {
+            let _ = handle.join();
+        }
+    }
+
+    fn connected(&self) {
+        self.ins.connections.inc();
+    }
+
+    fn reaped(&self) {
+        self.ins.idle_disconnects.inc();
+    }
+}
+
+/// The protocol a request arrived on, with its id: how its outcome goes
+/// back.
+enum Edge {
+    Json(Json),
+    Binary(u64),
+}
+
+impl Edge {
+    /// Encodes a routed outcome. A node's binary response passes through
+    /// byte for byte; on the JSON edge it is rendered exactly as the
+    /// node's own JSON edge renders it.
+    fn encode(&self, routed: Routed) -> Vec<u8> {
+        match (self, routed) {
+            (Edge::Json(id), Routed::Local(outcome)) => encode_outcome(id, outcome).into_bytes(),
+            (Edge::Json(id), Routed::Forwarded(tag, payload)) => {
+                encode_outcome(id, answer_of(tag, &payload)).into_bytes()
+            }
+            (Edge::Binary(id), Routed::Local(outcome)) => response_frame(*id, outcome),
+            (Edge::Binary(_), Routed::Forwarded(tag, payload)) => encode_frame(tag, &payload),
+        }
+    }
+}
+
+/// Routes with `route` and encodes the outcome for `edge`. A panic
+/// answers the request with a framed `analysis` error instead of ending
+/// the forwarder, so the pool never shrinks.
+fn answer(edge: &Edge, route: impl FnOnce() -> Routed) -> Vec<u8> {
+    catch_unwind(AssertUnwindSafe(|| edge.encode(route()))).unwrap_or_else(|payload| {
+        let e = ServiceError::new(
+            ErrorKind::Analysis,
+            format!(
+                "internal: forward panicked: {}",
+                panic_message(payload.as_ref())
+            ),
+        );
+        edge.encode(Routed::Local(Err(e)))
+    })
 }
 
 /// What the router did with a request.
@@ -698,203 +931,50 @@ fn merge_numeric(into: &mut Json, from: &Json) {
     }
 }
 
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
-/// Reads one byte, polling the shutdown flag while idle. `Ok(None)` on
-/// EOF or shutdown.
-fn wait_byte(stream: &mut TcpStream, router: &Router) -> io::Result<Option<u8>> {
-    let mut byte = [0u8; 1];
-    loop {
-        match stream.read(&mut byte) {
-            Ok(0) => return Ok(None),
-            Ok(_) => return Ok(Some(byte[0])),
-            Err(e) if is_timeout(&e) => {
-                if router.is_shutdown() {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Serves one binary-mode client connection. `first` is the sniffed
-/// magic byte, spliced back ahead of the stream for the framer.
-fn serve_binary_client(router: &Arc<Router>, mut stream: TcpStream, first: u8) -> io::Result<()> {
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut pending = Some(first);
-    loop {
-        let lead = match pending.take() {
-            Some(b) => b,
-            None => match wait_byte(&mut stream, router)? {
-                Some(b) => b,
-                None => return Ok(()),
-            },
-        };
-        // Mid-frame reads run under the request deadline, not the
-        // shutdown-poll interval — a torn frame drops the connection
-        // instead of wedging it.
-        stream.set_read_timeout(Some(router.config.request_timeout))?;
-        let mut reader = io::Cursor::new(vec![lead]).chain(stream.try_clone()?);
-        let (tag, payload) = match read_frame(&mut reader, router.config.max_frame_bytes) {
-            Ok(frame) => frame,
-            Err(e) => {
-                let e = ServiceError::new(ErrorKind::Protocol, format!("bad frame: {e}"));
-                let frame = response_frame(0, Err(e));
-                let _ = writer.write_all(&frame);
-                let _ = writer.flush();
-                return Ok(());
-            }
-        };
-        stream.set_read_timeout(Some(READ_POLL))?;
-        let (frame, is_shutdown) = router.handle_binary(tag, &payload);
-        writer.write_all(&frame)?;
-        writer.flush()?;
-        if is_shutdown {
-            return Ok(());
-        }
-    }
-}
-
-/// Serves one JSON-mode client connection; `first` is the already-read
-/// opening byte of the first line.
-fn serve_json_client(router: &Arc<Router>, stream: TcpStream, first: u8) -> io::Result<()> {
-    let reader = BufReader::new(io::Cursor::new(vec![first]).chain(stream.try_clone()?));
-    let mut writer = BufWriter::new(stream);
-    let mut frames = FrameReader::new(reader, router.config.max_frame_bytes);
-    loop {
-        match frames.next_frame() {
-            Ok(Some(Frame::Complete)) => {
-                let (line, is_shutdown) = router.handle_json(frames.frame());
-                writer.write_all(line.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                if is_shutdown {
-                    return Ok(());
-                }
-            }
-            Ok(Some(Frame::Oversized)) => {
-                let e = ServiceError::new(
-                    ErrorKind::Protocol,
-                    format!(
-                        "frame exceeds the {} byte cap",
-                        router.config.max_frame_bytes
-                    ),
-                );
-                writer.write_all(encode_err(&Json::Null, &e).as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-            }
-            Ok(None) => return Ok(()),
-            Err(e) if is_timeout(&e) => {
-                if router.is_shutdown() {
-                    return Ok(());
-                }
-            }
-            Err(_) => return Ok(()),
-        }
-    }
-}
-
-fn handle_client(router: Arc<Router>, mut stream: TcpStream) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(READ_POLL))?;
-    let first = match wait_byte(&mut stream, &router)? {
-        Some(b) => b,
-        None => return Ok(()),
-    };
-    if first == b'{' {
-        serve_json_client(&router, stream, first)
-    } else {
-        serve_binary_client(&router, stream, first)
-    }
-}
-
-/// The TCP front-end over a [`Router`]: thread-per-client connections
-/// plus the background health prober.
-pub struct RouterServer {
-    router: Arc<Router>,
-    listener: TcpListener,
-}
-
-impl RouterServer {
-    /// Binds `addr` (port 0 for ephemeral) in front of a fresh router.
-    pub fn bind(addr: impl ToSocketAddrs, config: RouterConfig) -> io::Result<RouterServer> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(RouterServer {
-            router: Router::new(config),
-            listener,
-        })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// A handle to the routing core (shutdown, metrics).
-    pub fn router(&self) -> Arc<Router> {
-        Arc::clone(&self.router)
-    }
-
-    /// Accepts and serves clients until a `shutdown` request, probing
-    /// backend health in the background; then joins every connection
-    /// thread.
-    pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let prober = {
-            let router = Arc::clone(&self.router);
-            std::thread::Builder::new()
-                .name("router-prober".into())
-                .spawn(move || {
-                    while !router.is_shutdown() {
-                        router.probe_all();
-                        let mut waited = Duration::ZERO;
-                        while waited < router.config.probe_interval && !router.is_shutdown() {
-                            std::thread::sleep(READ_POLL);
-                            waited += READ_POLL;
-                        }
-                    }
-                })
-                .expect("spawn router prober thread")
-        };
-        let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.router.is_shutdown() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.router.ins.connections.inc();
-                    let router = Arc::clone(&self.router);
-                    connections.push(std::thread::spawn(move || {
-                        let _ = handle_client(router, stream);
-                    }));
-                }
-                Err(e) if is_timeout(&e) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    connections.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        for handle in connections {
-            let _ = handle.join();
-        }
-        let _ = prober.join();
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::binproto::kind_from_byte;
+    use arrayflow_wire::frame::read_frame;
     use arrayflow_wire::proto::with_deadline;
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    /// A respond callback that hands the answer to the returned channel.
+    fn channel() -> (Respond, mpsc::Receiver<Vec<u8>>) {
+        let (tx, rx) = mpsc::channel();
+        let respond: Respond = Box::new(move |bytes| {
+            let _ = tx.send(bytes);
+        });
+        (respond, rx)
+    }
+
+    fn wait(rx: &mpsc::Receiver<Vec<u8>>) -> Vec<u8> {
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("every frame is answered")
+    }
+
+    /// One JSON line through the router's loop-side entry and its
+    /// forwarder pool.
+    fn ask_json(router: &Arc<Router>, line: &[u8]) -> String {
+        let (respond, rx) = channel();
+        router.answer_json(line, CancelToken::new(), respond);
+        String::from_utf8(wait(&rx)).unwrap()
+    }
+
+    fn error_kind(frame: Vec<u8>) -> Option<ErrorKind> {
+        let (tag, payload) = read_frame(&mut io::Cursor::new(frame), 1 << 20).unwrap();
+        match WireResponse::decode(tag, &payload) {
+            Ok(WireResponse::Err { kind, .. }) => kind_from_byte(kind),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+    }
+
+    fn stop(router: Arc<Router>) {
+        router.shutdown();
+        router.drain();
+    }
 
     fn analyze(fingerprint: Option<[u8; 16]>, source: Option<&str>) -> WireRequest {
         WireRequest::Analyze(AnalyzeRequest {
@@ -978,16 +1058,17 @@ mod tests {
         let topology = Topology::parse("a=127.0.0.1:1,b=127.0.0.1:1", 16).unwrap();
         let mut config = RouterConfig::new(topology);
         config.connect_timeout = Duration::from_millis(100);
-        let router = Router::new(config);
-        let (line, is_shutdown) = router.handle_json(
+        let router = Router::start(config).unwrap();
+        let line = ask_json(
+            &router,
             br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i] := 1; end"}"#,
         );
-        assert!(!is_shutdown);
         assert!(line.contains(r#""kind":"overloaded""#), "{line}");
         assert!(router.ins.unroutable.get() >= 1);
         // The health view reflects the dead nodes after the attempts.
         let health = router.health_json().to_string();
         assert!(health.contains(r#""healthy":false"#), "{health}");
+        stop(router);
     }
 
     #[test]
@@ -996,7 +1077,7 @@ mod tests {
         // `fingerprint` or `session` used to reach `.expect()` calls that
         // trusted decode invariants, taking the router thread down.
         let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
-        let router = Router::new(RouterConfig::new(topology));
+        let router = Router::start(RouterConfig::new(topology)).unwrap();
         let fp = "000102030405060708090a0b0c0d0e0f";
         let frames = [
             r#"{"id": 1, "verb": "delta", "stmt": 3, "text": "A[i] := 1;"}"#.to_string(),
@@ -1007,10 +1088,10 @@ mod tests {
             r#"{"id": 4, "verb": "delta"}"#.to_string(),
         ];
         for frame in frames {
-            let (line, is_shutdown) = router.handle_json(frame.as_bytes());
-            assert!(!is_shutdown);
+            let line = ask_json(&router, frame.as_bytes());
             assert!(line.contains(r#""kind":"protocol""#), "{line}");
         }
+        stop(router);
     }
 
     #[test]
@@ -1040,12 +1121,12 @@ mod tests {
         // A dead-on-arrival budget must never consume a backend round
         // trip: the router answers `cancelled` itself, on both protocols.
         let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
-        let router = Router::new(RouterConfig::new(topology));
+        let router = Router::start(RouterConfig::new(topology)).unwrap();
 
-        let (line, is_shutdown) = router.handle_json(
+        let line = ask_json(
+            &router,
             br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i] := 1; end", "deadline_ms": 0}"#,
         );
-        assert!(!is_shutdown);
         assert!(line.contains(r#""kind":"cancelled""#), "{line}");
 
         let req = WireRequest::Analyze(AnalyzeRequest {
@@ -1056,22 +1137,87 @@ mod tests {
             source: Some(b"do i = 1, 9 A[i] := 1; end".to_vec()),
         });
         let (tag, payload) = with_deadline(req.tag(), &req.encode_payload(), 0);
-        let (frame, is_shutdown) = router.handle_binary(tag, &payload);
-        assert!(!is_shutdown);
-        let (rtag, rpayload) = read_frame(&mut io::Cursor::new(frame), 1 << 20).unwrap();
-        match WireResponse::decode(rtag, &rpayload) {
-            Ok(WireResponse::Err { kind, message, .. }) => {
-                assert_eq!(
-                    kind_from_byte(kind),
-                    Some(ErrorKind::Cancelled),
-                    "{message}"
-                );
-            }
-            other => panic!("expected cancelled error, got {other:?}"),
-        }
+        let (respond, rx) = channel();
+        router.answer_binary(tag, &payload, CancelToken::new(), respond);
+        assert_eq!(error_kind(wait(&rx)), Some(ErrorKind::Cancelled));
 
         assert_eq!(router.ins.forwards.get(), 0);
         assert_eq!(router.ins.expired_before_forward.get(), 2);
+        stop(router);
+    }
+
+    #[test]
+    fn a_full_queue_answers_overloaded() {
+        // No forwarders run, so every forward stays queued.
+        let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
+        let router = Arc::new(Router::new(RouterConfig::new(topology)).unwrap().0);
+        let line = br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i] := 1; end"}"#;
+        for _ in 0..QUEUE_PER_FORWARDER * POOL_CAP {
+            router.answer_json(line, CancelToken::new(), Box::new(|_| panic!("queued")));
+        }
+        let (respond, rx) = channel();
+        router.answer_json(line, CancelToken::new(), respond);
+        let line = String::from_utf8(wait(&rx)).unwrap();
+        assert!(line.contains(r#""kind":"overloaded""#), "{line}");
+        // Cheap verbs never queue.
+        let (respond, rx) = channel();
+        router.answer_json(br#"{"id": 2, "verb": "ping"}"#, CancelToken::new(), respond);
+        assert_eq!(wait(&rx), br#"{"id":2,"ok":true,"result":"pong"}"#);
+    }
+
+    #[test]
+    fn forwarders_skip_reaped_connections_and_spend_the_budget_from_acceptance() {
+        let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
+        let mut config = RouterConfig::new(topology);
+        config.connect_timeout = Duration::from_millis(100);
+        let (router, mut waits) = Router::new(config).unwrap();
+        let router = Arc::new(router);
+        let analyze = |budget: &str| {
+            format!(
+                r#"{{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i] := 1; end"{budget}}}"#
+            )
+        };
+        // A frame whose connection the loop reaped while it was queued.
+        let reaped = CancelToken::new();
+        let (respond, skipped) = channel();
+        router.answer_json(analyze("").as_bytes(), reaped.clone(), respond);
+        reaped.cancel();
+        // A frame whose 20 ms budget runs out in the queue.
+        let (respond, expired) = channel();
+        let budget = analyze(r#", "deadline_ms": 20"#);
+        router.answer_json(budget.as_bytes(), CancelToken::new(), respond);
+        // A live frame, for a dead node.
+        let (respond, live) = channel();
+        router.answer_json(analyze("").as_bytes(), CancelToken::new(), respond);
+
+        std::thread::sleep(Duration::from_millis(30));
+        router.shutdown();
+        router.forward_loop(0, waits.remove(0));
+
+        assert!(skipped.try_recv().is_err(), "reaped work is skipped");
+        let line = String::from_utf8(wait(&expired)).unwrap();
+        assert!(
+            line.contains("budget exhausted before the forward"),
+            "{line}"
+        );
+        let line = String::from_utf8(wait(&live)).unwrap();
+        assert!(line.contains(r#""kind":"overloaded""#), "{line}");
+        assert_eq!(router.ins.expired_before_forward.get(), 1);
+        assert_eq!(
+            router.ins.unroutable.get(),
+            1,
+            "only the live frame was tried"
+        );
+    }
+
+    #[test]
+    fn a_panicking_forward_answers_its_own_request() {
+        let line = answer(&Edge::Json(Json::Num(7.0)), || panic!("boom"));
+        let line = String::from_utf8(line).unwrap();
+        assert!(line.starts_with(r#"{"id":7,"ok":false"#), "{line}");
+        assert!(line.contains("forward panicked: boom"), "{line}");
+        let frame = answer(&Edge::Binary(7), || panic!("boom"));
+        assert_eq!(error_kind(frame), Some(ErrorKind::Analysis));
     }
 
     #[test]

@@ -37,8 +37,10 @@ use arrayflow_resilience::{panic_message, CancelToken, FaultSurface};
 use arrayflow_store::{PersistentTier, Store, StoreConfig};
 use arrayflow_wire::proto::Request;
 
+use crate::binproto::{decode_request, oversized_frame, response_frame};
 use crate::json::Json;
-use crate::proto::{encode_err, encode_outcome, ErrorKind, JsonRequest, ServiceError};
+use crate::proto::{encode_outcome, oversized_line, ErrorKind, JsonRequest, ServiceError};
+use crate::server::{FrameHandler, Respond};
 
 /// Upper edges of the request latency histogram, in microseconds; the
 /// final bucket is unbounded.
@@ -99,12 +101,6 @@ pub struct ServiceConfig {
     /// Ship interval for the replicator's incremental batches (a flush
     /// barrier ships sooner).
     pub replicate_interval: Duration,
-    /// Idle-connection timeout for the event-driven server (`serve
-    /// --idle-timeout-ms`): a connection that has sent no bytes for this
-    /// long — including a slow-loris peer parked mid-frame — is closed
-    /// and counted in `arrayflow_idle_disconnects_total`. `Duration::ZERO`
-    /// disables the sweep.
-    pub idle_timeout: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -121,7 +117,6 @@ impl Default for ServiceConfig {
             node_id: None,
             replicate_to: None,
             replicate_interval: Duration::from_millis(250),
-            idle_timeout: Duration::from_secs(60),
         }
     }
 }
@@ -230,9 +225,9 @@ pub(crate) enum Answer {
 
 /// How an answer reaches whoever is waiting: a boxed one-shot closure,
 /// so the blocking edge (an `mpsc` send the submitting thread waits on)
-/// and the event edges (encode, then hand the bytes to the poll loop)
+/// and the event edges (encode, then hand the bytes to the connection)
 /// share one dispatch, one queue and one worker pool.
-pub(crate) type Reply = Box<dyn FnOnce(Result<Answer, ServiceError>) + Send>;
+type Reply = Box<dyn FnOnce(Result<Answer, ServiceError>) + Send>;
 
 /// The solver task a queued job carries. Everything that runs a solver —
 /// analyses, session opens (a full analysis that also retains state), and
@@ -254,12 +249,6 @@ enum Task {
 /// A request as an edge decoded it: the request and its deadline
 /// budget, or the protocol error that stopped the decode.
 pub(crate) type Decoded = Result<(Request, Option<u64>), ServiceError>;
-
-/// True for a decoded `shutdown`: the transport stops reading after
-/// sending its answer.
-pub(crate) fn asks_shutdown(decoded: &Decoded) -> bool {
-    matches!(decoded, Ok((Request::Shutdown { .. }, _)))
-}
 
 /// Encodes one outcome on the JSON edge.
 fn json_response(
@@ -329,29 +318,29 @@ pub struct Service {
 /// outcome, the latency and queue-wait histograms, and the
 /// transport-side phase timings.
 #[derive(Debug, Clone)]
-pub(crate) struct ServiceInstruments {
-    pub(crate) connections: Counter,
-    pub(crate) requests: Counter,
-    pub(crate) ok: Counter,
-    pub(crate) parse_errors: Counter,
-    pub(crate) analysis_errors: Counter,
-    pub(crate) timeouts: Counter,
-    pub(crate) overloaded: Counter,
-    pub(crate) protocol_errors: Counter,
-    pub(crate) session_lost: Counter,
-    pub(crate) cancelled: Counter,
-    pub(crate) cancelled_disconnect: Counter,
-    pub(crate) cancelled_expired: Counter,
-    pub(crate) deadline_propagated: Counter,
-    pub(crate) idle_disconnects: Counter,
-    pub(crate) oversized_frames: Counter,
-    pub(crate) worker_restarts: Counter,
-    pub(crate) queue_depth_hwm: Gauge,
-    pub(crate) latency: Histogram,
-    pub(crate) queue_wait: Histogram,
-    pub(crate) wasted_passes: Histogram,
-    pub(crate) phase_decode: Histogram,
-    pub(crate) phase_parse: Histogram,
+struct ServiceInstruments {
+    connections: Counter,
+    requests: Counter,
+    ok: Counter,
+    parse_errors: Counter,
+    analysis_errors: Counter,
+    timeouts: Counter,
+    overloaded: Counter,
+    protocol_errors: Counter,
+    session_lost: Counter,
+    cancelled: Counter,
+    cancelled_disconnect: Counter,
+    cancelled_expired: Counter,
+    deadline_propagated: Counter,
+    idle_disconnects: Counter,
+    oversized_frames: Counter,
+    worker_restarts: Counter,
+    queue_depth_hwm: Gauge,
+    latency: Histogram,
+    queue_wait: Histogram,
+    wasted_passes: Histogram,
+    phase_decode: Histogram,
+    phase_parse: Histogram,
 }
 
 impl ServiceInstruments {
@@ -436,6 +425,84 @@ impl ServiceInstruments {
             phase_decode: phase("decode"),
             phase_parse: phase("parse"),
         }
+    }
+}
+
+/// The node's side of the event loop: both edges decode, then take the
+/// one dispatch. Cheap verbs, validation errors and fingerprint cache
+/// hits answer inline (`respond` runs before the call returns); solver
+/// verbs go through the bounded queue with `respond` called from a
+/// worker. The connection's [`CancelToken`] rides along, so a teardown
+/// cancels everything it still has queued or in flight.
+///
+/// Nobody waits on these edges, so the deadline is enforced by the worker
+/// when it picks the job up (and mid-solve): an expired job answers
+/// `cancelled`, not `timeout`.
+impl FrameHandler for Service {
+    fn answer_json(self: &Arc<Self>, line: &[u8], cancel: CancelToken, respond: Respond) {
+        let accepted = Instant::now();
+        let trace = self.begin_trace();
+        let (id, decoded) = self.decode_json(&trace, line);
+        self.dispatch_async(trace, accepted, decoded, cancel, respond, move |o| {
+            encode_outcome(&id, o).into_bytes()
+        });
+    }
+
+    fn answer_binary(
+        self: &Arc<Self>,
+        tag: u8,
+        payload: &[u8],
+        cancel: CancelToken,
+        respond: Respond,
+    ) {
+        let accepted = Instant::now();
+        let trace = self.begin_trace();
+        let decoded = with_current(&trace, || {
+            let _span = observed_span("decode", &self.ins.phase_decode);
+            decode_request(tag, payload)
+        });
+        // The id of a frame that failed to decode cannot be recovered; 0
+        // is the protocol's "unattributable" id.
+        let id = decoded.as_ref().map_or(0, |(req, _)| req.id());
+        self.dispatch_async(trace, accepted, decoded, cancel, respond, move |o| {
+            response_frame(id, o)
+        });
+    }
+
+    fn max_frame_bytes(&self) -> usize {
+        self.config.max_frame_bytes
+    }
+
+    /// Counts the discarded line. The edges never materialize such a
+    /// frame, so this is the one answer that skips [`Service::handle_frame`]:
+    /// it gets its own counter and deliberately stays out of `requests`
+    /// and the latency histogram (no work was timed, so a zero
+    /// observation would only skew the distribution).
+    fn oversized_json(&self) -> String {
+        self.ins.oversized_frames.inc();
+        oversized_line(self.config.max_frame_bytes)
+    }
+
+    /// Counted like [`FrameHandler::oversized_json`].
+    fn oversized_binary(&self, declared: u64) -> Vec<u8> {
+        self.ins.oversized_frames.inc();
+        oversized_frame(declared, self.config.max_frame_bytes)
+    }
+
+    fn is_shutdown(&self) -> bool {
+        Service::is_shutdown(self)
+    }
+
+    fn drain(&self) {
+        self.join_workers();
+    }
+
+    fn connected(&self) {
+        self.ins.connections.inc();
+    }
+
+    fn reaped(&self) {
+        self.ins.idle_disconnects.inc();
     }
 }
 
@@ -659,11 +726,6 @@ impl Service {
         }
     }
 
-    /// Records one accepted transport connection.
-    pub fn record_connection(&self) {
-        self.ins.connections.inc();
-    }
-
     /// The blocking JSON edge (stdio and in-process callers): decode one
     /// frame, dispatch it, wait for the answer, count and encode it.
     /// Never panics and never drops a request silently — hostile bytes
@@ -678,37 +740,12 @@ impl Service {
         let accepted = Instant::now();
         let trace = self.begin_trace();
         let (id, decoded) = self.decode_json(&trace, frame);
-        let shutdown = asks_shutdown(&decoded);
+        let shutdown = matches!(decoded, Ok((Request::Shutdown { .. }, _)));
         let outcome = decoded
             .and_then(|(req, budget_ms)| self.dispatch_and_wait(req, budget_ms, &trace, accepted));
         self.finish(&trace, accepted, outcome, |o| {
             json_response(&id, o, shutdown)
         })
-    }
-
-    /// The event edge for JSON frames: cheap verbs and validation errors
-    /// are answered inline (`respond` runs before this returns), solver
-    /// verbs go through the bounded queue with `respond` called from the
-    /// worker. `respond` is called exactly once. The caller-owned
-    /// [`CancelToken`] is the connection's: a teardown cancels everything
-    /// the connection still has queued or in flight.
-    ///
-    /// Nobody waits here, so the deadline is enforced by the worker when
-    /// it picks the job up (and mid-solve): an expired job answers
-    /// `cancelled`, not `timeout`.
-    pub fn handle_frame_async_ctrl(
-        self: &Arc<Self>,
-        frame: &[u8],
-        cancel: CancelToken,
-        respond: Box<dyn FnOnce(FrameResponse) + Send>,
-    ) {
-        let accepted = Instant::now();
-        let trace = self.begin_trace();
-        let (id, decoded) = self.decode_json(&trace, frame);
-        let shutdown = asks_shutdown(&decoded);
-        self.dispatch_async(trace, accepted, decoded, cancel, respond, move |o| {
-            json_response(&id, o, shutdown)
-        });
     }
 
     /// Decodes one JSON frame under the request's trace and decode span.
@@ -725,14 +762,14 @@ impl Service {
 
     /// The event edges' shared tail: dispatch, then count, encode and
     /// respond on whichever thread answers.
-    pub(crate) fn dispatch_async<T: 'static>(
+    fn dispatch_async(
         self: &Arc<Self>,
         trace: Arc<Trace>,
         accepted: Instant,
         decoded: Decoded,
         cancel: CancelToken,
-        respond: Box<dyn FnOnce(T) + Send>,
-        encode: impl FnOnce(Result<Answer, ServiceError>) -> T + Send + 'static,
+        respond: Respond,
+        encode: impl FnOnce(Result<Answer, ServiceError>) -> Vec<u8> + Send + 'static,
     ) {
         let svc = Arc::clone(self);
         let done = Arc::clone(&trace);
@@ -855,32 +892,9 @@ impl Service {
         }
     }
 
-    /// Builds (and counts) the response for a frame that exceeded
-    /// [`ServiceConfig::max_frame_bytes`]. The transports discard such
-    /// frames without materializing them, so this is the one response that
-    /// never passes through [`Service::handle_frame`] — it gets its own
-    /// counter and deliberately stays out of `requests` and the latency
-    /// histogram (no work was timed, so a zero observation would only
-    /// skew the distribution).
-    pub fn oversized_frame_response(&self) -> String {
-        self.ins.oversized_frames.inc();
-        encode_err(
-            &Json::Null,
-            &ServiceError::new(
-                ErrorKind::Protocol,
-                format!("frame exceeds {} bytes", self.config.max_frame_bytes),
-            ),
-        )
-    }
-
     /// A fresh per-request trace with a process-unique id.
-    pub(crate) fn begin_trace(&self) -> Arc<Trace> {
+    fn begin_trace(&self) -> Arc<Trace> {
         Trace::start(self.next_trace_id.fetch_add(1, Ordering::Relaxed))
-    }
-
-    /// The service's registered instruments, for sibling transports.
-    pub(crate) fn ins(&self) -> &ServiceInstruments {
-        &self.ins
     }
 
     fn counter_for(&self, kind: ErrorKind) -> &Counter {

@@ -2,14 +2,18 @@
 //! service over real TCP. The invariant under attack is always the
 //! same — every line sent gets exactly one framed JSON response (ok or
 //! structured error), the connection is never dropped, and the service
-//! still answers clean work afterwards.
+//! still answers clean work afterwards. The framing cases run against a
+//! node and against a router in front of one.
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+mod common;
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-use arrayflow_service::{EventServer, Json, ProtoMode, Service, ServiceConfig};
+use arrayflow_service::{Json, ServiceConfig};
+use common::{Front, Stack};
 
 struct Session {
     reader: BufReader<TcpStream>,
@@ -17,7 +21,7 @@ struct Session {
 }
 
 impl Session {
-    fn connect(addr: &str) -> Session {
+    fn connect(addr: SocketAddr) -> Session {
         let stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).unwrap();
         stream
@@ -60,21 +64,18 @@ impl Session {
     }
 }
 
-fn start() -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    start_with(ServiceConfig {
-        max_frame_bytes: 64 * 1024,
-        ..ServiceConfig::default()
-    })
+fn start(front: Front) -> Stack {
+    start_with(
+        front,
+        ServiceConfig {
+            max_frame_bytes: 64 * 1024,
+            ..ServiceConfig::default()
+        },
+    )
 }
 
-fn start_with(config: ServiceConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let server = EventServer::attach(listener, Service::start(config).expect("start"));
-    (
-        addr,
-        std::thread::spawn(move || server.run(ProtoMode::Auto)),
-    )
+fn start_with(front: Front, config: ServiceConfig) -> Stack {
+    Stack::start(front, config, Duration::from_secs(60))
 }
 
 fn error_kind(resp: &Json) -> &str {
@@ -85,10 +86,13 @@ fn error_kind(resp: &Json) -> &str {
         .expect("error.kind")
 }
 
-#[test]
-fn hostile_frames_never_take_the_connection_down() {
-    let (addr, server) = start();
-    let mut s = Session::connect(&addr);
+fn hostile_frames(front: Front) {
+    let stack = start(front);
+    let mut s = Session::connect(stack.addr);
+
+    // Leading whitespace still sniffs as JSON.
+    let resp = s.send(r#" {"id": 1, "verb": "ping"}"#);
+    assert_eq!(resp.get("result").and_then(Json::as_str), Some("pong"));
 
     // Binary garbage, invalid UTF-8, empty line, bare words.
     for payload in [
@@ -126,13 +130,22 @@ fn hostile_frames_never_take_the_connection_down() {
 
     s.assert_still_alive();
     s.send(r#"{"id": 9, "verb": "shutdown"}"#);
-    server.join().expect("server").expect("run");
+    stack.join();
 }
 
 #[test]
-fn deep_nesting_is_rejected_not_overflowed() {
-    let (addr, server) = start();
-    let mut s = Session::connect(&addr);
+fn hostile_frames_never_take_the_connection_down() {
+    hostile_frames(Front::Node);
+}
+
+#[test]
+fn hostile_frames_never_take_a_routed_connection_down() {
+    hostile_frames(Front::Router);
+}
+
+fn deep_nesting(front: Front) {
+    let stack = start(front);
+    let mut s = Session::connect(stack.addr);
 
     // 500 nested arrays: far past the parser's depth cap, which must
     // answer with an error instead of blowing the stack.
@@ -152,13 +165,22 @@ fn deep_nesting_is_rejected_not_overflowed() {
 
     s.assert_still_alive();
     s.send(r#"{"id": 9, "verb": "shutdown"}"#);
-    server.join().expect("server").expect("run");
+    stack.join();
 }
 
 #[test]
-fn oversized_frames_are_discarded_in_bounded_memory() {
-    let (addr, server) = start();
-    let mut s = Session::connect(&addr);
+fn deep_nesting_is_rejected_not_overflowed() {
+    deep_nesting(Front::Node);
+}
+
+#[test]
+fn deep_nesting_is_rejected_not_overflowed_through_a_router() {
+    deep_nesting(Front::Router);
+}
+
+fn oversized_frames(front: Front) {
+    let stack = start(front);
+    let mut s = Session::connect(stack.addr);
 
     // 4 MiB line against a 64 KiB cap: discarded while streaming, then
     // answered, and the framing resynchronizes on the next newline.
@@ -168,13 +190,44 @@ fn oversized_frames_are_discarded_in_bounded_memory() {
 
     s.assert_still_alive();
     s.send(r#"{"id": 9, "verb": "shutdown"}"#);
-    server.join().expect("server").expect("run");
+    stack.join();
+}
+
+#[test]
+fn oversized_frames_are_discarded_in_bounded_memory() {
+    oversized_frames(Front::Node);
+}
+
+#[test]
+fn oversized_frames_are_discarded_in_bounded_memory_by_a_router() {
+    oversized_frames(Front::Router);
+}
+
+#[test]
+fn an_unterminated_final_line_is_answered_on_every_edge() {
+    for front in [Front::Node, Front::Router] {
+        let stack = start(front);
+        let mut stream = TcpStream::connect(stack.addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(br#"{"id": 2, "verb": "ping"}"#).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        assert_eq!(
+            answer, "{\"id\":2,\"ok\":true,\"result\":\"pong\"}\n",
+            "{front:?}"
+        );
+        Session::connect(stack.addr).send(r#"{"id": 9, "verb": "shutdown"}"#);
+        stack.join();
+    }
 }
 
 #[test]
 fn degenerate_programs_are_answered_not_crashed() {
-    let (addr, server) = start();
-    let mut s = Session::connect(&addr);
+    let stack = start(Front::Node);
+    let mut s = Session::connect(stack.addr);
 
     let mut nested = String::new();
     for d in 0..24 {
@@ -215,7 +268,7 @@ fn degenerate_programs_are_answered_not_crashed() {
 
     s.assert_still_alive();
     s.send(r#"{"id": 9, "verb": "shutdown"}"#);
-    server.join().expect("server").expect("run");
+    stack.join();
 }
 
 #[test]
@@ -223,8 +276,8 @@ fn overflowing_subscripts_are_analyzed_without_a_worker_panic() {
     // Accepted programs whose subscript arithmetic overflows i64 (offset
     // differences) or i128 (the must-mode kill range): each is answered
     // with a report, and no worker panics on the way.
-    let (addr, server) = start();
-    let mut s = Session::connect(&addr);
+    let stack = start(Front::Node);
+    let mut s = Session::connect(stack.addr);
     let programs = [
         "do i = 1, UB X[i + 9223372036854775807] := 0; X[i - 9223372036854775807] := 0; end",
         "do i = 1, 9000000000000000000 X[4611686018427387903*i] := 0; X[i+1] := X[3*i]; end",
@@ -253,7 +306,7 @@ fn overflowing_subscripts_are_analyzed_without_a_worker_panic() {
         .and_then(Json::as_u64);
     assert_eq!(panics, Some(0));
     s.send(r#"{"id": 9, "verb": "shutdown"}"#);
-    server.join().expect("server").expect("run");
+    stack.join();
 }
 
 #[test]
@@ -267,8 +320,8 @@ fn fault_plan_plus_hostility_still_answers_everything() {
         )),
         ..ServiceConfig::default()
     };
-    let (addr, server_thread) = start_with(config);
-    let mut s = Session::connect(&addr);
+    let stack = start_with(Front::Node, config);
+    let mut s = Session::connect(stack.addr);
 
     for i in 0..60 {
         let resp = match i % 3 {
@@ -286,5 +339,5 @@ fn fault_plan_plus_hostility_still_answers_everything() {
     }
 
     s.send(r#"{"id": 999, "verb": "shutdown"}"#);
-    server_thread.join().expect("server").expect("run");
+    stack.join();
 }

@@ -1,7 +1,10 @@
 //! End-to-end tests of the event-driven server: binary and JSON clients
 //! against one listener, byte-identity across protocols, the
 //! fingerprint fast path, frame caps, ordering, and drain-on-shutdown.
+//! The ordering and frame-cap cases also run through a router.
 #![cfg(unix)]
+
+mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -14,6 +17,7 @@ use arrayflow_service::{
 use arrayflow_store::codec::decode_report;
 use arrayflow_wire::proto::{AnalyzeRequest, Request as WireRequest, Response as WireResponse};
 use arrayflow_wire::{encode_frame, FrameDecoder, FrameEvent};
+use common::{Front, Stack};
 
 const SRC: &str = "do i = 1, 100 A[i+2] := A[i] + x; end";
 
@@ -155,11 +159,10 @@ fn json_only_mode_treats_binary_magic_as_a_json_line() {
     stop(addr, handle);
 }
 
-#[test]
-fn pipelined_binary_requests_answer_in_request_order() {
-    let (addr, handle) = start(ProtoMode::Auto, ServiceConfig::default());
+fn pipelined_order(front: Front) {
+    let stack = Stack::start(front, ServiceConfig::default(), Duration::from_secs(60));
 
-    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut stream = TcpStream::connect(stack.addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
@@ -199,20 +202,31 @@ fn pipelined_binary_requests_answer_in_request_order() {
         assert_eq!(resp.id(), i as u64, "response out of order: {resp:?}");
     }
 
-    stop(addr, handle);
+    client(stack.addr).shutdown().unwrap();
+    stack.join();
 }
 
 #[test]
-fn oversized_binary_frame_is_rejected_and_the_connection_survives() {
-    let (addr, handle) = start(
-        ProtoMode::Auto,
+fn pipelined_binary_requests_answer_in_request_order() {
+    pipelined_order(Front::Node);
+}
+
+#[test]
+fn pipelined_binary_requests_answer_in_request_order_through_a_router() {
+    pipelined_order(Front::Router);
+}
+
+fn oversized_binary_frame(front: Front) {
+    let stack = Stack::start(
+        front,
         ServiceConfig {
             max_frame_bytes: 1024,
             ..Default::default()
         },
+        Duration::from_secs(60),
     );
 
-    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut stream = TcpStream::connect(stack.addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
@@ -250,14 +264,27 @@ fn oversized_binary_frame_is_rejected_and_the_connection_survives() {
     assert!(matches!(&got[1], WireResponse::Text { id: 2, .. }));
 
     // The oversized frame landed in its own counter, not the taxonomy.
-    let mut c = client(addr);
+    let mut c = client(stack.addr);
     let metrics = c.metrics_prometheus().unwrap();
     assert!(
-        metrics.contains("arrayflow_oversized_frames_total 1"),
+        metrics
+            .lines()
+            .any(|l| l.starts_with("arrayflow_oversized_frames_total") && l.ends_with(" 1")),
         "oversized counter missing"
     );
 
-    stop(addr, handle);
+    c.shutdown().unwrap();
+    stack.join();
+}
+
+#[test]
+fn oversized_binary_frame_is_rejected_and_the_connection_survives() {
+    oversized_binary_frame(Front::Node);
+}
+
+#[test]
+fn oversized_binary_frame_is_rejected_by_a_router_and_the_connection_survives() {
+    oversized_binary_frame(Front::Router);
 }
 
 #[test]

@@ -6,6 +6,8 @@
 //! requests leaves live traffic answering byte-identically).
 #![cfg(unix)]
 
+mod common;
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -15,11 +17,12 @@ use std::time::Duration;
 
 use arrayflow_resilience::CancelToken;
 use arrayflow_service::{
-    Client, ClientConfig, EventServer, Json, ProtoMode, Service, ServiceConfig,
+    Client, ClientConfig, EventServer, FrameHandler, Json, ProtoMode, Service, ServiceConfig,
 };
 use arrayflow_store::{Store, StoreConfig};
 use arrayflow_wire::proto::{AnalyzeRequest, Request as WireRequest, Response as WireResponse};
 use arrayflow_wire::{encode_frame, FrameDecoder, FrameEvent};
+use common::{Front, Stack};
 
 fn start(config: ServiceConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
     let service = Service::start(config).unwrap();
@@ -83,20 +86,21 @@ fn analyze_frame(id: usize, program: &str) -> String {
     )
 }
 
-/// Sends one JSON frame through the async path with a caller-owned
-/// cancel token and returns the response line.
+/// Sends one JSON frame through the event loop's JSON edge with a
+/// caller-owned cancel token and returns the response line.
 fn async_json(svc: &std::sync::Arc<Service>, frame: &str, cancel: CancelToken) -> String {
     let (tx, rx) = mpsc::channel();
-    svc.handle_frame_async_ctrl(
+    svc.answer_json(
         frame.as_bytes(),
         cancel,
-        Box::new(move |resp| {
-            let _ = tx.send(resp);
+        Box::new(move |line| {
+            let _ = tx.send(line);
         }),
     );
-    rx.recv_timeout(Duration::from_secs(30))
-        .expect("frame must be answered")
-        .line
+    let line = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("frame must be answered");
+    String::from_utf8(line).unwrap()
 }
 
 /// Sends one binary frame through the async path and decodes the
@@ -136,13 +140,16 @@ fn counter_total(metrics: &str, name: &str) -> u64 {
         .sum()
 }
 
-#[test]
-fn slow_loris_connections_are_reaped_and_the_server_stays_up() {
-    let (addr, handle) = start(ServiceConfig {
-        workers: 1,
-        idle_timeout: Duration::from_millis(200),
-        ..Default::default()
-    });
+fn slow_loris(front: Front) {
+    let stack = Stack::start(
+        front,
+        ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        },
+        Duration::from_millis(200),
+    );
+    let addr = stack.addr;
 
     // Six parked connections: pure idlers, half a JSON line, and half a
     // binary frame — none will ever complete a request.
@@ -184,7 +191,18 @@ fn slow_loris_connections_are_reaped_and_the_server_stays_up() {
         "all six parked connections must be counted:\n{metrics}"
     );
 
-    stop(addr, handle);
+    c.shutdown().unwrap();
+    stack.join();
+}
+
+#[test]
+fn slow_loris_connections_are_reaped_and_the_server_stays_up() {
+    slow_loris(Front::Node);
+}
+
+#[test]
+fn slow_loris_connections_are_reaped_by_a_router() {
+    slow_loris(Front::Router);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! routing, the health verb, replication wiring, and cluster-wide
 //! stats/metrics aggregation — all over actual sockets.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -36,8 +36,15 @@ impl Drop for Serve {
 
 /// Spawns `serve` with `flags` and waits for its listening announcement.
 fn spawn_serve(flags: &[String]) -> Serve {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(flags)
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_serve"));
+    serve.args(flags);
+    spawn(serve)
+}
+
+/// Spawns `command` (a `serve` process) and waits for its listening
+/// announcement.
+fn spawn(mut command: Command) -> Serve {
+    let mut child = command
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -488,4 +495,74 @@ fn routed_nests_answer_like_the_node_warm_and_cold() {
             assert_eq!(routed.line(&frame), direct, "warm routed answer moved");
         }
     }
+}
+
+#[cfg(unix)]
+#[test]
+fn a_connection_flood_past_the_fd_limit_leaves_the_router_serving() {
+    // Regression: the router's accept loop returned on any accept error,
+    // so running out of file descriptors ended the process.
+    let ports = reserve_ports(2);
+    let node_addr = format!("127.0.0.1:{}", ports[0]);
+    let router_addr = format!("127.0.0.1:{}", ports[1]);
+    let _node = spawn_serve(&["--listen".into(), node_addr.clone()]);
+    let mut router = Command::new("sh");
+    router
+        .args(["-c", r#"ulimit -n 64 && exec "$0" "$@""#])
+        .arg(env!("CARGO_BIN_EXE_serve"))
+        .args([
+            "--listen",
+            &router_addr,
+            "--router",
+            &format!("n1={node_addr}"),
+        ]);
+    let mut router = spawn(router);
+
+    // More connections than the router has descriptors, all held open.
+    let flood: Vec<TcpStream> = (0..120)
+        .filter_map(|_| TcpStream::connect(&router_addr).ok())
+        .collect();
+    assert!(flood.len() > 64, "only {} connects", flood.len());
+    std::thread::sleep(Duration::from_millis(300));
+    drop(flood);
+
+    let mut c = JsonClient::connect(&router_addr);
+    let resp = c.request(r#"{"id": 1, "verb": "ping"}"#);
+    assert_eq!(resp.get("result").and_then(Json::as_str), Some("pong"));
+    c.request(r#"{"id": 2, "verb": "shutdown"}"#);
+    assert!(router.child.wait().unwrap().success(), "router exit");
+}
+
+#[test]
+fn router_mode_applies_the_listener_flags() {
+    let ports = reserve_ports(2);
+    let node_addr = format!("127.0.0.1:{}", ports[0]);
+    let router_addr = format!("127.0.0.1:{}", ports[1]);
+    let _node = spawn_serve(&["--listen".into(), node_addr.clone()]);
+    let _router = spawn_serve(&[
+        "--listen".into(),
+        router_addr.clone(),
+        "--router".into(),
+        format!("n1={node_addr}"),
+        "--proto".into(),
+        "json".into(),
+        "--idle-timeout-ms".into(),
+        "300".into(),
+    ]);
+
+    // `--proto json`: the binary magic is just a malformed JSON line.
+    let mut c = JsonClient::connect(&router_addr);
+    let resp = c.request("AFWIRE01");
+    assert!(!is_ok(&resp), "{resp:?}");
+
+    // `--idle-timeout-ms`: half a line, then silence, is reaped.
+    let mut parked = TcpStream::connect(&router_addr).unwrap();
+    parked.write_all(br#"{"id": 1, "verb": "pi"#).unwrap();
+    parked
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
+    let mut buf = [0u8; 64];
+    assert_eq!(parked.read(&mut buf).expect("closed, not timed out"), 0);
+    assert!(started.elapsed() < Duration::from_secs(5));
 }

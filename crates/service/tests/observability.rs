@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use arrayflow_obs::{HistogramSnapshot, MetricValue, MetricsSnapshot};
-use arrayflow_service::{Json, Service, ServiceConfig};
+use arrayflow_service::{FrameHandler, Json, Service, ServiceConfig};
 use arrayflow_store::StoreConfig;
 
 fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
@@ -82,7 +82,7 @@ fn oversized_frames_never_enter_the_latency_distribution() {
         assert_ok(&resp.line);
     }
     for _ in 0..7 {
-        let line = service.oversized_frame_response();
+        let line = service.oversized_json();
         assert!(line.contains("protocol"), "oversized reply names its kind");
     }
 

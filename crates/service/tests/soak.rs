@@ -1,5 +1,6 @@
 //! Connection-scaling soak: many concurrent connections against one
-//! event loop, every response byte-identical to a sequential replay.
+//! event loop, every response byte-identical to a sequential replay —
+//! against a node, and through a router in front of one.
 //!
 //! The connection count comes from `AF_SOAK_CONNS` (default 256; CI runs
 //! 1000). The test adapts to the process fd limit: if connects start
@@ -7,13 +8,16 @@
 //! was reached.
 #![cfg(unix)]
 
+mod common;
+
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::time::Duration;
 
-use arrayflow_service::{Client, ClientConfig, EventServer, ProtoMode, Service, ServiceConfig};
+use arrayflow_service::{Client, ClientConfig, ServiceConfig};
 use arrayflow_wire::proto::{AnalyzeRequest, Request as WireRequest};
 use arrayflow_wire::{encode_frame, FrameDecoder, FrameEvent};
+use common::{Front, Stack};
 
 const SRC: &str = "do i = 1, 60 B[i+1] := B[i] + c; end";
 const FLOOR: usize = 64;
@@ -52,18 +56,14 @@ fn read_frames(stream: &mut TcpStream, n: usize) -> Vec<u8> {
     raw
 }
 
-#[test]
-fn concurrent_connections_match_sequential_replay() {
+fn soak(front: Front) {
     let target: usize = std::env::var("AF_SOAK_CONNS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(256);
 
-    let service = Service::start(ServiceConfig::default()).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr: SocketAddr = listener.local_addr().unwrap();
-    let server = EventServer::attach(listener, service);
-    let handle = std::thread::spawn(move || server.run(ProtoMode::Auto));
+    let stack = Stack::start(front, ServiceConfig::default(), Duration::from_secs(60));
+    let addr = stack.addr;
 
     // Warm the cache and learn the canonical fingerprint.
     let mut warm = Client::new(addr.to_string(), ClientConfig::default());
@@ -108,7 +108,7 @@ fn concurrent_connections_match_sequential_replay() {
         FLOOR
     );
     eprintln!(
-        "soak: {} concurrent connections (connect {:.2?})",
+        "soak ({front:?}): {} concurrent connections (connect {:.2?})",
         conns.len(),
         t0.elapsed()
     );
@@ -125,17 +125,18 @@ fn concurrent_connections_match_sequential_replay() {
         assert_eq!(got, expected, "connection {i} diverged from replay");
     }
     eprintln!(
-        "soak: write burst {:.2?}, read-back {:.2?}",
+        "soak ({front:?}): write burst {:.2?}, read-back {:.2?}",
         t2 - t1,
         t2.elapsed()
     );
 
     let mut c = Client::new(addr.to_string(), ClientConfig::default());
     let metrics = c.metrics_prometheus().unwrap();
+    // Through a router the node's sample carries a `node` label.
     let hits: u64 = metrics
         .lines()
-        .find_map(|l| l.strip_prefix("arrayflow_fingerprint_fast_hits_total "))
-        .and_then(|v| v.trim().parse().ok())
+        .filter(|l| l.starts_with("arrayflow_fingerprint_fast_hits_total"))
+        .find_map(|l| l.rsplit(' ').next()?.parse().ok())
         .expect("fast-hit counter in exposition");
     assert!(
         hits > conns.len() as u64,
@@ -143,5 +144,15 @@ fn concurrent_connections_match_sequential_replay() {
     );
 
     c.shutdown().unwrap();
-    handle.join().unwrap().unwrap();
+    stack.join();
+}
+
+#[test]
+fn concurrent_connections_match_sequential_replay() {
+    soak(Front::Node);
+}
+
+#[test]
+fn concurrent_routed_connections_match_sequential_replay() {
+    soak(Front::Router);
 }

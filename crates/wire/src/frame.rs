@@ -19,8 +19,8 @@
 //! The decoder enforces the payload size cap **from the length prefix,
 //! before allocating**: a frame whose declared length exceeds the cap is
 //! reported as [`FrameEvent::Oversized`] and its payload is discarded
-//! chunk-by-chunk in bounded memory — mirroring the JSON transport's
-//! `FrameReader` discipline — after which the stream stays in sync and
+//! chunk-by-chunk in bounded memory — mirroring the service's JSON line
+//! framer — after which the stream stays in sync and
 //! the connection stays usable. Corrupted framing (bad magic, bad
 //! version, malformed length, CRC mismatch) is unrecoverable on a binary
 //! stream and surfaces as a [`FrameError`]; the connection should close.
