@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use arrayflow_core::{CustomSpec, Direction, Mode};
+use arrayflow_core::{canned_source, CustomSpec, CANNED};
 use arrayflow_graph::{build_loop_graph, LoopGraph};
 use arrayflow_ir::{Loop, Program, Stmt, SymbolTable};
 
@@ -21,8 +21,8 @@ pub enum AnalyzeError {
     /// run [`arrayflow_ir::normalize()`] first.
     NotNormalized,
     /// A cooperative stop check fired mid-analysis (cancelled or expired
-    /// request). Carries the solver passes completed across all instances
-    /// before the analysis yielded — the wasted work.
+    /// request). Carries the solver passes completed before the analysis
+    /// yielded, summed over the solves it ran — the wasted work.
     Stopped {
         /// Iteration passes executed before the stop was observed.
         passes: u64,
@@ -48,7 +48,10 @@ impl fmt::Display for AnalyzeError {
 impl std::error::Error for AnalyzeError {}
 
 /// The complete analysis of one loop level: the flow graph, the classified
-/// reference sites, and all four solved framework instances.
+/// reference sites, and the four canned framework instances of
+/// [`CANNED`], in its order. Three column families are solved; reaching
+/// definitions select their columns from δ-available values
+/// ([`canned_source`]).
 #[derive(Debug, Clone)]
 pub struct LoopAnalysis {
     /// Symbol table extended with linearization stride symbols.
@@ -67,6 +70,26 @@ pub struct LoopAnalysis {
     pub reaching_refs: Instance,
 }
 
+/// What every analysis of a loop starts from: the normalized-form check,
+/// the flow graph, the classified sites, and the symbol table extended
+/// with linearization strides.
+///
+/// # Errors
+///
+/// Returns [`AnalyzeError::NotNormalized`] unless the loop is in
+/// `do i = 1, UB` step-1 form.
+pub fn prepare_loop(
+    l: &Loop,
+    symbols: &SymbolTable,
+) -> Result<(LoopGraph, Vec<Site>, SymbolTable), AnalyzeError> {
+    if !l.is_normalized() {
+        return Err(AnalyzeError::NotNormalized);
+    }
+    let graph = build_loop_graph(l);
+    let (sites, lin) = enumerate_sites(l, &graph, symbols);
+    Ok((graph, sites, lin.symbols))
+}
+
 impl LoopAnalysis {
     /// Analyzes one normalized loop.
     pub fn of_loop(l: &Loop, symbols: &SymbolTable) -> Result<Self, AnalyzeError> {
@@ -74,7 +97,7 @@ impl LoopAnalysis {
     }
 
     /// Like [`LoopAnalysis::of_loop`], but polls `should_stop` between
-    /// solver passes of each of the four instances and yields
+    /// solver passes of each solved column family and yields
     /// [`AnalyzeError::Stopped`] — carrying the iteration passes already
     /// spent — as soon as it returns `true`. With `None` the result is
     /// identical to [`LoopAnalysis::of_loop`].
@@ -83,39 +106,50 @@ impl LoopAnalysis {
         symbols: &SymbolTable,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> Result<Self, AnalyzeError> {
-        if !l.is_normalized() {
-            return Err(AnalyzeError::NotNormalized);
-        }
-        let graph = build_loop_graph(l);
-        let (sites, lin) = enumerate_sites(l, &graph, symbols);
+        let (graph, sites, symbols) = prepare_loop(l, symbols)?;
         let mut spent: u64 = 0;
-        let run = |gk, direction, mode, spent: &mut u64| match Instance::run(
-            &graph,
-            &sites,
-            gk,
-            direction,
-            mode,
-            should_stop,
-        ) {
-            Ok(i) => {
-                *spent += i.sol.stats.passes as u64;
-                Ok(i)
+        Self::assemble(symbols, graph, sites, |graph, sites, _, spec| {
+            let solved = Instance::run(
+                graph,
+                sites,
+                GK::of(spec),
+                spec.direction,
+                spec.mode,
+                should_stop,
+            )
+            .map_err(|s| AnalyzeError::Stopped {
+                passes: spent + s.passes_completed as u64,
+            })?;
+            spent += solved.sol.stats.passes as u64;
+            Ok(solved)
+        })
+    }
+
+    /// Builds the analysis of a prepared loop. `solve` supplies, in table
+    /// order, the instance of every [`CANNED`] row that is its own
+    /// [`canned_source`] — one per column family — given the row's index
+    /// and spec; every other row selects its columns from its source's
+    /// instance ([`Instance::select`]).
+    pub fn assemble(
+        symbols: SymbolTable,
+        graph: LoopGraph,
+        sites: Vec<Site>,
+        mut solve: impl FnMut(&LoopGraph, &[Site], usize, CustomSpec) -> Result<Instance, AnalyzeError>,
+    ) -> Result<Self, AnalyzeError> {
+        let mut rows: [Option<Instance>; 4] = Default::default();
+        for (k, &(_, spec)) in CANNED.iter().enumerate() {
+            if canned_source(k) == k {
+                rows[k] = Some(solve(&graph, &sites, k, spec)?);
             }
-            Err(s) => Err(AnalyzeError::Stopped {
-                passes: *spent + s.passes_completed as u64,
-            }),
-        };
-        let reaching = run(
-            GK::REACHING_DEFS,
-            Direction::Forward,
-            Mode::Must,
-            &mut spent,
-        )?;
-        let available = run(GK::AVAILABLE, Direction::Forward, Mode::Must, &mut spent)?;
-        let busy = run(GK::BUSY_STORES, Direction::Backward, Mode::Must, &mut spent)?;
-        let reaching_refs = run(GK::REACHING_REFS, Direction::Forward, Mode::May, &mut spent)?;
+        }
+        let mut selected: [Option<Instance>; 4] = std::array::from_fn(|k| {
+            let source = rows[canned_source(k)].as_ref()?;
+            (canned_source(k) != k).then(|| source.select(&graph, &sites, GK::of(CANNED[k].1)))
+        });
+        let [reaching, available, busy, reaching_refs] =
+            std::array::from_fn(|k| rows[k].take().or(selected[k].take()).expect("every row"));
         Ok(Self {
-            symbols: lin.symbols,
+            symbols,
             graph,
             sites,
             reaching,
@@ -123,6 +157,16 @@ impl LoopAnalysis {
             busy,
             reaching_refs,
         })
+    }
+
+    /// The four instances in [`CANNED`] order.
+    pub fn instances(&self) -> [&Instance; 4] {
+        [
+            &self.reaching,
+            &self.available,
+            &self.busy,
+            &self.reaching_refs,
+        ]
     }
 
     /// All guaranteed constant-distance reuse pairs (§4.1.1).
@@ -154,66 +198,6 @@ impl LoopAnalysis {
     /// Renders a tracked generating reference.
     pub fn site_text_of(&self, gen: &arrayflow_core::GenRef) -> String {
         self.site_text_of_ref(&gen.aref)
-    }
-}
-
-/// One solved user-specified (G, K) instance over a normalized loop: the
-/// flow graph, the classified site table, and the converged instance —
-/// the custom-problem counterpart of [`LoopAnalysis`].
-#[derive(Debug, Clone)]
-pub struct CustomAnalysis {
-    /// The loop flow graph.
-    pub graph: LoopGraph,
-    /// Classified reference sites.
-    pub sites: Vec<Site>,
-    /// The solved instance under the requested roles/direction/mode.
-    pub instance: Instance,
-}
-
-impl CustomAnalysis {
-    /// Solves one wire-submitted [`CustomSpec`] over a normalized loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalyzeError::NotNormalized`] when the loop is not in
-    /// `do i = 1, UB` step-1 form.
-    pub fn of_loop(
-        l: &Loop,
-        symbols: &SymbolTable,
-        spec: CustomSpec,
-    ) -> Result<Self, AnalyzeError> {
-        Self::of_loop_ctrl(l, symbols, spec, None)
-    }
-
-    /// [`CustomAnalysis::of_loop`] with a cooperative stop check (see
-    /// [`LoopAnalysis::of_loop_ctrl`]).
-    pub fn of_loop_ctrl(
-        l: &Loop,
-        symbols: &SymbolTable,
-        spec: CustomSpec,
-        should_stop: Option<arrayflow_core::StopCheck<'_>>,
-    ) -> Result<Self, AnalyzeError> {
-        if !l.is_normalized() {
-            return Err(AnalyzeError::NotNormalized);
-        }
-        let graph = build_loop_graph(l);
-        let (sites, _) = enumerate_sites(l, &graph, symbols);
-        let instance = Instance::run(
-            &graph,
-            &sites,
-            spec.into(),
-            spec.direction,
-            spec.mode,
-            should_stop,
-        )
-        .map_err(|s| AnalyzeError::Stopped {
-            passes: s.passes_completed as u64,
-        })?;
-        Ok(Self {
-            graph,
-            sites,
-            instance,
-        })
     }
 }
 

@@ -12,9 +12,14 @@
 //! | δ-busy stores | defs | uses | backward | must | redundant store elimination (§4.2.1) |
 //! | δ-reaching references | defs ∪ uses | defs | forward | may | dependence distances, controlled unrolling (§4.3) |
 //!
+//! The rows are [`arrayflow_core::CANNED`]'s. A column depends only on its
+//! generator and on (K, direction, mode), so must-reaching definitions are
+//! the definition columns of δ-available values: [`LoopAnalysis`] solves
+//! three column families and selects the fourth ([`Instance::select`]).
+//!
 //! Entry points: [`analyze_loop`] for single loops, [`analyze_nest`] for
 //! loop nests (hierarchical, innermost first — §3.2), or [`Instance::run`]
-//! for custom (G, K) combinations.
+//! for custom (G, K) combinations over a [`prepare_loop`]d loop.
 
 pub mod driver;
 pub mod instances;
@@ -25,7 +30,7 @@ pub mod sites;
 pub mod spec;
 
 pub use driver::{
-    analyze_loop, analyze_nest, loops_innermost_first, AnalyzeError, CustomAnalysis, LoopAnalysis,
+    analyze_loop, analyze_nest, loops_innermost_first, prepare_loop, AnalyzeError, LoopAnalysis,
 };
 pub use instances::{
     best_reuse, dependences, redundant_stores, reuse_pairs, Dep, DepKind, Instance, RedundantStore,

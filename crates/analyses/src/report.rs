@@ -50,21 +50,18 @@ pub fn render_solution(inst: &Instance, graph: &LoopGraph, symbols: &SymbolTable
 /// Returns [`crate::AnalyzeError`] if the program is not a single
 /// normalized loop.
 pub fn render_table1(program: &arrayflow_ir::Program) -> Result<String, crate::AnalyzeError> {
-    use arrayflow_core::{solve, solve_passes, Direction, Mode};
+    use arrayflow_core::{solve, solve_passes, CANNED};
 
     let l = program
         .sole_loop()
         .ok_or(crate::AnalyzeError::NotASingleLoop)?;
-    if !l.is_normalized() {
-        return Err(crate::AnalyzeError::NotNormalized);
-    }
-    let graph = arrayflow_graph::build_loop_graph(l);
-    let (sites, lin) = crate::sites::enumerate_sites(l, &graph, &program.symbols);
+    let (graph, sites, symbols) = crate::prepare_loop(l, &program.symbols)?;
+    let (_, reaching) = CANNED[0];
     let built = crate::spec::build_spec(
         &sites,
-        crate::spec::GK::REACHING_DEFS,
-        Direction::Forward,
-        Mode::Must,
+        crate::spec::GK::of(reaching),
+        reaching.direction,
+        reaching.mode,
     );
     // The state after initialization and after each iteration pass, up to
     // the confirming pass that changes nothing.
@@ -78,7 +75,7 @@ pub fn render_table1(program: &arrayflow_ir::Program) -> Result<String, crate::A
         .spec
         .gens
         .iter()
-        .map(|g| arrayflow_ir::pretty::ref_to_string(&lin.symbols, &g.aref))
+        .map(|g| arrayflow_ir::pretty::ref_to_string(&symbols, &g.aref))
         .collect();
     let mut out = String::new();
     let _ = writeln!(out, "tuples ({})", headers.join(", "));
@@ -90,7 +87,7 @@ pub fn render_table1(program: &arrayflow_ir::Program) -> Result<String, crate::A
         };
         let _ = writeln!(out, "--- {title} ---");
         for node in graph.node_ids() {
-            let label = graph.node(node).label(&lin.symbols);
+            let label = graph.node(node).label(&symbols);
             let fmt_tuple = |v: &[Dist]| {
                 let cells: Vec<String> = v.iter().map(|d| d.to_string()).collect();
                 format!("({})", cells.join(", "))

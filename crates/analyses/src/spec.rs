@@ -1,6 +1,6 @@
 //! From classified sites to a solver-ready [`ProblemSpec`].
 
-use arrayflow_core::{CustomSpec, Direction, KillKind, Mode, ProblemSpec, RefId};
+use arrayflow_core::{CustomSpec, Direction, KillKind, Mode, ProblemSpec, RefId, CANNED};
 
 use crate::sites::Site;
 
@@ -20,33 +20,13 @@ pub struct GK {
 
 impl GK {
     /// Must-reaching definitions (§3.5): G = defs, K = defs.
-    pub const REACHING_DEFS: GK = GK {
-        gen_defs: true,
-        gen_uses: false,
-        kill_defs: true,
-        kill_uses: false,
-    };
+    pub const REACHING_DEFS: GK = GK::of(CANNED[0].1);
     /// δ-available values (§4.1.1): G = defs ∪ uses, K = defs.
-    pub const AVAILABLE: GK = GK {
-        gen_defs: true,
-        gen_uses: true,
-        kill_defs: true,
-        kill_uses: false,
-    };
+    pub const AVAILABLE: GK = GK::of(CANNED[1].1);
     /// δ-busy stores (§4.2.1): G = defs, K = uses.
-    pub const BUSY_STORES: GK = GK {
-        gen_defs: true,
-        gen_uses: false,
-        kill_defs: false,
-        kill_uses: true,
-    };
+    pub const BUSY_STORES: GK = GK::of(CANNED[2].1);
     /// δ-reaching references (§4.3): G = defs ∪ uses, K = defs.
-    pub const REACHING_REFS: GK = GK {
-        gen_defs: true,
-        gen_uses: true,
-        kill_defs: true,
-        kill_uses: false,
-    };
+    pub const REACHING_REFS: GK = GK::of(CANNED[3].1);
     /// δ-live array elements — the paper's canonical backward may-problem
     /// (§3.3/§3.4 name live variable analysis as the motivating example):
     /// G = uses, K = defs, run backward in may-mode. `IN[n, u] = x` means
@@ -59,12 +39,10 @@ impl GK {
         kill_defs: true,
         kill_uses: false,
     };
-}
 
-impl From<CustomSpec> for GK {
-    /// The role-selection half of a wire-submitted custom spec (direction
-    /// and mode travel separately into [`build_spec`]).
-    fn from(spec: CustomSpec) -> GK {
+    /// The role-selection half of a spec (direction and mode travel
+    /// separately into [`build_spec`]).
+    pub const fn of(spec: CustomSpec) -> GK {
         GK {
             gen_defs: spec.gen_defs,
             gen_uses: spec.gen_uses,

@@ -3,7 +3,7 @@
 //! interpretation).
 
 use arrayflow_analyses::{analyze_loop, best_reuse, DepKind};
-use arrayflow_core::Dist;
+use arrayflow_core::{Dist, CANNED};
 use arrayflow_ir::parse_program;
 
 fn fig1() -> arrayflow_ir::Program {
@@ -297,14 +297,9 @@ fn may_reaching_is_flow_sensitive_but_optimistic() {
 #[test]
 fn solver_bounds_hold_for_all_four_instances() {
     let a = analyze_loop(&fig1()).unwrap();
-    for (name, inst, bound) in [
-        ("reaching", &a.reaching, 2),
-        ("available", &a.available, 2),
-        ("busy", &a.busy, 2),
-        ("reaching_refs", &a.reaching_refs, 2),
-    ] {
+    for ((name, _), inst) in CANNED.iter().zip(a.instances()) {
         assert!(
-            inst.sol.stats.changing_passes <= bound,
+            inst.sol.stats.changing_passes <= 2,
             "{name}: {:?}",
             inst.sol.stats
         );

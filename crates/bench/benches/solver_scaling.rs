@@ -2,7 +2,8 @@
 //! the E16 tier shapes (8/32/128/512 statements over 4/8/16/64 arrays,
 //! the loops of `incremental_throughput`), each row times the four canned
 //! framework instances' `FlowTable::build` alone and their complete
-//! `solve`; the fixpoint iteration is the median of their paired
+//! fresh `solve` (`analyze_loop` solves three of them and selects the
+//! fourth); the fixpoint iteration is the median of their paired
 //! differences (timed back to back), which stays meaningful even where
 //! the table build is most of the solve. The paper's claim is linear
 //! work — 3·N node visits for must-problems — once every flow function is
@@ -20,7 +21,7 @@ use std::time::Instant;
 
 use arrayflow_analyses::{build_spec, enumerate_sites, BuiltSpec, GK};
 use arrayflow_bench::{bench, report};
-use arrayflow_core::{solve, Direction, FlowTable, Mode};
+use arrayflow_core::{solve, FlowTable, CANNED};
 use arrayflow_graph::build_loop_graph;
 use arrayflow_workloads::{random_loop, LoopShape};
 
@@ -30,14 +31,6 @@ const TIERS: [(&str, usize, usize); 4] = [
     ("medium", 32, 8),
     ("large", 128, 16),
     ("xlarge", 512, 64),
-];
-
-/// The four canned instances `LoopAnalysis` solves.
-const INSTANCES: [(GK, Direction, Mode); 4] = [
-    (GK::REACHING_DEFS, Direction::Forward, Mode::Must),
-    (GK::AVAILABLE, Direction::Forward, Mode::Must),
-    (GK::BUSY_STORES, Direction::Backward, Mode::Must),
-    (GK::REACHING_REFS, Direction::Forward, Mode::May),
 ];
 
 /// Times `part` and `whole` back to back, seven times each with the same
@@ -83,9 +76,9 @@ fn main() {
         let l = p.sole_loop().unwrap();
         let graph = build_loop_graph(l);
         let (sites, _) = enumerate_sites(l, &graph, &p.symbols);
-        let specs: Vec<BuiltSpec> = INSTANCES
+        let specs: Vec<BuiltSpec> = CANNED
             .iter()
-            .map(|&(gk, dir, mode)| build_spec(&sites, gk, dir, mode))
+            .map(|&(_, spec)| build_spec(&sites, GK::of(spec), spec.direction, spec.mode))
             .collect();
         let (table_us, solve_us, fixpoint_us) = paired(
             || {

@@ -7,6 +7,7 @@
 
 use arrayflow_analyses::{analyze_loop, analyze_nest, report};
 use arrayflow_baselines::{compare_reuses, reuses_from_state, simulate_available};
+use arrayflow_core::CANNED;
 use arrayflow_ir::interp::run_with;
 use arrayflow_ir::{Env, Program};
 use arrayflow_machine::{
@@ -79,13 +80,8 @@ fn e2() {
         "lattice/solver behaviour on Fig. 1 (paper bounds: 3N must / 2N may)",
     );
     let a = analyze_loop(&fig1(None)).unwrap();
-    for (name, inst) in [
-        ("must-reaching ", &a.reaching),
-        ("δ-available   ", &a.available),
-        ("δ-busy (bwd)  ", &a.busy),
-        ("δ-reaching may", &a.reaching_refs),
-    ] {
-        println!("{name} {}", report::render_stats(inst, &a.graph));
+    for ((name, _), inst) in CANNED.iter().zip(a.instances()) {
+        println!("{name:<13} {}", report::render_stats(inst, &a.graph));
     }
     println!(
         "

@@ -65,7 +65,10 @@ mod oracle;
 pub use flow::FlowTable;
 pub use lattice::Dist;
 pub use preserve::preserve_constant;
-pub use problem::{CustomSpec, Direction, GenRef, KillKind, KillSite, Mode, ProblemSpec, RefId};
+pub use problem::{
+    canned_source, CustomSpec, Direction, GenRef, KillKind, KillSite, Mode, ProblemSpec, RefId,
+    CANNED,
+};
 pub use solver::{
     solve, solve_bounded, solve_passes, ColumnProfile, Solution, SolveStats, StopCheck, Stopped,
 };

@@ -9,7 +9,7 @@ use arrayflow_workloads::{random_loop, LoopShape};
 
 use crate::lattice::Dist;
 use crate::preserve::{post_preserve, preserve_constant};
-use crate::problem::{CustomSpec, Direction, KillKind, Mode, ProblemSpec};
+use crate::problem::{CustomSpec, Direction, KillKind, Mode, ProblemSpec, CANNED};
 use crate::solver::{solve, solve_bounded, solve_passes, Solution, SolveStats};
 
 /// `(before, after)` tuples per node.
@@ -206,10 +206,6 @@ fn check(graph: &LoopGraph, spec: &ProblemSpec, snapshots: bool, ctx: &str) {
     }
 }
 
-/// The four canned instances' spec bits: must-reaching definitions,
-/// δ-available values, δ-busy stores and δ-reaching references.
-const CANNED: [u8; 4] = [0b00_0101, 0b00_0111, 0b01_1001, 0b10_0111];
-
 #[test]
 fn column_solver_matches_round_robin_on_the_e16_tiers() {
     // The four E16 tier shapes (statements / arrays) under every valid
@@ -234,7 +230,7 @@ fn column_solver_matches_round_robin_on_the_e16_tiers() {
                 let Some(custom) = CustomSpec::from_bits(bits) else {
                     continue;
                 };
-                let snapshots = stmts < 512 || CANNED.contains(&bits);
+                let snapshots = stmts < 512 || CANNED.iter().any(|&(_, s)| s == custom);
                 let ctx = format!("{stmts}/{arrays} seed {seed} {custom}");
                 check(&graph, &spec_of(&graph, custom), snapshots, &ctx);
             }

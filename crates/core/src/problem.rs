@@ -124,9 +124,9 @@ pub struct CustomSpec {
 }
 
 impl CustomSpec {
-    /// Largest dependence-distance bound a custom request may carry.
-    /// Decoders on untrusted paths reject anything above it: the bound
-    /// sizes a linear scan in dependence extraction, so an attacker's
+    /// Largest dependence-distance bound an `analyze` or `custom` request
+    /// may carry. The service rejects anything above it: the bound sizes
+    /// a linear scan in dependence extraction, so an attacker's
     /// `u64::MAX` must not become a near-infinite loop.
     pub const MAX_DISTANCE_BOUND: u64 = 1_000_000;
 
@@ -139,6 +139,16 @@ impl CustomSpec {
             | (self.kill_uses as u8) << 3
             | ((self.direction == Direction::Backward) as u8) << 4
             | ((self.mode == Mode::May) as u8) << 5
+    }
+
+    /// True when every column of `other` is a column of `self`: the two
+    /// share kill roles, direction and mode — all a column depends on
+    /// besides its generator, since meet and flow functions act on each
+    /// tracked reference separately (paper §3.1) — and `other`'s
+    /// generating roles are a subset of `self`'s.
+    pub fn selects(self, other: CustomSpec) -> bool {
+        let (a, b) = (self.bits(), other.bits());
+        a >> 2 == b >> 2 && b & !a & 0b11 == 0
     }
 
     /// Inverse of [`CustomSpec::bits`]; `None` on stray high bits or an
@@ -208,6 +218,52 @@ impl std::fmt::Display for CustomSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.label())
     }
+}
+
+/// The canned instances, by name, in the engine's `ProblemSet` bit order:
+/// must-reaching definitions (§3.5), δ-available values (§4.1.1), δ-busy
+/// stores (§4.2.1) and δ-reaching references (§4.3). Every list of the
+/// canned instances — analysis, reports, metrics, wire names — reads this
+/// table.
+pub const CANNED: [(&str, CustomSpec); 4] = {
+    use Direction::{Backward, Forward};
+    use Mode::{May, Must};
+    // Site roles as (defs, uses) selections.
+    const DEFS: (bool, bool) = (true, false);
+    const USES: (bool, bool) = (false, true);
+    const BOTH: (bool, bool) = (true, true);
+    const fn spec(
+        gen: (bool, bool),
+        kill: (bool, bool),
+        direction: Direction,
+        mode: Mode,
+    ) -> CustomSpec {
+        CustomSpec {
+            gen_defs: gen.0,
+            gen_uses: gen.1,
+            kill_defs: kill.0,
+            kill_uses: kill.1,
+            direction,
+            mode,
+        }
+    }
+    [
+        ("reaching", spec(DEFS, DEFS, Forward, Must)),
+        ("available", spec(BOTH, DEFS, Forward, Must)),
+        ("busy", spec(DEFS, USES, Backward, Must)),
+        ("reaching_refs", spec(BOTH, DEFS, Forward, May)),
+    ]
+};
+
+/// The [`CANNED`] row whose solve holds row `k`'s columns: the widest row
+/// that [selects](CustomSpec::selects) it — `k` itself unless another row
+/// of its column family generates more. Solving only the rows that are
+/// their own source solves every canned column once.
+pub fn canned_source(k: usize) -> usize {
+    (0..CANNED.len())
+        .filter(|&j| CANNED[j].1.selects(CANNED[k].1))
+        .max_by_key(|&j| CANNED[j].1.bits() & 0b11)
+        .expect("every row selects itself")
 }
 
 /// A complete problem instance over one loop flow graph.
@@ -317,5 +373,27 @@ mod tests {
                 assert!(seen.insert(spec.label()), "duplicate label for {bits:#b}");
             }
         }
+    }
+
+    #[test]
+    fn reaching_definitions_are_the_available_values_definition_columns() {
+        let labels = CANNED.map(|(_, spec)| spec.label());
+        assert_eq!(
+            labels,
+            [
+                "gd-kd-fwd-must",
+                "gdu-kd-fwd-must",
+                "gd-ku-bwd-must",
+                "gdu-kd-fwd-may"
+            ]
+        );
+        assert_eq!(
+            (0..CANNED.len()).map(canned_source).collect::<Vec<_>>(),
+            [1, 1, 2, 3]
+        );
+        let (reaching, available) = (CANNED[0].1, CANNED[1].1);
+        assert!(available.selects(reaching) && !reaching.selects(available));
+        // The may-mode twin of δ-available shares its roles but not its columns.
+        assert!(!available.selects(CANNED[3].1) && !CANNED[3].1.selects(reaching));
     }
 }

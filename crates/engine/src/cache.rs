@@ -470,10 +470,7 @@ mod tests {
             dep_max_distance: 8,
             nodes: 0,
             sites: 0,
-            reaching_stats: None,
-            available_stats: None,
-            busy_stats: None,
-            reaching_refs_stats: None,
+            canned_stats: [None; 4],
             reuses: Vec::new(),
             redundant_stores: Vec::new(),
             dependences: Vec::new(),

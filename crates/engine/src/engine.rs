@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use arrayflow_analyses::loops_innermost_first;
-use arrayflow_core::CustomSpec;
+use arrayflow_core::{CustomSpec, CANNED};
 use arrayflow_incremental::{Session, SessionStats, SessionStore, StoreConfig};
 use arrayflow_ir::{fingerprint_loop, Edit, Fingerprint, Program};
 use arrayflow_obs::{observed_span, Counter, Gauge, Histogram, Registry, PHASE_BUCKETS_US};
@@ -99,32 +99,17 @@ pub enum Problem {
 }
 
 impl Problem {
-    /// A custom spec that names one of the canned instances folds onto
+    /// A custom spec that names one of the [`CANNED`] instances folds onto
     /// that instance's singleton selection, so an equivalent custom
     /// request shares the canned cache entry and produces a
     /// byte-identical report to the built-in selection.
     fn folded(self) -> Problem {
-        use arrayflow_core::{Direction, Mode};
-        let Problem::Custom(spec) = self else {
-            return self;
-        };
-        let gk = (spec.gen_defs, spec.gen_uses, spec.kill_defs, spec.kill_uses);
-        let fwd = spec.direction == Direction::Forward;
-        let must = spec.mode == Mode::Must;
-        let pick = |reaching, available, busy, reaching_refs| {
-            Problem::Canned(ProblemSet {
-                reaching,
-                available,
-                busy,
-                reaching_refs,
-            })
-        };
-        match (gk, fwd, must) {
-            ((true, false, true, false), true, true) => pick(true, false, false, false),
-            ((true, true, true, false), true, true) => pick(false, true, false, false),
-            ((true, false, false, true), false, true) => pick(false, false, true, false),
-            ((true, true, true, false), true, false) => pick(false, false, false, true),
-            _ => self,
+        match self {
+            Problem::Custom(spec) => match CANNED.iter().position(|&(_, s)| s == spec) {
+                Some(k) => Problem::Canned(ProblemSet::from_bits(1 << k).expect("a canned row")),
+                None => self,
+            },
+            Problem::Canned(_) => self,
         }
     }
 
@@ -220,16 +205,20 @@ pub struct LoopReport {
     pub report: Arc<AnalysisReport>,
 }
 
-/// Per-query effort counters.
+/// Per-query effort counters. Solver figures are in round-robin-equivalent
+/// terms, summed over the instances the fresh reports carry
+/// ([`AnalysisReport::solver_passes`]) — not the column work the solver
+/// did, which skips settled positions and shares selected columns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Loops answered from the memo cache.
     pub cache_hits: u64,
     /// Loops that had to be solved.
     pub cache_misses: u64,
-    /// Solver iteration passes actually executed (misses only).
+    /// Iteration passes of the reported instances (misses only), plus the
+    /// passes a cancelled solve completed before it stopped.
     pub solver_passes: u64,
-    /// Solver node visits actually executed (misses only).
+    /// Node visits of the reported instances (misses only).
     pub node_visits: u64,
     /// Wall-clock of this query, in microseconds.
     pub micros: u64,
@@ -273,9 +262,11 @@ pub struct EngineStats {
     pub loops: u64,
     /// Cache counters (hits, misses, evictions, inserts).
     pub cache: CacheCounters,
-    /// Solver iteration passes executed.
+    /// Iteration passes of the reported instances, in the terms of
+    /// [`QueryStats::solver_passes`].
     pub solver_passes: u64,
-    /// Solver node visits executed.
+    /// Node visits of the reported instances, in the terms of
+    /// [`QueryStats::node_visits`].
     pub node_visits: u64,
     /// Total busy wall-clock across workers, in microseconds.
     pub busy_micros: u64,
@@ -323,9 +314,10 @@ pub struct DeltaReport {
     pub report: Arc<AnalysisReport>,
     /// True when the edit forced a full re-analysis.
     pub fallback: bool,
-    /// Lattice columns re-solved by the worklist (0 on fallback).
+    /// Dirty lattice columns across the four reported instances (0 on
+    /// fallback); see [`arrayflow_incremental::DeltaOutcome`].
     pub dirty_columns: usize,
-    /// Total lattice columns across the four instances.
+    /// Total lattice columns across the four reported instances.
     pub total_columns: usize,
 }
 
@@ -375,11 +367,9 @@ struct EngineInstruments {
     solver_passes: Counter,
     node_visits: Counter,
     busy_us: Counter,
-    pass_reaching: Histogram,
-    pass_available: Histogram,
-    pass_busy: Histogram,
-    pass_reaching_refs: Histogram,
-    pass_custom: Histogram,
+    /// `arrayflow_solver_passes` per problem label: the [`CANNED`] names,
+    /// then `custom`.
+    passes: Vec<(&'static str, Histogram)>,
     phase_normalize: Histogram,
     phase_cache_get: Histogram,
     phase_solve: Histogram,
@@ -418,21 +408,22 @@ impl EngineInstruments {
             ),
             solver_passes: registry.counter(
                 "arrayflow_engine_solver_passes_total",
-                "solver iteration passes executed (misses only)",
+                "round-robin-equivalent iteration passes of the reported instances (misses only)",
             ),
             node_visits: registry.counter(
                 "arrayflow_engine_node_visits_total",
-                "solver node visits executed (misses only)",
+                "round-robin-equivalent node visits of the reported instances (misses only)",
             ),
             busy_us: registry.counter(
                 "arrayflow_engine_busy_us_total",
                 "total busy wall-clock across workers, microseconds",
             ),
-            pass_reaching: pass("reaching"),
-            pass_available: pass("available"),
-            pass_busy: pass("busy"),
-            pass_reaching_refs: pass("reaching_refs"),
-            pass_custom: pass("custom"),
+            passes: CANNED
+                .iter()
+                .map(|&(name, _)| name)
+                .chain(["custom"])
+                .map(|name| (name, pass(name)))
+                .collect(),
             phase_normalize: phase("normalize"),
             phase_cache_get: phase("cache_get"),
             phase_solve: phase("solve"),
@@ -464,15 +455,12 @@ impl EngineInstruments {
         }
     }
 
-    /// The pass-count histogram for a named framework instance.
-    fn pass_histogram(&self, problem: &str) -> Option<&Histogram> {
-        match problem {
-            "reaching" => Some(&self.pass_reaching),
-            "available" => Some(&self.pass_available),
-            "busy" => Some(&self.pass_busy),
-            "reaching_refs" => Some(&self.pass_reaching_refs),
-            "custom" => Some(&self.pass_custom),
-            _ => None,
+    /// Observes each instance `report` carries in its pass histogram.
+    fn observe_passes(&self, report: &AnalysisReport) {
+        for (problem, s) in report.instance_stats() {
+            if let Some((_, h)) = self.passes.iter().find(|(name, _)| *name == problem) {
+                h.observe(passes_to_fix(&s));
+            }
         }
     }
 }
@@ -572,8 +560,8 @@ impl Engine {
     /// specs coexist in the memo cache and the persistent tier without
     /// interfering. A custom spec naming a canned instance is answered
     /// from (and populates) the canned entry, byte-identical to the
-    /// built-in selection; every custom solve counts in
-    /// `arrayflow_custom_requests_total{spec=...}`.
+    /// built-in selection; every custom request, folded or answered from
+    /// cache alike, counts in `arrayflow_custom_requests_total{spec=...}`.
     ///
     /// `should_stop` is polled between solver passes: when it fires the
     /// result carries [`AnalysisError::Cancelled`] with the wasted pass
@@ -598,7 +586,7 @@ impl Engine {
             self.registry
                 .counter_with(
                     "arrayflow_custom_requests_total",
-                    "custom (G, K) problems solved, by canonical spec label",
+                    "custom (G, K) requests, cache hits and canned-equivalent specs included, by canonical spec label",
                     &[("spec", &spec.label())],
                 )
                 .inc();
@@ -688,11 +676,7 @@ impl Engine {
                     Ok(r) => {
                         stats.solver_passes += r.solver_passes() as u64;
                         stats.node_visits += r.node_visits() as u64;
-                        for (problem, s) in r.instance_stats() {
-                            if let Some(h) = self.ins.pass_histogram(problem) {
-                                h.observe(passes_to_fix(&s));
-                            }
-                        }
+                        self.ins.observe_passes(&r);
                         let r = Arc::new(r);
                         {
                             let _span = observed_span("cache_insert", &self.ins.phase_cache_insert);
@@ -869,11 +853,7 @@ impl Engine {
         if outcome.fallback {
             self.ins.delta_fallbacks.inc();
         }
-        for (problem, s) in report.instance_stats() {
-            if let Some(h) = self.ins.pass_histogram(problem) {
-                h.observe(passes_to_fix(&s));
-            }
-        }
+        self.ins.observe_passes(&report);
         let report = Arc::new(report);
         self.memoize_session_report(&report);
         Ok(DeltaReport {

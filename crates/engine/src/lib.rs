@@ -46,7 +46,7 @@ pub mod cache;
 pub mod engine;
 pub mod report;
 
-pub use arrayflow_core::{CustomSpec, Direction, Mode, StopCheck};
+pub use arrayflow_core::{CustomSpec, Direction, Mode, StopCheck, CANNED};
 pub use cache::{
     fingerprint_route_hash, CacheCounters, CacheKey, EvictionPolicy, MemoCache, SecondTier,
 };

@@ -11,14 +11,15 @@
 use std::fmt::Write as _;
 
 use arrayflow_analyses::{
-    dependences, redundant_stores, reuse_pairs, AnalyzeError, CustomAnalysis, Dep, LoopAnalysis,
-    RedundantStore, Reuse,
+    dependences, prepare_loop, redundant_stores, reuse_pairs, AnalyzeError, Dep, Instance,
+    LoopAnalysis, RedundantStore, Reuse, GK,
 };
-use arrayflow_core::{CustomSpec, Dist, SolveStats};
+use arrayflow_core::{CustomSpec, Dist, SolveStats, CANNED};
 use arrayflow_ir::{Fingerprint, Loop, SymbolTable};
 
-/// Which framework instances a query runs (and therefore which report
-/// sections are filled). Part of the cache key: the same loop analyzed
+/// Which canned framework instances a query reports (and therefore which
+/// report sections are filled): bit `k` of [`ProblemSet::bits`] selects
+/// row `k` of [`CANNED`]. Part of the cache key: the same loop analyzed
 /// under different problem selections is a different memo entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProblemSet {
@@ -159,15 +160,9 @@ pub struct AnalysisReport {
     pub nodes: usize,
     /// Number of classified reference sites.
     pub sites: usize,
-    /// Solver counters per instance, in the fixed order (reaching,
-    /// available, busy, reaching_refs); `None` for instances not run.
-    pub reaching_stats: Option<InstanceStats>,
-    /// See [`AnalysisReport::reaching_stats`].
-    pub available_stats: Option<InstanceStats>,
-    /// See [`AnalysisReport::reaching_stats`].
-    pub busy_stats: Option<InstanceStats>,
-    /// See [`AnalysisReport::reaching_stats`].
-    pub reaching_refs_stats: Option<InstanceStats>,
+    /// Solver counters per [`CANNED`] row, in its order; `None` for rows
+    /// not in `problems`.
+    pub canned_stats: [Option<InstanceStats>; 4],
     /// Guaranteed constant-distance reuse pairs (requires `available`).
     pub reuses: Vec<Reuse>,
     /// δ-redundant stores (requires `busy`).
@@ -208,9 +203,10 @@ impl AnalysisReport {
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> Result<Self, AnalyzeError> {
         let fingerprint = arrayflow_ir::fingerprint_loop(l, symbols);
-        // The full LoopAnalysis runs all four instances; distill only what
-        // was asked for. The solver is cheap (≤ 3 passes per instance), so
-        // a finer-grained lazy scheme is not worth the code.
+        // The full LoopAnalysis solves the three column families behind
+        // all four instances; distill only what was asked for. The solver
+        // is cheap (≤ 3 passes per family), so a finer-grained lazy scheme
+        // is not worth the code.
         let a = LoopAnalysis::of_loop_ctrl(l, symbols, should_stop)?;
         Ok(Self::of_analysis(
             fingerprint,
@@ -245,18 +241,17 @@ impl AnalysisReport {
         } else {
             Vec::new()
         };
+        let instances = a.instances();
         Self {
             fingerprint,
             problems,
             dep_max_distance,
             nodes: a.graph.len(),
             sites: a.sites.len(),
-            reaching_stats: problems.reaching.then(|| (&a.reaching.sol.stats).into()),
-            available_stats: problems.available.then(|| (&a.available.sol.stats).into()),
-            busy_stats: problems.busy.then(|| (&a.busy.sol.stats).into()),
-            reaching_refs_stats: problems
-                .reaching_refs
-                .then(|| (&a.reaching_refs.sol.stats).into()),
+            canned_stats: std::array::from_fn(|k| {
+                let asked = problems.bits() >> k & 1 == 1;
+                asked.then(|| (&instances[k].sol.stats).into())
+            }),
             reuses,
             redundant_stores: stores,
             dependences: deps,
@@ -290,12 +285,22 @@ impl AnalysisReport {
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> Result<Self, AnalyzeError> {
         let fingerprint = arrayflow_ir::fingerprint_loop(l, symbols);
-        let a = CustomAnalysis::of_loop_ctrl(l, symbols, spec, should_stop)?;
+        let (graph, sites, _) = prepare_loop(l, symbols)?;
+        let instance = Instance::run(
+            &graph,
+            &sites,
+            GK::of(spec),
+            spec.direction,
+            spec.mode,
+            should_stop,
+        )
+        .map_err(|s| AnalyzeError::Stopped {
+            passes: s.passes_completed as u64,
+        })?;
         let mut values = Vec::new();
-        for (gen_id, gen_site) in a.instance.gens() {
-            for node in 0..a.graph.len() {
-                let node = arrayflow_graph::NodeId(node as u32);
-                let dist = a.instance.before(node, gen_id);
+        for (gen_id, gen_site) in instance.gens() {
+            for node in graph.node_ids() {
+                let dist = instance.before(node, gen_id);
                 if dist != Dist::Bottom {
                     values.push(CustomValue {
                         gen: gen_id.0,
@@ -310,44 +315,41 @@ impl AnalysisReport {
             fingerprint,
             problems: ProblemSet::NONE,
             dep_max_distance,
-            nodes: a.graph.len(),
-            sites: a.sites.len(),
-            reaching_stats: None,
-            available_stats: None,
-            busy_stats: None,
-            reaching_refs_stats: None,
+            nodes: graph.len(),
+            sites: sites.len(),
+            canned_stats: [None; 4],
             reuses: Vec::new(),
             redundant_stores: Vec::new(),
             dependences: Vec::new(),
             custom: Some(CustomResult {
                 spec,
-                stats: (&a.instance.sol.stats).into(),
-                width: a.instance.built.spec.width(),
+                stats: (&instance.sol.stats).into(),
+                width: instance.sol.width(),
                 values,
             }),
         })
     }
 
-    /// Instances actually run, with their counters (a custom instance
-    /// reports under the name `custom`).
+    /// Instances reported, by [`CANNED`] name, with their counters (a
+    /// custom instance reports under the name `custom`).
     pub fn instance_stats(&self) -> impl Iterator<Item = (&'static str, InstanceStats)> + '_ {
-        [
-            ("reaching", self.reaching_stats),
-            ("available", self.available_stats),
-            ("busy", self.busy_stats),
-            ("reaching_refs", self.reaching_refs_stats),
-            ("custom", self.custom.as_ref().map(|c| c.stats)),
-        ]
-        .into_iter()
-        .filter_map(|(n, s)| s.map(|s| (n, s)))
+        let canned = CANNED.iter().zip(self.canned_stats);
+        let custom = ("custom", self.custom.as_ref().map(|c| c.stats));
+        canned
+            .map(|(&(name, _), s)| (name, s))
+            .chain([custom])
+            .filter_map(|(n, s)| Some((n, s?)))
     }
 
-    /// Total solver node visits across the instances run.
+    /// Total node visits across the instances reported, in
+    /// round-robin-equivalent terms: a selected instance's figures are
+    /// those a fresh solve of it would report.
     pub fn node_visits(&self) -> usize {
         self.instance_stats().map(|(_, s)| s.visits()).sum()
     }
 
-    /// Total solver iteration passes across the instances run.
+    /// Total iteration passes across the instances reported, in the same
+    /// terms as [`AnalysisReport::node_visits`].
     pub fn solver_passes(&self) -> usize {
         self.instance_stats().map(|(_, s)| s.passes).sum()
     }

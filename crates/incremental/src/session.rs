@@ -4,23 +4,17 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use arrayflow_analyses::instances::Instance;
-use arrayflow_analyses::sites::enumerate_sites;
+use arrayflow_analyses::sites::{enumerate_sites, Site};
 use arrayflow_analyses::spec::{build_spec, GK};
 use arrayflow_analyses::{AnalyzeError, LoopAnalysis};
-use arrayflow_core::{solve, Direction, GenRef, Mode, ProblemSpec, RefId, Solution, StopCheck};
+use arrayflow_core::{
+    canned_source, solve, CustomSpec, GenRef, ProblemSpec, RefId, Solution, StopCheck, CANNED,
+};
+use arrayflow_graph::LoopGraph;
 use arrayflow_ir::{
     apply_edit, fingerprint_loop, normalize, Assign, Edit, EditError, EditShape, Fingerprint,
     LValue, Program, Stmt, StmtId,
 };
-
-/// The four framework instances in the fixed order the engine reports
-/// them: must-reaching, δ-available, δ-busy (backward), δ-reaching (may).
-const INSTANCES: [(GK, Direction, Mode); 4] = [
-    (GK::REACHING_DEFS, Direction::Forward, Mode::Must),
-    (GK::AVAILABLE, Direction::Forward, Mode::Must),
-    (GK::BUSY_STORES, Direction::Backward, Mode::Must),
-    (GK::REACHING_REFS, Direction::Forward, Mode::May),
-];
 
 /// Why a delta could not be applied. The session is left unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,15 +54,20 @@ pub struct DeltaOutcome {
     /// True when the edit forced a full re-analysis instead of the
     /// incremental column re-solve.
     pub fallback: bool,
-    /// Columns re-solved across the four instances (0 on fallback).
+    /// Dirty columns across the four reported instances (0 on fallback):
+    /// the re-solved columns of each solved family, and for reaching
+    /// definitions the columns whose δ-available column was re-solved.
     pub dirty_columns: usize,
-    /// Total columns across the four instances after the edit.
+    /// Total columns across the four reported instances after the edit.
     pub total_columns: usize,
-    /// Node visits the narrowed solves spent, in round-robin-equivalent
-    /// terms (`(init + passes) · nodes` summed over instances).
+    /// Node visits the narrowed solves of the three column families
+    /// spent, in round-robin-equivalent terms (`(init + passes) · nodes`
+    /// summed over solves); on fallback, the same figure as
+    /// `full_solver_visits`.
     pub solver_visits: usize,
-    /// Node visits four fresh round-robin solves of the full specs would
-    /// have spent (`(init + passes · nodes)` summed over instances).
+    /// Node visits fresh round-robin solves of the four reported
+    /// instances would have spent (`(init + passes) · nodes` summed over
+    /// instances).
     pub full_solver_visits: usize,
 }
 
@@ -267,18 +266,16 @@ impl Session {
             }
         };
 
-        let n = graph.len();
         let mut outcome = DeltaOutcome::default();
-        let mut instances: Vec<Instance> = Vec::with_capacity(4);
         let mut spent_passes: u64 = 0;
-        for (k, &(gk, dir, mode)) in INSTANCES.iter().enumerate() {
-            let built = build_spec(&sites, gk, dir, mode);
-            let old = [
-                &self.analysis.reaching,
-                &self.analysis.available,
-                &self.analysis.busy,
-                &self.analysis.reaching_refs,
-            ][k];
+        // Per canned row, per new site: whether the row's column at that
+        // site is re-solved. A row that selects its columns from another
+        // row's family shares that row's dirty columns.
+        let mut dirty_sites = vec![vec![false; sites.len()]; CANNED.len()];
+        let resolve = |graph: &LoopGraph, sites: &[Site], k: usize, spec: CustomSpec| {
+            let (dir, mode) = (spec.direction, spec.mode);
+            let built = build_spec(sites, GK::of(spec), dir, mode);
+            let old = self.analysis.instances()[k];
             // Old column index by old site index.
             let old_col: HashMap<usize, usize> = old
                 .built
@@ -288,15 +285,13 @@ impl Session {
                 .map(|(col, &site)| (site, col))
                 .collect();
 
-            let m = built.spec.gens.len();
-            outcome.total_columns += m;
             // Classify each new column: clean columns name the old column
             // they splice from, dirty ones are re-solved as the columns of
             // a narrowed spec over the same kill sites.
             let mut narrow = ProblemSpec::new(dir, mode);
             narrow.kills = built.spec.kills.clone();
-            let mut columns: Vec<(bool, usize)> = Vec::with_capacity(m);
-            for gen in &built.spec.gens {
+            let mut columns: Vec<(bool, usize)> = Vec::with_capacity(built.spec.width());
+            for (gen, &site) in built.spec.gens.iter().zip(&built.gen_site) {
                 let old_site = gen
                     .origin
                     .and_then(|o| map_site(o as usize))
@@ -307,44 +302,41 @@ impl Session {
                         let id = RefId(narrow.gens.len() as u32);
                         columns.push((true, id.index()));
                         narrow.gens.push(GenRef { id, ..gen.clone() });
+                        dirty_sites[k][site] = true;
                     }
                 }
             }
-            outcome.dirty_columns += narrow.gens.len();
 
             // Re-converge the dirtied columns, then splice every column,
             // re-solved or clean, into the new solution.
-            let dirty = solve(&graph, &narrow, should_stop).map_err(|s| {
-                DeltaError::Analyze(AnalyzeError::Stopped {
-                    passes: spent_passes + s.passes_completed as u64,
-                })
+            let dirty = solve(graph, &narrow, should_stop).map_err(|s| AnalyzeError::Stopped {
+                passes: spent_passes + s.passes_completed as u64,
             })?;
             spent_passes += dirty.stats.passes as u64;
             outcome.solver_visits += dirty.stats.init_visits + dirty.stats.iter_visits;
             let sol = Solution::splice(
-                n,
+                graph.len(),
                 mode,
                 columns.iter().map(|&(is_dirty, c)| match is_dirty {
                     true => (&dirty, c),
                     false => (&old.sol, c),
                 }),
             );
-            outcome.full_solver_visits += sol.stats.init_visits + sol.stats.iter_visits;
-            instances.push(Instance { gk, built, sol });
-        }
-
-        let [reaching, available, busy, reaching_refs]: [Instance; 4] =
-            instances.try_into().expect("four instances");
-        self.fingerprint = fingerprint_loop(l, &norm.symbols);
-        self.analysis = LoopAnalysis {
-            symbols: lin.symbols,
-            graph,
-            sites,
-            reaching,
-            available,
-            busy,
-            reaching_refs,
+            Ok(Instance {
+                gk: GK::of(spec),
+                built,
+                sol,
+            })
         };
+        let analysis = LoopAnalysis::assemble(lin.symbols, graph, sites, resolve)?;
+        for (k, inst) in analysis.instances().into_iter().enumerate() {
+            let dirty = &dirty_sites[canned_source(k)];
+            outcome.dirty_columns += inst.built.gen_site.iter().filter(|&&s| dirty[s]).count();
+            outcome.total_columns += inst.sol.width();
+            outcome.full_solver_visits += inst.sol.stats.init_visits + inst.sol.stats.iter_visits;
+        }
+        self.fingerprint = fingerprint_loop(l, &norm.symbols);
+        self.analysis = analysis;
         self.raw = raw;
         self.norm = norm;
         self.edits += 1;
@@ -365,8 +357,7 @@ impl Session {
             fallback: true,
             ..DeltaOutcome::default()
         };
-        let a = &analysis;
-        for inst in [&a.reaching, &a.available, &a.busy, &a.reaching_refs] {
+        for inst in analysis.instances() {
             outcome.total_columns += inst.sol.width();
             outcome.solver_visits += inst.sol.stats.init_visits + inst.sol.stats.iter_visits;
         }

@@ -13,18 +13,11 @@
 //!    and on the recorded fallback path alike.
 
 use arrayflow_analyses::{build_spec, enumerate_sites, GK};
-use arrayflow_core::{solve, Direction, Mode, Solution};
+use arrayflow_core::{solve, Mode, Solution, CANNED};
 use arrayflow_graph::build_loop_graph;
 use arrayflow_incremental::Session;
 use arrayflow_ir::{normalize, parse_program, Edit, Program};
 use arrayflow_workloads::{all_kernels, livermore_kernels, random_edit, random_loop, LoopShape};
-
-const INSTANCES: [(GK, Direction, Mode); 4] = [
-    (GK::REACHING_DEFS, Direction::Forward, Mode::Must),
-    (GK::AVAILABLE, Direction::Forward, Mode::Must),
-    (GK::BUSY_STORES, Direction::Backward, Mode::Must),
-    (GK::REACHING_REFS, Direction::Forward, Mode::May),
-];
 
 fn prepared(mut p: Program) -> Option<Program> {
     p.renumber();
@@ -39,8 +32,9 @@ fn check_splice_and_bounds(p: &Program) {
     let graph = build_loop_graph(l);
     let (sites, _) = enumerate_sites(l, &graph, &p.symbols);
     let n = graph.len();
-    for (gk, dir, mode) in INSTANCES {
-        let built = build_spec(&sites, gk, dir, mode);
+    for (_, spec) in CANNED {
+        let (gk, mode) = (GK::of(spec), spec.mode);
+        let built = build_spec(&sites, gk, spec.direction, mode);
         let rr = solve(&graph, &built.spec, None).unwrap();
         let spliced = Solution::splice(n, mode, (0..rr.width()).map(|d| (&rr, d)));
         assert_eq!(
@@ -94,15 +88,7 @@ fn assert_matches_fresh(session: &Session, context: &str) {
     );
     let a = session.analysis();
     let b = fresh.analysis();
-    for (k, (x, y)) in [
-        (&a.reaching, &b.reaching),
-        (&a.available, &b.available),
-        (&a.busy, &b.busy),
-        (&a.reaching_refs, &b.reaching_refs),
-    ]
-    .iter()
-    .enumerate()
-    {
+    for (k, (x, y)) in a.instances().iter().zip(b.instances()).enumerate() {
         assert_eq!(
             format!("{:?}", x.sol),
             format!("{:?}", y.sol),

@@ -207,7 +207,7 @@ impl Service {
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
-    use arrayflow_engine::{CustomSpec, ProblemSet};
+    use arrayflow_engine::{CustomSpec, ProblemSet, CANNED};
     use arrayflow_wire::proto::{AnalyzeRequest, CustomRequest};
     use std::sync::mpsc;
 
@@ -368,7 +368,7 @@ mod tests {
         // gen defs + kill defs, forward, must — exactly must-reaching.
         let req = Request::Custom(CustomRequest {
             id: 1,
-            spec: 0b00_0101,
+            spec: CANNED[0].1.bits(),
             fingerprint: None,
             distance_bound: None,
             source: Some(SRC.as_bytes().to_vec()),
@@ -412,7 +412,7 @@ mod tests {
         // exercises that path end to end.
         let good = Request::Custom(CustomRequest {
             id: 1,
-            spec: 0b00_0101,
+            spec: CANNED[0].1.bits(),
             fingerprint: None,
             distance_bound: None,
             source: Some(SRC.as_bytes().to_vec()),
@@ -428,7 +428,7 @@ mod tests {
         // An absurd distance bound passes framing but fails validation.
         let req = Request::Custom(CustomRequest {
             id: 2,
-            spec: 0b00_0101,
+            spec: CANNED[0].1.bits(),
             fingerprint: None,
             distance_bound: Some(CustomSpec::MAX_DISTANCE_BOUND + 1),
             source: Some(SRC.as_bytes().to_vec()),
@@ -440,6 +440,29 @@ mod tests {
         };
         assert_eq!(id, 2);
         assert_eq!(kind_from_byte(kind), Some(ErrorKind::Protocol));
+    }
+
+    #[test]
+    fn the_canned_verb_caps_the_distance_bound_too() {
+        let svc = svc();
+        let analyze = |id, distance_bound| {
+            let req = Request::Analyze(AnalyzeRequest {
+                id,
+                fingerprint: None,
+                problems: None,
+                distance_bound: Some(distance_bound),
+                source: Some(SRC.as_bytes().to_vec()),
+            });
+            decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()).frame)
+        };
+        let resp = analyze(1, CustomSpec::MAX_DISTANCE_BOUND + 1);
+        let Response::Err { id, kind, .. } = resp else {
+            panic!("expected error, got {resp:?}");
+        };
+        assert_eq!(id, 1);
+        assert_eq!(kind_from_byte(kind), Some(ErrorKind::Protocol));
+        let at_cap = analyze(2, CustomSpec::MAX_DISTANCE_BOUND);
+        assert!(matches!(at_cap, Response::Analyze(_)), "{at_cap:?}");
     }
 
     #[test]

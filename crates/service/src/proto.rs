@@ -36,7 +36,7 @@
 use std::fmt;
 
 use arrayflow_engine::{
-    AnalysisReport, BatchResult, CustomSpec, DeltaReport, Direction, Mode, ProblemSet,
+    AnalysisReport, BatchResult, CustomSpec, DeltaReport, Direction, Mode, ProblemSet, CANNED,
 };
 use arrayflow_wire::proto::{AnalyzeRequest, CustomRequest, Request};
 
@@ -211,18 +211,18 @@ impl JsonRequest {
         let problems = match v.get("problems") {
             None | Some(Json::Null) => None,
             Some(Json::Arr(items)) => {
-                let mut set = ProblemSet::NONE;
+                let mut bits = 0u8;
                 for item in items {
-                    match item.as_str() {
-                        Some("reaching") => set.reaching = true,
-                        Some("available") => set.available = true,
-                        Some("busy") => set.busy = true,
-                        Some("reaching_refs") => set.reaching_refs = true,
-                        Some(other) => return Err(fail(format!("unknown problem `{other}`"))),
-                        None => return Err(fail("`problems` entries must be strings".into())),
-                    }
+                    let name = item
+                        .as_str()
+                        .ok_or_else(|| fail("`problems` entries must be strings".into()))?;
+                    let k = CANNED
+                        .iter()
+                        .position(|&(n, _)| n == name)
+                        .ok_or_else(|| fail(format!("unknown problem `{name}`")))?;
+                    bits |= 1 << k;
                 }
-                Some(set)
+                Some(bits)
             }
             Some(_) => return Err(fail("`problems` must be an array of names".into())),
         };
@@ -282,7 +282,7 @@ impl JsonRequest {
             "analyze" => Request::Analyze(AnalyzeRequest {
                 id: 0,
                 fingerprint: None,
-                problems: problems.map(ProblemSet::bits),
+                problems,
                 distance_bound,
                 source,
             }),
@@ -356,15 +356,13 @@ impl JsonRequest {
                 ("delta", fields)
             }
             Request::Analyze(a) if a.fingerprint.is_none() => {
-                let problems = match a.problems.map(ProblemSet::from_bits) {
-                    Some(None) => return Err("problem bits out of range".into()),
-                    set => set.flatten().map(|p| {
-                        flagged(&[
-                            (p.reaching, "reaching"),
-                            (p.available, "available"),
-                            (p.busy, "busy"),
-                            (p.reaching_refs, "reaching_refs"),
-                        ])
+                let problems = match a.problems {
+                    Some(bits) if ProblemSet::from_bits(bits).is_none() => {
+                        return Err("problem bits out of range".into())
+                    }
+                    bits => bits.map(|bits| {
+                        let names = CANNED.iter().enumerate();
+                        flagged(names.map(|(k, &(n, _))| (bits >> k & 1 == 1, n)))
                     }),
                 };
                 let fields = vec![
@@ -469,15 +467,15 @@ fn parse_custom_spec(v: &Json) -> Result<CustomSpec, String> {
 }
 
 /// The names whose flag is set, as a JSON array of strings.
-fn flagged(names: &[(bool, &str)]) -> Json {
-    let set = names.iter().filter(|n| n.0);
+fn flagged<'a>(names: impl IntoIterator<Item = (bool, &'a str)>) -> Json {
+    let set = names.into_iter().filter(|n| n.0);
     Json::Arr(set.map(|n| Json::Str(n.1.into())).collect())
 }
 
 /// Renders a [`CustomSpec`] as the `spec` object, every member spelled
 /// out: the inverse of [`parse_custom_spec`].
 fn custom_spec_json(spec: CustomSpec) -> Json {
-    let roles = |defs, uses| flagged(&[(defs, "defs"), (uses, "uses")]);
+    let roles = |defs, uses| flagged([(defs, "defs"), (uses, "uses")]);
     let word = |first: bool, yes: &str, no: &str| Json::Str(if first { yes } else { no }.into());
     Json::Obj(vec![
         ("gen".into(), roles(spec.gen_defs, spec.gen_uses)),

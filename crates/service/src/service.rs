@@ -1006,19 +1006,19 @@ impl Service {
             Request::Custom(c) => {
                 let spec = CustomSpec::from_bits(c.spec)
                     .ok_or_else(|| protocol(format!("bad custom-spec bits {:#08b}", c.spec)))?;
-                // Custom problems come from untrusted callers experimenting
-                // with the framework; bound the distance lattice they can
-                // ask for instead of letting a huge bound grind the solver.
                 let bound = c.distance_bound.unwrap_or(defaults.dep_max_distance);
-                if bound > CustomSpec::MAX_DISTANCE_BOUND {
-                    return Err(protocol(format!(
-                        "distance bound {bound} exceeds the {} cap",
-                        CustomSpec::MAX_DISTANCE_BOUND
-                    )));
-                }
                 (c.fingerprint, c.source, Problem::Custom(spec), bound)
             }
         };
+        // The bound sizes a linear scan in dependence extraction, which
+        // polls no stop check: an untrusted huge bound would tie up a
+        // worker long past the request's deadline.
+        if distance_bound > CustomSpec::MAX_DISTANCE_BOUND {
+            return Err(protocol(format!(
+                "distance bound {distance_bound} exceeds the {} cap",
+                CustomSpec::MAX_DISTANCE_BOUND
+            )));
+        }
         // Fingerprint-first: probe the cache tiers before any parse work.
         if let Some(bytes) = fingerprint {
             let fingerprint = Fingerprint(u128::from_le_bytes(bytes));
@@ -1524,6 +1524,7 @@ impl Drop for Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arrayflow_engine::CANNED;
 
     fn start_small() -> Arc<Service> {
         Service::start(ServiceConfig {
@@ -1732,21 +1733,14 @@ mod tests {
             let end = line.find(r#","error":"#).unwrap();
             line[start..end].to_string()
         };
-        for (spec, problem) in [
-            (r#"{"gen": ["defs"], "kill": ["defs"]}"#, "reaching"),
-            (
-                r#"{"gen": ["defs", "uses"], "kill": ["defs"]}"#,
-                "available",
-            ),
-            (
-                r#"{"gen": ["defs"], "kill": ["uses"], "direction": "backward"}"#,
-                "busy",
-            ),
-            (
-                r#"{"gen": ["defs", "uses"], "kill": ["defs"], "mode": "may"}"#,
-                "reaching_refs",
-            ),
-        ] {
+        // The canned rows' specs, spelled in JSON, in table order.
+        let specs = [
+            r#"{"gen": ["defs"], "kill": ["defs"]}"#,
+            r#"{"gen": ["defs", "uses"], "kill": ["defs"]}"#,
+            r#"{"gen": ["defs"], "kill": ["uses"], "direction": "backward"}"#,
+            r#"{"gen": ["defs", "uses"], "kill": ["defs"], "mode": "may"}"#,
+        ];
+        for (spec, (problem, _)) in specs.into_iter().zip(CANNED) {
             let canned = svc.handle_frame(
                 format!(
                     r#"{{"verb": "analyze", "program": "{program}", "problems": ["{problem}"]}}"#
@@ -1761,6 +1755,27 @@ mod tests {
             assert!(custom.line.contains(r#""ok":true"#), "{}", custom.line);
             assert_eq!(loops(&canned.line), loops(&custom.line), "spec {spec}");
         }
+        svc.shutdown();
+        svc.join_workers();
+    }
+
+    #[test]
+    fn the_canned_verb_caps_the_distance_bound_too() {
+        let svc = start_small();
+        let analyze = |bound: u64| {
+            svc.handle_frame(
+                format!(
+                    r#"{{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end", "distance_bound": {bound}}}"#
+                )
+                .as_bytes(),
+            )
+            .line
+        };
+        let over = analyze(CustomSpec::MAX_DISTANCE_BOUND + 1);
+        assert!(over.contains(r#""kind":"protocol""#), "{over}");
+        assert!(over.contains("exceeds the 1000000 cap"), "{over}");
+        let at_cap = analyze(CustomSpec::MAX_DISTANCE_BOUND);
+        assert!(at_cap.contains(r#""ok":true"#), "{at_cap}");
         svc.shutdown();
         svc.join_workers();
     }

@@ -9,6 +9,8 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use arrayflow_engine::{passes_to_fix, CustomSpec, Engine, EngineConfig, Mode, Problem, CANNED};
+use arrayflow_ir::parse_program;
 use arrayflow_obs::{HistogramSnapshot, MetricValue, MetricsSnapshot};
 use arrayflow_service::{FrameHandler, Json, Service, ServiceConfig};
 use arrayflow_store::StoreConfig;
@@ -115,29 +117,83 @@ fn solver_pass_bound_is_assertable_from_metrics_alone() {
     }
 
     let snap = service.registry().snapshot();
-    for problem in ["reaching", "available", "busy"] {
+    for (problem, spec) in CANNED {
         let h = histogram_with(&snap, "arrayflow_solver_passes", &[("problem", problem)]);
         assert!(h.count > 0, "{problem} recorded no pass counts");
+        let bound = match spec.mode {
+            Mode::Must => 3,
+            Mode::May => 2,
+        };
         assert_eq!(
-            h.cumulative_le(3),
+            h.cumulative_le(bound),
             Some(h.count),
-            "must-problem {problem} exceeded the 3-pass bound: {h:?}"
+            "{problem} exceeded the {bound}-pass bound: {h:?}"
         );
     }
-    let h = histogram_with(
-        &snap,
-        "arrayflow_solver_passes",
-        &[("problem", "reaching_refs")],
-    );
-    assert!(h.count > 0, "reaching_refs recorded no pass counts");
-    assert_eq!(
-        h.cumulative_le(2),
-        Some(h.count),
-        "may-problem reaching_refs exceeded the 2-pass bound: {h:?}"
-    );
 
     service.shutdown();
     service.join_workers();
+}
+
+/// The pass-accounting invariants, through the canned table: every
+/// report a fresh solve produces lands once in the pass histogram of each
+/// instance it carries — a canned-equivalent custom spec under its canned
+/// name, only a non-canned spec under `custom` — and the engine's effort
+/// counters sum the reports' own figures.
+#[test]
+fn pass_histograms_and_effort_counters_sum_the_reports() {
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
+    // Every request gets a program of its own, so every one is a miss.
+    let programs: Vec<_> = distinct_programs(11)
+        .iter()
+        .map(|p| parse_program(p).unwrap())
+        .collect();
+    let live = CustomSpec::from_bits(0b11_0110).unwrap();
+    assert_eq!(live.label(), "gu-kd-bwd-may");
+    let mut results: Vec<_> = programs[..6]
+        .iter()
+        .map(|p| engine.analyze_one(0, p))
+        .collect();
+    let specs = CANNED.iter().map(|&(_, spec)| spec).chain([live]);
+    for (p, spec) in programs[6..].iter().zip(specs) {
+        results.push(engine.solve(0, p, Problem::Custom(spec), 8, None));
+    }
+    let reports: Vec<_> = results
+        .iter()
+        .map(|r| {
+            assert!(r.error.is_none() && r.stats.cache_misses == 1, "{r:?}");
+            Arc::clone(&r.loops[0].report)
+        })
+        .collect();
+
+    let snap = engine.registry().snapshot();
+    let names = CANNED.iter().map(|&(name, _)| name).chain(["custom"]);
+    for problem in names {
+        let carried: Vec<u64> = reports
+            .iter()
+            .flat_map(|r| r.instance_stats())
+            .filter(|&(name, _)| name == problem)
+            .map(|(_, s)| passes_to_fix(&s))
+            .collect();
+        let h = histogram_with(&snap, "arrayflow_solver_passes", &[("problem", problem)]);
+        assert_eq!(h.count, carried.len() as u64, "{problem}: count");
+        assert_eq!(h.sum, carried.iter().sum::<u64>(), "{problem}: sum");
+        let expected = if problem == "custom" { 1 } else { 7 };
+        assert_eq!(h.count, expected, "{problem}: reports carrying it");
+    }
+    let passes: usize = reports.iter().map(|r| r.solver_passes()).sum();
+    let visits: usize = reports.iter().map(|r| r.node_visits()).sum();
+    assert_eq!(
+        counter(&snap, "arrayflow_engine_solver_passes_total"),
+        passes as u64
+    );
+    assert_eq!(
+        counter(&snap, "arrayflow_engine_node_visits_total"),
+        visits as u64
+    );
 }
 
 /// Regression (bugfix 2): time spent queued behind other requests is

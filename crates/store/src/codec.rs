@@ -132,10 +132,9 @@ pub fn encode_report_into(out: &mut Vec<u8>, report: &AnalysisReport) {
     put_varint(out, report.dep_max_distance);
     put_usize(out, report.nodes);
     put_usize(out, report.sites);
-    put_instance_stats(out, &report.reaching_stats);
-    put_instance_stats(out, &report.available_stats);
-    put_instance_stats(out, &report.busy_stats);
-    put_instance_stats(out, &report.reaching_refs_stats);
+    for stats in &report.canned_stats {
+        put_instance_stats(out, stats);
+    }
 
     put_usize(out, report.reuses.len());
     for r in &report.reuses {
@@ -201,10 +200,10 @@ fn decode_report_inner(r: &mut Reader<'_>) -> DecodeResult<AnalysisReport> {
     let dep_max_distance = r.varint()?;
     let nodes = r.usize()?;
     let sites = r.usize()?;
-    let reaching_stats = read_instance_stats(r)?;
-    let available_stats = read_instance_stats(r)?;
-    let busy_stats = read_instance_stats(r)?;
-    let reaching_refs_stats = read_instance_stats(r)?;
+    let mut canned_stats = [None; 4];
+    for stats in &mut canned_stats {
+        *stats = read_instance_stats(r)?;
+    }
 
     let n = r.count(5)?; // use_site, gen, gen_site, distance, flag
     let mut reuses = Vec::with_capacity(n);
@@ -284,10 +283,7 @@ fn decode_report_inner(r: &mut Reader<'_>) -> DecodeResult<AnalysisReport> {
         dep_max_distance,
         nodes,
         sites,
-        reaching_stats,
-        available_stats,
-        busy_stats,
-        reaching_refs_stats,
+        canned_stats,
         reuses,
         redundant_stores,
         dependences,
@@ -382,20 +378,22 @@ mod tests {
             dep_max_distance: 8,
             nodes: 12,
             sites: 5,
-            reaching_stats: Some(InstanceStats {
-                init_visits: 12,
-                iter_visits: 36,
-                passes: 3,
-                changing_passes: 2,
-            }),
-            available_stats: Some(InstanceStats {
-                init_visits: 12,
-                iter_visits: 24,
-                passes: 2,
-                changing_passes: 1,
-            }),
-            busy_stats: None,
-            reaching_refs_stats: None,
+            canned_stats: [
+                Some(InstanceStats {
+                    init_visits: 12,
+                    iter_visits: 36,
+                    passes: 3,
+                    changing_passes: 2,
+                }),
+                Some(InstanceStats {
+                    init_visits: 12,
+                    iter_visits: 24,
+                    passes: 2,
+                    changing_passes: 1,
+                }),
+                None,
+                None,
+            ],
             reuses: vec![Reuse {
                 use_site: 1,
                 gen: RefId(0),
@@ -436,10 +434,7 @@ mod tests {
             dep_max_distance: 8,
             nodes: 6,
             sites: 3,
-            reaching_stats: None,
-            available_stats: None,
-            busy_stats: None,
-            reaching_refs_stats: None,
+            canned_stats: [None; 4],
             reuses: Vec::new(),
             redundant_stores: Vec::new(),
             dependences: Vec::new(),

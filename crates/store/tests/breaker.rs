@@ -47,10 +47,7 @@ fn report(fp: u128) -> AnalysisReport {
         dep_max_distance: 8,
         nodes: 7,
         sites: 3,
-        reaching_stats: None,
-        available_stats: None,
-        busy_stats: None,
-        reaching_refs_stats: None,
+        canned_stats: [None; 4],
         reuses: Vec::new(),
         redundant_stores: Vec::new(),
         dependences: Vec::new(),

@@ -28,20 +28,22 @@ fn golden_report() -> AnalysisReport {
         dep_max_distance: 8,
         nodes: 7,
         sites: 3,
-        reaching_stats: Some(InstanceStats {
-            init_visits: 7,
-            iter_visits: 21,
-            passes: 3,
-            changing_passes: 2,
-        }),
-        available_stats: Some(InstanceStats {
-            init_visits: 7,
-            iter_visits: 14,
-            passes: 2,
-            changing_passes: 1,
-        }),
-        busy_stats: None,
-        reaching_refs_stats: None,
+        canned_stats: [
+            Some(InstanceStats {
+                init_visits: 7,
+                iter_visits: 21,
+                passes: 3,
+                changing_passes: 2,
+            }),
+            Some(InstanceStats {
+                init_visits: 7,
+                iter_visits: 14,
+                passes: 2,
+                changing_passes: 1,
+            }),
+            None,
+            None,
+        ],
         reuses: vec![Reuse {
             use_site: 1,
             gen: RefId(0),

@@ -5,6 +5,7 @@
 //! ```
 
 use arrayflow::analyses::analyze_loop;
+use arrayflow::core::CANNED;
 use arrayflow::ir::parse_program;
 
 fn main() {
@@ -19,9 +20,10 @@ fn main() {
     )
     .expect("well-formed source");
 
-    // One call runs all four framework instances: must-reaching
+    // One call yields all four canned framework instances: must-reaching
     // definitions, δ-available values, δ-busy stores and δ-reaching
-    // references.
+    // references (three solves; reaching definitions are a selection of
+    // δ-available values' columns).
     let analysis = analyze_loop(&program).expect("single normalized loop");
 
     println!("guaranteed value reuses (δ-available values):");
@@ -51,14 +53,9 @@ fn main() {
     }
 
     println!("\nsolver effort (the paper's three-pass bound):");
-    for (name, inst) in [
-        ("must-reaching  ", &analysis.reaching),
-        ("δ-available    ", &analysis.available),
-        ("δ-busy (bwd)   ", &analysis.busy),
-        ("δ-reaching may ", &analysis.reaching_refs),
-    ] {
+    for ((name, _), inst) in CANNED.iter().zip(analysis.instances()) {
         println!(
-            "  {name} {}",
+            "  {name:<13} {}",
             arrayflow::analyses::report::render_stats(inst, &analysis.graph)
         );
     }

@@ -158,7 +158,7 @@ fn pass_bounds_hold_with_summaries() {
     )
     .unwrap();
     for a in analyze_nest(&p).unwrap() {
-        for inst in [&a.reaching, &a.available, &a.busy, &a.reaching_refs] {
+        for inst in a.instances() {
             assert!(inst.sol.stats.changing_passes <= 2, "{:?}", inst.sol.stats);
         }
     }

@@ -5,7 +5,7 @@
 //! schedule must agree with the run-to-fixpoint solver.
 
 use arrayflow::analyses::{build_spec, enumerate_sites, GK};
-use arrayflow::core::{solve, solve_bounded, Direction, Dist, Mode, RefId, Solution};
+use arrayflow::core::{solve, solve_bounded, Direction, Dist, Mode, RefId, Solution, CANNED};
 use arrayflow::graph::{build_loop_graph, LoopGraph, NodeId};
 use arrayflow::workloads::{all_kernels, random_loop, LoopShape};
 use arrayflow_ir::Program;
@@ -23,24 +23,8 @@ fn check_all_instances(p: &Program, tag: &str) {
     let l = p.sole_loop().expect("single loop");
     let graph = build_loop_graph(l);
     let (sites, _) = enumerate_sites(l, &graph, &p.symbols);
-    let cases = [
-        (
-            "reaching",
-            GK::REACHING_DEFS,
-            Direction::Forward,
-            Mode::Must,
-        ),
-        ("available", GK::AVAILABLE, Direction::Forward, Mode::Must),
-        ("busy", GK::BUSY_STORES, Direction::Backward, Mode::Must),
-        (
-            "reachrefs",
-            GK::REACHING_REFS,
-            Direction::Forward,
-            Mode::May,
-        ),
-    ];
-    for (name, gk, dir, mode) in cases {
-        let built = build_spec(&sites, gk, dir, mode);
+    for (name, spec) in CANNED {
+        let built = build_spec(&sites, GK::of(spec), spec.direction, spec.mode);
         let full = solve(&graph, &built.spec, None).unwrap();
         let bounded = solve_bounded(&graph, &built.spec);
         assert_eq!(
@@ -58,7 +42,7 @@ fn check_all_instances(p: &Program, tag: &str) {
             "{tag}/{name}: {:?}",
             full.stats
         );
-        match mode {
+        match spec.mode {
             Mode::Must => assert_eq!(full.stats.init_visits, graph.len(), "{tag}/{name}"),
             Mode::May => assert_eq!(full.stats.init_visits, 0, "{tag}/{name}"),
         }
