@@ -171,17 +171,20 @@ fn node_cache_counters(addr: &str) -> (u64, u64) {
     let mut line = String::new();
     reader.read_line(&mut line).expect("recv");
     let resp = Json::parse(line.trim_end().as_bytes()).expect("json");
-    let metrics = resp
+    let exposition = resp
         .get("result")
-        .and_then(|r| r.get("metrics"))
-        .and_then(Json::as_arr)
-        .expect("metrics array");
+        .and_then(|r| r.get("prometheus"))
+        .and_then(Json::as_str)
+        .expect("exposition");
+    // One sample per name: a node's series carry only its `node` label.
     let value = |name: &str| -> u64 {
-        metrics
-            .iter()
-            .find(|m| m.get("name").and_then(Json::as_str) == Some(name))
-            .and_then(|m| m.get("value"))
-            .and_then(Json::as_u64)
+        exposition
+            .lines()
+            .find(|l| {
+                l.strip_prefix(name)
+                    .is_some_and(|r| r.starts_with(['{', ' ']))
+            })
+            .and_then(|l| l.rsplit(' ').next()?.parse().ok())
             .unwrap_or(0)
     };
     (

@@ -198,9 +198,8 @@ impl Shard {
     }
 }
 
-/// The cache's monotone counters as registry handles — either standalone
-/// (an engine without a shared registry) or registered under the
-/// `arrayflow_cache_*` family names.
+/// The cache's monotone counters, registered under the `arrayflow_cache_*`
+/// family names.
 #[derive(Clone, Debug)]
 struct CacheInstruments {
     hits: Counter,
@@ -212,17 +211,6 @@ struct CacheInstruments {
 }
 
 impl CacheInstruments {
-    fn unregistered() -> Self {
-        Self {
-            hits: Counter::new(),
-            misses: Counter::new(),
-            evictions: Counter::new(),
-            inserts: Counter::new(),
-            reinserts: Counter::new(),
-            promotions: Counter::new(),
-        }
-    }
-
     fn registered(registry: &Registry) -> Self {
         Self {
             hits: registry.counter(
@@ -277,38 +265,14 @@ impl std::fmt::Debug for MemoCache {
 impl MemoCache {
     /// Creates a cache with `shards` shards (rounded up to a power of two,
     /// minimum 1) holding at most `capacity` entries in total (0 means
-    /// unbounded), evicting with the default second-chance policy.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        Self::with_policy(shards, capacity, EvictionPolicy::default())
-    }
-
-    /// Like [`MemoCache::new`] with an explicit eviction policy.
-    pub fn with_policy(shards: usize, capacity: usize, policy: EvictionPolicy) -> Self {
-        Self::with_instruments(shards, capacity, policy, CacheInstruments::unregistered())
-    }
-
-    /// Like [`MemoCache::with_policy`], registering the hit/miss/eviction
-    /// counters under the `arrayflow_cache_*` names in `registry` so they
-    /// appear in its snapshots and Prometheus exposition.
+    /// unbounded), evicting by `policy`. The hit/miss/eviction counters
+    /// are registered under the `arrayflow_cache_*` names in `registry`,
+    /// so they appear in its snapshots and Prometheus exposition.
     pub fn with_policy_in(
         shards: usize,
         capacity: usize,
         policy: EvictionPolicy,
         registry: &Registry,
-    ) -> Self {
-        Self::with_instruments(
-            shards,
-            capacity,
-            policy,
-            CacheInstruments::registered(registry),
-        )
-    }
-
-    fn with_instruments(
-        shards: usize,
-        capacity: usize,
-        policy: EvictionPolicy,
-        counters: CacheInstruments,
     ) -> Self {
         let n = shards.max(1).next_power_of_two();
         let shard_capacity = if capacity == 0 {
@@ -328,7 +292,7 @@ impl MemoCache {
             shard_capacity,
             policy,
             tier2: None,
-            counters,
+            counters: CacheInstruments::registered(registry),
         }
     }
 
@@ -480,7 +444,7 @@ mod tests {
 
     #[test]
     fn hit_miss_counters() {
-        let c = MemoCache::new(4, 64);
+        let c = MemoCache::with_policy_in(4, 64, EvictionPolicy::default(), &Registry::new());
         assert!(c.get(&key(1)).is_none());
         c.insert(key(1), dummy_report(1));
         assert!(c.get(&key(1)).is_some());
@@ -491,7 +455,7 @@ mod tests {
 
     #[test]
     fn distinct_problem_sets_are_distinct_keys() {
-        let c = MemoCache::new(1, 64);
+        let c = MemoCache::with_policy_in(1, 64, EvictionPolicy::default(), &Registry::new());
         c.insert(key(7), dummy_report(7));
         let other = CacheKey {
             problems: ProblemSet {
@@ -507,7 +471,7 @@ mod tests {
 
     #[test]
     fn distinct_custom_specs_are_distinct_keys() {
-        let c = MemoCache::new(1, 64);
+        let c = MemoCache::with_policy_in(1, 64, EvictionPolicy::default(), &Registry::new());
         let spec = |bits| CustomSpec::from_bits(bits).expect("valid spec bits");
         // δ-live elements: G = uses, K = defs, backward, may.
         let live = CacheKey {
@@ -534,7 +498,7 @@ mod tests {
     #[test]
     fn custom_keys_stay_distinct_through_the_second_tier() {
         let tier = Arc::new(MapTier::default());
-        let mut c = MemoCache::new(1, 8);
+        let mut c = MemoCache::with_policy_in(1, 8, EvictionPolicy::default(), &Registry::new());
         c.set_second_tier(Arc::clone(&tier) as Arc<dyn SecondTier>);
         let spec = |bits| CustomSpec::from_bits(bits).expect("valid spec bits");
         let a = CacheKey {
@@ -558,7 +522,7 @@ mod tests {
 
     #[test]
     fn eviction_respects_capacity_fifo() {
-        let c = MemoCache::with_policy(1, 2, EvictionPolicy::Fifo);
+        let c = MemoCache::with_policy_in(1, 2, EvictionPolicy::Fifo, &Registry::new());
         for fp in 0..5u128 {
             c.insert(key(fp), dummy_report(fp));
         }
@@ -571,7 +535,7 @@ mod tests {
 
     #[test]
     fn second_chance_protects_referenced_entries() {
-        let c = MemoCache::with_policy(1, 2, EvictionPolicy::SecondChance);
+        let c = MemoCache::with_policy_in(1, 2, EvictionPolicy::SecondChance, &Registry::new());
         c.insert(key(0), dummy_report(0));
         c.insert(key(1), dummy_report(1));
         // Reference key 0; key 1 is the unreferenced victim despite being
@@ -587,7 +551,7 @@ mod tests {
 
     #[test]
     fn second_chance_degenerates_to_fifo_when_all_referenced() {
-        let c = MemoCache::with_policy(1, 2, EvictionPolicy::SecondChance);
+        let c = MemoCache::with_policy_in(1, 2, EvictionPolicy::SecondChance, &Registry::new());
         c.insert(key(0), dummy_report(0));
         c.insert(key(1), dummy_report(1));
         assert!(c.get(&key(0)).is_some());
@@ -602,7 +566,7 @@ mod tests {
 
     #[test]
     fn reinserts_do_not_inflate_inserts() {
-        let c = MemoCache::new(1, 8);
+        let c = MemoCache::with_policy_in(1, 8, EvictionPolicy::default(), &Registry::new());
         c.insert(key(3), dummy_report(3));
         c.insert(key(3), dummy_report(3));
         c.insert(key(3), dummy_report(3));
@@ -616,7 +580,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_means_unbounded() {
-        let c = MemoCache::new(2, 0);
+        let c = MemoCache::with_policy_in(2, 0, EvictionPolicy::default(), &Registry::new());
         for fp in 0..100u128 {
             c.insert(key(fp), dummy_report(fp));
         }
@@ -626,7 +590,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_every_entry() {
-        let c = MemoCache::new(4, 0);
+        let c = MemoCache::with_policy_in(4, 0, EvictionPolicy::default(), &Registry::new());
         for fp in 0..10u128 {
             c.insert(key(fp), dummy_report(fp));
         }
@@ -655,7 +619,7 @@ mod tests {
     #[test]
     fn second_tier_promotion_and_forwarding() {
         let tier = Arc::new(MapTier::default());
-        let mut c = MemoCache::new(1, 8);
+        let mut c = MemoCache::with_policy_in(1, 8, EvictionPolicy::default(), &Registry::new());
         c.set_second_tier(Arc::clone(&tier) as Arc<dyn SecondTier>);
 
         // A fresh insert is forwarded to the tier.

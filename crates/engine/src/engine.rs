@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use arrayflow_analyses::loops_innermost_first;
 use arrayflow_core::{CustomSpec, CANNED};
-use arrayflow_incremental::{Session, SessionStats, SessionStore, StoreConfig};
+use arrayflow_incremental::{Session, SessionEvent, SessionStats, SessionStore, StoreConfig};
 use arrayflow_ir::{fingerprint_loop, Edit, Fingerprint, Program};
 use arrayflow_obs::{observed_span, Counter, Gauge, Histogram, Registry, PHASE_BUCKETS_US};
 use arrayflow_resilience::{panic_message, FaultSurface};
@@ -378,8 +378,12 @@ struct EngineInstruments {
     fingerprint_fast_hits: Counter,
     fingerprint_misses: Counter,
     delta_requests: Counter,
+    delta_applied: Counter,
     delta_fallbacks: Counter,
     sessions_open: Gauge,
+    sessions_opened: Counter,
+    sessions_evicted_capacity: Counter,
+    sessions_expired_ttl: Counter,
 }
 
 impl EngineInstruments {
@@ -398,6 +402,13 @@ impl EngineInstruments {
                 "per-phase wall-clock, microseconds",
                 &[("phase", name)],
                 &PHASE_BUCKETS_US,
+            )
+        };
+        let evicted = |reason| {
+            registry.counter_with(
+                "arrayflow_sessions_evicted_total",
+                "analysis sessions dropped by the session store, by reason",
+                &[("reason", reason)],
             )
         };
         Self {
@@ -444,6 +455,10 @@ impl EngineInstruments {
                 "arrayflow_delta_requests_total",
                 "single-statement delta re-analyses requested against open sessions",
             ),
+            delta_applied: registry.counter(
+                "arrayflow_delta_applied_total",
+                "single-statement deltas an open session applied",
+            ),
             delta_fallbacks: registry.counter(
                 "arrayflow_delta_fallbacks_total",
                 "delta requests that fell back to a full re-analysis (structural edits)",
@@ -452,6 +467,24 @@ impl EngineInstruments {
                 "arrayflow_sessions_open",
                 "analysis sessions currently open",
             ),
+            sessions_opened: registry.counter(
+                "arrayflow_sessions_opened_total",
+                "analysis sessions opened",
+            ),
+            sessions_evicted_capacity: evicted("capacity"),
+            sessions_expired_ttl: evicted("ttl"),
+        }
+    }
+
+    /// Mirrors one session-store change: called by the store under its
+    /// own lock, so a scrape reads the series without taking it.
+    fn session_event(&self, event: SessionEvent, open: usize) {
+        self.sessions_open.set(open as u64);
+        match event {
+            SessionEvent::Opened => self.sessions_opened.inc(),
+            SessionEvent::Evicted => self.sessions_evicted_capacity.inc(),
+            SessionEvent::Expired(n) => self.sessions_expired_ttl.add(n),
+            SessionEvent::Closed => {}
         }
     }
 
@@ -489,16 +522,21 @@ impl Engine {
             config.eviction,
             registry,
         );
+        let ins = EngineInstruments::registered(registry);
         let sessions = SessionStore::new(StoreConfig {
             capacity: config.session_capacity,
             ttl: (config.session_ttl_ms > 0)
                 .then(|| std::time::Duration::from_millis(config.session_ttl_ms)),
+        })
+        .observed({
+            let ins = ins.clone();
+            move |event, open| ins.session_event(event, open)
         });
         Self {
             config,
             cache,
             registry: registry.clone(),
-            ins: EngineInstruments::registered(registry),
+            ins,
             faults: None,
             sessions,
         }
@@ -791,9 +829,6 @@ impl Engine {
         ));
         self.memoize_session_report(&report);
         let id = self.sessions.insert(session);
-        self.ins
-            .sessions_open
-            .set(self.sessions.stats().open as u64);
         Ok((id, Arc::clone(&report)))
     }
 
@@ -802,8 +837,9 @@ impl Engine {
     /// of the edited source. Unknown, evicted or expired sessions are an
     /// [`AnalysisError::Analysis`] — the client reopens and retries.
     ///
-    /// Counts every request in `arrayflow_delta_requests_total` and full
-    /// re-analysis fallbacks in `arrayflow_delta_fallbacks_total`; the
+    /// Counts every request in `arrayflow_delta_requests_total`, applied
+    /// deltas in `arrayflow_delta_applied_total` and full re-analysis
+    /// fallbacks in `arrayflow_delta_fallbacks_total`; the
     /// per-instance pass histograms observe delta-path solves exactly as
     /// they do batch solves (the reconstructed statistics respect the
     /// paper's pass bounds, so the histogram invariants hold).
@@ -850,6 +886,7 @@ impl Engine {
             e => AnalysisError::Analysis(e.to_string()),
         })?;
         self.sessions.record_delta(outcome.fallback);
+        self.ins.delta_applied.inc();
         if outcome.fallback {
             self.ins.delta_fallbacks.inc();
         }
@@ -868,19 +905,14 @@ impl Engine {
 
     /// Closes a session, returning whether it was open.
     pub fn close_session(&self, session: u64) -> bool {
-        let hit = self.sessions.remove(session);
-        self.ins
-            .sessions_open
-            .set(self.sessions.stats().open as u64);
-        hit
+        self.sessions.remove(session)
     }
 
     /// Counters of the session store (open sessions, evictions, delta
-    /// hit/fallback totals) — the `sessions` section of the service stats.
+    /// hit/fallback totals), sweeping expired sessions first. The
+    /// `arrayflow_sessions_*` series export the same counts.
     pub fn session_stats(&self) -> SessionStats {
-        let stats = self.sessions.stats();
-        self.ins.sessions_open.set(stats.open as u64);
-        stats
+        self.sessions.stats()
     }
 
     /// Session-path reports are computed for [`ProblemSet::ALL`]; park

@@ -35,10 +35,11 @@
 //! they did.
 //!
 //! [`SessionStore`] bounds session memory: capacity-based LRU eviction plus
-//! a time-to-live, with counters for the serving layer's `sessions` stats.
+//! a time-to-live, reporting every population change to an observer (the
+//! engine's session metrics).
 
 pub mod session;
 pub mod store;
 
 pub use session::{DeltaError, DeltaOutcome, Session};
-pub use store::{SessionStats, SessionStore, StoreConfig};
+pub use store::{SessionEvent, SessionStats, SessionStore, StoreConfig};

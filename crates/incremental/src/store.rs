@@ -3,8 +3,10 @@
 //! The serving layer keeps one [`Session`] per interactive client. Sessions
 //! hold a full converged analysis, so memory must be bounded: the store
 //! evicts least-recently-used sessions past a capacity limit and expires
-//! sessions idle longer than a time-to-live. Both events are counted for
-//! the `sessions` section of the server's stats.
+//! sessions idle longer than a time-to-live. Every change to the
+//! population is reported to an observer as it happens
+//! ([`SessionStore::observed`]), which is how the engine's session
+//! metrics stay current without ever taking the store's lock.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -48,6 +50,24 @@ pub struct SessionStats {
     pub delta_fallbacks: u64,
 }
 
+/// A change to a [`SessionStore`]'s population, reported to its observer
+/// together with the number of sessions open after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SessionEvent {
+    /// A session was inserted.
+    Opened,
+    /// The least recently used session was evicted to respect
+    /// [`StoreConfig::capacity`].
+    Evicted,
+    /// This many sessions idled past [`StoreConfig::ttl`] and were swept.
+    Expired(u64),
+    /// [`SessionStore::remove`] closed a session.
+    Closed,
+}
+
+/// Receives each [`SessionEvent`] and the open count after it.
+type Observer = Box<dyn Fn(SessionEvent, usize) + Send + Sync>;
+
 struct Entry {
     session: Session,
     last_used: Instant,
@@ -66,6 +86,7 @@ struct Inner {
 pub struct SessionStore {
     config: StoreConfig,
     inner: Mutex<Inner>,
+    observer: Observer,
 }
 
 impl SessionStore {
@@ -79,7 +100,25 @@ impl SessionStore {
                 clock: 0,
                 stats: SessionStats::default(),
             }),
+            observer: Box::new(|_, _| {}),
         }
+    }
+
+    /// Reports every [`SessionEvent`] to `observer`. It runs under the
+    /// store's lock, right where the population changes, so it must be
+    /// quick and must not call back into the store.
+    pub fn observed(
+        mut self,
+        observer: impl Fn(SessionEvent, usize) + Send + Sync + 'static,
+    ) -> Self {
+        self.observer = Box::new(observer);
+        self
+    }
+
+    /// Refreshes the open count and reports `event`.
+    fn changed(&self, inner: &mut Inner, event: SessionEvent) {
+        inner.stats.open = inner.entries.len();
+        (self.observer)(event, inner.stats.open);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -88,13 +127,17 @@ impl SessionStore {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn sweep(inner: &mut Inner, ttl: Option<Duration>, now: Instant) {
-        if let Some(ttl) = ttl {
+    fn sweep(&self, inner: &mut Inner, now: Instant) {
+        if let Some(ttl) = self.config.ttl {
             let before = inner.entries.len();
             inner
                 .entries
                 .retain(|_, e| now.duration_since(e.last_used) <= ttl);
-            inner.stats.expired_ttl += (before - inner.entries.len()) as u64;
+            let expired = (before - inner.entries.len()) as u64;
+            if expired > 0 {
+                inner.stats.expired_ttl += expired;
+                self.changed(inner, SessionEvent::Expired(expired));
+            }
         }
     }
 
@@ -104,11 +147,12 @@ impl SessionStore {
     pub fn insert(&self, session: Session) -> u64 {
         let now = Instant::now();
         let mut inner = self.lock();
-        Self::sweep(&mut inner, self.config.ttl, now);
+        self.sweep(&mut inner, now);
         while inner.entries.len() >= self.config.capacity.max(1) {
             if let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.touched) {
                 inner.entries.remove(&victim);
                 inner.stats.evicted_capacity += 1;
+                self.changed(&mut inner, SessionEvent::Evicted);
             } else {
                 break;
             }
@@ -126,7 +170,7 @@ impl SessionStore {
             },
         );
         inner.stats.opened_total += 1;
-        inner.stats.open = inner.entries.len();
+        self.changed(&mut inner, SessionEvent::Opened);
         id
     }
 
@@ -155,18 +199,15 @@ impl SessionStore {
             }
             None => false,
         };
-        Self::sweep(&mut inner, ttl, now);
+        self.sweep(&mut inner, now);
         if !live {
-            inner.stats.open = inner.entries.len();
             return None;
         }
         let entry = inner
             .entries
             .get_mut(&id)
             .expect("the just-refreshed entry survives its own sweep");
-        let out = f(&mut entry.session);
-        inner.stats.open = inner.entries.len();
-        Some(out)
+        Some(f(&mut entry.session))
     }
 
     /// Records the outcome of a delta (hit vs fallback) in the stats.
@@ -182,7 +223,9 @@ impl SessionStore {
     pub fn remove(&self, id: u64) -> bool {
         let mut inner = self.lock();
         let hit = inner.entries.remove(&id).is_some();
-        inner.stats.open = inner.entries.len();
+        if hit {
+            self.changed(&mut inner, SessionEvent::Closed);
+        }
         hit
     }
 
@@ -190,8 +233,7 @@ impl SessionStore {
     /// so `open` is accurate).
     pub fn stats(&self) -> SessionStats {
         let mut inner = self.lock();
-        Self::sweep(&mut inner, self.config.ttl, Instant::now());
-        inner.stats.open = inner.entries.len();
+        self.sweep(&mut inner, Instant::now());
         inner.stats
     }
 }
@@ -283,6 +325,28 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.open, 1);
         assert_eq!(stats.expired_ttl, 1);
+    }
+
+    #[test]
+    fn the_observer_sees_every_population_change() {
+        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let log = std::sync::Arc::clone(&seen);
+        let store = SessionStore::new(StoreConfig {
+            capacity: 1,
+            ttl: Some(Duration::from_millis(20)),
+        })
+        .observed(move |event, open| log.lock().unwrap().push((event, open)));
+        let a = store.insert(session());
+        let b = store.insert(session());
+        std::thread::sleep(Duration::from_millis(40));
+        // Looking up the evicted `a` sweeps the expired `b`.
+        assert!(store.with_session(a, |_| ()).is_none());
+        assert!(!store.remove(b));
+        use SessionEvent::*;
+        assert_eq!(
+            *seen.lock().unwrap(),
+            [(Opened, 1), (Evicted, 0), (Opened, 1), (Expired(1), 0)]
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve [--listen ADDR] [--stdio] [--proto auto|json]
-//!       [--workers N] [--engine-workers N]
+//!       [--workers N]
 //!       [--queue N] [--timeout-ms N] [--idle-timeout-ms N] [--max-frame BYTES]
 //!       [--cache-capacity N] [--distance-bound N]
 //!       [--session-capacity N] [--session-ttl-ms N]
@@ -18,7 +18,7 @@
 //! or store, serves on the node's event loop, consistent-hashes each
 //! analyze's canonical fingerprint
 //! across the nodes, fails over to a shard's designated replica, and
-//! merges `stats`/`metrics` cluster-wide. On a node, `--node-id` labels
+//! merges `metrics` cluster-wide. On a node, `--node-id` labels
 //! every Prometheus series with `node="ID"`, and `--replicate-to ADDR`
 //! (requires `--store`) ships the segment log to the named peer so it can
 //! serve this node's reports warm after a failover.
@@ -32,9 +32,9 @@
 //! `--idle-timeout-ms` (default 60000; 0 disables) reaps connections that
 //! make no read progress and are owed nothing — the slow-loris guard.
 //!
-//! Defaults: listen on 127.0.0.1:7433, one service worker and one engine
-//! worker per hardware thread, 256-deep queue, 5000 ms deadline, 1 MiB
-//! frames. Clients may send a `deadline_ms`
+//! Defaults: listen on 127.0.0.1:7433, one service worker per hardware
+//! thread, 256-deep queue, 5000 ms deadline, 1 MiB frames. Clients may
+//! send a `deadline_ms`
 //! budget (JSON field or binary frame prefix); the effective deadline is
 //! the smaller of that budget and `--timeout-ms`, and expired or
 //! abandoned jobs are shed mid-analysis instead of running to
@@ -48,8 +48,9 @@
 //! and `--session-ttl-ms` (default 600000; 0 disables the TTL). With `--slow-log MICROS` every request at
 //! or over the threshold logs one structured line to stderr with its
 //! trace id and per-phase span breakdown (`--slow-log 0` logs every
-//! request). The `metrics` verb returns every registered metric as JSON
-//! plus a Prometheus text exposition.
+//! request). The `metrics` verb returns every registered metric as one
+//! Prometheus text exposition: `{"prometheus": …}` on JSON, the bare
+//! text on the binary protocol.
 //!
 //! Fault tolerance: after `--store-breaker-threshold` consecutive failed
 //! appends (default 8) the store's write path trips a circuit breaker and
@@ -106,7 +107,6 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--workers" => args.config.workers = parse(&value("--workers")?)?,
-            "--engine-workers" => args.config.engine.workers = parse(&value("--engine-workers")?)?,
             "--queue" => args.config.queue_capacity = parse(&value("--queue")?)?,
             "--timeout-ms" => {
                 args.config.request_timeout = Duration::from_millis(parse(&value("--timeout-ms")?)?)
@@ -175,7 +175,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "serve [--listen ADDR] [--stdio] [--proto auto|json] \
-                     [--workers N] [--engine-workers N] \
+                     [--workers N] \
                      [--queue N] [--timeout-ms N] [--idle-timeout-ms N] [--max-frame BYTES] \
                      [--cache-capacity N] \
                      [--distance-bound N] [--session-capacity N] [--session-ttl-ms N] \

@@ -20,7 +20,6 @@ use arrayflow_wire::proto::{
     strip_deadline, AnalyzeOk, DeltaOk, LoopEntry, Request, Response, SessionOk,
 };
 
-use crate::json::Json;
 use crate::proto::{ErrorKind, ServiceError};
 use crate::server::FrameHandler;
 use crate::service::{Answer, Decoded, Service};
@@ -84,12 +83,7 @@ pub(crate) fn response_frame(id: u64, outcome: Result<Answer, ServiceError>) -> 
         Ok(Answer::Object(json)) => text(json.to_string()),
         // Binary metrics ship the Prometheus exposition directly — the
         // form a scraper wants, with no JSON wrapper to unpick.
-        Ok(Answer::Metrics(json)) => text(
-            json.get("prometheus")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-        ),
+        Ok(Answer::Metrics(exposition)) => text(exposition),
         Ok(Answer::Loops(r)) => Response::Analyze(AnalyzeOk {
             id,
             loops: r

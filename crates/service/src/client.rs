@@ -405,14 +405,9 @@ impl Client {
         self.request(WireRequest::Ping { id }).map(drop)
     }
 
-    /// Fetches the server's `stats` response line.
-    pub fn stats(&mut self) -> Result<String, ClientError> {
-        let id = self.fresh_id();
-        self.request(WireRequest::Stats { id })
-    }
-
-    /// Fetches the server's `metrics` response line (JSON metrics plus
-    /// the Prometheus exposition).
+    /// Fetches the server's `metrics` response line, whose result is
+    /// `{"prometheus": …}`: the text exposition, merged across nodes at a
+    /// router.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         let id = self.fresh_id();
         self.request(WireRequest::Metrics { id })

@@ -34,13 +34,10 @@
 //!   produce error responses, not panics or dropped connections;
 //! * **graceful shutdown** that drains every queued request before the
 //!   workers exit;
-//! * a **`stats` verb** surfacing the engine's counters (via their
-//!   `Display` one-liners) plus service counters: connections, requests
-//!   by outcome, queue-depth high-water mark and latency / queue-wait
-//!   histograms;
-//! * a **`metrics` verb** returning every metric registered across the
-//!   service, engine, cache, store and tier ([`arrayflow_obs`]) as
-//!   structured JSON plus a Prometheus text exposition, and per-request
+//! * one **`metrics` verb**, the only way counters leave the process:
+//!   every metric registered across the service, engine, cache,
+//!   sessions, store and tier ([`arrayflow_obs`]) as one Prometheus text
+//!   exposition (`{"prometheus": …}` on JSON), and per-request
 //!   **tracing spans** feeding an optional slow-request log
 //!   ([`ServiceConfig::slow_log_micros`], `--slow-log` on `serve`);
 //! * optional **persistence** (`--store DIR` on the `serve` binary, or

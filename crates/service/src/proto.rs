@@ -15,7 +15,7 @@
 //!
 //! Requests carry `id` (any JSON value, echoed back verbatim so clients
 //! can pipeline), `verb` (`analyze` | `custom` | `open` | `delta` |
-//! `stats` | `metrics` | `ping` | `health` | `compact` | `shutdown`), and
+//! `metrics` | `ping` | `health` | `compact` | `shutdown`), and
 //! for `analyze`/`open`: `program` (DSL text), optional `problems` (array
 //! of instance names; default all) and optional `distance_bound` (default
 //! from the server config). `custom` carries `program` plus a `spec`
@@ -48,9 +48,8 @@ use crate::service::Answer;
 pub(crate) const BAD_FINGERPRINT: &str = "`fingerprint` must be 32 hex characters";
 
 /// The verbs a JSON request may name.
-const VERBS: [&str; 10] = [
-    "analyze", "custom", "open", "delta", "stats", "metrics", "health", "compact", "shutdown",
-    "ping",
+const VERBS: [&str; 9] = [
+    "analyze", "custom", "open", "delta", "metrics", "health", "compact", "shutdown", "ping",
 ];
 
 /// The failure classes a response can carry. Everything the server
@@ -304,7 +303,6 @@ impl JsonRequest {
                 stmt: stmt.unwrap_or_default(),
                 text: text.unwrap_or_default().into_bytes(),
             },
-            "stats" => Request::Stats { id: 0 },
             "metrics" => Request::Metrics { id: 0 },
             "health" => Request::Health { id: 0 },
             "compact" => Request::Compact { id: 0 },
@@ -333,7 +331,6 @@ impl JsonRequest {
         let program = |source: &Option<Vec<u8>>| source.as_deref().map(text).transpose();
         let (verb, fields) = match &self.request {
             Request::Ping { .. } => ("ping", vec![]),
-            Request::Stats { .. } => ("stats", vec![]),
             Request::Metrics { .. } => ("metrics", vec![]),
             Request::Health { .. } => ("health", vec![]),
             Request::Compact { .. } => ("compact", vec![]),
@@ -566,7 +563,8 @@ pub(crate) fn encode_outcome(id: &Json, outcome: Result<Answer, ServiceError>) -
 fn answer_json(answer: Answer) -> Json {
     match answer {
         Answer::Text(text) => Json::Str(text.into()),
-        Answer::Object(json) | Answer::Metrics(json) => json,
+        Answer::Object(json) => json,
+        Answer::Metrics(text) => Json::Obj(vec![("prometheus".into(), Json::Str(text))]),
         Answer::Loops(r) => analyze_result_json(&r),
         Answer::Session(session, report) => session_result_json(session, &report),
         Answer::Delta(d) => delta_result_json(&d),
@@ -895,7 +893,6 @@ mod tests {
             .for_each(|(b, i)| *b = i * 17);
         let mut requests = vec![
             Request::Ping { id: 0 },
-            Request::Stats { id: 0 },
             Request::Metrics { id: 0 },
             Request::Health { id: 0 },
             Request::Compact { id: 0 },
@@ -932,7 +929,7 @@ mod tests {
                 }));
             }
         }
-        assert_eq!(requests.len(), 8 + 2 * (17 + 48));
+        assert_eq!(requests.len(), 7 + 2 * (17 + 48));
         for request in requests {
             for id in [Json::Str("q7".into()), Json::Num(42.0), Json::Null] {
                 for deadline_ms in [None, Some(0), Some(250)] {

@@ -23,11 +23,11 @@
 //! analyze from its replicated store shows up as
 //! `arrayflow_router_replica_warm_hits_total`.
 //!
-//! **Aggregation.** `stats` fans out to every node and merges the JSON
-//! numerically (counters sum, objects recurse) with per-node sections;
-//! `metrics` merges the Prometheus expositions with a `node` label per
-//! series ([`merge_expositions`]), the router's own metrics riding along
-//! as `node="router"`.
+//! **Aggregation.** `metrics` is the one cluster-wide counter view: it
+//! fans out to every node and merges the Prometheus expositions with a
+//! `node` label per series ([`merge_expositions`]), the router's own
+//! metrics riding along as `node="router"`. Per-node health and breaker
+//! state are in the router's `health` answer.
 //!
 //! **Serving.** The router is a [`FrameHandler`] on the node's own event
 //! loop, so sniffing, framing, idle reaping and response order are the
@@ -504,60 +504,6 @@ impl Router {
         ])
     }
 
-    fn router_stats_json(&self) -> Json {
-        Json::Obj(vec![
-            ("forwards".into(), Json::Num(self.ins.forwards.get() as f64)),
-            (
-                "failovers".into(),
-                Json::Num(self.ins.failovers.get() as f64),
-            ),
-            (
-                "replica_warm_hits".into(),
-                Json::Num(self.ins.replica_warm_hits.get() as f64),
-            ),
-            (
-                "unroutable".into(),
-                Json::Num(self.ins.unroutable.get() as f64),
-            ),
-            ("probes".into(), Json::Num(self.ins.probes.get() as f64)),
-            (
-                "deadline_forwards".into(),
-                Json::Num(self.ins.deadline_forwards.get() as f64),
-            ),
-            (
-                "expired_before_forward".into(),
-                Json::Num(self.ins.expired_before_forward.get() as f64),
-            ),
-            ("nodes".into(), self.nodes_json()),
-        ])
-    }
-
-    /// Cluster-wide `stats`: every node's stats JSON merged numerically
-    /// (counters sum, objects recurse), with per-node sections and the
-    /// router's own counters alongside.
-    fn stats_json(&self) -> Json {
-        let mut cluster = Json::Obj(Vec::new());
-        let mut nodes = Vec::new();
-        for (id, resp) in self.fan_out(|id| WireRequest::Stats { id }) {
-            let parsed = match resp {
-                Some(WireResponse::Text { text, .. }) => Json::parse(text.as_bytes()).ok(),
-                _ => None,
-            };
-            match parsed {
-                Some(json) => {
-                    merge_numeric(&mut cluster, &json);
-                    nodes.push((id, json));
-                }
-                None => nodes.push((id, Json::Null)),
-            }
-        }
-        Json::Obj(vec![
-            ("cluster".into(), cluster),
-            ("nodes".into(), Json::Obj(nodes)),
-            ("router".into(), self.router_stats_json()),
-        ])
-    }
-
     /// Cluster-wide Prometheus exposition: every reachable node's
     /// exposition (each series carrying its `node` label) merged into
     /// single-HELP families, the router's own metrics as `node="router"`.
@@ -605,17 +551,13 @@ impl Router {
     }
 
     /// Handles one decoded request from either edge: cheap verbs are
-    /// answered here (`stats`, `metrics` and `compact` fan out to every
-    /// node), every solver verb takes the one forward.
+    /// answered here (`metrics` and `compact` fan out to every node),
+    /// every solver verb takes the one forward.
     fn handle(&self, req: WireRequest, budget_ms: Option<u64>, accepted: Instant) -> Routed {
         let answer = match req {
             WireRequest::Ping { .. } => Answer::Text("pong"),
             WireRequest::Health { .. } => Answer::Object(self.health_json()),
-            WireRequest::Stats { .. } => Answer::Object(self.stats_json()),
-            WireRequest::Metrics { .. } => Answer::Metrics(Json::Obj(vec![(
-                "prometheus".into(),
-                Json::Str(self.merged_exposition()),
-            )])),
+            WireRequest::Metrics { .. } => Answer::Metrics(self.merged_exposition()),
             WireRequest::Compact { .. } => Answer::Object(self.compact_json()),
             WireRequest::Shutdown { .. } => {
                 self.shutdown();
@@ -910,27 +852,6 @@ fn source_route_hash(source: &[u8]) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Merges `from` into `into`: numbers sum, objects recurse on matching
-/// keys (missing keys are inserted), everything else keeps `into`'s
-/// value. The cross-node `stats` aggregation.
-fn merge_numeric(into: &mut Json, from: &Json) {
-    match (into, from) {
-        (Json::Num(a), Json::Num(b)) => *a += *b,
-        (into @ Json::Obj(_), Json::Obj(bs)) => {
-            let Json::Obj(r#as) = into else {
-                unreachable!()
-            };
-            for (key, value) in bs {
-                match r#as.iter_mut().find(|(k, _)| k == key) {
-                    Some((_, slot)) => merge_numeric(slot, value),
-                    None => r#as.push((key.clone(), value.clone())),
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1038,18 +959,6 @@ mod tests {
         let mut req = analyze(None, Some(nest));
         assert_eq!(route_key(&mut req), key(analyze(Some(outer), None)));
         assert!(matches!(req, WireRequest::Analyze(a) if a.fingerprint.is_none()));
-    }
-
-    #[test]
-    fn merge_numeric_sums_and_recurses() {
-        let mut a = Json::parse(br#"{"requests": 3, "inner": {"hits": 1}, "name": "n1"}"#).unwrap();
-        let b = Json::parse(br#"{"requests": 4, "inner": {"hits": 2, "misses": 5}}"#).unwrap();
-        merge_numeric(&mut a, &b);
-        assert_eq!(a.get("requests").and_then(Json::as_u64), Some(7));
-        let inner = a.get("inner").unwrap();
-        assert_eq!(inner.get("hits").and_then(Json::as_u64), Some(3));
-        assert_eq!(inner.get("misses").and_then(Json::as_u64), Some(5));
-        assert_eq!(a.get("name").and_then(Json::as_str), Some("n1"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! protocol is an edge codec onto it — [`crate::proto`] for newline
 //! JSON, [`crate::binproto`] for `AFWIRE01` frames — so every verb is
 //! validated, probed and queued once, by one dispatch. Cheap
-//! verbs (`ping`, `stats`, `shutdown`, …) and fingerprint cache hits are
+//! verbs (`ping`, `metrics`, `shutdown`, …) and fingerprint cache hits are
 //! answered inline on the transport thread; solver verbs go through the
 //! queue so a flood of expensive requests degrades into explicit
 //! `overloaded` errors instead of unbounded memory growth or latency
@@ -30,8 +30,7 @@ use arrayflow_engine::{
 };
 use arrayflow_ir::{parse_program_bytes, Edit, Fingerprint, StmtId};
 use arrayflow_obs::{
-    observed_span, with_current, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue,
-    Registry, Trace, PHASE_BUCKETS_US,
+    observed_span, with_current, Counter, Gauge, Histogram, Registry, Trace, PHASE_BUCKETS_US,
 };
 use arrayflow_resilience::{panic_message, CancelToken, FaultSurface};
 use arrayflow_store::{PersistentTier, Store, StoreConfig};
@@ -209,12 +208,12 @@ impl ServiceStats {
 pub(crate) enum Answer {
     /// A bare string result: `pong`, `shutting down`.
     Text(&'static str),
-    /// A structured result (`stats`, `health`, `compact`, `replicate`):
-    /// the JSON edge embeds the object, the binary edge ships its text.
+    /// A structured result (`health`, `compact`, `replicate`): the JSON
+    /// edge embeds the object, the binary edge ships its text.
     Object(Json),
-    /// The `metrics` scrape: the JSON edge embeds the object, the binary
-    /// edge ships its `prometheus` member, the bare text exposition.
-    Metrics(Json),
+    /// The `metrics` scrape, a Prometheus text exposition: the JSON edge
+    /// answers `{"prometheus": …}`, the binary edge ships the bare text.
+    Metrics(String),
     /// The per-loop reports of an `analyze` or `custom`.
     Loops(BatchResult),
     /// The new session id and initial report of an `open`.
@@ -542,6 +541,12 @@ impl Service {
             warm_loaded = store.for_each_live(|key, report| {
                 engine.preload(key, Arc::new(report));
             });
+            registry
+                .gauge(
+                    "arrayflow_store_warm_loaded",
+                    "reports the memo cache was warm-started with from the store at boot",
+                )
+                .set(warm_loaded);
             if let Some(replica_addr) = &config.replicate_to {
                 // Tee the writer thread to the designated replica. The
                 // replicator full-syncs on every connect, so a replica
@@ -959,8 +964,7 @@ impl Service {
         let (fingerprint, source, problem, distance_bound) = match req {
             Request::Ping { .. } => return Ok(Step::Done(Answer::Text("pong"))),
             Request::Health { .. } => return Ok(Step::Done(Answer::Object(self.health_json()))),
-            Request::Stats { .. } => return Ok(Step::Done(Answer::Object(self.stats_json()))),
-            Request::Metrics { .. } => return Ok(Step::Done(Answer::Metrics(self.metrics_json()))),
+            Request::Metrics { .. } => return Ok(Step::Done(Answer::Metrics(self.exposition()))),
             Request::Compact { .. } => {
                 return self.compact_store().map(|j| Step::Done(Answer::Object(j)))
             }
@@ -1317,198 +1321,16 @@ impl Service {
         self.engine.stats()
     }
 
-    /// The `stats` verb payload: engine and cache one-liners (their
-    /// `Display` impls) plus the structured service counters.
-    fn stats_json(&self) -> Json {
-        let e = self.engine_stats();
-        let s = self.stats();
-        let errors = Json::Obj(vec![
-            ("parse".into(), Json::Num(s.parse_errors as f64)),
-            ("analysis".into(), Json::Num(s.analysis_errors as f64)),
-            ("timeout".into(), Json::Num(s.timeouts as f64)),
-            ("overloaded".into(), Json::Num(s.overloaded as f64)),
-            ("protocol".into(), Json::Num(s.protocol_errors as f64)),
-            ("session_lost".into(), Json::Num(s.session_lost as f64)),
-            ("cancelled".into(), Json::Num(s.cancelled as f64)),
-        ]);
-        let hist_obj = |buckets: &[u64; LATENCY_BUCKETS_US.len() + 1]| {
-            let mut members = Vec::new();
-            for (i, &edge) in LATENCY_BUCKETS_US.iter().enumerate() {
-                members.push((format!("le_{edge}us"), Json::Num(buckets[i] as f64)));
-            }
-            members.push((
-                "gt_1000000us".into(),
-                Json::Num(buckets[LATENCY_BUCKETS_US.len()] as f64),
-            ));
-            Json::Obj(members)
-        };
-        let latency = hist_obj(&s.latency);
-        let queue_wait = hist_obj(&s.queue_wait);
-        let mut members = vec![
-            ("engine".into(), Json::Str(e.to_string())),
-            ("cache".into(), Json::Str(e.cache.to_string())),
-        ];
-        if let Some(tier) = &self.tier {
-            let st = tier.store_stats();
-            let tt = tier.stats();
-            members.push((
-                "store".into(),
-                Json::Obj(vec![
-                    ("records".into(), Json::Num(st.records as f64)),
-                    ("segments".into(), Json::Num(st.segments as f64)),
-                    ("bytes".into(), Json::Num(st.bytes as f64)),
-                    ("disk_hits".into(), Json::Num(st.disk_hits as f64)),
-                    ("disk_misses".into(), Json::Num(st.disk_misses as f64)),
-                    ("read_errors".into(), Json::Num(st.read_errors as f64)),
-                    ("appends".into(), Json::Num(st.appends as f64)),
-                    (
-                        "recovery_skipped".into(),
-                        Json::Num(st.recovery_skipped as f64),
-                    ),
-                    ("compactions".into(), Json::Num(st.compactions as f64)),
-                    ("queued_appends".into(), Json::Num(tt.queued_appends as f64)),
-                    (
-                        "dropped_appends".into(),
-                        Json::Num(tt.dropped_appends as f64),
-                    ),
-                    (
-                        "written_appends".into(),
-                        Json::Num(tt.written_appends as f64),
-                    ),
-                    ("failed_appends".into(), Json::Num(tt.failed_appends as f64)),
-                    (
-                        "breaker_state".into(),
-                        Json::Str(tier.breaker_state().as_str().into()),
-                    ),
-                    ("breaker_trips".into(), Json::Num(tt.breaker_trips as f64)),
-                    (
-                        "breaker_dropped_appends".into(),
-                        Json::Num(tt.breaker_dropped_appends as f64),
-                    ),
-                    ("warm_loaded".into(), Json::Num(self.warm_loaded as f64)),
-                ]),
-            ));
-        }
-        let ss = self.engine.session_stats();
-        members.push((
-            "sessions".into(),
-            Json::Obj(vec![
-                ("open".into(), Json::Num(ss.open as f64)),
-                ("opened_total".into(), Json::Num(ss.opened_total as f64)),
-                (
-                    "evicted_capacity".into(),
-                    Json::Num(ss.evicted_capacity as f64),
-                ),
-                ("expired_ttl".into(), Json::Num(ss.expired_ttl as f64)),
-                ("deltas_total".into(), Json::Num(ss.deltas_total as f64)),
-                (
-                    "delta_fallbacks".into(),
-                    Json::Num(ss.delta_fallbacks as f64),
-                ),
-            ]),
-        ));
-        members.extend([(
-            "service".into(),
-            Json::Obj(vec![
-                ("connections".into(), Json::Num(s.connections as f64)),
-                ("requests".into(), Json::Num(s.requests as f64)),
-                ("ok".into(), Json::Num(s.ok as f64)),
-                ("errors".into(), errors),
-                (
-                    "oversized_frames".into(),
-                    Json::Num(s.oversized_frames as f64),
-                ),
-                (
-                    "cancelled_jobs".into(),
-                    Json::Obj(vec![
-                        (
-                            "disconnect".into(),
-                            Json::Num(s.cancelled_disconnect as f64),
-                        ),
-                        ("expired".into(), Json::Num(s.cancelled_expired as f64)),
-                    ]),
-                ),
-                (
-                    "deadline_propagated".into(),
-                    Json::Num(s.deadline_propagated as f64),
-                ),
-                (
-                    "idle_disconnects".into(),
-                    Json::Num(s.idle_disconnects as f64),
-                ),
-                (
-                    "queue_depth_hwm".into(),
-                    Json::Num(s.queue_depth_hwm as f64),
-                ),
-                (
-                    "worker_restarts".into(),
-                    Json::Num(s.worker_restarts as f64),
-                ),
-                ("latency".into(), latency),
-                ("queue_wait".into(), queue_wait),
-            ]),
-        )]);
-        Json::Obj(members)
-    }
-
-    /// The `metrics` verb payload: every registered metric as structured
-    /// JSON plus the full Prometheus text exposition, so scrapers can use
-    /// whichever form they prefer.
-    fn metrics_json(&self) -> Json {
+    /// The `metrics` verb payload: the Prometheus text exposition of
+    /// every registered metric, stamped with this node's `node` label
+    /// when one is configured.
+    fn exposition(&self) -> String {
         let snapshot = self.registry.snapshot();
-        // Stamped with this node's `node` label when one is configured.
-        let exposition = match &self.config.node_id {
+        match &self.config.node_id {
             Some(id) => snapshot.render_prometheus_with(&[("node", id)]),
             None => snapshot.render_prometheus(),
-        };
-        let metrics = snapshot
-            .metrics
-            .iter()
-            .map(|m| {
-                let labels = m
-                    .labels
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect();
-                let mut members = vec![
-                    ("name".into(), Json::Str(m.name.clone())),
-                    ("type".into(), Json::Str(m.value.type_name().into())),
-                    ("labels".into(), Json::Obj(labels)),
-                ];
-                match &m.value {
-                    MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                        members.push(("value".into(), Json::Num(*v as f64)));
-                    }
-                    MetricValue::Histogram(h) => {
-                        members.push(("histogram".into(), histogram_json(h)));
-                    }
-                }
-                Json::Obj(members)
-            })
-            .collect();
-        Json::Obj(vec![
-            ("metrics".into(), Json::Arr(metrics)),
-            ("prometheus".into(), Json::Str(exposition)),
-        ])
+        }
     }
-}
-
-/// Renders a histogram snapshot as `{edges, buckets, count, sum}` (bucket
-/// counts are per-bucket, not cumulative; `buckets` has one final
-/// unbounded slot beyond `edges`).
-fn histogram_json(h: &HistogramSnapshot) -> Json {
-    Json::Obj(vec![
-        (
-            "edges".into(),
-            Json::Arr(h.edges.iter().map(|&e| Json::Num(e as f64)).collect()),
-        ),
-        (
-            "buckets".into(),
-            Json::Arr(h.buckets.iter().map(|&b| Json::Num(b as f64)).collect()),
-        ),
-        ("count".into(), Json::Num(h.count as f64)),
-        ("sum".into(), Json::Num(h.sum as f64)),
-    ])
 }
 
 impl Drop for Service {
@@ -1532,6 +1354,15 @@ mod tests {
             ..ServiceConfig::default()
         })
         .expect("no store configured, start cannot fail")
+    }
+
+    /// Whether the `metrics` answer's exposition has exactly this line.
+    fn exports(svc: &Service, line: &str) -> bool {
+        let r = svc.handle_frame(br#"{"id": 0, "verb": "metrics"}"#);
+        let json = Json::parse(r.line.as_bytes()).unwrap();
+        let text = json.get("result").and_then(|r| r.get("prometheus"));
+        let text = text.and_then(Json::as_str).expect("exposition");
+        text.lines().any(|l| l == line)
     }
 
     #[test]
@@ -1625,10 +1456,8 @@ mod tests {
         assert_eq!(svc.warm_loaded(), 0);
         let first = svc.handle_frame(frame);
         assert!(first.line.contains(r#""ok":true"#), "{}", first.line);
-        // stats carries a structured store section.
-        let stats = svc.handle_frame(br#"{"id": 2, "verb": "stats"}"#);
-        assert!(stats.line.contains(r#""store":{"#), "{}", stats.line);
-        assert!(stats.line.contains(r#""warm_loaded":0"#), "{}", stats.line);
+        // The exposition carries the store's series.
+        assert!(exports(&svc, "arrayflow_store_warm_loaded 0"));
         // compact succeeds (flushes the writer first).
         let c = svc.handle_frame(br#"{"id": 3, "verb": "compact"}"#);
         assert!(c.line.contains(r#""live_records":1"#), "{}", c.line);
@@ -1687,9 +1516,8 @@ mod tests {
         );
         assert!(r.line.contains(r#""ok":true"#), "{}", r.line);
         assert_eq!(svc.stats().worker_restarts, 1);
-        // stats carries the restart count.
-        let s = svc.handle_frame(br#"{"id": 2, "verb": "stats"}"#);
-        assert!(s.line.contains(r#""worker_restarts":1"#), "{}", s.line);
+        // The exposition carries the restart count.
+        assert!(exports(&svc, "arrayflow_worker_restarts_total 1"));
         svc.shutdown();
         svc.join_workers();
     }

@@ -12,7 +12,10 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-use arrayflow_service::{Json, ServiceConfig};
+use arrayflow_service::{kind_from_byte, ErrorKind, Json, ServiceConfig};
+use arrayflow_wire::encode_frame;
+use arrayflow_wire::frame::read_frame;
+use arrayflow_wire::proto::Response;
 use common::{Front, Stack};
 
 struct Session {
@@ -225,6 +228,30 @@ fn an_unterminated_final_line_is_answered_on_every_edge() {
 }
 
 #[test]
+fn the_retired_stats_verb_and_tag_answer_protocol_on_every_edge() {
+    for front in [Front::Node, Front::Router] {
+        let stack = start(front);
+        let mut s = Session::connect(stack.addr);
+        let resp = s.send(r#"{"id": 6, "verb": "stats"}"#);
+        assert_eq!(error_kind(&resp), "protocol", "{front:?}");
+        let message = resp.get("error").and_then(|e| e.get("message"));
+        assert_eq!(message.and_then(Json::as_str), Some("unknown verb `stats`"));
+        // Tag 0x03 stays reserved: a frame carrying only an id.
+        let mut stream = TcpStream::connect(stack.addr).expect("connect");
+        stream.write_all(&encode_frame(0x03, &[6])).unwrap();
+        let (tag, payload) = read_frame(&mut stream, 1 << 20).unwrap();
+        match Response::decode(tag, &payload) {
+            Ok(Response::Err { kind, .. }) => {
+                assert_eq!(kind_from_byte(kind), Some(ErrorKind::Protocol), "{front:?}")
+            }
+            other => panic!("{front:?}: expected an error frame, got {other:?}"),
+        }
+        s.send(r#"{"id": 9, "verb": "shutdown"}"#);
+        stack.join();
+    }
+}
+
+#[test]
 fn degenerate_programs_are_answered_not_crashed() {
     let stack = start(Front::Node);
     let mut s = Session::connect(stack.addr);
@@ -295,15 +322,8 @@ fn overflowing_subscripts_are_analyzed_without_a_worker_panic() {
         );
     }
     let resp = s.send(r#"{"id": 7, "verb": "metrics"}"#);
-    let panics = resp
-        .get("result")
-        .and_then(|r| r.get("metrics"))
-        .and_then(Json::as_arr)
-        .expect("metrics array")
-        .iter()
-        .find(|m| m.get("name").and_then(Json::as_str) == Some("arrayflow_worker_panics_total"))
-        .and_then(|m| m.get("value"))
-        .and_then(Json::as_u64);
+    let text = common::exposition(&resp);
+    let panics = common::scrape(&text, "arrayflow_worker_panics_total", &[]);
     assert_eq!(panics, Some(0));
     s.send(r#"{"id": 9, "verb": "shutdown"}"#);
     stack.join();

@@ -5,6 +5,8 @@
 //! a fault-free golden run, and that the store's circuit breaker trips
 //! and then recovers.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -158,28 +160,10 @@ fn analyze_until_ok(client: &mut Client, id: usize, program: &str) -> (Json, u32
     panic!("analyze of {program:?} failed 50 times in a row");
 }
 
-fn stats_field(client: &mut Client, section: &str, name: &str) -> Json {
-    let resp = client.request(r#"{"id": 0, "verb": "stats"}"#);
-    resp.get("result")
-        .and_then(|r| r.get(section))
-        .and_then(|s| s.get(name))
-        .cloned()
-        .unwrap_or_else(|| panic!("stats.{section}.{name} missing"))
-}
-
-/// Looks a counter/gauge up in the `metrics` verb's structured JSON.
+/// Scrapes one counter or gauge from the `metrics` verb's exposition.
 fn metric_value(client: &mut Client, name: &str) -> u64 {
     let resp = client.request(r#"{"id": 0, "verb": "metrics"}"#);
-    let metrics = resp
-        .get("result")
-        .and_then(|r| r.get("metrics"))
-        .and_then(Json::as_arr)
-        .expect("metrics array");
-    metrics
-        .iter()
-        .find(|m| m.get("name").and_then(Json::as_str) == Some(name))
-        .and_then(|m| m.get("value"))
-        .and_then(Json::as_u64)
+    common::scrape(&common::exposition(&resp), name, &[])
         .unwrap_or_else(|| panic!("metric {name} missing"))
 }
 
@@ -248,8 +232,9 @@ fn chaos_drill_contains_every_injected_fault() {
     // Fresh programs force append attempts (= probe opportunities).
     let mut extra = 0u64;
     loop {
-        let state = stats_field(&mut client, "store", "breaker_state");
-        if state.as_str() == Some("closed") {
+        // The breaker-state gauge: 0 closed, 1 half-open, 2 open.
+        let state = metric_value(&mut client, "arrayflow_store_breaker_state");
+        if state == 0 {
             break;
         }
         assert!(
@@ -262,8 +247,8 @@ fn chaos_drill_contains_every_injected_fault() {
         analyze_until_ok(&mut client, 1000 + extra as usize, &p);
     }
     assert!(serve.stderr_contains("to=closed"), "no recovery transition");
-    let trips = stats_field(&mut client, "store", "breaker_trips");
-    assert!(trips.as_u64().unwrap_or(0) >= 1, "trips: {trips:?}");
+    let trips = metric_value(&mut client, "arrayflow_store_breaker_trips_total");
+    assert!(trips >= 1, "trips: {trips}");
     assert_eq!(
         metric_value(&mut client, "arrayflow_store_breaker_state"),
         0
@@ -273,13 +258,13 @@ fn chaos_drill_contains_every_injected_fault() {
     // The supervisor polls every 20 ms, so give the last injected exit a
     // moment to be noticed.
     loop {
-        let restarts = stats_field(&mut client, "service", "worker_restarts");
-        if restarts.as_u64().unwrap_or(0) >= 1 {
+        let restarts = metric_value(&mut client, "arrayflow_worker_restarts_total");
+        if restarts >= 1 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "no worker was ever restarted: {restarts:?}"
+            "no worker was ever restarted: {restarts}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }

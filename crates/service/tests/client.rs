@@ -2,12 +2,16 @@
 //! dropped connections, retry on `overloaded`, fail fast on structured
 //! errors, and bounded time against a wedged server.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use arrayflow_service::{Client, ClientConfig, ClientError, ErrorKind, Service, ServiceConfig};
+use arrayflow_service::{
+    Client, ClientConfig, ClientError, ErrorKind, Json, Service, ServiceConfig,
+};
 
 /// A fast-retry config for tests: small deadlines, deterministic jitter.
 fn test_config() -> ClientConfig {
@@ -191,10 +195,10 @@ fn full_session_against_the_real_service() {
     assert!(a.contains("reuse use_site"));
     assert!(b.contains("\"cache_hits\":1"), "memo cache hit: {b}");
 
-    let stats = client.stats().expect("stats");
-    assert!(stats.contains("\"ok\":true"));
     let metrics = client.metrics().expect("metrics");
-    assert!(metrics.contains("arrayflow_requests_total"));
+    let metrics = Json::parse(metrics.as_bytes()).expect("metrics line parses");
+    let text = common::exposition(&metrics);
+    assert!(common::scrape(&text, "arrayflow_requests_total", &[]).is_some());
 
     client.shutdown().expect("shutdown");
     server_thread.join().expect("server thread").expect("run");

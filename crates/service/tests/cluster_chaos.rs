@@ -12,6 +12,8 @@
 //! 4. Re-request every program: all must succeed, byte-identical to the
 //!    golden run, with nonzero failover and replica-warm-hit counters.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -213,21 +215,9 @@ fn killed_node_fails_over_to_a_warm_replica_with_identical_reports() {
     loop {
         let mut applied = 0u64;
         for c in &mut node_clients {
-            let resp = c.request(r#"{"id": 5, "verb": "metrics"}"#);
-            let metrics = resp
-                .get("result")
-                .and_then(|r| r.get("metrics"))
-                .and_then(Json::as_arr)
-                .expect("metrics array");
-            applied += metrics
-                .iter()
-                .find(|m| {
-                    m.get("name").and_then(Json::as_str)
-                        == Some("arrayflow_replica_applied_records_total")
-                })
-                .and_then(|m| m.get("value"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
+            let text = common::exposition(&c.request(r#"{"id": 5, "verb": "metrics"}"#));
+            applied +=
+                common::scrape(&text, "arrayflow_replica_applied_records_total", &[]).unwrap_or(0);
         }
         if applied >= programs.len() as u64 {
             break;
@@ -288,29 +278,21 @@ fn killed_node_fails_over_to_a_warm_replica_with_identical_reports() {
         );
     }
 
-    // The failover actually happened and the replica was warm.
-    let resp = router.request(r#"{"id": 2000, "verb": "stats"}"#);
-    assert!(is_ok(&resp), "{resp:?}");
-    let stats = resp.get("result").and_then(|r| r.get("router")).unwrap();
-    let failovers = stats.get("failovers").and_then(Json::as_u64).unwrap_or(0);
-    let warm_hits = stats
-        .get("replica_warm_hits")
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    assert!(failovers > 0, "router never failed over: {stats:?}");
-    assert!(warm_hits > 0, "replica served no warm hits: {stats:?}");
-
-    // The merged exposition carries the failover counter for CI to grep.
+    // The failover actually happened and the replica was warm; the
+    // merged exposition carries the failover counter for CI to grep.
     let resp = router.request(r#"{"id": 2001, "verb": "metrics"}"#);
-    let prom = resp
-        .get("result")
-        .and_then(|r| r.get("prometheus"))
-        .and_then(Json::as_str)
-        .expect("merged exposition")
-        .to_string();
+    assert!(is_ok(&resp), "{resp:?}");
+    let prom = common::exposition(&resp);
+    let router_series = |name: &str| common::scrape(&prom, name, &[r#"node="router""#]);
+    let failovers = router_series("arrayflow_router_failovers_total");
+    let warm_hits = router_series("arrayflow_router_replica_warm_hits_total");
     assert!(
-        prom.contains("arrayflow_router_failovers_total"),
-        "merged exposition lacks the failover counter"
+        failovers.is_some_and(|n| n > 0),
+        "router never failed over: {failovers:?}"
+    );
+    assert!(
+        warm_hits.is_some_and(|n| n > 0),
+        "replica served no warm hits: {warm_hits:?}"
     );
 
     // Graceful teardown of the survivors.

@@ -1,6 +1,8 @@
 //! Three real `serve` nodes behind a real `serve --router`: fingerprint
-//! routing, the health verb, replication wiring, and cluster-wide
-//! stats/metrics aggregation — all over actual sockets.
+//! routing, the health verb, replication wiring, and the cluster-wide
+//! merged exposition — all over actual sockets.
+
+mod common;
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -185,6 +187,31 @@ fn is_ok(resp: &Json) -> bool {
     resp.get("ok").and_then(Json::as_bool) == Some(true)
 }
 
+/// The families the router's merge must pass through untouched for one
+/// node: cache, engine, solver passes, sessions and store. Health probes
+/// and scrapes move none of them.
+const NODE_FAMILIES: [&str; 6] = [
+    "arrayflow_cache_",
+    "arrayflow_engine_",
+    "arrayflow_solver_passes",
+    "arrayflow_sessions_",
+    "arrayflow_delta_",
+    "arrayflow_store_",
+];
+
+/// `node`'s series lines of [`NODE_FAMILIES`] in an exposition, in order.
+fn node_lines(text: &str, node: &str) -> Vec<String> {
+    let label = format!("node=\"{node}\"");
+    text.lines()
+        .filter(|l| NODE_FAMILIES.iter().any(|f| l.starts_with(f)) && l.contains(&label))
+        .map(str::to_string)
+        .collect()
+}
+
+fn scrape_metrics(c: &mut JsonClient) -> String {
+    common::exposition(&c.request(r#"{"id": 5, "verb": "metrics"}"#))
+}
+
 fn programs(n: usize) -> Vec<String> {
     (0..n)
         .map(|k| format!("do i = 1, {} A[i+{}] := A[i] + x; end", 50 + k, 1 + (k % 6)))
@@ -248,48 +275,10 @@ fn router_shards_work_and_merges_observability() {
     let warm = bin.analyze_binary(&programs[0]).unwrap();
     assert_eq!(warm.cache_hits, 1, "binary repeat must hit via router");
 
-    // Merged stats: summed cluster section, per-node sections, router
-    // counters.
-    let resp = router.request(r#"{"id": 900, "verb": "stats"}"#);
-    assert!(is_ok(&resp), "{resp:?}");
-    let result = resp.get("result").unwrap();
-    let requests = result
-        .get("cluster")
-        .and_then(|c| c.get("service"))
-        .and_then(|s| s.get("requests"))
-        .and_then(Json::as_u64)
-        .expect("summed cluster.service.requests");
-    assert!(requests >= 2 * programs.len() as u64, "requests={requests}");
-    let nodes = result.get("nodes").expect("per-node sections");
-    let mut serving = 0;
-    for id in ["n1", "n2", "n3"] {
-        let node = nodes.get(id).unwrap_or_else(|| panic!("missing {id}"));
-        let reqs = node
-            .get("service")
-            .and_then(|s| s.get("requests"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if reqs > 0 {
-            serving += 1;
-        }
-    }
-    assert!(serving >= 2, "18 programs landed on {serving} node(s)");
-    let forwards = result
-        .get("router")
-        .and_then(|r| r.get("forwards"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    assert!(forwards >= 2 * programs.len() as u64, "forwards={forwards}");
-
     // Merged exposition: node labels on node series, router series too.
     let resp = router.request(r#"{"id": 901, "verb": "metrics"}"#);
     assert!(is_ok(&resp), "{resp:?}");
-    let prom = resp
-        .get("result")
-        .and_then(|r| r.get("prometheus"))
-        .and_then(Json::as_str)
-        .expect("merged exposition")
-        .to_string();
+    let prom = common::exposition(&resp);
     for needle in [
         "node=\"n1\"",
         "node=\"n2\"",
@@ -303,6 +292,42 @@ fn router_shards_work_and_merges_observability() {
     // One HELP per family even though every node emits it.
     let helps = prom.matches("# HELP arrayflow_requests_total ").count();
     assert_eq!(helps, 1, "duplicated HELP in merged exposition");
+
+    // Cluster totals are sums over the node label.
+    let per_node = |name: &str, node: &str| {
+        common::scrape(&prom, name, &[&format!("node=\"{node}\"")]).unwrap_or(0)
+    };
+    let requests: Vec<u64> = ["n1", "n2", "n3"]
+        .iter()
+        .map(|node| per_node("arrayflow_requests_total", node))
+        .collect();
+    let total: u64 = requests.iter().sum();
+    assert!(total >= 2 * programs.len() as u64, "requests={requests:?}");
+    let serving = requests.iter().filter(|&&n| n > 0).count();
+    assert!(serving >= 2, "18 programs landed on {serving} node(s)");
+    let forwards = per_node("arrayflow_router_forwards_total", "router");
+    assert!(forwards >= 2 * programs.len() as u64, "forwards={forwards}");
+
+    // The router's merged sums equal the nodes' own: each node's lines of
+    // the merged exposition are its direct scrape, byte for byte. The
+    // comparison runs at a moment the node's families stand still
+    // (replication may still be shipping records to replicas).
+    for (i, node) in ["n1", "n2", "n3"].into_iter().enumerate() {
+        let mut direct = JsonClient::connect(&cluster.node_addrs[i]);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let before = node_lines(&scrape_metrics(&mut direct), node);
+            let merged = node_lines(&scrape_metrics(&mut router), node);
+            let after = node_lines(&scrape_metrics(&mut direct), node);
+            if before == after {
+                assert!(!before.is_empty(), "{node} exported no node families");
+                assert_eq!(merged, before, "the router's {node} lines");
+                break;
+            }
+            assert!(Instant::now() < deadline, "{node}'s families never settled");
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    }
 
     cluster.shutdown();
 }
@@ -332,21 +357,9 @@ fn replication_keeps_each_replica_warm() {
     loop {
         let mut applied = 0u64;
         for c in &mut clients {
-            let resp = c.request(r#"{"id": 5, "verb": "metrics"}"#);
-            let metrics = resp
-                .get("result")
-                .and_then(|r| r.get("metrics"))
-                .and_then(Json::as_arr)
-                .expect("metrics array");
-            applied += metrics
-                .iter()
-                .find(|m| {
-                    m.get("name").and_then(Json::as_str)
-                        == Some("arrayflow_replica_applied_records_total")
-                })
-                .and_then(|m| m.get("value"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
+            let text = scrape_metrics(c);
+            applied +=
+                common::scrape(&text, "arrayflow_replica_applied_records_total", &[]).unwrap_or(0);
         }
         if applied >= programs.len() as u64 {
             break;
@@ -415,27 +428,17 @@ fn sessions_stay_pinned_to_one_shard_through_the_router() {
         last_fp = new_fp;
     }
 
-    // Exactly one node owns the session: the aggregated stats show one
+    // Exactly one node owns the session: the merged exposition shows one
     // open session and four deltas across the cluster.
-    let stats = c.request(r#"{"id": 99, "verb": "stats"}"#);
-    assert!(is_ok(&stats), "{stats:?}");
-    let nodes = stats
-        .get("result")
-        .and_then(|r| r.get("nodes"))
-        .expect("router stats carry per-node sections");
+    let prom = scrape_metrics(&mut c);
     let mut open_total = 0;
     let mut deltas_total = 0;
     let mut owners = 0;
     for id in ["n1", "n2", "n3"] {
-        let node = nodes.get(id).unwrap_or_else(|| panic!("missing {id}"));
-        let Some(sessions) = node.get("sessions") else {
-            continue;
-        };
-        let open = sessions.get("open").and_then(Json::as_u64).unwrap_or(0);
-        let deltas = sessions
-            .get("deltas_total")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
+        let node = format!("node=\"{id}\"");
+        let series = |name: &str| common::scrape(&prom, name, &[&node]).unwrap_or(0);
+        let open = series("arrayflow_sessions_open");
+        let deltas = series("arrayflow_delta_applied_total");
         open_total += open;
         deltas_total += deltas;
         if deltas > 0 {

@@ -1,6 +1,10 @@
 //! The serving stack the socket suites run against: a node, or a router
 //! in front of a node, each on its own event loop over loopback. A suite
 //! that takes a [`Front`] runs its cases through either front door.
+//!
+//! Every suite that checks a counter reads it from the Prometheus
+//! exposition, the one way counters leave a process, through [`scrape`].
+#![allow(dead_code)] // each suite uses a subset of these helpers
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -10,8 +14,8 @@ use std::time::Duration;
 
 use arrayflow_cluster::Topology;
 use arrayflow_service::{
-    Client, ClientConfig, EventServer, FrameHandler, ProtoMode, Router, RouterConfig, Service,
-    ServiceConfig,
+    Client, ClientConfig, EventServer, FrameHandler, Json, ProtoMode, Router, RouterConfig,
+    Service, ServiceConfig,
 };
 
 /// The event loop a suite's clients talk to.
@@ -81,4 +85,44 @@ impl Stack {
             node.join().expect("node").expect("run");
         }
     }
+}
+
+/// Sum of every sample of `name` in a Prometheus text exposition whose
+/// label set holds each of `labels` (`key="value"` pairs; any label set
+/// when empty). `None` when no sample matches: the series is not
+/// exported.
+pub fn scrape(text: &str, name: &str, labels: &[&str]) -> Option<u64> {
+    let mut sum = None;
+    for line in text.lines() {
+        let Some(rest) = line.strip_prefix(name) else {
+            continue;
+        };
+        let (set, value) = match rest.strip_prefix('{') {
+            Some(r) => match r.split_once('}') {
+                Some(split) => split,
+                None => continue,
+            },
+            None if rest.starts_with(' ') => ("", rest),
+            None => continue,
+        };
+        if !labels
+            .iter()
+            .all(|want| set.split(',').any(|kv| kv == *want))
+        {
+            continue;
+        }
+        if let Ok(v) = value.trim().parse::<u64>() {
+            *sum.get_or_insert(0) += v;
+        }
+    }
+    sum
+}
+
+/// The exposition a JSON `metrics` response carries, `result.prometheus`.
+pub fn exposition(resp: &Json) -> String {
+    resp.get("result")
+        .and_then(|r| r.get("prometheus"))
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("no exposition in {resp:?}"))
+        .to_string()
 }

@@ -1,9 +1,11 @@
 //! Observability integration tests: the metrics registry exported by a
-//! running service, the Prometheus/JSON `metrics` verb, and regression
+//! running service, the `metrics` verb's Prometheus exposition, and regression
 //! coverage for the three accounting bugfixes — oversized frames no
 //! longer skew the latency histogram, queue wait is measured and
 //! included in request latency, and `serve` reports a store-open failure
 //! as a structured one-line error instead of panicking.
+
+mod common;
 
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -343,15 +345,15 @@ fn metrics_verb_exports_every_layer() {
     let resp = service.handle_frame(br#"{"id": 1, "verb": "metrics"}"#);
     let json = Json::parse(resp.line.as_bytes()).expect("metrics response parses");
     assert_eq!(json.get("ok").and_then(Json::as_bool), Some(true));
-    let result = json.get("result").expect("result object");
-    let metrics = result
-        .get("metrics")
-        .and_then(Json::as_arr)
-        .expect("metrics array");
-    let names: Vec<&str> = metrics
-        .iter()
-        .filter_map(|m| m.get("name").and_then(Json::as_str))
-        .collect();
+    // The result is the exposition alone, in the router's shape.
+    let prometheus = common::exposition(&json);
+    assert_eq!(
+        json.get("result"),
+        Some(&Json::Obj(vec![(
+            "prometheus".into(),
+            Json::Str(prometheus.clone())
+        )]))
+    );
     for expected in [
         "arrayflow_requests_total",            // service
         "arrayflow_request_latency_us",        // service histogram
@@ -365,14 +367,10 @@ fn metrics_verb_exports_every_layer() {
         "arrayflow_tier_queued_appends_total", // tier
     ] {
         assert!(
-            names.contains(&expected),
-            "metrics verb is missing {expected}; got {names:?}"
+            prometheus.contains(&format!("# TYPE {expected} ")),
+            "metrics verb is missing {expected}; got {prometheus}"
         );
     }
-    let prometheus = result
-        .get("prometheus")
-        .and_then(Json::as_str)
-        .expect("prometheus exposition");
     assert!(prometheus.contains("# TYPE arrayflow_request_latency_us histogram"));
     assert!(prometheus.contains("arrayflow_request_latency_us_bucket{le=\"+Inf\"}"));
     assert!(prometheus.contains("# TYPE arrayflow_queue_wait_us histogram"));
@@ -382,6 +380,54 @@ fn metrics_verb_exports_every_layer() {
     service.shutdown();
     service.join_workers();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: a `delta`'s TTL sweep drops expired sessions, and the
+/// open-sessions gauge follows at once. It used to keep counting them
+/// until some later stats request swept the store again.
+#[test]
+fn a_delta_sweep_updates_the_session_series() {
+    let service = Service::start(ServiceConfig {
+        engine: EngineConfig {
+            session_ttl_ms: 40,
+            ..EngineConfig::default()
+        },
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    for id in 1..=2 {
+        let resp = service.handle_frame(
+            format!(
+                r#"{{"id": {id}, "verb": "open", "program": "do i = 1, 9 A[i+1] := A[i]; end"}}"#
+            )
+            .as_bytes(),
+        );
+        assert_ok(&resp.line);
+    }
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let resp = service.handle_frame(
+        br#"{"id": 3, "verb": "delta", "session": 1, "fingerprint": "00000000000000000000000000000000", "stmt": 0, "text": "A[i+1] := A[i];"}"#,
+    );
+    assert!(
+        resp.line.contains(r#""kind":"session_lost""#),
+        "{}",
+        resp.line
+    );
+
+    let resp = service.handle_frame(br#"{"id": 4, "verb": "metrics"}"#);
+    let text = common::exposition(&Json::parse(resp.line.as_bytes()).unwrap());
+    let series = |name: &str, labels: &[&str]| common::scrape(&text, name, labels);
+    assert_eq!(series("arrayflow_sessions_open", &[]), Some(0));
+    assert_eq!(
+        series("arrayflow_sessions_evicted_total", &[r#"reason="ttl""#]),
+        Some(2)
+    );
+    assert_eq!(series("arrayflow_sessions_opened_total", &[]), Some(2));
+    assert_eq!(series("arrayflow_delta_applied_total", &[]), Some(0));
+    assert_eq!(series("arrayflow_delta_requests_total", &[]), Some(1));
+
+    service.shutdown();
+    service.join_workers();
 }
 
 /// Regression (bugfix 3): a store directory that cannot be created makes

@@ -3,6 +3,8 @@
 //! the negative paths of the error taxonomy, and graceful-shutdown drain.
 #![cfg(unix)]
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -399,7 +401,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
 }
 
 #[test]
-fn stats_verb_reports_engine_summary_and_counters() {
+fn metrics_verb_reports_engine_and_service_counters() {
     let (addr, service) = spawn_server(ServiceConfig {
         workers: 2,
         ..ServiceConfig::default()
@@ -412,43 +414,29 @@ fn stats_verb_reports_engine_summary_and_counters() {
     client.send("not json");
     client.recv_json();
 
-    client.send(r#"{"id": 3, "verb": "stats"}"#);
+    client.send(r#"{"id": 3, "verb": "metrics"}"#);
     let resp = client.recv_json();
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
-    let result = resp.get("result").unwrap();
+    let text = common::exposition(&resp);
+    let series = |name: &str, labels: &[&str]| common::scrape(&text, name, labels);
 
-    // The engine line is the EngineStats Display one-liner; the two
-    // alpha-equivalent programs produce one solve and one cache hit.
-    let engine = result.get("engine").and_then(Json::as_str).unwrap();
-    assert!(engine.contains("2 programs"), "{engine}");
-    assert!(engine.contains("1 from cache"), "{engine}");
-    let cache = result.get("cache").and_then(Json::as_str).unwrap();
-    assert!(cache.contains("hits=1"), "{cache}");
+    // The two alpha-equivalent programs produce one solve and one cache
+    // hit.
+    assert_eq!(series("arrayflow_engine_programs_total", &[]), Some(2));
+    assert_eq!(series("arrayflow_cache_hits_total", &[]), Some(1));
 
-    // Counters snapshot before the stats request itself completes: the
-    // two analyzes and the protocol error, not the in-flight stats call.
-    let svc = result.get("service").unwrap();
-    assert_eq!(svc.get("requests").and_then(Json::as_u64), Some(3));
-    assert_eq!(svc.get("ok").and_then(Json::as_u64), Some(2));
-    assert_eq!(
-        svc.get("errors")
-            .and_then(|e| e.get("protocol"))
-            .and_then(Json::as_u64),
-        Some(1)
-    );
-    let latency = svc.get("latency").unwrap();
-    let total: u64 = [
-        "le_100us",
-        "le_1000us",
-        "le_10000us",
-        "le_100000us",
-        "le_1000000us",
-        "gt_1000000us",
-    ]
-    .iter()
-    .map(|k| latency.get(k).and_then(Json::as_u64).unwrap())
-    .sum();
-    assert_eq!(total, 3);
+    // Counters snapshot before the metrics request itself completes: the
+    // two analyzes and the protocol error, not the in-flight scrape.
+    assert_eq!(series("arrayflow_requests_total", &[]), Some(3));
+    let outcome = |name: &str| {
+        series(
+            "arrayflow_responses_total",
+            &[&format!("outcome=\"{name}\"")],
+        )
+    };
+    assert_eq!(outcome("ok"), Some(2));
+    assert_eq!(outcome("protocol"), Some(1));
+    assert_eq!(series("arrayflow_request_latency_us_count", &[]), Some(3));
 
     service.shutdown();
     service.join_workers();
@@ -466,7 +454,7 @@ fn stdio_like_loop_over_pipe_mode_frames() {
     let script: &[&[u8]] = &[
         br#"{"id": 1, "verb": "ping"}"#,
         br#"{"id": 2, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end"}"#,
-        br#"{"id": 3, "verb": "stats"}"#,
+        br#"{"id": 3, "verb": "metrics"}"#,
         br#"{"id": 4, "verb": "shutdown"}"#,
     ];
     let mut saw_shutdown = false;
@@ -599,7 +587,7 @@ fn delta_error_paths_are_typed_and_incomplete_requests_are_protocol_errors() {
 }
 
 #[test]
-fn stats_verb_reports_session_counters() {
+fn metrics_verb_reports_session_counters() {
     let (addr, service) = spawn_server(ServiceConfig::default());
     let mut client = Client::connect(addr);
 
@@ -641,18 +629,18 @@ fn stats_verb_reports_session_counters() {
         "{fb:?}"
     );
 
-    client.send(r#"{"id": 4, "verb": "stats"}"#);
-    let stats = client.recv_json();
-    let sessions = stats.get("result").and_then(|r| r.get("sessions")).unwrap();
-    assert_eq!(sessions.get("open").and_then(Json::as_u64), Some(1));
-    assert_eq!(sessions.get("opened_total").and_then(Json::as_u64), Some(1));
-    assert_eq!(sessions.get("deltas_total").and_then(Json::as_u64), Some(2));
+    client.send(r#"{"id": 4, "verb": "metrics"}"#);
+    let text = common::exposition(&client.recv_json());
+    let series = |name: &str, labels: &[&str]| common::scrape(&text, name, labels);
+    assert_eq!(series("arrayflow_sessions_open", &[]), Some(1));
+    assert_eq!(series("arrayflow_sessions_opened_total", &[]), Some(1));
+    assert_eq!(series("arrayflow_delta_applied_total", &[]), Some(2));
+    assert_eq!(series("arrayflow_delta_fallbacks_total", &[]), Some(1));
     assert_eq!(
-        sessions.get("delta_fallbacks").and_then(Json::as_u64),
-        Some(1)
-    );
-    assert_eq!(
-        sessions.get("evicted_capacity").and_then(Json::as_u64),
+        series(
+            "arrayflow_sessions_evicted_total",
+            &[r#"reason="capacity""#]
+        ),
         Some(0)
     );
 

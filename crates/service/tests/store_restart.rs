@@ -6,6 +6,8 @@
 //! back byte-identical and at least 90% of lookups must be answered warm
 //! (from the warm-started cache / disk) rather than re-solved.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
@@ -130,13 +132,11 @@ fn request_cache_hits(resp: &Json) -> u64 {
         .expect("stats.cache_hits")
 }
 
+/// Scrapes one store counter from the `metrics` verb's exposition.
 fn store_counter(client: &mut Client, name: &str) -> u64 {
-    let resp = client.request(r#"{"id": 0, "verb": "stats"}"#);
-    resp.get("result")
-        .and_then(|r| r.get("store"))
-        .and_then(|s| s.get(name))
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("stats.store.{name} missing"))
+    let resp = client.request(r#"{"id": 0, "verb": "metrics"}"#);
+    common::scrape(&common::exposition(&resp), name, &[])
+        .unwrap_or_else(|| panic!("{name} missing"))
 }
 
 #[test]
@@ -163,7 +163,7 @@ fn kill_and_restart_round_trip() {
     // kill the process with no grace whatsoever.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let appends = store_counter(&mut client, "appends");
+        let appends = store_counter(&mut client, "arrayflow_store_appends_total");
         if appends >= programs.len() as u64 {
             break;
         }
@@ -202,7 +202,7 @@ fn kill_and_restart_round_trip() {
         "only {warm}/{total} lookups were answered warm"
     );
     // No re-analysis means no new appends beyond what phase 1 persisted.
-    let appends = store_counter(&mut client, "appends");
+    let appends = store_counter(&mut client, "arrayflow_store_appends_total");
     assert_eq!(appends, 0, "replay should not append anything new");
 
     // Graceful shutdown this time.

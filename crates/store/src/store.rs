@@ -184,6 +184,10 @@ struct StoreInstruments {
     /// Intact records physically on disk (live + superseded + tombstones);
     /// `records_on_disk - live` is what a compaction will drop.
     records_on_disk: Gauge,
+    /// Live records in the index.
+    live_records: Gauge,
+    /// Segment files currently on disk.
+    segments: Gauge,
     disk_hits: Counter,
     disk_misses: Counter,
     read_errors: Counter,
@@ -198,6 +202,14 @@ impl StoreInstruments {
             records_on_disk: registry.gauge(
                 "arrayflow_store_records_on_disk",
                 "intact records physically on disk (live + superseded + tombstones)",
+            ),
+            live_records: registry.gauge(
+                "arrayflow_store_live_records",
+                "live records in the store's index",
+            ),
+            segments: registry.gauge(
+                "arrayflow_store_segments",
+                "segment files currently on disk",
             ),
             disk_hits: registry.counter(
                 "arrayflow_store_disk_hits_total",
@@ -285,6 +297,14 @@ impl Store {
         let ins = StoreInstruments::registered(registry);
         ins.bytes.set(total_bytes);
         ins.records_on_disk.set(recovery.records_replayed);
+        ins.live_records.set(recovery.live_records);
+        ins.segments.set(seg_ids.len() as u64);
+        registry
+            .counter(
+                "arrayflow_store_recovery_skipped_total",
+                "corrupt records skipped by recovery when the store was opened",
+            )
+            .add(recovery.skipped);
         Ok(Store {
             writer: Mutex::new(WriterState {
                 file: None,
@@ -331,14 +351,9 @@ impl Store {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> StoreStats {
-        let (segments, records) = {
-            let w = self.writer.lock().unwrap();
-            let ix = self.index.read().unwrap();
-            (w.segments.len() as u64, ix.len() as u64)
-        };
         StoreStats {
-            records,
-            segments,
+            records: self.ins.live_records.get(),
+            segments: self.ins.segments.get(),
             bytes: self.ins.bytes.get(),
             disk_hits: self.ins.disk_hits.get(),
             disk_misses: self.ins.disk_misses.get(),
@@ -407,6 +422,7 @@ impl Store {
             w.seg_id = id;
             w.seg_bytes = HEADER_LEN as u64;
             w.segments.push(id);
+            self.ins.segments.set(w.segments.len() as u64);
             self.ins.bytes.add(HEADER_LEN as u64);
         }
         let offset = w.seg_bytes;
@@ -454,6 +470,7 @@ impl Store {
                 ix.remove(key);
             }
         }
+        self.ins.live_records.set(ix.len() as u64);
         drop(ix);
         drop(w);
         self.ins.appends.inc();
@@ -625,6 +642,8 @@ impl Store {
         // only removed after the new ones are durable, so a crash at any
         // point leaves a recoverable (if larger) store.
         *self.index.write().unwrap() = new_index;
+        self.ins.live_records.set(live);
+        self.ins.segments.set(w.segments.len() as u64);
         let mut removed_bytes = 0u64;
         for id in old_segments {
             let path = self.config.dir.join(segment_file_name(id));

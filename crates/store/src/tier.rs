@@ -19,7 +19,7 @@ use arrayflow_engine::{AnalysisReport, CacheKey, SecondTier};
 use arrayflow_obs::{observed_span, Counter, Gauge, Histogram, Registry, PHASE_BUCKETS_US};
 use arrayflow_resilience::{BreakerState, CircuitBreaker, Transition};
 
-use crate::store::{Store, StoreStats};
+use crate::store::Store;
 
 enum WriterMsg {
     Put(CacheKey, Arc<AnalysisReport>),
@@ -275,11 +275,6 @@ impl PersistentTier {
     /// Current state of the write-path circuit breaker.
     pub fn breaker_state(&self) -> BreakerState {
         self.breaker.state()
-    }
-
-    /// Store counters, for convenience.
-    pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
     }
 
     /// Blocks until every append queued so far has reached the store (or

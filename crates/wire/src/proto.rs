@@ -14,7 +14,7 @@
 //! request tags            response tags
 //!   0x01 Ping               0x81 Ok   (body kind: 0 text, 1 analyze,
 //!   0x02 Analyze                       2 session, 3 delta)
-//!   0x03 Stats               0x82 Err  (kind byte + message)
+//!   0x03 (reserved)          0x82 Err  (kind byte + message)
 //!   0x04 Metrics
 //!   0x05 Compact
 //!   0x06 Shutdown
@@ -40,9 +40,8 @@ use crate::frame::encode_frame;
 pub const TAG_PING: u8 = 0x01;
 /// Analyze: source and/or fingerprint.
 pub const TAG_ANALYZE: u8 = 0x02;
-/// Service stats snapshot (JSON text body).
-pub const TAG_STATS: u8 = 0x03;
-/// Metrics exposition (text body).
+/// Metrics exposition (text body). Tag `0x03`, the retired stats
+/// snapshot, stays reserved and decodes as an unknown tag.
 pub const TAG_METRICS: u8 = 0x04;
 /// Persistent-tier compaction.
 pub const TAG_COMPACT: u8 = 0x05;
@@ -211,11 +210,6 @@ pub enum Request {
     },
     /// Run (or look up) an analysis.
     Analyze(AnalyzeRequest),
-    /// Service stats snapshot.
-    Stats {
-        /// Echoed id.
-        id: u64,
-    },
     /// Metrics exposition.
     Metrics {
         /// Echoed id.
@@ -284,7 +278,6 @@ impl Request {
         match self {
             Request::Ping { .. } => TAG_PING,
             Request::Analyze(_) => TAG_ANALYZE,
-            Request::Stats { .. } => TAG_STATS,
             Request::Metrics { .. } => TAG_METRICS,
             Request::Compact { .. } => TAG_COMPACT,
             Request::Shutdown { .. } => TAG_SHUTDOWN,
@@ -300,7 +293,6 @@ impl Request {
     pub fn id(&self) -> u64 {
         match self {
             Request::Ping { id }
-            | Request::Stats { id }
             | Request::Metrics { id }
             | Request::Compact { id }
             | Request::Shutdown { id }
@@ -318,7 +310,6 @@ impl Request {
         let mut out = Vec::new();
         match self {
             Request::Ping { id }
-            | Request::Stats { id }
             | Request::Metrics { id }
             | Request::Compact { id }
             | Request::Shutdown { id }
@@ -379,7 +370,6 @@ impl Request {
         let id = r.varint()?;
         let req = match tag {
             TAG_PING => Request::Ping { id },
-            TAG_STATS => Request::Stats { id },
             TAG_METRICS => Request::Metrics { id },
             TAG_COMPACT => Request::Compact { id },
             TAG_SHUTDOWN => Request::Shutdown { id },
@@ -552,11 +542,11 @@ pub struct DeltaOk {
 /// A decoded response frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Text body (ping/stats/metrics/compact/shutdown results).
+    /// Text body (ping/health/metrics/compact/shutdown results).
     Text {
         /// Echoed request id.
         id: u64,
-        /// UTF-8 body (JSON for stats, exposition text for metrics, …).
+        /// UTF-8 body (JSON for health, exposition text for metrics, …).
         text: String,
     },
     /// Analyze result.
@@ -744,7 +734,6 @@ mod tests {
     #[test]
     fn requests_round_trip() {
         round_trip_request(Request::Ping { id: 0 });
-        round_trip_request(Request::Stats { id: 7 });
         round_trip_request(Request::Metrics { id: u64::MAX });
         round_trip_request(Request::Compact { id: 3 });
         round_trip_request(Request::Shutdown { id: 4 });
@@ -1027,6 +1016,11 @@ mod tests {
     #[test]
     fn unknown_tags_and_flags_are_rejected() {
         assert!(Request::decode(0x7F, &[0]).is_err());
+        // The retired stats tag stays reserved.
+        assert_eq!(
+            Request::decode(0x03, &[0]),
+            Err(DecodeError::BadDiscriminant)
+        );
         assert!(Response::decode(0x00, &[0]).is_err());
         let mut payload = Vec::new();
         put_varint(&mut payload, 1);

@@ -96,7 +96,7 @@ fn main() -> std::io::Result<()> {
 
     // A structural edit — the replacement is a conditional, so the flow
     // graph changes and the server falls back to a full re-analysis,
-    // recording the fallback in its stats.
+    // recording the fallback in its metrics.
     let line = client
         .delta(
             opened.session,
@@ -110,14 +110,20 @@ fn main() -> std::io::Result<()> {
     assert_eq!(result.get("fallback").and_then(Json::as_bool), Some(true));
     println!("structural edit -> full re-analysis fallback (still correct)\n");
 
-    // The session counters are part of the service stats.
-    let stats = client.stats().expect("stats");
-    let stats = Json::parse(stats.as_bytes()).unwrap();
-    let sessions = stats
+    // The session counters are series of the service's exposition.
+    let metrics = Json::parse(client.metrics().expect("metrics").as_bytes()).unwrap();
+    let exposition = metrics
         .get("result")
-        .and_then(|r| r.get("sessions"))
-        .expect("sessions section");
-    println!("sessions: {sessions}");
+        .and_then(|r| r.get("prometheus"))
+        .and_then(Json::as_str)
+        .expect("exposition");
+    let families = ["arrayflow_sessions_", "arrayflow_delta_"];
+    let sessions: Vec<&str> = exposition
+        .lines()
+        .filter(|line| families.iter().any(|family| line.starts_with(family)))
+        .collect();
+    assert!(!sessions.is_empty(), "session series");
+    println!("sessions:\n{}", sessions.join("\n"));
 
     client.shutdown().expect("shutdown");
     server_thread.join().expect("server thread")?;

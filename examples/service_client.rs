@@ -9,7 +9,7 @@
 //! responses. The session walks through every verb: `ping`, two
 //! `analyze` calls (alpha-equivalent programs, so the second is a cache
 //! hit), a hand-built problem-selected `analyze` request, a structured
-//! error, `stats`, and finally `shutdown`, which drains the server and
+//! error, `metrics`, and finally `shutdown`, which drains the server and
 //! stops it.
 //!
 //! Run with `cargo run --example service_client` (unix: the server is
@@ -23,7 +23,7 @@
 
 use arrayflow::engine::ProblemSet;
 use arrayflow::prelude::*;
-use arrayflow::service::ClientError;
+use arrayflow::service::{ClientError, Json};
 use arrayflow::wire::proto::{AnalyzeRequest, Request};
 
 fn main() -> std::io::Result<()> {
@@ -88,9 +88,23 @@ fn main() -> std::io::Result<()> {
         other => panic!("expected a parse error, got {other:?}"),
     }
 
-    let stats = client.stats().expect("stats");
-    println!("← {stats}");
-    assert!(stats.contains("hit rate"));
+    // Every counter leaves the server through one Prometheus exposition,
+    // the `metrics` verb's `{"prometheus": …}` answer.
+    let metrics = Json::parse(client.metrics().expect("metrics").as_bytes()).unwrap();
+    let exposition = metrics
+        .get("result")
+        .and_then(|r| r.get("prometheus"))
+        .and_then(Json::as_str)
+        .expect("exposition");
+    for line in exposition
+        .lines()
+        .filter(|l| l.starts_with("arrayflow_cache_"))
+    {
+        println!("← {line}");
+    }
+    assert!(exposition
+        .lines()
+        .any(|l| l == "arrayflow_cache_hits_total 1"));
 
     client.shutdown().expect("shutdown");
     server_thread.join().expect("server thread")?;
