@@ -171,18 +171,24 @@ impl LoopAnalysis {
 
     /// All guaranteed constant-distance reuse pairs (§4.1.1).
     pub fn reuse_pairs(&self) -> Vec<Reuse> {
-        reuse_pairs(&self.graph, &self.sites, &self.available)
+        reuse_pairs(&self.graph, &self.sites, &self.available, None)
     }
 
     /// All δ-redundant stores (§4.2.1).
     pub fn redundant_stores(&self) -> Vec<RedundantStore> {
-        redundant_stores(&self.graph, &self.sites, &self.busy)
+        redundant_stores(&self.graph, &self.sites, &self.busy, None)
     }
 
     /// All potential dependences with distance at most `max_distance`
     /// (§4.3).
     pub fn dependences(&self, max_distance: u64) -> Vec<Dep> {
-        dependences(&self.graph, &self.sites, &self.reaching_refs, max_distance)
+        dependences(
+            &self.graph,
+            &self.sites,
+            &self.reaching_refs,
+            max_distance,
+            None,
+        )
     }
 
     /// Renders a site as source text, e.g. `A[i + 2]`.

@@ -1,19 +1,21 @@
 //! Solver scaling: where a solve's time goes as the loop body grows. On
 //! the E16 tier shapes (8/32/128/512 statements over 4/8/16/64 arrays,
-//! the loops of `incremental_throughput`), each row times the four canned
-//! framework instances' `FlowTable::build` alone and their complete
-//! fresh `solve` (`analyze_loop` solves three of them and selects the
-//! fourth); the fixpoint iteration is the median of their paired
-//! differences (timed back to back), which stays meaningful even where
-//! the table build is most of the solve. The paper's claim is linear
-//! work — 3·N node visits for must-problems — once every flow function is
-//! reduced to constants, so the table build must not outgrow the
-//! iteration.
+//! the loops of `incremental_throughput`), each row times
+//! `FlowTable::build` alone and the complete fresh `solve` of the three
+//! column families `analyze_loop` solves (the [`CANNED`] rows that are
+//! their own [`canned_source`]; it selects the fourth); the fixpoint
+//! iteration is the median of their paired differences (timed back to
+//! back), which stays meaningful even where the table build is most of
+//! the solve. The paper's claim is linear work — 3·N node visits for
+//! must-problems — once every flow function is reduced to constants, so
+//! the table build must not outgrow the iteration.
 //!
 //! Results go to `BENCH_solver.json` at the workspace root, one line per
-//! (row, tier). A run writes the `change` rows and keeps every other row
-//! already in the file: the `parent` rows are the same measurement taken
-//! on the commit before the column solver, kept as the baseline.
+//! (row, tier). A run writes its rows under the label given as the first
+//! argument (`change` by default; a second argument records a commit)
+//! and keeps every row of other labels already in the file, so the
+//! baseline is the same bench run on the parent commit with
+//! `cargo bench -p arrayflow-bench --bench solver_scaling -- parent <commit>`.
 
 use std::hint::black_box;
 use std::path::Path;
@@ -21,7 +23,7 @@ use std::time::Instant;
 
 use arrayflow_analyses::{build_spec, enumerate_sites, BuiltSpec, GK};
 use arrayflow_bench::{bench, report};
-use arrayflow_core::{solve, FlowTable, CANNED};
+use arrayflow_core::{canned_source, solve, FlowTable, CANNED};
 use arrayflow_graph::build_loop_graph;
 use arrayflow_workloads::{random_loop, LoopShape};
 
@@ -61,7 +63,12 @@ fn paired(mut part: impl FnMut(), mut whole: impl FnMut()) -> (f64, f64, f64) {
 }
 
 fn main() {
-    println!("\n== solver: four canned instances per call, E16 tier shapes ==");
+    let mut args = std::env::args().skip(1).filter(|a| !a.starts_with("--"));
+    let label = args.next().unwrap_or_else(|| "change".to_string());
+    let commit = args
+        .next()
+        .map_or(String::new(), |c| format!(r#""commit": "{c}", "#));
+    println!("\n== solver: three column families per call, E16 tier shapes ==");
     let mut rows = Vec::new();
     let mut lines = Vec::new();
     for (tier, stmts, arrays) in TIERS {
@@ -76,9 +83,12 @@ fn main() {
         let l = p.sole_loop().unwrap();
         let graph = build_loop_graph(l);
         let (sites, _) = enumerate_sites(l, &graph, &p.symbols);
-        let specs: Vec<BuiltSpec> = CANNED
-            .iter()
-            .map(|&(_, spec)| build_spec(&sites, GK::of(spec), spec.direction, spec.mode))
+        let specs: Vec<BuiltSpec> = (0..CANNED.len())
+            .filter(|&k| canned_source(k) == k)
+            .map(|k| {
+                let spec = CANNED[k].1;
+                build_spec(&sites, GK::of(spec), spec.direction, spec.mode)
+            })
             .collect();
         let (table_us, solve_us, fixpoint_us) = paired(
             || {
@@ -101,7 +111,7 @@ fn main() {
              solve {solve_us:>12.1} us  analyze_loop {analyze_us:>12.1} us"
         );
         lines.push(format!(
-            r#"    {{"row": "change", "tier": "{tier}", "stmts": {stmts}, "arrays": {arrays}, "nodes": {}, "flow_table_us": {table_us:.1}, "fixpoint_us": {fixpoint_us:.1}, "solve_us": {solve_us:.1}, "analyze_loop_us": {analyze_us:.1}}}"#,
+            r#"    {{"row": "{label}", {commit}"tier": "{tier}", "stmts": {stmts}, "arrays": {arrays}, "nodes": {}, "flow_table_us": {table_us:.1}, "fixpoint_us": {fixpoint_us:.1}, "solve_us": {solve_us:.1}, "analyze_loop_us": {analyze_us:.1}}}"#,
             graph.len(),
         ));
         rows.push(end_to_end);
@@ -112,12 +122,12 @@ fn main() {
     let kept: Vec<String> = std::fs::read_to_string(&out)
         .unwrap_or_default()
         .lines()
-        .filter(|l| l.contains(r#""row": "#) && !l.contains(r#""row": "change""#))
+        .filter(|l| l.contains(r#""row": "#) && !l.contains(&format!(r#""row": "{label}""#)))
         .map(|l| l.trim_end_matches(',').to_string())
         .collect();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"solver_scaling\",\n  \"unit\": \"microseconds per call of all four canned instances; medians of 7 back-to-back runs, fixpoint_us the median paired difference of solve and flow table\",\n  \"host_threads\": {threads},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"solver_scaling\",\n  \"unit\": \"microseconds per call of the three solved column families; medians of 7 back-to-back runs, fixpoint_us the median paired difference of solve and flow table\",\n  \"host_threads\": {threads},\n  \"rows\": [\n{}\n  ]\n}}\n",
         kept.into_iter().chain(lines).collect::<Vec<_>>().join(",\n")
     );
     std::fs::write(&out, json).expect("write BENCH_solver.json");

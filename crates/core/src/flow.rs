@@ -15,7 +15,11 @@
 //! pairs: `Σ_d |K ∩ array(d)|` derivations, where a scan of `K` per node ×
 //! generator cell would cost `N · m · |K|`. The table is stored per column,
 //! the layout the column solver reads: sparse `(node, p)` preserve entries,
-//! the generating node and its post-generate constant.
+//! the generating node and its post-generate constant. It also groups the
+//! columns by array and lists each group's sites — the nodes holding one
+//! of its generators or same-array kills, every other node being the
+//! identity for the whole group — which is what the solver projects each
+//! group's flow graph onto.
 
 use arrayflow_graph::{LoopGraph, NodeId};
 
@@ -44,6 +48,15 @@ pub struct FlowTable {
     pub(crate) increment: NodeId,
     /// Lanes at or above this collapse to `⊤` (see [`lane::top_from`]).
     pub(crate) top_from: u64,
+    /// Per column: its group, one per generated array, numbered by first
+    /// appearance among the generators.
+    pub(crate) group: Vec<u32>,
+    /// `(group, node)` for every generating node and every kill node of a
+    /// group's array — the nodes whose flow functions are not the identity
+    /// for the whole group (repeats allowed).
+    pub(crate) sites: Vec<(u32, u32)>,
+    /// Number of groups.
+    pub(crate) groups: usize,
 }
 
 impl FlowTable {
@@ -67,14 +80,31 @@ impl FlowTable {
             post: Vec::with_capacity(m),
             increment,
             top_from,
+            group: Vec::with_capacity(m),
+            sites: Vec::with_capacity(m),
+            groups: 0,
         };
+        let arrays = spec.gens.iter().map(|g| g.aref.array.0 as usize + 1);
+        let mut group_of = vec![u32::MAX; arrays.max().unwrap_or(0)];
         table.starts.push(0);
         for gen in &spec.gens {
             let array = gen.aref.array;
             let first = kills.partition_point(|k| k.array < array);
+            let run = &kills[first..];
+            let run = &run[..run.partition_point(|k| k.array == array)];
+            let g = &mut group_of[array.0 as usize];
+            if *g == u32::MAX {
+                *g = table.groups as u32;
+                table.groups += 1;
+                table.sites.extend(run.iter().map(|k| (*g, k.node.0)));
+            }
+            table.group.push(*g);
             let generates = gen.node != increment;
+            if generates {
+                table.sites.push((*g, gen.node.0));
+            }
             let mut post = Dist::Top;
-            for kill in kills[first..].iter().take_while(|k| k.array == array) {
+            for kill in run {
                 let p = norm(preserve_constant(
                     gen,
                     kill,

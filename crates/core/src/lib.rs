@@ -24,7 +24,9 @@
 //! its constants, evaluating only same-array (generator, kill) pairs; the
 //! solver then converges the solution one column — one tracked reference —
 //! at a time over packed `u64` lanes, which is sound because the framework
-//! is separable (each column evolves independently). A [`Solution`] carries
+//! is separable (each column evolves independently), and solves each
+//! array's columns on that array's projected flow graph, since every node
+//! without a site on the array is the identity for them. A [`Solution`] carries
 //! the fixed point, each column's [`ColumnProfile`] entry (the pass that
 //! last changed it) and the [`SolveStats`] of the equivalent round-robin
 //! schedule, so incremental re-analysis can re-solve only the columns an

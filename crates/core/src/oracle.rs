@@ -206,35 +206,73 @@ fn check(graph: &LoopGraph, spec: &ProblemSpec, snapshots: bool, ctx: &str) {
     }
 }
 
+/// The outer level of a loop nest: the inner loop is a summary node whose
+/// references vary with the inner induction variable (symbolic to the
+/// outer level) or are not affine at all (`AllOfArray` kills).
+const NEST: &str = "do i = 1, 100
+    A[i+1] := A[i] + B[i];
+    do j = 1, 10
+      B[j] := A[i] + C[i*i];
+      C[i*i] := B[j+1] + A[i-1];
+    end
+    if A[i] > 0 then C[i] := A[i-1]; end
+    B[i+2] := C[i] + B[i];
+  end";
+
 #[test]
 fn column_solver_matches_round_robin_on_the_e16_tiers() {
-    // The four E16 tier shapes (statements / arrays) under every valid
-    // custom spec, which includes the four canned instances. The largest
-    // tier checks per-pass snapshots and the bounded schedule for the
-    // canned instances only, which keeps the suite quick in debug builds.
+    // The four E16 tier shapes (statements / arrays) at the default, no
+    // and a 70% conditional share, under every valid custom spec, which
+    // includes the four canned instances. The largest tier checks
+    // per-pass snapshots and the bounded schedule for the canned
+    // instances only, and at the extra shares solves only those, which
+    // keeps the suite quick.
+    let default = LoopShape::default().cond_pct;
     for (stmts, arrays, seeds) in [
-        (8, 4, 0..6),
+        (8, 4, 0..6u64),
         (32, 8, 0..3),
         (128, 16, 0..2),
         (512, 64, 0..1),
     ] {
-        let shape = LoopShape {
-            stmts,
-            arrays,
-            ..LoopShape::default()
-        };
-        for seed in seeds {
-            let p = random_loop(&shape, 42 + seed);
-            let graph = build_loop_graph(p.sole_loop().unwrap());
-            for bits in 0..64 {
-                let Some(custom) = CustomSpec::from_bits(bits) else {
-                    continue;
-                };
-                let snapshots = stmts < 512 || CANNED.iter().any(|&(_, s)| s == custom);
-                let ctx = format!("{stmts}/{arrays} seed {seed} {custom}");
-                check(&graph, &spec_of(&graph, custom), snapshots, &ctx);
+        for cond_pct in [default, 0, 70] {
+            let shape = LoopShape {
+                stmts,
+                arrays,
+                cond_pct,
+                ..LoopShape::default()
+            };
+            // The extra shares take half the seeds, at least one.
+            let seeds = match cond_pct == default {
+                true => seeds.clone(),
+                false => 0..seeds.end.div_ceil(2),
+            };
+            for seed in seeds {
+                let p = random_loop(&shape, 42 + seed);
+                let graph = build_loop_graph(p.sole_loop().unwrap());
+                for custom in (0..64).filter_map(CustomSpec::from_bits) {
+                    let canned = CANNED.iter().any(|&(_, s)| s == custom);
+                    if stmts == 512 && cond_pct != default && !canned {
+                        continue;
+                    }
+                    let snapshots = stmts < 512 || canned;
+                    let ctx = format!("{stmts}/{arrays} at {cond_pct}% seed {seed} {custom}");
+                    check(&graph, &spec_of(&graph, custom), snapshots, &ctx);
+                }
             }
         }
+    }
+    let p = arrayflow_ir::parse_program(NEST).unwrap();
+    let graph = build_loop_graph(p.sole_loop().unwrap());
+    assert!(graph.node_ids().any(|n| graph.node(n).is_summary()));
+    for custom in (0..64).filter_map(CustomSpec::from_bits) {
+        let spec = spec_of(&graph, custom);
+        if custom.kill_defs {
+            assert!(spec
+                .kills
+                .iter()
+                .any(|k| matches!(k.kind, KillKind::AllOfArray)));
+        }
+        check(&graph, &spec, true, &format!("nest {custom}"));
     }
 }
 

@@ -18,16 +18,28 @@
 //! The framework is separable: meet and every flow function act on each
 //! tracked reference independently, so each *column* of the solution
 //! evolves on its own. The solver therefore converges one column at a time
-//! over packed, column-major lanes ([`crate::lattice`]'s `lane` encoding),
-//! emulating the round-robin schedule per column: a column runs passes in
-//! flow order until one leaves it unchanged, and the pass that last
-//! changed it is its [`ColumnProfile`] entry. The state after `k` passes of
-//! every column is exactly the round-robin state after `k` passes, so
+//! over packed lanes ([`crate::lattice`]'s `lane` encoding), emulating the
+//! round-robin schedule per column: a column runs passes in flow order
+//! until one leaves it unchanged, and the pass that last changed it is its
+//! [`ColumnProfile`] entry.
+//!
+//! A column changes only at nodes holding a site on its own array, and at
+//! the increment node; every other node is its identity. So the columns of
+//! one array are solved on that array's *projected* flow graph (the sparse
+//! evaluation graph of Choi, Cytron and Ferrante): the first and last flow
+//! positions, the array's generating and killing nodes, and the merge
+//! nodes where predecessors carrying different projected values meet. A
+//! skipped node carries its projected predecessor's out value and changes
+//! in the same pass, so the state after `k` passes of every column is
+//! exactly the round-robin state after `k` passes at every node. Hence
 //! [`solve_passes`] yields the paper's per-pass Table 1 snapshots,
 //! [`solve_bounded`] runs exactly the paper's schedule, and the reported
 //! [`SolveStats`] are the round-robin schedule's: `max(profile) + 1`
 //! passes of `N` visits each (the last one confirming), plus the
-//! initialization pass for must-problems.
+//! initialization pass for must-problems. Columns are stored sparse, one
+//! lane pair per projected node; a value anywhere else comes from a
+//! lookup, and a full row is built only when asked for
+//! ([`Solution::before_row`]).
 
 use std::sync::Arc;
 
@@ -82,23 +94,49 @@ pub type ColumnProfile = Vec<u32>;
 
 /// The fixed point: one lattice value per node and tracked reference on
 /// each side of the node's flow function, stored column by column as
-/// packed lanes.
+/// packed lanes over the column's projected flow graph; a node off the
+/// projection reads the value it carries unchanged from its projected
+/// predecessor.
 ///
 /// Values are oriented in the direction of information flow: for a forward
 /// problem "before" is the solution at node entry and "after" at node
 /// exit; for a backward problem "before" is at node *exit* (the paper's
 /// `IN` for backward problems) and "after" at node entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two solutions are equal when they agree on the statistics, the profile
+/// and every value at every node, whatever projections hold them: a
+/// column selected from a wider solve keeps that solve's projection.
+#[derive(Clone)]
 pub struct Solution {
     nodes: usize,
-    /// Per column: the node-indexed "before" lanes, then the "after"
-    /// lanes. Columns are immutable once solved, so solutions that splice
-    /// a column share it instead of copying it.
-    columns: Vec<Arc<[u64]>>,
+    /// Columns are immutable once solved, so solutions that splice a
+    /// column share it instead of copying it.
+    columns: Vec<Column>,
     /// Last changing pass per column (see [`ColumnProfile`]).
     pub profile: ColumnProfile,
     /// Instrumentation, in round-robin-equivalent terms.
     pub stats: SolveStats,
+}
+
+/// One solved column: the before lanes of its group's projected nodes,
+/// then their after lanes.
+#[derive(Clone)]
+struct Column {
+    projection: Arc<Projection>,
+    group: u32,
+    lanes: Arc<[u64]>,
+}
+
+impl Column {
+    /// The lane flowing into (`after = false`) or out of `node`.
+    fn lane(&self, nodes: usize, node: usize, after: bool) -> u64 {
+        let slot = self.projection.slot[self.group as usize * nodes + node];
+        let j = (slot & !OWN) as usize;
+        match slot & OWN != 0 && !after {
+            true => self.lanes[j],
+            false => self.lanes[self.lanes.len() / 2 + j],
+        }
+    }
 }
 
 impl Solution {
@@ -109,12 +147,12 @@ impl Solution {
 
     /// The solution component for reference `d` flowing into `node`.
     pub fn before_at(&self, node: NodeId, d: RefId) -> Dist {
-        lane::decode(self.columns[d.index()][node.index()])
+        lane::decode(self.columns[d.index()].lane(self.nodes, node.index(), false))
     }
 
     /// The solution component for reference `d` flowing out of `node`.
     pub fn after_at(&self, node: NodeId, d: RefId) -> Dist {
-        lane::decode(self.columns[d.index()][self.nodes + node.index()])
+        lane::decode(self.columns[d.index()].lane(self.nodes, node.index(), true))
     }
 
     /// The tuple flowing into `node`, one value per reference.
@@ -143,7 +181,7 @@ impl Solution {
     ) -> Solution {
         let (columns, profile): (Vec<_>, ColumnProfile) = columns
             .into_iter()
-            .map(|(src, d)| (Arc::clone(&src.columns[d]), src.profile[d]))
+            .map(|(src, d)| (src.columns[d].clone(), src.profile[d]))
             .unzip();
         let stats = SolveStats::of_profile(&profile, nodes, mode, None);
         Solution {
@@ -152,6 +190,35 @@ impl Solution {
             profile,
             stats,
         }
+    }
+}
+
+impl PartialEq for Solution {
+    fn eq(&self, other: &Self) -> bool {
+        let same_lanes = |(a, b): (&Column, &Column)| {
+            (0..self.nodes).all(|v| {
+                a.lane(self.nodes, v, false) == b.lane(self.nodes, v, false)
+                    && a.lane(self.nodes, v, true) == b.lane(self.nodes, v, true)
+            })
+        };
+        self.nodes == other.nodes
+            && self.stats == other.stats
+            && self.profile == other.profile
+            && self.columns.len() == other.columns.len()
+            && self.columns.iter().zip(&other.columns).all(same_lanes)
+    }
+}
+
+impl Eq for Solution {}
+
+impl std::fmt::Debug for Solution {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Solution")
+            .field("nodes", &self.nodes)
+            .field("width", &self.width())
+            .field("profile", &self.profile)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
     }
 }
 
@@ -219,55 +286,154 @@ pub fn solve_passes(graph: &LoopGraph, spec: &ProblemSpec, passes: usize) -> Sol
     run(graph, spec, Some(passes), None).expect("no stop check installed")
 }
 
-/// Flow order and the flow predecessors of each position in it.
-struct Schedule {
-    /// Node indices in flow order.
-    order: Vec<usize>,
-    /// Position `i`'s predecessors are `preds[starts[i]..starts[i + 1]]`;
-    /// the first position's only predecessor is the last (the back edge).
+/// [`Projection::slot`] flag: the node is itself a projected node.
+const OWN: u32 = 1 << 31;
+
+/// [`Projection::slot`] mark of a group's site before its flow-order pass.
+const SITE: u32 = u32::MAX;
+
+/// Every column group's projected flow graph, in one set of flat arrays.
+///
+/// A group's columns change only at its sites (see [`FlowTable`]) and at
+/// the increment node; every other node is their identity (paper §3.1).
+/// The group's projection keeps, in flow order, the first and last flow
+/// positions, its sites, and the merges: nodes where predecessors that
+/// carry different projected values meet. Any other node carries the out
+/// value of one projected node, its projected predecessor, into and out
+/// of itself, and within a pass it changes exactly when that value does.
+/// So a column solved over its projection holds the round-robin values at
+/// projected nodes, and through [`Projection::slot`] at every other one,
+/// after every pass — and changes on the same passes.
+struct Projection {
+    /// Group `g`'s projected nodes are `order[first[g]..first[g + 1]]`.
+    first: Vec<usize>,
+    /// The graph node of each projected node, flow order within a group.
+    order: Vec<u32>,
+    /// Projected node `j`'s predecessors are `preds[starts[j]..starts[j +
+    /// 1]]`, as indices within its group; a group's first node's only
+    /// predecessor is its last (the back edge).
     starts: Vec<usize>,
-    preds: Vec<usize>,
-    /// The farthest position a change at position `i` reaches within a
-    /// pass: its last flow successor (`i` itself for the last position).
-    reach: Vec<usize>,
+    preds: Vec<u32>,
+    /// The farthest index within its group a change at projected node `j`
+    /// reaches within a pass: its last projected successor (`j` itself for
+    /// the last).
+    reach: Vec<u32>,
+    /// `slot[g * N + v]`: node `v`'s index within group `g`'s projection
+    /// with [`OWN`] set when `v` is projected, else the index of its
+    /// projected predecessor ([`SITE`] while `v` waits for its pass).
+    slot: Vec<u32>,
 }
 
-impl Schedule {
-    fn new(graph: &LoopGraph, direction: Direction) -> Self {
-        let mut order: Vec<usize> = graph.rpo().iter().map(|n| n.index()).collect();
-        if direction == Direction::Backward {
-            order.reverse();
-        }
-        let mut pos = vec![0; graph.len()];
-        for (i, &node) in order.iter().enumerate() {
-            pos[node] = i;
-        }
-        let mut s = Schedule {
-            starts: vec![0],
-            preds: Vec::with_capacity(order.len() + 1),
-            reach: Vec::with_capacity(order.len()),
-            order,
-        };
-        for (i, &node) in s.order.iter().enumerate() {
-            let node = NodeId(node as u32);
-            let (preds, succs) = match direction {
-                Direction::Forward => (graph.preds(node), graph.succs(node)),
-                Direction::Backward => (graph.succs(node), graph.preds(node)),
-            };
-            if i == 0 {
-                s.preds.push(*s.order.last().expect("graphs are non-empty"));
-            } else {
-                s.preds.extend(preds.iter().map(|p| p.index()));
-            }
-            s.starts.push(s.preds.len());
-            s.reach
-                .push(succs.iter().map(|n| pos[n.index()]).fold(i, usize::max));
-        }
-        s
+/// One group's projected flow graph.
+struct View<'a> {
+    order: &'a [u32],
+    starts: &'a [usize],
+    preds: &'a [u32],
+    reach: &'a [u32],
+}
+
+impl View<'_> {
+    fn preds(&self, j: usize) -> &[u32] {
+        &self.preds[self.starts[j]..self.starts[j + 1]]
     }
 }
 
-/// The one solver: every column in turn, passes capped at `cap` when set.
+impl Projection {
+    /// Projects `graph`, in `direction`'s flow order, onto each group of
+    /// `table`: one flow-order pass per group over flat, shared arrays.
+    fn new(graph: &LoopGraph, direction: Direction, table: &FlowTable) -> Self {
+        let (n, rpo) = (graph.len(), graph.rpo());
+        // Flow order is reverse postorder forward and its reverse
+        // backward; every node is on it (a `LoopGraph` invariant), and the
+        // last position carries the increment.
+        let backward = direction == Direction::Backward;
+        let at = |i: usize| if backward { rpo[n - 1 - i] } else { rpo[i] };
+        let flow_preds = |v: NodeId| match backward {
+            true => graph.succs(v),
+            false => graph.preds(v),
+        };
+        let groups = table.groups;
+        let mut p = Projection {
+            first: Vec::with_capacity(groups + 1),
+            order: Vec::new(),
+            starts: vec![0],
+            preds: Vec::new(),
+            reach: Vec::new(),
+            slot: vec![0; groups * n],
+        };
+        p.first.push(0);
+        // Each group's pass reads a node's own slot only for this mark,
+        // and only before writing it.
+        for &(g, v) in &table.sites {
+            p.slot[g as usize * n + v as usize] = SITE;
+        }
+        for g in 0..groups {
+            let base = p.order.len();
+            let slot = &mut p.slot[g * n..(g + 1) * n];
+            for i in 0..n {
+                let node = at(i);
+                let (v, preds) = (node.index(), flow_preds(node));
+                let carried = |q: &NodeId| slot[q.index()] & !OWN;
+                let projected = i == 0 || i + 1 == n || slot[v] == SITE || {
+                    let first = carried(&preds[0]);
+                    preds[1..].iter().any(|q| carried(q) != first)
+                };
+                if !projected {
+                    slot[v] = carried(&preds[0]);
+                    continue;
+                }
+                let start = p.preds.len();
+                if i == 0 {
+                    p.preds.push(0); // the back edge, patched below
+                } else {
+                    for q in preds {
+                        let q = carried(q);
+                        if !p.preds[start..].contains(&q) {
+                            p.preds.push(q);
+                        }
+                    }
+                }
+                slot[v] = (p.order.len() - base) as u32 | OWN;
+                p.order.push(v as u32);
+                p.starts.push(p.preds.len());
+            }
+            let k = p.order.len() - base;
+            p.preds[p.starts[base]] = (k - 1) as u32;
+            p.reach.extend(0..k as u32);
+            for j in 1..k {
+                for q in p.preds[p.starts[base + j]..p.starts[base + j + 1]].iter() {
+                    let r = &mut p.reach[base + *q as usize];
+                    *r = (*r).max(j as u32);
+                }
+            }
+            p.first.push(p.order.len());
+        }
+        p
+    }
+
+    /// Group `g`'s projected flow graph.
+    fn view(&self, g: usize) -> View<'_> {
+        let (first, last) = (self.first[g], self.first[g + 1]);
+        View {
+            order: &self.order[first..last],
+            starts: &self.starts[first..=last],
+            preds: &self.preds,
+            reach: &self.reach[first..last],
+        }
+    }
+
+    /// Nodes in the largest group's projection.
+    fn widest(&self) -> usize {
+        self.first
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// The one solver: every column in turn over its group's projection,
+/// passes capped at `cap` when set.
 fn run(
     graph: &LoopGraph,
     spec: &ProblemSpec,
@@ -275,7 +441,7 @@ fn run(
     should_stop: Option<StopCheck<'_>>,
 ) -> Result<Solution, Stopped> {
     let table = FlowTable::build(graph, spec);
-    let schedule = Schedule::new(graph, spec.direction);
+    let projection = Arc::new(Projection::new(graph, spec.direction, &table));
     let (n, m) = (graph.len(), spec.width());
     let poll = |passes_completed| match should_stop.is_some_and(|stop| stop()) {
         true => Err(Stopped { passes_completed }),
@@ -283,10 +449,11 @@ fn run(
     };
     poll(0)?;
     let (mut columns, mut profile) = (Vec::with_capacity(m), Vec::with_capacity(m));
-    // Column d is solved in `lanes` (before, then after), which stays hot
-    // in cache, and then copied out once. Its preserve constants are
-    // scattered over the nodes and cleared again after its solve.
-    let mut lanes = vec![0; 2 * n];
+    // Column d is solved in `lanes` (before, then after, per projected
+    // node), which stays hot in cache, and then copied out once. Its
+    // preserve constants are scattered over the nodes and cleared again
+    // after its solve.
+    let mut lanes = vec![0; 2 * projection.widest()];
     let mut preserve = vec![lane::TOP; n];
     let cap32 = cap.map_or(HARD_CAP, |c| c.min(HARD_CAP as usize) as u32);
     let (mut work, mut polled) = (0, 0);
@@ -295,12 +462,19 @@ fn run(
         for &(node, p) in entries {
             preserve[node as usize] = p;
         }
-        let (b, a) = lanes.split_at_mut(n);
+        let group = table.group[d];
+        let view = projection.view(group as usize);
+        let lanes = &mut lanes[..2 * view.order.len()];
+        let (b, a) = lanes.split_at_mut(view.order.len());
         let last_change = match spec.mode {
-            Mode::Must => solve_column::<true>(&schedule, &table, d, &preserve, cap32, b, a),
-            Mode::May => solve_column::<false>(&schedule, &table, d, &preserve, cap32, b, a),
+            Mode::Must => solve_column::<true>(&view, &table, d, &preserve, cap32, b, a),
+            Mode::May => solve_column::<false>(&view, &table, d, &preserve, cap32, b, a),
         };
-        columns.push(Arc::from(&lanes[..]));
+        columns.push(Column {
+            projection: Arc::clone(&projection),
+            group,
+            lanes: Arc::from(&lanes[..]),
+        });
         profile.push(last_change);
         for &(node, _) in entries {
             preserve[node as usize] = lane::TOP;
@@ -317,7 +491,7 @@ fn run(
             poll(polled)?;
         }
     }
-    let stats = SolveStats::of_profile(&profile, schedule.order.len(), spec.mode, cap);
+    let stats = SolveStats::of_profile(&profile, n, spec.mode, cap);
     Ok(Solution {
         nodes: n,
         columns,
@@ -326,12 +500,13 @@ fn run(
     })
 }
 
-/// Initializes and iterates column `d` of table `t` in place, returning
-/// the last pass that changed it (at most `cap`). `preserve` holds the
-/// column's preserve lane per node (`⊤` = identity); `MUST` selects the
-/// meet: `min` for must-problems, `max` for may-problems.
+/// Initializes and iterates column `d` of table `t` over its group's
+/// projection `s` in place, returning the last pass that changed it (at
+/// most `cap`). `preserve` holds the column's preserve lane per node (`⊤`
+/// = identity); `MUST` selects the meet: `min` for must-problems, `max`
+/// for may-problems.
 fn solve_column<const MUST: bool>(
-    s: &Schedule,
+    s: &View<'_>,
     t: &FlowTable,
     d: usize,
     preserve: &[u64],
@@ -340,24 +515,18 @@ fn solve_column<const MUST: bool>(
     after: &mut [u64],
 ) -> u32 {
     // The generating node is out of range when the column has none.
-    let (gen, post, increment) = (t.gen_node[d] as usize, t.post[d], t.increment.index());
-    let preds = |i: usize| &s.preds[s.starts[i]..s.starts[i + 1]];
+    let (gen, post, increment) = (t.gen_node[d], t.post[d], t.increment.0);
     if MUST {
-        // Nodes off the flow order keep ⊥; the lanes hold the last column.
-        if s.order.len() < before.len() {
-            before.fill(0);
-            after.fill(0);
-        }
         // Initialization pass in flow order over the acyclic body:
         // OUT⁰ = ⊤ at the generator, IN⁰ propagated, kills ignored.
-        for (i, &node) in s.order.iter().enumerate() {
-            let inp = if i == 0 {
+        for (j, &node) in s.order.iter().enumerate() {
+            let inp = if j == 0 {
                 0
             } else {
-                meet::<true>(preds(i), after)
+                meet::<true>(s.preds(j), after)
             };
-            before[node] = inp;
-            after[node] = if node == gen { lane::TOP } else { inp };
+            before[j] = inp;
+            after[j] = if node == gen { lane::TOP } else { inp };
         }
     } else {
         // Start from "all instances"; the preserve functions lower the
@@ -376,23 +545,23 @@ fn solve_column<const MUST: bool>(
         // `frontier` would recompute the values they hold. The round-robin
         // schedule visits them anyway, to no effect.
         let mut frontier = if pass == 1 { usize::MAX } else { 0 };
-        for (i, &node) in s.order.iter().enumerate() {
-            if i > frontier {
+        for (j, &node) in s.order.iter().enumerate() {
+            if j > frontier {
                 break;
             }
-            let inp = meet::<MUST>(preds(i), after);
+            let inp = meet::<MUST>(s.preds(j), after);
             let out = if node == increment {
                 lane::normalize(lane::incr(inp), t.top_from)
             } else if node == gen {
-                inp.min(preserve[node]).max(floor).min(post)
+                inp.min(preserve[node as usize]).max(floor).min(post)
             } else {
-                inp.min(preserve[node])
+                inp.min(preserve[node as usize])
             };
-            if after[node] != out {
-                frontier = frontier.max(s.reach[i]);
+            if after[j] != out {
+                frontier = frontier.max(s.reach[j] as usize);
             }
-            if before[node] != inp || after[node] != out {
-                (before[node], after[node]) = (inp, out);
+            if before[j] != inp || after[j] != out {
+                (before[j], after[j]) = (inp, out);
                 changed = true;
             }
         }
@@ -405,11 +574,13 @@ fn solve_column<const MUST: bool>(
 
 /// The meet of the predecessors' outputs: `min` (identity `⊤`) when
 /// `MUST`, else `max` (identity `⊥`).
-fn meet<const MUST: bool>(preds: &[usize], after: &[u64]) -> u64 {
+fn meet<const MUST: bool>(preds: &[u32], after: &[u64]) -> u64 {
     if MUST {
-        preds.iter().fold(lane::TOP, |acc, &p| acc.min(after[p]))
+        preds
+            .iter()
+            .fold(lane::TOP, |acc, &p| acc.min(after[p as usize]))
     } else {
-        preds.iter().fold(0, |acc, &p| acc.max(after[p]))
+        preds.iter().fold(0, |acc, &p| acc.max(after[p as usize]))
     }
 }
 
@@ -464,7 +635,9 @@ mod tests {
 
     /// Same lattice values, whatever the statistics.
     fn same_values(a: &Solution, b: &Solution) -> bool {
-        a.columns == b.columns
+        (0..a.nodes as u32)
+            .map(NodeId)
+            .all(|n| a.before_row(n) == b.before_row(n) && a.after_row(n) == b.after_row(n))
     }
 
     fn full(graph: &LoopGraph, spec: &ProblemSpec) -> Solution {

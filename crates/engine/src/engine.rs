@@ -815,18 +815,15 @@ impl Engine {
         program: &Program,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> Result<(u64, Arc<AnalysisReport>), AnalysisError> {
-        let session = Session::open_ctrl(program.clone(), should_stop).map_err(|e| match e {
-            arrayflow_analyses::AnalyzeError::Stopped { passes } => {
-                AnalysisError::Cancelled { passes }
-            }
-            e => AnalysisError::Analysis(e.to_string()),
-        })?;
-        let report = Arc::new(AnalysisReport::of_analysis(
-            session.fingerprint(),
-            session.analysis(),
-            ProblemSet::ALL,
-            self.config.dep_max_distance,
-        ));
+        let bound = self.config.dep_max_distance;
+        let session =
+            Session::open_ctrl(program.clone(), bound, should_stop).map_err(|e| match e {
+                arrayflow_analyses::AnalyzeError::Stopped { passes } => {
+                    AnalysisError::Cancelled { passes }
+                }
+                e => AnalysisError::Analysis(e.to_string()),
+            })?;
+        let report = Arc::new(AnalysisReport::of_session(&session));
         self.memoize_session_report(&report);
         let id = self.sessions.insert(session);
         Ok((id, Arc::clone(&report)))
@@ -858,19 +855,11 @@ impl Engine {
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> Result<DeltaReport, AnalysisError> {
         self.ins.delta_requests.inc();
-        let dep_max_distance = self.config.dep_max_distance;
         let applied = self
             .isolated("delta", || {
                 self.sessions.with_session(session, |s| {
-                    s.apply_ctrl(edit, should_stop).map(|outcome| {
-                        let report = AnalysisReport::of_analysis(
-                            s.fingerprint(),
-                            s.analysis(),
-                            ProblemSet::ALL,
-                            dep_max_distance,
-                        );
-                        (outcome, report)
-                    })
+                    s.apply_ctrl(edit, should_stop)
+                        .map(|outcome| (outcome, AnalysisReport::of_session(s)))
                 })
             })
             .map_err(AnalysisError::Internal)?;

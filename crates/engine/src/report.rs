@@ -15,6 +15,7 @@ use arrayflow_analyses::{
     LoopAnalysis, RedundantStore, Reuse, GK,
 };
 use arrayflow_core::{CustomSpec, Dist, SolveStats, CANNED};
+use arrayflow_incremental::Session;
 use arrayflow_ir::{Fingerprint, Loop, SymbolTable};
 
 /// Which canned framework instances a query reports (and therefore which
@@ -216,31 +217,55 @@ impl AnalysisReport {
         ))
     }
 
-    /// Distills the cacheable report from an already-converged analysis —
-    /// the path the incremental session layer takes, where the fixed point
-    /// comes out of a [`Session`](arrayflow_incremental::Session) rather
-    /// than a fresh solve.
+    /// Distills the cacheable report from an already-converged analysis.
     pub fn of_analysis(
         fingerprint: Fingerprint,
         a: &LoopAnalysis,
         problems: ProblemSet,
         dep_max_distance: u64,
     ) -> Self {
-        let reuses = if problems.available {
-            reuse_pairs(&a.graph, &a.sites, &a.available)
-        } else {
-            Vec::new()
-        };
-        let stores = if problems.busy {
-            redundant_stores(&a.graph, &a.sites, &a.busy)
-        } else {
-            Vec::new()
-        };
-        let deps = if problems.reaching_refs {
-            dependences(&a.graph, &a.sites, &a.reaching_refs, dep_max_distance)
-        } else {
-            Vec::new()
-        };
+        let mut report = Self::unlisted(fingerprint, a, problems, dep_max_distance);
+        if problems.available {
+            report.reuses = reuse_pairs(&a.graph, &a.sites, &a.available, None);
+        }
+        if problems.busy {
+            report.redundant_stores = redundant_stores(&a.graph, &a.sites, &a.busy, None);
+        }
+        if problems.reaching_refs {
+            report.dependences =
+                dependences(&a.graph, &a.sites, &a.reaching_refs, dep_max_distance, None);
+        }
+        report
+    }
+
+    /// The report of an open [`Session`]'s current analysis under
+    /// [`ProblemSet::ALL`], from the report lists the session keeps
+    /// current across edits instead of a fresh distillation — equal to
+    /// [`AnalysisReport::of_analysis`] of the same analysis at the
+    /// session's distance bound.
+    pub fn of_session(session: &Session) -> Self {
+        let lists = session.lists().clone();
+        Self {
+            reuses: lists.reuses,
+            redundant_stores: lists.redundant_stores,
+            dependences: lists.dependences,
+            ..Self::unlisted(
+                session.fingerprint(),
+                session.analysis(),
+                ProblemSet::ALL,
+                session.dep_max_distance(),
+            )
+        }
+    }
+
+    /// The report of `a` with empty lists: its shape and the solver
+    /// counters of the instances `problems` asks for.
+    fn unlisted(
+        fingerprint: Fingerprint,
+        a: &LoopAnalysis,
+        problems: ProblemSet,
+        dep_max_distance: u64,
+    ) -> Self {
         let instances = a.instances();
         Self {
             fingerprint,
@@ -252,9 +277,9 @@ impl AnalysisReport {
                 let asked = problems.bits() >> k & 1 == 1;
                 asked.then(|| (&instances[k].sol.stats).into())
             }),
-            reuses,
-            redundant_stores: stores,
-            dependences: deps,
+            reuses: Vec::new(),
+            redundant_stores: Vec::new(),
+            dependences: Vec::new(),
             custom: None,
         }
     }

@@ -95,17 +95,17 @@ fn batch_equals_sequential_driver() {
             let report = &lr.report;
             assert_eq!(
                 report.reuses,
-                reuse_pairs(&a.graph, &a.sites, &a.available),
+                reuse_pairs(&a.graph, &a.sites, &a.available, None),
                 "program {i} loop {level}: reuse pairs diverge from the driver"
             );
             assert_eq!(
                 report.redundant_stores,
-                redundant_stores(&a.graph, &a.sites, &a.busy),
+                redundant_stores(&a.graph, &a.sites, &a.busy, None),
                 "program {i} loop {level}: redundant stores diverge from the driver"
             );
             assert_eq!(
                 report.dependences,
-                dependences(&a.graph, &a.sites, &a.reaching_refs, DEP_MAX_DISTANCE),
+                dependences(&a.graph, &a.sites, &a.reaching_refs, DEP_MAX_DISTANCE, None),
                 "program {i} loop {level}: dependences diverge from the driver"
             );
             assert_eq!(report.nodes, a.graph.len(), "program {i} loop {level}");

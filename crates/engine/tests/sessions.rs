@@ -7,33 +7,51 @@ use arrayflow_workloads::{random_edit, random_loop, LoopShape};
 
 #[test]
 fn delta_report_renders_identical_to_fresh_analysis() {
-    let engine = Engine::new(EngineConfig {
+    let config = EngineConfig {
         workers: 1,
         ..Default::default()
-    });
-    let shape = LoopShape::default();
-    for seed in 0..8 {
-        let p = random_loop(&shape, seed);
-        let (id, _) = engine.open_session(&p).unwrap();
-        let mut source = p;
-        source.renumber();
-        for step in 0..4 {
-            let edit = random_edit(&source, &shape, seed * 31 + step).unwrap();
-            let delta = engine.analyze_delta(id, &edit).unwrap();
-            arrayflow_ir::apply_edit(&mut source, &edit).unwrap();
-            let fresh = engine.analyze_one(0, &source);
-            assert!(fresh.error.is_none(), "seed {seed} step {step}");
-            let fresh_report = &fresh.loops[0].report;
-            assert_eq!(delta.fingerprint, fresh.loops[0].fingerprint);
-            assert_eq!(
-                delta.report.render(),
-                fresh_report.render(),
-                "seed {seed} step {step} diverged"
-            );
+    };
+    let engine = Engine::new(config.clone());
+    let tier = |stmts, arrays| LoopShape {
+        stmts,
+        arrays,
+        ..LoopShape::default()
+    };
+    let mut deltas = 0;
+    for (shape, seeds) in [
+        (LoopShape::default(), 0..8),
+        (tier(32, 8), 8..11),
+        (tier(128, 16), 11..13),
+    ] {
+        for seed in seeds {
+            let p = random_loop(&shape, seed);
+            let (id, _) = engine.open_session(&p).unwrap();
+            let mut source = p;
+            source.renumber();
+            for step in 0..4 {
+                let edit = random_edit(&source, &shape, seed * 31 + step).unwrap();
+                let delta = engine.analyze_delta(id, &edit).unwrap();
+                deltas += 1;
+                arrayflow_ir::apply_edit(&mut source, &edit).unwrap();
+                // A fresh engine: `engine` memoized the delta report under
+                // the edited loop's fingerprint and would answer from it.
+                let fresh = Engine::new(config.clone()).analyze_one(0, &source);
+                assert!(fresh.error.is_none(), "seed {seed} step {step}");
+                let fresh_report = &fresh.loops[0].report;
+                assert_eq!(delta.fingerprint, fresh.loops[0].fingerprint);
+                // `==` also sees what `render` leaves out, such as the
+                // δ-available column of each reuse.
+                assert_eq!(
+                    *delta.report, **fresh_report,
+                    "{} stmts seed {seed} step {step} diverged",
+                    shape.stmts
+                );
+                assert_eq!(delta.report.render(), fresh_report.render());
+            }
         }
     }
     let stats = engine.session_stats();
-    assert_eq!(stats.deltas_total, 32);
+    assert_eq!(stats.deltas_total, deltas);
     assert!(stats.deltas_total > stats.delta_fallbacks);
 }
 

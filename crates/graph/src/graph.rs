@@ -27,7 +27,14 @@ pub struct LoopGraph {
 
 impl LoopGraph {
     /// Assembles a graph from raw parts. Used by the builder; `succs` must
-    /// describe an acyclic graph where every node reaches `exit`.
+    /// describe an acyclic graph in which `entry` reaches every node and
+    /// every node reaches `exit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every node is on the flow order in both directions —
+    /// reachable from `entry` and reaching `exit` — the invariant the
+    /// solver's flow-order passes rely on.
     pub(crate) fn from_parts(
         iv: VarId,
         ub: Option<i64>,
@@ -55,7 +62,12 @@ impl LoopGraph {
             reach: Vec::new(),
         };
         g.rpo = g.compute_rpo();
+        assert_eq!(g.rpo.len(), n, "every node must be reachable from entry");
         g.reach = g.compute_reachability();
+        assert!(
+            g.node_ids().all(|v| v == exit || g.precedes(v, exit)),
+            "every node must reach exit"
+        );
         g
     }
 
@@ -100,7 +112,8 @@ impl LoopGraph {
     }
 
     /// Reverse postorder over the acyclic body (entry first, exit last).
-    /// This is the visit order that gives the paper's pass bounds.
+    /// This is the visit order that gives the paper's pass bounds. Every
+    /// node is on it exactly once (asserted at construction).
     pub fn rpo(&self) -> &[NodeId] {
         &self.rpo
     }
@@ -142,7 +155,6 @@ impl LoopGraph {
             }
         }
         postorder.reverse();
-        assert_eq!(postorder.len(), n, "all nodes must be reachable from entry");
         postorder
     }
 
@@ -227,5 +239,82 @@ impl LoopGraph {
                 )
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::build_loop_graph;
+    use arrayflow_ir::Loop;
+    use arrayflow_workloads::{all_kernels, livermore_kernels, random_loop, LoopShape};
+
+    fn loops<'a>(block: &'a [Stmt], out: &mut Vec<&'a Loop>) {
+        for stmt in block {
+            match stmt {
+                Stmt::Do(l) => {
+                    out.push(l);
+                    loops(&l.body, out);
+                }
+                Stmt::If {
+                    then_blk, else_blk, ..
+                } => {
+                    loops(then_blk, out);
+                    loops(else_blk, out);
+                }
+                Stmt::Assign(_) => {}
+            }
+        }
+    }
+
+    #[test]
+    fn every_node_is_on_the_flow_order() {
+        let mut programs: Vec<_> = all_kernels(100)
+            .into_iter()
+            .chain(livermore_kernels(100))
+            .map(|(_, p)| p)
+            .collect();
+        for (stmts, arrays) in [(8, 4), (32, 8), (128, 16), (512, 64)] {
+            for cond_pct in [0, 35, 70] {
+                let shape = LoopShape {
+                    stmts,
+                    arrays,
+                    cond_pct,
+                    ..LoopShape::default()
+                };
+                programs.extend((0..3).map(|seed| random_loop(&shape, 42 + seed)));
+            }
+        }
+        let mut checked = 0;
+        for p in &programs {
+            let mut all = Vec::new();
+            loops(&p.body, &mut all);
+            for g in all.into_iter().map(build_loop_graph) {
+                let mut seen = vec![false; g.len()];
+                for &v in g.rpo() {
+                    assert!(!seen[v.index()], "{v} twice on the flow order");
+                    seen[v.index()] = true;
+                }
+                assert!(seen.iter().all(|&s| s), "a node off the flow order");
+                for v in g.node_ids() {
+                    assert!(v == g.entry() || g.precedes(g.entry(), v));
+                    assert!(v == g.exit() || g.precedes(v, g.exit()));
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 40, "{checked} graphs");
+    }
+
+    #[test]
+    #[should_panic(expected = "every node must be reachable from entry")]
+    fn a_node_off_the_flow_order_is_refused() {
+        let p = arrayflow_ir::parse_program("do i = 1, 10 A[i] := 0; end").unwrap();
+        let g = build_loop_graph(p.sole_loop().unwrap());
+        let nodes: Vec<Node> = g.node_ids().map(|v| g.node(v).clone()).collect();
+        let mut succs: Vec<Vec<NodeId>> = g.node_ids().map(|v| g.succs(v).to_vec()).collect();
+        // Cut entry off from the assignment: it now reaches exit directly.
+        succs[g.entry().index()] = vec![g.exit()];
+        LoopGraph::from_parts(g.iv, g.ub, nodes, succs, g.entry(), g.exit());
     }
 }

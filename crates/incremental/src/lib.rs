@@ -29,6 +29,11 @@
 //! [`LoopAnalysis`](arrayflow_analyses::LoopAnalysis). The merged
 //! statistics are reconstructed from the profiles, so the result is
 //! **byte-identical** to a from-scratch analysis of the edited program.
+//! The session also keeps the report lists distilled from its analysis
+//! ([`ReportLists`]: reuses, redundant stores, dependences). Every entry
+//! relates two sites of one array, so an edit drops the touched arrays'
+//! entries, renumbers the rest onto the new site table, distills only the
+//! touched arrays and merges the lists back in site order.
 //! Edits that change loop structure (a conditional or nested loop
 //! substituted in, a scalar assignment appearing or disappearing, an edit
 //! inside a nested loop) fall back to a full re-analysis and record that
@@ -41,5 +46,5 @@
 pub mod session;
 pub mod store;
 
-pub use session::{DeltaError, DeltaOutcome, Session};
+pub use session::{DeltaError, DeltaOutcome, ReportLists, Session};
 pub use store::{SessionEvent, SessionStats, SessionStore, StoreConfig};

@@ -1,19 +1,21 @@
 //! One analysis session: cached fixed point plus delta re-convergence.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use arrayflow_analyses::instances::Instance;
 use arrayflow_analyses::sites::{enumerate_sites, Site};
 use arrayflow_analyses::spec::{build_spec, GK};
-use arrayflow_analyses::{AnalyzeError, LoopAnalysis};
+use arrayflow_analyses::{
+    dependences, redundant_stores, reuse_pairs, AnalyzeError, Dep, LoopAnalysis, RedundantStore,
+    Reuse,
+};
 use arrayflow_core::{
     canned_source, solve, CustomSpec, GenRef, ProblemSpec, RefId, Solution, StopCheck, CANNED,
 };
 use arrayflow_graph::LoopGraph;
 use arrayflow_ir::{
-    apply_edit, fingerprint_loop, normalize, Assign, Edit, EditError, EditShape, Fingerprint,
-    LValue, Program, Stmt, StmtId,
+    apply_edit, fingerprint_loop, normalize, ArrayId, Assign, Edit, EditError, EditShape,
+    Fingerprint, LValue, Program, Stmt, StmtId,
 };
 
 /// Why a delta could not be applied. The session is left unchanged.
@@ -71,8 +73,109 @@ pub struct DeltaOutcome {
     pub full_solver_visits: usize,
 }
 
-/// An open analysis session: the edited-to-date program and its converged
-/// analysis state.
+/// The three lists a canned report distills from a loop's analysis, each
+/// in site order: reuse pairs (by use site), redundant stores (by store
+/// site) and dependences (by sink site). Every entry relates two sites of
+/// one array, which is what lets a session re-distill only the arrays an
+/// edit touches.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReportLists {
+    /// Guaranteed constant-distance reuse pairs (§4.1.1).
+    pub reuses: Vec<Reuse>,
+    /// δ-redundant stores (§4.2.1).
+    pub redundant_stores: Vec<RedundantStore>,
+    /// Potential dependences up to the session's distance bound (§4.3).
+    pub dependences: Vec<Dep>,
+}
+
+impl ReportLists {
+    /// Distills the lists of `a` for the sites on `arrays` (every array
+    /// when `None`).
+    fn distill(a: &LoopAnalysis, dep_max_distance: u64, arrays: Option<&[ArrayId]>) -> Self {
+        ReportLists {
+            reuses: reuse_pairs(&a.graph, &a.sites, &a.available, arrays),
+            redundant_stores: redundant_stores(&a.graph, &a.sites, &a.busy, arrays),
+            dependences: dependences(
+                &a.graph,
+                &a.sites,
+                &a.reaching_refs,
+                dep_max_distance,
+                arrays,
+            ),
+        }
+    }
+
+    /// The lists of `new`, the analysis after an edit that touched only
+    /// the `dirty` arrays: an untouched array keeps its entries, whose
+    /// columns and sites the edit left unchanged, renumbered from the old
+    /// site table (`old_sites`) onto the new one by `new_site` and onto
+    /// `new`'s δ-available columns; the dirty arrays are distilled afresh,
+    /// and both merge back in site order. An untouched array has no site
+    /// at the edited node, so `new_site` need not map those.
+    fn patched(
+        &self,
+        old_sites: &[Site],
+        new: &LoopAnalysis,
+        dirty: &[ArrayId],
+        dep_max_distance: u64,
+        new_site: impl Fn(usize) -> usize,
+    ) -> Self {
+        let fresh = Self::distill(new, dep_max_distance, Some(dirty));
+        let clean = |site: usize| !dirty.contains(&old_sites[site].aref.array);
+        let columns = &new.available.built.gen_site;
+        let reuses = self.reuses.iter().filter(|r| clean(r.use_site)).map(|r| {
+            let gen_site = new_site(r.gen_site);
+            let gen = columns
+                .binary_search(&gen_site)
+                .expect("an untouched generator keeps a δ-available column");
+            Reuse {
+                use_site: new_site(r.use_site),
+                gen: RefId(gen as u32),
+                gen_site,
+                ..*r
+            }
+        });
+        let stores = self.redundant_stores.iter();
+        let stores = stores.filter(|s| clean(s.store_site)).map(|s| {
+            let store_site = new_site(s.store_site);
+            RedundantStore {
+                store_site,
+                stmt: new.sites[store_site].stmt,
+                killer_site: new_site(s.killer_site),
+                ..*s
+            }
+        });
+        let deps = self.dependences.iter().filter(|d| clean(d.dst_site));
+        let deps = deps.map(|d| Dep {
+            src_site: new_site(d.src_site),
+            dst_site: new_site(d.dst_site),
+            ..*d
+        });
+        ReportLists {
+            reuses: merged(reuses, fresh.reuses, |r| r.use_site),
+            redundant_stores: merged(stores, fresh.redundant_stores, |s| s.store_site),
+            dependences: merged(deps, fresh.dependences, |d| d.dst_site),
+        }
+    }
+}
+
+/// Merges two lists ascending by `key` that share no key.
+fn merged<T>(kept: impl Iterator<Item = T>, fresh: Vec<T>, key: impl Fn(&T) -> usize) -> Vec<T> {
+    let kept_at_most = kept.size_hint().1.unwrap_or(0);
+    let mut out = Vec::with_capacity(kept_at_most + fresh.len());
+    let mut fresh = fresh.into_iter().peekable();
+    for item in kept {
+        while let Some(f) = fresh.next_if(|f| key(f) < key(&item)) {
+            out.push(f);
+        }
+        out.push(item);
+    }
+    out.extend(fresh);
+    out
+}
+
+/// An open analysis session: the edited-to-date program, its converged
+/// analysis state and the report lists distilled from it.
 #[derive(Debug, Clone)]
 pub struct Session {
     /// The program as submitted plus all applied edits, renumbered.
@@ -84,6 +187,10 @@ pub struct Session {
     /// The converged analysis of the normalized loop; each instance's
     /// solution carries its column profile.
     analysis: LoopAnalysis,
+    /// The dependence distance bound `lists` are distilled at.
+    dep_max_distance: u64,
+    /// The report lists of `analysis`.
+    lists: ReportLists,
     /// Edits applied so far.
     edits: u64,
     /// Edits that fell back to a full re-analysis.
@@ -99,13 +206,15 @@ fn analyze_norm_ctrl(
     Ok((fingerprint_loop(l, &norm.symbols), analysis))
 }
 
-/// Arrays an assignment's reference sites touch (as generator or kill).
-fn touched_arrays(assign: &Assign) -> HashSet<arrayflow_ir::ArrayId> {
+/// Arrays the reference sites of two assignments touch (as generator or
+/// kill), sorted and without repeats.
+fn touched_arrays(a: &Assign, b: &Assign) -> Vec<ArrayId> {
     use arrayflow_graph::ref_sites_of;
-    ref_sites_of(&Stmt::Assign(assign.clone()))
-        .iter()
-        .map(|r| r.aref.array)
-        .collect()
+    let sites = [a, b].map(|x| ref_sites_of(&Stmt::Assign(x.clone())));
+    let mut arrays: Vec<ArrayId> = sites.iter().flatten().map(|r| r.aref.array).collect();
+    arrays.sort_unstable();
+    arrays.dedup();
+    arrays
 }
 
 fn find_assign(block: &[Stmt], id: StmtId) -> Option<&Assign> {
@@ -131,10 +240,11 @@ fn find_assign(block: &[Stmt], id: StmtId) -> Option<&Assign> {
 }
 
 impl Session {
-    /// Opens a session over a parsed program: normalizes, renumbers and
-    /// runs the full analysis once.
-    pub fn open(program: Program) -> Result<Self, AnalyzeError> {
-        Self::open_ctrl(program, None)
+    /// Opens a session over a parsed program: normalizes, renumbers, runs
+    /// the full analysis once and distills its report lists, reporting
+    /// dependences up to `dep_max_distance`.
+    pub fn open(program: Program, dep_max_distance: u64) -> Result<Self, AnalyzeError> {
+        Self::open_ctrl(program, dep_max_distance, None)
     }
 
     /// Like [`Session::open`], but polls `should_stop` between solver
@@ -143,6 +253,7 @@ impl Session {
     /// `None` the result is identical to [`Session::open`].
     pub fn open_ctrl(
         mut program: Program,
+        dep_max_distance: u64,
         should_stop: Option<StopCheck<'_>>,
     ) -> Result<Self, AnalyzeError> {
         program.renumber();
@@ -150,11 +261,14 @@ impl Session {
         normalize(&mut norm);
         norm.renumber();
         let (fingerprint, analysis) = analyze_norm_ctrl(&norm, should_stop)?;
+        let lists = ReportLists::distill(&analysis, dep_max_distance, None);
         Ok(Self {
             raw: program,
             norm,
             fingerprint,
             analysis,
+            dep_max_distance,
+            lists,
             edits: 0,
             fallbacks: 0,
         })
@@ -168,6 +282,16 @@ impl Session {
     /// The converged analysis of the current loop.
     pub fn analysis(&self) -> &LoopAnalysis {
         &self.analysis
+    }
+
+    /// The report lists of the current analysis.
+    pub fn lists(&self) -> &ReportLists {
+        &self.lists
+    }
+
+    /// The dependence distance bound the report lists are distilled at.
+    pub fn dep_max_distance(&self) -> u64 {
+        self.dep_max_distance
     }
 
     /// The current normalized program.
@@ -239,8 +363,7 @@ impl Session {
         }
 
         // ---- Fast path: patch the graph and re-solve dirty columns. ----
-        let mut dirty_arrays = touched_arrays(&old_assign);
-        dirty_arrays.extend(touched_arrays(&new_assign));
+        let dirty_arrays = touched_arrays(&old_assign, &new_assign);
 
         // The edited node's sites occupy one contiguous range of the site
         // enumeration; everything after it shifts by the ref-count delta.
@@ -256,7 +379,9 @@ impl Session {
         let l = norm.sole_loop().expect("checked");
         let (sites, lin) = enumerate_sites(l, &graph, &norm.symbols);
         let new_count = sites.iter().filter(|s| s.node == en).count();
-        let map_site = |idx: usize| -> Option<usize> {
+        // A site off the edited node by its index in the new enumeration,
+        // and back.
+        let old_site = |idx: usize| -> Option<usize> {
             if idx < old_start {
                 Some(idx)
             } else if idx >= old_start + new_count {
@@ -264,6 +389,10 @@ impl Session {
             } else {
                 None
             }
+        };
+        let new_site = |idx: usize| match idx < old_start {
+            true => idx,
+            false => idx + new_count - old_count,
         };
 
         let mut outcome = DeltaOutcome::default();
@@ -276,27 +405,20 @@ impl Session {
             let (dir, mode) = (spec.direction, spec.mode);
             let built = build_spec(sites, GK::of(spec), dir, mode);
             let old = self.analysis.instances()[k];
-            // Old column index by old site index.
-            let old_col: HashMap<usize, usize> = old
-                .built
-                .gen_site
-                .iter()
-                .enumerate()
-                .map(|(col, &site)| (site, col))
-                .collect();
+            // Old column index by old site index (columns are in site order).
+            let old_col = |site: usize| old.built.gen_site.binary_search(&site).ok();
 
             // Classify each new column: clean columns name the old column
             // they splice from, dirty ones are re-solved as the columns of
-            // a narrowed spec over the same kill sites.
+            // a narrowed spec.
             let mut narrow = ProblemSpec::new(dir, mode);
-            narrow.kills = built.spec.kills.clone();
             let mut columns: Vec<(bool, usize)> = Vec::with_capacity(built.spec.width());
             for (gen, &site) in built.spec.gens.iter().zip(&built.gen_site) {
                 let old_site = gen
                     .origin
-                    .and_then(|o| map_site(o as usize))
+                    .and_then(|o| old_site(o as usize))
                     .filter(|_| gen.node != en && !dirty_arrays.contains(&gen.aref.array));
-                match old_site.and_then(|s| old_col.get(&s).copied()) {
+                match old_site.and_then(old_col) {
                     Some(oc) => columns.push((false, oc)),
                     None => {
                         let id = RefId(narrow.gens.len() as u32);
@@ -306,6 +428,14 @@ impl Session {
                     }
                 }
             }
+            // A column sees only its own array's kills: keep the arrays of
+            // the dirty columns.
+            let mut arrays: Vec<ArrayId> = narrow.gens.iter().map(|g| g.aref.array).collect();
+            arrays.sort_unstable();
+            arrays.dedup();
+            let kills = built.spec.kills.iter();
+            let kills = kills.filter(|k| arrays.binary_search(&k.array).is_ok());
+            narrow.kills = kills.cloned().collect();
 
             // Re-converge the dirtied columns, then splice every column,
             // re-solved or clean, into the new solution.
@@ -329,6 +459,13 @@ impl Session {
             })
         };
         let analysis = LoopAnalysis::assemble(lin.symbols, graph, sites, resolve)?;
+        self.lists = self.lists.patched(
+            &self.analysis.sites,
+            &analysis,
+            &dirty_arrays,
+            self.dep_max_distance,
+            new_site,
+        );
         for (k, inst) in analysis.instances().into_iter().enumerate() {
             let dirty = &dirty_sites[canned_source(k)];
             outcome.dirty_columns += inst.built.gen_site.iter().filter(|&&s| dirty[s]).count();
@@ -353,6 +490,7 @@ impl Session {
         should_stop: Option<StopCheck<'_>>,
     ) -> Result<DeltaOutcome, DeltaError> {
         let (fingerprint, analysis) = analyze_norm_ctrl(&norm, should_stop)?;
+        self.lists = ReportLists::distill(&analysis, self.dep_max_distance, None);
         let mut outcome = DeltaOutcome {
             fallback: true,
             ..DeltaOutcome::default()

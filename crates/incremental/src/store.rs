@@ -254,7 +254,7 @@ mod tests {
 
     fn session() -> Session {
         let p = parse_program("do i = 1, 100 A[i+1] := A[i]; end").unwrap();
-        Session::open(p).unwrap()
+        Session::open(p, 16).unwrap()
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!    visit bounds, for every framework instance (the solver itself is
 //!    checked against a round-robin oracle inside `arrayflow-core`);
 //! 2. a session that re-converges after an edit is byte-identical to a
-//!    fresh analysis of the edited program — on the incremental fast path
-//!    and on the recorded fallback path alike.
+//!    fresh analysis of the edited program — every solution value, and
+//!    the report lists it patches instead of re-distilling — on the
+//!    incremental fast path and on the recorded fallback path alike.
 
 use arrayflow_analyses::{build_spec, enumerate_sites, GK};
 use arrayflow_core::{solve, Mode, Solution, CANNED};
@@ -18,6 +19,9 @@ use arrayflow_graph::build_loop_graph;
 use arrayflow_incremental::Session;
 use arrayflow_ir::{normalize, parse_program, Edit, Program};
 use arrayflow_workloads::{all_kernels, livermore_kernels, random_edit, random_loop, LoopShape};
+
+/// The dependence distance bound sessions distill at.
+const DEP_MAX_DISTANCE: u64 = 8;
 
 fn prepared(mut p: Program) -> Option<Program> {
     p.renumber();
@@ -37,11 +41,7 @@ fn check_splice_and_bounds(p: &Program) {
         let built = build_spec(&sites, gk, spec.direction, mode);
         let rr = solve(&graph, &built.spec, None).unwrap();
         let spliced = Solution::splice(n, mode, (0..rr.width()).map(|d| (&rr, d)));
-        assert_eq!(
-            format!("{:?}", rr),
-            format!("{:?}", spliced),
-            "spliced fixed point diverged for {gk:?}"
-        );
+        assert_eq!(rr, spliced, "spliced fixed point diverged for {gk:?}");
         let bound = match mode {
             Mode::Must => 3 * n,
             Mode::May => 2 * n,
@@ -80,7 +80,7 @@ fn splice_round_trips_on_kernels() {
 /// The session after a chain of edits must be byte-identical to a fresh
 /// session opened over the edited source.
 fn assert_matches_fresh(session: &Session, context: &str) {
-    let fresh = Session::open(session.source_program().clone()).unwrap();
+    let fresh = Session::open(session.source_program().clone(), DEP_MAX_DISTANCE).unwrap();
     assert_eq!(
         session.fingerprint(),
         fresh.fingerprint(),
@@ -89,16 +89,17 @@ fn assert_matches_fresh(session: &Session, context: &str) {
     let a = session.analysis();
     let b = fresh.analysis();
     for (k, (x, y)) in a.instances().iter().zip(b.instances()).enumerate() {
-        assert_eq!(
-            format!("{:?}", x.sol),
-            format!("{:?}", y.sol),
-            "instance {k} solution diverged: {context}"
-        );
+        assert_eq!(x.sol, y.sol, "instance {k} solution diverged: {context}");
         assert_eq!(
             x.built.gen_site, y.built.gen_site,
             "instance {k} site mapping diverged: {context}"
         );
     }
+    assert_eq!(
+        session.lists(),
+        fresh.lists(),
+        "report lists diverged: {context}"
+    );
 }
 
 #[test]
@@ -107,7 +108,7 @@ fn delta_matches_fresh_on_random_edit_chains() {
     let mut fast_paths = 0u32;
     for seed in 0..24 {
         let p = prepared(random_loop(&shape, seed)).unwrap();
-        let mut session = Session::open(p).unwrap();
+        let mut session = Session::open(p, DEP_MAX_DISTANCE).unwrap();
         for step in 0..6 {
             let edit = random_edit(session.source_program(), &shape, seed * 1000 + step).unwrap();
             let outcome = session
@@ -136,7 +137,7 @@ fn delta_matches_fresh_on_kernels() {
     programs.extend(livermore_kernels(100));
     for (name, p) in programs {
         let Some(p) = prepared(p) else { continue };
-        let Ok(mut session) = Session::open(p) else {
+        let Ok(mut session) = Session::open(p, DEP_MAX_DISTANCE) else {
             continue;
         };
         for step in 0..3 {
@@ -154,7 +155,7 @@ fn delta_matches_fresh_on_kernels() {
 #[test]
 fn structural_edit_falls_back_and_still_matches() {
     let p = parse_program("do i = 1, 100 A[i+1] := A[i]; B[i] := A[i] + 1; end").unwrap();
-    let mut session = Session::open(p).unwrap();
+    let mut session = Session::open(p, DEP_MAX_DISTANCE).unwrap();
     let ids = arrayflow_workloads::assign_ids(session.source_program());
     let edit = Edit {
         stmt: ids[1],
@@ -170,7 +171,7 @@ fn structural_edit_falls_back_and_still_matches() {
 #[test]
 fn scalar_lhs_edit_falls_back_and_still_matches() {
     let p = parse_program("do i = 1, 100 A[i+1] := A[i]; B[i] := A[i] + 1; end").unwrap();
-    let mut session = Session::open(p).unwrap();
+    let mut session = Session::open(p, DEP_MAX_DISTANCE).unwrap();
     let ids = arrayflow_workloads::assign_ids(session.source_program());
     let edit = Edit {
         stmt: ids[0],
@@ -184,14 +185,14 @@ fn scalar_lhs_edit_falls_back_and_still_matches() {
 #[test]
 fn failed_edit_leaves_session_unchanged() {
     let p = parse_program("do i = 1, 100 A[i+1] := A[i]; end").unwrap();
-    let mut session = Session::open(p).unwrap();
-    let before = format!("{:?}", session.analysis().reaching.sol);
+    let mut session = Session::open(p, DEP_MAX_DISTANCE).unwrap();
+    let before = session.analysis().reaching.sol.clone();
     let edit = Edit {
         stmt: arrayflow_ir::StmtId(9999),
         text: "A[i] := 1;".to_string(),
     };
     assert!(session.apply(&edit).is_err());
-    assert_eq!(before, format!("{:?}", session.analysis().reaching.sol));
+    assert_eq!(before, session.analysis().reaching.sol);
     assert_eq!(session.edit_counts(), (0, 0));
 }
 
@@ -209,7 +210,7 @@ fn delta_outcome_reports_savings() {
          end",
     )
     .unwrap();
-    let mut session = Session::open(p).unwrap();
+    let mut session = Session::open(p, DEP_MAX_DISTANCE).unwrap();
     let ids = arrayflow_workloads::assign_ids(session.source_program());
     let edit = Edit {
         stmt: ids[2],
