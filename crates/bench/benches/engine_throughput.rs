@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use arrayflow_analyses::analyze_nest;
 use arrayflow_bench::time;
-use arrayflow_engine::{Engine, EngineConfig, EngineStats, EvictionPolicy};
+use arrayflow_engine::{Engine, EngineConfig, EvictionPolicy};
 use arrayflow_ir::Program;
 use arrayflow_workloads::{random_loop, LoopShape};
 
@@ -33,10 +33,25 @@ fn workload() -> Vec<Program> {
 }
 
 /// Median of three timed runs of `f`.
-fn median3(mut f: impl FnMut() -> EngineStats) -> (Duration, EngineStats) {
-    let mut runs: Vec<(Duration, EngineStats)> = (0..3).map(|_| time(&mut f)).collect();
+fn median3<R>(mut f: impl FnMut() -> R) -> (Duration, R) {
+    let mut runs: Vec<(Duration, R)> = (0..3).map(|_| time(&mut f)).collect();
     runs.sort_by_key(|(d, _)| *d);
     runs.swap_remove(1)
+}
+
+/// The engine's cache hits and misses, read from its registry.
+fn hits_and_misses(engine: &Engine) -> (u64, u64) {
+    let snap = engine.registry().snapshot();
+    let count = |name| snap.value(name, &[]).unwrap_or(0);
+    (
+        count("arrayflow_cache_hits_total"),
+        count("arrayflow_cache_misses_total"),
+    )
+}
+
+/// Hits over lookups, in `[0, 1]`.
+fn hit_rate((hits, misses): (u64, u64)) -> f64 {
+    hits as f64 / (hits + misses).max(1) as f64
 }
 
 fn main() {
@@ -51,7 +66,6 @@ fn main() {
             p.renumber();
             black_box(analyze_nest(&p).expect("workload analyzes"));
         }
-        EngineStats::default()
     });
     let base_pps = BATCH as f64 / base.as_secs_f64();
 
@@ -64,13 +78,13 @@ fn main() {
     for workers in [1usize, 2, 4, 8] {
         // A fresh engine per run: the cache starts cold, so the measured
         // hit rate is the one the duplicated stream itself produces.
-        let (d, stats) = median3(|| {
+        let (d, rate) = median3(|| {
             let engine = Engine::new(EngineConfig {
                 workers,
                 ..EngineConfig::default()
             });
             black_box(engine.analyze_batch(&programs));
-            engine.stats()
+            hit_rate(hits_and_misses(&engine))
         });
         let pps = BATCH as f64 / d.as_secs_f64();
         println!(
@@ -78,12 +92,11 @@ fn main() {
             format!("engine, {workers} worker(s)"),
             pps,
             pps / base_pps,
-            100.0 * stats.hit_rate()
+            100.0 * rate
         );
         assert!(
-            stats.hit_rate() > 0.5,
-            "duplicated stream must hit > 50%, got {:.2}",
-            stats.hit_rate()
+            rate > 0.5,
+            "duplicated stream must hit > 50%, got {rate:.2}"
         );
         assert!(
             pps > base_pps,
@@ -146,16 +159,17 @@ fn eviction_comparison() {
             ..EngineConfig::default()
         });
         black_box(engine.analyze_batch(&programs));
-        let stats = engine.stats();
+        let (hits, misses) = hits_and_misses(&engine);
+        let evictions = engine.registry().snapshot();
+        let evictions = evictions.value("arrayflow_cache_evictions_total", &[]);
+        let rate = hit_rate((hits, misses));
         println!(
-            "{:<24}  hit rate {:>5.1}%  ({} hits / {} misses, {} evictions)",
+            "{:<24}  hit rate {:>5.1}%  ({hits} hits / {misses} misses, {} evictions)",
             name,
-            100.0 * stats.hit_rate(),
-            stats.cache.hits,
-            stats.cache.misses,
-            stats.cache.evictions
+            100.0 * rate,
+            evictions.unwrap_or(0)
         );
-        rates.push(stats.hit_rate());
+        rates.push(rate);
     }
     println!(
         "second-chance delta: {:+.1} percentage points",

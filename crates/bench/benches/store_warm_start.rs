@@ -13,6 +13,7 @@ use std::sync::Arc;
 use arrayflow_bench::time;
 use arrayflow_engine::{Engine, EngineConfig};
 use arrayflow_ir::Program;
+use arrayflow_obs::Registry;
 use arrayflow_store::{PersistentTier, Store, StoreConfig};
 use arrayflow_workloads::{random_loop, LoopShape};
 
@@ -38,8 +39,9 @@ fn main() {
     // Populate: a store-backed engine analyzes every program once; the
     // async writer persists each miss. Flush before measuring anything.
     let (populate, appended) = {
-        let store = Arc::new(Store::open(StoreConfig::at(&dir)).expect("open store"));
-        let tier = PersistentTier::new(Arc::clone(&store), 1024);
+        let registry = Registry::new();
+        let store = Store::open_in(StoreConfig::at(&dir), &registry).expect("open store");
+        let tier = PersistentTier::new_in(Arc::new(store), 1024, &registry);
         let mut engine = Engine::new(EngineConfig {
             workers: 1,
             ..EngineConfig::default()
@@ -49,24 +51,29 @@ fn main() {
             black_box(engine.analyze_batch(&programs));
         });
         tier.flush();
-        let stats = store.stats();
-        assert_eq!(stats.appends, DISTINCT as u64, "every miss persisted");
-        (d, stats.bytes)
+        let snap = registry.snapshot();
+        let count = |name| snap.value(name, &[]).unwrap();
+        let appends = count("arrayflow_store_appends_total");
+        assert_eq!(appends, DISTINCT as u64, "every miss persisted");
+        (d, count("arrayflow_store_bytes"))
     };
 
+    let cache = |engine: &Engine, name| engine.registry().snapshot().value(name, &[]);
+
     // Cold restart: a fresh engine re-solves the whole stream.
-    let (cold, cold_stats) = time(|| {
+    let (cold, cold_misses) = time(|| {
         let engine = Engine::new(EngineConfig {
             workers: 1,
             ..EngineConfig::default()
         });
         black_box(engine.analyze_batch(&programs));
-        engine.stats()
+        cache(&engine, "arrayflow_cache_misses_total")
     });
-    assert_eq!(cold_stats.cache.misses, DISTINCT as u64);
+    assert_eq!(cold_misses, Some(DISTINCT as u64));
 
     // Warm restart: recover the store, preload the cache, replay.
-    let (recover, store) = time(|| Store::open(StoreConfig::at(&dir)).expect("reopen store"));
+    let (recover, store) =
+        time(|| Store::open_in(StoreConfig::at(&dir), &Registry::new()).expect("reopen store"));
     assert_eq!(store.recovery().live_records, DISTINCT as u64);
     let engine = Engine::new(EngineConfig {
         workers: 1,
@@ -75,12 +82,13 @@ fn main() {
     let (preload, loaded) =
         time(|| store.for_each_live(|key, report| engine.preload(key, Arc::new(report))));
     assert_eq!(loaded, DISTINCT as u64);
-    let (warm, warm_stats) = time(|| {
+    let (warm, warm_hits) = time(|| {
         black_box(engine.analyze_batch(&programs));
-        engine.stats()
+        cache(&engine, "arrayflow_cache_hits_total")
     });
     assert_eq!(
-        warm_stats.cache.hits, DISTINCT as u64,
+        warm_hits,
+        Some(DISTINCT as u64),
         "a warm-started cache answers every replayed program"
     );
 

@@ -32,6 +32,6 @@ pub mod ring;
 pub mod topology;
 
 pub use merge::merge_expositions;
-pub use replicate::{Replicator, ReplicatorConfig, ReplicatorStats};
+pub use replicate::{Replicator, ReplicatorConfig};
 pub use ring::{Ring, DEFAULT_VNODES};
 pub use topology::{NodeSpec, Topology};

@@ -60,21 +60,6 @@ impl ReplicatorConfig {
     }
 }
 
-/// Replicator counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplicatorStats {
-    /// Records shipped in incremental batches.
-    pub shipped_records: u64,
-    /// Incremental batches acknowledged by the replica.
-    pub batches: u64,
-    /// Full-store syncs completed (one per successful connect).
-    pub syncs: u64,
-    /// Records dropped to queue overflow.
-    pub dropped: u64,
-    /// Connection attempts that failed or broke mid-ship.
-    pub errors: u64,
-}
-
 #[derive(Default)]
 struct Queue {
     pending: Vec<(CacheKey, Arc<AnalysisReport>)>,
@@ -155,17 +140,6 @@ impl Replicator {
             .expect("spawn replica shipper thread");
         *replicator.shipper.lock().unwrap() = Some(handle);
         replicator
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> ReplicatorStats {
-        ReplicatorStats {
-            shipped_records: self.ins.shipped.get(),
-            batches: self.ins.batches.get(),
-            syncs: self.ins.syncs.get(),
-            dropped: self.ins.dropped.get(),
-            errors: self.ins.errors.get(),
-        }
     }
 
     /// Signals the shipper to drain and exit, then joins it. Idempotent.

@@ -92,6 +92,16 @@ fn spawn_fake_replica(dst: Arc<Store>) -> String {
     addr
 }
 
+/// Opens the store at `config` on a registry no test reads.
+fn open(config: StoreConfig) -> Arc<Store> {
+    Arc::new(Store::open_in(config, &Registry::new()).unwrap())
+}
+
+/// The counter `name` on `registry`.
+fn count(registry: &Registry, name: &str) -> u64 {
+    registry.snapshot().value(name, &[]).unwrap()
+}
+
 fn wait_for(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let start = Instant::now();
     while start.elapsed() < deadline {
@@ -107,8 +117,8 @@ fn wait_for(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 fn replicator_ships_existing_and_incremental_records() {
     let src_dir = TempDir::new("repl-src");
     let dst_dir = TempDir::new("repl-dst");
-    let src = Arc::new(Store::open(StoreConfig::at(&src_dir.0)).unwrap());
-    let dst = Arc::new(Store::open(StoreConfig::at(&dst_dir.0)).unwrap());
+    let src = open(StoreConfig::at(&src_dir.0));
+    let dst = open(StoreConfig::at(&dst_dir.0));
 
     // Records present before the replicator starts: covered by the
     // connect-time full sync.
@@ -148,17 +158,18 @@ fn replicator_ships_existing_and_incremental_records() {
     // reach 8 records before the shipper thread has read the ack and
     // counted them. Shutdown joins the shipper, settling the counters.
     replicator.shutdown();
-    let stats = replicator.stats();
-    assert!(stats.syncs >= 1, "{stats:?}");
-    assert!(stats.shipped_records >= 5, "{stats:?}");
+    let syncs = count(&registry, "arrayflow_replica_syncs_total");
+    let shipped = count(&registry, "arrayflow_replica_shipped_records_total");
+    assert!(syncs >= 1, "{syncs} syncs");
+    assert!(shipped >= 5, "{shipped} records shipped");
 }
 
 #[test]
 fn replicator_survives_replica_coming_up_late() {
     let src_dir = TempDir::new("repl-late-src");
     let dst_dir = TempDir::new("repl-late-dst");
-    let src = Arc::new(Store::open(StoreConfig::at(&src_dir.0)).unwrap());
-    let dst = Arc::new(Store::open(StoreConfig::at(&dst_dir.0)).unwrap());
+    let src = open(StoreConfig::at(&src_dir.0));
+    let dst = open(StoreConfig::at(&dst_dir.0));
     src.put(key(1), report(1, 1)).unwrap();
 
     // Reserve an address, start the replicator against it while nothing
@@ -172,7 +183,9 @@ fn replicator_survives_replica_coming_up_late() {
     config.interval = Duration::from_millis(20);
     let replicator = Replicator::start(Arc::clone(&src), config, &registry);
     assert!(
-        wait_for(Duration::from_secs(30), || replicator.stats().errors > 0),
+        wait_for(Duration::from_secs(30), || {
+            count(&registry, "arrayflow_replica_errors_total") > 0
+        }),
         "no connect attempts recorded"
     );
     assert_eq!(dst.len(), 0);
@@ -219,7 +232,7 @@ fn shutdown_is_prompt_while_the_replica_drops_syns() {
     use std::os::fd::AsRawFd;
 
     let src_dir = TempDir::new("repl-silent-src");
-    let src = Arc::new(Store::open(StoreConfig::at(&src_dir.0)).unwrap());
+    let src = open(StoreConfig::at(&src_dir.0));
     src.put(key(1), report(1, 1)).unwrap();
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -233,7 +246,9 @@ fn shutdown_is_prompt_while_the_replica_drops_syns() {
     config.request_timeout = Duration::from_millis(300);
     let replicator = Replicator::start(Arc::clone(&src), config, &registry);
     assert!(
-        wait_for(Duration::from_secs(10), || replicator.stats().errors > 0),
+        wait_for(Duration::from_secs(10), || {
+            count(&registry, "arrayflow_replica_errors_total") > 0
+        }),
         "the shipper's dial never gave up"
     );
     let started = Instant::now();

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use arrayflow_analyses::loops_innermost_first;
 use arrayflow_core::{CustomSpec, CANNED};
-use arrayflow_incremental::{Session, SessionEvent, SessionStats, SessionStore, StoreConfig};
+use arrayflow_incremental::{Session, SessionEvent, SessionStore, StoreConfig};
 use arrayflow_ir::{fingerprint_loop, Edit, Fingerprint, Program};
 use arrayflow_obs::{observed_span, Counter, Gauge, Histogram, Registry, PHASE_BUCKETS_US};
 use arrayflow_resilience::{panic_message, FaultSurface};
@@ -48,8 +48,6 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// How a full cache shard picks its victim.
     pub eviction: EvictionPolicy,
-    /// Which framework instances each query runs.
-    pub problems: ProblemSet,
     /// Distance bound for dependence extraction (part of the cache key).
     pub dep_max_distance: u64,
     /// Maximum simultaneously open analysis sessions; opening one more
@@ -67,7 +65,6 @@ impl Default for EngineConfig {
             cache_shards: 16,
             cache_capacity: 65_536,
             eviction: EvictionPolicy::default(),
-            problems: ProblemSet::ALL,
             dep_max_distance: 8,
             session_capacity: 64,
             session_ttl_ms: 600_000,
@@ -253,7 +250,10 @@ impl BatchResult {
     }
 }
 
-/// Aggregate engine statistics since construction.
+/// Aggregate engine statistics since construction, copied from the
+/// engine's registered instruments. The registry ([`Engine::registry`])
+/// is where every count lives and is read; this copy stays because the
+/// benchmark workloads read [`Engine::stats`]`().cache`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     /// Programs analyzed.
@@ -274,32 +274,6 @@ pub struct EngineStats {
     pub fingerprint_fast_hits: u64,
     /// Fingerprint-first lookups that missed both cache tiers.
     pub fingerprint_misses: u64,
-}
-
-impl EngineStats {
-    /// Cache hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
-    }
-}
-
-impl std::fmt::Display for EngineStats {
-    /// One-line human-readable summary, e.g.
-    /// `42 programs, 84 loops, 63 from cache (75% hit rate), 21 solved in 63 passes / 504 visits, 1234 µs busy`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} programs, {} loops, {} from cache ({:.0}% hit rate), {} solved in {} passes / {} visits, {} µs busy",
-            self.programs,
-            self.loops,
-            self.cache.hits,
-            100.0 * self.hit_rate(),
-            self.cache.misses,
-            self.solver_passes,
-            self.node_visits,
-            self.busy_micros
-        )
-    }
 }
 
 /// The result of a delta re-analysis against an open session.
@@ -345,7 +319,8 @@ pub struct DeltaReport {
 /// assert_eq!(results[0].loops[0].report.reuses.len(), 1);
 /// // 4 structurally identical programs dedup onto one cache entry; at
 /// // least 2 are hits (workers may race the very first solve).
-/// assert!(engine.stats().cache.hits >= 2);
+/// let hits = engine.registry().snapshot().value("arrayflow_cache_hits_total", &[]);
+/// assert!(hits >= Some(2));
 /// ```
 #[derive(Debug)]
 pub struct Engine {
@@ -357,9 +332,9 @@ pub struct Engine {
     sessions: SessionStore,
 }
 
-/// The engine's registered instruments. Counters mirror the legacy
-/// [`EngineStats`] fields; the histograms are the paper-facing pass-count
-/// distributions and the engine-side phase timings.
+/// The engine's registered instruments: the effort and session counters,
+/// the paper-facing pass-count distributions and the engine-side phase
+/// timings.
 #[derive(Debug, Clone)]
 struct EngineInstruments {
     programs: Counter,
@@ -579,14 +554,14 @@ impl Engine {
         self.cache.for_each(f);
     }
 
-    /// Analyzes one program (normalizing a private copy first), answering
-    /// every loop from the cache when possible. Uses the engine-wide
-    /// problem selection and distance bound from [`EngineConfig`].
+    /// Analyzes one program (normalizing a private copy first) for every
+    /// canned instance, answering each loop from the cache when possible.
+    /// Uses the engine-wide distance bound from [`EngineConfig`].
     pub fn analyze_one(&self, index: usize, program: &Program) -> BatchResult {
         self.solve(
             index,
             program,
-            Problem::Canned(self.config.problems),
+            Problem::Canned(ProblemSet::ALL),
             self.config.dep_max_distance,
             None,
         )
@@ -874,7 +849,6 @@ impl Engine {
             ) => AnalysisError::Cancelled { passes },
             e => AnalysisError::Analysis(e.to_string()),
         })?;
-        self.sessions.record_delta(outcome.fallback);
         self.ins.delta_applied.inc();
         if outcome.fallback {
             self.ins.delta_fallbacks.inc();
@@ -895,13 +869,6 @@ impl Engine {
     /// Closes a session, returning whether it was open.
     pub fn close_session(&self, session: u64) -> bool {
         self.sessions.remove(session)
-    }
-
-    /// Counters of the session store (open sessions, evictions, delta
-    /// hit/fallback totals), sweeping expired sessions first. The
-    /// `arrayflow_sessions_*` series export the same counts.
-    pub fn session_stats(&self) -> SessionStats {
-        self.sessions.stats()
     }
 
     /// Session-path reports are computed for [`ProblemSet::ALL`]; park
@@ -972,7 +939,7 @@ impl Engine {
             .collect()
     }
 
-    /// Aggregate statistics since construction.
+    /// Aggregate statistics since construction (see [`EngineStats`]).
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             programs: self.ins.programs.get(),

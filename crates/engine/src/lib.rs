@@ -18,8 +18,9 @@
 //!   out across `std::thread` workers; within each program, loops are
 //!   analyzed innermost first so summary-level results are cached before
 //!   enclosing loops (and later duplicates) need them;
-//! * per-query [`QueryStats`] and engine-wide [`EngineStats`] expose cache
-//!   hits, solver passes, node visits and wall-clock.
+//! * per-query [`QueryStats`] carry cache hits, solver passes, node
+//!   visits and wall-clock; engine-wide counts live on the
+//!   [registry](Engine::registry), where a scrape reads them too.
 //!
 //! Reports are *alpha-invariant* — every fact is in terms of site indices
 //! and iteration distances, never names — which is precisely why one cached
@@ -39,7 +40,8 @@
 //!     .collect();
 //! let results = engine.analyze_batch(&batch);
 //! assert_eq!(results[0].loops[0].fingerprint, results[1].loops[0].fingerprint);
-//! assert_eq!(engine.stats().cache.hits, 1);
+//! let hits = engine.registry().snapshot().value("arrayflow_cache_hits_total", &[]);
+//! assert_eq!(hits, Some(1));
 //! ```
 
 pub mod cache;

@@ -8,7 +8,7 @@
 //! actually exercised).
 
 use arrayflow_analyses::{analyze_nest, dependences, redundant_stores, reuse_pairs};
-use arrayflow_engine::{Engine, EngineConfig, ProblemSet};
+use arrayflow_engine::{Engine, EngineConfig};
 use arrayflow_ir::Program;
 use arrayflow_workloads::{random_loop, LoopShape};
 
@@ -39,7 +39,6 @@ fn workload() -> Vec<Program> {
 fn config(workers: usize) -> EngineConfig {
     EngineConfig {
         workers,
-        problems: ProblemSet::ALL,
         dep_max_distance: DEP_MAX_DISTANCE,
         ..EngineConfig::default()
     }
@@ -119,14 +118,19 @@ fn duplicated_stream_hits_the_cache() {
     let programs = workload();
     let engine = Engine::new(config(4));
     engine.analyze_batch(&programs);
-    let stats = engine.stats();
-    assert_eq!(stats.programs, 200);
+    let snap = engine.registry().snapshot();
+    let count = |name| snap.value(name, &[]).unwrap();
+    assert_eq!(count("arrayflow_engine_programs_total"), 200);
+    let (hits, misses) = (
+        count("arrayflow_cache_hits_total"),
+        count("arrayflow_cache_misses_total"),
+    );
     assert!(
-        stats.hit_rate() > 0.5,
-        "duplicated stream should hit > 50%, got {:.2}",
-        stats.hit_rate()
+        hits > misses,
+        "duplicated stream should hit > 50%, got {hits} hits, {misses} misses"
     );
     // Hits skip the solver entirely: far fewer solves than loops.
-    assert!(stats.cache.misses < stats.loops);
-    assert_eq!(stats.cache.hits + stats.cache.misses, stats.loops);
+    let loops = count("arrayflow_engine_loops_total");
+    assert!(misses < loops);
+    assert_eq!(hits + misses, loops);
 }

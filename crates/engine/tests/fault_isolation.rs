@@ -12,7 +12,6 @@ use std::time::Duration;
 
 use arrayflow_engine::{AnalysisError, Engine, EngineConfig};
 use arrayflow_ir::{parse_program, Program};
-use arrayflow_obs::MetricValue;
 use arrayflow_resilience::{FaultPlan, FaultSurface};
 
 /// Distinct (non-alpha-equivalent) programs so every one is a cache miss
@@ -24,16 +23,9 @@ fn distinct_programs(n: usize) -> Vec<Program> {
 }
 
 fn worker_panics(engine: &Engine) -> u64 {
-    match engine
-        .registry()
-        .snapshot()
-        .find("arrayflow_worker_panics_total")
-        .expect("counter is registered")
-        .value
-    {
-        MetricValue::Counter(n) => n,
-        ref v => panic!("unexpected metric value {v:?}"),
-    }
+    let snapshot = engine.registry().snapshot();
+    let panics = snapshot.value("arrayflow_worker_panics_total", &[]);
+    panics.expect("counter is registered")
 }
 
 /// A surface that injects exactly one solver panic, on the first solve.

@@ -29,8 +29,9 @@ fn miss_then_hit_with_counters() {
 
     // Nothing analyzed yet: the probe misses and says so.
     assert!(engine.probe(fp, problems, dist).is_none());
-    assert_eq!(engine.stats().fingerprint_misses, 1);
-    assert_eq!(engine.stats().fingerprint_fast_hits, 0);
+    let count = |name| engine.registry().snapshot().value(name, &[]);
+    assert_eq!(count("arrayflow_fingerprint_misses_total"), Some(1));
+    assert_eq!(count("arrayflow_fingerprint_fast_hits_total"), Some(0));
 
     // Full analysis populates the cache under the same key.
     let program = parse_program(SRC).unwrap();
@@ -43,8 +44,8 @@ fn miss_then_hit_with_counters() {
     // full path cached, so responses built from it are byte-identical.
     let hit = engine.probe(fp, problems, dist).unwrap();
     assert!(Arc::ptr_eq(&hit, &full.loops[0].report));
-    assert_eq!(engine.stats().fingerprint_fast_hits, 1);
-    assert_eq!(engine.stats().fingerprint_misses, 1);
+    assert_eq!(count("arrayflow_fingerprint_fast_hits_total"), Some(1));
+    assert_eq!(count("arrayflow_fingerprint_misses_total"), Some(1));
 }
 
 #[test]

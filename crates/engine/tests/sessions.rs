@@ -50,9 +50,13 @@ fn delta_report_renders_identical_to_fresh_analysis() {
             }
         }
     }
-    let stats = engine.session_stats();
-    assert_eq!(stats.deltas_total, deltas);
-    assert!(stats.deltas_total > stats.delta_fallbacks);
+    let snap = engine.registry().snapshot();
+    assert_eq!(
+        snap.value("arrayflow_delta_applied_total", &[]),
+        Some(deltas)
+    );
+    let fallbacks = snap.value("arrayflow_delta_fallbacks_total", &[]);
+    assert!(fallbacks < Some(deltas), "{fallbacks:?} of {deltas}");
 }
 
 #[test]
@@ -92,12 +96,8 @@ fn delta_metrics_and_memoization() {
         .is_some());
 
     let snap = engine.registry().snapshot();
-    let counter = |name: &str| match snap.find(name).map(|m| &m.value) {
-        Some(arrayflow_obs::MetricValue::Counter(v)) => *v,
-        other => panic!("{name}: {other:?}"),
-    };
-    assert_eq!(counter("arrayflow_delta_requests_total"), 1);
-    assert_eq!(counter("arrayflow_delta_fallbacks_total"), 0);
+    assert_eq!(snap.value("arrayflow_delta_requests_total", &[]), Some(1));
+    assert_eq!(snap.value("arrayflow_delta_fallbacks_total", &[]), Some(0));
 
     // Structural edit: falls back, still correct, counted.
     let edit = Edit {
@@ -107,12 +107,8 @@ fn delta_metrics_and_memoization() {
     let delta = engine.analyze_delta(id, &edit).unwrap();
     assert!(delta.fallback);
     let snap = engine.registry().snapshot();
-    let counter = |name: &str| match snap.find(name).map(|m| &m.value) {
-        Some(arrayflow_obs::MetricValue::Counter(v)) => *v,
-        other => panic!("{name}: {other:?}"),
-    };
-    assert_eq!(counter("arrayflow_delta_requests_total"), 2);
-    assert_eq!(counter("arrayflow_delta_fallbacks_total"), 1);
+    assert_eq!(snap.value("arrayflow_delta_requests_total", &[]), Some(2));
+    assert_eq!(snap.value("arrayflow_delta_fallbacks_total", &[]), Some(1));
 }
 
 #[test]
@@ -135,12 +131,18 @@ fn unknown_sessions_and_capacity() {
     let (_c, _) = engine.open_session(&p).unwrap();
     // Capacity 2: the oldest session was evicted.
     assert!(engine.analyze_delta(a, &edit).is_err());
-    let stats = engine.session_stats();
-    assert_eq!(stats.open, 2);
-    assert_eq!(stats.opened_total, 3);
-    assert_eq!(stats.evicted_capacity, 1);
+    let snap = engine.registry().snapshot();
+    assert_eq!(snap.value("arrayflow_sessions_open", &[]), Some(2));
+    assert_eq!(snap.value("arrayflow_sessions_opened_total", &[]), Some(3));
+    let evicted = |reason| snap.value("arrayflow_sessions_evicted_total", &[("reason", reason)]);
+    assert_eq!(evicted("capacity"), Some(1));
+    assert_eq!(evicted("ttl"), Some(0));
 
     assert!(engine.close_session(_b));
     assert!(!engine.close_session(_b));
-    assert_eq!(engine.session_stats().open, 1);
+    let open = engine
+        .registry()
+        .snapshot()
+        .value("arrayflow_sessions_open", &[]);
+    assert_eq!(open, Some(1));
 }

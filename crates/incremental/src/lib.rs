@@ -47,4 +47,4 @@ pub mod session;
 pub mod store;
 
 pub use session::{DeltaError, DeltaOutcome, ReportLists, Session};
-pub use store::{SessionEvent, SessionStats, SessionStore, StoreConfig};
+pub use store::{SessionEvent, SessionStore, StoreConfig};

@@ -33,23 +33,6 @@ impl Default for StoreConfig {
     }
 }
 
-/// Counters describing the store's lifetime activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Sessions currently open.
-    pub open: usize,
-    /// Sessions ever opened.
-    pub opened_total: u64,
-    /// Sessions evicted to respect [`StoreConfig::capacity`].
-    pub evicted_capacity: u64,
-    /// Sessions expired by the [`StoreConfig::ttl`].
-    pub expired_ttl: u64,
-    /// Deltas applied through [`SessionStore::with_session`].
-    pub deltas_total: u64,
-    /// Deltas that fell back to a full re-analysis.
-    pub delta_fallbacks: u64,
-}
-
 /// A change to a [`SessionStore`]'s population, reported to its observer
 /// together with the number of sessions open after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +62,6 @@ struct Inner {
     entries: HashMap<u64, Entry>,
     next_id: u64,
     clock: u64,
-    stats: SessionStats,
 }
 
 /// A thread-safe, bounded map of session id → [`Session`].
@@ -98,7 +80,6 @@ impl SessionStore {
                 entries: HashMap::new(),
                 next_id: 1,
                 clock: 0,
-                stats: SessionStats::default(),
             }),
             observer: Box::new(|_, _| {}),
         }
@@ -115,10 +96,9 @@ impl SessionStore {
         self
     }
 
-    /// Refreshes the open count and reports `event`.
-    fn changed(&self, inner: &mut Inner, event: SessionEvent) {
-        inner.stats.open = inner.entries.len();
-        (self.observer)(event, inner.stats.open);
+    /// Reports `event` with the open count after it.
+    fn changed(&self, inner: &Inner, event: SessionEvent) {
+        (self.observer)(event, inner.entries.len());
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -135,7 +115,6 @@ impl SessionStore {
                 .retain(|_, e| now.duration_since(e.last_used) <= ttl);
             let expired = (before - inner.entries.len()) as u64;
             if expired > 0 {
-                inner.stats.expired_ttl += expired;
                 self.changed(inner, SessionEvent::Expired(expired));
             }
         }
@@ -151,8 +130,7 @@ impl SessionStore {
         while inner.entries.len() >= self.config.capacity.max(1) {
             if let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.touched) {
                 inner.entries.remove(&victim);
-                inner.stats.evicted_capacity += 1;
-                self.changed(&mut inner, SessionEvent::Evicted);
+                self.changed(&inner, SessionEvent::Evicted);
             } else {
                 break;
             }
@@ -169,8 +147,7 @@ impl SessionStore {
                 touched,
             },
         );
-        inner.stats.opened_total += 1;
-        self.changed(&mut inner, SessionEvent::Opened);
+        self.changed(&inner, SessionEvent::Opened);
         id
     }
 
@@ -210,31 +187,14 @@ impl SessionStore {
         Some(f(&mut entry.session))
     }
 
-    /// Records the outcome of a delta (hit vs fallback) in the stats.
-    pub fn record_delta(&self, fallback: bool) {
-        let mut inner = self.lock();
-        inner.stats.deltas_total += 1;
-        if fallback {
-            inner.stats.delta_fallbacks += 1;
-        }
-    }
-
     /// Closes a session, returning whether it was open.
     pub fn remove(&self, id: u64) -> bool {
         let mut inner = self.lock();
         let hit = inner.entries.remove(&id).is_some();
         if hit {
-            self.changed(&mut inner, SessionEvent::Closed);
+            self.changed(&inner, SessionEvent::Closed);
         }
         hit
-    }
-
-    /// A snapshot of the store's counters (sweeping expired sessions first
-    /// so `open` is accurate).
-    pub fn stats(&self) -> SessionStats {
-        let mut inner = self.lock();
-        self.sweep(&mut inner, Instant::now());
-        inner.stats
     }
 }
 
@@ -242,8 +202,7 @@ impl std::fmt::Debug for SessionStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionStore")
             .field("config", &self.config)
-            .field("stats", &self.stats())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -251,27 +210,40 @@ impl std::fmt::Debug for SessionStore {
 mod tests {
     use super::*;
     use arrayflow_ir::parse_program;
+    use std::sync::Arc;
+    use SessionEvent::*;
+
+    /// Every (event, open count after it) the observer has seen.
+    type Log = Arc<Mutex<Vec<(SessionEvent, usize)>>>;
 
     fn session() -> Session {
         let p = parse_program("do i = 1, 100 A[i+1] := A[i]; end").unwrap();
         Session::open(p, 16).unwrap()
     }
 
+    /// A store whose observer appends to the returned log.
+    fn logged(config: StoreConfig) -> (SessionStore, Log) {
+        let seen = Log::default();
+        let log = Arc::clone(&seen);
+        let store = SessionStore::new(config).observed(move |event, open| {
+            log.lock().unwrap().push((event, open));
+        });
+        (store, seen)
+    }
+
     #[test]
     fn insert_and_reuse() {
-        let store = SessionStore::new(StoreConfig::default());
+        let (store, seen) = logged(StoreConfig::default());
         let id = store.insert(session());
         let fp = store.with_session(id, |s| s.fingerprint()).unwrap();
         assert_eq!(store.with_session(id, |s| s.fingerprint()), Some(fp));
         assert!(store.with_session(id + 1, |_| ()).is_none());
-        let stats = store.stats();
-        assert_eq!(stats.open, 1);
-        assert_eq!(stats.opened_total, 1);
+        assert_eq!(*seen.lock().unwrap(), [(Opened, 1)]);
     }
 
     #[test]
     fn capacity_evicts_lru() {
-        let store = SessionStore::new(StoreConfig {
+        let (store, seen) = logged(StoreConfig {
             capacity: 2,
             ttl: None,
         });
@@ -283,23 +255,22 @@ mod tests {
         assert!(store.with_session(a, |_| ()).is_some());
         assert!(store.with_session(b, |_| ()).is_none());
         assert!(store.with_session(c, |_| ()).is_some());
-        let stats = store.stats();
-        assert_eq!(stats.open, 2);
-        assert_eq!(stats.evicted_capacity, 1);
+        assert_eq!(
+            *seen.lock().unwrap(),
+            [(Opened, 1), (Opened, 2), (Evicted, 1), (Opened, 2)]
+        );
     }
 
     #[test]
     fn ttl_expires() {
-        let store = SessionStore::new(StoreConfig {
+        let (store, seen) = logged(StoreConfig {
             capacity: 8,
             ttl: Some(Duration::from_millis(0)),
         });
         let id = store.insert(session());
         std::thread::sleep(Duration::from_millis(5));
         assert!(store.with_session(id, |_| ()).is_none());
-        let stats = store.stats();
-        assert_eq!(stats.open, 0);
-        assert_eq!(stats.expired_ttl, 1);
+        assert_eq!(*seen.lock().unwrap(), [(Opened, 1), (Expired(1), 0)]);
     }
 
     #[test]
@@ -308,7 +279,7 @@ mod tests {
         // refreshing the requested id, so a get near the TTL boundary
         // could expire the very session it was using. The touch now
         // lands first; only sessions already idle past the TTL expire.
-        let store = SessionStore::new(StoreConfig {
+        let (store, seen) = logged(StoreConfig {
             capacity: 8,
             ttl: Some(Duration::from_millis(500)),
         });
@@ -322,27 +293,24 @@ mod tests {
         // `a` was touched 300 ms ago (< ttl); `b` has idled 600 ms (> ttl).
         assert!(store.with_session(a, |_| ()).is_some());
         assert!(store.with_session(b, |_| ()).is_none());
-        let stats = store.stats();
-        assert_eq!(stats.open, 1);
-        assert_eq!(stats.expired_ttl, 1);
+        assert_eq!(
+            *seen.lock().unwrap(),
+            [(Opened, 1), (Opened, 2), (Expired(1), 1)]
+        );
     }
 
     #[test]
     fn the_observer_sees_every_population_change() {
-        let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let log = std::sync::Arc::clone(&seen);
-        let store = SessionStore::new(StoreConfig {
+        let (store, seen) = logged(StoreConfig {
             capacity: 1,
             ttl: Some(Duration::from_millis(20)),
-        })
-        .observed(move |event, open| log.lock().unwrap().push((event, open)));
+        });
         let a = store.insert(session());
         let b = store.insert(session());
         std::thread::sleep(Duration::from_millis(40));
         // Looking up the evicted `a` sweeps the expired `b`.
         assert!(store.with_session(a, |_| ()).is_none());
         assert!(!store.remove(b));
-        use SessionEvent::*;
         assert_eq!(
             *seen.lock().unwrap(),
             [(Opened, 1), (Evicted, 0), (Opened, 1), (Expired(1), 0)]
@@ -351,10 +319,22 @@ mod tests {
 
     #[test]
     fn remove_closes() {
-        let store = SessionStore::new(StoreConfig::default());
+        let (store, seen) = logged(StoreConfig::default());
         let id = store.insert(session());
         assert!(store.remove(id));
         assert!(!store.remove(id));
-        assert_eq!(store.stats().open, 0);
+        assert_eq!(*seen.lock().unwrap(), [(Opened, 1), (Closed, 0)]);
+    }
+
+    #[test]
+    fn formatting_sweeps_nothing() {
+        let (store, seen) = logged(StoreConfig {
+            capacity: 8,
+            ttl: Some(Duration::from_millis(0)),
+        });
+        store.insert(session());
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(format!("{store:?}").starts_with("SessionStore"));
+        assert_eq!(*seen.lock().unwrap(), [(Opened, 1)]);
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! * a **metrics registry** ([`Registry`]) of named counters, gauges and
 //!   fixed-bucket histograms behind cloneable atomic handles, with a
-//!   structured [snapshot](Registry::snapshot) and a standard
+//!   structured [snapshot](Registry::snapshot) that answers a count
+//!   in-process ([`MetricsSnapshot::value`]) and renders the standard
 //!   [Prometheus text exposition](MetricsSnapshot::render_prometheus);
 //! * **tracing spans** ([`trace`]) with per-request trace ids that flow
 //!   service → engine → solver → store via a thread-local current trace
@@ -33,7 +34,9 @@
 //!     requests.inc();
 //! });
 //! assert_eq!(t.spans()[0].name, "handle");
-//! assert!(registry.snapshot().render_prometheus().contains("requests_total 1"));
+//! let snapshot = registry.snapshot();
+//! assert_eq!(snapshot.value("requests_total", &[]), Some(1));
+//! assert!(snapshot.render_prometheus().contains("requests_total 1"));
 //! ```
 
 pub mod metrics;

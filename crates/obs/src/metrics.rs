@@ -309,6 +309,16 @@ impl MetricsSnapshot {
         })
     }
 
+    /// The value of the counter or gauge `name` with exactly `labels`:
+    /// how a process reads its own counts. `None` when no such series is
+    /// registered or it is a histogram.
+    pub fn value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
+        match self.find_with(name, labels)?.value {
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => Some(v),
+            MetricValue::Histogram(_) => None,
+        }
+    }
+
     /// Renders the standard Prometheus text exposition (version 0.0.4):
     /// one `# HELP`/`# TYPE` header per family, cumulative
     /// `_bucket{le="..."}` series plus `_sum`/`_count` for histograms.
@@ -680,5 +690,12 @@ mod tests {
         let b = snap.find_with("f_total", &[("p", "b")]).unwrap();
         assert_eq!(b.value, MetricValue::Counter(2));
         assert!(snap.find_with("f_total", &[("p", "z")]).is_none());
+        r.gauge("g", "x").set(7);
+        r.histogram("h", "x", &[1]).observe(1);
+        let snap = r.snapshot();
+        assert_eq!(snap.value("f_total", &[("p", "a")]), Some(1));
+        assert_eq!(snap.value("g", &[]), Some(7));
+        assert_eq!(snap.value("f_total", &[]), None, "labels must match");
+        assert_eq!(snap.value("h", &[]), None, "a histogram has no one value");
     }
 }

@@ -275,10 +275,9 @@ fn start_node(args: &Args) -> Result<Arc<Service>, ExitCode> {
         }
     };
     if args.config.store.is_some() {
-        eprintln!(
-            "serve: store warm-started {} report(s)",
-            service.warm_loaded()
-        );
+        let snapshot = service.registry().snapshot();
+        let warm = snapshot.value("arrayflow_store_warm_loaded", &[]);
+        eprintln!("serve: store warm-started {} report(s)", warm.unwrap_or(0));
     }
     if let Some(addr) = &args.config.replicate_to {
         eprintln!("serve: replicating store to {addr}");

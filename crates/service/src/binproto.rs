@@ -278,7 +278,9 @@ mod tests {
             hit.loops[0].report, full.loops[0].report,
             "report bytes moved"
         );
-        assert_eq!(svc.engine().stats().fingerprint_fast_hits, 1);
+        let hits = svc.registry().snapshot();
+        let hits = hits.value("arrayflow_fingerprint_fast_hits_total", &[]);
+        assert_eq!(hits, Some(1));
     }
 
     #[test]
@@ -298,7 +300,9 @@ mod tests {
         };
         assert_eq!(id, 3);
         assert_eq!(kind_from_byte(kind), Some(ErrorKind::Analysis));
-        assert_eq!(svc.engine().stats().fingerprint_misses, 1);
+        let misses = svc.registry().snapshot();
+        let misses = misses.value("arrayflow_fingerprint_misses_total", &[]);
+        assert_eq!(misses, Some(1));
     }
 
     #[test]
@@ -462,17 +466,22 @@ mod tests {
     #[test]
     fn oversized_counts_in_its_own_counter_not_latency() {
         let svc = svc();
-        let before = svc.stats();
+        let before = svc.registry().snapshot();
         let frame = svc.oversized_binary(1 << 30);
         let resp = decode_response_frame(&frame);
         assert!(matches!(resp, Response::Err { .. }));
-        let after = svc.stats();
-        assert_eq!(after.oversized_frames, before.oversized_frames + 1);
-        assert_eq!(after.requests, before.requests);
-        assert_eq!(after.latency, before.latency);
-        // The taxonomy counter is also untouched: oversized is not a
+        let after = svc.registry().snapshot();
+        let oversized = "arrayflow_oversized_frames_total";
+        assert_eq!(after.value(oversized, &[]), Some(1));
+        // Every other series is untouched: not `requests`, not the latency
+        // histogram, and not the taxonomy counters — oversized is not a
         // "response by outcome", it is a discarded frame.
-        assert_eq!(after.protocol_errors, before.protocol_errors);
+        assert_eq!(before.metrics.len(), after.metrics.len());
+        for (b, a) in before.metrics.iter().zip(&after.metrics) {
+            if a.name != oversized {
+                assert_eq!(a, b);
+            }
+        }
     }
 
     #[test]
@@ -544,7 +553,7 @@ mod tests {
         let fp_bytes = full.loops[0].fingerprint;
         donor.shutdown();
         donor.join_workers();
-        let batch = Store::open(StoreConfig::at(&src_dir))
+        let batch = Store::open_in(StoreConfig::at(&src_dir), &arrayflow_obs::Registry::new())
             .unwrap()
             .export_live();
         assert!(!batch.is_empty());

@@ -92,4 +92,4 @@ pub use proto::JsonRequest as Request;
 pub use proto::{ErrorKind, ServiceError};
 pub use router::{Router, RouterConfig};
 pub use server::{run_stdio, FrameHandler, Respond};
-pub use service::{FrameResponse, Service, ServiceConfig, ServiceStats, LATENCY_BUCKETS_US};
+pub use service::{FrameResponse, Service, ServiceConfig, LATENCY_BUCKETS_US};

@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use arrayflow_cluster::{Replicator, ReplicatorConfig};
 use arrayflow_engine::{
     AnalysisError, AnalysisReport, BatchResult, CustomSpec, DeltaReport, Engine, EngineConfig,
-    EngineStats, LoopReport, Problem, ProblemSet, QueryStats,
+    LoopReport, Problem, ProblemSet, QueryStats,
 };
 use arrayflow_ir::{parse_program_bytes, Edit, Fingerprint, StmtId};
 use arrayflow_obs::{
@@ -133,75 +133,6 @@ impl ServiceConfig {
     }
 }
 
-/// Snapshot of the service-level counters (the engine keeps its own
-/// [`EngineStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Connections accepted (TCP) or opened (stdio counts as one).
-    pub connections: u64,
-    /// Frames that produced a response, by outcome.
-    pub requests: u64,
-    /// Dead worker threads replaced by the supervisor.
-    pub worker_restarts: u64,
-    /// Successful responses.
-    pub ok: u64,
-    /// DSL parse failures.
-    pub parse_errors: u64,
-    /// Analysis failures.
-    pub analysis_errors: u64,
-    /// Deadline misses.
-    pub timeouts: u64,
-    /// Queue-full / shutting-down rejections.
-    pub overloaded: u64,
-    /// Malformed frames (bad JSON, unknown verb, bad fields). Oversized
-    /// frames have their own counter and are *not* included here.
-    pub protocol_errors: u64,
-    /// `delta` requests whose session no longer exists on the answering
-    /// node (mid-session failover); clients re-`open` and replay.
-    pub session_lost: u64,
-    /// `cancelled` responses: jobs abandoned because the owning connection
-    /// dropped or the deadline budget expired before/while the worker ran
-    /// them. Like oversized frames, these are *not* part of `requests` and
-    /// never touch the latency histogram — no client was answered in time,
-    /// so timing them would only skew the distribution.
-    pub cancelled: u64,
-    /// Jobs cancelled because the owning connection dropped.
-    pub cancelled_disconnect: u64,
-    /// Jobs cancelled because the deadline budget ran out.
-    pub cancelled_expired: u64,
-    /// Requests that arrived carrying a client deadline budget
-    /// (`deadline_ms` field or the binary deadline tag bit).
-    pub deadline_propagated: u64,
-    /// Connections reaped by the event server's idle sweep (slow-loris
-    /// peers included).
-    pub idle_disconnects: u64,
-    /// Frames discarded for exceeding [`ServiceConfig::max_frame_bytes`].
-    /// Counted separately from `requests` so they never skew the latency
-    /// distribution (the frame is discarded without being timed).
-    pub oversized_frames: u64,
-    /// High-water mark of the analyze queue depth.
-    pub queue_depth_hwm: usize,
-    /// Latency histogram: counts per [`LATENCY_BUCKETS_US`] bucket plus a
-    /// final unbounded bucket.
-    pub latency: [u64; LATENCY_BUCKETS_US.len() + 1],
-    /// Queue-wait histogram for `analyze` requests (same buckets as
-    /// `latency`): time between enqueue and a worker picking the job up.
-    pub queue_wait: [u64; LATENCY_BUCKETS_US.len() + 1],
-}
-
-impl ServiceStats {
-    /// Total error responses across the taxonomy.
-    pub fn errors(&self) -> u64 {
-        self.parse_errors
-            + self.analysis_errors
-            + self.timeouts
-            + self.overloaded
-            + self.protocol_errors
-            + self.session_lost
-            + self.cancelled
-    }
-}
-
 /// What a request produced, before an edge encodes it: the JSON codec
 /// ([`crate::proto`]) and the binary codec ([`crate::binproto`]) render
 /// the same answer into their own shapes.
@@ -303,7 +234,6 @@ pub struct Service {
     registry: Registry,
     tier: Option<Arc<PersistentTier>>,
     replicator: Option<Arc<Replicator>>,
-    warm_loaded: u64,
     queue: Mutex<VecDeque<Job>>,
     job_ready: Condvar,
     shutdown: AtomicBool,
@@ -509,8 +439,7 @@ impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("config", &self.config)
-            .field("stats", &self.stats())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -528,7 +457,6 @@ impl Service {
             engine.set_fault_surface(Arc::clone(faults));
         }
         let mut tier = None;
-        let mut warm_loaded = 0u64;
         let mut replicator = None;
         if let Some(store_config) = &config.store {
             let queue_bound = store_config.writer_queue;
@@ -538,7 +466,7 @@ impl Service {
             }
             let t = PersistentTier::new_in(Arc::clone(&store), queue_bound, &registry);
             engine.set_second_tier(t.clone());
-            warm_loaded = store.for_each_live(|key, report| {
+            let warm_loaded = store.for_each_live(|key, report| {
                 engine.preload(key, Arc::new(report));
             });
             registry
@@ -571,7 +499,6 @@ impl Service {
             registry,
             tier,
             replicator,
-            warm_loaded,
             queue: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -615,12 +542,6 @@ impl Service {
     /// and tier — everything one `metrics` scrape covers.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// How many reports the cache was warm-started with from the disk
-    /// store at boot (0 without a store).
-    pub fn warm_loaded(&self) -> u64 {
-        self.warm_loaded
     }
 
     /// The persistent tier, when a store is configured.
@@ -1000,7 +921,7 @@ impl Service {
             }
             Request::Analyze(a) => {
                 let problems = match a.problems {
-                    None => defaults.problems,
+                    None => ProblemSet::ALL,
                     Some(bits) => ProblemSet::from_bits(bits)
                         .ok_or_else(|| protocol(format!("bad problem-set bits {bits:#06b}")))?,
                 };
@@ -1283,44 +1204,6 @@ impl Service {
         }
     }
 
-    /// Snapshot of the service counters.
-    pub fn stats(&self) -> ServiceStats {
-        let buckets = |h: &Histogram| {
-            let snap = h.snapshot();
-            let mut out = [0u64; LATENCY_BUCKETS_US.len() + 1];
-            for (slot, b) in out.iter_mut().zip(&snap.buckets) {
-                *slot = *b;
-            }
-            out
-        };
-        ServiceStats {
-            connections: self.ins.connections.get(),
-            requests: self.ins.requests.get(),
-            worker_restarts: self.ins.worker_restarts.get(),
-            ok: self.ins.ok.get(),
-            parse_errors: self.ins.parse_errors.get(),
-            analysis_errors: self.ins.analysis_errors.get(),
-            timeouts: self.ins.timeouts.get(),
-            overloaded: self.ins.overloaded.get(),
-            protocol_errors: self.ins.protocol_errors.get(),
-            session_lost: self.ins.session_lost.get(),
-            cancelled: self.ins.cancelled.get(),
-            cancelled_disconnect: self.ins.cancelled_disconnect.get(),
-            cancelled_expired: self.ins.cancelled_expired.get(),
-            deadline_propagated: self.ins.deadline_propagated.get(),
-            idle_disconnects: self.ins.idle_disconnects.get(),
-            oversized_frames: self.ins.oversized_frames.get(),
-            queue_depth_hwm: self.ins.queue_depth_hwm.get() as usize,
-            latency: buckets(&self.ins.latency),
-            queue_wait: buckets(&self.ins.queue_wait),
-        }
-    }
-
-    /// Snapshot of the shared engine's statistics.
-    pub fn engine_stats(&self) -> EngineStats {
-        self.engine.stats()
-    }
-
     /// The `metrics` verb payload: the Prometheus text exposition of
     /// every registered metric, stamped with this node's `node` label
     /// when one is configured.
@@ -1356,13 +1239,17 @@ mod tests {
         .expect("no store configured, start cannot fail")
     }
 
-    /// Whether the `metrics` answer's exposition has exactly this line.
-    fn exports(svc: &Service, line: &str) -> bool {
-        let r = svc.handle_frame(br#"{"id": 0, "verb": "metrics"}"#);
-        let json = Json::parse(r.line.as_bytes()).unwrap();
-        let text = json.get("result").and_then(|r| r.get("prometheus"));
-        let text = text.and_then(Json::as_str).expect("exposition");
-        text.lines().any(|l| l == line)
+    /// `arrayflow_responses_total` for one outcome.
+    fn responses(svc: &Service, outcome: &str) -> Option<u64> {
+        let labels = [("outcome", outcome)];
+        svc.registry()
+            .snapshot()
+            .value("arrayflow_responses_total", &labels)
+    }
+
+    /// The unlabelled counter or gauge `name`.
+    fn count(svc: &Service, name: &str) -> Option<u64> {
+        svc.registry().snapshot().value(name, &[])
     }
 
     #[test]
@@ -1375,8 +1262,8 @@ mod tests {
         );
         assert!(r.line.contains(r#""ok":true"#), "{}", r.line);
         assert!(r.line.contains("reuse"), "{}", r.line);
-        let s = svc.stats();
-        assert_eq!((s.requests, s.ok), (2, 2));
+        assert_eq!(count(&svc, "arrayflow_requests_total"), Some(2));
+        assert_eq!(responses(&svc, "ok"), Some(2));
         svc.shutdown();
         svc.join_workers();
     }
@@ -1393,11 +1280,10 @@ mod tests {
         // parse: bad DSL
         let r = svc.handle_frame(br#"{"verb": "analyze", "program": "do do do"}"#);
         assert!(r.line.contains(r#""kind":"parse""#), "{}", r.line);
-        let s = svc.stats();
-        assert_eq!(s.protocol_errors, 2);
-        assert_eq!(s.parse_errors, 1);
-        assert_eq!(s.errors(), 3);
-        assert_eq!(s.requests, 3);
+        assert_eq!(responses(&svc, "protocol"), Some(2));
+        assert_eq!(responses(&svc, "parse"), Some(1));
+        assert_eq!(responses(&svc, "ok"), Some(0));
+        assert_eq!(count(&svc, "arrayflow_requests_total"), Some(3));
         svc.shutdown();
         svc.join_workers();
     }
@@ -1412,7 +1298,7 @@ mod tests {
         .unwrap();
         let r = svc.handle_frame(br#"{"id": 9, "verb": "analyze", "program": "x := 1;"}"#);
         assert!(r.line.contains(r#""kind":"timeout""#), "{}", r.line);
-        assert_eq!(svc.stats().timeouts, 1);
+        assert_eq!(responses(&svc, "timeout"), Some(1));
         svc.shutdown();
         svc.join_workers();
     }
@@ -1453,11 +1339,9 @@ mod tests {
             br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end"}"#;
 
         let svc = Service::start(config()).unwrap();
-        assert_eq!(svc.warm_loaded(), 0);
+        assert_eq!(count(&svc, "arrayflow_store_warm_loaded"), Some(0));
         let first = svc.handle_frame(frame);
         assert!(first.line.contains(r#""ok":true"#), "{}", first.line);
-        // The exposition carries the store's series.
-        assert!(exports(&svc, "arrayflow_store_warm_loaded 0"));
         // compact succeeds (flushes the writer first).
         let c = svc.handle_frame(br#"{"id": 3, "verb": "compact"}"#);
         assert!(c.line.contains(r#""live_records":1"#), "{}", c.line);
@@ -1469,7 +1353,7 @@ mod tests {
         // the same program with byte-identical reports without re-solving
         // (the per-request stats legitimately differ: hit vs miss).
         let svc = Service::start(config()).unwrap();
-        assert_eq!(svc.warm_loaded(), 1);
+        assert_eq!(count(&svc, "arrayflow_store_warm_loaded"), Some(1));
         let again = svc.handle_frame(frame);
         let loops = |line: &str| {
             let start = line.find(r#""loops":"#).unwrap();
@@ -1477,7 +1361,7 @@ mod tests {
             line[start..end].to_string()
         };
         assert_eq!(loops(&first.line), loops(&again.line));
-        assert_eq!(svc.engine_stats().cache.misses, 0);
+        assert_eq!(count(&svc, "arrayflow_cache_misses_total"), Some(0));
         svc.shutdown();
         svc.join_workers();
         drop(svc);
@@ -1506,7 +1390,7 @@ mod tests {
         // The lone worker dies at its first seam check. Wait for the
         // supervisor to notice and respawn it.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while svc.stats().worker_restarts == 0 {
+        while count(&svc, "arrayflow_worker_restarts_total") == Some(0) {
             assert!(Instant::now() < deadline, "supervisor never respawned");
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -1515,9 +1399,7 @@ mod tests {
             br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end"}"#,
         );
         assert!(r.line.contains(r#""ok":true"#), "{}", r.line);
-        assert_eq!(svc.stats().worker_restarts, 1);
-        // The exposition carries the restart count.
-        assert!(exports(&svc, "arrayflow_worker_restarts_total 1"));
+        assert_eq!(count(&svc, "arrayflow_worker_restarts_total"), Some(1));
         svc.shutdown();
         svc.join_workers();
     }
@@ -1542,7 +1424,7 @@ mod tests {
             br#"{"id": 2, "verb": "analyze", "program": "do i = 1, 9 A[i+1] := A[i]; end"}"#,
         );
         assert!(r.line.contains(r#""kind":"analysis""#), "{}", r.line);
-        assert_eq!(svc.stats().analysis_errors, 2);
+        assert_eq!(responses(&svc, "analysis"), Some(2));
         svc.shutdown();
         svc.join_workers();
     }
@@ -1632,7 +1514,7 @@ mod tests {
             line[start..end].to_string()
         };
         assert_eq!(loops(&r.line), loops(&again.line));
-        assert_eq!(svc.engine_stats().cache.hits, 1);
+        assert_eq!(count(&svc, "arrayflow_cache_hits_total"), Some(1));
         // A different spec over the same program is a distinct cache key.
         let other = svc.handle_frame(
             br#"{"id": 3, "verb": "custom", "program": "do i = 1, 9 A[i+2] := A[i]; end",
@@ -1644,7 +1526,7 @@ mod tests {
             other.line
         );
         assert_ne!(loops(&r.line), loops(&other.line));
-        assert_eq!(svc.engine_stats().cache.misses, 2);
+        assert_eq!(count(&svc, "arrayflow_cache_misses_total"), Some(2));
         svc.shutdown();
         svc.join_workers();
     }
@@ -1662,7 +1544,7 @@ mod tests {
         assert!(r1.line.contains("reuse"), "{}", r1.line);
         assert!(!r2.line.contains("reuse"), "{}", r2.line);
         // Distinct problem sets are distinct cache keys: two misses.
-        assert_eq!(svc.engine_stats().cache.misses, 2);
+        assert_eq!(count(&svc, "arrayflow_cache_misses_total"), Some(2));
         svc.shutdown();
         svc.join_workers();
     }

@@ -15,6 +15,7 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use arrayflow_obs::{MetricValue, Registry};
 use arrayflow_resilience::CancelToken;
 use arrayflow_service::{
     Client, ClientConfig, EventServer, FrameHandler, Json, ProtoMode, Service, ServiceConfig,
@@ -125,21 +126,6 @@ fn async_binary(svc: &std::sync::Arc<Service>, req: &WireRequest) -> WireRespons
     }
 }
 
-/// Sums every sample of a (possibly labelled) counter in a Prometheus
-/// exposition.
-fn counter_total(metrics: &str, name: &str) -> u64 {
-    metrics
-        .lines()
-        .filter(|l| {
-            l.starts_with(name) && {
-                let rest = &l[name.len()..];
-                rest.starts_with(' ') || rest.starts_with('{')
-            }
-        })
-        .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-        .sum()
-}
-
 fn slow_loris(front: Front) {
     let stack = Stack::start(
         front,
@@ -186,8 +172,8 @@ fn slow_loris(front: Front) {
     c.ping().unwrap();
     let metrics = c.metrics_prometheus().unwrap();
     assert_eq!(
-        counter_total(&metrics, "arrayflow_idle_disconnects_total"),
-        6,
+        common::scrape(&metrics, "arrayflow_idle_disconnects_total", &[]),
+        Some(6),
         "all six parked connections must be counted:\n{metrics}"
     );
 
@@ -212,8 +198,28 @@ fn cancelled_jobs_have_their_own_counters_and_skip_the_latency_histogram() {
         ..Default::default()
     })
     .unwrap();
-    let before = svc.stats();
     let program = "do i = 1, 60 A[i+1] := A[i]; end";
+    let counts = || {
+        let snap = svc.registry().snapshot();
+        let latency = match snap.find("arrayflow_request_latency_us").map(|m| &m.value) {
+            Some(MetricValue::Histogram(h)) => h.count,
+            other => panic!("latency histogram: {other:?}"),
+        };
+        let value = |name, labels: &[(&str, &str)]| snap.value(name, labels).unwrap();
+        [
+            value("arrayflow_responses_total", &[("outcome", "cancelled")]),
+            value(
+                "arrayflow_cancelled_jobs_total",
+                &[("reason", "disconnect")],
+            ),
+            value("arrayflow_cancelled_jobs_total", &[("reason", "expired")]),
+            value("arrayflow_deadline_propagated_total", &[]),
+            value("arrayflow_responses_total", &[("outcome", "timeout")]),
+            value("arrayflow_requests_total", &[]),
+            latency,
+        ]
+    };
+    assert_eq!(counts(), [0; 7]);
 
     // A job whose client is already gone when the worker reaches it.
     let gone = CancelToken::new();
@@ -232,25 +238,13 @@ fn cancelled_jobs_have_their_own_counters_and_skip_the_latency_histogram() {
     // Mirroring the oversized-frame invariant: cancelled work gets its
     // own counters (split by reason) and never touches `requests` or the
     // latency histogram — no client was answered in time, so timing it
-    // would only skew the distribution.
-    let after = svc.stats();
-    assert_eq!(after.cancelled, before.cancelled + 2);
-    assert_eq!(after.cancelled_disconnect, before.cancelled_disconnect + 1);
-    assert_eq!(after.cancelled_expired, before.cancelled_expired + 1);
-    assert_eq!(after.deadline_propagated, before.deadline_propagated + 1);
-    assert_eq!(after.requests, before.requests);
-    assert_eq!(after.latency, before.latency);
-    assert_eq!(after.timeouts, before.timeouts, "cancelled is not timeout");
+    // would only skew the distribution. Nor is it a timeout.
+    assert_eq!(counts(), [2, 1, 1, 1, 0, 0, 0]);
 
     // A healthy request afterwards is counted and timed as usual.
     let resp = svc.handle_frame(analyze_frame(3, program).as_bytes());
     assert!(resp.line.contains(r#""ok":true"#), "{}", resp.line);
-    let done = svc.stats();
-    assert_eq!(done.requests, after.requests + 1);
-    assert_eq!(
-        done.latency.iter().sum::<u64>(),
-        after.latency.iter().sum::<u64>() + 1
-    );
+    assert_eq!(counts(), [2, 1, 1, 1, 0, 1, 1]);
 
     svc.shutdown();
     svc.join_workers();
@@ -407,15 +401,19 @@ fn run_workload(dir: &Path, with_storm: bool) -> (Vec<String>, Vec<Vec<u8>>) {
             WireResponse::Analyze(ok) => assert_eq!(ok.cache_hits, 1),
             other => panic!("completed work must stay cached: {other:?}"),
         }
-        let stats = svc.stats();
-        assert!(stats.cancelled >= 13, "storm must be counted: {stats:?}");
+        let cancelled = svc.registry().snapshot();
+        let cancelled = cancelled.value("arrayflow_responses_total", &[("outcome", "cancelled")]);
+        assert!(
+            cancelled >= Some(13),
+            "storm must be counted: {cancelled:?}"
+        );
         scratch.shutdown();
         scratch.join_workers();
     }
 
     svc.shutdown();
     svc.join_workers();
-    let store = Store::open(StoreConfig::at(dir)).unwrap();
+    let store = Store::open_in(StoreConfig::at(dir), &Registry::new()).unwrap();
     (lines, live_records(&store.export_live()))
 }
 
@@ -476,7 +474,7 @@ fn a_deadline_storm_leaves_live_answers_byte_identical_and_work_bounded() {
     };
     let solver_passes = |addr: SocketAddr| -> u64 {
         let metrics = client(addr).metrics_prometheus().unwrap();
-        counter_total(&metrics, "arrayflow_engine_solver_passes_total")
+        common::scrape(&metrics, "arrayflow_engine_solver_passes_total", &[]).unwrap()
     };
 
     // Golden run: the live stream alone.
@@ -546,8 +544,11 @@ fn a_deadline_storm_leaves_live_answers_byte_identical_and_work_bounded() {
     // The storm was shed, visibly: cancelled responses reached the
     // flooders and the counter moved.
     let metrics = client(addr).metrics_prometheus().unwrap();
-    let cancelled_total = counter_total(&metrics, "arrayflow_cancelled_jobs_total");
-    assert!(cancelled_total > 0, "storm must be counted:\n{metrics}");
+    let cancelled_total = common::scrape(&metrics, "arrayflow_cancelled_jobs_total", &[]);
+    assert!(
+        cancelled_total > Some(0),
+        "storm must be counted:\n{metrics}"
+    );
     assert!(cancelled_seen > 0, "flooders must see cancelled responses");
 
     // And shed cheaply: dead-on-arrival budgets cost no solver passes,

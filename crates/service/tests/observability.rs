@@ -1,31 +1,36 @@
 //! Observability integration tests: the metrics registry exported by a
-//! running service, the `metrics` verb's Prometheus exposition, and regression
-//! coverage for the three accounting bugfixes — oversized frames no
-//! longer skew the latency histogram, queue wait is measured and
-//! included in request latency, and `serve` reports a store-open failure
-//! as a structured one-line error instead of panicking.
+//! running service, the `metrics` verb's Prometheus exposition, the
+//! request-accounting rule over every outcome, and regression coverage
+//! for the three accounting bugfixes — oversized frames no longer skew
+//! the latency histogram, queue wait is measured and included in request
+//! latency, and `serve` reports a store-open failure as a structured
+//! one-line error instead of panicking.
 
 mod common;
 
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use arrayflow_engine::{passes_to_fix, CustomSpec, Engine, EngineConfig, Mode, Problem, CANNED};
 use arrayflow_ir::parse_program;
 use arrayflow_obs::{HistogramSnapshot, MetricValue, MetricsSnapshot};
+use arrayflow_resilience::{CancelToken, FaultPlan};
 use arrayflow_service::{FrameHandler, Json, Service, ServiceConfig};
 use arrayflow_store::StoreConfig;
 
-fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
-    match snap.find(name) {
-        Some(m) => match &m.value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => *v,
-            other => panic!("{name} is not a counter/gauge: {other:?}"),
-        },
-        None => panic!("metric {name} not registered"),
-    }
-}
+/// Every value of `arrayflow_responses_total{outcome}`.
+const OUTCOMES: [&str; 8] = [
+    "ok",
+    "parse",
+    "analysis",
+    "timeout",
+    "overloaded",
+    "protocol",
+    "session_lost",
+    "cancelled",
+];
 
 fn histogram(snap: &MetricsSnapshot, name: &str) -> HistogramSnapshot {
     histogram_with(snap, name, &[])
@@ -90,15 +95,18 @@ fn oversized_frames_never_enter_the_latency_distribution() {
         assert!(line.contains("protocol"), "oversized reply names its kind");
     }
 
-    let stats = service.stats();
-    assert_eq!(stats.oversized_frames, 7);
-    assert_eq!(stats.requests, 4, "oversized frames are not requests");
-    assert_eq!(stats.protocol_errors, 0, "oversized is its own class");
-    assert_eq!(stats.latency.iter().sum::<u64>(), 4);
-
     let snap = service.registry().snapshot();
-    assert_eq!(counter(&snap, "arrayflow_oversized_frames_total"), 7);
-    assert_eq!(counter(&snap, "arrayflow_requests_total"), 4);
+    assert_eq!(snap.value("arrayflow_oversized_frames_total", &[]), Some(7));
+    assert_eq!(
+        snap.value("arrayflow_requests_total", &[]),
+        Some(4),
+        "oversized frames are not requests"
+    );
+    assert_eq!(
+        snap.value("arrayflow_responses_total", &[("outcome", "protocol")]),
+        Some(0),
+        "oversized is its own class"
+    );
     let latency = histogram(&snap, "arrayflow_request_latency_us");
     assert_eq!(latency.count, 4, "only timed frames reach the histogram");
 
@@ -189,12 +197,12 @@ fn pass_histograms_and_effort_counters_sum_the_reports() {
     let passes: usize = reports.iter().map(|r| r.solver_passes()).sum();
     let visits: usize = reports.iter().map(|r| r.node_visits()).sum();
     assert_eq!(
-        counter(&snap, "arrayflow_engine_solver_passes_total"),
-        passes as u64
+        snap.value("arrayflow_engine_solver_passes_total", &[]),
+        Some(passes as u64)
     );
     assert_eq!(
-        counter(&snap, "arrayflow_engine_node_visits_total"),
-        visits as u64
+        snap.value("arrayflow_engine_node_visits_total", &[]),
+        Some(visits as u64)
     );
 }
 
@@ -230,8 +238,7 @@ fn queue_wait_is_measured_and_included_in_latency() {
         wait.sum,
         latency.sum
     );
-    let stats = service.stats();
-    assert_eq!(stats.queue_wait.iter().sum::<u64>(), programs.len() as u64);
+    assert_eq!(wait.total(), wait.count, "buckets partition the count");
 
     service.shutdown();
     service.join_workers();
@@ -260,7 +267,7 @@ fn metrics_snapshots_stay_consistent_under_concurrent_load() {
             let mut last = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let snap = reader_service.registry().snapshot();
-                let requests = counter(&snap, "arrayflow_requests_total");
+                let requests = snap.value("arrayflow_requests_total", &[]).unwrap();
                 assert!(requests >= last, "requests_total went backwards");
                 last = requests;
                 polls.fetch_add(1, Ordering::Relaxed);
@@ -296,7 +303,7 @@ fn metrics_snapshots_stay_consistent_under_concurrent_load() {
     assert!(polls.load(Ordering::Relaxed) > 0, "reader never polled");
     let total = (WRITERS * FRAMES_EACH) as u64;
     let snap = service.registry().snapshot();
-    assert_eq!(counter(&snap, "arrayflow_requests_total"), total);
+    assert_eq!(snap.value("arrayflow_requests_total", &[]), Some(total));
     let latency = histogram(&snap, "arrayflow_request_latency_us");
     assert_eq!(latency.count, total, "every request is timed exactly once");
     assert_eq!(
@@ -304,32 +311,144 @@ fn metrics_snapshots_stay_consistent_under_concurrent_load() {
         latency.count,
         "buckets partition the count"
     );
-    let by_outcome: u64 = [
-        "ok",
-        "parse",
-        "analysis",
-        "timeout",
-        "overloaded",
-        "protocol",
-    ]
-    .iter()
-    .map(|o| {
-        snap.find_with("arrayflow_responses_total", &[("outcome", o)])
-            .map_or(0, |m| match &m.value {
-                MetricValue::Counter(v) => *v,
-                other => panic!("responses_total is not a counter: {other:?}"),
-            })
-    })
-    .sum();
+    let by_outcome: u64 = OUTCOMES
+        .iter()
+        .filter(|&&o| o != "cancelled")
+        .map(|o| {
+            snap.value("arrayflow_responses_total", &[("outcome", o)])
+                .unwrap()
+        })
+        .sum();
     assert_eq!(by_outcome, total, "outcomes partition the request total");
 
     service.shutdown();
     service.join_workers();
 }
 
+/// Answers one frame on the event edge, as a connection would.
+fn answer_async(service: &Arc<Service>, frame: &str) -> mpsc::Receiver<Vec<u8>> {
+    let (tx, rx) = mpsc::channel();
+    let respond = Box::new(move |line| {
+        let _ = tx.send(line);
+    });
+    service.answer_json(frame.as_bytes(), CancelToken::new(), respond);
+    rx
+}
+
+fn wait_answer(rx: &mpsc::Receiver<Vec<u8>>) -> String {
+    let line = rx.recv_timeout(Duration::from_secs(30)).expect("answered");
+    String::from_utf8(line).unwrap()
+}
+
+fn assert_kind(resp: &str, kind: &str) {
+    assert!(
+        resp.contains(&format!(r#""kind":"{kind}""#)),
+        "{kind}: {resp}"
+    );
+}
+
+/// The request-accounting rule, from one snapshot of one run that
+/// produces every outcome: `requests_total` is the sum of
+/// `responses_total` over every outcome but `cancelled`, every request is
+/// timed exactly once, and cancelled and oversized traffic show only in
+/// their own series.
+#[test]
+fn requests_are_every_outcome_but_cancelled_and_oversized() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        queue_capacity: 1,
+        // Every solve stalls, so one job holds the lone worker while the
+        // 1-deep queue fills.
+        faults: Some(Arc::new(FaultPlan::parse("latency_us=200000").unwrap())),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let blocking = |frame: &str| service.handle_frame(frame.as_bytes()).line;
+
+    assert_ok(&blocking(r#"{"id": 1, "verb": "ping"}"#));
+    assert_kind(&blocking(&analyze_frame(2, "do do do")), "parse");
+    // Sessions need a single loop.
+    let open = r#"{"id": 3, "verb": "open", "program": "x := 1;"}"#;
+    assert_kind(&blocking(open), "analysis");
+    assert_kind(&blocking("} not json"), "protocol");
+    let delta = r#"{"id": 4, "verb": "delta", "session": 99, "fingerprint": "00000000000000000000000000000000", "stmt": 0, "text": "x := 1;"}"#;
+    assert_kind(&blocking(delta), "session_lost");
+    // The blocking edge answers a spent budget `timeout` and leaves the
+    // job for the worker to shed.
+    let spent = |id| {
+        format!(
+            r#"{{"id": {id}, "verb": "analyze", "program": "do i = 1, 9 A[i+1] := A[i]; end", "deadline_ms": 0}}"#
+        )
+    };
+    assert_kind(&blocking(&spent(5)), "timeout");
+    let shed = |snap: &MetricsSnapshot| {
+        let reason = |r| snap.value("arrayflow_cancelled_jobs_total", &[("reason", r)]);
+        reason("disconnect").unwrap() + reason("expired").unwrap()
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while shed(&service.registry().snapshot()) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the job was never shed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The event edge has nobody waiting: the worker answers `cancelled`.
+    assert_kind(
+        &wait_answer(&answer_async(&service, &spent(6))),
+        "cancelled",
+    );
+    // The worker takes one stalled solve, the queue holds one more, and
+    // the rest are turned away.
+    let flood: Vec<_> = distinct_programs(3)
+        .iter()
+        .enumerate()
+        .map(|(i, p)| answer_async(&service, &analyze_frame(7 + i, p)))
+        .collect();
+    let flood: Vec<String> = flood.iter().map(wait_answer).collect();
+    assert!(
+        flood.iter().any(|r| r.contains(r#""kind":"overloaded""#)),
+        "{flood:?}"
+    );
+    service.oversized_json();
+    service.oversized_binary(1 << 30);
+
+    let snap = service.registry().snapshot();
+    let responses = |outcome| {
+        snap.value("arrayflow_responses_total", &[("outcome", outcome)])
+            .unwrap()
+    };
+    for outcome in OUTCOMES {
+        assert!(responses(outcome) > 0, "no {outcome} response");
+    }
+    let requests = snap.value("arrayflow_requests_total", &[]).unwrap();
+    let answered: u64 = OUTCOMES
+        .iter()
+        .filter(|&&o| o != "cancelled")
+        .map(|o| responses(o))
+        .sum();
+    assert_eq!(
+        requests, answered,
+        "requests are every outcome but cancelled"
+    );
+    let latency = histogram(&snap, "arrayflow_request_latency_us");
+    assert_eq!(latency.count, requests, "every request is timed once");
+    // Cancelled and oversized traffic land only in their own series: the
+    // nine frames answered in time above are every request, and the one
+    // `protocol` answer is the malformed frame's.
+    assert_eq!(requests, 9);
+    assert_eq!(responses("protocol"), 1);
+    assert_eq!(responses("cancelled"), 1);
+    assert_eq!(shed(&snap), 2, "the timed-out job and the cancelled one");
+    assert_eq!(snap.value("arrayflow_oversized_frames_total", &[]), Some(2));
+
+    service.shutdown();
+    service.join_workers();
+}
+
 /// The `metrics` verb returns every layer's instruments — service,
-/// engine, cache, store, tier — as structured JSON plus a Prometheus
-/// text exposition.
+/// engine, cache, store, tier — as one Prometheus text exposition, the
+/// answer's only field.
 #[test]
 fn metrics_verb_exports_every_layer() {
     let dir = std::env::temp_dir().join(format!("afobs-metrics-{}", std::process::id()));
@@ -513,7 +632,7 @@ fn registry_is_shared_across_service_handles() {
     let resp = clone.handle_frame(br#"{"id": 0, "verb": "ping"}"#);
     assert_ok(&resp.line);
     let snap = service.registry().snapshot();
-    assert_eq!(counter(&snap, "arrayflow_requests_total"), 1);
+    assert_eq!(snap.value("arrayflow_requests_total", &[]), Some(1));
     service.shutdown();
     service.join_workers();
 }

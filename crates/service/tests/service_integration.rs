@@ -13,6 +13,20 @@ use std::time::Duration;
 use arrayflow_engine::{Engine, EngineConfig};
 use arrayflow_service::{EventServer, Json, ProtoMode, Service, ServiceConfig};
 
+/// The unlabelled counter or gauge `name`, read in-process.
+fn count(service: &Service, name: &str) -> u64 {
+    service.registry().snapshot().value(name, &[]).unwrap()
+}
+
+/// `arrayflow_responses_total` for one outcome, read in-process.
+fn responses(service: &Service, outcome: &str) -> u64 {
+    let labels = [("outcome", outcome)];
+    let snapshot = service.registry().snapshot();
+    snapshot
+        .value("arrayflow_responses_total", &labels)
+        .unwrap()
+}
+
 /// One test client: a connection plus line-oriented send/receive.
 struct Client {
     reader: BufReader<TcpStream>,
@@ -161,12 +175,15 @@ fn concurrent_clients_get_id_matched_byte_identical_reports() {
         }
     });
 
-    let stats = service.stats();
-    assert_eq!(stats.ok, (CLIENTS * REQUESTS) as u64);
-    assert_eq!(stats.requests, stats.ok);
-    assert_eq!(stats.connections, CLIENTS as u64);
+    let ok = responses(&service, "ok");
+    assert_eq!(ok, (CLIENTS * REQUESTS) as u64);
+    assert_eq!(count(&service, "arrayflow_requests_total"), ok);
+    assert_eq!(
+        count(&service, "arrayflow_connections_total"),
+        CLIENTS as u64
+    );
     // Alpha-equivalent duplicates hit the shared cache.
-    assert!(service.engine_stats().cache.hits > 0);
+    assert!(count(&service, "arrayflow_cache_hits_total") > 0);
 
     service.shutdown();
     service.join_workers();
@@ -193,7 +210,7 @@ fn malformed_json_is_protocol_error_and_connection_survives() {
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(resp.get("id").and_then(Json::as_u64), Some(5));
 
-    assert_eq!(service.stats().protocol_errors, 2);
+    assert_eq!(responses(&service, "protocol"), 2);
     service.shutdown();
     service.join_workers();
 }
@@ -248,9 +265,8 @@ fn oversized_frame_is_rejected_and_connection_survives() {
     );
     // Oversized frames get their own counter — they are not protocol
     // errors, not requests, and never land in the latency histogram.
-    let stats = service.stats();
-    assert_eq!(stats.oversized_frames, 1);
-    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(count(&service, "arrayflow_oversized_frames_total"), 1);
+    assert_eq!(responses(&service, "protocol"), 0);
     service.shutdown();
     service.join_workers();
 }
@@ -292,7 +308,9 @@ fn deadline_miss_is_cancelled_and_connection_survives() {
         client.recv_json().get("ok").and_then(Json::as_bool),
         Some(true)
     );
-    assert_eq!(service.stats().cancelled_expired, 1);
+    let expired = service.registry().snapshot();
+    let expired = expired.value("arrayflow_cancelled_jobs_total", &[("reason", "expired")]);
+    assert_eq!(expired, Some(1));
     service.shutdown();
     service.join_workers();
 }
@@ -334,10 +352,14 @@ fn overload_is_reported_when_queue_is_full() {
             });
         }
     });
-    let stats = service.stats();
-    assert_eq!(stats.requests, (CLIENTS * 10) as u64);
-    assert_eq!(stats.ok + stats.overloaded + stats.timeouts, stats.requests);
-    assert!(stats.queue_depth_hwm <= 1);
+    let requests = count(&service, "arrayflow_requests_total");
+    assert_eq!(requests, (CLIENTS * 10) as u64);
+    let answered: u64 = ["ok", "overloaded", "timeout"]
+        .iter()
+        .map(|o| responses(&service, o))
+        .sum();
+    assert_eq!(answered, requests);
+    assert!(count(&service, "arrayflow_queue_depth_hwm") <= 1);
     service.shutdown();
     service.join_workers();
 }
@@ -393,11 +415,23 @@ fn graceful_shutdown_drains_in_flight_requests() {
     assert!(service.is_shutdown());
 
     // Counters are consistent: every request has exactly one outcome.
-    let stats = service.stats();
-    assert_eq!(stats.requests, CLIENTS as u64 + 1); // + shutdown verb
-    assert_eq!(stats.ok + stats.errors(), stats.requests);
+    let requests = count(&service, "arrayflow_requests_total");
+    assert_eq!(requests, CLIENTS as u64 + 1); // + shutdown verb
+    let answered: u64 = [
+        "ok",
+        "parse",
+        "analysis",
+        "timeout",
+        "overloaded",
+        "protocol",
+        "session_lost",
+    ]
+    .iter()
+    .map(|o| responses(&service, o))
+    .sum();
+    assert_eq!(answered, requests);
     let answered_ok = outcomes.iter().filter(|o| *o == "ok").count() as u64;
-    assert_eq!(stats.ok, answered_ok + 1); // + shutdown verb
+    assert_eq!(responses(&service, "ok"), answered_ok + 1); // + shutdown verb
 }
 
 #[test]

@@ -133,10 +133,7 @@ fn soak(front: Front) {
     let mut c = Client::new(addr.to_string(), ClientConfig::default());
     let metrics = c.metrics_prometheus().unwrap();
     // Through a router the node's sample carries a `node` label.
-    let hits: u64 = metrics
-        .lines()
-        .filter(|l| l.starts_with("arrayflow_fingerprint_fast_hits_total"))
-        .find_map(|l| l.rsplit(' ').next()?.parse().ok())
+    let hits = common::scrape(&metrics, "arrayflow_fingerprint_fast_hits_total", &[])
         .expect("fast-hit counter in exposition");
     assert!(
         hits > conns.len() as u64,

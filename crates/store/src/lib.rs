@@ -27,10 +27,14 @@
 //! ## Example
 //!
 //! ```
+//! use arrayflow_obs::Registry;
 //! use arrayflow_store::{Store, StoreConfig};
 //! # let dir = std::env::temp_dir().join(format!("afstore-doc-{}", std::process::id()));
-//! let store = Store::open(StoreConfig::at(&dir)).unwrap();
+//! let registry = Registry::new();
+//! let store = Store::open_in(StoreConfig::at(&dir), &registry).unwrap();
 //! assert!(store.is_empty());
+//! let segments = registry.snapshot().value("arrayflow_store_segments", &[]);
+//! assert_eq!(segments, Some(0));
 //! # drop(store);
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
@@ -47,5 +51,5 @@ mod tier;
 pub use codec::{decode_record, encode_record, DecodeError, Record};
 pub use crc::crc32;
 pub use segment::{ScanStats, ScannedRecord};
-pub use store::{CompactionReport, RecoveryReport, SharedStore, Store, StoreConfig, StoreStats};
-pub use tier::{PersistentTier, ReplicationSink, TierStats};
+pub use store::{CompactionReport, RecoveryReport, SharedStore, Store, StoreConfig};
+pub use tier::{PersistentTier, ReplicationSink};

@@ -71,7 +71,7 @@ impl StoreConfig {
     }
 }
 
-/// What [`Store::open`] found on disk.
+/// What [`Store::open_in`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Segment files scanned.
@@ -84,49 +84,6 @@ pub struct RecoveryReport {
     pub bad_segments: u64,
     /// Live keys in the index after replay.
     pub live_records: u64,
-}
-
-/// Monotonic store counters plus a size snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Live records in the index.
-    pub records: u64,
-    /// Segment files currently on disk.
-    pub segments: u64,
-    /// Total bytes across segment files.
-    pub bytes: u64,
-    /// `get` calls answered from disk.
-    pub disk_hits: u64,
-    /// `get` calls that found no live record.
-    pub disk_misses: u64,
-    /// `get` calls whose disk read failed validation (counted *and*
-    /// reported as a miss — a corrupt record is never returned).
-    pub read_errors: u64,
-    /// Records appended since open (puts and tombstones).
-    pub appends: u64,
-    /// Corrupt records skipped during recovery.
-    pub recovery_skipped: u64,
-    /// Compaction passes completed.
-    pub compactions: u64,
-}
-
-impl std::fmt::Display for StoreStats {
-    /// One-line summary, e.g.
-    /// `records=31 segments=2 bytes=4096 disk_hits=7 disk_misses=1 appends=31 recovery_skipped=0 compactions=1`.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "records={} segments={} bytes={} disk_hits={} disk_misses={} appends={} recovery_skipped={} compactions={}",
-            self.records,
-            self.segments,
-            self.bytes,
-            self.disk_hits,
-            self.disk_misses,
-            self.appends,
-            self.recovery_skipped,
-            self.compactions
-        )
-    }
 }
 
 /// The outcome of one compaction pass.
@@ -239,8 +196,7 @@ impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
             .field("dir", &self.config.dir)
-            .field("stats", &self.stats())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -248,15 +204,8 @@ impl Store {
     /// Opens (creating the directory if needed) and recovers a store:
     /// every segment is scanned in id order, intact records rebuild the
     /// index last-write-wins, corrupt ones are skipped and counted. The
-    /// store's instruments land on a fresh private [`Registry`]; use
-    /// [`Store::open_in`] to share one.
-    pub fn open(config: StoreConfig) -> io::Result<Store> {
-        Self::open_in(config, &Registry::new())
-    }
-
-    /// Like [`Store::open`], but registers the store's instruments on
-    /// `registry` so one `metrics` scrape covers the persistence layer
-    /// too.
+    /// store's instruments land on `registry`, so one `metrics` scrape
+    /// covers the persistence layer too.
     pub fn open_in(config: StoreConfig, registry: &Registry) -> io::Result<Store> {
         fs::create_dir_all(&config.dir)?;
         let mut seg_ids: Vec<u64> = fs::read_dir(&config.dir)?
@@ -347,21 +296,6 @@ impl Store {
     /// True when no live records exist.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            records: self.ins.live_records.get(),
-            segments: self.ins.segments.get(),
-            bytes: self.ins.bytes.get(),
-            disk_hits: self.ins.disk_hits.get(),
-            disk_misses: self.ins.disk_misses.get(),
-            read_errors: self.ins.read_errors.get(),
-            appends: self.ins.appends.get(),
-            recovery_skipped: self.recovery.skipped,
-            compactions: self.ins.compactions.get(),
-        }
     }
 
     fn read_location(&self, loc: Location) -> Option<Record> {
@@ -704,6 +638,16 @@ mod tests {
         }
     }
 
+    /// Opens `config` on a registry no test reads.
+    fn open(config: StoreConfig) -> Store {
+        Store::open_in(config, &Registry::new()).unwrap()
+    }
+
+    /// The counter or gauge `name` on `registry`.
+    fn count(registry: &Registry, name: &str) -> u64 {
+        registry.snapshot().value(name, &[]).unwrap()
+    }
+
     fn report(fp: u128, sites: usize) -> AnalysisReport {
         AnalysisReport {
             fingerprint: Fingerprint(fp),
@@ -722,23 +666,23 @@ mod tests {
     #[test]
     fn put_get_round_trip() {
         let dir = TempDir::new("roundtrip");
-        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        let registry = Registry::new();
+        let store = Store::open_in(StoreConfig::at(&dir.0), &registry).unwrap();
         store.put(key(1), report(1, 3)).unwrap();
         store.put(key(2), report(2, 4)).unwrap();
         assert_eq!(store.get(&key(1)), Some(report(1, 3)));
         assert_eq!(store.get(&key(2)), Some(report(2, 4)));
         assert_eq!(store.get(&key(3)), None);
-        let stats = store.stats();
-        assert_eq!(stats.records, 2);
-        assert_eq!(stats.disk_hits, 2);
-        assert_eq!(stats.disk_misses, 1);
-        assert_eq!(stats.appends, 2);
+        assert_eq!(count(&registry, "arrayflow_store_live_records"), 2);
+        assert_eq!(count(&registry, "arrayflow_store_disk_hits_total"), 2);
+        assert_eq!(count(&registry, "arrayflow_store_disk_misses_total"), 1);
+        assert_eq!(count(&registry, "arrayflow_store_appends_total"), 2);
     }
 
     #[test]
     fn last_write_wins_and_tombstones_kill() {
         let dir = TempDir::new("lww");
-        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        let store = open(StoreConfig::at(&dir.0));
         store.put(key(1), report(1, 3)).unwrap();
         store.put(key(1), report(1, 9)).unwrap();
         assert_eq!(store.get(&key(1)), Some(report(1, 9)));
@@ -751,13 +695,13 @@ mod tests {
     fn reopen_recovers_live_set() {
         let dir = TempDir::new("reopen");
         {
-            let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+            let store = open(StoreConfig::at(&dir.0));
             store.put(key(1), report(1, 3)).unwrap();
             store.put(key(2), report(2, 4)).unwrap();
             store.put(key(1), report(1, 7)).unwrap();
             store.remove(key(2)).unwrap();
         }
-        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        let store = open(StoreConfig::at(&dir.0));
         let rec = store.recovery();
         assert_eq!(rec.records_replayed, 4);
         assert_eq!(rec.skipped, 0);
@@ -772,13 +716,15 @@ mod tests {
         let mut config = StoreConfig::at(&dir.0);
         config.segment_bytes = 128; // force a rotation every few records
         {
-            let store = Store::open(config.clone()).unwrap();
+            let registry = Registry::new();
+            let store = Store::open_in(config.clone(), &registry).unwrap();
             for i in 0..20u128 {
                 store.put(key(i), report(i, i as usize)).unwrap();
             }
-            assert!(store.stats().segments > 1, "expected rotation");
+            let segments = count(&registry, "arrayflow_store_segments");
+            assert!(segments > 1, "expected rotation");
         }
-        let store = Store::open(config).unwrap();
+        let store = open(config);
         assert_eq!(store.len(), 20);
         for i in 0..20u128 {
             assert_eq!(store.get(&key(i)), Some(report(i, i as usize)), "key {i}");
@@ -790,18 +736,23 @@ mod tests {
         let dir = TempDir::new("compact");
         let mut config = StoreConfig::at(&dir.0);
         config.segment_bytes = 256;
-        let store = Store::open(config.clone()).unwrap();
+        let registry = Registry::new();
+        let store = Store::open_in(config.clone(), &registry).unwrap();
         for i in 0..10u128 {
             store.put(key(i), report(i, 1)).unwrap();
             store.put(key(i), report(i, 2)).unwrap(); // supersede
         }
         store.remove(key(9)).unwrap();
-        let before = store.stats();
+        let before = count(&registry, "arrayflow_store_bytes");
         let report_c = store.compact().unwrap();
         assert_eq!(report_c.live_records, 9);
         assert_eq!(report_c.dropped, 21 - 9);
+        assert_eq!(report_c.bytes_before, before);
         assert!(report_c.bytes_after < report_c.bytes_before);
-        assert!(store.stats().bytes < before.bytes);
+        assert_eq!(
+            count(&registry, "arrayflow_store_bytes"),
+            report_c.bytes_after
+        );
         for i in 0..9u128 {
             assert_eq!(store.get(&key(i)), Some(report(i, 2)), "key {i}");
         }
@@ -809,7 +760,7 @@ mod tests {
         // Appends after compaction land in fresh segments; reopen agrees.
         store.put(key(100), report(100, 5)).unwrap();
         drop(store);
-        let store = Store::open(config).unwrap();
+        let store = open(config);
         assert_eq!(store.recovery().skipped, 0);
         assert_eq!(store.len(), 10);
         assert_eq!(store.get(&key(100)), Some(report(100, 5)));
@@ -819,7 +770,7 @@ mod tests {
     #[test]
     fn for_each_live_visits_exactly_live() {
         let dir = TempDir::new("foreach");
-        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        let store = open(StoreConfig::at(&dir.0));
         for i in 0..5u128 {
             store.put(key(i), report(i, 1)).unwrap();
         }
@@ -835,14 +786,14 @@ mod tests {
     fn export_import_replicates_live_set() {
         let src_dir = TempDir::new("export-src");
         let dst_dir = TempDir::new("export-dst");
-        let src = Store::open(StoreConfig::at(&src_dir.0)).unwrap();
+        let src = open(StoreConfig::at(&src_dir.0));
         for i in 0..6u128 {
             src.put(key(i), report(i, i as usize)).unwrap();
         }
         src.remove(key(5)).unwrap();
         let batch = src.export_live();
 
-        let dst = Store::open(StoreConfig::at(&dst_dir.0)).unwrap();
+        let dst = open(StoreConfig::at(&dst_dir.0));
         // Pre-seed one key: the import must skip it, not duplicate it.
         dst.put(key(2), report(2, 2)).unwrap();
         let applied = dst.import_frames(&batch).unwrap();
@@ -859,7 +810,7 @@ mod tests {
     #[test]
     fn import_rejects_corrupt_batches() {
         let dir = TempDir::new("import-corrupt");
-        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        let store = open(StoreConfig::at(&dir.0));
         store.put(key(1), report(1, 1)).unwrap();
         let mut batch = store.export_live();
         // Truncated tail.
@@ -877,7 +828,8 @@ mod tests {
     #[test]
     fn corrupt_record_on_disk_is_a_miss_not_a_panic() {
         let dir = TempDir::new("corrupt-get");
-        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        let registry = Registry::new();
+        let store = Store::open_in(StoreConfig::at(&dir.0), &registry).unwrap();
         store.put(key(1), report(1, 3)).unwrap();
         // Flip a payload byte behind the store's back.
         let seg = dir.0.join(segment_file_name(1));
@@ -886,8 +838,7 @@ mod tests {
         bytes[n - 2] ^= 0xFF;
         fs::write(&seg, bytes).unwrap();
         assert_eq!(store.get(&key(1)), None);
-        let stats = store.stats();
-        assert_eq!(stats.read_errors, 1);
-        assert_eq!(stats.disk_misses, 1);
+        assert_eq!(count(&registry, "arrayflow_store_read_errors_total"), 1);
+        assert_eq!(count(&registry, "arrayflow_store_disk_misses_total"), 1);
     }
 }

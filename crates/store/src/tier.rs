@@ -6,8 +6,8 @@
 //! path of a cache miss that was going to solve four data-flow problems
 //! anyway. Writes (`store`) must never stall analysis, so they are
 //! forwarded with `try_send`; when the queue is full the append is
-//! dropped and counted (`dropped_appends`) — losing a cache write costs
-//! a future re-analysis, never correctness.
+//! dropped and counted (`arrayflow_tier_dropped_appends_total`) — losing
+//! a cache write costs a future re-analysis, never correctness.
 //!
 //! [`MemoCache`]: arrayflow_engine::MemoCache
 
@@ -39,24 +39,6 @@ pub trait ReplicationSink: Send + Sync {
     /// A flush barrier passed: everything recorded so far should be
     /// shipped at the next opportunity.
     fn barrier(&self);
-}
-
-/// Counters specific to the tier (the store keeps its own).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TierStats {
-    /// Appends accepted onto the writer queue.
-    pub queued_appends: u64,
-    /// Appends dropped because the queue was full (backpressure).
-    pub dropped_appends: u64,
-    /// Appends that reached disk.
-    pub written_appends: u64,
-    /// Appends that failed with an I/O error on the writer thread.
-    pub failed_appends: u64,
-    /// Appends refused locally because the write-path breaker was open
-    /// (the memory-only degraded mode).
-    pub breaker_dropped_appends: u64,
-    /// Times the write-path breaker has tripped open.
-    pub breaker_trips: u64,
 }
 
 /// Disk-backed second tier with an asynchronous writer thread and a
@@ -164,22 +146,16 @@ impl TierInstruments {
 impl std::fmt::Debug for PersistentTier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PersistentTier")
-            .field("stats", &self.stats())
-            .finish()
+            .field("store", &self.store)
+            .field("breaker", &self.breaker_state())
+            .finish_non_exhaustive()
     }
 }
 
 impl PersistentTier {
     /// Wraps `store`, spawning the writer thread. `queue_bound` is the
     /// maximum number of in-flight appends before backpressure drops new
-    /// ones. Instruments land on a fresh private [`Registry`]; use
-    /// [`PersistentTier::new_in`] to share one.
-    pub fn new(store: Arc<Store>, queue_bound: usize) -> Arc<PersistentTier> {
-        Self::new_in(store, queue_bound, &Registry::new())
-    }
-
-    /// Like [`PersistentTier::new`], but registers the tier's counters and
-    /// phase histograms on `registry`.
+    /// ones. The tier's counters and phase histograms land on `registry`.
     pub fn new_in(
         store: Arc<Store>,
         queue_bound: usize,
@@ -258,18 +234,6 @@ impl PersistentTier {
     /// The underlying store.
     pub fn store_handle(&self) -> &Arc<Store> {
         &self.store
-    }
-
-    /// Tier counters.
-    pub fn stats(&self) -> TierStats {
-        TierStats {
-            queued_appends: self.ins.queued.get(),
-            dropped_appends: self.ins.dropped.get(),
-            written_appends: self.ins.written.get(),
-            failed_appends: self.ins.failed.get(),
-            breaker_dropped_appends: self.ins.breaker_dropped.get(),
-            breaker_trips: self.breaker.trips(),
-        }
     }
 
     /// Current state of the write-path circuit breaker.

@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use arrayflow_engine::{AnalysisReport, CacheKey, ProblemSet, SecondTier};
 use arrayflow_ir::Fingerprint;
+use arrayflow_obs::Registry;
 use arrayflow_resilience::{BreakerState, FaultPlan};
 use arrayflow_store::{PersistentTier, Store, StoreConfig};
 
@@ -62,6 +63,23 @@ fn config(dir: &TempDir, threshold: u32, cooldown: Duration) -> StoreConfig {
     c
 }
 
+/// A store and its tier, both counting into the returned registry.
+fn open(
+    dir: &TempDir,
+    threshold: u32,
+    cooldown: Duration,
+) -> (Arc<Store>, Arc<PersistentTier>, Registry) {
+    let registry = Registry::new();
+    let store = Arc::new(Store::open_in(config(dir, threshold, cooldown), &registry).unwrap());
+    let tier = PersistentTier::new_in(Arc::clone(&store), 64, &registry);
+    (store, tier, registry)
+}
+
+/// The counter `name` on `registry`.
+fn count(registry: &Registry, name: &str) -> u64 {
+    registry.snapshot().value(name, &[]).unwrap()
+}
+
 /// Queues one append and waits for the writer to process it.
 fn store_and_flush(tier: &PersistentTier, fp: u128) {
     tier.store(&key(fp), &Arc::new(report(fp)));
@@ -71,12 +89,11 @@ fn store_and_flush(tier: &PersistentTier, fp: u128) {
 #[test]
 fn trips_after_threshold_and_degrades_to_memory_only() {
     let dir = TempDir::new("trip");
-    let store = Arc::new(Store::open(config(&dir, 3, Duration::from_secs(3600))).unwrap());
+    let (store, tier, registry) = open(&dir, 3, Duration::from_secs(3600));
     // Every append fails, as if the disk had died.
     store.set_fault_surface(Arc::new(
         FaultPlan::parse("store_io_first=1000000").unwrap(),
     ));
-    let tier = PersistentTier::new(Arc::clone(&store), 64);
 
     for fp in 0..3 {
         store_and_flush(&tier, fp);
@@ -87,19 +104,26 @@ fn trips_after_threshold_and_degrades_to_memory_only() {
         };
         assert_eq!(tier.breaker_state(), expected, "after failure #{}", fp + 1);
     }
-    let s = tier.stats();
-    assert_eq!(s.failed_appends, 3);
-    assert_eq!(s.breaker_trips, 1);
-    assert_eq!(s.breaker_dropped_appends, 0);
+    let count = |name| count(&registry, name);
+    assert_eq!(count("arrayflow_tier_failed_appends_total"), 3);
+    assert_eq!(count("arrayflow_store_breaker_trips_total"), 1);
+    assert_eq!(count("arrayflow_tier_breaker_dropped_total"), 0);
 
     // Open breaker: appends are refused locally, the disk is left alone.
     for fp in 10..20 {
         store_and_flush(&tier, fp);
     }
-    let s = tier.stats();
-    assert_eq!(s.failed_appends, 3, "no further I/O was attempted");
-    assert_eq!(s.breaker_dropped_appends, 10);
-    assert_eq!(s.queued_appends, 3, "refused appends never hit the queue");
+    assert_eq!(
+        count("arrayflow_tier_failed_appends_total"),
+        3,
+        "no further I/O was attempted"
+    );
+    assert_eq!(count("arrayflow_tier_breaker_dropped_total"), 10);
+    assert_eq!(
+        count("arrayflow_tier_queued_appends_total"),
+        3,
+        "refused appends never hit the queue"
+    );
     assert_eq!(tier.breaker_state(), BreakerState::Open);
 }
 
@@ -108,24 +132,24 @@ fn half_open_probe_closes_on_success() {
     let dir = TempDir::new("recover");
     // The first two appends fail (tripping the threshold-2 breaker), the
     // disk then "recovers"; cooldown zero admits the probe immediately.
-    let store = Arc::new(Store::open(config(&dir, 2, Duration::ZERO)).unwrap());
+    let (store, tier, registry) = open(&dir, 2, Duration::ZERO);
     store.set_fault_surface(Arc::new(FaultPlan::parse("store_io_first=2").unwrap()));
-    let tier = PersistentTier::new(Arc::clone(&store), 64);
+    let count = |name| count(&registry, name);
 
     store_and_flush(&tier, 1);
     store_and_flush(&tier, 2);
     assert_eq!(tier.breaker_state(), BreakerState::Open);
-    assert_eq!(tier.stats().breaker_trips, 1);
+    assert_eq!(count("arrayflow_store_breaker_trips_total"), 1);
 
     // The next append is admitted as the half-open probe, succeeds on
     // disk, and closes the breaker.
     store_and_flush(&tier, 3);
     assert_eq!(tier.breaker_state(), BreakerState::Closed);
-    assert_eq!(tier.stats().written_appends, 1);
+    assert_eq!(count("arrayflow_tier_written_appends_total"), 1);
 
     // Back to normal: writes reach the disk again.
     store_and_flush(&tier, 4);
-    assert_eq!(tier.stats().written_appends, 2);
+    assert_eq!(count("arrayflow_tier_written_appends_total"), 2);
     assert_eq!(store.get(&key(4)).as_ref(), Some(&report(4)));
 }
 
@@ -134,9 +158,9 @@ fn failed_probe_reopens() {
     let dir = TempDir::new("reopen");
     // Failures: 2 to trip, then the probe (append #3) also fails, then
     // the disk recovers for the second probe.
-    let store = Arc::new(Store::open(config(&dir, 2, Duration::ZERO)).unwrap());
+    let (store, tier, registry) = open(&dir, 2, Duration::ZERO);
     store.set_fault_surface(Arc::new(FaultPlan::parse("store_io_first=3").unwrap()));
-    let tier = PersistentTier::new(Arc::clone(&store), 64);
+    let count = |name| count(&registry, name);
 
     store_and_flush(&tier, 1);
     store_and_flush(&tier, 2);
@@ -144,23 +168,22 @@ fn failed_probe_reopens() {
 
     store_and_flush(&tier, 3); // probe, fails on disk
     assert_eq!(tier.breaker_state(), BreakerState::Open);
-    assert_eq!(tier.stats().breaker_trips, 2);
+    assert_eq!(count("arrayflow_store_breaker_trips_total"), 2);
 
     store_and_flush(&tier, 4); // second probe, disk is back
     assert_eq!(tier.breaker_state(), BreakerState::Closed);
-    assert_eq!(tier.stats().failed_appends, 3);
-    assert_eq!(tier.stats().written_appends, 1);
+    assert_eq!(count("arrayflow_tier_failed_appends_total"), 3);
+    assert_eq!(count("arrayflow_tier_written_appends_total"), 1);
 }
 
 #[test]
 fn reads_keep_working_while_writes_are_broken() {
     let dir = TempDir::new("reads");
-    let store = Arc::new(Store::open(config(&dir, 1, Duration::from_secs(3600))).unwrap());
-    let tier = PersistentTier::new(Arc::clone(&store), 64);
+    let (store, tier, registry) = open(&dir, 1, Duration::from_secs(3600));
 
     // One good write before the disk dies.
     store_and_flush(&tier, 7);
-    assert_eq!(tier.stats().written_appends, 1);
+    assert_eq!(count(&registry, "arrayflow_tier_written_appends_total"), 1);
 
     store.set_fault_surface(Arc::new(
         FaultPlan::parse("store_io_first=1000000").unwrap(),

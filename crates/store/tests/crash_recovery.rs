@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use arrayflow_engine::{AnalysisReport, CacheKey, ProblemSet};
 use arrayflow_ir::Fingerprint;
+use arrayflow_obs::Registry;
 use arrayflow_store::segment::{FRAME_LEN, HEADER_LEN};
 use arrayflow_store::{decode_record, Store, StoreConfig};
 
@@ -33,6 +34,12 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.0);
     }
+}
+
+/// Opens (and recovers) the store at `config` on a registry no test
+/// reads.
+fn open(config: StoreConfig) -> Store {
+    Store::open_in(config, &Registry::new()).unwrap()
 }
 
 fn key(fp: u128) -> CacheKey {
@@ -62,7 +69,7 @@ fn report(fp: u128) -> AnalysisReport {
 /// Writes `n` records into one segment and returns the store directory's
 /// single segment path.
 fn populate_one_segment(dir: &TempDir, n: u128) -> PathBuf {
-    let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+    let store = open(StoreConfig::at(&dir.0));
     for i in 0..n {
         store.put(key(i), report(i)).unwrap();
     }
@@ -80,7 +87,7 @@ fn truncate_mid_record_loses_exactly_the_tail() {
     let bytes = fs::read(&seg).unwrap();
     fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
 
-    let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+    let store = open(StoreConfig::at(&dir.0));
     let rec = store.recovery();
     assert_eq!(rec.records_replayed, 4);
     assert_eq!(rec.skipped, 1);
@@ -102,7 +109,7 @@ fn truncate_mid_frame_header_loses_exactly_the_tail() {
     let cut = HEADER_LEN + 2 * record_len + FRAME_LEN / 2;
     fs::write(&seg, &bytes[..cut]).unwrap();
 
-    let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+    let store = open(StoreConfig::at(&dir.0));
     let rec = store.recovery();
     assert_eq!((rec.records_replayed, rec.skipped), (2, 1));
     assert_eq!(store.len(), 2);
@@ -117,7 +124,7 @@ fn body_byte_flip_skips_one_record_and_resyncs() {
     bytes[HEADER_LEN + FRAME_LEN + 2] ^= 0xA5;
     fs::write(&seg, bytes).unwrap();
 
-    let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+    let store = open(StoreConfig::at(&dir.0));
     let rec = store.recovery();
     assert_eq!(rec.records_replayed, 4);
     assert_eq!(rec.skipped, 1);
@@ -137,7 +144,7 @@ fn crc_field_byte_flip_skips_one_record_and_resyncs() {
     bytes[HEADER_LEN + record_len + 5] ^= 0xFF;
     fs::write(&seg, bytes).unwrap();
 
-    let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+    let store = open(StoreConfig::at(&dir.0));
     let rec = store.recovery();
     assert_eq!(rec.records_replayed, 4);
     assert_eq!(rec.skipped, 1);
@@ -160,7 +167,7 @@ fn length_field_corruption_abandons_the_tail_as_one_skip() {
     bytes[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     fs::write(&seg, bytes).unwrap();
 
-    let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+    let store = open(StoreConfig::at(&dir.0));
     let rec = store.recovery();
     assert_eq!(rec.records_replayed, 2);
     assert_eq!(rec.skipped, 1);
@@ -173,11 +180,13 @@ fn corrupted_segment_header_skips_that_segment_only() {
     let mut config = StoreConfig::at(&dir.0);
     config.segment_bytes = 256; // several segments
     {
-        let store = Store::open(config.clone()).unwrap();
+        let registry = Registry::new();
+        let store = Store::open_in(config.clone(), &registry).unwrap();
         for i in 0..12u128 {
             store.put(key(i), report(i)).unwrap();
         }
-        assert!(store.stats().segments >= 3, "need multiple segments");
+        let segments = registry.snapshot().value("arrayflow_store_segments", &[]);
+        assert!(segments >= Some(3), "need multiple segments");
     }
     // Count what segment 2 holds, then corrupt its magic.
     let seg2 = dir.0.join(arrayflow_store::segment::segment_file_name(2));
@@ -188,7 +197,7 @@ fn corrupted_segment_header_skips_that_segment_only() {
     bytes[0] ^= 0xFF;
     fs::write(&seg2, bytes).unwrap();
 
-    let store = Store::open(config).unwrap();
+    let store = open(config);
     let rec = store.recovery();
     assert_eq!(rec.bad_segments, 1);
     assert_eq!(rec.skipped, 1, "a bad segment is one counted skip");
@@ -215,11 +224,13 @@ fn deleted_segment_loses_its_records_and_nothing_else() {
     config.segment_bytes = 256;
     let keys_in_seg2: Vec<u128>;
     {
-        let store = Store::open(config.clone()).unwrap();
+        let registry = Registry::new();
+        let store = Store::open_in(config.clone(), &registry).unwrap();
         for i in 0..12u128 {
             store.put(key(i), report(i)).unwrap();
         }
-        assert!(store.stats().segments >= 3);
+        let segments = registry.snapshot().value("arrayflow_store_segments", &[]);
+        assert!(segments >= Some(3));
         drop(store);
         // Find which keys live in segment 2 by scanning it.
         let seg2 = dir.0.join(arrayflow_store::segment::segment_file_name(2));
@@ -232,7 +243,7 @@ fn deleted_segment_loses_its_records_and_nothing_else() {
     }
     assert!(!keys_in_seg2.is_empty());
 
-    let store = Store::open(config).unwrap();
+    let store = open(config);
     let rec = store.recovery();
     assert_eq!(rec.bad_segments, 0, "a missing file is simply not scanned");
     assert_eq!(rec.skipped, 0);
@@ -257,13 +268,13 @@ fn fresh_appends_after_damaged_recovery_work_and_survive() {
     let bytes = fs::read(&seg).unwrap();
     fs::write(&seg, &bytes[..bytes.len() - 1]).unwrap(); // torn tail
 
-    let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+    let store = open(StoreConfig::at(&dir.0));
     assert_eq!(store.recovery().skipped, 1);
     store.put(key(100), report(100)).unwrap();
     store.put(key(3), report(3)).unwrap(); // re-put the lost key
     drop(store);
 
-    let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+    let store = open(StoreConfig::at(&dir.0));
     let rec = store.recovery();
     assert_eq!(rec.skipped, 1, "old damage still counted, nothing new");
     assert_eq!(store.len(), 5);
@@ -340,7 +351,7 @@ fn store_open_never_panics_on_garbage_directory() {
     // Plus a non-segment file which must simply be ignored.
     fs::write(dir.0.join("notes.txt"), b"hello").unwrap();
 
-    let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+    let store = open(StoreConfig::at(&dir.0));
     assert_eq!(store.len(), 0);
     assert_eq!(store.recovery().segments, 4);
     // The store remains usable for fresh appends.
