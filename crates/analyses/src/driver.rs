@@ -1,6 +1,7 @@
 //! One-call analysis drivers.
 
 use std::fmt;
+use std::sync::Arc;
 
 use arrayflow_core::{canned_source, CustomSpec, CANNED};
 use arrayflow_graph::{build_loop_graph, LoopGraph};
@@ -10,7 +11,7 @@ use crate::instances::{
     dependences, redundant_stores, reuse_pairs, Dep, Instance, RedundantStore, Reuse,
 };
 use crate::sites::{enumerate_sites, Site};
-use crate::spec::GK;
+use crate::spec::{build_spec, BuiltSpec, GK};
 
 /// Errors from the analysis drivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,8 +55,9 @@ impl std::error::Error for AnalyzeError {}
 /// ([`canned_source`]).
 #[derive(Debug, Clone)]
 pub struct LoopAnalysis {
-    /// Symbol table extended with linearization stride symbols.
-    pub symbols: SymbolTable,
+    /// Symbol table extended with linearization stride symbols, shared
+    /// with the analyses of edits that leave it unchanged.
+    pub symbols: Arc<SymbolTable>,
     /// The loop flow graph.
     pub graph: LoopGraph,
     /// Classified reference sites.
@@ -87,7 +89,7 @@ pub fn prepare_loop(
     }
     let graph = build_loop_graph(l);
     let (sites, lin) = enumerate_sites(l, &graph, symbols);
-    Ok((graph, sites, lin.symbols))
+    Ok((graph, sites, lin.symbols.into_owned()))
 }
 
 impl LoopAnalysis {
@@ -108,43 +110,55 @@ impl LoopAnalysis {
     ) -> Result<Self, AnalyzeError> {
         let (graph, sites, symbols) = prepare_loop(l, symbols)?;
         let mut spent: u64 = 0;
-        Self::assemble(symbols, graph, sites, |graph, sites, _, spec| {
-            let solved = Instance::run(
-                graph,
-                sites,
-                GK::of(spec),
-                spec.direction,
-                spec.mode,
-                should_stop,
-            )
-            .map_err(|s| AnalyzeError::Stopped {
-                passes: spent + s.passes_completed as u64,
-            })?;
+        let build = |sites: &[Site], _, spec: CustomSpec| {
+            build_spec(sites, GK::of(spec), spec.direction, spec.mode)
+        };
+        Self::assemble(symbols.into(), graph, sites, build, |graph, _, k, built| {
+            let solved = Instance::of_spec(graph, GK::of(CANNED[k].1), built, should_stop)
+                .map_err(|s| AnalyzeError::Stopped {
+                    passes: spent + s.passes_completed as u64,
+                })?;
             spent += solved.sol.stats.passes as u64;
             Ok(solved)
         })
     }
 
-    /// Builds the analysis of a prepared loop. `solve` supplies, in table
-    /// order, the instance of every [`CANNED`] row that is its own
-    /// [`canned_source`] — one per column family — given the row's index
-    /// and spec; every other row selects its columns from its source's
-    /// instance ([`Instance::select`]).
+    /// Builds the analysis of a prepared loop. For every [`CANNED`] row
+    /// that is its own [`canned_source`] — one per column family — in
+    /// table order, `build` supplies the spec rows given the site table,
+    /// the row's index and its spec, and `solve` solves them. A family of
+    /// the roles and direction of an earlier one (δ-reaching references
+    /// and δ-available values differ only in mode) takes that family's
+    /// rows instead of building its own. Every other row selects its
+    /// columns from its source's instance ([`Instance::select`]).
     pub fn assemble(
-        symbols: SymbolTable,
+        symbols: Arc<SymbolTable>,
         graph: LoopGraph,
         sites: Vec<Site>,
-        mut solve: impl FnMut(&LoopGraph, &[Site], usize, CustomSpec) -> Result<Instance, AnalyzeError>,
+        mut build: impl FnMut(&[Site], usize, CustomSpec) -> BuiltSpec,
+        mut solve: impl FnMut(&LoopGraph, &[Site], usize, BuiltSpec) -> Result<Instance, AnalyzeError>,
     ) -> Result<Self, AnalyzeError> {
         let mut rows: [Option<Instance>; 4] = Default::default();
         for (k, &(_, spec)) in CANNED.iter().enumerate() {
-            if canned_source(k) == k {
-                rows[k] = Some(solve(&graph, &sites, k, spec)?);
+            if canned_source(k) != k {
+                continue;
             }
+            // The same roles and direction, whatever the mode.
+            let same_rows = |j: &usize| {
+                CustomSpec {
+                    mode: spec.mode,
+                    ..CANNED[*j].1
+                } == spec
+            };
+            let built = match (0..k).filter(same_rows).find_map(|j| rows[j].as_ref()) {
+                Some(earlier) => earlier.built.with_mode(spec.mode),
+                None => build(&sites, k, spec),
+            };
+            rows[k] = Some(solve(&graph, &sites, k, built)?);
         }
         let mut selected: [Option<Instance>; 4] = std::array::from_fn(|k| {
             let source = rows[canned_source(k)].as_ref()?;
-            (canned_source(k) != k).then(|| source.select(&graph, &sites, GK::of(CANNED[k].1)))
+            (canned_source(k) != k).then(|| source.select(&graph, GK::of(CANNED[k].1)))
         });
         let [reaching, available, busy, reaching_refs] =
             std::array::from_fn(|k| rows[k].take().or(selected[k].take()).expect("every row"));

@@ -15,7 +15,10 @@
 //!   a recurrence with respect to the outer IV relates instances at the
 //!   same inner iteration.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
+use std::ops::Range;
+use std::sync::Arc;
 
 use arrayflow_graph::{LoopGraph, NodeId, NodeKind};
 use arrayflow_ir::stmt::StmtId;
@@ -23,14 +26,17 @@ use arrayflow_ir::visit::modified_scalars;
 use arrayflow_ir::{AffineSub, ArrayRef, Block, LinExpr, Loop, Stmt, SymbolTable, VarId};
 
 /// One array reference site in the loop, with its analysis classification.
-#[derive(Debug, Clone)]
+///
+/// A clone shares the reference and the subscript, so site tables that
+/// differ in one node's sites share the rest.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Site {
     /// Node the site occurs in.
     pub node: NodeId,
-    /// The reference as written.
-    pub aref: ArrayRef,
+    /// The reference as written, shared with the graph node it occurs in.
+    pub aref: Arc<ArrayRef>,
     /// Linearized affine subscript, when the site is analyzable.
-    pub sub: Option<AffineSub>,
+    pub sub: Option<Arc<AffineSub>>,
     /// True if the site writes the element.
     pub is_def: bool,
     /// Owning assignment.
@@ -55,22 +61,35 @@ impl Site {
 /// an outer loop — are kept linear by introducing memoized *product
 /// symbols*: `N·i` becomes the single symbol `N*i`, with its constituents
 /// remembered for the loop-invariance check.
+///
+/// Only multi-dimensional references invent symbols: a one-dimensional
+/// reference's stride is the constant 1.
 #[derive(Debug)]
-pub struct Linearizer {
+pub struct Linearizer<'a> {
     /// Symbol table extended with the invented stride symbols; use it to
-    /// print analysis results.
-    pub symbols: SymbolTable,
+    /// print analysis results. It stays borrowed until the first symbol
+    /// is invented.
+    pub symbols: Cow<'a, SymbolTable>,
     products: std::collections::HashMap<(VarId, VarId), VarId>,
     constituents: std::collections::HashMap<VarId, Vec<VarId>>,
 }
 
-impl Linearizer {
-    /// Creates a linearizer over a copy of the program's symbol table.
-    pub fn new(symbols: &SymbolTable) -> Self {
+impl<'a> Linearizer<'a> {
+    /// Creates a linearizer over the program's symbol table, which it
+    /// copies on the first symbol it invents.
+    pub fn new(symbols: &'a SymbolTable) -> Self {
         Self {
-            symbols: symbols.clone(),
+            symbols: Cow::Borrowed(symbols),
             products: Default::default(),
             constituents: Default::default(),
+        }
+    }
+
+    /// The symbol named `name`, interned if new.
+    fn intern(&mut self, name: &str) -> VarId {
+        match self.symbols.lookup_var(name) {
+            Some(v) => v,
+            None => self.symbols.to_mut().var(name),
         }
     }
 
@@ -85,7 +104,7 @@ impl Linearizer {
             self.symbols.var_name(key.0).to_owned(),
             self.symbols.var_name(key.1)
         );
-        let p = self.symbols.var(&name);
+        let p = self.intern(&name);
         let mut parts = self.expand(key.0);
         parts.extend(self.expand(key.1));
         self.products.insert(key, p);
@@ -142,7 +161,7 @@ impl Linearizer {
     /// extents become named symbols; a product of two unknowns becomes a
     /// single fresh symbol so the result stays linear.
     fn stride(&mut self, array: arrayflow_ir::ArrayId, dim: usize) -> LinExpr {
-        let info = self.symbols.array_info(array).clone();
+        let info = self.symbols.array_info(array);
         let mut known: i64 = 1;
         let mut unknown: Vec<usize> = Vec::new();
         for d in (dim + 1)..info.rank {
@@ -151,20 +170,13 @@ impl Linearizer {
                 None => unknown.push(d),
             }
         }
-        match unknown.len() {
-            0 => LinExpr::constant(known),
-            1 => {
-                let name = format!("{}#dim{}", info.name, unknown[0]);
-                let sym = self.symbols.var(&name);
-                LinExpr::term(sym, known)
-            }
-            _ => {
-                // Collapse the whole product into one symbol.
-                let name = format!("{}#stride{}", info.name, dim);
-                let sym = self.symbols.var(&name);
-                LinExpr::term(sym, known)
-            }
-        }
+        let name = match unknown.len() {
+            0 => return LinExpr::constant(known),
+            1 => format!("{}#dim{}", info.name, unknown[0]),
+            // Collapse the whole product into one symbol.
+            _ => format!("{}#stride{}", info.name, dim),
+        };
+        LinExpr::term(self.intern(&name), known)
     }
 
     /// Linearizes `aref` into a single affine subscript in `iv`, or `None`
@@ -231,43 +243,143 @@ fn inner_ivs(block: &Block) -> HashSet<VarId> {
     out
 }
 
+/// Appends the classified sites of `graph`'s node `node_id` to `sites`.
+fn push_node_sites(
+    lin: &mut Linearizer<'_>,
+    env: &ScalarEnv,
+    graph: &LoopGraph,
+    node_id: NodeId,
+    sites: &mut Vec<Site>,
+) {
+    let node = graph.node(node_id);
+    let (in_summary, allowed) = match &node.kind {
+        NodeKind::Summary { inner } => {
+            let mut ivs = inner_ivs(&inner.body);
+            ivs.insert(inner.iv);
+            (true, ivs)
+        }
+        _ => (false, HashSet::new()),
+    };
+    for site in &node.refs {
+        let sub = lin
+            .linearize(&site.aref, env.iv)
+            .filter(|s| lin.sound(s, env, &allowed));
+        sites.push(Site {
+            node: node_id,
+            aref: Arc::clone(&site.aref),
+            sub: sub.map(Arc::new),
+            is_def: site.is_def,
+            stmt: site.stmt,
+            in_summary,
+        });
+    }
+}
+
 /// Enumerates every reference site of the loop `l` through its graph,
-/// classifying each per the rules above. Returns the sites and the
-/// linearizer (whose symbol table knows the invented stride names).
-pub fn enumerate_sites(
+/// classifying each per the rules above. Returns the sites, in node order,
+/// and the linearizer (whose symbol table knows the invented stride
+/// names).
+pub fn enumerate_sites<'a>(
+    l: &Loop,
+    graph: &LoopGraph,
+    symbols: &'a SymbolTable,
+) -> (Vec<Site>, Linearizer<'a>) {
+    let mut lin = Linearizer::new(symbols);
+    let env = ScalarEnv::new(l);
+    let mut sites = Vec::new();
+    for node_id in graph.node_ids() {
+        push_node_sites(&mut lin, &env, graph, node_id, &mut sites);
+    }
+    (sites, lin)
+}
+
+/// The sites of `node` in a site table, which lists sites in node order.
+fn node_sites(sites: &[Site], node: NodeId) -> Range<usize> {
+    sites.partition_point(|s| s.node < node)..sites.partition_point(|s| s.node <= node)
+}
+
+/// One node's sites in a site table and in the table that replaced them
+/// (by [`splice_sites`] or a fresh enumeration of the same graph shape):
+/// every other site keeps its index before them and shifts by the change
+/// in their count after them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SiteSplice {
+    /// The node's sites in the old table.
+    pub old: Range<usize>,
+    /// The node's sites in the new table.
+    pub new: Range<usize>,
+}
+
+impl SiteSplice {
+    /// The ranges of `node`'s sites in `old` and in `new`.
+    pub fn of(old: &[Site], new: &[Site], node: NodeId) -> Self {
+        SiteSplice {
+            old: node_sites(old, node),
+            new: node_sites(new, node),
+        }
+    }
+
+    /// A site's index in the new table from its index in the old, for
+    /// sites off the node.
+    pub fn new_site(&self, idx: usize) -> usize {
+        match idx < self.old.start {
+            true => idx,
+            false => idx + self.new.end - self.old.end,
+        }
+    }
+
+    /// A site's index in the old table from its index in the new; `None`
+    /// for the node's sites.
+    pub fn old_site(&self, idx: usize) -> Option<usize> {
+        match (idx < self.new.start, idx < self.new.end) {
+            (true, _) => Some(idx),
+            (false, true) => None,
+            (false, false) => Some(idx - self.new.end + self.old.end),
+        }
+    }
+}
+
+/// The site table of `graph`, the graph `old` was enumerated over with
+/// node `node`'s statement replaced, built by classifying that node's
+/// sites alone and splicing them between `old`'s unchanged prefix and
+/// suffix. The other sites keep their classification and sharing; those
+/// after the node shift by the change in its site count.
+///
+/// `symbols` is the extended table `old` was enumerated with. The result
+/// equals a fresh [`enumerate_sites`] when the program's symbol table and
+/// scalar assignments are unchanged (the caller's part) and every array
+/// the node's old and new sites reference is one-dimensional: only
+/// multi-dimensional references invent symbols, which are numbered in
+/// first-use order across the whole table, so removing or adding one can
+/// renumber the symbols of every later site. Otherwise it returns `None`.
+pub fn splice_sites(
     l: &Loop,
     graph: &LoopGraph,
     symbols: &SymbolTable,
-) -> (Vec<Site>, Linearizer) {
-    let mut lin = Linearizer::new(symbols);
-    let env = ScalarEnv::new(l);
-    let empty = HashSet::new();
-    let mut sites = Vec::new();
-    for node_id in graph.node_ids() {
-        let node = graph.node(node_id);
-        let (in_summary, allowed) = match &node.kind {
-            NodeKind::Summary { inner } => {
-                let mut ivs = inner_ivs(&inner.body);
-                ivs.insert(inner.iv);
-                (true, ivs)
-            }
-            _ => (false, empty.clone()),
-        };
-        for site in &node.refs {
-            let sub = lin
-                .linearize(&site.aref, l.iv)
-                .filter(|s| lin.sound(s, &env, &allowed));
-            sites.push(Site {
-                node: node_id,
-                aref: site.aref.clone(),
-                sub,
-                is_def: site.is_def,
-                stmt: site.stmt,
-                in_summary,
-            });
-        }
+    old: &[Site],
+    node: NodeId,
+) -> Option<Vec<Site>> {
+    let Range { start, end } = node_sites(old, node);
+    let refs = graph.node(node).refs.iter().map(|r| &r.aref);
+    let one_dim = |r: &Arc<ArrayRef>| {
+        (r.array.0 as usize) < symbols.num_arrays() && symbols.array_info(r.array).rank == 1
+    };
+    if !old[start..end]
+        .iter()
+        .map(|s| &s.aref)
+        .chain(refs)
+        .all(one_dim)
+    {
+        return None;
     }
-    (sites, lin)
+    let mut lin = Linearizer::new(symbols);
+    let added = graph.node(node).refs.len();
+    let mut sites = Vec::with_capacity(old.len() - (end - start) + added);
+    sites.extend_from_slice(&old[..start]);
+    push_node_sites(&mut lin, &ScalarEnv::new(l), graph, node, &mut sites);
+    debug_assert!(matches!(lin.symbols, Cow::Borrowed(_)), "a symbol invented");
+    sites.extend_from_slice(&old[end..]);
+    Some(sites)
 }
 
 /// The constant iteration distance `δ` such that `gen` generated `δ`
@@ -298,27 +410,27 @@ mod tests {
     use arrayflow_ir::parse_program;
     use arrayflow_ir::Expr;
 
-    fn sites_of(src: &str) -> (arrayflow_ir::Program, Vec<Site>, Linearizer) {
+    fn sites_of(src: &str) -> (arrayflow_ir::Program, Vec<Site>) {
         let p = parse_program(src).unwrap();
         let l = p.sole_loop().unwrap();
         let g = build_loop_graph(l);
-        let (s, lin) = enumerate_sites(l, &g, &p.symbols);
-        (p, s, lin)
+        let (s, _) = enumerate_sites(l, &g, &p.symbols);
+        (p, s)
     }
 
     #[test]
     fn classifies_simple_stencil() {
-        let (_, sites, _) = sites_of("do i = 1, 10 A[i+2] := A[i] + x; end");
+        let (_, sites) = sites_of("do i = 1, 10 A[i+2] := A[i] + x; end");
         assert_eq!(sites.len(), 2);
         let def = sites.iter().find(|s| s.is_def).unwrap();
-        assert_eq!(def.sub, Some(AffineSub::simple(1, 2)));
+        assert_eq!(def.sub.as_deref(), Some(&AffineSub::simple(1, 2)));
         let usx = sites.iter().find(|s| !s.is_def).unwrap();
-        assert_eq!(usx.sub, Some(AffineSub::simple(1, 0)));
+        assert_eq!(usx.sub.as_deref(), Some(&AffineSub::simple(1, 0)));
     }
 
     #[test]
     fn nonaffine_subscript_is_kill_only() {
-        let (_, sites, _) = sites_of("do i = 1, 10 A[i*i] := A[i]; end");
+        let (_, sites) = sites_of("do i = 1, 10 A[i*i] := A[i]; end");
         let def = sites.iter().find(|s| s.is_def).unwrap();
         assert!(def.sub.is_none());
         assert!(!def.is_analyzable());
@@ -326,7 +438,7 @@ mod tests {
 
     #[test]
     fn modified_scalar_in_subscript_is_rejected() {
-        let (_, sites, _) = sites_of(
+        let (_, sites) = sites_of(
             "do i = 1, 10
                t := t + 1;
                A[t] := A[i];
@@ -336,7 +448,7 @@ mod tests {
         assert!(def.sub.is_none(), "t varies inside the loop");
         // But the loop-invariant read A[i] is fine.
         let usx = sites.iter().find(|s| !s.is_def && s.sub.is_some()).unwrap();
-        assert_eq!(usx.sub, Some(AffineSub::simple(1, 0)));
+        assert_eq!(usx.sub.as_deref(), Some(&AffineSub::simple(1, 0)));
     }
 
     #[test]

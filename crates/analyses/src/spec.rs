@@ -1,8 +1,13 @@
 //! From classified sites to a solver-ready [`ProblemSpec`].
 
-use arrayflow_core::{CustomSpec, Direction, KillKind, Mode, ProblemSpec, RefId, CANNED};
+use std::ops::Range;
+use std::sync::Arc;
 
-use crate::sites::Site;
+use arrayflow_core::{
+    CustomSpec, Direction, GenRef, KillKind, KillSite, Mode, ProblemSpec, RefId, CANNED,
+};
+
+use crate::sites::{Site, SiteSplice};
 
 /// Which site roles generate and which kill — the (G, K) parameter pair of
 /// the framework (paper §3.1).
@@ -53,20 +58,135 @@ impl GK {
 }
 
 /// A [`ProblemSpec`] together with the mapping from its tracked references
-/// back to the site table.
+/// back to the site table. Rows are in site order, and a clone shares
+/// them.
 #[derive(Debug, Clone)]
 pub struct BuiltSpec {
     /// The solver input.
     pub spec: ProblemSpec,
     /// For each [`RefId`] (by index), the index of its site in the site
     /// table.
-    pub gen_site: Vec<usize>,
+    pub gen_site: Arc<[usize]>,
 }
 
 impl BuiltSpec {
     /// The site of a tracked reference.
     pub fn site_of<'a>(&self, id: RefId, sites: &'a [Site]) -> &'a Site {
         &sites[self.gen_site[id.index()]]
+    }
+
+    /// The same rows in `mode`: a problem of the same roles and direction
+    /// tracks the same references and kills, whatever its mode.
+    pub fn with_mode(&self, mode: Mode) -> Self {
+        BuiltSpec {
+            spec: ProblemSpec {
+                mode,
+                ..self.spec.clone()
+            },
+            gen_site: Arc::clone(&self.gen_site),
+        }
+    }
+
+    /// This spec rebuilt for a site table in which one node's sites were
+    /// replaced (`splice`; see [`crate::sites::splice_sites`]), every
+    /// other site unchanged. Rows before the replaced sites keep their ids
+    /// and origins, the replaced sites' rows are built afresh, and the rows
+    /// after them shift by the changes in row and site counts, all sharing
+    /// their references. Equal to [`build_spec`] over `sites` with this
+    /// spec's roles `gk`.
+    pub fn spliced(&self, sites: &[Site], gk: GK, splice: &SiteSplice) -> Self {
+        let (gens, kills, old) = (&self.spec.gens, &self.spec.kills, &splice.old);
+        let at = |origin: Option<u32>| origin.expect("built rows carry their site") as usize;
+        let [g0, g1] = [old.start, old.end].map(|s| gens.partition_point(|g| at(g.origin) < s));
+        let [k0, k1] = [old.start, old.end].map(|s| kills.partition_point(|k| at(k.origin) < s));
+        let fresh = splice.new.len();
+        let shift = |origin: Option<u32>| Some(splice.new_site(at(origin)) as u32);
+        let mut rows = Rows::with_capacity(gens.len() + fresh - (g1 - g0), kills.len() + fresh);
+        rows.gens.extend_from_slice(&gens[..g0]);
+        rows.gen_site.extend_from_slice(&self.gen_site[..g0]);
+        rows.kills.extend_from_slice(&kills[..k0]);
+        rows.extend(sites, splice.new.clone(), gk);
+        for g in &gens[g1..] {
+            let origin = shift(g.origin);
+            rows.gen_site.push(at(origin));
+            rows.gens.push(GenRef {
+                id: RefId(rows.gens.len() as u32),
+                origin,
+                ..g.clone()
+            });
+        }
+        let kills = kills[k1..].iter().map(|k| KillSite {
+            origin: shift(k.origin),
+            ..k.clone()
+        });
+        rows.kills.extend(kills);
+        rows.into_spec(self.spec.direction, self.spec.mode)
+    }
+}
+
+/// Spec rows under construction, in site order.
+#[derive(Default)]
+struct Rows {
+    gens: Vec<GenRef>,
+    kills: Vec<KillSite>,
+    gen_site: Vec<usize>,
+}
+
+impl Rows {
+    fn with_capacity(gens: usize, kills: usize) -> Self {
+        Rows {
+            gens: Vec::with_capacity(gens),
+            kills: Vec::with_capacity(kills),
+            gen_site: Vec::with_capacity(gens),
+        }
+    }
+
+    /// Appends the rows of `sites[range]` under the roles `gk`: analyzable
+    /// sites in a generating role generate; sites in a killing role kill,
+    /// exactly when analyzable and the whole array otherwise.
+    fn extend(&mut self, sites: &[Site], range: Range<usize>, gk: GK) {
+        for idx in range {
+            let site = &sites[idx];
+            let origin = Some(idx as u32);
+            let gen_role = (site.is_def && gk.gen_defs) || (!site.is_def && gk.gen_uses);
+            if let (true, Some(sub)) = (gen_role, &site.sub) {
+                self.gens.push(GenRef {
+                    id: RefId(self.gens.len() as u32),
+                    node: site.node,
+                    aref: Arc::clone(&site.aref),
+                    sub: Arc::clone(sub),
+                    is_def: site.is_def,
+                    stmt: site.stmt,
+                    origin,
+                });
+                self.gen_site.push(idx);
+            }
+            let kill_role = (site.is_def && gk.kill_defs) || (!site.is_def && gk.kill_uses);
+            if kill_role {
+                self.kills.push(KillSite {
+                    node: site.node,
+                    array: site.aref.array,
+                    kind: site
+                        .sub
+                        .clone()
+                        .map_or(KillKind::AllOfArray, KillKind::Exact),
+                    is_def: site.is_def,
+                    origin,
+                });
+            }
+        }
+    }
+
+    fn into_spec(self, direction: Direction, mode: Mode) -> BuiltSpec {
+        BuiltSpec {
+            spec: ProblemSpec {
+                direction,
+                mode,
+                gens: Arc::new(self.gens),
+                kills: Arc::new(self.kills),
+            },
+            gen_site: self.gen_site.into(),
+        }
     }
 }
 
@@ -78,36 +198,9 @@ impl BuiltSpec {
 /// non-affine subscripts and summary contents the outer analysis cannot
 /// express).
 pub fn build_spec(sites: &[Site], gk: GK, direction: Direction, mode: Mode) -> BuiltSpec {
-    let mut spec = ProblemSpec::new(direction, mode);
-    let mut gen_site = Vec::new();
-    for (idx, site) in sites.iter().enumerate() {
-        let gen_role = (site.is_def && gk.gen_defs) || (!site.is_def && gk.gen_uses);
-        if gen_role {
-            if let Some(sub) = &site.sub {
-                let id = spec.add_gen(
-                    site.node,
-                    site.aref.clone(),
-                    sub.clone(),
-                    site.is_def,
-                    site.stmt,
-                );
-                spec.gens[id.index()].origin = Some(idx as u32);
-                gen_site.push(idx);
-            }
-        }
-        let kill_role = (site.is_def && gk.kill_defs) || (!site.is_def && gk.kill_uses);
-        if kill_role {
-            let kind = match &site.sub {
-                Some(sub) => KillKind::Exact(sub.clone()),
-                None => KillKind::AllOfArray,
-            };
-            spec.add_kill(site.node, site.aref.array, kind);
-            let k = spec.kills.last_mut().expect("just pushed");
-            k.is_def = site.is_def;
-            k.origin = Some(idx as u32);
-        }
-    }
-    BuiltSpec { spec, gen_site }
+    let mut rows = Rows::default();
+    rows.extend(sites, 0..sites.len(), gk);
+    rows.into_spec(direction, mode)
 }
 
 #[cfg(test)]

@@ -179,7 +179,7 @@ fn core_pair(sites: &[Site], gen: usize, killer: usize) -> (GenRef, KillSite) {
         sub: gsite
             .sub
             .clone()
-            .unwrap_or_else(|| arrayflow_ir::AffineSub::constant(0)),
+            .unwrap_or_else(|| arrayflow_ir::AffineSub::constant(0).into()),
         is_def: gsite.is_def,
         stmt: gsite.stmt,
         origin: Some(gen as u32),

@@ -87,7 +87,7 @@ impl FlowTable {
         let arrays = spec.gens.iter().map(|g| g.aref.array.0 as usize + 1);
         let mut group_of = vec![u32::MAX; arrays.max().unwrap_or(0)];
         table.starts.push(0);
-        for gen in &spec.gens {
+        for gen in spec.gens.iter() {
             let array = gen.aref.array;
             let first = kills.partition_point(|k| k.array < array);
             let run = &kills[first..];
@@ -170,7 +170,7 @@ mod tests {
                 true,
                 None,
             );
-            spec.add_kill(*node, *array, KillKind::Exact(sub.clone()));
+            spec.add_kill(*node, *array, KillKind::Exact(sub.clone().into()));
         }
         let table = FlowTable::build(&graph, &spec);
         // Which columns node `n` generates, and its preserve constants.

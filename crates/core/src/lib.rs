@@ -49,7 +49,8 @@
 //!     true,
 //!     None,
 //! );
-//! spec.add_kill(arrayflow_graph::NodeId(1), a, KillKind::Exact(AffineSub::simple(1, 1)));
+//! let kill = KillKind::Exact(AffineSub::simple(1, 1).into());
+//! spec.add_kill(arrayflow_graph::NodeId(1), a, kill);
 //! let sol = solve(&g, &spec, None).unwrap();
 //! // Every previous instance of A[i+1] reaches the top of the body.
 //! assert_eq!(sol.before_at(arrayflow_graph::NodeId(1), d), Dist::Top);

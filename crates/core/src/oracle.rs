@@ -3,6 +3,8 @@
 //! flow constant derived cell by cell — independent of the lane encoding,
 //! the kill-indexed flow table and the per-column schedule.
 
+use std::sync::Arc;
+
 use arrayflow_graph::{build_loop_graph, LoopGraph, NodeId};
 use arrayflow_ir::AffineSub;
 use arrayflow_workloads::{random_loop, LoopShape};
@@ -148,14 +150,15 @@ fn spec_of(graph: &LoopGraph, custom: CustomSpec) -> ProblemSpec {
     let mut origin = 0;
     for node in graph.node_ids() {
         for site in &graph.node(node).refs {
-            let sub = AffineSub::from_expr(&site.aref.subs[0], graph.iv);
+            let sub = AffineSub::from_expr(&site.aref.subs[0], graph.iv).map(Arc::new);
             let (gen, kill) = match site.is_def {
                 true => (custom.gen_defs, custom.kill_defs),
                 false => (custom.gen_uses, custom.kill_uses),
             };
             if let (true, Some(sub)) = (gen, &sub) {
-                let id = spec.add_gen(node, site.aref.clone(), sub.clone(), site.is_def, site.stmt);
-                spec.gens[id.index()].origin = Some(origin);
+                let aref = Arc::clone(&site.aref);
+                let id = spec.add_gen(node, aref, Arc::clone(sub), site.is_def, site.stmt);
+                Arc::make_mut(&mut spec.gens)[id.index()].origin = Some(origin);
             }
             if kill {
                 spec.add_kill(
@@ -163,7 +166,8 @@ fn spec_of(graph: &LoopGraph, custom: CustomSpec) -> ProblemSpec {
                     site.aref.array,
                     sub.map_or(KillKind::AllOfArray, KillKind::Exact),
                 );
-                let k = spec.kills.last_mut().expect("just pushed");
+                let k = Arc::make_mut(&mut spec.kills).last_mut();
+                let k = k.expect("just pushed");
                 k.is_def = site.is_def;
                 k.origin = Some(origin);
             }

@@ -373,8 +373,9 @@ mod tests {
             aref: arrayflow_ir::ArrayRef::new(
                 prog.symbols.lookup_array("X").unwrap(),
                 arrayflow_ir::Expr::Const(0),
-            ),
-            sub: gen_sub,
+            )
+            .into(),
+            sub: gen_sub.into(),
             is_def: true,
             stmt: None,
             origin: None,
@@ -382,7 +383,7 @@ mod tests {
         let kill = KillSite {
             node: NodeId(2),
             array: prog.symbols.lookup_array("X").unwrap(),
-            kind: KillKind::Exact(kill_sub),
+            kind: KillKind::Exact(kill_sub.into()),
             is_def: true,
             origin: None,
         };
@@ -622,8 +623,8 @@ mod tests {
         let gen = GenRef {
             id: crate::problem::RefId(0),
             node: NodeId(1),
-            aref: arrayflow_ir::ArrayRef::new(x, arrayflow_ir::Expr::Const(0)),
-            sub: AffineSub::simple(1, 0),
+            aref: arrayflow_ir::ArrayRef::new(x, arrayflow_ir::Expr::Const(0)).into(),
+            sub: AffineSub::simple(1, 0).into(),
             is_def: true,
             stmt: None,
             origin: None,
@@ -655,8 +656,9 @@ mod tests {
             aref: arrayflow_ir::ArrayRef::new(
                 prog.symbols.lookup_array("X").unwrap(),
                 arrayflow_ir::Expr::Const(0),
-            ),
-            sub: AffineSub::simple(1, 0),
+            )
+            .into(),
+            sub: AffineSub::simple(1, 0).into(),
             is_def: true,
             stmt: None,
             origin: None,
@@ -664,7 +666,7 @@ mod tests {
         let kill = KillSite {
             node: NodeId(2),
             array: prog.symbols.lookup_array("Y").unwrap(),
-            kind: KillKind::Exact(AffineSub::simple(1, 0)),
+            kind: KillKind::Exact(AffineSub::simple(1, 0).into()),
             is_def: true,
             origin: None,
         };
@@ -699,8 +701,8 @@ mod tests {
         let gen = GenRef {
             id: crate::problem::RefId(0),
             node: NodeId(2),
-            aref: arrayflow_ir::ArrayRef::new(x, arrayflow_ir::Expr::Const(0)),
-            sub: AffineSub::simple(1, 0),
+            aref: arrayflow_ir::ArrayRef::new(x, arrayflow_ir::Expr::Const(0)).into(),
+            sub: AffineSub::simple(1, 0).into(),
             is_def: true,
             stmt: None,
             origin: None,
@@ -708,7 +710,7 @@ mod tests {
         let kill = KillSite {
             node: NodeId(1),
             array: x,
-            kind: KillKind::Exact(AffineSub::simple(1, 1)),
+            kind: KillKind::Exact(AffineSub::simple(1, 1).into()),
             is_def: true,
             origin: None,
         };

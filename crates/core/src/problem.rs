@@ -13,6 +13,8 @@
 //! The analyses crate constructs [`ProblemSpec`]s from IR loops; the solver
 //! in this crate consumes them.
 
+use std::sync::Arc;
+
 use arrayflow_graph::NodeId;
 use arrayflow_ir::stmt::StmtId;
 use arrayflow_ir::{AffineSub, ArrayId, ArrayRef};
@@ -52,18 +54,18 @@ pub enum Mode {
 }
 
 /// One generating reference (an element of G).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenRef {
     /// Component index in the solution tuples.
     pub id: RefId,
     /// Node the reference occurs in.
     pub node: NodeId,
-    /// The textual reference (after linearization for multi-dimensional
-    /// arrays).
-    pub aref: ArrayRef,
-    /// Affine form of the (linearized) subscript with respect to the
-    /// analyzed loop's induction variable.
-    pub sub: AffineSub,
+    /// The textual reference, shared with the site it was built from.
+    pub aref: Arc<ArrayRef>,
+    /// Affine form of the (linearized, for multi-dimensional arrays)
+    /// subscript with respect to the analyzed loop's induction variable,
+    /// shared with the site it was built from.
+    pub sub: Arc<AffineSub>,
     /// True if the site writes the element.
     pub is_def: bool,
     /// Owning assignment, when there is one.
@@ -75,18 +77,19 @@ pub struct GenRef {
 }
 
 /// How a kill site kills.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KillKind {
     /// An ordinary affine definition site: kills instances per the preserve
-    /// constant derivation of §3.1.2.
-    Exact(AffineSub),
+    /// constant derivation of §3.1.2. The subscript is shared with the
+    /// site it was built from.
+    Exact(Arc<AffineSub>),
     /// Kills every instance of the array (used for summary nodes — §3.2 —
     /// and for non-affine subscripts, where nothing better can be proven).
     AllOfArray,
 }
 
 /// One killing site (an element of K).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillSite {
     /// Node the kill occurs in.
     pub node: NodeId,
@@ -267,6 +270,9 @@ pub fn canned_source(k: usize) -> usize {
 }
 
 /// A complete problem instance over one loop flow graph.
+///
+/// The generator and kill rows are shared: a clone — e.g. the same rows
+/// in the other [`Mode`] — copies no row.
 #[derive(Debug, Clone)]
 pub struct ProblemSpec {
     /// Propagation direction.
@@ -274,9 +280,9 @@ pub struct ProblemSpec {
     /// Must or may interpretation.
     pub mode: Mode,
     /// The generating references, indexed by [`RefId`].
-    pub gens: Vec<GenRef>,
+    pub gens: Arc<Vec<GenRef>>,
     /// The killing sites.
-    pub kills: Vec<KillSite>,
+    pub kills: Arc<Vec<KillSite>>,
 }
 
 impl ProblemSpec {
@@ -285,8 +291,8 @@ impl ProblemSpec {
         Self {
             direction,
             mode,
-            gens: Vec::new(),
-            kills: Vec::new(),
+            gens: Arc::default(),
+            kills: Arc::default(),
         }
     }
 
@@ -294,17 +300,18 @@ impl ProblemSpec {
     pub fn add_gen(
         &mut self,
         node: NodeId,
-        aref: ArrayRef,
-        sub: AffineSub,
+        aref: impl Into<Arc<ArrayRef>>,
+        sub: impl Into<Arc<AffineSub>>,
         is_def: bool,
         stmt: Option<StmtId>,
     ) -> RefId {
-        let id = RefId(self.gens.len() as u32);
-        self.gens.push(GenRef {
+        let gens = Arc::make_mut(&mut self.gens);
+        let id = RefId(gens.len() as u32);
+        gens.push(GenRef {
             id,
             node,
-            aref,
-            sub,
+            aref: aref.into(),
+            sub: sub.into(),
             is_def,
             stmt,
             origin: None,
@@ -315,7 +322,7 @@ impl ProblemSpec {
     /// Adds a killing site (assumed to be a definition; set
     /// [`KillSite::is_def`] afterwards for use-kills).
     pub fn add_kill(&mut self, node: NodeId, array: ArrayId, kind: KillKind) {
-        self.kills.push(KillSite {
+        Arc::make_mut(&mut self.kills).push(KillSite {
             node,
             array,
             kind,

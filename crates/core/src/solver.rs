@@ -624,7 +624,7 @@ mod tests {
                 true,
                 None,
             );
-            spec.add_kill(node, array, KillKind::Exact(sub));
+            spec.add_kill(node, array, KillKind::Exact(sub.into()));
         }
         (p, spec)
     }
@@ -808,9 +808,13 @@ mod tests {
         spec.add_kill(
             NodeId(1),
             a,
-            KillKind::Exact(AffineSub::simple(1, 5_000_000_000)),
+            KillKind::Exact(AffineSub::simple(1, 5_000_000_000).into()),
         );
-        spec.add_kill(NodeId(2), a, KillKind::Exact(AffineSub::simple(1, 0)));
+        spec.add_kill(
+            NodeId(2),
+            a,
+            KillKind::Exact(AffineSub::simple(1, 0).into()),
+        );
         let sol = full(&graph, &spec);
         assert_eq!(sol.before_at(NodeId(2), d), Dist::Fin(5_000_000_000));
         assert_eq!(sol.after_at(NodeId(2), d), Dist::Fin(4_999_999_999));

@@ -20,8 +20,8 @@ fn gen_of(a: i64, b: i64) -> GenRef {
     GenRef {
         id: RefId(0),
         node: NodeId(1),
-        aref: ArrayRef::new(arrayflow_ir::ArrayId(0), Expr::Const(0)),
-        sub: AffineSub::simple(a, b),
+        aref: ArrayRef::new(arrayflow_ir::ArrayId(0), Expr::Const(0)).into(),
+        sub: AffineSub::simple(a, b).into(),
         is_def: true,
         stmt: None,
         origin: Some(0),
@@ -32,7 +32,7 @@ fn kill_of(a: i64, b: i64) -> KillSite {
     KillSite {
         node: NodeId(2),
         array: arrayflow_ir::ArrayId(0),
-        kind: KillKind::Exact(AffineSub::simple(a, b)),
+        kind: KillKind::Exact(AffineSub::simple(a, b).into()),
         is_def: true,
         origin: Some(1),
     }

@@ -952,9 +952,4 @@ impl Engine {
             fingerprint_misses: self.ins.fingerprint_misses.get(),
         }
     }
-
-    /// Number of reports currently cached.
-    pub fn cached_reports(&self) -> usize {
-        self.cache.len()
-    }
 }

@@ -1,5 +1,7 @@
 //! Construction of loop flow graphs from IR loops.
 
+use std::sync::Arc;
+
 use arrayflow_ir::visit::array_uses_in_expr;
 use arrayflow_ir::{Block, Loop, Stmt};
 
@@ -75,16 +77,13 @@ impl Builder {
 
     fn add_stmt(&mut self, stmt: &Stmt, frontier: Vec<NodeId>) -> Vec<NodeId> {
         match stmt {
-            Stmt::Assign(_) => {
+            Stmt::Assign(a) => {
                 let node = self.push(Node {
-                    kind: match stmt {
-                        Stmt::Assign(a) => NodeKind::Assign {
-                            stmt: a.id,
-                            assign: a.clone(),
-                        },
-                        _ => unreachable!(),
+                    kind: NodeKind::Assign {
+                        stmt: a.id,
+                        assign: a.clone(),
                     },
-                    refs: ref_sites_of(stmt),
+                    refs: ref_sites_of(a),
                 });
                 for f in frontier {
                     self.edge(f, node);
@@ -102,7 +101,7 @@ impl Builder {
                 array_uses_in_expr(&cond.rhs, &mut uses);
                 for u in uses {
                     refs.push(RefSite {
-                        aref: u.clone(),
+                        aref: Arc::new(u.clone()),
                         is_def: false,
                         stmt: None,
                     });
@@ -153,7 +152,7 @@ pub fn collect_all_refs(block: &Block) -> Vec<RefSite> {
     fn walk(block: &Block, out: &mut Vec<RefSite>) {
         for stmt in block {
             match stmt {
-                Stmt::Assign(_) => out.extend(ref_sites_of(stmt)),
+                Stmt::Assign(a) => out.extend(ref_sites_of(a)),
                 Stmt::If {
                     cond,
                     then_blk,
@@ -164,7 +163,7 @@ pub fn collect_all_refs(block: &Block) -> Vec<RefSite> {
                     array_uses_in_expr(&cond.rhs, &mut uses);
                     for u in uses {
                         out.push(RefSite {
-                            aref: u.clone(),
+                            aref: Arc::new(u.clone()),
                             is_def: false,
                             stmt: None,
                         });

@@ -1,24 +1,37 @@
 //! The loop flow graph structure and its traversal orders.
 
+use std::sync::Arc;
+
 use arrayflow_ir::stmt::{Assign, StmtId};
-use arrayflow_ir::{Stmt, SymbolTable, VarId};
+use arrayflow_ir::{SymbolTable, VarId};
 
 use crate::node::{ref_sites_of, Node, NodeId, NodeKind};
 
 /// An acyclic single-entry/single-exit flow graph for one loop body, plus
 /// the implicit back edge `exit → entry` representing the transfer to the
 /// next iteration.
+///
+/// A clone shares the nodes and the edge set with its original; replacing
+/// one node's statement ([`LoopGraph::replace_assign`]) then builds that
+/// node alone, and the two graphs keep sharing every other node.
 #[derive(Debug, Clone)]
 pub struct LoopGraph {
     /// Induction variable of the loop this graph represents.
     pub iv: VarId,
     /// Compile-time upper bound `UB`, when known.
     pub ub: Option<i64>,
-    nodes: Vec<Node>,
-    succs: Vec<Vec<NodeId>>,
-    preds: Vec<Vec<NodeId>>,
+    nodes: Vec<Arc<Node>>,
+    /// No statement replacement changes the edges, so clones share them.
+    edges: Arc<Edges>,
     entry: NodeId,
     exit: NodeId,
+}
+
+/// The intra-iteration edges and the orders derived from them.
+#[derive(Debug)]
+struct Edges {
+    succs: Vec<Vec<NodeId>>,
+    preds: Vec<Vec<NodeId>>,
     rpo: Vec<NodeId>,
     /// `reach[a]` is a bitset over nodes: bit `b` set iff there is a
     /// non-empty intra-iteration path `a →⁺ b`.
@@ -50,20 +63,22 @@ impl LoopGraph {
                 preds[b.index()].push(NodeId(a as u32));
             }
         }
-        let mut g = Self {
+        let rpo = compute_rpo(&succs, entry);
+        assert_eq!(rpo.len(), n, "every node must be reachable from entry");
+        let reach = compute_reachability(&succs, &rpo);
+        let g = Self {
             iv,
             ub,
-            nodes,
-            succs,
-            preds,
+            nodes: nodes.into_iter().map(Arc::new).collect(),
+            edges: Arc::new(Edges {
+                succs,
+                preds,
+                rpo,
+                reach,
+            }),
             entry,
             exit,
-            rpo: Vec::new(),
-            reach: Vec::new(),
         };
-        g.rpo = g.compute_rpo();
-        assert_eq!(g.rpo.len(), n, "every node must be reachable from entry");
-        g.reach = g.compute_reachability();
         assert!(
             g.node_ids().all(|v| v == exit || g.precedes(v, exit)),
             "every node must reach exit"
@@ -103,19 +118,19 @@ impl LoopGraph {
 
     /// Successors along intra-iteration edges.
     pub fn succs(&self, id: NodeId) -> &[NodeId] {
-        &self.succs[id.index()]
+        &self.edges.succs[id.index()]
     }
 
     /// Predecessors along intra-iteration edges.
     pub fn preds(&self, id: NodeId) -> &[NodeId] {
-        &self.preds[id.index()]
+        &self.edges.preds[id.index()]
     }
 
     /// Reverse postorder over the acyclic body (entry first, exit last).
     /// This is the visit order that gives the paper's pass bounds. Every
     /// node is on it exactly once (asserted at construction).
     pub fn rpo(&self) -> &[NodeId] {
-        &self.rpo
+        &self.edges.rpo
     }
 
     /// True if there is a non-empty intra-iteration path `a →⁺ b`.
@@ -125,55 +140,7 @@ impl LoopGraph {
     pub fn precedes(&self, a: NodeId, b: NodeId) -> bool {
         let w = b.index() / 64;
         let bit = 1u64 << (b.index() % 64);
-        self.reach[a.index()][w] & bit != 0
-    }
-
-    fn compute_rpo(&self) -> Vec<NodeId> {
-        let n = self.nodes.len();
-        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = in progress, 2 = done
-        let mut postorder = Vec::with_capacity(n);
-        // Iterative DFS from entry.
-        let mut stack: Vec<(NodeId, usize)> = vec![(self.entry, 0)];
-        state[self.entry.index()] = 1;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            let succs = &self.succs[node.index()];
-            if *next < succs.len() {
-                let s = succs[*next];
-                *next += 1;
-                match state[s.index()] {
-                    0 => {
-                        state[s.index()] = 1;
-                        stack.push((s, 0));
-                    }
-                    1 => panic!("loop flow graph must be acyclic (cycle through {s})"),
-                    _ => {}
-                }
-            } else {
-                state[node.index()] = 2;
-                postorder.push(node);
-                stack.pop();
-            }
-        }
-        postorder.reverse();
-        postorder
-    }
-
-    fn compute_reachability(&self) -> Vec<Vec<u64>> {
-        let n = self.nodes.len();
-        let words = n.div_ceil(64);
-        let mut reach = vec![vec![0u64; words]; n];
-        // Process in reverse RPO (children before parents in the DAG).
-        for &node in self.rpo.clone().iter().rev() {
-            let mut acc = vec![0u64; words];
-            for &s in &self.succs[node.index()] {
-                acc[s.index() / 64] |= 1 << (s.index() % 64);
-                for (w, v) in reach[s.index()].iter().enumerate() {
-                    acc[w] |= v;
-                }
-            }
-            reach[node.index()] = acc;
-        }
-        reach
+        self.edges.reach[a.index()][w] & bit != 0
     }
 
     /// Renders the graph in Graphviz dot format (for debugging).
@@ -201,13 +168,14 @@ impl LoopGraph {
         )
     }
 
-    /// Replaces the assignment carried by node `id` in place, recomputing
-    /// the node's reference sites from the new statement.
+    /// Replaces the assignment carried by node `id`, building that node
+    /// and its reference sites anew from the new statement; every other
+    /// node stays shared with the graph this one was cloned from.
     ///
     /// Swapping one assignment for another touches neither the edge set
     /// nor the node count, so reverse postorder and the reachability
-    /// bitsets stay valid — this is what makes single-statement edits
-    /// cheap for the incremental analysis engine.
+    /// bitsets stay valid (and shared) — this is what makes
+    /// single-statement edits cheap for the incremental analysis engine.
     ///
     /// # Panics
     ///
@@ -218,18 +186,20 @@ impl LoopGraph {
             matches!(node.kind, NodeKind::Assign { .. }),
             "replace_assign target {id} is not an assignment node"
         );
-        node.refs = ref_sites_of(&Stmt::Assign(assign.clone()));
-        node.kind = NodeKind::Assign {
-            stmt: assign.id,
-            assign,
-        };
+        *node = Arc::new(Node {
+            refs: ref_sites_of(&assign),
+            kind: NodeKind::Assign {
+                stmt: assign.id,
+                assign,
+            },
+        });
     }
 
     /// The statement-bearing nodes (everything except entry/test/exit),
     /// in reverse postorder — the "N statements" of the paper's complexity
     /// discussion.
     pub fn stmt_nodes(&self) -> Vec<NodeId> {
-        self.rpo
+        self.rpo()
             .iter()
             .copied()
             .filter(|&id| {
@@ -242,11 +212,62 @@ impl LoopGraph {
     }
 }
 
+/// Reverse postorder from `entry` of the acyclic graph `succs` describes.
+fn compute_rpo(succs: &[Vec<NodeId>], entry: NodeId) -> Vec<NodeId> {
+    let n = succs.len();
+    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = in progress, 2 = done
+    let mut postorder = Vec::with_capacity(n);
+    // Iterative DFS from entry.
+    let mut stack: Vec<(NodeId, usize)> = vec![(entry, 0)];
+    state[entry.index()] = 1;
+    while let Some(&mut (node, ref mut next)) = stack.last_mut() {
+        let succs = &succs[node.index()];
+        if *next < succs.len() {
+            let s = succs[*next];
+            *next += 1;
+            match state[s.index()] {
+                0 => {
+                    state[s.index()] = 1;
+                    stack.push((s, 0));
+                }
+                1 => panic!("loop flow graph must be acyclic (cycle through {s})"),
+                _ => {}
+            }
+        } else {
+            state[node.index()] = 2;
+            postorder.push(node);
+            stack.pop();
+        }
+    }
+    postorder.reverse();
+    postorder
+}
+
+/// The non-empty-path reachability bitsets of the acyclic graph `succs`
+/// describes, given its reverse postorder.
+fn compute_reachability(succs: &[Vec<NodeId>], rpo: &[NodeId]) -> Vec<Vec<u64>> {
+    let n = succs.len();
+    let words = n.div_ceil(64);
+    let mut reach = vec![vec![0u64; words]; n];
+    // Process in reverse RPO (children before parents in the DAG).
+    for &node in rpo.iter().rev() {
+        let mut acc = vec![0u64; words];
+        for &s in &succs[node.index()] {
+            acc[s.index() / 64] |= 1 << (s.index() % 64);
+            for (w, v) in reach[s.index()].iter().enumerate() {
+                acc[w] |= v;
+            }
+        }
+        reach[node.index()] = acc;
+    }
+    reach
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build_loop_graph;
-    use arrayflow_ir::Loop;
+    use arrayflow_ir::{Loop, Stmt};
     use arrayflow_workloads::{all_kernels, livermore_kernels, random_loop, LoopShape};
 
     fn loops<'a>(block: &'a [Stmt], out: &mut Vec<&'a Loop>) {

@@ -1,7 +1,9 @@
 //! Graph nodes.
 
-use arrayflow_ir::stmt::StmtId;
-use arrayflow_ir::{ArrayRef, Cond, Loop, Stmt, VarId};
+use std::sync::Arc;
+
+use arrayflow_ir::stmt::{Assign, StmtId};
+use arrayflow_ir::{ArrayRef, Cond, Loop, VarId};
 
 /// Index of a node within its [`crate::LoopGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,8 +25,9 @@ impl std::fmt::Display for NodeId {
 /// One array reference occurring in a node, with its role.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RefSite {
-    /// The textual reference.
-    pub aref: ArrayRef,
+    /// The textual reference, shared with the analysis sites and spec rows
+    /// built from it.
+    pub aref: Arc<ArrayRef>,
     /// True if this site *writes* the element (an assignment destination).
     pub is_def: bool,
     /// The assignment this site belongs to, when it belongs to one (test
@@ -137,25 +140,17 @@ pub struct LoopContext {
     pub ub: Option<i64>,
 }
 
-/// Extracts every (use, def) reference site of a statement, in evaluation
-/// order: RHS uses, LHS subscript uses, then the LHS def.
-pub fn ref_sites_of(stmt: &Stmt) -> Vec<RefSite> {
-    let mut out = Vec::new();
-    if let Stmt::Assign(a) = stmt {
-        for u in arrayflow_ir::visit::assign_uses(a) {
-            out.push(RefSite {
-                aref: u.clone(),
-                is_def: false,
-                stmt: Some(a.id),
-            });
-        }
-        if let Some(d) = arrayflow_ir::visit::assign_def(a) {
-            out.push(RefSite {
-                aref: d.clone(),
-                is_def: true,
-                stmt: Some(a.id),
-            });
-        }
-    }
-    out
+/// Extracts every (use, def) reference site of an assignment, in
+/// evaluation order: RHS uses, LHS subscript uses, then the LHS def.
+pub fn ref_sites_of(a: &Assign) -> Vec<RefSite> {
+    let uses = arrayflow_ir::visit::assign_uses(a).into_iter();
+    let uses = uses.map(|u| (u, false));
+    let def = arrayflow_ir::visit::assign_def(a).map(|d| (d, true));
+    uses.chain(def)
+        .map(|(r, is_def)| RefSite {
+            aref: Arc::new(r.clone()),
+            is_def,
+            stmt: Some(a.id),
+        })
+        .collect()
 }

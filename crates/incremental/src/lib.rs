@@ -16,11 +16,13 @@
 //! [`Session`] exploits this. It retains the normalized IR, the loop flow
 //! graph, the classified sites and the converged solutions of the four
 //! canned instances, each with its per-column *convergence profile* (the
-//! last pass in which each column changed). [`Session::apply`] patches the
-//! edited assignment into the graph in place, re-enumerates sites,
-//! determines the *dirtied columns* — those generated at the edited node
-//! or tracking an array the old or new statement references — and
-//! re-converges only those, per solved column family
+//! last pass in which each column changed). [`Session::apply`] lands the
+//! edited assignment in the stored program in place (put back if the
+//! apply fails or is stopped), builds the edited node's graph entry, sites
+//! and spec rows and shares every other node, site and row with the
+//! pre-edit state, determines the *dirtied columns* — those generated at
+//! the edited node or tracking an array the old or new statement
+//! references — and re-converges only those, per solved column family
 //! ([`arrayflow_core::solve`] over a narrowed problem spec). The new
 //! solution then shares every column
 //! ([`arrayflow_core::Solution::splice`]) — re-solved ones from the

@@ -1,10 +1,12 @@
 //! One analysis session: cached fixed point plus delta re-convergence.
 
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use arrayflow_analyses::instances::Instance;
-use arrayflow_analyses::sites::{enumerate_sites, Site};
-use arrayflow_analyses::spec::{build_spec, GK};
+use arrayflow_analyses::sites::{enumerate_sites, splice_sites, Site, SiteSplice};
+use arrayflow_analyses::spec::{build_spec, BuiltSpec, GK};
 use arrayflow_analyses::{
     dependences, redundant_stores, reuse_pairs, AnalyzeError, Dep, LoopAnalysis, RedundantStore,
     Reuse,
@@ -12,10 +14,10 @@ use arrayflow_analyses::{
 use arrayflow_core::{
     canned_source, solve, CustomSpec, GenRef, ProblemSpec, RefId, Solution, StopCheck, CANNED,
 };
-use arrayflow_graph::LoopGraph;
+use arrayflow_graph::{build_loop_graph, LoopGraph, NodeId, NodeKind};
 use arrayflow_ir::{
-    apply_edit, fingerprint_loop, normalize, ArrayId, Assign, Edit, EditError, EditShape,
-    Fingerprint, LValue, Program, Stmt, StmtId,
+    apply_edit, fingerprint_loop, normalize, parse_stmt_with, ArrayId, Assign, Edit, EditError,
+    Fingerprint, LValue, Program, Stmt, StmtId, SymbolTable,
 };
 
 /// Why a delta could not be applied. The session is left unchanged.
@@ -108,28 +110,28 @@ impl ReportLists {
     /// The lists of `new`, the analysis after an edit that touched only
     /// the `dirty` arrays: an untouched array keeps its entries, whose
     /// columns and sites the edit left unchanged, renumbered from the old
-    /// site table (`old_sites`) onto the new one by `new_site` and onto
+    /// site table (`old_sites`) onto the new one by `splice` and onto
     /// `new`'s δ-available columns; the dirty arrays are distilled afresh,
     /// and both merge back in site order. An untouched array has no site
-    /// at the edited node, so `new_site` need not map those.
+    /// at the edited node, which is all `splice` does not map.
     fn patched(
         &self,
         old_sites: &[Site],
         new: &LoopAnalysis,
         dirty: &[ArrayId],
         dep_max_distance: u64,
-        new_site: impl Fn(usize) -> usize,
+        splice: &SiteSplice,
     ) -> Self {
         let fresh = Self::distill(new, dep_max_distance, Some(dirty));
         let clean = |site: usize| !dirty.contains(&old_sites[site].aref.array);
         let columns = &new.available.built.gen_site;
         let reuses = self.reuses.iter().filter(|r| clean(r.use_site)).map(|r| {
-            let gen_site = new_site(r.gen_site);
+            let gen_site = splice.new_site(r.gen_site);
             let gen = columns
                 .binary_search(&gen_site)
                 .expect("an untouched generator keeps a δ-available column");
             Reuse {
-                use_site: new_site(r.use_site),
+                use_site: splice.new_site(r.use_site),
                 gen: RefId(gen as u32),
                 gen_site,
                 ..*r
@@ -137,18 +139,18 @@ impl ReportLists {
         });
         let stores = self.redundant_stores.iter();
         let stores = stores.filter(|s| clean(s.store_site)).map(|s| {
-            let store_site = new_site(s.store_site);
+            let store_site = splice.new_site(s.store_site);
             RedundantStore {
                 store_site,
                 stmt: new.sites[store_site].stmt,
-                killer_site: new_site(s.killer_site),
+                killer_site: splice.new_site(s.killer_site),
                 ..*s
             }
         });
         let deps = self.dependences.iter().filter(|d| clean(d.dst_site));
         let deps = deps.map(|d| Dep {
-            src_site: new_site(d.src_site),
-            dst_site: new_site(d.dst_site),
+            src_site: splice.new_site(d.src_site),
+            dst_site: splice.new_site(d.dst_site),
             ..*d
         });
         ReportLists {
@@ -178,9 +180,11 @@ fn merged<T>(kept: impl Iterator<Item = T>, fresh: Vec<T>, key: impl Fn(&T) -> u
 /// analysis state and the report lists distilled from it.
 #[derive(Debug, Clone)]
 pub struct Session {
-    /// The program as submitted plus all applied edits, renumbered.
-    raw: Program,
-    /// Normalized + renumbered form of `raw`.
+    /// The program as submitted plus all applied edits, renumbered, when
+    /// normalization rewrote one of its loops; `None` when normalizing
+    /// leaves it as it is, and `norm` is that program.
+    raw: Option<Program>,
+    /// Normalized + renumbered form of the source program.
     norm: Program,
     /// Canonical fingerprint of the normalized sole loop.
     fingerprint: Fingerprint,
@@ -206,37 +210,235 @@ fn analyze_norm_ctrl(
     Ok((fingerprint_loop(l, &norm.symbols), analysis))
 }
 
-/// Arrays the reference sites of two assignments touch (as generator or
-/// kill), sorted and without repeats.
-fn touched_arrays(a: &Assign, b: &Assign) -> Vec<ArrayId> {
-    use arrayflow_graph::ref_sites_of;
-    let sites = [a, b].map(|x| ref_sites_of(&Stmt::Assign(x.clone())));
-    let mut arrays: Vec<ArrayId> = sites.iter().flatten().map(|r| r.aref.array).collect();
-    arrays.sort_unstable();
-    arrays.dedup();
-    arrays
+/// The renumbered program and its normalized form, `None` for the
+/// normalized form when normalization leaves the program as it is.
+fn normalized(mut program: Program) -> (Program, Option<Program>) {
+    program.renumber();
+    let mut norm = program.clone();
+    let rewritten = normalize(&mut norm);
+    norm.renumber();
+    match rewritten {
+        0 => (program, None),
+        _ => (norm, Some(program)),
+    }
 }
 
-fn find_assign(block: &[Stmt], id: StmtId) -> Option<&Assign> {
+fn find_assign_mut(block: &mut [Stmt], id: StmtId) -> Option<&mut Assign> {
     for stmt in block {
-        match stmt {
+        let found = match stmt {
             Stmt::Assign(a) if a.id == id => return Some(a),
-            Stmt::Assign(_) => {}
+            Stmt::Assign(_) => None,
             Stmt::If {
                 then_blk, else_blk, ..
-            } => {
-                if let Some(a) = find_assign(then_blk, id).or_else(|| find_assign(else_blk, id)) {
-                    return Some(a);
-                }
-            }
-            Stmt::Do(l) => {
-                if let Some(a) = find_assign(&l.body, id) {
-                    return Some(a);
-                }
-            }
+            } => find_assign_mut(then_blk, id).or_else(|| find_assign_mut(else_blk, id)),
+            Stmt::Do(l) => find_assign_mut(&mut l.body, id),
+        };
+        if found.is_some() {
+            return found;
         }
     }
     None
+}
+
+/// An assignment replaced in place in a stored program, put back when
+/// dropped unless kept: an apply that fails, is stopped or panics leaves
+/// the program as it was.
+struct Landed<'p> {
+    program: &'p mut Program,
+    stmt: StmtId,
+    /// The replaced assignment, and the symbol table from before the edit
+    /// when the edit interned new names.
+    undo: Option<(Assign, Option<SymbolTable>)>,
+}
+
+impl<'p> Landed<'p> {
+    /// Replaces the assignment with `assign`'s id by `assign`, and the
+    /// symbol table by `symbols` when given.
+    fn new(program: &'p mut Program, assign: Assign, symbols: Option<SymbolTable>) -> Self {
+        let stmt = assign.id;
+        let slot = find_assign_mut(&mut program.body, stmt).expect("the edited assignment exists");
+        let replaced = std::mem::replace(slot, assign);
+        let symbols = symbols.map(|s| std::mem::replace(&mut program.symbols, s));
+        Landed {
+            program,
+            stmt,
+            undo: Some((replaced, symbols)),
+        }
+    }
+
+    fn keep(mut self) {
+        self.undo = None;
+    }
+}
+
+impl Deref for Landed<'_> {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        self.program
+    }
+}
+
+impl Drop for Landed<'_> {
+    fn drop(&mut self) {
+        if let Some((assign, symbols)) = self.undo.take() {
+            *find_assign_mut(&mut self.program.body, self.stmt).expect("landed") = assign;
+            if let Some(symbols) = symbols {
+                self.program.symbols = symbols;
+            }
+        }
+    }
+}
+
+/// True for a node carrying an assignment to an array element.
+fn writes_array(graph: &LoopGraph, node: NodeId) -> bool {
+    matches!(&graph.node(node).kind,
+        NodeKind::Assign { assign, .. } if matches!(assign.lhs, LValue::Elem(_)))
+}
+
+/// A fast-path re-convergence: the analysis after the edit, and what
+/// the patched report lists need to know about it.
+struct Resolved {
+    analysis: LoopAnalysis,
+    /// Arrays the old or new statement references, sorted.
+    dirty_arrays: Vec<ArrayId>,
+    /// The edited node's sites in the old site table and in the new one.
+    splice: SiteSplice,
+    outcome: DeltaOutcome,
+}
+
+/// Re-converges `old`, the analysis of the loop before node `en`'s
+/// assignment became `assign`, over `norm`, the edited program, and
+/// re-solves only the dirty columns. When `same` (the edit interned no
+/// name), the graph shares every other node with `old`'s and the edited
+/// node's sites and spec rows are spliced in where the edited references
+/// allow it (see [`splice_sites`]). Otherwise the edit may have shifted
+/// symbol numbers anywhere, and the graph, every site and every spec row
+/// are built afresh.
+fn resolve(
+    old: &LoopAnalysis,
+    norm: &Program,
+    en: NodeId,
+    assign: Assign,
+    same: bool,
+    should_stop: Option<StopCheck<'_>>,
+) -> Result<Resolved, AnalyzeError> {
+    let l = norm.sole_loop().expect("a session's program is one loop");
+    let graph = match same {
+        true => {
+            let mut graph = old.graph.clone();
+            graph.replace_assign(en, assign);
+            graph
+        }
+        false => build_loop_graph(l),
+    };
+    let touched = [&old.graph, &graph].map(|g| g.node(en).refs.iter());
+    let mut dirty_arrays: Vec<ArrayId> = touched
+        .into_iter()
+        .flatten()
+        .map(|r| r.aref.array)
+        .collect();
+    dirty_arrays.sort_unstable();
+    dirty_arrays.dedup();
+
+    let spliced = match same {
+        true => splice_sites(l, &graph, &old.symbols, &old.sites, en),
+        false => None,
+    };
+    let (sites, symbols, spliced) = match spliced {
+        Some(sites) => (sites, Arc::clone(&old.symbols), true),
+        None => {
+            let (sites, lin) = enumerate_sites(l, &graph, &norm.symbols);
+            (sites, Arc::new(lin.symbols.into_owned()), false)
+        }
+    };
+    // The edited node's sites occupy one contiguous range of the site
+    // table; everything after it shifts by the site-count delta.
+    let splice = SiteSplice::of(&old.sites, &sites, en);
+
+    let mut outcome = DeltaOutcome::default();
+    let mut spent_passes: u64 = 0;
+    // Per canned row, per new site: whether the row's column at that
+    // site is re-solved. A row that selects its columns from another
+    // row's family shares that row's dirty columns.
+    let mut dirty_sites = vec![vec![false; sites.len()]; CANNED.len()];
+    let build = |sites: &[Site], k: usize, spec: CustomSpec| match spliced {
+        true => old.instances()[k]
+            .built
+            .spliced(sites, GK::of(spec), &splice),
+        false => build_spec(sites, GK::of(spec), spec.direction, spec.mode),
+    };
+    let resolve = |graph: &LoopGraph, _: &[Site], k: usize, built: BuiltSpec| {
+        let (dir, mode) = (built.spec.direction, built.spec.mode);
+        let old = old.instances()[k];
+        // Old column index by old site index (columns are in site order).
+        let old_col = |site: usize| old.built.gen_site.binary_search(&site).ok();
+
+        // Classify each new column: clean columns name the old column
+        // they splice from, dirty ones are re-solved as the columns of
+        // a narrowed spec.
+        let mut gens: Vec<GenRef> = Vec::new();
+        let mut columns: Vec<(bool, usize)> = Vec::with_capacity(built.spec.width());
+        for (gen, &site) in built.spec.gens.iter().zip(built.gen_site.iter()) {
+            let clean = gen.node != en && !dirty_arrays.contains(&gen.aref.array);
+            match splice.old_site(site).filter(|_| clean).and_then(old_col) {
+                Some(oc) => columns.push((false, oc)),
+                None => {
+                    let id = RefId(gens.len() as u32);
+                    columns.push((true, id.index()));
+                    gens.push(GenRef { id, ..gen.clone() });
+                    dirty_sites[k][site] = true;
+                }
+            }
+        }
+        // A column sees only its own array's kills: keep the arrays of
+        // the dirty columns.
+        let mut arrays: Vec<ArrayId> = gens.iter().map(|g| g.aref.array).collect();
+        arrays.sort_unstable();
+        arrays.dedup();
+        let kills = built.spec.kills.iter();
+        let kills = kills.filter(|k| arrays.binary_search(&k.array).is_ok());
+        let narrow = ProblemSpec {
+            direction: dir,
+            mode,
+            gens: Arc::new(gens),
+            kills: Arc::new(kills.cloned().collect()),
+        };
+
+        // Re-converge the dirtied columns, then splice every column,
+        // re-solved or clean, into the new solution.
+        let dirty = solve(graph, &narrow, should_stop).map_err(|s| AnalyzeError::Stopped {
+            passes: spent_passes + s.passes_completed as u64,
+        })?;
+        spent_passes += dirty.stats.passes as u64;
+        outcome.solver_visits += dirty.stats.init_visits + dirty.stats.iter_visits;
+        let sol = Solution::splice(
+            graph.len(),
+            mode,
+            columns.iter().map(|&(is_dirty, c)| match is_dirty {
+                true => (&dirty, c),
+                false => (&old.sol, c),
+            }),
+        );
+        Ok(Instance {
+            gk: GK::of(CANNED[k].1),
+            built,
+            sol,
+        })
+    };
+    let analysis = LoopAnalysis::assemble(symbols, graph, sites, build, resolve)?;
+    for (k, inst) in analysis.instances().into_iter().enumerate() {
+        let dirty = &dirty_sites[canned_source(k)];
+        outcome.dirty_columns += inst.built.gen_site.iter().filter(|&&s| dirty[s]).count();
+        outcome.total_columns += inst.sol.width();
+        outcome.full_solver_visits += inst.sol.stats.init_visits + inst.sol.stats.iter_visits;
+    }
+    Ok(Resolved {
+        analysis,
+        dirty_arrays,
+        splice,
+        outcome,
+    })
 }
 
 impl Session {
@@ -252,18 +454,15 @@ impl Session {
     /// the session — nothing is retained from a cancelled open. With
     /// `None` the result is identical to [`Session::open`].
     pub fn open_ctrl(
-        mut program: Program,
+        program: Program,
         dep_max_distance: u64,
         should_stop: Option<StopCheck<'_>>,
     ) -> Result<Self, AnalyzeError> {
-        program.renumber();
-        let mut norm = program.clone();
-        normalize(&mut norm);
-        norm.renumber();
+        let (norm, raw) = normalized(program);
         let (fingerprint, analysis) = analyze_norm_ctrl(&norm, should_stop)?;
         let lists = ReportLists::distill(&analysis, dep_max_distance, None);
         Ok(Self {
-            raw: program,
+            raw,
             norm,
             fingerprint,
             analysis,
@@ -301,7 +500,7 @@ impl Session {
 
     /// The program as submitted plus all applied edits (not normalized).
     pub fn source_program(&self) -> &Program {
-        &self.raw
+        self.raw.as_ref().unwrap_or(&self.norm)
     }
 
     /// Edits applied so far, and how many of them fell back to a full
@@ -325,170 +524,86 @@ impl Session {
     /// [`AnalyzeError::Stopped`] (wrapped in [`DeltaError::Analyze`]) and
     /// leaves the session byte-identical to its pre-edit state — exactly
     /// like any other failed apply.
+    ///
+    /// On the incremental path the edit lands in the stored program in
+    /// place (and is put back if the apply fails), and the new analysis
+    /// shares everything the edit leaves unchanged with the old one.
     pub fn apply_ctrl(
         &mut self,
         edit: &Edit,
         should_stop: Option<StopCheck<'_>>,
     ) -> Result<DeltaOutcome, DeltaError> {
-        // Capture what the edit replaces before touching anything.
-        let old_node = self.analysis.graph.assign_node(edit.stmt);
-        let old_assign = find_assign(&self.norm.body, edit.stmt).cloned();
-
-        let mut raw = self.raw.clone();
-        let shape = apply_edit(&mut raw, edit)?;
-        let mut norm = raw.clone();
-        normalize(&mut norm);
-        norm.renumber();
-
-        let fast = shape == EditShape::Assign
-            && old_node.is_some()
-            && old_assign.is_some()
-            && norm.sole_loop().is_some_and(|l| l.is_normalized());
-        if !fast {
-            return self.rebuild(raw, norm, shape, should_stop);
-        }
-        let en = old_node.expect("checked");
-        let old_assign = old_assign.expect("checked");
-        let new_assign = match find_assign(&norm.body, edit.stmt) {
-            Some(a) => a.clone(),
-            None => return self.rebuild(raw, norm, shape, should_stop),
+        let source = &self.source_program().symbols;
+        let (stmt, symbols) = parse_stmt_with(source, &edit.text).map_err(EditError::from)?;
+        let same =
+            symbols.num_vars() == source.num_vars() && symbols.num_arrays() == source.num_arrays();
+        // The incremental path replaces an array assignment of the loop
+        // body by another. A scalar assignment appearing or disappearing
+        // changes the scalar environment that site classification depends
+        // on — for *every* site, not just the edited node's — and any
+        // other edit changes the loop's structure: both fall back.
+        let graph = &self.analysis.graph;
+        let en = graph
+            .assign_node(edit.stmt)
+            .filter(|&en| writes_array(graph, en));
+        let (Some(en), Stmt::Assign(mut assign)) = (en, stmt) else {
+            return self.rebuild(edit, should_stop);
         };
-        // A scalar assignment appearing or disappearing changes the scalar
-        // environment that site classification depends on — for *every*
-        // site, not just the edited node's. Structure-level fallback.
-        if matches!(old_assign.lhs, LValue::Scalar(_))
-            || matches!(new_assign.lhs, LValue::Scalar(_))
-        {
-            return self.rebuild(raw, norm, shape, should_stop);
+        if !matches!(assign.lhs, LValue::Elem(_)) {
+            return self.rebuild(edit, should_stop);
         }
+        // Assignment-for-assignment replacement keeps every statement id.
+        assign.id = edit.stmt;
+        let symbols = (!same).then_some(symbols);
 
-        // ---- Fast path: patch the graph and re-solve dirty columns. ----
-        let dirty_arrays = touched_arrays(&old_assign, &new_assign);
-
-        // The edited node's sites occupy one contiguous range of the site
-        // enumeration; everything after it shifts by the ref-count delta.
-        let old_sites = &self.analysis.sites;
-        let old_start = old_sites
-            .iter()
-            .position(|s| s.node == en)
-            .unwrap_or(old_sites.len());
-        let old_count = old_sites.iter().filter(|s| s.node == en).count();
-
-        let mut graph = self.analysis.graph.clone();
-        graph.replace_assign(en, new_assign);
-        let l = norm.sole_loop().expect("checked");
-        let (sites, lin) = enumerate_sites(l, &graph, &norm.symbols);
-        let new_count = sites.iter().filter(|s| s.node == en).count();
-        // A site off the edited node by its index in the new enumeration,
-        // and back.
-        let old_site = |idx: usize| -> Option<usize> {
-            if idx < old_start {
-                Some(idx)
-            } else if idx >= old_start + new_count {
-                Some(idx - new_count + old_count)
-            } else {
-                None
+        // ---- Fast path: land the edit, patch the graph, re-solve dirty
+        // columns. ----
+        let (landed, renormalized) = match &mut self.raw {
+            None => (Landed::new(&mut self.norm, assign.clone(), symbols), None),
+            Some(raw) => {
+                // A source loop normalization rewrites is normalized
+                // afresh, from a copy.
+                let landed = Landed::new(raw, assign.clone(), symbols);
+                let mut norm = Program::clone(&landed);
+                normalize(&mut norm);
+                norm.renumber();
+                let normalized = find_assign_mut(&mut norm.body, edit.stmt);
+                assign = normalized.expect("normalization keeps ids").clone();
+                (landed, Some(norm))
             }
         };
-        let new_site = |idx: usize| match idx < old_start {
-            true => idx,
-            false => idx + new_count - old_count,
-        };
-
-        let mut outcome = DeltaOutcome::default();
-        let mut spent_passes: u64 = 0;
-        // Per canned row, per new site: whether the row's column at that
-        // site is re-solved. A row that selects its columns from another
-        // row's family shares that row's dirty columns.
-        let mut dirty_sites = vec![vec![false; sites.len()]; CANNED.len()];
-        let resolve = |graph: &LoopGraph, sites: &[Site], k: usize, spec: CustomSpec| {
-            let (dir, mode) = (spec.direction, spec.mode);
-            let built = build_spec(sites, GK::of(spec), dir, mode);
-            let old = self.analysis.instances()[k];
-            // Old column index by old site index (columns are in site order).
-            let old_col = |site: usize| old.built.gen_site.binary_search(&site).ok();
-
-            // Classify each new column: clean columns name the old column
-            // they splice from, dirty ones are re-solved as the columns of
-            // a narrowed spec.
-            let mut narrow = ProblemSpec::new(dir, mode);
-            let mut columns: Vec<(bool, usize)> = Vec::with_capacity(built.spec.width());
-            for (gen, &site) in built.spec.gens.iter().zip(&built.gen_site) {
-                let old_site = gen
-                    .origin
-                    .and_then(|o| old_site(o as usize))
-                    .filter(|_| gen.node != en && !dirty_arrays.contains(&gen.aref.array));
-                match old_site.and_then(old_col) {
-                    Some(oc) => columns.push((false, oc)),
-                    None => {
-                        let id = RefId(narrow.gens.len() as u32);
-                        columns.push((true, id.index()));
-                        narrow.gens.push(GenRef { id, ..gen.clone() });
-                        dirty_sites[k][site] = true;
-                    }
-                }
-            }
-            // A column sees only its own array's kills: keep the arrays of
-            // the dirty columns.
-            let mut arrays: Vec<ArrayId> = narrow.gens.iter().map(|g| g.aref.array).collect();
-            arrays.sort_unstable();
-            arrays.dedup();
-            let kills = built.spec.kills.iter();
-            let kills = kills.filter(|k| arrays.binary_search(&k.array).is_ok());
-            narrow.kills = kills.cloned().collect();
-
-            // Re-converge the dirtied columns, then splice every column,
-            // re-solved or clean, into the new solution.
-            let dirty = solve(graph, &narrow, should_stop).map_err(|s| AnalyzeError::Stopped {
-                passes: spent_passes + s.passes_completed as u64,
-            })?;
-            spent_passes += dirty.stats.passes as u64;
-            outcome.solver_visits += dirty.stats.init_visits + dirty.stats.iter_visits;
-            let sol = Solution::splice(
-                graph.len(),
-                mode,
-                columns.iter().map(|&(is_dirty, c)| match is_dirty {
-                    true => (&dirty, c),
-                    false => (&old.sol, c),
-                }),
-            );
-            Ok(Instance {
-                gk: GK::of(spec),
-                built,
-                sol,
-            })
-        };
-        let analysis = LoopAnalysis::assemble(lin.symbols, graph, sites, resolve)?;
-        self.lists = self.lists.patched(
+        let norm = renormalized.as_ref().unwrap_or(&*landed);
+        let resolved = resolve(&self.analysis, norm, en, assign, same, should_stop)?;
+        let l = norm.sole_loop().expect("a session's program is one loop");
+        let fingerprint = fingerprint_loop(l, &norm.symbols);
+        let lists = self.lists.patched(
             &self.analysis.sites,
-            &analysis,
-            &dirty_arrays,
+            &resolved.analysis,
+            &resolved.dirty_arrays,
             self.dep_max_distance,
-            new_site,
+            &resolved.splice,
         );
-        for (k, inst) in analysis.instances().into_iter().enumerate() {
-            let dirty = &dirty_sites[canned_source(k)];
-            outcome.dirty_columns += inst.built.gen_site.iter().filter(|&&s| dirty[s]).count();
-            outcome.total_columns += inst.sol.width();
-            outcome.full_solver_visits += inst.sol.stats.init_visits + inst.sol.stats.iter_visits;
+        landed.keep();
+        if let Some(norm) = renormalized {
+            self.norm = norm;
         }
-        self.fingerprint = fingerprint_loop(l, &norm.symbols);
-        self.analysis = analysis;
-        self.raw = raw;
-        self.norm = norm;
+        self.fingerprint = fingerprint;
+        self.analysis = resolved.analysis;
+        self.lists = lists;
         self.edits += 1;
-        Ok(outcome)
+        Ok(resolved.outcome)
     }
 
     /// Full re-analysis fallback: rebuild everything from the edited
     /// program, recording that the incremental path was not taken.
     fn rebuild(
         &mut self,
-        raw: Program,
-        norm: Program,
-        _shape: EditShape,
+        edit: &Edit,
         should_stop: Option<StopCheck<'_>>,
     ) -> Result<DeltaOutcome, DeltaError> {
+        let mut source = self.source_program().clone();
+        apply_edit(&mut source, edit)?;
+        let (norm, raw) = normalized(source);
         let (fingerprint, analysis) = analyze_norm_ctrl(&norm, should_stop)?;
         self.lists = ReportLists::distill(&analysis, self.dep_max_distance, None);
         let mut outcome = DeltaOutcome {

@@ -9,16 +9,25 @@
 //!    visit bounds, for every framework instance (the solver itself is
 //!    checked against a round-robin oracle inside `arrayflow-core`);
 //! 2. a session that re-converges after an edit is byte-identical to a
-//!    fresh analysis of the edited program — every solution value, and
-//!    the report lists it patches instead of re-distilling — on the
-//!    incremental fast path and on the recorded fallback path alike.
+//!    fresh analysis of the edited program — the programs, the extended
+//!    symbol table, the site table, every instance's spec rows and
+//!    solution values, and the report lists it patches instead of
+//!    re-distilling — on the incremental fast path and on the recorded
+//!    fallback path alike, including edits that make the linearizer or
+//!    the normalizer invent symbols;
+//! 3. an apply stopped at any of its stop-check polls leaves the session
+//!    exactly as it was.
 
-use arrayflow_analyses::{build_spec, enumerate_sites, GK};
-use arrayflow_core::{solve, Mode, Solution, CANNED};
+use std::cell::Cell;
+
+use arrayflow_analyses::{build_spec, enumerate_sites, AnalyzeError, Site, GK};
+use arrayflow_core::{solve, GenRef, KillSite, Mode, Solution, CANNED};
 use arrayflow_graph::build_loop_graph;
-use arrayflow_incremental::Session;
-use arrayflow_ir::{normalize, parse_program, Edit, Program};
-use arrayflow_workloads::{all_kernels, livermore_kernels, random_edit, random_loop, LoopShape};
+use arrayflow_incremental::{DeltaError, DeltaOutcome, ReportLists, Session};
+use arrayflow_ir::{normalize, parse_program, Edit, Program, StmtId, SymbolTable};
+use arrayflow_workloads::{
+    all_kernels, livermore_kernels, random_edit, random_edits, random_loop, LoopShape,
+};
 
 /// The dependence distance bound sessions distill at.
 const DEP_MAX_DISTANCE: u64 = 8;
@@ -86,13 +95,37 @@ fn assert_matches_fresh(session: &Session, context: &str) {
         fresh.fingerprint(),
         "fingerprint diverged: {context}"
     );
+    assert!(
+        session.program() == fresh.program(),
+        "normalized program diverged: {context}"
+    );
     let a = session.analysis();
     let b = fresh.analysis();
+    assert!(
+        a.symbols == b.symbols,
+        "extended symbol table diverged: {context}"
+    );
+    assert_eq!(
+        a.sites.len(),
+        b.sites.len(),
+        "site count diverged: {context}"
+    );
+    for (k, (x, y)) in a.sites.iter().zip(&b.sites).enumerate() {
+        assert_eq!(x, y, "site {k} diverged: {context}");
+    }
     for (k, (x, y)) in a.instances().iter().zip(b.instances()).enumerate() {
         assert_eq!(x.sol, y.sol, "instance {k} solution diverged: {context}");
         assert_eq!(
             x.built.gen_site, y.built.gen_site,
             "instance {k} site mapping diverged: {context}"
+        );
+        let (xs, ys) = (&x.built.spec, &y.built.spec);
+        assert_eq!(xs.gens, ys.gens, "instance {k} gens diverged: {context}");
+        assert_eq!(xs.kills, ys.kills, "instance {k} kills diverged: {context}");
+        assert_eq!(
+            (xs.direction, xs.mode),
+            (ys.direction, ys.mode),
+            "instance {k} problem diverged: {context}"
         );
     }
     assert_eq!(
@@ -224,4 +257,173 @@ fn delta_outcome_reports_savings() {
     );
     assert!(outcome.solver_visits <= outcome.full_solver_visits);
     assert_matches_fresh(&session, "disjoint arrays edit");
+}
+
+/// A loop body whose [`SYMBOL_CHAIN`] edits make the linearizer or the
+/// normalizer invent symbols.
+const SYMBOL_BODY: &str = "A[i+1] := A[i] + B[i];
+                           X[i, 2] := A[i-1] + 1;
+                           B[i] := B[i-2] + 1;
+                           Z[i, 1] := X[i-1, 2] + 1;
+                           C[i] := A[i+2] + C[i-1];";
+
+/// Edits of [`SYMBOL_BODY`], in order, by statement: they intern a new
+/// array, a new right-hand-side scalar and multi-dimensional references
+/// (whose linearization invents stride symbols, numbered in first-use
+/// order), and remove one.
+const SYMBOL_CHAIN: [(u32, &str); 7] = [
+    // A 2-D reference ahead of the first one: Z's stride symbol is now
+    // invented before X's.
+    (0, "A[i+1] := Z[i, 3] + 1;"),
+    // A new right-hand-side scalar.
+    (2, "B[i] := B[i-2] + s;"),
+    // A new array.
+    (4, "D[i] := A[i+2] + C[i-1];"),
+    // The only reference to X's stride gone, then back.
+    (1, "B[i+1] := A[i-1] + 1;"),
+    (1, "X[i, 2] := A[i-1] + X[i, 1];"),
+    // A new 2-D array, and a 1-D edit after all that.
+    (3, "Y[i, 1] := Z[i-1, 1] + D[i];"),
+    (4, "C[i] := A[i+2] + D[i-1];"),
+];
+
+/// Headers for [`SYMBOL_BODY`]: one normalization rewrites (inventing
+/// its induction variable after the source's symbols), and the same
+/// iterations already normalized.
+const SYMBOL_HEADERS: [&str; 2] = ["do i = 3, 60", "do i = 1, 58"];
+
+fn symbol_session(header: &str) -> Session {
+    let p = parse_program(&format!("{header} {SYMBOL_BODY} end")).unwrap();
+    Session::open(p, DEP_MAX_DISTANCE).unwrap()
+}
+
+fn symbol_edits() -> Vec<Edit> {
+    let edit = |&(stmt, text): &(u32, &str)| Edit {
+        stmt: StmtId(stmt),
+        text: text.to_string(),
+    };
+    SYMBOL_CHAIN.iter().map(edit).collect()
+}
+
+/// Every [`SYMBOL_CHAIN`] edit stays on the fast path and matches a
+/// fresh session, under both [`SYMBOL_HEADERS`].
+#[test]
+fn symbol_inventing_edits_match_fresh() {
+    for header in SYMBOL_HEADERS {
+        let mut session = symbol_session(header);
+        for (step, edit) in symbol_edits().iter().enumerate() {
+            let outcome = session.apply(edit).unwrap();
+            let context = format!("`{header}` step {step} ({})", edit.text);
+            assert!(!outcome.fallback, "{context}: left the fast path");
+            assert_matches_fresh(&session, &context);
+        }
+        let normalized = session.source_program() == session.program();
+        assert_eq!(normalized, header.contains("1, 58"), "`{header}`");
+    }
+}
+
+/// Everything an apply may change, compared by value.
+#[derive(Debug, PartialEq)]
+struct Snapshot {
+    /// The source and normalized programs, symbol tables included.
+    raw: Program,
+    norm: Program,
+    fingerprint: arrayflow_ir::Fingerprint,
+    symbols: SymbolTable,
+    sites: Vec<Site>,
+    specs: Vec<(Vec<GenRef>, Vec<KillSite>, Vec<usize>)>,
+    solutions: Vec<Solution>,
+    lists: ReportLists,
+    edit_counts: (u64, u64),
+}
+
+fn snapshot(session: &Session) -> Snapshot {
+    let a = session.analysis();
+    let instances = a.instances();
+    let spec = |k: usize| {
+        let b = &instances[k].built;
+        let rows = (b.spec.gens.to_vec(), b.spec.kills.to_vec());
+        (rows.0, rows.1, b.gen_site.to_vec())
+    };
+    Snapshot {
+        raw: session.source_program().clone(),
+        norm: session.program().clone(),
+        fingerprint: session.fingerprint(),
+        symbols: SymbolTable::clone(&a.symbols),
+        sites: a.sites.clone(),
+        specs: (0..instances.len()).map(spec).collect(),
+        solutions: instances.iter().map(|i| i.sol.clone()).collect(),
+        lists: session.lists().clone(),
+        edit_counts: session.edit_counts(),
+    }
+}
+
+/// Applies `edit` stopped at its n-th stop-check poll, for every n until
+/// an apply completes, requiring the session to equal its pre-edit
+/// snapshot after each stop. Returns the completing apply's outcome and
+/// the number of stops.
+fn apply_stopped_at_every_poll(
+    session: &mut Session,
+    edit: &Edit,
+    context: &str,
+) -> (DeltaOutcome, usize) {
+    let before = snapshot(session);
+    for n in 1.. {
+        let polls = Cell::new(0);
+        let stop = || {
+            polls.set(polls.get() + 1);
+            polls.get() >= n
+        };
+        match session.apply_ctrl(edit, Some(&stop)) {
+            Ok(outcome) => return (outcome, n - 1),
+            Err(DeltaError::Analyze(AnalyzeError::Stopped { .. })) => assert!(
+                snapshot(session) == before,
+                "{context}: stopped at poll {n}, the session changed"
+            ),
+            Err(err) => panic!("{context}: {err}"),
+        }
+    }
+    unreachable!("an unstopped apply completes")
+}
+
+/// A fast-path apply stopped at any of its stop-check polls leaves the
+/// session equal to its pre-edit snapshot, and the apply that completes
+/// still matches a fresh session: random edits on two E16 shapes, and the
+/// [`SYMBOL_CHAIN`] under both [`SYMBOL_HEADERS`], whose stopped applies
+/// must put back an interned-into symbol table and, under the header
+/// normalization rewrites, the source program the edit landed in.
+#[test]
+fn stopped_applies_leave_the_session_unchanged() {
+    let mut inputs = Vec::new();
+    for (stmts, arrays) in [(32, 8), (128, 16)] {
+        let shape = LoopShape {
+            stmts,
+            arrays,
+            ..LoopShape::default()
+        };
+        let base = random_loop(&shape, 42);
+        let mut source = base.clone();
+        source.renumber();
+        let session = Session::open(base, DEP_MAX_DISTANCE).unwrap();
+        let edits = random_edits(&source, &shape, 4, 7);
+        inputs.push((format!("{stmts} stmts"), session, edits));
+    }
+    for header in SYMBOL_HEADERS {
+        inputs.push((
+            format!("`{header}`"),
+            symbol_session(header),
+            symbol_edits(),
+        ));
+    }
+    for (name, mut session, edits) in inputs {
+        let mut stops = 0;
+        for (e, edit) in edits.iter().enumerate() {
+            let context = format!("{name}, edit {e} ({})", edit.text);
+            let (outcome, n) = apply_stopped_at_every_poll(&mut session, edit, &context);
+            stops += n;
+            assert!(!outcome.fallback, "{context}: left the fast path");
+            assert_matches_fresh(&session, &format!("{context} after {n} stops"));
+        }
+        assert!(stops >= edits.len(), "{name}: only {stops} stops");
+    }
 }

@@ -171,7 +171,7 @@ pub enum Stmt {
 pub type Block = Vec<Stmt>;
 
 /// A whole program: a symbol table plus a top-level statement list.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
     /// Names and array metadata for every identifier in `body`.
     pub symbols: SymbolTable,

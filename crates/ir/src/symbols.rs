@@ -44,7 +44,7 @@ pub struct ArrayInfo {
 ///
 /// A `SymbolTable` is owned by a [`crate::Program`]; all identifiers appearing
 /// in that program's AST resolve through it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SymbolTable {
     vars: Vec<String>,
     var_by_name: HashMap<String, VarId>,

@@ -124,7 +124,7 @@ pub fn apply(program: &Program, analysis: &LoopAnalysis) -> LoadElim {
         for r in &chain.reuses {
             let usite = &analysis.sites[r.use_site];
             use_rewrites.insert(
-                (usite.stmt.expect("filtered"), usite.aref.clone()),
+                (usite.stmt.expect("filtered"), ArrayRef::clone(&usite.aref)),
                 chain.temps[r.distance as usize],
             );
             replaced += 1;
@@ -244,7 +244,7 @@ fn rewrite_block(
                 if let Some(ks) = use_gens.get(&id) {
                     for &k in ks {
                         let chain = &chains[k];
-                        let gref = analysis.sites[chain.gen_site].aref.clone();
+                        let gref = ArrayRef::clone(&analysis.sites[chain.gen_site].aref);
                         out.push(Stmt::Assign(Assign::new(
                             LValue::Scalar(chain.temps[0]),
                             Expr::Elem(gref.clone()),

@@ -273,7 +273,7 @@ pub fn allocate(analysis: &LoopAnalysis, config: &PipelineConfig) -> Allocation 
         plan.ranges.push(PipeRange {
             array: site.aref.array,
             gen_stmt: site.stmt.expect("checked in live_ranges"),
-            gen_ref: site.aref.clone(),
+            gen_ref: (*site.aref).clone(),
             gen_is_def: site.is_def,
             gen_a: sub.coef.as_constant().expect("checked"),
             gen_b: sub.rest.as_constant().expect("checked"),
@@ -282,7 +282,7 @@ pub fn allocate(analysis: &LoopAnalysis, config: &PipelineConfig) -> Allocation 
                 .iter()
                 .map(|r| ReusePoint {
                     stmt: analysis.sites[r.use_site].stmt.expect("checked"),
-                    aref: analysis.sites[r.use_site].aref.clone(),
+                    aref: (*analysis.sites[r.use_site].aref).clone(),
                     distance: r.distance,
                 })
                 .collect(),

@@ -76,7 +76,6 @@ struct Inner {
     state: BreakerState,
     consecutive_failures: u32,
     opened_at: Option<Instant>,
-    trips: u64,
 }
 
 /// Closed → open → half-open circuit breaker. Thread-safe; one short
@@ -100,7 +99,6 @@ impl CircuitBreaker {
                 state: BreakerState::Closed,
                 consecutive_failures: 0,
                 opened_at: None,
-                trips: 0,
             }),
         }
     }
@@ -159,7 +157,6 @@ impl CircuitBreaker {
     }
 
     fn open(&self, inner: &mut Inner) -> Transition {
-        inner.trips += 1;
         inner.opened_at = Some(Instant::now());
         transition(inner, BreakerState::Open)
     }
@@ -167,11 +164,6 @@ impl CircuitBreaker {
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.inner.lock().unwrap().state
-    }
-
-    /// How many times the breaker has tripped to open, ever.
-    pub fn trips(&self) -> u64 {
-        self.inner.lock().unwrap().trips
     }
 }
 
@@ -189,29 +181,37 @@ fn transition(inner: &mut Inner, to: BreakerState) -> Transition {
 mod tests {
     use super::*;
 
+    /// The trips among `record` outcomes: their transitions to open.
+    fn trips(outcomes: impl IntoIterator<Item = Option<Transition>>) -> usize {
+        let transitions = outcomes.into_iter().flatten();
+        transitions.filter(|t| t.to == BreakerState::Open).count()
+    }
+
     #[test]
     fn stays_closed_under_isolated_failures() {
         let b = CircuitBreaker::new(3, Duration::from_secs(60));
+        let mut outcomes = Vec::new();
         for _ in 0..10 {
-            assert_eq!(b.record(false), None);
-            assert_eq!(b.record(false), None);
-            assert_eq!(b.record(true), None); // success resets the streak
+            outcomes.push(b.record(false));
+            outcomes.push(b.record(false));
+            outcomes.push(b.record(true)); // success resets the streak
         }
+        assert!(outcomes.iter().all(Option::is_none));
         assert_eq!(b.state(), BreakerState::Closed);
-        assert_eq!(b.trips(), 0);
+        assert_eq!(trips(outcomes), 0);
     }
 
     #[test]
     fn trips_on_threshold_consecutive_failures() {
         let b = CircuitBreaker::new(3, Duration::from_secs(60));
-        assert_eq!(b.record(false), None);
-        assert_eq!(b.record(false), None);
-        let t = b.record(false).expect("third failure trips");
+        let outcomes: Vec<_> = (0..3).map(|_| b.record(false)).collect();
+        assert_eq!(outcomes[..2], [None, None]);
+        let t = outcomes[2].expect("third failure trips");
         assert_eq!(t.from, BreakerState::Closed);
         assert_eq!(t.to, BreakerState::Open);
         assert_eq!(t.consecutive_failures, 3);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
+        assert_eq!(trips(outcomes), 1);
         // While open (cooldown not elapsed), everything is refused.
         assert_eq!(b.try_acquire(), (false, None));
     }
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn probe_success_closes_probe_failure_reopens() {
         let b = CircuitBreaker::new(1, Duration::ZERO);
-        b.record(false);
+        let mut outcomes = vec![b.record(false)];
         assert_eq!(b.state(), BreakerState::Open);
 
         // Cooldown of zero: the next acquire is admitted as the probe.
@@ -229,8 +229,9 @@ mod tests {
         // A second caller is refused while the probe is in flight.
         assert_eq!(b.try_acquire(), (false, None));
         // Probe fails: back to open, counted as another trip.
-        assert_eq!(b.record(false).unwrap().to, BreakerState::Open);
-        assert_eq!(b.trips(), 2);
+        outcomes.push(b.record(false));
+        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(trips(outcomes), 2);
 
         // Probe again, succeed this time: closed and admitting.
         let (ok, _) = b.try_acquire();
@@ -253,11 +254,10 @@ mod tests {
     #[test]
     fn late_reports_after_trip_are_ignored() {
         let b = CircuitBreaker::new(1, Duration::from_secs(3600));
-        b.record(false);
-        assert_eq!(b.record(true), None);
-        assert_eq!(b.record(false), None);
+        let outcomes = [b.record(false), b.record(true), b.record(false)];
+        assert_eq!(outcomes[1..], [None, None]);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
+        assert_eq!(trips(outcomes), 1);
     }
 
     #[test]

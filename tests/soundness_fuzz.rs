@@ -290,7 +290,7 @@ fn reported_def_reuses_hold_dynamically() {
             let (Some(ustmt), Some(gstmt)) = (us.stmt, gs.stmt) else {
                 continue;
             };
-            expectations.insert((ustmt, us.aref.clone()), (gstmt, r.distance, true));
+            expectations.insert((ustmt, (*us.aref).clone()), (gstmt, r.distance, true));
             max_dist = max_dist.max(r.distance);
             total_checked += 1;
         }
