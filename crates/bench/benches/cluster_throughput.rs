@@ -24,9 +24,7 @@ use std::time::Duration;
 use arrayflow_bench::time;
 use arrayflow_cluster::Topology;
 use arrayflow_ir::pretty::print_program;
-use arrayflow_service::{
-    EventServer, Json, ProtoMode, Router, RouterConfig, Service, ServiceConfig,
-};
+use arrayflow_service::{EventServer, Json, Router, RouterConfig, Service, ServiceConfig};
 use arrayflow_workloads::{random_loop, LoopShape};
 
 /// Distinct loops in the working set — twice one node's cache capacity.
@@ -95,7 +93,7 @@ fn start_node(id: usize) -> Node {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind node");
     let addr = listener.local_addr().expect("node addr").to_string();
     let server = EventServer::attach(listener, service.clone());
-    let thread = std::thread::spawn(move || server.run(ProtoMode::Auto));
+    let thread = std::thread::spawn(move || server.run());
     Node {
         service,
         addr,
@@ -216,7 +214,7 @@ fn run_cluster(n: usize, warm: &[String], lines: &[String]) -> ClusterRun {
     let router = Router::start(config).expect("start router");
     let server = EventServer::bind("127.0.0.1:0", router.clone()).expect("bind router");
     let router_addr = server.local_addr().expect("router addr").to_string();
-    let router_thread = std::thread::spawn(move || server.run(ProtoMode::Auto));
+    let router_thread = std::thread::spawn(move || server.run());
 
     let _ = run_stream(&router_addr, warm);
     let before: Vec<(u64, u64)> = nodes

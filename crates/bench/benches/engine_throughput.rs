@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use arrayflow_analyses::analyze_nest;
 use arrayflow_bench::time;
-use arrayflow_engine::{Engine, EngineConfig, EvictionPolicy};
+use arrayflow_engine::{Engine, EngineConfig};
 use arrayflow_ir::Program;
 use arrayflow_workloads::{random_loop, LoopShape};
 
@@ -104,81 +104,8 @@ fn main() {
         );
     }
 
-    eviction_comparison();
-
     println!(
         "\n(hardware threads available: {})",
         std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-}
-
-/// A skewed 500-program stream: each 10-program cycle touches all 8 hot
-/// structures then 2 one-shot cold ones. The hot set plus the transient
-/// colds just exceeds the cache capacity, so every cycle forces
-/// evictions; the hot entries are re-referenced every cycle, the colds
-/// never are.
-fn skewed_workload() -> Vec<Program> {
-    let shape = LoopShape {
-        stmts: 10,
-        arrays: 3,
-        cond_pct: 25,
-        ..LoopShape::default()
-    };
-    (0..BATCH)
-        .map(|k| {
-            let seed = if k % 10 < 8 {
-                (k % 10) as u64 // hot: eight structures, touched every cycle
-            } else {
-                10_000 + k as u64 // cold: unique, never seen again
-            };
-            random_loop(&shape, seed)
-        })
-        .collect()
-}
-
-/// FIFO vs second-chance on the skewed stream with capacity 12. FIFO
-/// cannot tell the re-referenced hot entries from the dead cold ones, so
-/// the cold trickle steadily rotates hot entries out of the front of the
-/// queue; second-chance sees their referenced bit, requeues them, and
-/// evicts the colds instead — which shows up directly as hit rate.
-fn eviction_comparison() {
-    let programs = skewed_workload();
-    println!(
-        "\n== eviction policy: skewed {BATCH}-program stream (8 hot + cold trickle), capacity 12 =="
-    );
-    let mut rates = Vec::new();
-    for (name, eviction) in [
-        ("fifo", EvictionPolicy::Fifo),
-        ("second-chance", EvictionPolicy::SecondChance),
-    ] {
-        let engine = Engine::new(EngineConfig {
-            workers: 1, // deterministic arrival order
-            cache_shards: 1,
-            cache_capacity: 12,
-            eviction,
-            ..EngineConfig::default()
-        });
-        black_box(engine.analyze_batch(&programs));
-        let (hits, misses) = hits_and_misses(&engine);
-        let evictions = engine.registry().snapshot();
-        let evictions = evictions.value("arrayflow_cache_evictions_total", &[]);
-        let rate = hit_rate((hits, misses));
-        println!(
-            "{:<24}  hit rate {:>5.1}%  ({hits} hits / {misses} misses, {} evictions)",
-            name,
-            100.0 * rate,
-            evictions.unwrap_or(0)
-        );
-        rates.push(rate);
-    }
-    println!(
-        "second-chance delta: {:+.1} percentage points",
-        100.0 * (rates[1] - rates[0])
-    );
-    assert!(
-        rates[1] >= rates[0],
-        "second-chance must not lose to FIFO on a skewed stream ({:.3} vs {:.3})",
-        rates[1],
-        rates[0]
     );
 }

@@ -8,12 +8,11 @@
 //! distributed) fingerprint — readers on different shards never contend,
 //! and writers only lock 1/Nth of the table.
 //!
-//! Eviction is second-chance by default: each entry carries one
-//! referenced bit, set on lookup; the evictor scans the insertion queue
-//! from the front, giving referenced entries one more round instead of
-//! evicting them. That keeps the O(1) insert of FIFO while protecting a
-//! hot working set from being flushed by a cold scan — a pure FIFO
-//! ([`EvictionPolicy::Fifo`]) remains available for comparison.
+//! Eviction is second-chance: each entry carries one referenced bit, set
+//! on lookup; the evictor scans the insertion queue from the front, giving
+//! referenced entries one more round instead of evicting them. That keeps
+//! the O(1) insert of FIFO while protecting a hot working set from being
+//! flushed by a cold scan.
 //!
 //! A cache can also be backed by a [`SecondTier`] (e.g. the disk-backed
 //! report store of `arrayflow-store`): a memory miss falls through to the
@@ -71,17 +70,6 @@ pub fn fingerprint_route_hash(fingerprint: Fingerprint) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How a full shard chooses a victim.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict in pure insertion order, ignoring lookups.
-    Fifo,
-    /// Second chance: entries referenced since their last consideration
-    /// get re-queued once before they can be evicted. Still O(1) insert.
-    #[default]
-    SecondChance,
-}
-
 /// A persistence tier consulted on memory misses and fed on inserts.
 ///
 /// Implementations must be cheap to call from the analysis path:
@@ -125,40 +113,32 @@ struct Entry {
 
 struct Shard {
     map: HashMap<CacheKey, Entry>,
-    // Consideration order for the evictor (insertion order for FIFO).
+    // Consideration order for the evictor.
     order: VecDeque<CacheKey>,
 }
 
 impl Shard {
-    fn evict_to_capacity(
-        &mut self,
-        capacity: usize,
-        policy: EvictionPolicy,
-        just_inserted: Option<&CacheKey>,
-    ) -> u64 {
+    fn evict_to_capacity(&mut self, capacity: usize, just_inserted: &CacheKey) -> u64 {
         let mut evicted = 0;
         while self.map.len() > capacity {
             // Every key in `order` was queued exactly once, so the front
             // is always present in the map.
             let victim = self.order.pop_front().expect("order tracks map");
-            if policy == EvictionPolicy::SecondChance {
-                // CLOCK-style: the entry whose insertion triggered this
-                // scan sits behind the hand — requeue it unconsidered, so
-                // an all-referenced shard degenerates to FIFO instead of
-                // evicting the newcomer.
-                if Some(&victim) == just_inserted {
-                    self.order.push_back(victim);
-                    continue;
-                }
-                let entry = self.map.get(&victim).expect("order tracks map");
-                // Referenced since last consideration: clear the bit and
-                // give it one more round. Each non-skip pop clears a bit,
-                // so the loop finds an unreferenced victim within one
-                // cycle.
-                if entry.referenced.swap(false, Ordering::Relaxed) {
-                    self.order.push_back(victim);
-                    continue;
-                }
+            // CLOCK-style: the entry whose insertion triggered this scan
+            // sits behind the hand — requeue it unconsidered, so an
+            // all-referenced shard degenerates to FIFO instead of evicting
+            // the newcomer.
+            if &victim == just_inserted {
+                self.order.push_back(victim);
+                continue;
+            }
+            let entry = self.map.get(&victim).expect("order tracks map");
+            // Referenced since last consideration: clear the bit and give
+            // it one more round. Each non-skip pop clears a bit, so the
+            // loop finds an unreferenced victim within one cycle.
+            if entry.referenced.swap(false, Ordering::Relaxed) {
+                self.order.push_back(victim);
+                continue;
             }
             self.map.remove(&victim);
             evicted += 1;
@@ -214,7 +194,6 @@ impl CacheInstruments {
 pub struct MemoCache {
     shards: Vec<RwLock<Shard>>,
     shard_capacity: usize,
-    policy: EvictionPolicy,
     tier2: Option<Arc<dyn SecondTier>>,
     counters: CacheInstruments,
 }
@@ -224,7 +203,6 @@ impl std::fmt::Debug for MemoCache {
         f.debug_struct("MemoCache")
             .field("shards", &self.shards.len())
             .field("shard_capacity", &self.shard_capacity)
-            .field("policy", &self.policy)
             .field("tier2", &self.tier2.is_some())
             .field("counters", &self.counters())
             .finish()
@@ -234,15 +212,10 @@ impl std::fmt::Debug for MemoCache {
 impl MemoCache {
     /// Creates a cache with `shards` shards (rounded up to a power of two,
     /// minimum 1) holding at most `capacity` entries in total (0 means
-    /// unbounded), evicting by `policy`. The hit/miss/eviction counters
-    /// are registered under the `arrayflow_cache_*` names in `registry`,
-    /// so they appear in its snapshots and Prometheus exposition.
-    pub fn with_policy_in(
-        shards: usize,
-        capacity: usize,
-        policy: EvictionPolicy,
-        registry: &Registry,
-    ) -> Self {
+    /// unbounded). The hit/miss/eviction counters are registered under
+    /// the `arrayflow_cache_*` names in `registry`, so they appear in its
+    /// snapshots and Prometheus exposition.
+    pub fn new_in(shards: usize, capacity: usize, registry: &Registry) -> Self {
         let n = shards.max(1).next_power_of_two();
         let shard_capacity = if capacity == 0 {
             usize::MAX
@@ -259,7 +232,6 @@ impl MemoCache {
                 })
                 .collect(),
             shard_capacity,
-            policy,
             tier2: None,
             counters: CacheInstruments::registered(registry),
         }
@@ -270,11 +242,6 @@ impl MemoCache {
     /// to it. Call before sharing the cache.
     pub fn set_second_tier(&mut self, tier: Arc<dyn SecondTier>) {
         self.tier2 = Some(tier);
-    }
-
-    /// True when a second tier is attached.
-    pub fn has_second_tier(&self) -> bool {
-        self.tier2.is_some()
     }
 
     fn shard_of(&self, key: &CacheKey) -> usize {
@@ -305,7 +272,7 @@ impl MemoCache {
         Some(report)
     }
 
-    /// Inserts a freshly computed report, evicting per the policy if the
+    /// Inserts a freshly computed report, evicting second-chance if the
     /// shard is full, and forwards it to the second tier (if attached) so
     /// it survives the process. Re-inserting an existing key (two workers
     /// racing on the same loop) replaces the value — both values are
@@ -333,26 +300,13 @@ impl MemoCache {
         };
         if shard.map.insert(key, entry).is_none() {
             shard.order.push_back(key);
-            let evicted = shard.evict_to_capacity(self.shard_capacity, self.policy, Some(&key));
+            let evicted = shard.evict_to_capacity(self.shard_capacity, &key);
             if evicted > 0 {
                 self.counters.evictions.add(evicted);
             }
             self.counters.inserts.inc();
         } else {
             self.counters.reinserts.inc();
-        }
-    }
-
-    /// Visits every cached report (shard by shard, under the read lock).
-    /// The order is unspecified. This is the export path: the service
-    /// uses it to enumerate what a warm restart would preload, and tests
-    /// use it to diff memory against the persistent tier.
-    pub fn for_each(&self, mut f: impl FnMut(&CacheKey, &Arc<AnalysisReport>)) {
-        for shard in &self.shards {
-            let shard = shard.read().unwrap();
-            for (key, entry) in &shard.map {
-                f(key, &entry.report);
-            }
         }
     }
 
@@ -413,7 +367,7 @@ mod tests {
 
     #[test]
     fn hit_miss_counters() {
-        let c = MemoCache::with_policy_in(4, 64, EvictionPolicy::default(), &Registry::new());
+        let c = MemoCache::new_in(4, 64, &Registry::new());
         assert!(c.get(&key(1)).is_none());
         c.insert(key(1), dummy_report(1));
         assert!(c.get(&key(1)).is_some());
@@ -424,7 +378,7 @@ mod tests {
 
     #[test]
     fn distinct_problem_sets_are_distinct_keys() {
-        let c = MemoCache::with_policy_in(1, 64, EvictionPolicy::default(), &Registry::new());
+        let c = MemoCache::new_in(1, 64, &Registry::new());
         c.insert(key(7), dummy_report(7));
         let other = CacheKey {
             problems: ProblemSet {
@@ -440,7 +394,7 @@ mod tests {
 
     #[test]
     fn distinct_custom_specs_are_distinct_keys() {
-        let c = MemoCache::with_policy_in(1, 64, EvictionPolicy::default(), &Registry::new());
+        let c = MemoCache::new_in(1, 64, &Registry::new());
         let spec = |bits| CustomSpec::from_bits(bits).expect("valid spec bits");
         // δ-live elements: G = uses, K = defs, backward, may.
         let live = CacheKey {
@@ -467,7 +421,7 @@ mod tests {
     #[test]
     fn custom_keys_stay_distinct_through_the_second_tier() {
         let tier = Arc::new(MapTier::default());
-        let mut c = MemoCache::with_policy_in(1, 8, EvictionPolicy::default(), &Registry::new());
+        let mut c = MemoCache::new_in(1, 8, &Registry::new());
         c.set_second_tier(Arc::clone(&tier) as Arc<dyn SecondTier>);
         let spec = |bits| CustomSpec::from_bits(bits).expect("valid spec bits");
         let a = CacheKey {
@@ -490,8 +444,8 @@ mod tests {
     }
 
     #[test]
-    fn eviction_respects_capacity_fifo() {
-        let c = MemoCache::with_policy_in(1, 2, EvictionPolicy::Fifo, &Registry::new());
+    fn unreferenced_entries_leave_in_insertion_order() {
+        let c = MemoCache::new_in(1, 2, &Registry::new());
         for fp in 0..5u128 {
             c.insert(key(fp), dummy_report(fp));
         }
@@ -504,7 +458,7 @@ mod tests {
 
     #[test]
     fn second_chance_protects_referenced_entries() {
-        let c = MemoCache::with_policy_in(1, 2, EvictionPolicy::SecondChance, &Registry::new());
+        let c = MemoCache::new_in(1, 2, &Registry::new());
         c.insert(key(0), dummy_report(0));
         c.insert(key(1), dummy_report(1));
         // Reference key 0; key 1 is the unreferenced victim despite being
@@ -520,7 +474,7 @@ mod tests {
 
     #[test]
     fn second_chance_degenerates_to_fifo_when_all_referenced() {
-        let c = MemoCache::with_policy_in(1, 2, EvictionPolicy::SecondChance, &Registry::new());
+        let c = MemoCache::new_in(1, 2, &Registry::new());
         c.insert(key(0), dummy_report(0));
         c.insert(key(1), dummy_report(1));
         assert!(c.get(&key(0)).is_some());
@@ -535,7 +489,7 @@ mod tests {
 
     #[test]
     fn reinserts_do_not_inflate_inserts() {
-        let c = MemoCache::with_policy_in(1, 8, EvictionPolicy::default(), &Registry::new());
+        let c = MemoCache::new_in(1, 8, &Registry::new());
         c.insert(key(3), dummy_report(3));
         c.insert(key(3), dummy_report(3));
         c.insert(key(3), dummy_report(3));
@@ -546,24 +500,12 @@ mod tests {
 
     #[test]
     fn zero_capacity_means_unbounded() {
-        let c = MemoCache::with_policy_in(2, 0, EvictionPolicy::default(), &Registry::new());
+        let c = MemoCache::new_in(2, 0, &Registry::new());
         for fp in 0..100u128 {
             c.insert(key(fp), dummy_report(fp));
         }
         assert_eq!(c.len(), 100);
         assert_eq!(c.counters().evictions, 0);
-    }
-
-    #[test]
-    fn for_each_visits_every_entry() {
-        let c = MemoCache::with_policy_in(4, 0, EvictionPolicy::default(), &Registry::new());
-        for fp in 0..10u128 {
-            c.insert(key(fp), dummy_report(fp));
-        }
-        let mut seen: Vec<u128> = Vec::new();
-        c.for_each(|k, _| seen.push(k.fingerprint.0));
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10u128).collect::<Vec<_>>());
     }
 
     /// An in-memory second tier for exercising the fall-through, the
@@ -585,7 +527,7 @@ mod tests {
     #[test]
     fn second_tier_promotion_and_forwarding() {
         let tier = Arc::new(MapTier::default());
-        let mut c = MemoCache::with_policy_in(1, 8, EvictionPolicy::default(), &Registry::new());
+        let mut c = MemoCache::new_in(1, 8, &Registry::new());
         c.set_second_tier(Arc::clone(&tier) as Arc<dyn SecondTier>);
 
         // A fresh insert is forwarded to the tier.

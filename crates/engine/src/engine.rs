@@ -7,14 +7,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use arrayflow_analyses::loops_innermost_first;
-use arrayflow_core::{CustomSpec, CANNED};
+use arrayflow_core::{CustomSpec, SolveStats, CANNED};
 use arrayflow_incremental::{Session, SessionEvent, SessionStore, StoreConfig};
 use arrayflow_ir::{fingerprint_loop, Edit, Fingerprint, Program};
 use arrayflow_obs::{observed_span, Counter, Gauge, Histogram, Registry, PHASE_BUCKETS_US};
 use arrayflow_resilience::{panic_message, FaultSurface};
 
-use crate::cache::{CacheCounters, CacheKey, EvictionPolicy, MemoCache, SecondTier};
-use crate::report::{AnalysisReport, InstanceStats, ProblemSet};
+use crate::cache::{CacheCounters, CacheKey, MemoCache, SecondTier};
+use crate::report::{AnalysisReport, ProblemSet};
 
 /// Upper edges of the per-instance solver pass-count histograms
 /// (`arrayflow_solver_passes{problem=...}`). The paper's bound — three
@@ -29,8 +29,8 @@ pub const SOLVER_PASS_BUCKETS: [u64; 5] = [1, 2, 3, 4, 6];
 /// initialization pass (must-problems only) plus the iteration passes
 /// that changed a value — the quantity the paper bounds by 3 (must) and
 /// 2 (may). The confirming final pass of the general solver is excluded,
-/// matching [`SolveStats::visits_to_fix`](arrayflow_core::SolveStats).
-pub fn passes_to_fix(s: &InstanceStats) -> u64 {
+/// matching [`SolveStats::visits_to_fix`].
+pub fn passes_to_fix(s: &SolveStats) -> u64 {
     (s.init_visits > 0) as u64 + s.changing_passes as u64
 }
 
@@ -46,8 +46,6 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Total cached reports across shards; `0` disables eviction.
     pub cache_capacity: usize,
-    /// How a full cache shard picks its victim.
-    pub eviction: EvictionPolicy,
     /// Distance bound for dependence extraction (part of the cache key).
     pub dep_max_distance: u64,
     /// Maximum simultaneously open analysis sessions; opening one more
@@ -64,7 +62,6 @@ impl Default for EngineConfig {
             workers: 0,
             cache_shards: 16,
             cache_capacity: 65_536,
-            eviction: EvictionPolicy::default(),
             dep_max_distance: 8,
             session_capacity: 64,
             session_ttl_ms: 600_000,
@@ -491,12 +488,7 @@ impl Engine {
     /// are registered on `registry` — the service passes its own registry
     /// here so one `metrics` scrape covers every layer.
     pub fn with_registry(config: EngineConfig, registry: &Registry) -> Self {
-        let cache = MemoCache::with_policy_in(
-            config.cache_shards,
-            config.cache_capacity,
-            config.eviction,
-            registry,
-        );
+        let cache = MemoCache::new_in(config.cache_shards, config.cache_capacity, registry);
         let ins = EngineInstruments::registered(registry);
         let sessions = SessionStore::new(StoreConfig {
             capacity: config.session_capacity,
@@ -546,12 +538,6 @@ impl Engine {
     /// report *without* forwarding it back to the second tier.
     pub fn preload(&self, key: CacheKey, report: Arc<AnalysisReport>) {
         self.cache.preload(key, report);
-    }
-
-    /// Visits every cached report (unspecified order) — the export side
-    /// of the warm-start round trip.
-    pub fn for_each_cached(&self, f: impl FnMut(&CacheKey, &Arc<AnalysisReport>)) {
-        self.cache.for_each(f);
     }
 
     /// Analyzes one program (normalizing a private copy first) for every

@@ -48,12 +48,10 @@ pub mod cache;
 pub mod engine;
 pub mod report;
 
-pub use arrayflow_core::{CustomSpec, Direction, Mode, StopCheck, CANNED};
-pub use cache::{
-    fingerprint_route_hash, CacheCounters, CacheKey, EvictionPolicy, MemoCache, SecondTier,
-};
+pub use arrayflow_core::{CustomSpec, Direction, Mode, SolveStats, StopCheck, CANNED};
+pub use cache::{fingerprint_route_hash, CacheCounters, CacheKey, MemoCache, SecondTier};
 pub use engine::{
     passes_to_fix, AnalysisError, BatchResult, DeltaReport, Engine, EngineConfig, EngineStats,
     LoopReport, Problem, QueryStats, SOLVER_PASS_BUCKETS,
 };
-pub use report::{AnalysisReport, CustomResult, CustomValue, InstanceStats, ProblemSet};
+pub use report::{AnalysisReport, CustomResult, CustomValue, ProblemSet};

@@ -81,39 +81,6 @@ impl Default for ProblemSet {
     }
 }
 
-/// Solver-effort counters of one framework instance, copied out of
-/// [`SolveStats`] (alpha-invariant: visit counts depend only on graph
-/// shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InstanceStats {
-    /// Node visits in the initialization pass.
-    pub init_visits: usize,
-    /// Node visits across all iteration passes.
-    pub iter_visits: usize,
-    /// Iteration passes executed.
-    pub passes: usize,
-    /// Iteration passes that changed at least one value.
-    pub changing_passes: usize,
-}
-
-impl From<&SolveStats> for InstanceStats {
-    fn from(s: &SolveStats) -> Self {
-        Self {
-            init_visits: s.init_visits,
-            iter_visits: s.iter_visits,
-            passes: s.passes,
-            changing_passes: s.changing_passes,
-        }
-    }
-}
-
-impl InstanceStats {
-    /// Total node visits of this instance.
-    pub fn visits(&self) -> usize {
-        self.init_visits + self.iter_visits
-    }
-}
-
 /// One converged lattice value of a custom instance, stated structurally:
 /// the tracked reference (by component index and generator site index) and
 /// the flow-order input distance at a node. Bottom values are omitted from
@@ -138,7 +105,7 @@ pub struct CustomResult {
     /// The spec that was solved.
     pub spec: CustomSpec,
     /// Solver-effort counters of the instance.
-    pub stats: InstanceStats,
+    pub stats: SolveStats,
     /// Tracked components (`m = |G|` after dropping non-affine sites).
     pub width: usize,
     /// Every non-bottom converged input value, in (gen, node) order.
@@ -163,7 +130,7 @@ pub struct AnalysisReport {
     pub sites: usize,
     /// Solver counters per [`CANNED`] row, in its order; `None` for rows
     /// not in `problems`.
-    pub canned_stats: [Option<InstanceStats>; 4],
+    pub canned_stats: [Option<SolveStats>; 4],
     /// Guaranteed constant-distance reuse pairs (requires `available`).
     pub reuses: Vec<Reuse>,
     /// δ-redundant stores (requires `busy`).
@@ -275,7 +242,7 @@ impl AnalysisReport {
             sites: a.sites.len(),
             canned_stats: std::array::from_fn(|k| {
                 let asked = problems.bits() >> k & 1 == 1;
-                asked.then(|| (&instances[k].sol.stats).into())
+                asked.then_some(instances[k].sol.stats)
             }),
             reuses: Vec::new(),
             redundant_stores: Vec::new(),
@@ -348,7 +315,7 @@ impl AnalysisReport {
             dependences: Vec::new(),
             custom: Some(CustomResult {
                 spec,
-                stats: (&instance.sol.stats).into(),
+                stats: instance.sol.stats,
                 width: instance.sol.width(),
                 values,
             }),
@@ -357,7 +324,7 @@ impl AnalysisReport {
 
     /// Instances reported, by [`CANNED`] name, with their counters (a
     /// custom instance reports under the name `custom`).
-    pub fn instance_stats(&self) -> impl Iterator<Item = (&'static str, InstanceStats)> + '_ {
+    pub fn instance_stats(&self) -> impl Iterator<Item = (&'static str, SolveStats)> + '_ {
         let canned = CANNED.iter().zip(self.canned_stats);
         let custom = ("custom", self.custom.as_ref().map(|c| c.stats));
         canned
@@ -370,7 +337,9 @@ impl AnalysisReport {
     /// round-robin-equivalent terms: a selected instance's figures are
     /// those a fresh solve of it would report.
     pub fn node_visits(&self) -> usize {
-        self.instance_stats().map(|(_, s)| s.visits()).sum()
+        self.instance_stats()
+            .map(|(_, s)| s.init_visits + s.iter_visits)
+            .sum()
     }
 
     /// Total iteration passes across the instances reported, in the same

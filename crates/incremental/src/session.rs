@@ -195,10 +195,6 @@ pub struct Session {
     dep_max_distance: u64,
     /// The report lists of `analysis`.
     lists: ReportLists,
-    /// Edits applied so far.
-    edits: u64,
-    /// Edits that fell back to a full re-analysis.
-    fallbacks: u64,
 }
 
 fn analyze_norm_ctrl(
@@ -468,8 +464,6 @@ impl Session {
             analysis,
             dep_max_distance,
             lists,
-            edits: 0,
-            fallbacks: 0,
         })
     }
 
@@ -501,12 +495,6 @@ impl Session {
     /// The program as submitted plus all applied edits (not normalized).
     pub fn source_program(&self) -> &Program {
         self.raw.as_ref().unwrap_or(&self.norm)
-    }
-
-    /// Edits applied so far, and how many of them fell back to a full
-    /// re-analysis.
-    pub fn edit_counts(&self) -> (u64, u64) {
-        (self.edits, self.fallbacks)
     }
 
     /// Applies one single-statement edit and re-converges.
@@ -590,7 +578,6 @@ impl Session {
         self.fingerprint = fingerprint;
         self.analysis = resolved.analysis;
         self.lists = lists;
-        self.edits += 1;
         Ok(resolved.outcome)
     }
 
@@ -619,8 +606,6 @@ impl Session {
         self.norm = norm;
         self.fingerprint = fingerprint;
         self.analysis = analysis;
-        self.edits += 1;
-        self.fallbacks += 1;
         Ok(outcome)
     }
 }

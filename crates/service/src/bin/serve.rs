@@ -1,8 +1,7 @@
 //! The `serve` binary: the analysis service on TCP or stdio.
 //!
 //! ```text
-//! serve [--listen ADDR] [--stdio] [--proto auto|json]
-//!       [--workers N]
+//! serve [--listen ADDR] [--stdio] [--workers N]
 //!       [--queue N] [--timeout-ms N] [--idle-timeout-ms N] [--max-frame BYTES]
 //!       [--cache-capacity N] [--distance-bound N]
 //!       [--session-capacity N] [--session-ttl-ms N]
@@ -25,10 +24,9 @@
 //!
 //! TCP serving is one `poll(2)` event loop multiplexing every connection
 //! onto the worker pool, or in router mode onto the forwarder pool (unix
-//! only; elsewhere use `--stdio`). Both modes share the listener
-//! settings: `--proto auto` (default) sniffs each connection's first
-//! bytes — `AFWIRE01` magic selects the binary protocol, anything else
-//! newline-JSON; `--proto json` pins the legacy JSON protocol; and
+//! only; elsewhere use `--stdio`). Both modes share the listener: it
+//! sniffs each connection's first bytes — `AFWIRE01` magic selects the
+//! binary protocol, anything else newline-JSON — and
 //! `--idle-timeout-ms` (default 60000; 0 disables) reaps connections that
 //! make no read progress and are owed nothing — the slow-loris guard.
 //!
@@ -74,7 +72,6 @@ use arrayflow_store::StoreConfig;
 struct Args {
     listen: String,
     stdio: bool,
-    proto_json_only: bool,
     idle_timeout: Duration,
     config: ServiceConfig,
     router_nodes: Option<String>,
@@ -86,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         listen: "127.0.0.1:7433".to_string(),
         stdio: false,
-        proto_json_only: false,
         idle_timeout: Duration::from_secs(60),
         config: ServiceConfig::default(),
         router_nodes: None,
@@ -99,13 +95,6 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--listen" => args.listen = value("--listen")?,
             "--stdio" => args.stdio = true,
-            "--proto" => {
-                args.proto_json_only = match value("--proto")?.as_str() {
-                    "auto" => false,
-                    "json" => true,
-                    other => return Err(format!("unknown protocol `{other}` (auto|json)")),
-                }
-            }
             "--workers" => args.config.workers = parse(&value("--workers")?)?,
             "--queue" => args.config.queue_capacity = parse(&value("--queue")?)?,
             "--timeout-ms" => {
@@ -174,8 +163,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "serve [--listen ADDR] [--stdio] [--proto auto|json] \
-                     [--workers N] \
+                    "serve [--listen ADDR] [--stdio] [--workers N] \
                      [--queue N] [--timeout-ms N] [--idle-timeout-ms N] [--max-frame BYTES] \
                      [--cache-capacity N] \
                      [--distance-bound N] [--session-capacity N] [--session-ttl-ms N] \
@@ -184,7 +172,7 @@ fn parse_args() -> Result<Args, String> {
                      [--store-breaker-cooldown-ms N] [--slow-log MICROS] [--fault-plan SPEC] \
                      [--node-id ID] [--replicate-to ADDR] [--replicate-interval-ms N] \
                      [--router NODES] [--probe-interval-ms N] [--vnodes N]\n\
-                     --listen, --proto and --idle-timeout-ms set the event loop \
+                     --listen and --idle-timeout-ms set the event loop \
                      of a node and of a --router alike (TCP serving is unix-only)."
                 );
                 std::process::exit(0);
@@ -213,7 +201,7 @@ fn run_listener<H: FrameHandler>(
     args: &Args,
     handler: Arc<H>,
 ) -> std::io::Result<std::io::Result<()>> {
-    use arrayflow_service::{EventServer, ProtoMode};
+    use arrayflow_service::EventServer;
     let server = EventServer::bind(args.listen.as_str(), handler)?.idle_timeout(args.idle_timeout);
     // The `listening on ADDR` line is parsed by tooling (tests spawn
     // serve on port 0 and scrape the real address).
@@ -221,12 +209,7 @@ fn run_listener<H: FrameHandler>(
         Ok(addr) => eprintln!("serve: listening on {addr}"),
         Err(_) => eprintln!("serve: listening on {}", args.listen),
     }
-    let mode = if args.proto_json_only {
-        ProtoMode::Json
-    } else {
-        ProtoMode::Auto
-    };
-    Ok(server.run(mode))
+    Ok(server.run())
 }
 
 #[cfg(not(unix))]

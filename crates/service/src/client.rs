@@ -12,10 +12,6 @@
 //!   re-running the server's first-bytes protocol detection, and
 //!   alternating JSON/binary calls never tear each other's pinned
 //!   connection down;
-//! * **address failover** — construct with [`Client::new_multi`] and a
-//!   transport failure rotates to the next address (counted by
-//!   [`Client::failovers`]) before the retry redials, so a dead node
-//!   costs one backoff delay, not the whole retry budget;
 //! * **per-request deadlines** — connect and read/write timeouts from
 //!   [`ClientConfig`], so a wedged server costs bounded time, never a
 //!   hang, and a response is read up to a size cap, never unbounded;
@@ -236,8 +232,7 @@ enum Reply {
 /// order, which the per-connection protocol guarantees. Construction is
 /// lazy — the first request dials the server.
 pub struct Client {
-    addrs: Vec<String>,
-    active: usize,
+    addr: String,
     config: ClientConfig,
     /// One slot per [`ConnMode`]: the server pins each connection to the
     /// protocol of its first bytes, so the slot *is* the negotiated mode
@@ -246,7 +241,6 @@ pub struct Client {
     next_id: u64,
     connects: u64,
     retries: u64,
-    failovers: u64,
     /// One bucket across every request this client makes: retries spend
     /// tokens; a dry bucket surfaces the original error instead of
     /// amplifying an overload with resends.
@@ -257,33 +251,14 @@ impl Client {
     /// Creates a client for `addr` (e.g. `"127.0.0.1:7433"`). Does not
     /// connect; the first request does.
     pub fn new(addr: impl Into<String>, config: ClientConfig) -> Client {
-        Client::new_multi([addr.into()], config)
-    }
-
-    /// Creates a client over several equivalent addresses (e.g. a node
-    /// and its replica). Requests go to one address at a time; a
-    /// transport failure rotates to the next before the retry redials.
-    ///
-    /// # Panics
-    ///
-    /// If `addrs` is empty.
-    pub fn new_multi<I>(addrs: I, config: ClientConfig) -> Client
-    where
-        I: IntoIterator,
-        I::Item: Into<String>,
-    {
-        let addrs: Vec<String> = addrs.into_iter().map(Into::into).collect();
-        assert!(!addrs.is_empty(), "Client needs at least one address");
         let retry_budget = RetryBudget::new(config.retry_burst, config.retry_per_sec);
         Client {
-            addrs,
-            active: 0,
+            addr: addr.into(),
             config,
             conns: [None, None],
             next_id: 0,
             connects: 0,
             retries: 0,
-            failovers: 0,
             retry_budget,
         }
     }
@@ -307,21 +282,10 @@ impl Client {
         self.retries
     }
 
-    /// Times the client rotated to another address after a transport
-    /// failure. Always 0 for a single-address client.
-    pub fn failovers(&self) -> u64 {
-        self.failovers
-    }
-
     /// Retries the token bucket denied; each surfaced the underlying
     /// error instead of resending.
     pub fn retries_denied(&self) -> u64 {
         self.retry_budget.denied()
-    }
-
-    /// The address requests currently dial.
-    pub fn active_addr(&self) -> &str {
-        &self.addrs[self.active]
     }
 
     /// Analyzes one DSL program; on success returns the server's `ok`
@@ -646,22 +610,16 @@ impl Client {
         decoded
     }
 
-    /// A transport-level failure: every connection to the active address
-    /// is suspect, so drop both slots, and — with more than one address —
-    /// rotate so the retry dials the next node instead of burning the
-    /// whole budget on a dead one.
+    /// A transport-level failure: every connection to the server is
+    /// suspect, so drop both slots and let the retry redial.
     fn transport_failure(&mut self) {
         self.conns = [None, None];
-        if self.addrs.len() > 1 {
-            self.active = (self.active + 1) % self.addrs.len();
-            self.failovers += 1;
-        }
     }
 
     fn ensure_conn(&mut self, mode: ConnMode) -> io::Result<&mut Connection> {
         let slot = mode as usize;
         if self.conns[slot].is_none() {
-            let conn = Connection::dial(&self.addrs[self.active], self.config.connect_timeout)?;
+            let conn = Connection::dial(&self.addr, self.config.connect_timeout)?;
             self.conns[slot] = Some(conn);
             self.connects += 1;
         }
@@ -702,12 +660,10 @@ impl Client {
 impl fmt::Debug for Client {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Client")
-            .field("addrs", &self.addrs)
-            .field("active", &self.addrs[self.active])
+            .field("addr", &self.addr)
             .field("connected", &self.conns.iter().any(Option::is_some))
             .field("connects", &self.connects)
             .field("retries", &self.retries)
-            .field("failovers", &self.failovers)
             .finish()
     }
 }
@@ -839,27 +795,6 @@ mod tests {
         addr
     }
 
-    /// Serves exactly one connection and one request, then goes dark —
-    /// the "node died" half of the failover drill.
-    fn one_shot_json_server(name: &'static str) -> String {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        std::thread::spawn(move || {
-            let Ok((mut stream, _)) = listener.accept() else {
-                return;
-            };
-            if let Some(line) = read_json_line(&mut stream, None) {
-                let id = Json::parse(line.as_bytes())
-                    .ok()
-                    .and_then(|j| j.get("id").cloned())
-                    .unwrap_or(Json::Null);
-                let resp = format!("{{\"id\":{id},\"ok\":true,\"result\":\"pong-{name}\"}}\n");
-                let _ = stream.write_all(resp.as_bytes());
-            }
-        });
-        addr
-    }
-
     /// Speaks both protocols, pinned per connection by the first byte —
     /// what the real server's transport does.
     fn dual_server(conns: Arc<AtomicU32>) -> String {
@@ -946,25 +881,6 @@ mod tests {
         // keep both pinned connections alive side by side.
         assert_eq!(client.connects(), 2, "{client:?}");
         assert_eq!(conns.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn fails_over_to_the_next_address_when_a_node_dies() {
-        let conns = Arc::new(AtomicU32::new(0));
-        let a = one_shot_json_server("A");
-        let b = json_server("B", false, conns);
-        let mut client = Client::new_multi([a.clone(), b], cfg());
-
-        let line = client.request(WireRequest::Ping { id: 1 }).unwrap();
-        assert!(line.contains("pong-A"), "{line}");
-        assert_eq!(client.active_addr(), a);
-
-        // A is dark now; the next request rotates to B inside the retry
-        // envelope instead of exhausting it against the dead node.
-        let line = client.request(WireRequest::Ping { id: 2 }).unwrap();
-        assert!(line.contains("pong-B"), "{line}");
-        assert!(client.failovers() >= 1, "{client:?}");
-        assert_ne!(client.active_addr(), a);
     }
 
     /// Answers every `delta` with the typed `session_lost` error a

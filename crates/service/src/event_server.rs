@@ -66,20 +66,6 @@ const READ_CHUNK: usize = 64 << 10;
 /// The idle timeout unless [`EventServer::idle_timeout`] sets another.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Which protocols a listener accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtoMode {
-    /// Sniff the first bytes of each connection: `AFWIRE01` means binary,
-    /// anything else is newline-JSON. (A JSON request can never begin
-    /// with `A` — it starts with `{` or whitespace — so detection never
-    /// misclassifies a well-formed client.)
-    Auto,
-    /// Newline-JSON only; binary magic is treated as a JSON line (and
-    /// answered with a `protocol` error). For deployments that must pin
-    /// the legacy protocol.
-    Json,
-}
-
 /// Connections an answering thread flagged for the loop (see [`Outbox`]).
 type Flagged = Arc<Mutex<Vec<u64>>>;
 
@@ -164,7 +150,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, proto: Proto) -> Self {
+    fn new(stream: TcpStream) -> Self {
         let stream = Arc::new(stream);
         let outbox = Outbox {
             stream: Arc::clone(&stream),
@@ -177,7 +163,7 @@ impl Conn {
         };
         Conn {
             stream,
-            proto,
+            proto: Proto::Detecting(Vec::new()),
             outbox: Arc::new(Mutex::new(outbox)),
             next_seq: 0,
             closing: false,
@@ -233,7 +219,7 @@ impl<H: FrameHandler> EventServer<H> {
     }
 
     /// Runs the event loop until shutdown, then drains the handler.
-    pub fn run(self, mode: ProtoMode) -> io::Result<()> {
+    pub fn run(self) -> io::Result<()> {
         self.listener.set_nonblocking(true)?;
         // std's listen backlog is 128; a connect flood overflows that
         // long before the loop itself is the bottleneck. Best-effort —
@@ -245,7 +231,6 @@ impl<H: FrameHandler> EventServer<H> {
             handler: &self.handler,
             flagged: &flagged,
             waker: &waker,
-            mode,
         };
 
         let mut poller = Poller::new();
@@ -288,16 +273,10 @@ impl<H: FrameHandler> EventServer<H> {
                                 }
                                 let _ = stream.set_nodelay(true);
                                 self.handler.connected();
-                                let proto = match mode {
-                                    ProtoMode::Auto => Proto::Detecting(Vec::new()),
-                                    ProtoMode::Json => {
-                                        Proto::Json(JsonLines::new(self.handler.max_frame_bytes()))
-                                    }
-                                };
                                 let id = next_conn_id;
                                 next_conn_id += 1;
                                 let fd = stream.as_raw_fd();
-                                conns.insert(id, Conn::new(stream, proto));
+                                conns.insert(id, Conn::new(stream));
                                 by_fd.insert(fd, id);
                                 poller.register(fd, POLLIN);
                             }
@@ -431,7 +410,6 @@ struct Dispatch<'a, H> {
     handler: &'a Arc<H>,
     flagged: &'a Flagged,
     waker: &'a Waker,
-    mode: ProtoMode,
 }
 
 impl<H: FrameHandler> Dispatch<'_, H> {
@@ -476,10 +454,8 @@ impl<H: FrameHandler> Dispatch<'_, H> {
             let max = self.handler.max_frame_bytes();
             let decided = match detect(prefix) {
                 Detect::NeedMore => return,
-                Detect::Binary if self.mode == ProtoMode::Auto => {
-                    Proto::Binary(FrameDecoder::new(max))
-                }
-                _ => Proto::Json(JsonLines::new(max)),
+                Detect::Binary => Proto::Binary(FrameDecoder::new(max)),
+                Detect::Json => Proto::Json(JsonLines::new(max)),
             };
             let buffered = std::mem::take(prefix);
             conn.proto = decided;

@@ -84,7 +84,7 @@ pub mod service;
 pub use binproto::{kind_byte, kind_from_byte, BinaryResponse};
 pub use client::{Client, ClientConfig, ClientError, OpenedSession};
 #[cfg(unix)]
-pub use event_server::{EventServer, ProtoMode};
+pub use event_server::EventServer;
 pub use json::{Json, JsonError};
 /// The JSON edge's decoded request line, [`proto::JsonRequest`], under
 /// the crate-root name callers already use.

@@ -6,14 +6,12 @@
 
 mod common;
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use arrayflow_service::{
-    Client, ClientConfig, EventServer, Json, ProtoMode, Service, ServiceConfig,
-};
+use arrayflow_service::{Client, ClientConfig, EventServer, Json, Service, ServiceConfig};
 use arrayflow_store::codec::decode_report;
 use arrayflow_wire::proto::{AnalyzeRequest, Request as WireRequest, Response as WireResponse};
 use arrayflow_wire::{encode_frame, FrameDecoder, FrameEvent};
@@ -21,12 +19,12 @@ use common::{Front, Stack};
 
 const SRC: &str = "do i = 1, 100 A[i+2] := A[i] + x; end";
 
-fn start(mode: ProtoMode, config: ServiceConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
+fn start(config: ServiceConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
     let service = Service::start(config).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = EventServer::attach(listener, service);
-    let handle = std::thread::spawn(move || server.run(mode));
+    let handle = std::thread::spawn(move || server.run());
     (addr, handle)
 }
 
@@ -48,7 +46,7 @@ fn stop(addr: SocketAddr, handle: JoinHandle<std::io::Result<()>>) {
 
 #[test]
 fn json_and_binary_reports_are_byte_identical() {
-    let (addr, handle) = start(ProtoMode::Auto, ServiceConfig::default());
+    let (addr, handle) = start(ServiceConfig::default());
 
     // JSON path first (this also populates the cache).
     let mut jc = client(addr);
@@ -80,7 +78,7 @@ fn json_and_binary_reports_are_byte_identical() {
 
 #[test]
 fn fingerprint_hit_matches_full_parse_byte_for_byte() {
-    let (addr, handle) = start(ProtoMode::Auto, ServiceConfig::default());
+    let (addr, handle) = start(ServiceConfig::default());
     let mut c = client(addr);
 
     let full = c.analyze_binary(SRC).unwrap();
@@ -102,7 +100,7 @@ fn fingerprint_hit_matches_full_parse_byte_for_byte() {
 
 #[test]
 fn unknown_fingerprint_falls_back_to_shipped_source() {
-    let (addr, handle) = start(ProtoMode::Auto, ServiceConfig::default());
+    let (addr, handle) = start(ServiceConfig::default());
     let mut c = client(addr);
 
     // Nothing cached: the probe alone errors...
@@ -119,7 +117,7 @@ fn unknown_fingerprint_falls_back_to_shipped_source() {
 
 #[test]
 fn one_listener_speaks_both_protocols() {
-    let (addr, handle) = start(ProtoMode::Auto, ServiceConfig::default());
+    let (addr, handle) = start(ServiceConfig::default());
     let mut c = client(addr);
     // Interleave: the server detects the protocol per connection, and the
     // client keeps one cached connection per mode — so alternating
@@ -128,34 +126,6 @@ fn one_listener_speaks_both_protocols() {
     c.ping_binary().unwrap();
     c.ping().unwrap();
     assert_eq!(c.connects(), 2);
-    stop(addr, handle);
-}
-
-#[test]
-fn json_only_mode_treats_binary_magic_as_a_json_line() {
-    let (addr, handle) = start(ProtoMode::Json, ServiceConfig::default());
-
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let ping = WireRequest::Ping { id: 1 };
-    let mut bytes = encode_frame(ping.tag(), &ping.encode_payload());
-    // Terminate the "line" so the JSON framer hands it to the decoder.
-    bytes.push(b'\n');
-    stream.write_all(&bytes).unwrap();
-    let mut line = String::new();
-    BufReader::new(&stream).read_line(&mut line).unwrap();
-    let json = Json::parse(line.as_bytes()).unwrap();
-    assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false));
-    let kind = json
-        .get("error")
-        .and_then(|e| e.get("kind"))
-        .and_then(Json::as_str)
-        .unwrap()
-        .to_string();
-    assert_eq!(kind, "protocol");
-
     stop(addr, handle);
 }
 
@@ -289,7 +259,7 @@ fn oversized_binary_frame_is_rejected_by_a_router_and_the_connection_survives() 
 
 #[test]
 fn binary_shutdown_drains_the_server() {
-    let (addr, handle) = start(ProtoMode::Auto, ServiceConfig::default());
+    let (addr, handle) = start(ServiceConfig::default());
     let mut c = client(addr);
     let id = 42;
     match c.request_binary(&WireRequest::Shutdown { id }).unwrap() {
@@ -306,7 +276,7 @@ fn binary_shutdown_drains_the_server() {
 fn threaded_and_event_servers_share_handle_frame_semantics() {
     // The event server must answer a JSON frame with the exact same line
     // the in-process blocking path produces.
-    let (addr, handle) = start(ProtoMode::Auto, ServiceConfig::default());
+    let (addr, handle) = start(ServiceConfig::default());
     let mut c = client(addr);
     let line = c.analyze(SRC).unwrap();
 
@@ -333,7 +303,7 @@ fn threaded_and_event_servers_share_handle_frame_semantics() {
 
 #[test]
 fn open_and_delta_round_trip_matches_fresh_analysis() {
-    let (addr, handle) = start(ProtoMode::Auto, ServiceConfig::default());
+    let (addr, handle) = start(ServiceConfig::default());
     let mut c = client(addr);
 
     let base = "do i = 1, 100 A[i+2] := A[i] + x; B[i] := A[i+1]; end";
@@ -394,7 +364,7 @@ fn open_and_delta_round_trip_matches_fresh_analysis() {
 
 #[test]
 fn structural_delta_falls_back_and_expired_session_is_an_analysis_error() {
-    let (addr, handle) = start(ProtoMode::Auto, ServiceConfig::default());
+    let (addr, handle) = start(ServiceConfig::default());
     let mut c = client(addr);
 
     let base = "do i = 1, 50 A[i+1] := A[i]; B[i] := A[i]; end";

@@ -18,7 +18,7 @@ use std::time::Duration;
 use arrayflow_obs::{MetricValue, Registry};
 use arrayflow_resilience::CancelToken;
 use arrayflow_service::{
-    Client, ClientConfig, EventServer, FrameHandler, Json, ProtoMode, Service, ServiceConfig,
+    Client, ClientConfig, EventServer, FrameHandler, Json, Service, ServiceConfig,
 };
 use arrayflow_store::{Store, StoreConfig};
 use arrayflow_wire::proto::{AnalyzeRequest, Request as WireRequest, Response as WireResponse};
@@ -30,7 +30,7 @@ fn start(config: ServiceConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>)
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = EventServer::attach(listener, service);
-    let handle = std::thread::spawn(move || server.run(ProtoMode::Auto));
+    let handle = std::thread::spawn(move || server.run());
     (addr, handle)
 }
 

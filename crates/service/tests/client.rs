@@ -178,12 +178,12 @@ fn wedged_server_costs_bounded_time() {
 #[cfg(unix)]
 #[test]
 fn full_session_against_the_real_service() {
-    use arrayflow_service::{EventServer, ProtoMode};
+    use arrayflow_service::EventServer;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let service = Service::start(ServiceConfig::default()).expect("start");
     let server = EventServer::attach(listener, service);
-    let server_thread = thread::spawn(move || server.run(ProtoMode::Auto));
+    let server_thread = thread::spawn(move || server.run());
 
     let mut client = Client::connect(addr, test_config()).expect("connect");
     let a = client

@@ -547,16 +547,9 @@ fn router_mode_applies_the_listener_flags() {
         router_addr.clone(),
         "--router".into(),
         format!("n1={node_addr}"),
-        "--proto".into(),
-        "json".into(),
         "--idle-timeout-ms".into(),
         "300".into(),
     ]);
-
-    // `--proto json`: the binary magic is just a malformed JSON line.
-    let mut c = JsonClient::connect(&router_addr);
-    let resp = c.request("AFWIRE01");
-    assert!(!is_ok(&resp), "{resp:?}");
 
     // `--idle-timeout-ms`: half a line, then silence, is reaped.
     let mut parked = TcpStream::connect(&router_addr).unwrap();
@@ -568,4 +561,13 @@ fn router_mode_applies_the_listener_flags() {
     let mut buf = [0u8; 64];
     assert_eq!(parked.read(&mut buf).expect("closed, not timed out"), 0);
     assert!(started.elapsed() < Duration::from_secs(5));
+
+    // Every listener sniffs: there is no protocol flag to pin one.
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--router", &format!("n1={node_addr}"), "--proto", "json"])
+        .output()
+        .expect("run serve");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--proto`"), "{stderr}");
 }

@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use arrayflow_cluster::Topology;
 use arrayflow_service::{
-    Client, ClientConfig, EventServer, FrameHandler, Json, ProtoMode, Router, RouterConfig,
-    Service, ServiceConfig,
+    Client, ClientConfig, EventServer, FrameHandler, Json, Router, RouterConfig, Service,
+    ServiceConfig,
 };
 
 /// The event loop a suite's clients talk to.
@@ -42,10 +42,7 @@ fn serve<H: FrameHandler>(
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server = EventServer::attach(listener, handler).idle_timeout(idle_timeout);
-    (
-        addr,
-        std::thread::spawn(move || server.run(ProtoMode::Auto)),
-    )
+    (addr, std::thread::spawn(move || server.run()))
 }
 
 impl Stack {

@@ -572,7 +572,9 @@ fn serve_store_open_failure_is_structured_and_nonzero() {
 }
 
 /// `--slow-log 0` logs every request to stderr with its trace id and
-/// per-phase span breakdown.
+/// per-phase span breakdown, and each request's spans fit within its
+/// latency: without a store the recorded spans are disjoint, and each is
+/// truncated to whole microseconds, so they sum to at most `total_us`.
 #[test]
 fn slow_log_zero_emits_span_breakdown_per_request() {
     use std::io::Write;
@@ -583,15 +585,21 @@ fn slow_log_zero_emits_span_breakdown_per_request() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn serve --stdio");
+    let requests = [
+        analyze_frame(0, "do i = 1, 20 A[i+1] := A[i]; end"),
+        r#"{"id": 1, "verb": "open", "program": "do i = 1, 50 A[i+1] := A[i]; B[i] := A[i]; end"}"#
+            .to_string(),
+        r#"{"id": 2, "verb": "delta", "session": 1, "fingerprint": "00000000000000000000000000000000", "stmt": 1, "text": "B[i] := A[i] + 1;"}"#
+            .to_string(),
+        r#"{"id": 3, "verb": "custom", "program": "do i = 1, 40 A[i+2] := A[i]; end", "spec": {"gen": ["uses"], "kill": ["defs"], "direction": "backward", "mode": "may"}}"#
+            .to_string(),
+        r#"{"id": 4, "verb": "shutdown"}"#.to_string(),
+    ];
     {
         let stdin = child.stdin.as_mut().unwrap();
-        writeln!(
-            stdin,
-            "{}",
-            analyze_frame(0, "do i = 1, 20 A[i+1] := A[i]; end")
-        )
-        .unwrap();
-        writeln!(stdin, r#"{{"id": 1, "verb": "shutdown"}}"#).unwrap();
+        for request in &requests {
+            writeln!(stdin, "{request}").unwrap();
+        }
     }
     drop(child.stdin.take());
     let out = child.wait_with_output().expect("serve exit");
@@ -601,14 +609,21 @@ fn slow_log_zero_emits_span_breakdown_per_request() {
         out.status
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(stdout.lines().count(), 2, "two responses: {stdout}");
+    assert_eq!(
+        stdout.lines().count(),
+        requests.len(),
+        "one response per request: {stdout}"
+    );
+    for line in stdout.lines() {
+        assert!(line.contains(r#""ok":true"#), "{line}");
+    }
     let stderr = String::from_utf8_lossy(&out.stderr);
     let slow: Vec<&str> = stderr
         .lines()
         .filter(|l| l.starts_with("serve: slow-request trace="))
         .collect();
     assert!(
-        slow.len() >= 2,
+        slow.len() >= requests.len(),
         "expected a slow-log line per request, stderr: {stderr}"
     );
     let analyze_line = slow
@@ -619,6 +634,22 @@ fn slow_log_zero_emits_span_breakdown_per_request() {
         assert!(
             analyze_line.contains(span),
             "slow-log line missing {span}: {analyze_line}"
+        );
+    }
+    for line in &slow {
+        let (_, spans) = line
+            .split_once(" total_us=")
+            .unwrap_or_else(|| panic!("no total: {line}"));
+        let micros = |us: &str| us.parse::<u64>().expect("whole microseconds");
+        let (total, spans) = spans.split_once(' ').unwrap_or((spans, ""));
+        let total = micros(total);
+        let sum: u64 = spans
+            .split_whitespace()
+            .map(|span| micros(span.rsplit_once('=').expect("name=value").1))
+            .sum();
+        assert!(
+            sum <= total,
+            "spans sum to {sum} µs over total {total}: {line}"
         );
     }
 }

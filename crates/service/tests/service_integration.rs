@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use arrayflow_engine::{Engine, EngineConfig};
-use arrayflow_service::{EventServer, Json, ProtoMode, Service, ServiceConfig};
+use arrayflow_service::{EventServer, Json, Service, ServiceConfig};
 
 /// The unlabelled counter or gauge `name`, read in-process.
 fn count(service: &Service, name: &str) -> u64 {
@@ -74,7 +74,7 @@ fn spawn_server(config: ServiceConfig) -> (std::net::SocketAddr, Arc<Service>) {
     let addr = listener.local_addr().unwrap();
     let service = Service::start(config).expect("start service");
     let server = EventServer::attach(listener, Arc::clone(&service));
-    std::thread::spawn(move || server.run(ProtoMode::Auto).unwrap());
+    std::thread::spawn(move || server.run().unwrap());
     (addr, service)
 }
 

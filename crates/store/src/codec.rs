@@ -18,10 +18,8 @@
 //! panics. Corrupt bytes come back as [`DecodeError`].
 
 use arrayflow_analyses::{Dep, DepKind, RedundantStore, Reuse};
-use arrayflow_core::{CustomSpec, Dist, RefId};
-use arrayflow_engine::{
-    AnalysisReport, CacheKey, CustomResult, CustomValue, InstanceStats, ProblemSet,
-};
+use arrayflow_core::{CustomSpec, Dist, RefId, SolveStats};
+use arrayflow_engine::{AnalysisReport, CacheKey, CustomResult, CustomValue, ProblemSet};
 use arrayflow_ir::stmt::StmtId;
 use arrayflow_ir::Fingerprint;
 use arrayflow_wire::codec::{put_bool, put_u128, put_usize, put_varint, Reader};
@@ -30,30 +28,39 @@ pub use arrayflow_wire::codec::{DecodeError, DecodeResult};
 
 // ---------------------------------------------------------------- write
 
-fn put_instance_stats(out: &mut Vec<u8>, s: &Option<InstanceStats>) {
+/// The four solver counters, in [`SolveStats`] field order.
+fn put_stats(out: &mut Vec<u8>, s: &SolveStats) {
+    put_usize(out, s.init_visits);
+    put_usize(out, s.iter_visits);
+    put_usize(out, s.passes);
+    put_usize(out, s.changing_passes);
+}
+
+fn put_opt_stats(out: &mut Vec<u8>, s: &Option<SolveStats>) {
     match s {
         None => out.push(0),
         Some(s) => {
             out.push(1);
-            put_usize(out, s.init_visits);
-            put_usize(out, s.iter_visits);
-            put_usize(out, s.passes);
-            put_usize(out, s.changing_passes);
+            put_stats(out, s);
         }
     }
 }
 
 // ----------------------------------------------------------------- read
 
-fn read_instance_stats(r: &mut Reader<'_>) -> DecodeResult<Option<InstanceStats>> {
+fn read_stats(r: &mut Reader<'_>) -> DecodeResult<SolveStats> {
+    Ok(SolveStats {
+        init_visits: r.usize()?,
+        iter_visits: r.usize()?,
+        passes: r.usize()?,
+        changing_passes: r.usize()?,
+    })
+}
+
+fn read_opt_stats(r: &mut Reader<'_>) -> DecodeResult<Option<SolveStats>> {
     match r.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(InstanceStats {
-            init_visits: r.usize()?,
-            iter_visits: r.usize()?,
-            passes: r.usize()?,
-            changing_passes: r.usize()?,
-        })),
+        1 => Ok(Some(read_stats(r)?)),
         _ => Err(DecodeError::BadDiscriminant),
     }
 }
@@ -133,7 +140,7 @@ pub fn encode_report_into(out: &mut Vec<u8>, report: &AnalysisReport) {
     put_usize(out, report.nodes);
     put_usize(out, report.sites);
     for stats in &report.canned_stats {
-        put_instance_stats(out, stats);
+        put_opt_stats(out, stats);
     }
 
     put_usize(out, report.reuses.len());
@@ -172,10 +179,7 @@ pub fn encode_report_into(out: &mut Vec<u8>, report: &AnalysisReport) {
     // byte, so canned reports (the only kind older readers know) encode
     // byte-identically to the pre-custom format.
     if let Some(c) = &report.custom {
-        put_usize(out, c.stats.init_visits);
-        put_usize(out, c.stats.iter_visits);
-        put_usize(out, c.stats.passes);
-        put_usize(out, c.stats.changing_passes);
+        put_stats(out, &c.stats);
         put_usize(out, c.width);
         put_usize(out, c.values.len());
         for v in &c.values {
@@ -202,7 +206,7 @@ fn decode_report_inner(r: &mut Reader<'_>) -> DecodeResult<AnalysisReport> {
     let sites = r.usize()?;
     let mut canned_stats = [None; 4];
     for stats in &mut canned_stats {
-        *stats = read_instance_stats(r)?;
+        *stats = read_opt_stats(r)?;
     }
 
     let n = r.count(5)?; // use_site, gen, gen_site, distance, flag
@@ -251,12 +255,7 @@ fn decode_report_inner(r: &mut Reader<'_>) -> DecodeResult<AnalysisReport> {
     let custom = match custom_spec {
         None => None,
         Some(spec) => {
-            let stats = InstanceStats {
-                init_visits: r.usize()?,
-                iter_visits: r.usize()?,
-                passes: r.usize()?,
-                changing_passes: r.usize()?,
-            };
+            let stats = read_stats(r)?;
             let width = r.usize()?;
             let n = r.count(4)?; // gen, gen_site, node, dist tag
             let mut values = Vec::with_capacity(n);
@@ -379,13 +378,13 @@ mod tests {
             nodes: 12,
             sites: 5,
             canned_stats: [
-                Some(InstanceStats {
+                Some(SolveStats {
                     init_visits: 12,
                     iter_visits: 36,
                     passes: 3,
                     changing_passes: 2,
                 }),
-                Some(InstanceStats {
+                Some(SolveStats {
                     init_visits: 12,
                     iter_visits: 24,
                     passes: 2,
@@ -440,7 +439,7 @@ mod tests {
             dependences: Vec::new(),
             custom: Some(CustomResult {
                 spec,
-                stats: InstanceStats {
+                stats: SolveStats {
                     init_visits: 6,
                     iter_visits: 12,
                     passes: 2,

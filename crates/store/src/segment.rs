@@ -21,6 +21,7 @@
 //! record is only ever surfaced when its CRC *and* its codec decode both
 //! check out — a corrupt report can be lost, never returned.
 
+use std::fmt;
 use std::fs;
 use std::path::Path;
 
@@ -70,6 +71,67 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Why the record frame at the front of a buffer did not parse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// Fewer than [`FRAME_LEN`] bytes left.
+    TruncatedHeader,
+    /// A length field over [`MAX_RECORD_BYTES`].
+    Oversized,
+    /// The length field runs past the end of the buffer.
+    TruncatedRecord,
+    /// The payload fails its CRC. The length field still frames it: the
+    /// frame is `frame_len` bytes long.
+    Crc {
+        /// Bytes to the next frame.
+        frame_len: usize,
+    },
+    /// The payload passes its CRC but does not decode; the frame is
+    /// `frame_len` bytes long.
+    Undecodable {
+        /// Bytes to the next frame.
+        frame_len: usize,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            FrameError::TruncatedHeader => "truncated frame header",
+            FrameError::Oversized => "oversized record",
+            FrameError::TruncatedRecord => "truncated record",
+            FrameError::Crc { .. } => "CRC mismatch",
+            FrameError::Undecodable { .. } => "undecodable record",
+        })
+    }
+}
+
+/// Parses the record frame at the front of `buf` (`len | crc | payload`,
+/// as [`frame_record`] writes it): bounds, CRC, then the codec decode.
+/// Returns the record and the frame's length in bytes. Never panics,
+/// whatever the bytes; each caller picks its own policy for an error.
+pub fn parse_frame(buf: &[u8]) -> Result<(Record, usize), FrameError> {
+    if buf.len() < FRAME_LEN {
+        return Err(FrameError::TruncatedHeader);
+    }
+    let len = read_u32(buf, 0) as usize;
+    let crc = read_u32(buf, 4);
+    if len > MAX_RECORD_BYTES {
+        return Err(FrameError::Oversized);
+    }
+    let frame_len = FRAME_LEN + len;
+    let Some(payload) = buf.get(FRAME_LEN..frame_len) else {
+        return Err(FrameError::TruncatedRecord);
+    };
+    if crc32(payload) != crc {
+        return Err(FrameError::Crc { frame_len });
+    }
+    match decode_record(payload) {
+        Ok(record) => Ok((record, frame_len)),
+        Err(_) => Err(FrameError::Undecodable { frame_len }),
+    }
+}
+
 /// What one segment scan found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
@@ -110,37 +172,29 @@ pub fn scan_segment_bytes(buf: &[u8], mut emit: impl FnMut(ScannedRecord)) -> Sc
     }
     let mut pos = HEADER_LEN;
     while pos < buf.len() {
-        if buf.len() - pos < FRAME_LEN {
-            // A torn frame header at the tail.
-            stats.skipped += 1;
-            break;
-        }
-        let len = read_u32(buf, pos) as usize;
-        let crc = read_u32(buf, pos + 4);
-        if len > MAX_RECORD_BYTES || pos + FRAME_LEN + len > buf.len() {
-            // Corrupt length or a torn append: the rest of the segment
-            // cannot be trusted for resync, drop it as one skip.
-            stats.skipped += 1;
-            break;
-        }
-        let payload = &buf[pos + FRAME_LEN..pos + FRAME_LEN + len];
-        if crc32(payload) != crc {
-            stats.skipped += 1;
-            pos += FRAME_LEN + len; // the length field still framed it
-            continue;
-        }
-        match decode_record(payload) {
-            Ok(record) => {
+        match parse_frame(&buf[pos..]) {
+            Ok((record, frame_len)) => {
                 emit(ScannedRecord {
                     record,
                     frame_offset: pos as u64,
-                    payload_len: len as u32,
+                    payload_len: (frame_len - FRAME_LEN) as u32,
                 });
                 stats.records += 1;
+                pos += frame_len;
             }
-            Err(_) => stats.skipped += 1,
+            Err(FrameError::Crc { frame_len } | FrameError::Undecodable { frame_len }) => {
+                // The length field still framed it: resync after it.
+                stats.skipped += 1;
+                pos += frame_len;
+            }
+            Err(_) => {
+                // A torn frame header, a torn append or a corrupt length:
+                // the rest of the segment cannot be trusted for resync,
+                // drop it as one skip.
+                stats.skipped += 1;
+                break;
+            }
         }
-        pos += FRAME_LEN + len;
     }
     stats
 }
@@ -241,6 +295,33 @@ mod tests {
         assert_eq!(seen, vec![2, 3]);
         assert_eq!(stats.records, 2);
         assert_eq!(stats.skipped, 1);
+    }
+
+    #[test]
+    fn parse_frame_names_each_failure() {
+        let frame = frame_record(&encode_record(&tombstone(1)));
+        let (record, n) = parse_frame(&frame).unwrap();
+        assert_eq!((record.key().fingerprint.0, n), (1, frame.len()));
+        assert_eq!(
+            parse_frame(&frame[..7]).unwrap_err(),
+            FrameError::TruncatedHeader
+        );
+        let cut = parse_frame(&frame[..frame.len() - 1]).unwrap_err();
+        assert_eq!(cut, FrameError::TruncatedRecord);
+        let mut big = frame.clone();
+        big[..4].copy_from_slice(&(MAX_RECORD_BYTES as u32 + 1).to_le_bytes());
+        assert_eq!(parse_frame(&big).unwrap_err(), FrameError::Oversized);
+        let frame_len = frame.len();
+        let mut flipped = frame.clone();
+        flipped[FRAME_LEN] ^= 0xFF;
+        assert_eq!(
+            parse_frame(&flipped).unwrap_err(),
+            FrameError::Crc { frame_len }
+        );
+        let garbage = frame_record(&[0xFF; 5]);
+        let frame_len = garbage.len();
+        let undecodable = FrameError::Undecodable { frame_len };
+        assert_eq!(parse_frame(&garbage).unwrap_err(), undecodable);
     }
 
     #[test]

@@ -29,11 +29,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use arrayflow_engine::{AnalysisReport, CacheKey};
 use arrayflow_obs::{Counter, Gauge, Registry};
 
-use crate::codec::{decode_record, encode_record, Record};
-use crate::crc::crc32;
+use crate::codec::{encode_record, Record};
 use crate::segment::{
-    frame_record, header_bytes, parse_segment_file_name, scan_segment_file, segment_file_name,
-    FRAME_LEN, HEADER_LEN, MAX_RECORD_BYTES,
+    frame_record, header_bytes, parse_frame, parse_segment_file_name, scan_segment_file,
+    segment_file_name, FRAME_LEN, HEADER_LEN,
 };
 
 /// Store construction parameters.
@@ -304,16 +303,10 @@ impl Store {
         file.seek(SeekFrom::Start(loc.frame_offset)).ok()?;
         let mut frame = vec![0u8; FRAME_LEN + loc.payload_len as usize];
         file.read_exact(&mut frame).ok()?;
-        let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
-        let crc = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]);
-        if len != loc.payload_len as usize || len > MAX_RECORD_BYTES {
-            return None;
+        match parse_frame(&frame) {
+            Ok((record, frame_len)) if frame_len == frame.len() => Some(record),
+            _ => None,
         }
-        let payload = &frame[FRAME_LEN..];
-        if crc32(payload) != crc {
-            return None;
-        }
-        decode_record(payload).ok()
     }
 
     /// Fetches the live report for `key`, re-validating CRC and decode on
@@ -478,36 +471,15 @@ impl Store {
     /// replay, so the sender can simply re-ship). Returns the number of
     /// records applied.
     pub fn import_frames(&self, batch: &[u8]) -> io::Result<u64> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg);
         let mut applied = 0u64;
         let mut off = 0usize;
         while off < batch.len() {
-            if batch.len() - off < FRAME_LEN {
-                return Err(bad("truncated frame header in replication batch"));
-            }
-            let len =
-                u32::from_le_bytes([batch[off], batch[off + 1], batch[off + 2], batch[off + 3]])
-                    as usize;
-            let crc = u32::from_le_bytes([
-                batch[off + 4],
-                batch[off + 5],
-                batch[off + 6],
-                batch[off + 7],
-            ]);
-            if len > MAX_RECORD_BYTES {
-                return Err(bad("oversized record in replication batch"));
-            }
-            let start = off + FRAME_LEN;
-            let end = match start.checked_add(len) {
-                Some(end) if end <= batch.len() => end,
-                _ => return Err(bad("truncated record in replication batch")),
-            };
-            let payload = &batch[start..end];
-            if crc32(payload) != crc {
-                return Err(bad("CRC mismatch in replication batch"));
-            }
-            let record = decode_record(payload)
-                .map_err(|_| bad("undecodable record in replication batch"))?;
+            let (record, frame_len) = parse_frame(&batch[off..]).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{e} in replication batch"),
+                )
+            })?;
             let skip = match &record {
                 // A live key already holds these exact bytes; a tombstone
                 // for a dead key is a no-op.
@@ -518,7 +490,7 @@ impl Store {
                 self.append(&record)?;
                 applied += 1;
             }
-            off = end;
+            off += frame_len;
         }
         Ok(applied)
     }

@@ -11,7 +11,7 @@
 
 use arrayflow_analyses::{Dep, DepKind, RedundantStore, Reuse};
 use arrayflow_core::RefId;
-use arrayflow_engine::{AnalysisReport, CacheKey, InstanceStats, ProblemSet};
+use arrayflow_engine::{AnalysisReport, CacheKey, ProblemSet, SolveStats};
 use arrayflow_ir::stmt::StmtId;
 use arrayflow_ir::Fingerprint;
 use arrayflow_store::codec::{encode_record, Record};
@@ -29,13 +29,13 @@ fn golden_report() -> AnalysisReport {
         nodes: 7,
         sites: 3,
         canned_stats: [
-            Some(InstanceStats {
+            Some(SolveStats {
                 init_visits: 7,
                 iter_visits: 21,
                 passes: 3,
                 changing_passes: 2,
             }),
-            Some(InstanceStats {
+            Some(SolveStats {
                 init_visits: 7,
                 iter_visits: 14,
                 passes: 2,

@@ -128,6 +128,60 @@ pub fn detect(prefix: &[u8]) -> Detect {
     }
 }
 
+/// A frame header: everything before the payload.
+struct Head {
+    tag: u8,
+    /// The declared payload length.
+    len: u64,
+    crc: u32,
+    /// The header's own length in bytes.
+    size: usize,
+}
+
+/// What the front of a buffer holds.
+enum Parsed {
+    Head(Head),
+    /// An incomplete header that needs at least this many more bytes.
+    Short(usize),
+}
+
+/// Parses the frame header at the front of `buf` — the one header parser
+/// of [`FrameDecoder`] and [`read_frame`]. Rejects as soon as the bytes
+/// seen diverge from the magic or the version, or the length varint is
+/// malformed.
+fn parse_head(buf: &[u8]) -> Result<Parsed, FrameError> {
+    let n = buf.len().min(MAGIC.len());
+    if buf[..n] != MAGIC[..n] {
+        return Err(FrameError::BadMagic);
+    }
+    // Magic, version and tag.
+    const FIXED: usize = MAGIC.len() + 2;
+    if buf.len() < FIXED {
+        return Ok(Parsed::Short(FIXED - buf.len()));
+    }
+    if buf[8] != VERSION {
+        return Err(FrameError::BadVersion(buf[8]));
+    }
+    let mut r = Reader::new(&buf[FIXED..]);
+    let len = match r.varint() {
+        Ok(len) => len,
+        // At least one more length byte, then the CRC.
+        Err(DecodeError::Truncated) => return Ok(Parsed::Short(5)),
+        Err(_) => return Err(FrameError::BadLength),
+    };
+    if r.remaining() < 4 {
+        return Ok(Parsed::Short(4 - r.remaining()));
+    }
+    let size = buf.len() - r.remaining() + 4;
+    let crc = u32::from_le_bytes(buf[size - 4..size].try_into().expect("four bytes"));
+    Ok(Parsed::Head(Head {
+        tag: buf[9],
+        len,
+        crc,
+        size,
+    }))
+}
+
 /// An incremental frame decoder with a hard payload cap, suitable for a
 /// nonblocking event loop: feed it whatever bytes arrived, then drain
 /// events.
@@ -184,47 +238,19 @@ impl FrameDecoder {
                 return Ok(None);
             }
         }
-        // Early magic check: reject as soon as any prefix byte diverges.
-        let n = self.buf.len().min(MAGIC.len());
-        if self.buf[..n] != MAGIC[..n] {
-            return Err(FrameError::BadMagic);
-        }
-        let mut r = Reader::new(&self.buf);
-        let header = (|| -> Result<Option<(u8, u64, u32, usize)>, FrameError> {
-            match r.bytes(MAGIC.len()) {
-                Ok(_) => {}
-                Err(_) => return Ok(None),
-            }
-            let version = match r.u8() {
-                Ok(v) => v,
-                Err(_) => return Ok(None),
-            };
-            if version != VERSION {
-                return Err(FrameError::BadVersion(version));
-            }
-            let tag = match r.u8() {
-                Ok(t) => t,
-                Err(_) => return Ok(None),
-            };
-            let len = match r.varint() {
-                Ok(l) => l,
-                Err(DecodeError::Truncated) => return Ok(None),
-                Err(_) => return Err(FrameError::BadLength),
-            };
-            let crc = match r.bytes(4) {
-                Ok(b) => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-                Err(_) => return Ok(None),
-            };
-            let header_len = self.buf.len() - r.remaining();
-            Ok(Some((tag, len, crc, header_len)))
-        })()?;
-        let Some((tag, len, crc, header_len)) = header else {
-            return Ok(None);
+        let Head {
+            tag,
+            len,
+            crc,
+            size,
+        } = match parse_head(&self.buf)? {
+            Parsed::Head(head) => head,
+            Parsed::Short(_) => return Ok(None),
         };
         if len > self.max_payload as u64 {
             // Reject from the prefix: consume the header, discard the
             // payload as it arrives, never allocate it.
-            self.buf.drain(..header_len);
+            self.buf.drain(..size);
             self.skip = len;
             let d = (self.skip).min(self.buf.len() as u64) as usize;
             self.buf.drain(..d);
@@ -232,11 +258,11 @@ impl FrameDecoder {
             return Ok(Some(FrameEvent::Oversized { tag, declared: len }));
         }
         let len = len as usize;
-        if self.buf.len() < header_len + len {
+        if self.buf.len() < size + len {
             return Ok(None);
         }
-        let payload = self.buf[header_len..header_len + len].to_vec();
-        self.buf.drain(..header_len + len);
+        let payload = self.buf[size..size + len].to_vec();
+        self.buf.drain(..size + len);
         if crc32(&payload) != crc {
             return Err(FrameError::BadCrc);
         }
@@ -244,42 +270,34 @@ impl FrameDecoder {
     }
 }
 
-/// Reads exactly one frame from a blocking reader (the client side).
-/// Framing errors and oversized payloads surface as
-/// `io::ErrorKind::InvalidData`.
+/// Reads exactly one frame from a blocking reader (the client side),
+/// consuming no byte past it. Framing errors and oversized payloads
+/// surface as `io::ErrorKind::InvalidData`.
 pub fn read_frame(reader: &mut impl Read, max_payload: usize) -> io::Result<(u8, Vec<u8>)> {
     let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-    let mut head = [0u8; 10];
-    reader.read_exact(&mut head)?;
-    if head[..8] != MAGIC {
-        return Err(invalid(FrameError::BadMagic.to_string()));
+    // Read only the bytes the header is known to still need, so a reader
+    // shared with later frames never loses one.
+    let mut buf = [0u8; MAX_HEADER_LEN];
+    let mut have = 0;
+    let head = loop {
+        match parse_head(&buf[..have]).map_err(|e| invalid(e.to_string()))? {
+            Parsed::Head(head) => break head,
+            Parsed::Short(need) => {
+                reader.read_exact(&mut buf[have..have + need])?;
+                have += need;
+            }
+        }
+    };
+    if head.len > max_payload as u64 {
+        let cap = format!("frame payload of {} bytes exceeds cap", head.len);
+        return Err(invalid(cap));
     }
-    if head[8] != VERSION {
-        return Err(invalid(FrameError::BadVersion(head[8]).to_string()));
-    }
-    let tag = head[9];
-    // The length varint: read up to its last byte (ten at most), decode
-    // with the shared codec.
-    let mut varint = Vec::with_capacity(10);
-    let mut byte = [0u8; 1];
-    while varint.len() < 10 && varint.last().is_none_or(|b| b & 0x80 != 0) {
-        reader.read_exact(&mut byte)?;
-        varint.push(byte[0]);
-    }
-    let len = Reader::new(&varint)
-        .varint()
-        .map_err(|_| invalid(FrameError::BadLength.to_string()))?;
-    if len > max_payload as u64 {
-        return Err(invalid(format!("frame payload of {len} bytes exceeds cap")));
-    }
-    let mut crc_bytes = [0u8; 4];
-    reader.read_exact(&mut crc_bytes)?;
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = vec![0u8; head.len as usize];
     reader.read_exact(&mut payload)?;
-    if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
+    if crc32(&payload) != head.crc {
         return Err(invalid(FrameError::BadCrc.to_string()));
     }
-    Ok((tag, payload))
+    Ok((head.tag, payload))
 }
 
 /// A blocking request/response connection, the one way the service's

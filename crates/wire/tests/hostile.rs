@@ -1,10 +1,14 @@
 //! Hostility suite: the binary decoder must never panic, never allocate
 //! proportionally to a hostile length prefix, and must classify every
 //! malformed input as an error or a pending state — on any byte stream.
+//! The blocking reader ([`read_frame`]) gets the same inputs and must
+//! agree with the decoder.
+
+use std::io;
 
 use arrayflow_wire::codec::put_varint;
 use arrayflow_wire::frame::{
-    detect, encode_frame, Detect, FrameDecoder, FrameError, FrameEvent, MAGIC, VERSION,
+    detect, encode_frame, read_frame, Detect, FrameDecoder, FrameError, FrameEvent, MAGIC, VERSION,
 };
 use arrayflow_wire::proto::{Request, Response};
 
@@ -35,6 +39,18 @@ fn drain(dec: &mut FrameDecoder) -> Result<Vec<FrameEvent>, FrameError> {
     Ok(out)
 }
 
+/// Checks that [`read_frame`] over `bytes` returns a frame exactly when a
+/// fresh decoder's first event is that frame, and otherwise fails.
+fn blocking_read_agrees(bytes: &[u8], max_payload: usize) {
+    let mut dec = FrameDecoder::new(max_payload);
+    dec.extend(bytes);
+    let expected = match dec.next() {
+        Ok(Some(FrameEvent::Frame { tag, payload })) => Some((tag, payload)),
+        _ => None,
+    };
+    assert_eq!(read_frame(&mut &bytes[..], max_payload).ok(), expected);
+}
+
 #[test]
 fn random_bytes_never_panic_the_frame_decoder() {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
@@ -46,6 +62,7 @@ fn random_bytes_never_panic_the_frame_decoder() {
         // Any outcome is fine; panicking or ballooning is not.
         let _ = drain(&mut dec);
         assert!(dec.buffered() <= bytes.len(), "round {round}");
+        blocking_read_agrees(&bytes, 4096);
     }
 }
 
@@ -60,6 +77,7 @@ fn random_mutations_of_a_valid_frame_never_panic() {
             let i = (rng.next() as usize) % frame.len();
             frame[i] ^= rng.byte() | 1;
         }
+        blocking_read_agrees(&frame, 1 << 16);
         let mut dec = FrameDecoder::new(1 << 16);
         dec.extend(&frame);
         // A mutated frame that still decodes must have survived the
@@ -101,7 +119,19 @@ fn truncated_frames_pend_at_every_cut_point() {
             dec.next(),
             Ok(Some(FrameEvent::Frame { tag: 0x02, .. }))
         ));
+        // The blocking reader runs out of bytes instead.
+        let err = read_frame(&mut &frame[..cut], 4096).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
     }
+    // Whole, it reads the frame and not one byte past it.
+    let mut stream = frame.clone();
+    stream.extend_from_slice(b"next");
+    let mut rest = &stream[..];
+    assert_eq!(
+        read_frame(&mut rest, 4096).unwrap(),
+        (0x02, vec![0x5A; 300])
+    );
+    assert_eq!(rest, b"next");
 }
 
 #[test]
@@ -125,6 +155,8 @@ fn hostile_length_prefixes_never_allocate() {
             }))
         );
         assert_eq!(dec.buffered(), 0);
+        let err = read_frame(&mut &head[..], 4096).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }
 
@@ -142,6 +174,11 @@ fn bad_version_and_bad_crc_are_terminal() {
     let mut dec = FrameDecoder::new(4096);
     dec.extend(&bad_crc);
     assert_eq!(dec.next(), Err(FrameError::BadCrc));
+
+    for frame in [bad_version, bad_crc] {
+        let err = read_frame(&mut &frame[..], 4096).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
 }
 
 #[test]
@@ -184,4 +221,11 @@ fn pipelined_frames_with_noise_boundaries_decode_in_order() {
         }
         assert_eq!(tags, vec![0x01, 0x03, 0x02], "chunk size {chunk}");
     }
+    // The blocking reader takes the same stream one frame per call.
+    let mut rest = &stream[..];
+    let tags: Vec<u8> = (0..3)
+        .map(|_| read_frame(&mut rest, 4096).unwrap().0)
+        .collect();
+    assert_eq!(tags, vec![0x01, 0x03, 0x02]);
+    assert!(rest.is_empty());
 }

@@ -134,14 +134,11 @@ fn main() -> std::io::Result<()> {
 /// background. (In production you would run the `serve` binary instead.)
 #[cfg(unix)]
 fn serve() -> std::io::Result<Background> {
-    use arrayflow::service::{EventServer, ProtoMode};
+    use arrayflow::service::EventServer;
     let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let server = EventServer::attach(listener, Service::start(ServiceConfig::default())?);
-    Ok((
-        addr,
-        std::thread::spawn(move || server.run(ProtoMode::Auto)),
-    ))
+    Ok((addr, std::thread::spawn(move || server.run())))
 }
 
 #[cfg(not(unix))]
