@@ -70,11 +70,6 @@ pub struct BuiltSpec {
 }
 
 impl BuiltSpec {
-    /// The site of a tracked reference.
-    pub fn site_of<'a>(&self, id: RefId, sites: &'a [Site]) -> &'a Site {
-        &sites[self.gen_site[id.index()]]
-    }
-
     /// The same rows in `mode`: a problem of the same roles and direction
     /// tracks the same references and kills, whatever its mode.
     pub fn with_mode(&self, mode: Mode) -> Self {

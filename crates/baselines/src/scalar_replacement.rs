@@ -20,7 +20,6 @@
 //! experiment quantifies the gap.
 
 use arrayflow_analyses::{constant_distance, LoopAnalysis};
-use arrayflow_core::Dist;
 
 use crate::deps::{combined_test, Verdict};
 
@@ -162,18 +161,4 @@ pub fn baseline_is_subsumed(analysis: &LoopAnalysis) -> bool {
     dependence_based_reuses(analysis)
         .into_iter()
         .all(|r| fw.contains(&(r.def_site, r.use_site, r.distance)))
-}
-
-/// Convenience: the framework's must-available distance for a generator at
-/// a use node (used by reports).
-pub fn framework_distance(analysis: &LoopAnalysis, gen_site: usize, use_site: usize) -> Dist {
-    let gen = analysis
-        .available
-        .gens()
-        .find(|&(_, s)| s == gen_site)
-        .map(|(id, _)| id);
-    match gen {
-        Some(id) => analysis.available.before(analysis.sites[use_site].node, id),
-        None => Dist::Bottom,
-    }
 }

@@ -90,11 +90,6 @@ impl Node {
         self.refs.iter().filter(|r| !r.is_def)
     }
 
-    /// True for the `exit` node.
-    pub fn is_exit(&self) -> bool {
-        matches!(self.kind, NodeKind::Exit)
-    }
-
     /// True for summary nodes.
     pub fn is_summary(&self) -> bool {
         matches!(self.kind, NodeKind::Summary { .. })

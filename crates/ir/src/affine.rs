@@ -48,11 +48,6 @@ impl AffineSub {
         }
     }
 
-    /// True if the subscript does not depend on the induction variable.
-    pub fn is_invariant(&self) -> bool {
-        self.coef.is_zero()
-    }
-
     /// Extracts the affine form of `expr` with respect to `iv`.
     ///
     /// Every scalar other than `iv` is treated as a symbolic constant

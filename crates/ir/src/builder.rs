@@ -105,22 +105,6 @@ impl LoopBuilder {
         ArrayRef::new(id, base)
     }
 
-    /// Builds a reference with an arbitrary subscript expression.
-    pub fn array_ref_expr(&mut self, name: &str, sub: Expr) -> ArrayRef {
-        let id = self.program.symbols.array(name);
-        ArrayRef::new(id, sub)
-    }
-
-    /// Builds a multi-dimensional reference.
-    pub fn array_ref_multi(&mut self, name: &str, subs: Vec<Expr>) -> ArrayRef {
-        let rank = subs.len();
-        let id = self
-            .program
-            .symbols
-            .array_with(name, rank, vec![None; rank]);
-        ArrayRef::multi(id, subs)
-    }
-
     /// `l + r`
     pub fn add(&self, l: Expr, r: Expr) -> Expr {
         Expr::bin(BinOp::Add, l, r)
@@ -134,13 +118,6 @@ impl LoopBuilder {
     /// Appends `lhs := rhs;` with a subscripted destination.
     pub fn assign_elem(&mut self, lhs: ArrayRef, rhs: Expr) -> &mut Self {
         self.push_stmt(Stmt::Assign(Assign::new(LValue::Elem(lhs), rhs)));
-        self
-    }
-
-    /// Appends `scalar := rhs;`.
-    pub fn assign_scalar(&mut self, name: &str, rhs: Expr) -> &mut Self {
-        let v = self.program.symbols.var(name);
-        self.push_stmt(Stmt::Assign(Assign::new(LValue::Scalar(v), rhs)));
         self
     }
 

@@ -114,11 +114,6 @@ impl Env {
         &self.arrays
     }
 
-    /// A snapshot of all scalar bindings.
-    pub fn scalar_state(&self) -> &BTreeMap<VarId, i64> {
-        &self.scalars
-    }
-
     /// Runs a whole program.
     ///
     /// # Errors

@@ -1,16 +1,24 @@
 //! The `serve` binary: the analysis service on TCP or stdio.
 //!
 //! ```text
-//! serve [--listen ADDR] [--stdio] [--workers N]
-//!       [--queue N] [--timeout-ms N] [--idle-timeout-ms N] [--max-frame BYTES]
-//!       [--cache-capacity N] [--distance-bound N]
-//!       [--session-capacity N] [--session-ttl-ms N]
-//!       [--store DIR] [--store-segment-bytes N] [--store-queue N]
-//!       [--store-breaker-threshold N] [--store-breaker-cooldown-ms N]
-//!       [--slow-log MICROS] [--fault-plan SPEC]
-//!       [--node-id ID] [--replicate-to ADDR] [--replicate-interval-ms N]
-//!       [--router NODES] [--probe-interval-ms N] [--vnodes N]
+//! serve [--listen ADDR | --stdio | --router NODES] [FLAG VALUE]...
 //! ```
+//!
+//! `serve` runs in one of three modes: a TCP node (the default), a stdio
+//! node (`--stdio`) or a router (`--router NODES`). Each flag is read by
+//! the modes listed here (`serve --help` prints the same table); a flag
+//! the chosen mode would not read exits 2, naming the flag:
+//!
+//! * every mode: `--timeout-ms N`, `--max-frame BYTES`;
+//! * a TCP node and a router: `--listen ADDR`, `--idle-timeout-ms N`;
+//! * a TCP node and a stdio node: `--workers N`, `--queue N`,
+//!   `--cache-capacity N`, `--distance-bound N`, `--session-capacity N`,
+//!   `--session-ttl-ms N`, `--store DIR`, `--store-segment-bytes N`,
+//!   `--store-queue N`, `--store-breaker-threshold N`,
+//!   `--store-breaker-cooldown-ms N`, `--slow-log MICROS`,
+//!   `--fault-plan SPEC`, `--node-id ID`, `--replicate-to ADDR`,
+//!   `--replicate-interval-ms N`;
+//! * a router: `--probe-interval-ms N`, `--vnodes N`.
 //!
 //! Cluster mode: `--router NODES` (comma-separated `addr` or `id=addr`
 //! entries) turns this process into the coordinator — it owns no engine
@@ -24,7 +32,8 @@
 //!
 //! TCP serving is one `poll(2)` event loop multiplexing every connection
 //! onto the worker pool, or in router mode onto the forwarder pool (unix
-//! only; elsewhere use `--stdio`). Both modes share the listener: it
+//! only; elsewhere use `--stdio`). A TCP node and a router share the
+//! listener: it
 //! sniffs each connection's first bytes — `AFWIRE01` magic selects the
 //! binary protocol, anything else newline-JSON — and
 //! `--idle-timeout-ms` (default 60000; 0 disables) reaps connections that
@@ -69,6 +78,68 @@ use arrayflow_resilience::FaultPlan;
 use arrayflow_service::{run_stdio, FrameHandler, Router, RouterConfig, Service, ServiceConfig};
 use arrayflow_store::StoreConfig;
 
+/// A mode of `serve`, as one bit of a flag's mode set.
+const TCP: u8 = 1;
+const STDIO: u8 = 2;
+const ROUTER: u8 = 4;
+const NODE: u8 = TCP | STDIO;
+const ALL: u8 = NODE | ROUTER;
+
+/// Every flag, the placeholder of its value (empty for a switch) and the
+/// modes that read it: the one table `--help` prints and `main` checks.
+const FLAGS: [(&str, &str, u8); 24] = [
+    ("--listen", "ADDR", TCP | ROUTER),
+    ("--stdio", "", STDIO),
+    ("--router", "NODES", ROUTER),
+    ("--timeout-ms", "N", ALL),
+    ("--max-frame", "BYTES", ALL),
+    ("--idle-timeout-ms", "N", TCP | ROUTER),
+    ("--workers", "N", NODE),
+    ("--queue", "N", NODE),
+    ("--cache-capacity", "N", NODE),
+    ("--distance-bound", "N", NODE),
+    ("--session-capacity", "N", NODE),
+    ("--session-ttl-ms", "N", NODE),
+    ("--store", "DIR", NODE),
+    ("--store-segment-bytes", "N", NODE),
+    ("--store-queue", "N", NODE),
+    ("--store-breaker-threshold", "N", NODE),
+    ("--store-breaker-cooldown-ms", "N", NODE),
+    ("--slow-log", "MICROS", NODE),
+    ("--fault-plan", "SPEC", NODE),
+    ("--node-id", "ID", NODE),
+    ("--replicate-to", "ADDR", NODE),
+    ("--replicate-interval-ms", "N", NODE),
+    ("--probe-interval-ms", "N", ROUTER),
+    ("--vnodes", "N", ROUTER),
+];
+
+/// The modes in `modes`, by name.
+fn mode_names(modes: u8) -> String {
+    let names = [
+        (TCP, "a TCP node"),
+        (STDIO, "a stdio node"),
+        (ROUTER, "a router"),
+    ];
+    let named: Vec<&str> = names
+        .iter()
+        .filter(|(m, _)| modes & m != 0)
+        .map(|(_, name)| *name)
+        .collect();
+    named.join(", ")
+}
+
+/// `--help`: every flag with the modes that read it.
+fn usage() -> String {
+    let mut text =
+        String::from("serve [--listen ADDR | --stdio | --router NODES] [FLAG VALUE]...\n");
+    for (flag, value, modes) in FLAGS {
+        let flag = format!("{flag} {value}");
+        text += &format!("  {:<32} read by {}\n", flag.trim_end(), mode_names(modes));
+    }
+    text + "TCP serving (a TCP node, a router) is unix-only."
+}
+
 struct Args {
     listen: String,
     stdio: bool,
@@ -77,6 +148,8 @@ struct Args {
     router_nodes: Option<String>,
     probe_interval: Duration,
     vnodes: usize,
+    /// Every flag given, with the modes that read it.
+    given: Vec<(&'static str, u8)>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -88,36 +161,35 @@ fn parse_args() -> Result<Args, String> {
         router_nodes: None,
         probe_interval: Duration::from_millis(500),
         vnodes: 0,
+        given: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--listen" => args.listen = value("--listen")?,
+        if flag == "--help" || flag == "-h" {
+            println!("{}", usage());
+            std::process::exit(0);
+        }
+        let Some(&(name, _, modes)) = FLAGS.iter().find(|f| f.0 == flag) else {
+            return Err(format!("unknown flag `{flag}` (try --help)"));
+        };
+        args.given.push((name, modes));
+        let mut value = || it.next().ok_or_else(|| format!("{name} requires a value"));
+        match name {
+            "--listen" => args.listen = value()?,
             "--stdio" => args.stdio = true,
-            "--workers" => args.config.workers = parse(&value("--workers")?)?,
-            "--queue" => args.config.queue_capacity = parse(&value("--queue")?)?,
+            "--workers" => args.config.workers = parse(&value()?)?,
+            "--queue" => args.config.queue_capacity = parse(&value()?)?,
             "--timeout-ms" => {
-                args.config.request_timeout = Duration::from_millis(parse(&value("--timeout-ms")?)?)
+                args.config.request_timeout = Duration::from_millis(parse(&value()?)?)
             }
-            "--idle-timeout-ms" => {
-                args.idle_timeout = Duration::from_millis(parse(&value("--idle-timeout-ms")?)?)
-            }
-            "--max-frame" => args.config.max_frame_bytes = parse(&value("--max-frame")?)?,
-            "--cache-capacity" => {
-                args.config.engine.cache_capacity = parse(&value("--cache-capacity")?)?
-            }
-            "--distance-bound" => {
-                args.config.engine.dep_max_distance = parse(&value("--distance-bound")?)?
-            }
-            "--session-capacity" => {
-                args.config.engine.session_capacity = parse(&value("--session-capacity")?)?
-            }
-            "--session-ttl-ms" => {
-                args.config.engine.session_ttl_ms = parse(&value("--session-ttl-ms")?)?
-            }
+            "--idle-timeout-ms" => args.idle_timeout = Duration::from_millis(parse(&value()?)?),
+            "--max-frame" => args.config.max_frame_bytes = parse(&value()?)?,
+            "--cache-capacity" => args.config.engine.cache_capacity = parse(&value()?)?,
+            "--distance-bound" => args.config.engine.dep_max_distance = parse(&value()?)?,
+            "--session-capacity" => args.config.engine.session_capacity = parse(&value()?)?,
+            "--session-ttl-ms" => args.config.engine.session_ttl_ms = parse(&value()?)?,
             "--store" => {
-                let dir = value("--store")?;
+                let dir = value()?;
                 args.config.store = Some(match args.config.store.take() {
                     Some(mut sc) => {
                         sc.dir = dir.into();
@@ -127,57 +199,38 @@ fn parse_args() -> Result<Args, String> {
                 });
             }
             "--store-segment-bytes" => {
-                let bytes = parse(&value("--store-segment-bytes")?)?;
+                let bytes = parse(&value()?)?;
                 store_config(&mut args.config)?.segment_bytes = bytes;
             }
             "--store-queue" => {
-                let depth = parse(&value("--store-queue")?)?;
+                let depth = parse(&value()?)?;
                 store_config(&mut args.config)?.writer_queue = depth;
             }
             "--store-breaker-threshold" => {
-                let n = parse(&value("--store-breaker-threshold")?)?;
+                let n = parse(&value()?)?;
                 store_config(&mut args.config)?.breaker_threshold = n;
             }
             "--store-breaker-cooldown-ms" => {
-                let ms: u64 = parse(&value("--store-breaker-cooldown-ms")?)?;
+                let ms: u64 = parse(&value()?)?;
                 store_config(&mut args.config)?.breaker_cooldown = Duration::from_millis(ms);
             }
-            "--slow-log" => args.config.slow_log_micros = Some(parse(&value("--slow-log")?)?),
-            "--node-id" => args.config.node_id = Some(value("--node-id")?),
-            "--replicate-to" => args.config.replicate_to = Some(value("--replicate-to")?),
+            "--slow-log" => args.config.slow_log_micros = Some(parse(&value()?)?),
+            "--node-id" => args.config.node_id = Some(value()?),
+            "--replicate-to" => args.config.replicate_to = Some(value()?),
             "--replicate-interval-ms" => {
-                args.config.replicate_interval =
-                    Duration::from_millis(parse(&value("--replicate-interval-ms")?)?)
+                args.config.replicate_interval = Duration::from_millis(parse(&value()?)?)
             }
-            "--router" => args.router_nodes = Some(value("--router")?),
-            "--probe-interval-ms" => {
-                args.probe_interval = Duration::from_millis(parse(&value("--probe-interval-ms")?)?)
-            }
-            "--vnodes" => args.vnodes = parse(&value("--vnodes")?)?,
+            "--router" => args.router_nodes = Some(value()?),
+            "--probe-interval-ms" => args.probe_interval = Duration::from_millis(parse(&value()?)?),
+            "--vnodes" => args.vnodes = parse(&value()?)?,
             "--fault-plan" => {
-                let spec = value("--fault-plan")?;
+                let spec = value()?;
                 let plan = FaultPlan::parse(&spec)
                     .map_err(|e| format!("invalid --fault-plan `{spec}`: {e}"))?;
                 eprintln!("serve: fault-plan active: {plan}");
                 args.config.faults = Some(Arc::new(plan));
             }
-            "--help" | "-h" => {
-                println!(
-                    "serve [--listen ADDR] [--stdio] [--workers N] \
-                     [--queue N] [--timeout-ms N] [--idle-timeout-ms N] [--max-frame BYTES] \
-                     [--cache-capacity N] \
-                     [--distance-bound N] [--session-capacity N] [--session-ttl-ms N] \
-                     [--store DIR] [--store-segment-bytes N] \
-                     [--store-queue N] [--store-breaker-threshold N] \
-                     [--store-breaker-cooldown-ms N] [--slow-log MICROS] [--fault-plan SPEC] \
-                     [--node-id ID] [--replicate-to ADDR] [--replicate-interval-ms N] \
-                     [--router NODES] [--probe-interval-ms N] [--vnodes N]\n\
-                     --listen and --idle-timeout-ms set the event loop \
-                     of a node and of a --router alike (TCP serving is unix-only)."
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
+            _ => unreachable!("every flag in FLAGS has an arm"),
         }
     }
     Ok(args)
@@ -240,6 +293,7 @@ fn start_router(args: &Args, spec: &str) -> Result<Arc<Router>, ExitCode> {
     let mut config = RouterConfig::new(topology);
     config.probe_interval = args.probe_interval;
     config.request_timeout = args.config.request_timeout.max(Duration::from_secs(1));
+    config.max_frame_bytes = args.config.max_frame_bytes;
     Router::start(config).map_err(|e| {
         eprintln!("serve: error: cannot start the router: {e}");
         ExitCode::FAILURE
@@ -276,10 +330,17 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.router_nodes.is_some()
-        && (args.stdio || args.config.store.is_some() || args.config.replicate_to.is_some())
-    {
-        eprintln!("serve: --router excludes --stdio, --store and --replicate-to");
+    let mode = match (&args.router_nodes, args.stdio) {
+        (Some(_), _) => ROUTER,
+        (None, true) => STDIO,
+        (None, false) => TCP,
+    };
+    if let Some((flag, modes)) = args.given.iter().find(|(_, modes)| modes & mode == 0) {
+        eprintln!(
+            "serve: {flag} is not read by {}; it is read by {}",
+            mode_names(mode),
+            mode_names(*modes)
+        );
         return ExitCode::from(2);
     }
     if !args.stdio && !cfg!(unix) {

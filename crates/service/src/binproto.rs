@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use arrayflow_engine::{BatchResult, DeltaReport, LoopReport, QueryStats};
 use arrayflow_ir::Fingerprint;
-use arrayflow_resilience::CancelToken;
 use arrayflow_store::codec::{decode_report, encode_report};
 use arrayflow_wire::encode_frame;
 use arrayflow_wire::proto::{
@@ -21,22 +20,16 @@ use arrayflow_wire::proto::{
 };
 
 use crate::proto::{ErrorKind, ServiceError};
-use crate::server::FrameHandler;
-use crate::service::{Answer, Decoded, Service};
-
-/// The outcome of handling one binary frame.
-pub struct BinaryResponse {
-    /// The complete response frame (header + payload), ready to write.
-    pub frame: Vec<u8>,
-}
+use crate::server::Decoded;
+use crate::service::Answer;
 
 /// [`ErrorKind`] as a single wire byte. Stable protocol values: new kinds
-/// append, existing bytes never renumber.
+/// append, existing bytes never renumber. Byte 2 is reserved: it was a
+/// retired `timeout` kind and decodes as an unknown kind.
 pub fn kind_byte(kind: ErrorKind) -> u8 {
     match kind {
         ErrorKind::Parse => 0,
         ErrorKind::Analysis => 1,
-        ErrorKind::Timeout => 2,
         ErrorKind::Overloaded => 3,
         ErrorKind::Protocol => 4,
         ErrorKind::SessionLost => 5,
@@ -49,7 +42,6 @@ pub fn kind_from_byte(b: u8) -> Option<ErrorKind> {
     Some(match b {
         0 => ErrorKind::Parse,
         1 => ErrorKind::Analysis,
-        2 => ErrorKind::Timeout,
         3 => ErrorKind::Overloaded,
         4 => ErrorKind::Protocol,
         5 => ErrorKind::SessionLost,
@@ -118,16 +110,6 @@ pub(crate) fn response_frame(id: u64, outcome: Result<Answer, ServiceError>) -> 
     encode_frame(resp.tag(), &resp.encode_payload())
 }
 
-/// The answer to a binary frame declaring `declared` payload bytes over
-/// a `cap`-byte frame cap, on every edge that reads `AFWIRE01`.
-pub(crate) fn oversized_frame(declared: u64, cap: usize) -> Vec<u8> {
-    let e = ServiceError::new(
-        ErrorKind::Protocol,
-        format!("frame of {declared} bytes exceeds the {cap} byte cap"),
-    );
-    response_frame(0, Err(e))
-}
-
 /// The inverse of [`response_frame`] for a node's answer: what the router's
 /// JSON edge renders a forwarded response from, decoding the report
 /// bytes back into reports.
@@ -182,28 +164,13 @@ pub(crate) fn answer_of(tag: u8, payload: &[u8]) -> Result<Answer, ServiceError>
     }
 }
 
-impl Service {
-    /// The event edge for binary frames (tag + payload), answered through
-    /// [`FrameHandler::answer_binary`] with a connection-less cancel
-    /// token. `respond` is invoked exactly once.
-    pub fn handle_binary_frame_async(
-        self: &Arc<Self>,
-        tag: u8,
-        payload: &[u8],
-        respond: Box<dyn FnOnce(BinaryResponse) + Send>,
-    ) {
-        let respond = move |frame| respond(BinaryResponse { frame });
-        self.answer_binary(tag, payload, CancelToken::new(), Box::new(respond));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceConfig;
+    use crate::server::{Edge, Frame, FrameHandler};
+    use crate::service::{Service, ServiceConfig};
     use arrayflow_engine::{CustomSpec, ProblemSet, CANNED};
     use arrayflow_wire::proto::{AnalyzeRequest, CustomRequest};
-    use std::sync::mpsc;
 
     const SRC: &str = "do i = 1, 100 A[i+2] := A[i] + x; end";
 
@@ -215,17 +182,10 @@ mod tests {
         .unwrap()
     }
 
-    /// Blocks on the async path — what a transport does, minus the socket.
-    fn binary_sync(svc: &Arc<Service>, tag: u8, payload: &[u8]) -> BinaryResponse {
-        let (tx, rx) = mpsc::channel();
-        svc.handle_binary_frame_async(
-            tag,
-            payload,
-            Box::new(move |resp| {
-                let _ = tx.send(resp);
-            }),
-        );
-        rx.recv().expect("respond is invoked exactly once")
+    /// Answers one frame in process, as a connection's frames are
+    /// answered: the response frame's bytes.
+    fn binary_sync(svc: &Arc<Service>, tag: u8, payload: &[u8]) -> Vec<u8> {
+        svc.handle_frame(Frame::Binary(tag, payload))
     }
 
     #[test]
@@ -233,7 +193,7 @@ mod tests {
         let svc = svc();
         let req = Request::Ping { id: 9 };
         let out = binary_sync(&svc, req.tag(), &req.encode_payload());
-        let resp = decode_response_frame(&out.frame);
+        let resp = decode_response_frame(&out);
         assert_eq!(
             resp,
             Response::Text {
@@ -253,8 +213,7 @@ mod tests {
             distance_bound: None,
             source: Some(SRC.as_bytes().to_vec()),
         });
-        let full =
-            decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()).frame);
+        let full = decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()));
         let Response::Analyze(full) = full else {
             panic!("expected analyze response, got {full:?}");
         };
@@ -268,8 +227,7 @@ mod tests {
             distance_bound: None,
             source: None,
         });
-        let hit =
-            decode_response_frame(&binary_sync(&svc, probe.tag(), &probe.encode_payload()).frame);
+        let hit = decode_response_frame(&binary_sync(&svc, probe.tag(), &probe.encode_payload()));
         let Response::Analyze(hit) = hit else {
             panic!("expected analyze response, got {hit:?}");
         };
@@ -293,8 +251,7 @@ mod tests {
             distance_bound: None,
             source: None,
         });
-        let resp =
-            decode_response_frame(&binary_sync(&svc, probe.tag(), &probe.encode_payload()).frame);
+        let resp = decode_response_frame(&binary_sync(&svc, probe.tag(), &probe.encode_payload()));
         let Response::Err { id, kind, .. } = resp else {
             panic!("expected error, got {resp:?}");
         };
@@ -318,8 +275,7 @@ mod tests {
             distance_bound: None,
             source: Some(SRC.as_bytes().to_vec()),
         });
-        let full =
-            decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()).frame);
+        let full = decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()));
         let Response::Analyze(full) = full else {
             panic!("expected analyze response, got {full:?}");
         };
@@ -332,8 +288,7 @@ mod tests {
             distance_bound: None,
             source: None,
         });
-        let hit =
-            decode_response_frame(&binary_sync(&svc, probe.tag(), &probe.encode_payload()).frame);
+        let hit = decode_response_frame(&binary_sync(&svc, probe.tag(), &probe.encode_payload()));
         let Response::Analyze(hit) = hit else {
             panic!("expected analyze response, got {hit:?}");
         };
@@ -352,8 +307,7 @@ mod tests {
             distance_bound: None,
             source: None,
         });
-        let miss =
-            decode_response_frame(&binary_sync(&svc, other.tag(), &other.encode_payload()).frame);
+        let miss = decode_response_frame(&binary_sync(&svc, other.tag(), &other.encode_payload()));
         let Response::Err { kind, .. } = miss else {
             panic!("expected a miss error, got {miss:?}");
         };
@@ -371,8 +325,7 @@ mod tests {
             distance_bound: None,
             source: Some(SRC.as_bytes().to_vec()),
         });
-        let full =
-            decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()).frame);
+        let full = decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()));
         let Response::Analyze(full) = full else {
             panic!("expected analyze response, got {full:?}");
         };
@@ -390,8 +343,7 @@ mod tests {
             distance_bound: None,
             source: None,
         });
-        let hit =
-            decode_response_frame(&binary_sync(&svc, probe.tag(), &probe.encode_payload()).frame);
+        let hit = decode_response_frame(&binary_sync(&svc, probe.tag(), &probe.encode_payload()));
         let Response::Analyze(hit) = hit else {
             panic!("expected analyze response, got {hit:?}");
         };
@@ -417,7 +369,7 @@ mod tests {
         });
         let mut payload = good.encode_payload();
         payload[1] = 0; // the spec byte sits right after the 1-byte id
-        let resp = decode_response_frame(&binary_sync(&svc, good.tag(), &payload).frame);
+        let resp = decode_response_frame(&binary_sync(&svc, good.tag(), &payload));
         let Response::Err { kind, .. } = resp else {
             panic!("expected error, got {resp:?}");
         };
@@ -431,8 +383,7 @@ mod tests {
             distance_bound: Some(CustomSpec::MAX_DISTANCE_BOUND + 1),
             source: Some(SRC.as_bytes().to_vec()),
         });
-        let resp =
-            decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()).frame);
+        let resp = decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()));
         let Response::Err { id, kind, .. } = resp else {
             panic!("expected error, got {resp:?}");
         };
@@ -451,7 +402,7 @@ mod tests {
                 distance_bound: Some(distance_bound),
                 source: Some(SRC.as_bytes().to_vec()),
             });
-            decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()).frame)
+            decode_response_frame(&binary_sync(&svc, req.tag(), &req.encode_payload()))
         };
         let resp = analyze(1, CustomSpec::MAX_DISTANCE_BOUND + 1);
         let Response::Err { id, kind, .. } = resp else {
@@ -467,9 +418,9 @@ mod tests {
     fn oversized_counts_in_its_own_counter_not_latency() {
         let svc = svc();
         let before = svc.registry().snapshot();
-        let frame = svc.oversized_binary(1 << 30);
-        let resp = decode_response_frame(&frame);
-        assert!(matches!(resp, Response::Err { .. }));
+        svc.oversized();
+        let resp = decode_response_frame(&Edge::oversized(Some(1 << 30), 1 << 20));
+        assert!(matches!(resp, Response::Err { id: 0, .. }));
         let after = svc.registry().snapshot();
         let oversized = "arrayflow_oversized_frames_total";
         assert_eq!(after.value(oversized, &[]), Some(1));
@@ -494,7 +445,7 @@ mod tests {
         .unwrap();
         let req = Request::Health { id: 4 };
         let out = binary_sync(&svc, req.tag(), &req.encode_payload());
-        let resp = decode_response_frame(&out.frame);
+        let resp = decode_response_frame(&out);
         let Response::Text { id, text } = resp else {
             panic!("expected text response, got {resp:?}");
         };
@@ -512,7 +463,7 @@ mod tests {
             batch: Vec::new(),
         };
         let out = binary_sync(&svc, req.tag(), &req.encode_payload());
-        let resp = decode_response_frame(&out.frame);
+        let resp = decode_response_frame(&out);
         let Response::Err { id, kind, message } = resp else {
             panic!("expected error, got {resp:?}");
         };
@@ -545,8 +496,7 @@ mod tests {
             distance_bound: None,
             source: Some(SRC.as_bytes().to_vec()),
         });
-        let full =
-            decode_response_frame(&binary_sync(&donor, req.tag(), &req.encode_payload()).frame);
+        let full = decode_response_frame(&binary_sync(&donor, req.tag(), &req.encode_payload()));
         let Response::Analyze(full) = full else {
             panic!("expected analyze response, got {full:?}");
         };
@@ -567,7 +517,7 @@ mod tests {
         .unwrap();
         let req = Request::Replicate { id: 2, batch };
         let out = binary_sync(&replica, req.tag(), &req.encode_payload());
-        let resp = decode_response_frame(&out.frame);
+        let resp = decode_response_frame(&out);
         let Response::Text { id, text } = resp else {
             panic!("expected text response, got {resp:?}");
         };
@@ -583,9 +533,8 @@ mod tests {
             distance_bound: None,
             source: None,
         });
-        let hit = decode_response_frame(
-            &binary_sync(&replica, probe.tag(), &probe.encode_payload()).frame,
-        );
+        let hit =
+            decode_response_frame(&binary_sync(&replica, probe.tag(), &probe.encode_payload()));
         let Response::Analyze(hit) = hit else {
             panic!("expected analyze response, got {hit:?}");
         };
@@ -603,7 +552,6 @@ mod tests {
         for kind in [
             ErrorKind::Parse,
             ErrorKind::Analysis,
-            ErrorKind::Timeout,
             ErrorKind::Overloaded,
             ErrorKind::Protocol,
             ErrorKind::SessionLost,
@@ -611,6 +559,7 @@ mod tests {
         ] {
             assert_eq!(kind_from_byte(kind_byte(kind)), Some(kind));
         }
+        assert_eq!(kind_from_byte(2), None, "byte 2 is reserved");
         assert_eq!(kind_from_byte(200), None);
     }
 

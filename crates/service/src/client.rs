@@ -23,7 +23,8 @@
 //!   safe.
 //!
 //! Structured service errors other than `overloaded` (`parse`,
-//! `analysis`, `timeout`, `protocol`) are *not* retried: the server
+//! `analysis`, `protocol`, `session_lost`, `cancelled`) are *not*
+//! retried: the server
 //! answered, the answer is a fact about the request. Nor is an
 //! undecodable response ([`ClientError::Protocol`]).
 //!
@@ -1038,7 +1039,7 @@ mod tests {
     }
 
     #[test]
-    fn an_endless_json_response_is_a_protocol_error() {
+    fn an_endless_response_line_is_a_protocol_error() {
         // A server streaming one byte past the cap without a newline must
         // not grow the client's buffer without bound: the read stops at
         // the cap, the connection drops, and nothing is retried.

@@ -11,9 +11,9 @@
 //!                          └── anything else ─> Json  (JsonLines)
 //! ```
 //!
-//! * **Reads** are nonblocking; complete frames are handed to the handler
-//!   ([`FrameHandler::answer_json`] / [`FrameHandler::answer_binary`]).
-//!   Cheap verbs answer inline. A node queues solver verbs for its
+//! * **Reads** are nonblocking; complete frames are handed to the
+//!   handler's one answer entry ([`FrameHandler::answer`]). Cheap verbs
+//!   answer inline. A node queues solver verbs for its
 //!   workers, a router queues forwards for its forwarder pool; either
 //!   way the answer arrives later, on another thread.
 //! * **Responses** carry a per-connection sequence number; a `BTreeMap`
@@ -30,8 +30,8 @@
 //!   drains below the low watermark — a slow reader throttles itself,
 //!   not the server.
 //! * **Oversized frames** (both protocols) are rejected from the length
-//!   prefix / line cap *before* buffering and answered with the
-//!   handler's oversized answers.
+//!   prefix / line cap *before* buffering, counted by the handler and
+//!   answered with the edge codec's oversized answer.
 //! * **Idle sweep**: a connection that made no read progress for the idle
 //!   timeout and is owed nothing is closed — the slow-loris guard.
 //! * **End of stream**: a final JSON line without its newline is still
@@ -52,9 +52,8 @@ use arrayflow_resilience::CancelToken;
 use arrayflow_wire::event::{set_backlog, wake_pair, Poller, Waker, POLLIN, POLLOUT};
 use arrayflow_wire::{detect, Detect, FrameDecoder, FrameEvent};
 
-use crate::binproto::response_frame;
 use crate::proto::{ErrorKind, ServiceError};
-use crate::server::{FrameHandler, JsonEvent, JsonLines, Respond};
+use crate::server::{answer_line, Edge, Frame, FrameHandler, JsonLines, Respond};
 
 /// Write-buffer high watermark: a connection buffering more response
 /// bytes than this stops being read until it drains.
@@ -425,7 +424,7 @@ impl<H: FrameHandler> Dispatch<'_, H> {
                     if let Proto::Json(lines) = &mut conn.proto {
                         if let Some(event) = lines.finish() {
                             let respond = self.respond(id, &mut conn.next_seq, &conn.outbox, true);
-                            self.json(event, &conn.cancel, respond);
+                            answer_line(self.handler, event, &conn.cancel, respond);
                         }
                     }
                     conn.closing = true;
@@ -473,7 +472,8 @@ impl<H: FrameHandler> Dispatch<'_, H> {
             Proto::Detecting(_) => unreachable!("detection resolved above"),
             Proto::Json(lines) => {
                 for event in lines.feed(chunk) {
-                    self.json(event, cancel, self.respond(id, next_seq, outbox, true));
+                    let respond = self.respond(id, next_seq, outbox, true);
+                    answer_line(self.handler, event, cancel, respond);
                 }
             }
             Proto::Binary(decoder) => {
@@ -482,13 +482,15 @@ impl<H: FrameHandler> Dispatch<'_, H> {
                     match decoder.next() {
                         Ok(None) => break,
                         Ok(Some(FrameEvent::Oversized { declared, .. })) => {
-                            let frame = self.handler.oversized_binary(declared);
-                            self.respond(id, next_seq, outbox, false)(frame);
+                            self.handler.oversized();
+                            let cap = self.handler.max_frame_bytes();
+                            let answer = Edge::oversized(Some(declared), cap);
+                            self.respond(id, next_seq, outbox, false)(answer);
                         }
                         Ok(Some(FrameEvent::Frame { tag, payload })) => {
                             let respond = self.respond(id, next_seq, outbox, false);
-                            self.handler
-                                .answer_binary(tag, &payload, cancel.clone(), respond);
+                            let frame = Frame::Binary(tag, &payload);
+                            self.handler.answer(frame, cancel.clone(), respond);
                         }
                         Err(e) => {
                             // Framing is unrecoverable (bad magic mid-stream,
@@ -497,20 +499,14 @@ impl<H: FrameHandler> Dispatch<'_, H> {
                                 ErrorKind::Protocol,
                                 format!("unrecoverable framing error: {e}"),
                             );
-                            self.respond(id, next_seq, outbox, false)(response_frame(0, Err(err)));
+                            let answer = Edge::Binary(0).encode(Err(err));
+                            self.respond(id, next_seq, outbox, false)(answer);
                             *closing = true;
                             break;
                         }
                     }
                 }
             }
-        }
-    }
-
-    fn json(&self, event: JsonEvent, cancel: &CancelToken, respond: Respond) {
-        match event {
-            JsonEvent::Oversized => respond(self.handler.oversized_json().into_bytes()),
-            JsonEvent::Line(line) => self.handler.answer_json(&line, cancel.clone(), respond),
         }
     }
 

@@ -13,24 +13,27 @@
 //! ([`arrayflow_wire::proto::Request`]): newline-framed JSON (the
 //! [`proto`] edge codec, built on the in-crate encoder/decoder in
 //! [`json`] — the workspace builds with zero external dependencies) and
-//! `AFWIRE01` binary frames (the [`binproto`] edge codec). Each edge
-//! decodes onto the model and encodes answers back; everything between
-//! is one dispatch. TCP is served by one `poll(2)` event loop
-//! ([`EventServer`], unix) for a node and for a cluster [`Router`] alike,
-//! stdio by a blocking loop ([`run_stdio`]); every edge frames JSON lines
-//! the same way. Robustness is the design center:
+//! `AFWIRE01` binary frames (the [`binproto`] edge codec). One edge codec
+//! decodes either onto the model and encodes answers back; everything
+//! between is one dispatch. Every frame — from TCP, stdio or an
+//! in-process caller ([`Service::handle_frame`]) — is answered through
+//! the handler's one answer entry ([`FrameHandler::answer`]). TCP is
+//! served by one `poll(2)` event loop ([`EventServer`], unix) for a node
+//! and for a cluster [`Router`] alike, stdio by a loop that answers one
+//! line at a time ([`run_stdio`]); both frame JSON lines the same way.
+//! Robustness is the design center:
 //!
 //! * a **bounded in-flight queue** with explicit `overloaded` errors on
 //!   backpressure, never unbounded buffering;
-//! * a **per-request deadline**: expired work is shed and answered
-//!   `cancelled` (the blocking stdio edge answers `timeout` when its own
-//!   wait runs out);
+//! * a **per-request deadline**, enforced by the worker alone: expired
+//!   work is shed at dequeue or between solver passes and answered
+//!   `cancelled` on every transport;
 //! * a **frame size cap** — oversized lines are discarded in bounded
 //!   memory and answered with a `protocol` error, and the connection
 //!   stays usable;
 //! * a **structured error taxonomy** ([`ErrorKind`]: `parse`,
-//!   `analysis`, `timeout`, `overloaded`, `protocol`, `session_lost`,
-//!   `cancelled`) — hostile bytes
+//!   `analysis`, `overloaded`, `protocol`, `session_lost`, `cancelled`)
+//!   — hostile bytes
 //!   produce error responses, not panics or dropped connections;
 //! * **graceful shutdown** that drains every queued request before the
 //!   workers exit;
@@ -60,13 +63,13 @@
 //! newline-delimited requests to `127.0.0.1:7433` — or embed the service:
 //!
 //! ```
-//! use arrayflow_service::{Service, ServiceConfig};
+//! use arrayflow_service::{Frame, Service, ServiceConfig};
 //!
 //! let service = Service::start(ServiceConfig::default()).unwrap();
-//! let resp = service.handle_frame(
+//! let answer = service.handle_frame(Frame::Json(
 //!     br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end"}"#,
-//! );
-//! assert!(resp.line.contains("\"ok\":true"));
+//! ));
+//! assert!(String::from_utf8(answer).unwrap().contains("\"ok\":true"));
 //! service.shutdown();
 //! service.join_workers();
 //! ```
@@ -81,7 +84,7 @@ pub mod router;
 pub mod server;
 pub mod service;
 
-pub use binproto::{kind_byte, kind_from_byte, BinaryResponse};
+pub use binproto::{kind_byte, kind_from_byte};
 pub use client::{Client, ClientConfig, ClientError, OpenedSession};
 #[cfg(unix)]
 pub use event_server::EventServer;
@@ -91,5 +94,5 @@ pub use json::{Json, JsonError};
 pub use proto::JsonRequest as Request;
 pub use proto::{ErrorKind, ServiceError};
 pub use router::{Router, RouterConfig};
-pub use server::{run_stdio, FrameHandler, Respond};
-pub use service::{FrameResponse, Service, ServiceConfig, LATENCY_BUCKETS_US};
+pub use server::{run_stdio, Frame, FrameHandler, Respond};
+pub use service::{Service, ServiceConfig, LATENCY_BUCKETS_US};

@@ -61,9 +61,6 @@ pub enum ErrorKind {
     Parse,
     /// The program parsed but a loop could not be analyzed.
     Analysis,
-    /// The request missed its deadline (queued too long or analysis ran
-    /// past the per-request budget).
-    Timeout,
     /// The bounded in-flight queue was full (or the service is shutting
     /// down); back off and retry.
     Overloaded,
@@ -78,7 +75,8 @@ pub enum ErrorKind {
     SessionLost,
     /// The request was abandoned before its work completed: either the
     /// owning connection dropped (nobody is waiting for the answer) or
-    /// the client's deadline budget expired mid-analysis. Not retryable —
+    /// the request's deadline (the client's budget, capped by the
+    /// server's) passed while it was queued or mid-analysis. Not retryable —
     /// a fresh request with a fresh budget is the only sensible follow-up.
     Cancelled,
 }
@@ -89,7 +87,6 @@ impl ErrorKind {
         match self {
             ErrorKind::Parse => "parse",
             ErrorKind::Analysis => "analysis",
-            ErrorKind::Timeout => "timeout",
             ErrorKind::Overloaded => "overloaded",
             ErrorKind::Protocol => "protocol",
             ErrorKind::SessionLost => "session_lost",
@@ -99,12 +96,12 @@ impl ErrorKind {
 
     /// Inverse of [`as_str`](ErrorKind::as_str): decodes the wire name a
     /// response carries in `error.kind`. `None` for unknown names, so a
-    /// newer server's kinds degrade gracefully at older clients.
+    /// newer server's kinds degrade gracefully at older clients. The name
+    /// `timeout`, a retired kind, is reserved and decodes as unknown.
     pub fn from_wire(name: &str) -> Option<ErrorKind> {
         match name {
             "parse" => Some(ErrorKind::Parse),
             "analysis" => Some(ErrorKind::Analysis),
-            "timeout" => Some(ErrorKind::Timeout),
             "overloaded" => Some(ErrorKind::Overloaded),
             "protocol" => Some(ErrorKind::Protocol),
             "session_lost" => Some(ErrorKind::SessionLost),
@@ -522,15 +519,6 @@ pub fn encode_err(id: &Json, err: &ServiceError) -> String {
     .to_string()
 }
 
-/// The answer to a JSON line over a `cap`-byte frame cap, on every edge
-/// that reads JSON lines.
-pub(crate) fn oversized_line(cap: usize) -> String {
-    encode_err(
-        &Json::Null,
-        &ServiceError::new(ErrorKind::Protocol, format!("frame exceeds {cap} bytes")),
-    )
-}
-
 /// Splits a response line into ok / structured error / protocol noise:
 /// the client's inverse of [`encode_ok`] and [`encode_err`].
 pub(crate) fn classify(line: &str) -> Result<(), ClientError> {
@@ -879,8 +867,10 @@ mod tests {
             ErrorKind::from_wire("session_lost"),
             Some(ErrorKind::SessionLost)
         );
-        // Unknown kinds still degrade gracefully.
+        // Unknown kinds still degrade gracefully, the retired `timeout`
+        // among them.
         assert_eq!(ErrorKind::from_wire("future_kind"), None);
+        assert_eq!(ErrorKind::from_wire("timeout"), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The router owns no engine and no store. It terminates client
 //! connections (both newline-JSON and `AFWIRE01` binary, sniffed per
 //! connection exactly like a node does), decodes both with the node's
-//! edge codecs onto the one request model, answers cheap verbs itself and
+//! edge codec onto the one request model, answers cheap verbs itself and
 //! forwards every solver verb one way: keyed by the request's canonical
 //! 128-bit fingerprint — carried by fingerprint-first requests, computed
 //! from source otherwise — consistent-hashed across the node list
@@ -54,14 +54,26 @@ use arrayflow_wire::proto::{
 };
 use arrayflow_wire::{encode_frame, Connection};
 
-use crate::binproto::{answer_of, decode_request, oversized_frame, response_frame};
+use crate::binproto::answer_of;
 use crate::json::Json;
-use crate::proto::{encode_outcome, oversized_line, ErrorKind, JsonRequest, ServiceError};
-use crate::server::{FrameHandler, Respond};
-use crate::service::{Answer, Decoded};
+use crate::proto::{ErrorKind, ServiceError};
+use crate::server::{Edge, Frame, FrameHandler, Respond};
+use crate::service::Answer;
 
 /// How often the prober re-checks the shutdown flag between rounds.
 const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
+
+/// Deadline for dialing a backend.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Consecutive backend failures that open its breaker, and the open
+/// breaker's cooldown before a half-open probe forward.
+const BREAKER_THRESHOLD: u32 = 3;
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(1);
+
+/// Cap on a node's response frame: large enough for any report, as the
+/// replicator's cap is, whatever the client-frame cap.
+const NODE_FRAME_CAP: usize = 64 << 20;
 
 /// Idle backend connections kept per node, and forwarder threads per
 /// node: every forwarder can hold one pooled connection.
@@ -77,33 +89,24 @@ pub struct RouterConfig {
     pub topology: Topology,
     /// Health-probe cadence.
     pub probe_interval: Duration,
-    /// Deadline for dialing a backend.
-    pub connect_timeout: Duration,
     /// Per-forward deadline cap (write + read on the backend connection).
     /// A client that sent a `deadline_ms` budget gets the *remaining*
     /// budget — elapsed router time already subtracted — as its forward
     /// deadline instead, never more than this cap.
     pub request_timeout: Duration,
-    /// Cap on a single frame in either direction.
+    /// Cap on one client frame, either protocol (`serve --max-frame`).
     pub max_frame_bytes: usize,
-    /// Consecutive backend failures that open its breaker.
-    pub breaker_threshold: u32,
-    /// Open-breaker cooldown before a half-open probe forward.
-    pub breaker_cooldown: Duration,
 }
 
 impl RouterConfig {
-    /// Defaults: 500 ms probes, 2 s connect / 10 s request deadlines,
-    /// 64 MiB frames, breaker opens after 3 failures with a 1 s cooldown.
+    /// Defaults: 500 ms probes, 10 s request deadlines, 1 MiB client
+    /// frames (a node's default).
     pub fn new(topology: Topology) -> RouterConfig {
         RouterConfig {
             topology,
             probe_interval: Duration::from_millis(500),
-            connect_timeout: Duration::from_secs(2),
             request_timeout: Duration::from_secs(10),
-            max_frame_bytes: 64 << 20,
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_secs(1),
+            max_frame_bytes: 1 << 20,
         }
     }
 }
@@ -130,7 +133,6 @@ impl Backend {
         &self,
         addr: &str,
         frame: &[u8],
-        config: &RouterConfig,
         deadline: Duration,
     ) -> io::Result<(u8, Vec<u8>)> {
         // Pop as a standalone statement: an `if let` on the lock would
@@ -138,13 +140,13 @@ impl Backend {
         // mutex while it is still held.
         let pooled = self.pool.lock().unwrap().pop();
         if let Some(mut conn) = pooled {
-            if let Ok(resp) = conn.exchange_frame(frame, deadline, config.max_frame_bytes) {
+            if let Ok(resp) = conn.exchange_frame(frame, deadline, NODE_FRAME_CAP) {
                 self.put_back(conn);
                 return Ok(resp);
             }
         }
-        let mut conn = Connection::dial(addr, config.connect_timeout)?;
-        let resp = conn.exchange_frame(frame, deadline, config.max_frame_bytes)?;
+        let mut conn = Connection::dial(addr, CONNECT_TIMEOUT)?;
+        let resp = conn.exchange_frame(frame, deadline, NODE_FRAME_CAP)?;
         self.put_back(conn);
         Ok(resp)
     }
@@ -294,7 +296,7 @@ impl Router {
             .iter()
             .map(|_| Backend {
                 healthy: AtomicBool::new(true),
-                breaker: CircuitBreaker::new(config.breaker_threshold, config.breaker_cooldown),
+                breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN),
                 pool: Mutex::new(Vec::new()),
             })
             .collect::<Vec<_>>();
@@ -352,7 +354,7 @@ impl Router {
             return None;
         }
         let addr = &self.config.topology.node(slot).addr;
-        let resp = backend.round_trip(addr, frame, &self.config, deadline).ok();
+        let resp = backend.round_trip(addr, frame, deadline).ok();
         backend.record(resp.is_some());
         resp
     }
@@ -447,7 +449,7 @@ impl Router {
             let backend = &self.backends[slot];
             let addr = &self.config.topology.node(slot).addr;
             let ok = backend
-                .round_trip(addr, &frame, &self.config, self.config.request_timeout)
+                .round_trip(addr, &frame, self.config.request_timeout)
                 .is_ok();
             if !ok {
                 self.ins.probe_failures.inc();
@@ -606,54 +608,6 @@ impl Router {
         Ok((tag, payload))
     }
 
-    /// Takes one decoded frame from the event loop. Decode errors and
-    /// cheap verbs are answered right here, on the loop's thread; forwards
-    /// and fan-outs are queued for the forwarder pool, and a full queue
-    /// answers `overloaded`, as a node's does.
-    fn submit(
-        &self,
-        edge: Edge,
-        decoded: Decoded,
-        accepted: Instant,
-        cancel: CancelToken,
-        respond: Respond,
-    ) {
-        let (req, budget_ms) = match decoded {
-            Ok(decoded) => decoded,
-            Err(e) => return respond(edge.encode(Routed::Local(Err(e)))),
-        };
-        if let WireRequest::Ping { .. }
-        | WireRequest::Health { .. }
-        | WireRequest::Shutdown { .. }
-        | WireRequest::Replicate { .. } = req
-        {
-            return respond(edge.encode(self.handle(req, budget_ms, accepted)));
-        }
-        let mut pool = self.pool.lock().unwrap();
-        let rejection = if self.is_shutdown() {
-            "router is shutting down".to_string()
-        } else if pool.queue.len() >= QUEUE_PER_FORWARDER * self.wakers.len() {
-            format!("queue full ({} in flight)", pool.queue.len())
-        } else {
-            let run = move |router: &Router| {
-                respond(answer(&edge, || router.handle(req, budget_ms, accepted)))
-            };
-            pool.queue.push_back(Forward {
-                cancel,
-                run: Box::new(run),
-            });
-            let idle = pool.idle.pop();
-            drop(pool);
-            if let Some(me) = idle {
-                let _ = (&self.wakers[me]).write(&[1]);
-            }
-            return;
-        };
-        drop(pool);
-        let e = ServiceError::new(ErrorKind::Overloaded, rejection);
-        respond(edge.encode(Routed::Local(Err(e))));
-    }
-
     /// Forwarder `me`: takes queued frames until shutdown has drained the
     /// queue, reading `wait` while idle. Work whose connection the loop
     /// reaped is skipped, since nobody is left to read its answer.
@@ -681,44 +635,55 @@ impl Router {
     }
 }
 
-/// The router's side of the event loop.
+/// The router's side of the event loop. Decode errors and cheap verbs
+/// are answered right here, on the loop's thread; forwards and fan-outs
+/// are queued for the forwarder pool, and a full queue answers
+/// `overloaded`, as a node's does.
 impl FrameHandler for Router {
-    fn answer_json(self: &Arc<Self>, line: &[u8], cancel: CancelToken, respond: Respond) {
+    fn answer(self: &Arc<Self>, frame: Frame<'_>, cancel: CancelToken, respond: Respond) {
         let accepted = Instant::now();
-        let (edge, decoded) = match JsonRequest::decode(line) {
-            Ok(r) => (Edge::Json(r.id), Ok((r.request, r.deadline_ms))),
-            Err((id, e)) => (Edge::Json(id), Err(e)),
+        let (edge, decoded) = Edge::decode(frame);
+        let (req, budget_ms) = match decoded {
+            Ok(decoded) => decoded,
+            Err(e) => return respond(edge.encode(Err(e))),
         };
-        self.submit(edge, decoded, accepted, cancel, respond);
-    }
-
-    fn answer_binary(
-        self: &Arc<Self>,
-        tag: u8,
-        payload: &[u8],
-        cancel: CancelToken,
-        respond: Respond,
-    ) {
-        let accepted = Instant::now();
-        let decoded = decode_request(tag, payload);
-        // The id of a frame that failed to decode cannot be recovered; 0
-        // is the protocol's "unattributable" id.
-        let edge = Edge::Binary(decoded.as_ref().map_or(0, |(req, _)| req.id()));
-        self.submit(edge, decoded, accepted, cancel, respond);
+        if let WireRequest::Ping { .. }
+        | WireRequest::Health { .. }
+        | WireRequest::Shutdown { .. }
+        | WireRequest::Replicate { .. } = req
+        {
+            return respond(encode(&edge, self.handle(req, budget_ms, accepted)));
+        }
+        let mut pool = self.pool.lock().unwrap();
+        let rejection = if self.is_shutdown() {
+            "router is shutting down".to_string()
+        } else if pool.queue.len() >= QUEUE_PER_FORWARDER * self.wakers.len() {
+            format!("queue full ({} in flight)", pool.queue.len())
+        } else {
+            let run = move |router: &Router| {
+                respond(guarded(&edge, || router.handle(req, budget_ms, accepted)))
+            };
+            pool.queue.push_back(Forward {
+                cancel,
+                run: Box::new(run),
+            });
+            let idle = pool.idle.pop();
+            drop(pool);
+            if let Some(me) = idle {
+                let _ = (&self.wakers[me]).write(&[1]);
+            }
+            return;
+        };
+        drop(pool);
+        respond(edge.encode(Err(ServiceError::new(ErrorKind::Overloaded, rejection))));
     }
 
     fn max_frame_bytes(&self) -> usize {
         self.config.max_frame_bytes
     }
 
-    fn oversized_json(&self) -> String {
+    fn oversized(&self) {
         self.ins.oversized_frames.inc();
-        oversized_line(self.config.max_frame_bytes)
-    }
-
-    fn oversized_binary(&self, declared: u64) -> Vec<u8> {
-        self.ins.oversized_frames.inc();
-        oversized_frame(declared, self.config.max_frame_bytes)
     }
 
     fn is_shutdown(&self) -> bool {
@@ -741,34 +706,23 @@ impl FrameHandler for Router {
     }
 }
 
-/// The protocol a request arrived on, with its id: how its outcome goes
-/// back.
-enum Edge {
-    Json(Json),
-    Binary(u64),
-}
-
-impl Edge {
-    /// Encodes a routed outcome. A node's binary response passes through
-    /// byte for byte; on the JSON edge it is rendered exactly as the
-    /// node's own JSON edge renders it.
-    fn encode(&self, routed: Routed) -> Vec<u8> {
-        match (self, routed) {
-            (Edge::Json(id), Routed::Local(outcome)) => encode_outcome(id, outcome).into_bytes(),
-            (Edge::Json(id), Routed::Forwarded(tag, payload)) => {
-                encode_outcome(id, answer_of(tag, &payload)).into_bytes()
-            }
-            (Edge::Binary(id), Routed::Local(outcome)) => response_frame(*id, outcome),
-            (Edge::Binary(_), Routed::Forwarded(tag, payload)) => encode_frame(tag, &payload),
-        }
+/// Encodes what the router did with a request for `edge`: its own
+/// outcome through the edge codec, and a node's response as forwarded —
+/// byte for byte on the binary edge, rendered on the JSON edge exactly as
+/// the node's own JSON edge renders it.
+fn encode(edge: &Edge, routed: Routed) -> Vec<u8> {
+    match (edge, routed) {
+        (_, Routed::Local(outcome)) => edge.encode(outcome),
+        (Edge::Json(_), Routed::Forwarded(tag, payload)) => edge.encode(answer_of(tag, &payload)),
+        (Edge::Binary(_), Routed::Forwarded(tag, payload)) => encode_frame(tag, &payload),
     }
 }
 
 /// Routes with `route` and encodes the outcome for `edge`. A panic
 /// answers the request with a framed `analysis` error instead of ending
 /// the forwarder, so the pool never shrinks.
-fn answer(edge: &Edge, route: impl FnOnce() -> Routed) -> Vec<u8> {
-    catch_unwind(AssertUnwindSafe(|| edge.encode(route()))).unwrap_or_else(|payload| {
+fn guarded(edge: &Edge, route: impl FnOnce() -> Routed) -> Vec<u8> {
+    catch_unwind(AssertUnwindSafe(|| encode(edge, route()))).unwrap_or_else(|payload| {
         let e = ServiceError::new(
             ErrorKind::Analysis,
             format!(
@@ -776,7 +730,7 @@ fn answer(edge: &Edge, route: impl FnOnce() -> Routed) -> Vec<u8> {
                 panic_message(payload.as_ref())
             ),
         );
-        edge.encode(Routed::Local(Err(e)))
+        edge.encode(Err(e))
     })
 }
 
@@ -856,6 +810,7 @@ fn source_route_hash(source: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::binproto::kind_from_byte;
+    use crate::server::wait_for;
     use arrayflow_wire::frame::read_frame;
     use arrayflow_wire::proto::with_deadline;
     use std::io::Write;
@@ -876,12 +831,12 @@ mod tests {
             .expect("every frame is answered")
     }
 
-    /// One JSON line through the router's loop-side entry and its
+    /// One JSON line through the router's answer entry and its
     /// forwarder pool.
     fn ask_json(router: &Arc<Router>, line: &[u8]) -> String {
-        let (respond, rx) = channel();
-        router.answer_json(line, CancelToken::new(), respond);
-        String::from_utf8(wait(&rx)).unwrap()
+        let frame = Frame::Json(line);
+        let answer = wait_for(|respond| router.answer(frame, CancelToken::new(), respond));
+        String::from_utf8(answer).unwrap()
     }
 
     fn error_kind(frame: Vec<u8>) -> Option<ErrorKind> {
@@ -965,9 +920,7 @@ mod tests {
     fn unroutable_request_is_a_structured_overloaded_error() {
         // Nothing listens on these ports; both candidates fail fast.
         let topology = Topology::parse("a=127.0.0.1:1,b=127.0.0.1:1", 16).unwrap();
-        let mut config = RouterConfig::new(topology);
-        config.connect_timeout = Duration::from_millis(100);
-        let router = Router::start(config).unwrap();
+        let router = Router::start(RouterConfig::new(topology)).unwrap();
         let line = ask_json(
             &router,
             br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i] := 1; end"}"#,
@@ -1046,9 +999,9 @@ mod tests {
             source: Some(b"do i = 1, 9 A[i] := 1; end".to_vec()),
         });
         let (tag, payload) = with_deadline(req.tag(), &req.encode_payload(), 0);
-        let (respond, rx) = channel();
-        router.answer_binary(tag, &payload, CancelToken::new(), respond);
-        assert_eq!(error_kind(wait(&rx)), Some(ErrorKind::Cancelled));
+        let frame = Frame::Binary(tag, &payload);
+        let answer = wait_for(|respond| router.answer(frame, CancelToken::new(), respond));
+        assert_eq!(error_kind(answer), Some(ErrorKind::Cancelled));
 
         assert_eq!(router.ins.forwards.get(), 0);
         assert_eq!(router.ins.expired_before_forward.get(), 2);
@@ -1062,24 +1015,20 @@ mod tests {
         let router = Arc::new(Router::new(RouterConfig::new(topology)).unwrap().0);
         let line = br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i] := 1; end"}"#;
         for _ in 0..QUEUE_PER_FORWARDER * POOL_CAP {
-            router.answer_json(line, CancelToken::new(), Box::new(|_| panic!("queued")));
+            let queued = Box::new(|_| panic!("queued"));
+            router.answer(Frame::Json(line), CancelToken::new(), queued);
         }
-        let (respond, rx) = channel();
-        router.answer_json(line, CancelToken::new(), respond);
-        let line = String::from_utf8(wait(&rx)).unwrap();
+        let line = ask_json(&router, line);
         assert!(line.contains(r#""kind":"overloaded""#), "{line}");
         // Cheap verbs never queue.
-        let (respond, rx) = channel();
-        router.answer_json(br#"{"id": 2, "verb": "ping"}"#, CancelToken::new(), respond);
-        assert_eq!(wait(&rx), br#"{"id":2,"ok":true,"result":"pong"}"#);
+        let line = ask_json(&router, br#"{"id": 2, "verb": "ping"}"#);
+        assert_eq!(line, r#"{"id":2,"ok":true,"result":"pong"}"#);
     }
 
     #[test]
     fn forwarders_skip_reaped_connections_and_spend_the_budget_from_acceptance() {
         let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
-        let mut config = RouterConfig::new(topology);
-        config.connect_timeout = Duration::from_millis(100);
-        let (router, mut waits) = Router::new(config).unwrap();
+        let (router, mut waits) = Router::new(RouterConfig::new(topology)).unwrap();
         let router = Arc::new(router);
         let analyze = |budget: &str| {
             format!(
@@ -1089,15 +1038,19 @@ mod tests {
         // A frame whose connection the loop reaped while it was queued.
         let reaped = CancelToken::new();
         let (respond, skipped) = channel();
-        router.answer_json(analyze("").as_bytes(), reaped.clone(), respond);
+        router.answer(Frame::Json(analyze("").as_bytes()), reaped.clone(), respond);
         reaped.cancel();
         // A frame whose 20 ms budget runs out in the queue.
         let (respond, expired) = channel();
         let budget = analyze(r#", "deadline_ms": 20"#);
-        router.answer_json(budget.as_bytes(), CancelToken::new(), respond);
+        router.answer(Frame::Json(budget.as_bytes()), CancelToken::new(), respond);
         // A live frame, for a dead node.
         let (respond, live) = channel();
-        router.answer_json(analyze("").as_bytes(), CancelToken::new(), respond);
+        router.answer(
+            Frame::Json(analyze("").as_bytes()),
+            CancelToken::new(),
+            respond,
+        );
 
         std::thread::sleep(Duration::from_millis(30));
         router.shutdown();
@@ -1121,11 +1074,11 @@ mod tests {
 
     #[test]
     fn a_panicking_forward_answers_its_own_request() {
-        let line = answer(&Edge::Json(Json::Num(7.0)), || panic!("boom"));
+        let line = guarded(&Edge::Json(Json::Num(7.0)), || panic!("boom"));
         let line = String::from_utf8(line).unwrap();
         assert!(line.starts_with(r#"{"id":7,"ok":false"#), "{line}");
         assert!(line.contains("forward panicked: boom"), "{line}");
-        let frame = answer(&Edge::Binary(7), || panic!("boom"));
+        let frame = guarded(&Edge::Binary(7), || panic!("boom"));
         assert_eq!(error_kind(frame), Some(ErrorKind::Analysis));
     }
 
@@ -1155,7 +1108,6 @@ mod tests {
             }
         });
 
-        let config = RouterConfig::new(Topology::parse(&format!("n1={addr}"), 0).unwrap());
         let backend = Backend {
             healthy: AtomicBool::new(true),
             breaker: CircuitBreaker::new(3, Duration::from_secs(1)),
@@ -1169,7 +1121,7 @@ mod tests {
                 let req = WireRequest::Ping { id };
                 let frame = encode_frame(req.tag(), &req.encode_payload());
                 backend
-                    .round_trip(&addr, &frame, &config, config.request_timeout)
+                    .round_trip(&addr, &frame, Duration::from_secs(10))
                     .expect("round trip");
             }
             done_tx.send(()).unwrap();

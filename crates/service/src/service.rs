@@ -10,16 +10,17 @@
 //! answered inline on the transport thread; solver verbs go through the
 //! queue so a flood of expensive requests degrades into explicit
 //! `overloaded` errors instead of unbounded memory growth or latency
-//! collapse. The edges differ only in how they wait: the blocking edge
-//! ([`Service::handle_frame`], for stdio and in-process callers) waits
-//! for the worker up to the deadline, the event edges hand a completion
-//! to the worker and return.
+//! collapse. Every transport hands the frame and a completion to the one
+//! answer entry ([`FrameHandler::answer`]) and nobody waits on a worker
+//! but the caller itself, so the worker's dequeue shed and between-pass
+//! stop check are the only deadline: an expired request answers
+//! `cancelled` on every transport.
 
 use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -36,10 +37,9 @@ use arrayflow_resilience::{panic_message, CancelToken, FaultSurface};
 use arrayflow_store::{PersistentTier, Store, StoreConfig};
 use arrayflow_wire::proto::Request;
 
-use crate::binproto::{decode_request, oversized_frame, response_frame};
 use crate::json::Json;
-use crate::proto::{encode_outcome, oversized_line, ErrorKind, JsonRequest, ServiceError};
-use crate::server::{FrameHandler, Respond};
+use crate::proto::{ErrorKind, ServiceError};
+use crate::server::{wait_for, Edge, Frame, FrameHandler, Respond};
 
 /// Upper edges of the request latency histogram, in microseconds; the
 /// final bucket is unbounded.
@@ -67,8 +67,7 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Per-request deadline, measured from the moment the frame is
     /// accepted. Requests that spend longer than this queued (or whose
-    /// analysis overruns it) are shed with a `cancelled` error; the
-    /// blocking edge answers `timeout` when its own wait runs out.
+    /// analysis overruns it) are shed with a `cancelled` error.
     pub request_timeout: Duration,
     /// Maximum accepted frame (request line) size in bytes; longer lines
     /// are discarded and answered with a `protocol` error.
@@ -153,10 +152,10 @@ pub(crate) enum Answer {
     Delta(DeltaReport),
 }
 
-/// How an answer reaches whoever is waiting: a boxed one-shot closure,
-/// so the blocking edge (an `mpsc` send the submitting thread waits on)
-/// and the event edges (encode, then hand the bytes to the connection)
-/// share one dispatch, one queue and one worker pool.
+/// How an answer reaches its transport: a boxed one-shot closure that
+/// counts and encodes the outcome and hands the bytes to the frame's
+/// [`Respond`], invoked exactly once — inline, by the queue's rejection,
+/// or by a worker.
 type Reply = Box<dyn FnOnce(Result<Answer, ServiceError>) + Send>;
 
 /// The solver task a queued job carries. Everything that runs a solver —
@@ -176,22 +175,6 @@ enum Task {
     Delta { session: u64, edit: Edit },
 }
 
-/// A request as an edge decoded it: the request and its deadline
-/// budget, or the protocol error that stopped the decode.
-pub(crate) type Decoded = Result<(Request, Option<u64>), ServiceError>;
-
-/// Encodes one outcome on the JSON edge.
-fn json_response(
-    id: &Json,
-    outcome: Result<Answer, ServiceError>,
-    shutdown: bool,
-) -> FrameResponse {
-    FrameResponse {
-        shutdown: shutdown && outcome.is_ok(),
-        line: encode_outcome(id, outcome),
-    }
-}
-
 /// How [`Service::step`] disposes of a request.
 enum Step {
     /// Answered on the calling thread.
@@ -202,28 +185,19 @@ enum Step {
 
 struct Job {
     task: Task,
-    /// When the frame was accepted by `handle_frame` — the deadline base.
+    /// When the frame was accepted by the answer entry — the deadline base.
     accepted: Instant,
     enqueued: Instant,
     deadline: Duration,
-    /// Cooperative cancellation: set by whoever learns the request is dead
-    /// (the event loop on connection teardown, the blocking waiter on its
-    /// own timeout). Workers check it at dequeue, and the solver polls it
-    /// between iteration passes, so a dead request costs at most one pass.
+    /// Cooperative cancellation: set by the event loop when it reaps the
+    /// request's connection. Workers check it at dequeue, and the solver
+    /// polls it between iteration passes, so a dead request costs at most
+    /// one pass.
     cancel: CancelToken,
     /// The request's trace, carried across the queue so worker-side spans
     /// (parse, solve, tier I/O) land on the same per-request record.
     trace: Arc<Trace>,
     reply: Reply,
-}
-
-/// The outcome of handling one frame.
-pub struct FrameResponse {
-    /// The response line (no trailing newline).
-    pub line: String,
-    /// True when this frame was a `shutdown` request; the transport should
-    /// send the line, stop reading, and let the server drain.
-    pub shutdown: bool,
 }
 
 /// A long-lived analysis service: shared engine, bounded queue, worker
@@ -253,7 +227,6 @@ struct ServiceInstruments {
     ok: Counter,
     parse_errors: Counter,
     analysis_errors: Counter,
-    timeouts: Counter,
     overloaded: Counter,
     protocol_errors: Counter,
     session_lost: Counter,
@@ -301,7 +274,6 @@ impl ServiceInstruments {
             ok: outcome("ok"),
             parse_errors: outcome("parse"),
             analysis_errors: outcome("analysis"),
-            timeouts: outcome("timeout"),
             overloaded: outcome("overloaded"),
             protocol_errors: outcome("protocol"),
             session_lost: outcome("session_lost"),
@@ -357,65 +329,47 @@ impl ServiceInstruments {
     }
 }
 
-/// The node's side of the event loop: both edges decode, then take the
-/// one dispatch. Cheap verbs, validation errors and fingerprint cache
-/// hits answer inline (`respond` runs before the call returns); solver
-/// verbs go through the bounded queue with `respond` called from a
-/// worker. The connection's [`CancelToken`] rides along, so a teardown
-/// cancels everything it still has queued or in flight.
+/// The node's side of every transport: the frame is decoded under its
+/// trace, then takes the one dispatch. Cheap verbs, validation errors and
+/// fingerprint cache hits answer inline (`respond` runs before the call
+/// returns); solver verbs go through the bounded queue with `respond`
+/// called from a worker. The connection's [`CancelToken`] rides along, so
+/// a teardown cancels everything it still has queued or in flight.
 ///
-/// Nobody waits on these edges, so the deadline is enforced by the worker
-/// when it picks the job up (and mid-solve): an expired job answers
-/// `cancelled`, not `timeout`.
+/// Each frame gets a trace with per-phase spans; when
+/// [`ServiceConfig::slow_log_micros`] is set, requests over the threshold
+/// log the span breakdown to stderr. The deadline is enforced by the
+/// worker when it picks the job up (and mid-solve): an expired job
+/// answers `cancelled`.
 impl FrameHandler for Service {
-    fn answer_json(self: &Arc<Self>, line: &[u8], cancel: CancelToken, respond: Respond) {
+    fn answer(self: &Arc<Self>, frame: Frame<'_>, cancel: CancelToken, respond: Respond) {
         let accepted = Instant::now();
         let trace = self.begin_trace();
-        let (id, decoded) = self.decode_json(&trace, line);
-        self.dispatch_async(trace, accepted, decoded, cancel, respond, move |o| {
-            encode_outcome(&id, o).into_bytes()
-        });
-    }
-
-    fn answer_binary(
-        self: &Arc<Self>,
-        tag: u8,
-        payload: &[u8],
-        cancel: CancelToken,
-        respond: Respond,
-    ) {
-        let accepted = Instant::now();
-        let trace = self.begin_trace();
-        let decoded = with_current(&trace, || {
+        let (edge, decoded) = with_current(&trace, || {
             let _span = observed_span("decode", &self.ins.phase_decode);
-            decode_request(tag, payload)
+            Edge::decode(frame)
         });
-        // The id of a frame that failed to decode cannot be recovered; 0
-        // is the protocol's "unattributable" id.
-        let id = decoded.as_ref().map_or(0, |(req, _)| req.id());
-        self.dispatch_async(trace, accepted, decoded, cancel, respond, move |o| {
-            response_frame(id, o)
-        });
+        let svc = Arc::clone(self);
+        let done = Arc::clone(&trace);
+        let reply: Reply =
+            Box::new(move |outcome| respond(svc.finish(&done, accepted, &edge, outcome)));
+        match decoded {
+            Ok((req, budget_ms)) => self.dispatch(req, budget_ms, cancel, &trace, accepted, reply),
+            Err(e) => reply(Err(e)),
+        }
     }
 
     fn max_frame_bytes(&self) -> usize {
         self.config.max_frame_bytes
     }
 
-    /// Counts the discarded line. The edges never materialize such a
-    /// frame, so this is the one answer that skips [`Service::handle_frame`]:
-    /// it gets its own counter and deliberately stays out of `requests`
-    /// and the latency histogram (no work was timed, so a zero
-    /// observation would only skew the distribution).
-    fn oversized_json(&self) -> String {
+    /// Counts the discarded frame. The transports never materialize such a
+    /// frame, so it is the one frame that skips the answer entry: it gets
+    /// its own counter and deliberately stays out of `requests` and the
+    /// latency histogram (no work was timed, so a zero observation would
+    /// only skew the distribution).
+    fn oversized(&self) {
         self.ins.oversized_frames.inc();
-        oversized_line(self.config.max_frame_bytes)
-    }
-
-    /// Counted like [`FrameHandler::oversized_json`].
-    fn oversized_binary(&self, declared: u64) -> Vec<u8> {
-        self.ins.oversized_frames.inc();
-        oversized_frame(declared, self.config.max_frame_bytes)
     }
 
     fn is_shutdown(&self) -> bool {
@@ -652,124 +606,27 @@ impl Service {
         }
     }
 
-    /// The blocking JSON edge (stdio and in-process callers): decode one
-    /// frame, dispatch it, wait for the answer, count and encode it.
-    /// Never panics and never drops a request silently — hostile bytes
-    /// come back as structured `protocol` errors. Each frame gets a trace
-    /// with per-phase spans; when [`ServiceConfig::slow_log_micros`] is
-    /// set, requests over the threshold log the span breakdown to stderr.
-    ///
-    /// This edge waits, so it enforces the deadline itself: when the
-    /// budget runs out before a worker answers, the job is cancelled and
-    /// the caller gets a `timeout` error.
-    pub fn handle_frame(&self, frame: &[u8]) -> FrameResponse {
-        let accepted = Instant::now();
-        let trace = self.begin_trace();
-        let (id, decoded) = self.decode_json(&trace, frame);
-        let shutdown = matches!(decoded, Ok((Request::Shutdown { .. }, _)));
-        let outcome = decoded
-            .and_then(|(req, budget_ms)| self.dispatch_and_wait(req, budget_ms, &trace, accepted));
-        self.finish(&trace, accepted, outcome, |o| {
-            json_response(&id, o, shutdown)
-        })
-    }
-
-    /// Decodes one JSON frame under the request's trace and decode span.
-    fn decode_json(&self, trace: &Arc<Trace>, frame: &[u8]) -> (Json, Decoded) {
-        let decoded = with_current(trace, || {
-            let _span = observed_span("decode", &self.ins.phase_decode);
-            JsonRequest::decode(frame)
-        });
-        match decoded {
-            Ok(r) => (r.id, Ok((r.request, r.deadline_ms))),
-            Err((id, e)) => (id, Err(e)),
-        }
-    }
-
-    /// The event edges' shared tail: dispatch, then count, encode and
-    /// respond on whichever thread answers.
-    fn dispatch_async(
-        self: &Arc<Self>,
-        trace: Arc<Trace>,
-        accepted: Instant,
-        decoded: Decoded,
-        cancel: CancelToken,
-        respond: Respond,
-        encode: impl FnOnce(Result<Answer, ServiceError>) -> Vec<u8> + Send + 'static,
-    ) {
-        let svc = Arc::clone(self);
-        let done = Arc::clone(&trace);
-        let reply: Reply =
-            Box::new(move |outcome| respond(svc.finish(&done, accepted, outcome, encode)));
-        match decoded {
-            Ok((req, budget_ms)) => {
-                self.dispatch(req, budget_ms, cancel, &trace, accepted, reply);
-            }
-            Err(e) => reply(Err(e)),
-        }
-    }
-
-    /// Dispatches on the calling thread and waits for the answer, at most
-    /// until the deadline — the blocking edge's half of the contract.
-    fn dispatch_and_wait(
-        &self,
-        req: Request,
-        budget_ms: Option<u64>,
-        trace: &Arc<Trace>,
-        accepted: Instant,
-    ) -> Result<Answer, ServiceError> {
-        let cancel = CancelToken::new();
-        let (tx, rx) = mpsc::channel();
-        let reply: Reply = Box::new(move |outcome| {
-            // The waiter may have timed out and gone; that is fine.
-            let _ = tx.send(outcome);
-        });
-        let shutting_down = || ServiceError::new(ErrorKind::Overloaded, "service is shutting down");
-        let Some(deadline) = self.dispatch(req, budget_ms, cancel.clone(), trace, accepted, reply)
-        else {
-            // Answered inline: the reply is already in the channel.
-            return rx.recv().unwrap_or_else(|_| Err(shutting_down()));
-        };
-        // The deadline is measured from frame acceptance, not from
-        // enqueue, so decode time cannot silently extend the budget. A
-        // budget gone before the wait begins is a plain deadline miss —
-        // answer `timeout` without racing the worker's `cancelled` reply
-        // for the channel.
-        let remaining = deadline.saturating_sub(accepted.elapsed());
-        let received = if remaining.is_zero() {
-            Err(mpsc::RecvTimeoutError::Timeout)
-        } else {
-            rx.recv_timeout(remaining)
-        };
-        match received {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Nobody waits for this answer anymore: flag the job so a
-                // worker sheds it at dequeue (or mid-solve) instead of
-                // finishing work whose reply lands in a dead channel.
-                cancel.cancel();
-                Err(ServiceError::new(
-                    ErrorKind::Timeout,
-                    format!("deadline of {} ms exceeded", deadline.as_millis()),
-                ))
-            }
-            // Workers always reply before exiting (the queue is drained on
-            // shutdown), so disconnection means the pool is gone entirely.
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(shutting_down()),
-        }
+    /// Answers one frame in process through the one answer entry, as a
+    /// connection's frames are answered, and returns the answer's bytes: a
+    /// JSON line without its newline, or a whole response frame. Blocks
+    /// until the answer is ready. Never panics and never drops a request
+    /// silently — hostile bytes come back as structured `protocol` errors,
+    /// and a request whose deadline passes answers `cancelled`.
+    pub fn handle_frame(self: &Arc<Self>, frame: Frame<'_>) -> Vec<u8> {
+        wait_for(|respond| self.answer(frame, CancelToken::new(), respond))
     }
 
     /// Counts one answered request — its outcome, and unless it was
-    /// cancelled its latency (through `encode`) and the slow-request log —
-    /// then returns the encoded response. Shared by every edge, so both
-    /// protocols feed the same instruments.
-    fn finish<T>(
+    /// cancelled its latency (encoding included) and the slow-request log
+    /// — then returns the answer `edge` encoded. Shared by every transport,
+    /// so both protocols feed the same instruments.
+    fn finish(
         &self,
         trace: &Arc<Trace>,
         accepted: Instant,
+        edge: &Edge,
         outcome: Result<Answer, ServiceError>,
-        encode: impl FnOnce(Result<Answer, ServiceError>) -> T,
-    ) -> T {
+    ) -> Vec<u8> {
         let (outcome_name, cancelled) = match &outcome {
             Ok(_) => {
                 self.ins.ok.inc();
@@ -780,7 +637,7 @@ impl Service {
                 (e.kind.as_str(), e.kind == ErrorKind::Cancelled)
             }
         };
-        let encoded = encode(outcome);
+        let encoded = edge.encode(outcome);
         // Cancelled work answered nobody in time: like oversized frames it
         // keeps its own counters and stays out of `requests` and the
         // latency histogram, where a flood of dead requests would otherwise
@@ -827,7 +684,6 @@ impl Service {
         match kind {
             ErrorKind::Parse => &self.ins.parse_errors,
             ErrorKind::Analysis => &self.ins.analysis_errors,
-            ErrorKind::Timeout => &self.ins.timeouts,
             ErrorKind::Overloaded => &self.ins.overloaded,
             ErrorKind::Protocol => &self.ins.protocol_errors,
             ErrorKind::SessionLost => &self.ins.session_lost,
@@ -835,11 +691,11 @@ impl Service {
         }
     }
 
-    /// The one dispatch behind every edge: answers cheap verbs and
+    /// The one dispatch behind every transport: answers cheap verbs and
     /// fingerprint cache hits inline and queues solver work. `reply` is
     /// invoked exactly once — before this returns when the request was
     /// answered inline (or the queue rejected it), from a worker
-    /// otherwise. Returns the job's deadline when it was queued.
+    /// otherwise.
     fn dispatch(
         &self,
         req: Request,
@@ -848,7 +704,7 @@ impl Service {
         trace: &Arc<Trace>,
         accepted: Instant,
         reply: Reply,
-    ) -> Option<Duration> {
+    ) {
         let solver = matches!(
             req,
             Request::Analyze(_) | Request::Custom(_) | Request::Open { .. } | Request::Delta { .. }
@@ -862,12 +718,9 @@ impl Service {
             Ok(Step::Done(answer)) => reply(Ok(answer)),
             Err(e) => reply(Err(e)),
             Ok(Step::Queue(task)) => {
-                if self.enqueue_job(task, accepted, deadline, cancel, Arc::clone(trace), reply) {
-                    return Some(deadline);
-                }
+                self.enqueue_job(task, accepted, deadline, cancel, Arc::clone(trace), reply)
             }
         }
-        None
     }
 
     /// Each verb once: answers the cheap ones, applies defaults and
@@ -999,10 +852,9 @@ impl Service {
         ]))
     }
 
-    /// Pushes a job onto the bounded queue and returns `true`; a worker
-    /// then invokes `reply` exactly once. When the queue is full or the
-    /// service is stopping, `reply` gets the `overloaded` error right here
-    /// and this returns `false`.
+    /// Pushes a job onto the bounded queue; a worker then invokes `reply`
+    /// exactly once. When the queue is full or the service is stopping,
+    /// `reply` gets the `overloaded` error right here.
     fn enqueue_job(
         &self,
         task: Task,
@@ -1011,7 +863,7 @@ impl Service {
         cancel: CancelToken,
         trace: Arc<Trace>,
         reply: Reply,
-    ) -> bool {
+    ) {
         let mut q = self.queue.lock().unwrap();
         let rejection = if self.is_shutdown() {
             "service is shutting down".to_string()
@@ -1030,11 +882,10 @@ impl Service {
             self.ins.queue_depth_hwm.set_max(q.len() as u64);
             drop(q);
             self.job_ready.notify_one();
-            return true;
+            return;
         };
         drop(q);
         reply(Err(ServiceError::new(ErrorKind::Overloaded, rejection)));
-        false
     }
 
     fn worker_loop(self: Arc<Self>) {
@@ -1070,8 +921,8 @@ impl Service {
             job.trace
                 .record("queue_wait", now_us.saturating_sub(wait_us), wait_us);
             // Defense in depth under the engine's own panic isolation: a
-            // panic anywhere in the job path still answers the waiter
-            // (a dropped reply channel would read as a pool shutdown).
+            // panic anywhere in the job path still answers the request
+            // (a dropped reply would leave its transport owed an answer).
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 with_current(&job.trace, || self.run_job(&job))
             }))
@@ -1231,6 +1082,11 @@ mod tests {
     use super::*;
     use arrayflow_engine::CANNED;
 
+    /// One JSON line through the one answer entry, in process.
+    fn ask(svc: &Arc<Service>, line: &[u8]) -> String {
+        String::from_utf8(svc.handle_frame(Frame::Json(line))).unwrap()
+    }
+
     fn start_small() -> Arc<Service> {
         Service::start(ServiceConfig {
             workers: 2,
@@ -1255,13 +1111,14 @@ mod tests {
     #[test]
     fn ping_and_analyze_roundtrip() {
         let svc = start_small();
-        let r = svc.handle_frame(br#"{"id": 1, "verb": "ping"}"#);
-        assert_eq!(r.line, r#"{"id":1,"ok":true,"result":"pong"}"#);
-        let r = svc.handle_frame(
+        let r = ask(&svc, br#"{"id": 1, "verb": "ping"}"#);
+        assert_eq!(r, r#"{"id":1,"ok":true,"result":"pong"}"#);
+        let r = ask(
+            &svc,
             br#"{"id": 2, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end"}"#,
         );
-        assert!(r.line.contains(r#""ok":true"#), "{}", r.line);
-        assert!(r.line.contains("reuse"), "{}", r.line);
+        assert!(r.contains(r#""ok":true"#), "{}", r);
+        assert!(r.contains("reuse"), "{}", r);
         assert_eq!(count(&svc, "arrayflow_requests_total"), Some(2));
         assert_eq!(responses(&svc, "ok"), Some(2));
         svc.shutdown();
@@ -1272,14 +1129,14 @@ mod tests {
     fn error_taxonomy_is_counted() {
         let svc = start_small();
         // protocol: malformed JSON
-        let r = svc.handle_frame(b"} not json");
-        assert!(r.line.contains(r#""kind":"protocol""#), "{}", r.line);
+        let r = ask(&svc, b"} not json");
+        assert!(r.contains(r#""kind":"protocol""#), "{}", r);
         // protocol: unknown verb
-        let r = svc.handle_frame(br#"{"verb": "frobnicate"}"#);
-        assert!(r.line.contains("unknown verb"), "{}", r.line);
+        let r = ask(&svc, br#"{"verb": "frobnicate"}"#);
+        assert!(r.contains("unknown verb"), "{}", r);
         // parse: bad DSL
-        let r = svc.handle_frame(br#"{"verb": "analyze", "program": "do do do"}"#);
-        assert!(r.line.contains(r#""kind":"parse""#), "{}", r.line);
+        let r = ask(&svc, br#"{"verb": "analyze", "program": "do do do"}"#);
+        assert!(r.contains(r#""kind":"parse""#), "{}", r);
         assert_eq!(responses(&svc, "protocol"), Some(2));
         assert_eq!(responses(&svc, "parse"), Some(1));
         assert_eq!(responses(&svc, "ok"), Some(0));
@@ -1296,9 +1153,13 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        let r = svc.handle_frame(br#"{"id": 9, "verb": "analyze", "program": "x := 1;"}"#);
-        assert!(r.line.contains(r#""kind":"timeout""#), "{}", r.line);
-        assert_eq!(responses(&svc, "timeout"), Some(1));
+        // The worker's dequeue shed is the one deadline.
+        let r = ask(
+            &svc,
+            br#"{"id": 9, "verb": "analyze", "program": "x := 1;"}"#,
+        );
+        assert!(r.contains(r#""kind":"cancelled""#), "{}", r);
+        assert_eq!(responses(&svc, "cancelled"), Some(1));
         svc.shutdown();
         svc.join_workers();
     }
@@ -1306,22 +1167,25 @@ mod tests {
     #[test]
     fn shutdown_verb_reports_and_flags() {
         let svc = start_small();
-        let r = svc.handle_frame(br#"{"id": 1, "verb": "shutdown"}"#);
-        assert!(r.shutdown);
-        assert!(r.line.contains("shutting down"), "{}", r.line);
+        assert!(!svc.is_shutdown());
+        let r = ask(&svc, br#"{"id": 1, "verb": "shutdown"}"#);
+        assert!(r.contains("shutting down"), "{}", r);
         assert!(svc.is_shutdown());
         // Post-shutdown analyze is rejected as overloaded.
-        let r = svc.handle_frame(br#"{"id": 2, "verb": "analyze", "program": "x := 1;"}"#);
-        assert!(r.line.contains(r#""kind":"overloaded""#), "{}", r.line);
+        let r = ask(
+            &svc,
+            br#"{"id": 2, "verb": "analyze", "program": "x := 1;"}"#,
+        );
+        assert!(r.contains(r#""kind":"overloaded""#), "{}", r);
         svc.join_workers();
     }
 
     #[test]
     fn compact_without_store_is_a_protocol_error() {
         let svc = start_small();
-        let r = svc.handle_frame(br#"{"id": 1, "verb": "compact"}"#);
-        assert!(r.line.contains(r#""kind":"protocol""#), "{}", r.line);
-        assert!(r.line.contains("no store configured"), "{}", r.line);
+        let r = ask(&svc, br#"{"id": 1, "verb": "compact"}"#);
+        assert!(r.contains(r#""kind":"protocol""#), "{}", r);
+        assert!(r.contains("no store configured"), "{}", r);
         svc.shutdown();
         svc.join_workers();
     }
@@ -1340,11 +1204,11 @@ mod tests {
 
         let svc = Service::start(config()).unwrap();
         assert_eq!(count(&svc, "arrayflow_store_warm_loaded"), Some(0));
-        let first = svc.handle_frame(frame);
-        assert!(first.line.contains(r#""ok":true"#), "{}", first.line);
+        let first = ask(&svc, frame);
+        assert!(first.contains(r#""ok":true"#), "{}", first);
         // compact succeeds (flushes the writer first).
-        let c = svc.handle_frame(br#"{"id": 3, "verb": "compact"}"#);
-        assert!(c.line.contains(r#""live_records":1"#), "{}", c.line);
+        let c = ask(&svc, br#"{"id": 3, "verb": "compact"}"#);
+        assert!(c.contains(r#""live_records":1"#), "{}", c);
         svc.shutdown();
         svc.join_workers();
         drop(svc);
@@ -1354,13 +1218,13 @@ mod tests {
         // (the per-request stats legitimately differ: hit vs miss).
         let svc = Service::start(config()).unwrap();
         assert_eq!(count(&svc, "arrayflow_store_warm_loaded"), Some(1));
-        let again = svc.handle_frame(frame);
+        let again = ask(&svc, frame);
         let loops = |line: &str| {
             let start = line.find(r#""loops":"#).unwrap();
             let end = line.find(r#","error":"#).unwrap();
             line[start..end].to_string()
         };
-        assert_eq!(loops(&first.line), loops(&again.line));
+        assert_eq!(loops(&first), loops(&again));
         assert_eq!(count(&svc, "arrayflow_cache_misses_total"), Some(0));
         svc.shutdown();
         svc.join_workers();
@@ -1395,10 +1259,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         // The replacement worker serves requests normally.
-        let r = svc.handle_frame(
+        let r = ask(
+            &svc,
             br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end"}"#,
         );
-        assert!(r.line.contains(r#""ok":true"#), "{}", r.line);
+        assert!(r.contains(r#""ok":true"#), "{}", r);
         assert_eq!(count(&svc, "arrayflow_worker_restarts_total"), Some(1));
         svc.shutdown();
         svc.join_workers();
@@ -1413,17 +1278,19 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        let r = svc.handle_frame(
+        let r = ask(
+            &svc,
             br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end"}"#,
         );
-        assert!(r.line.contains(r#""kind":"analysis""#), "{}", r.line);
-        assert!(r.line.contains("injected solver fault"), "{}", r.line);
+        assert!(r.contains(r#""kind":"analysis""#), "{}", r);
+        assert!(r.contains("injected solver fault"), "{}", r);
         // The pool survives: another request is answered (with the same
         // injected failure), not dropped.
-        let r = svc.handle_frame(
+        let r = ask(
+            &svc,
             br#"{"id": 2, "verb": "analyze", "program": "do i = 1, 9 A[i+1] := A[i]; end"}"#,
         );
-        assert!(r.line.contains(r#""kind":"analysis""#), "{}", r.line);
+        assert!(r.contains(r#""kind":"analysis""#), "{}", r);
         assert_eq!(responses(&svc, "analysis"), Some(2));
         svc.shutdown();
         svc.join_workers();
@@ -1451,19 +1318,21 @@ mod tests {
             r#"{"gen": ["defs", "uses"], "kill": ["defs"], "mode": "may"}"#,
         ];
         for (spec, (problem, _)) in specs.into_iter().zip(CANNED) {
-            let canned = svc.handle_frame(
+            let canned = ask(
+                &svc,
                 format!(
                     r#"{{"verb": "analyze", "program": "{program}", "problems": ["{problem}"]}}"#
                 )
                 .as_bytes(),
             );
-            let custom = svc.handle_frame(
+            let custom = ask(
+                &svc,
                 format!(r#"{{"verb": "custom", "program": "{program}", "spec": {spec}}}"#)
                     .as_bytes(),
             );
-            assert!(canned.line.contains(r#""ok":true"#), "{}", canned.line);
-            assert!(custom.line.contains(r#""ok":true"#), "{}", custom.line);
-            assert_eq!(loops(&canned.line), loops(&custom.line), "spec {spec}");
+            assert!(canned.contains(r#""ok":true"#), "{}", canned);
+            assert!(custom.contains(r#""ok":true"#), "{}", custom);
+            assert_eq!(loops(&canned), loops(&custom), "spec {spec}");
         }
         svc.shutdown();
         svc.join_workers();
@@ -1473,13 +1342,13 @@ mod tests {
     fn the_canned_verb_caps_the_distance_bound_too() {
         let svc = start_small();
         let analyze = |bound: u64| {
-            svc.handle_frame(
+            ask(
+                &svc,
                 format!(
                     r#"{{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end", "distance_bound": {bound}}}"#
                 )
                 .as_bytes(),
             )
-            .line
         };
         let over = analyze(CustomSpec::MAX_DISTANCE_BOUND + 1);
         assert!(over.contains(r#""kind":"protocol""#), "{over}");
@@ -1495,15 +1364,17 @@ mod tests {
         let svc = start_small();
         // Live array elements: G = uses, K = defs, backward, may — the
         // canonical problem the canned quartet does not cover.
-        let r = svc.handle_frame(
+        let r = ask(
+            &svc,
             br#"{"id": 1, "verb": "custom", "program": "do i = 1, 9 A[i+2] := A[i]; end",
                  "spec": {"gen": ["uses"], "kill": ["defs"],
                           "direction": "backward", "mode": "may"}}"#,
         );
-        assert!(r.line.contains(r#""ok":true"#), "{}", r.line);
-        assert!(r.line.contains("custom spec=gu-kd-bwd-may"), "{}", r.line);
+        assert!(r.contains(r#""ok":true"#), "{}", r);
+        assert!(r.contains("custom spec=gu-kd-bwd-may"), "{}", r);
         // Same program, same spec again: a cache hit, identical bytes.
-        let again = svc.handle_frame(
+        let again = ask(
+            &svc,
             br#"{"id": 2, "verb": "custom", "program": "do i = 1, 9 A[i+2] := A[i]; end",
                  "spec": {"gen": ["uses"], "kill": ["defs"],
                           "direction": "backward", "mode": "may"}}"#,
@@ -1513,19 +1384,16 @@ mod tests {
             let end = line.find(r#","error":"#).unwrap();
             line[start..end].to_string()
         };
-        assert_eq!(loops(&r.line), loops(&again.line));
+        assert_eq!(loops(&r), loops(&again));
         assert_eq!(count(&svc, "arrayflow_cache_hits_total"), Some(1));
         // A different spec over the same program is a distinct cache key.
-        let other = svc.handle_frame(
+        let other = ask(
+            &svc,
             br#"{"id": 3, "verb": "custom", "program": "do i = 1, 9 A[i+2] := A[i]; end",
                  "spec": {"gen": ["uses"], "kill": ["defs"], "direction": "backward"}}"#,
         );
-        assert!(
-            other.line.contains("custom spec=gu-kd-bwd-must"),
-            "{}",
-            other.line
-        );
-        assert_ne!(loops(&r.line), loops(&other.line));
+        assert!(other.contains("custom spec=gu-kd-bwd-must"), "{}", other);
+        assert_ne!(loops(&r), loops(&other));
         assert_eq!(count(&svc, "arrayflow_cache_misses_total"), Some(2));
         svc.shutdown();
         svc.join_workers();
@@ -1539,10 +1407,10 @@ mod tests {
                 r#"{{"id": {id}, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end", "problems": {problems}}}"#
             )
         };
-        let r1 = svc.handle_frame(frame(1, r#"["available"]"#).as_bytes());
-        let r2 = svc.handle_frame(frame(2, r#"["busy"]"#).as_bytes());
-        assert!(r1.line.contains("reuse"), "{}", r1.line);
-        assert!(!r2.line.contains("reuse"), "{}", r2.line);
+        let r1 = ask(&svc, frame(1, r#"["available"]"#).as_bytes());
+        let r2 = ask(&svc, frame(2, r#"["busy"]"#).as_bytes());
+        assert!(r1.contains("reuse"), "{}", r1);
+        assert!(!r2.contains("reuse"), "{}", r2);
         // Distinct problem sets are distinct cache keys: two misses.
         assert_eq!(count(&svc, "arrayflow_cache_misses_total"), Some(2));
         svc.shutdown();

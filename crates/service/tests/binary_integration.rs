@@ -11,7 +11,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use arrayflow_service::{Client, ClientConfig, EventServer, Json, Service, ServiceConfig};
+use arrayflow_service::{Client, ClientConfig, EventServer, Frame, Json, Service, ServiceConfig};
 use arrayflow_store::codec::decode_report;
 use arrayflow_wire::proto::{AnalyzeRequest, Request as WireRequest, Response as WireResponse};
 use arrayflow_wire::{encode_frame, FrameDecoder, FrameEvent};
@@ -273,9 +273,9 @@ fn binary_shutdown_drains_the_server() {
 }
 
 #[test]
-fn threaded_and_event_servers_share_handle_frame_semantics() {
+fn tcp_and_in_process_callers_share_the_answer_entry() {
     // The event server must answer a JSON frame with the exact same line
-    // the in-process blocking path produces.
+    // an in-process caller gets from the same answer entry.
     let (addr, handle) = start(ServiceConfig::default());
     let mut c = client(addr);
     let line = c.analyze(SRC).unwrap();
@@ -286,13 +286,13 @@ fn threaded_and_event_servers_share_handle_frame_semantics() {
         1,
         Json::Str(SRC.into())
     );
-    let direct = svc.handle_frame(frame.as_bytes());
+    let direct = svc.handle_frame(Frame::Json(frame.as_bytes()));
     svc.shutdown();
     svc.join_workers();
 
     // Ids differ (client picks its own); compare the result payloads.
     let over_wire = Json::parse(line.as_bytes()).unwrap();
-    let in_proc = Json::parse(direct.line.as_bytes()).unwrap();
+    let in_proc = Json::parse(&direct).unwrap();
     assert_eq!(
         over_wire.get("result").unwrap().to_string(),
         in_proc.get("result").unwrap().to_string()

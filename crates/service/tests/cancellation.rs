@@ -18,7 +18,7 @@ use std::time::Duration;
 use arrayflow_obs::{MetricValue, Registry};
 use arrayflow_resilience::CancelToken;
 use arrayflow_service::{
-    Client, ClientConfig, EventServer, FrameHandler, Json, Service, ServiceConfig,
+    Client, ClientConfig, EventServer, Frame, FrameHandler, Json, Service, ServiceConfig,
 };
 use arrayflow_store::{Store, StoreConfig};
 use arrayflow_wire::proto::{AnalyzeRequest, Request as WireRequest, Response as WireResponse};
@@ -87,12 +87,12 @@ fn analyze_frame(id: usize, program: &str) -> String {
     )
 }
 
-/// Sends one JSON frame through the event loop's JSON edge with a
-/// caller-owned cancel token and returns the response line.
+/// Sends one JSON frame through the answer entry with a caller-owned
+/// cancel token, as a connection does, and returns the response line.
 fn async_json(svc: &std::sync::Arc<Service>, frame: &str, cancel: CancelToken) -> String {
     let (tx, rx) = mpsc::channel();
-    svc.answer_json(
-        frame.as_bytes(),
+    svc.answer(
+        Frame::Json(frame.as_bytes()),
         cancel,
         Box::new(move |line| {
             let _ = tx.send(line);
@@ -104,22 +104,16 @@ fn async_json(svc: &std::sync::Arc<Service>, frame: &str, cancel: CancelToken) -
     String::from_utf8(line).unwrap()
 }
 
-/// Sends one binary frame through the async path and decodes the
-/// response frame.
-fn async_binary(svc: &std::sync::Arc<Service>, req: &WireRequest) -> WireResponse {
-    let (tx, rx) = mpsc::channel();
-    svc.handle_binary_frame_async(
-        req.tag(),
-        &req.encode_payload(),
-        Box::new(move |resp| {
-            let _ = tx.send(resp);
-        }),
-    );
-    let out = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("frame must be answered");
+/// Answers one JSON line in process.
+fn ask(svc: &std::sync::Arc<Service>, frame: &str) -> String {
+    String::from_utf8(svc.handle_frame(Frame::Json(frame.as_bytes()))).unwrap()
+}
+
+/// Answers one binary frame in process and decodes the response frame.
+fn binary(svc: &std::sync::Arc<Service>, req: &WireRequest) -> WireResponse {
+    let out = svc.handle_frame(Frame::Binary(req.tag(), &req.encode_payload()));
     let mut decoder = FrameDecoder::new(usize::MAX);
-    decoder.extend(&out.frame);
+    decoder.extend(&out);
     match decoder.next().unwrap() {
         Some(FrameEvent::Frame { tag, payload }) => WireResponse::decode(tag, &payload).unwrap(),
         other => panic!("expected one response frame, got {other:?}"),
@@ -214,12 +208,11 @@ fn cancelled_jobs_have_their_own_counters_and_skip_the_latency_histogram() {
             ),
             value("arrayflow_cancelled_jobs_total", &[("reason", "expired")]),
             value("arrayflow_deadline_propagated_total", &[]),
-            value("arrayflow_responses_total", &[("outcome", "timeout")]),
             value("arrayflow_requests_total", &[]),
             latency,
         ]
     };
-    assert_eq!(counts(), [0; 7]);
+    assert_eq!(counts(), [0; 6]);
 
     // A job whose client is already gone when the worker reaches it.
     let gone = CancelToken::new();
@@ -228,23 +221,31 @@ fn cancelled_jobs_have_their_own_counters_and_skip_the_latency_histogram() {
     assert!(line.contains(r#""kind":"cancelled""#), "{line}");
 
     // A job whose deadline budget is spent on arrival.
-    let frame = format!(
-        "{{\"id\": 2, \"verb\": \"analyze\", \"program\": {}, \"deadline_ms\": 0}}",
-        Json::Str(program.into())
-    );
-    let line = async_json(&svc, &frame, CancelToken::new());
+    let spent = |id| {
+        format!(
+            "{{\"id\": {id}, \"verb\": \"analyze\", \"program\": {}, \"deadline_ms\": 0}}",
+            Json::Str(program.into())
+        )
+    };
+    let line = async_json(&svc, &spent(2), CancelToken::new());
     assert!(line.contains(r#""kind":"cancelled""#), "{line}");
 
     // Mirroring the oversized-frame invariant: cancelled work gets its
     // own counters (split by reason) and never touches `requests` or the
     // latency histogram — no client was answered in time, so timing it
-    // would only skew the distribution. Nor is it a timeout.
-    assert_eq!(counts(), [2, 1, 1, 1, 0, 0, 0]);
+    // would only skew the distribution.
+    assert_eq!(counts(), [2, 1, 1, 1, 0, 0]);
+
+    // An in-process caller meets the same one deadline: a spent budget is
+    // shed as expired, not counted as a disconnect or a request.
+    let line = ask(&svc, &spent(3));
+    assert!(line.contains(r#""kind":"cancelled""#), "{line}");
+    assert_eq!(counts(), [3, 1, 2, 2, 0, 0]);
 
     // A healthy request afterwards is counted and timed as usual.
-    let resp = svc.handle_frame(analyze_frame(3, program).as_bytes());
-    assert!(resp.line.contains(r#""ok":true"#), "{}", resp.line);
-    assert_eq!(counts(), [2, 1, 1, 1, 0, 1, 1]);
+    let resp = ask(&svc, &analyze_frame(4, program));
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+    assert_eq!(counts(), [3, 1, 2, 2, 1, 1]);
 
     svc.shutdown();
     svc.join_workers();
@@ -300,21 +301,19 @@ fn run_workload(dir: &Path, with_storm: bool) -> (Vec<String>, Vec<Vec<u8>>) {
             let line = async_json(&svc, &frame, CancelToken::new());
             assert!(line.contains(r#""kind":"cancelled""#), "{line}");
         }
-        lines.push(svc.handle_frame(analyze_frame(i, program).as_bytes()).line);
+        lines.push(ask(&svc, &analyze_frame(i, program)));
     }
 
     // Session flow: open, optionally hit the session with a cancelled
     // delta, then apply a real delta. The cancelled delta must leave no
     // trace in the session state the real delta sees.
-    let open = svc
-        .handle_frame(
-            format!(
-                "{{\"id\": 900, \"verb\": \"open\", \"program\": {}}}",
-                Json::Str(SESSION_BASE.into())
-            )
-            .as_bytes(),
-        )
-        .line;
+    let open = ask(
+        &svc,
+        &format!(
+            "{{\"id\": 900, \"verb\": \"open\", \"program\": {}}}",
+            Json::Str(SESSION_BASE.into())
+        ),
+    );
     lines.push(open.clone());
     let json = Json::parse(open.as_bytes()).unwrap();
     let result = json.get("result").unwrap();
@@ -342,7 +341,7 @@ fn run_workload(dir: &Path, with_storm: bool) -> (Vec<String>, Vec<Vec<u8>>) {
         let line = async_json(&svc, &delta_frame(901), gone);
         assert!(line.contains(r#""kind":"cancelled""#), "{line}");
     }
-    lines.push(svc.handle_frame(delta_frame(902).as_bytes()).line);
+    lines.push(ask(&svc, &delta_frame(902)));
 
     if with_storm {
         // The memo cache never saw the doomed programs: a fingerprint
@@ -355,7 +354,7 @@ fn run_workload(dir: &Path, with_storm: bool) -> (Vec<String>, Vec<Vec<u8>>) {
         })
         .unwrap();
         let fp_of = |program: &str| -> [u8; 16] {
-            match async_binary(
+            match binary(
                 &scratch,
                 &WireRequest::Analyze(AnalyzeRequest {
                     id: 1,
@@ -370,7 +369,7 @@ fn run_workload(dir: &Path, with_storm: bool) -> (Vec<String>, Vec<Vec<u8>>) {
             }
         };
         for program in &storm {
-            let probe = async_binary(
+            let probe = binary(
                 &svc,
                 &WireRequest::Analyze(AnalyzeRequest {
                     id: 3000,
@@ -387,7 +386,7 @@ fn run_workload(dir: &Path, with_storm: bool) -> (Vec<String>, Vec<Vec<u8>>) {
                 other => panic!("cancelled work leaked into the cache: {other:?}"),
             }
         }
-        let probe = async_binary(
+        let probe = binary(
             &svc,
             &WireRequest::Analyze(AnalyzeRequest {
                 id: 3001,

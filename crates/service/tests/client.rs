@@ -10,7 +10,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use arrayflow_service::{
-    Client, ClientConfig, ClientError, ErrorKind, Json, Service, ServiceConfig,
+    Client, ClientConfig, ClientError, ErrorKind, Frame, Json, Service, ServiceConfig,
 };
 
 /// A fast-retry config for tests: small deadlines, deterministic jitter.
@@ -211,8 +211,8 @@ fn full_session_against_the_real_service() {
 #[test]
 fn embedded_service_still_frames_responses() {
     let service = Service::start(ServiceConfig::default()).expect("start");
-    let resp = service.handle_frame(br#"{"id": 1, "verb": "ping"}"#);
-    assert!(resp.line.contains("\"ok\":true"));
+    let resp = service.handle_frame(Frame::Json(br#"{"id": 1, "verb": "ping"}"#));
+    assert!(String::from_utf8(resp).unwrap().contains("\"ok\":true"));
     service.shutdown();
     service.join_workers();
 }

@@ -549,7 +549,22 @@ fn router_mode_applies_the_listener_flags() {
         format!("n1={node_addr}"),
         "--idle-timeout-ms".into(),
         "300".into(),
+        "--max-frame".into(),
+        "512".into(),
     ]);
+
+    // `--max-frame`: a 2.1 KB analyze, which the node behind (1 MiB cap)
+    // would answer, is refused by the router's own cap.
+    let long = format!(
+        r#"{{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end", "pad": "{}"}}"#,
+        "x".repeat(2048)
+    );
+    assert!(long.len() > 2100);
+    let resp = JsonClient::connect(&router_addr).line(&long);
+    assert_eq!(
+        resp,
+        r#"{"id":null,"ok":false,"error":{"kind":"protocol","message":"frame exceeds 512 bytes"}}"#
+    );
 
     // `--idle-timeout-ms`: half a line, then silence, is reaped.
     let mut parked = TcpStream::connect(&router_addr).unwrap();
@@ -570,4 +585,13 @@ fn router_mode_applies_the_listener_flags() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag `--proto`"), "{stderr}");
+
+    // A node-only flag is refused in router mode, naming the flag.
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--router", &format!("n1={node_addr}"), "--workers", "2"])
+        .output()
+        .expect("run serve");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--workers"), "{stderr}");
 }

@@ -10,22 +10,21 @@ mod common;
 
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use arrayflow_engine::{passes_to_fix, CustomSpec, Engine, EngineConfig, Mode, Problem, CANNED};
 use arrayflow_ir::parse_program;
 use arrayflow_obs::{HistogramSnapshot, MetricValue, MetricsSnapshot};
-use arrayflow_resilience::{CancelToken, FaultPlan};
-use arrayflow_service::{FrameHandler, Json, Service, ServiceConfig};
+use arrayflow_resilience::FaultPlan;
+use arrayflow_service::{Frame, FrameHandler, Json, Service, ServiceConfig};
 use arrayflow_store::StoreConfig;
 
 /// Every value of `arrayflow_responses_total{outcome}`.
-const OUTCOMES: [&str; 8] = [
+const OUTCOMES: [&str; 7] = [
     "ok",
     "parse",
     "analysis",
-    "timeout",
     "overloaded",
     "protocol",
     "session_lost",
@@ -48,6 +47,11 @@ fn histogram_with(
         },
         None => panic!("metric {name}{labels:?} not registered"),
     }
+}
+
+/// Answers one JSON line in process.
+fn ask(service: &Arc<Service>, frame: &[u8]) -> String {
+    String::from_utf8(service.handle_frame(Frame::Json(frame))).unwrap()
 }
 
 fn analyze_frame(id: usize, program: &str) -> String {
@@ -87,12 +91,14 @@ fn assert_ok(resp: &str) {
 fn oversized_frames_never_enter_the_latency_distribution() {
     let service = Service::start(ServiceConfig::default()).unwrap();
     for i in 0..4 {
-        let resp = service.handle_frame(format!(r#"{{"id": {i}, "verb": "ping"}}"#).as_bytes());
-        assert_ok(&resp.line);
+        let resp = ask(
+            &service,
+            format!(r#"{{"id": {i}, "verb": "ping"}}"#).as_bytes(),
+        );
+        assert_ok(&resp);
     }
     for _ in 0..7 {
-        let line = service.oversized_json();
-        assert!(line.contains("protocol"), "oversized reply names its kind");
+        service.oversized();
     }
 
     let snap = service.registry().snapshot();
@@ -122,8 +128,8 @@ fn oversized_frames_never_enter_the_latency_distribution() {
 fn solver_pass_bound_is_assertable_from_metrics_alone() {
     let service = Service::start(ServiceConfig::default()).unwrap();
     for (i, p) in distinct_programs(8).iter().enumerate() {
-        let resp = service.handle_frame(analyze_frame(i, p).as_bytes());
-        assert_ok(&resp.line);
+        let resp = ask(&service, analyze_frame(i, p).as_bytes());
+        assert_ok(&resp);
     }
 
     let snap = service.registry().snapshot();
@@ -221,8 +227,8 @@ fn queue_wait_is_measured_and_included_in_latency() {
         for (i, p) in programs.iter().enumerate() {
             let service = &service;
             scope.spawn(move || {
-                let resp = service.handle_frame(analyze_frame(i, p).as_bytes());
-                assert_ok(&resp.line);
+                let resp = ask(service, analyze_frame(i, p).as_bytes());
+                assert_ok(&resp);
             });
         }
     });
@@ -288,7 +294,7 @@ fn metrics_snapshots_stay_consistent_under_concurrent_load() {
                             2 => analyze_frame(i, "do this is not a program"),
                             _ => "{\"not\": \"a request\"".to_string(),
                         };
-                        let _ = service.handle_frame(frame.as_bytes());
+                        let _ = ask(service, frame.as_bytes());
                     }
                 })
             })
@@ -325,19 +331,11 @@ fn metrics_snapshots_stay_consistent_under_concurrent_load() {
     service.join_workers();
 }
 
-/// Answers one frame on the event edge, as a connection would.
-fn answer_async(service: &Arc<Service>, frame: &str) -> mpsc::Receiver<Vec<u8>> {
-    let (tx, rx) = mpsc::channel();
-    let respond = Box::new(move |line| {
-        let _ = tx.send(line);
-    });
-    service.answer_json(frame.as_bytes(), CancelToken::new(), respond);
-    rx
-}
-
-fn wait_answer(rx: &mpsc::Receiver<Vec<u8>>) -> String {
-    let line = rx.recv_timeout(Duration::from_secs(30)).expect("answered");
-    String::from_utf8(line).unwrap()
+/// Answers one frame in process on a thread of its own, so that several
+/// can be in flight at once.
+fn answer_async(service: &Arc<Service>, frame: &str) -> JoinHandle<String> {
+    let (service, frame) = (Arc::clone(service), frame.to_string());
+    std::thread::spawn(move || ask(&service, frame.as_bytes()))
 }
 
 fn assert_kind(resp: &str, kind: &str) {
@@ -363,7 +361,7 @@ fn requests_are_every_outcome_but_cancelled_and_oversized() {
         ..ServiceConfig::default()
     })
     .unwrap();
-    let blocking = |frame: &str| service.handle_frame(frame.as_bytes()).line;
+    let blocking = |frame: &str| ask(&service, frame.as_bytes());
 
     assert_ok(&blocking(r#"{"id": 1, "verb": "ping"}"#));
     assert_kind(&blocking(&analyze_frame(2, "do do do")), "parse");
@@ -373,31 +371,9 @@ fn requests_are_every_outcome_but_cancelled_and_oversized() {
     assert_kind(&blocking("} not json"), "protocol");
     let delta = r#"{"id": 4, "verb": "delta", "session": 99, "fingerprint": "00000000000000000000000000000000", "stmt": 0, "text": "x := 1;"}"#;
     assert_kind(&blocking(delta), "session_lost");
-    // The blocking edge answers a spent budget `timeout` and leaves the
-    // job for the worker to shed.
-    let spent = |id| {
-        format!(
-            r#"{{"id": {id}, "verb": "analyze", "program": "do i = 1, 9 A[i+1] := A[i]; end", "deadline_ms": 0}}"#
-        )
-    };
-    assert_kind(&blocking(&spent(5)), "timeout");
-    let shed = |snap: &MetricsSnapshot| {
-        let reason = |r| snap.value("arrayflow_cancelled_jobs_total", &[("reason", r)]);
-        reason("disconnect").unwrap() + reason("expired").unwrap()
-    };
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while shed(&service.registry().snapshot()) == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the job was never shed"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    // The event edge has nobody waiting: the worker answers `cancelled`.
-    assert_kind(
-        &wait_answer(&answer_async(&service, &spent(6))),
-        "cancelled",
-    );
+    // A spent budget is shed by the worker, the one deadline.
+    let spent = r#"{"id": 5, "verb": "analyze", "program": "do i = 1, 9 A[i+1] := A[i]; end", "deadline_ms": 0}"#;
+    assert_kind(&blocking(spent), "cancelled");
     // The worker takes one stalled solve, the queue holds one more, and
     // the rest are turned away.
     let flood: Vec<_> = distinct_programs(3)
@@ -405,13 +381,13 @@ fn requests_are_every_outcome_but_cancelled_and_oversized() {
         .enumerate()
         .map(|(i, p)| answer_async(&service, &analyze_frame(7 + i, p)))
         .collect();
-    let flood: Vec<String> = flood.iter().map(wait_answer).collect();
+    let flood: Vec<String> = flood.into_iter().map(|h| h.join().unwrap()).collect();
     assert!(
         flood.iter().any(|r| r.contains(r#""kind":"overloaded""#)),
         "{flood:?}"
     );
-    service.oversized_json();
-    service.oversized_binary(1 << 30);
+    service.oversized();
+    service.oversized();
 
     let snap = service.registry().snapshot();
     let responses = |outcome| {
@@ -434,12 +410,16 @@ fn requests_are_every_outcome_but_cancelled_and_oversized() {
     let latency = histogram(&snap, "arrayflow_request_latency_us");
     assert_eq!(latency.count, requests, "every request is timed once");
     // Cancelled and oversized traffic land only in their own series: the
-    // nine frames answered in time above are every request, and the one
+    // eight frames answered in time above are every request, and the one
     // `protocol` answer is the malformed frame's.
-    assert_eq!(requests, 9);
+    assert_eq!(requests, 8);
     assert_eq!(responses("protocol"), 1);
     assert_eq!(responses("cancelled"), 1);
-    assert_eq!(shed(&snap), 2, "the timed-out job and the cancelled one");
+    let shed = |reason| {
+        snap.value("arrayflow_cancelled_jobs_total", &[("reason", reason)])
+            .unwrap()
+    };
+    assert_eq!((shed("expired"), shed("disconnect")), (1, 0));
     assert_eq!(snap.value("arrayflow_oversized_frames_total", &[]), Some(2));
 
     service.shutdown();
@@ -458,11 +438,14 @@ fn metrics_verb_exports_every_layer() {
         ..ServiceConfig::default()
     })
     .unwrap();
-    let resp = service.handle_frame(analyze_frame(0, &distinct_programs(1)[0]).as_bytes());
-    assert_ok(&resp.line);
+    let resp = ask(
+        &service,
+        analyze_frame(0, &distinct_programs(1)[0]).as_bytes(),
+    );
+    assert_ok(&resp);
 
-    let resp = service.handle_frame(br#"{"id": 1, "verb": "metrics"}"#);
-    let json = Json::parse(resp.line.as_bytes()).expect("metrics response parses");
+    let resp = ask(&service, br#"{"id": 1, "verb": "metrics"}"#);
+    let json = Json::parse(resp.as_bytes()).expect("metrics response parses");
     assert_eq!(json.get("ok").and_then(Json::as_bool), Some(true));
     // The result is the exposition alone, in the router's shape.
     let prometheus = common::exposition(&json);
@@ -515,26 +498,23 @@ fn a_delta_sweep_updates_the_session_series() {
     })
     .unwrap();
     for id in 1..=2 {
-        let resp = service.handle_frame(
+        let resp = ask(
+            &service,
             format!(
                 r#"{{"id": {id}, "verb": "open", "program": "do i = 1, 9 A[i+1] := A[i]; end"}}"#
             )
             .as_bytes(),
         );
-        assert_ok(&resp.line);
+        assert_ok(&resp);
     }
     std::thread::sleep(std::time::Duration::from_millis(100));
-    let resp = service.handle_frame(
+    let resp = ask(&service,
         br#"{"id": 3, "verb": "delta", "session": 1, "fingerprint": "00000000000000000000000000000000", "stmt": 0, "text": "A[i+1] := A[i];"}"#,
     );
-    assert!(
-        resp.line.contains(r#""kind":"session_lost""#),
-        "{}",
-        resp.line
-    );
+    assert!(resp.contains(r#""kind":"session_lost""#), "{resp}");
 
-    let resp = service.handle_frame(br#"{"id": 4, "verb": "metrics"}"#);
-    let text = common::exposition(&Json::parse(resp.line.as_bytes()).unwrap());
+    let resp = ask(&service, br#"{"id": 4, "verb": "metrics"}"#);
+    let text = common::exposition(&Json::parse(resp.as_bytes()).unwrap());
     let series = |name: &str, labels: &[&str]| common::scrape(&text, name, labels);
     assert_eq!(series("arrayflow_sessions_open", &[]), Some(0));
     assert_eq!(
@@ -660,8 +640,8 @@ fn slow_log_zero_emits_span_breakdown_per_request() {
 fn registry_is_shared_across_service_handles() {
     let service = Service::start(ServiceConfig::default()).unwrap();
     let clone = Arc::clone(&service);
-    let resp = clone.handle_frame(br#"{"id": 0, "verb": "ping"}"#);
-    assert_ok(&resp.line);
+    let resp = ask(&clone, br#"{"id": 0, "verb": "ping"}"#);
+    assert_ok(&resp);
     let snap = service.registry().snapshot();
     assert_eq!(snap.value("arrayflow_requests_total", &[]), Some(1));
     service.shutdown();

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use arrayflow_engine::{Engine, EngineConfig};
-use arrayflow_service::{EventServer, Json, Service, ServiceConfig};
+use arrayflow_service::{EventServer, Frame, Json, Service, ServiceConfig};
 
 /// The unlabelled counter or gauge `name`, read in-process.
 fn count(service: &Service, name: &str) -> u64 {
@@ -318,8 +318,8 @@ fn deadline_miss_is_cancelled_and_connection_survives() {
 #[test]
 fn overload_is_reported_when_queue_is_full() {
     // Queue of 1 and a single worker: pipelining many analyzes from many
-    // threads must never panic, and every response is either ok,
-    // overloaded, or timeout — nothing is dropped.
+    // threads must never panic, and every response is either ok or
+    // overloaded — nothing is dropped.
     let (addr, service) = spawn_server(ServiceConfig {
         workers: 1,
         queue_capacity: 1,
@@ -344,17 +344,14 @@ fn overload_is_reported_when_queue_is_full() {
                         continue;
                     }
                     let kind = error_kind(&resp).to_string();
-                    assert!(
-                        kind == "overloaded" || kind == "timeout",
-                        "unexpected error kind {kind}"
-                    );
+                    assert_eq!(kind, "overloaded", "unexpected error kind {kind}");
                 }
             });
         }
     });
     let requests = count(&service, "arrayflow_requests_total");
     assert_eq!(requests, (CLIENTS * 10) as u64);
-    let answered: u64 = ["ok", "overloaded", "timeout"]
+    let answered: u64 = ["ok", "overloaded"]
         .iter()
         .map(|o| responses(&service, o))
         .sum();
@@ -421,7 +418,6 @@ fn graceful_shutdown_drains_in_flight_requests() {
         "ok",
         "parse",
         "analysis",
-        "timeout",
         "overloaded",
         "protocol",
         "session_lost",
@@ -478,8 +474,9 @@ fn metrics_verb_reports_engine_and_service_counters() {
 
 #[test]
 fn stdio_like_loop_over_pipe_mode_frames() {
-    // The stdio transport shares handle_frame with TCP; drive it directly
-    // with a mixed script to pin the pipe-mode contract.
+    // The stdio loop's contract, driven in process: each line is answered
+    // through the one answer entry, and the loop stops once the service
+    // reports shutdown — after the `shutdown` verb's answer, not before.
     let service = Service::start(ServiceConfig {
         workers: 1,
         ..ServiceConfig::default()
@@ -491,13 +488,15 @@ fn stdio_like_loop_over_pipe_mode_frames() {
         br#"{"id": 3, "verb": "metrics"}"#,
         br#"{"id": 4, "verb": "shutdown"}"#,
     ];
-    let mut saw_shutdown = false;
+    let mut answered = 0;
     for frame in script {
-        let resp = service.handle_frame(frame);
-        assert!(resp.line.contains("\"ok\":true"), "{}", resp.line);
-        saw_shutdown |= resp.shutdown;
+        assert!(!service.is_shutdown(), "stopped before line {answered}");
+        let resp = String::from_utf8(service.handle_frame(Frame::Json(frame))).unwrap();
+        assert!(resp.contains("\"ok\":true"), "{resp}");
+        answered += 1;
     }
-    assert!(saw_shutdown);
+    assert_eq!(answered, script.len());
+    assert!(service.is_shutdown(), "the shutdown verb stops the loop");
     service.join_workers();
 }
 

@@ -8,7 +8,7 @@
 //! inputs, asserting every input comes back as a framed error or a
 //! result — never a panic, and never an unbounded response.
 
-use arrayflow_service::{Request, Service, ServiceConfig};
+use arrayflow_service::{Frame, Request, Service, ServiceConfig};
 use arrayflow_wire::proto::{
     strip_deadline, with_deadline, AnalyzeRequest, CustomRequest, Request as WireRequest,
     MAX_DEADLINE_MS, TAG_ANALYZE, TAG_CUSTOM, TAG_DEADLINE_BIT,
@@ -155,29 +155,26 @@ fn hostile_spec_frames_get_bounded_error_responses_end_to_end() {
         ),
     ];
     for frame in &hostile {
-        let resp = service.handle_frame(frame.as_bytes());
+        let resp = String::from_utf8(service.handle_frame(Frame::Json(frame.as_bytes()))).unwrap();
         assert!(
-            resp.line.contains(r#""ok":false"#),
+            resp.contains(r#""ok":false"#),
             "hostile frame must be rejected: {frame} -> {}",
-            resp.line
+            resp
         );
         assert!(
-            resp.line.len() < 64 << 10,
+            resp.len() < 64 << 10,
             "response must stay bounded: {} bytes",
-            resp.line.len()
+            resp.len()
         );
     }
     // A valid spec still works after the barrage — the connection-level
     // state survives hostile frames.
-    let resp = service.handle_frame(
+    let resp = service.handle_frame(Frame::Json(
         br#"{"id":10,"verb":"custom","program":"do i = 1, 9 A[i+1] := A[i]; end","spec":{"gen":["uses"],"kill":["defs"],"direction":"backward","mode":"may"}}"#,
-    );
-    assert!(resp.line.contains(r#""ok":true"#), "{}", resp.line);
-    assert!(
-        resp.line.contains("custom spec=gu-kd-bwd-may"),
-        "{}",
-        resp.line
-    );
+    ));
+    let resp = String::from_utf8(resp).unwrap();
+    assert!(resp.contains(r#""ok":true"#), "{}", resp);
+    assert!(resp.contains("custom spec=gu-kd-bwd-may"), "{}", resp);
     service.shutdown();
     service.join_workers();
 }
@@ -297,32 +294,14 @@ fn hostile_deadline_frames_get_bounded_error_responses_end_to_end() {
         } else {
             (rng.next() as u8) | TAG_DEADLINE_BIT
         };
-        let (tx, rx) = std::sync::mpsc::channel();
-        service.handle_binary_frame_async(
-            tag,
-            &bytes,
-            Box::new(move |resp| {
-                let _ = tx.send(resp);
-            }),
-        );
-        let resp = rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("frame must be answered");
-        assert!(resp.frame.len() < 64 << 10, "response must stay bounded");
+        let resp = service.handle_frame(Frame::Binary(tag, &bytes));
+        assert!(resp.len() < 64 << 10, "response must stay bounded");
     }
     // A well-formed budgeted frame still works after the barrage.
     let ok = WireRequest::Ping { id: 9 };
     let (tag, payload) = with_deadline(ok.tag(), &ok.encode_payload(), 5_000);
-    let (tx, rx) = std::sync::mpsc::channel();
-    service.handle_binary_frame_async(
-        tag,
-        &payload,
-        Box::new(move |resp| {
-            let _ = tx.send(resp);
-        }),
-    );
-    let resp = rx.recv_timeout(std::time::Duration::from_secs(30)).unwrap();
-    assert!(!resp.frame.is_empty());
+    let resp = service.handle_frame(Frame::Binary(tag, &payload));
+    assert!(!resp.is_empty());
     service.shutdown();
     service.join_workers();
 }
