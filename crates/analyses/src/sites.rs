@@ -387,6 +387,13 @@ pub fn splice_sites(
 /// `f_g(i − δ) = f_u(i)` for all `i`, which requires equal coefficients and
 /// `δ = (rest_g − rest_u) / coef` to be a non-negative integer.
 pub fn constant_distance(gen_sub: &AffineSub, use_sub: &AffineSub) -> Option<u64> {
+    if let (Some((ga, gb)), Some((ua, ub))) = (gen_sub.as_constants(), use_sub.as_constants()) {
+        return match (ga == ua, ga) {
+            (false, _) => None,
+            (true, 0) => (gb == ub).then_some(0),
+            (true, _) => exact_quotient(gb.checked_sub(ub)?, ga),
+        };
+    }
     if gen_sub.coef != use_sub.coef {
         return None;
     }
@@ -401,6 +408,15 @@ pub fn constant_distance(gen_sub: &AffineSub, use_sub: &AffineSub) -> Option<u64
         return None;
     }
     Some(n as u64)
+}
+
+/// `n / d` when `d` divides `n` and the quotient is non-negative (`None`
+/// for `d = 0`).
+pub(crate) fn exact_quotient(n: i64, d: i64) -> Option<u64> {
+    if n.checked_rem(d)? != 0 {
+        return None;
+    }
+    u64::try_from(n / d).ok()
 }
 
 #[cfg(test)]
@@ -605,5 +621,30 @@ mod tests {
             constant_distance(&AffineSub::simple(1, 2), &AffineSub::simple(1, 1)),
             Some(1)
         );
+    }
+
+    #[test]
+    fn integer_distance_matches_the_linexpr_path() {
+        // Adding the same symbol to both rests sends a pair down the
+        // LinExpr path without changing its distance.
+        let n = LinExpr::symbol(VarId(9));
+        let symbolic = |a: i64, b: i64| AffineSub {
+            coef: LinExpr::constant(a),
+            rest: LinExpr::constant(b) + n.clone(),
+        };
+        let coefs = [-3, -2, -1, 0, 1, 2, 3, i64::MAX, i64::MIN];
+        let offsets: Vec<i64> = (-8..=8).chain([i64::MAX, -i64::MAX, i64::MIN]).collect();
+        for &a in &coefs {
+            for &ua in &[a, 1] {
+                for &b in &offsets {
+                    for &d in &offsets {
+                        let fast =
+                            constant_distance(&AffineSub::simple(a, b), &AffineSub::simple(ua, d));
+                        let slow = constant_distance(&symbolic(a, b), &symbolic(ua, d));
+                        assert_eq!(fast, slow, "{a}·i + {b} vs {ua}·i + {d}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -56,6 +56,7 @@
 //! assert_eq!(sol.before_at(arrayflow_graph::NodeId(1), d), Dist::Top);
 //! ```
 
+pub mod arith;
 pub mod flow;
 pub mod lattice;
 pub mod preserve;
@@ -64,6 +65,8 @@ pub mod solver;
 
 #[cfg(test)]
 mod oracle;
+#[cfg(test)]
+mod preserve_oracle;
 
 pub use flow::FlowTable;
 pub use lattice::Dist;

@@ -16,13 +16,17 @@
 //! `pr(d, n) = 0` iff `d`'s node precedes `n` within the iteration, else 1.
 //! May-problems use the *definite kill* rule instead, and backward problems
 //! negate `k`'s numerator. Everything here is exact integer/rational
-//! arithmetic; symbolic coefficients are resolved through
-//! [`LinExpr::ratio`](arrayflow_ir::LinExpr::ratio), and undecidable cases
-//! fall back to the sound side of the respective mode.
+//! arithmetic. Symbol-free subscripts are differenced and divided in `i64`
+//! directly; symbolic coefficients are resolved through
+//! [`LinExpr::ratio`](arrayflow_ir::LinExpr::ratio). Either way `k` reaches
+//! one integer kernel, run in checked `i64` and re-run in `i128` when a step
+//! overflows; undecidable cases fall back to the sound side of the
+//! respective mode.
 
 use arrayflow_graph::LoopGraph;
 use arrayflow_ir::{AffineSub, LinExpr};
 
+use crate::arith::{ceil_div, ratio, Int, Range};
 use crate::lattice::Dist;
 use crate::problem::{Direction, GenRef, KillKind, KillSite, Mode};
 
@@ -92,17 +96,32 @@ pub fn preserve_constant_with_pr(
         Direction::Forward => (&gen.sub, kill_sub),
         Direction::Backward => (kill_sub, &gen.sub),
     };
-    // k(i) = qa·i + qb with qa = Δa/a₁ and qb = Δb/a₁, both exact rationals
-    // when they exist at all (symbolic parts must cancel). A difference
-    // or ratio that overflows `i64` is as undecidable as a symbolic one.
-    let ratio = |a: &LinExpr, b: &LinExpr| a.checked_sub(b)?.ratio(denom);
-    let (Some(qa), Some(qb)) = (ratio(&g.coef, &k.coef), ratio(&g.rest, &k.rest)) else {
+    let Some((qa, qb)) = quotients(denom, g, k) else {
         return undecidable(mode);
     };
     match mode {
         Mode::May => definite_kill(qa, qb, pr, ub),
-        Mode::Must => must_constant(qa, qb, pr, ub, direction).unwrap_or(undecidable(mode)),
+        Mode::Must => must_constant::<i64>(qa, qb, pr, ub, direction)
+            .or_else(|| must_constant::<i128>(qa, qb, pr, ub, direction))
+            .unwrap_or(undecidable(mode)),
     }
+}
+
+/// `k(i) = qa·i + qb` with `qa = (a_g − a_k)/a₁` and `qb = (b_g − b_k)/a₁`,
+/// both exact reduced rationals when they exist at all (symbolic parts
+/// must cancel). A difference or ratio that overflows `i64` is as
+/// undecidable as a symbolic one: `None`.
+fn quotients(denom: &LinExpr, g: &AffineSub, k: &AffineSub) -> Option<((i64, i64), (i64, i64))> {
+    if let (Some((ga, gb)), Some((ka, kb))) = (g.as_constants(), k.as_constants()) {
+        // `g` or `k` is the generator, so `a₁` is symbol-free too.
+        let a1 = denom.as_constant()?;
+        return Some((
+            ratio(ga.checked_sub(ka)?, a1)?,
+            ratio(gb.checked_sub(kb)?, a1)?,
+        ));
+    }
+    let ratio = |a: &LinExpr, b: &LinExpr| a.checked_sub(b)?.ratio(denom);
+    Some((ratio(&g.coef, &k.coef)?, ratio(&g.rest, &k.rest)?))
 }
 
 /// Sound fallback when the subscript relation cannot be decided.
@@ -164,24 +183,26 @@ fn invariant_generator(
 /// the loop) and keeps the subsumption property over the dependence-based
 /// baseline.
 ///
-/// Every step is checked `i128` arithmetic: `None` when one overflows
-/// (e.g. `X[4611686018427387903·i]` over a trip count near `i64::MAX`),
-/// which the caller answers with the sound `undecidable` constant.
-fn must_constant(
+/// Every step is checked arithmetic in `T`: `None` when one overflows.
+/// The caller runs the kernel in `i64` and re-runs it in `i128` on `None`;
+/// an `i128` overflow (e.g. `X[4611686018427387903·i]` over a trip count
+/// near `i64::MAX`) is answered with the sound `undecidable` constant.
+fn must_constant<T: Int>(
     qa: (i64, i64),
     qb: (i64, i64),
     pr: u64,
     ub: Option<i64>,
     direction: Direction,
 ) -> Option<Dist> {
-    let pr = pr as i128;
+    let (of, pr) = (T::of, T::of_u64(pr)?);
     if qa.0 == 0 {
         // k is the constant qb.
-        let (n, d) = (qb.0 as i128, qb.1 as i128);
-        if n < pr * d {
+        let (n, d) = (of(qb.0), of(qb.1));
+        let pr_d = pr.mul(d)?;
+        if n < pr_d {
             return Some(Dist::Top); // k < pr: no instance killed
         }
-        if d != 1 && n != pr * d {
+        if d != T::ONE && n != pr_d {
             // Non-integer constant: a kill would need an integer distance,
             // so none ever occurs. (Slightly sharper than the paper's
             // ⌈k⌉ − 1 approximation, and exact.)
@@ -189,22 +210,22 @@ fn must_constant(
         }
         // Integer constant c ≥ pr: a kill at distance c needs a valid
         // source iteration, i.e. the loop must run at least c + 1 times.
-        let c = n / d;
-        if ub.is_some_and(|ub| (ub as i128) < c + 1) {
+        let c = n.div(d)?;
+        if ub.is_some_and(|ub| of(ub) <= c) {
             return Some(Dist::Top);
         }
-        return Some(if n == pr * d {
+        return Some(if n == pr_d {
             Dist::Bottom // k ≡ pr: every instance killed
         } else {
-            Dist::Fin((c - 1) as u64) // c > pr: p = c − 1
+            Dist::Fin(c.sub(T::ONE)?.to_u64()?) // c > pr: p = c − 1
         });
     }
 
     // Common denominator: k(i) = (A·i + B) / Dn with Dn > 0.
-    let a = qa.0 as i128 * qb.1 as i128;
-    let b = qb.0 as i128 * qa.1 as i128;
-    let dn = qa.1 as i128 * qb.1 as i128;
-    debug_assert!(dn > 0);
+    let a = of(qa.0).mul(of(qb.1))?;
+    let b = of(qb.0).mul(of(qa.1))?;
+    let dn = of(qa.1).mul(of(qb.1))?;
+    debug_assert!(dn > T::ZERO);
 
     // Feasible killing iterations satisfy, simultaneously:
     //   1 ≤ i ≤ UB                              (iteration space)
@@ -212,106 +233,54 @@ fn must_constant(
     //   A·i + B ≥ pr·Dn (+1 for strict)         (kill depth)
     // All are linear in i; intersect them into [lo, hi].
     let mut range = Range {
-        lo: 1,
-        hi: ub.map_or(i128::MAX / 4, |u| u as i128),
+        lo: T::ONE,
+        hi: ub.map_or(T::UNBOUNDED, of),
     };
     match (direction, ub) {
         // i − k(i) ≥ 1  ⟺  (Dn − A)·i ≥ B + Dn
-        (Direction::Forward, _) => range.at_least(dn.checked_sub(a)?, b.checked_add(dn)?),
+        (Direction::Forward, _) => range.at_least(dn.sub(a)?, b.add(dn)?)?,
         // i + k(i) ≤ UB ⟺ −(Dn + A)·i ≥ B − UB·Dn (only with a known UB)
-        (Direction::Backward, Some(u)) => range.at_least(
-            dn.checked_add(a)?.checked_neg()?,
-            b.checked_sub((u as i128).checked_mul(dn)?)?,
-        ),
+        (Direction::Backward, Some(u)) => {
+            range.at_least(dn.add(a)?.neg()?, b.sub(of(u).mul(dn)?)?)?
+        }
         (Direction::Backward, None) => {}
     }
 
     // Exact hit at distance pr within the feasible range → ⊥ (the paper's
     // case-1 answer extended to non-constant k; its ⌈min k > pr⌉ − 1
     // approximation alone would be unsound here).
-    let c0 = (pr * dn).checked_sub(b)?; // A·i == c0 ⟺ k(i) == pr
-    if c0 % a == 0 && (range.lo..=range.hi).contains(&(c0 / a)) {
+    let c0 = pr.mul(dn)?.sub(b)?; // A·i == c0 ⟺ k(i) == pr
+    if c0.rem(a)? == T::ZERO && (range.lo..=range.hi).contains(&c0.div(a)?) {
         return Some(Dist::Bottom);
     }
 
     // Strictly-above-pr kills: add A·i ≥ pr·Dn − B + 1 and take the minimum
     // k over the interval (at the lo end when k increases, hi when it
     // decreases).
-    range.at_least(a, c0.checked_add(1)?);
+    range.at_least(a, c0.add(T::ONE)?)?;
     let Range { lo, hi } = range;
     if lo > hi {
         return Some(Dist::Top);
     }
-    let i_star = if a > 0 { lo } else { hi };
-    let k_num = a.checked_mul(i_star)?.checked_add(b)?;
-    debug_assert!(k_num > pr * dn);
-    let p = ceil_div(k_num, dn) - 1;
-    debug_assert!(p >= 0);
-    Some(Dist::Fin(u64::try_from(p).ok()?))
-}
-
-/// The integer iterations satisfying a conjunction of constraints
-/// `e·i ≥ f`: `[lo, hi]`, empty when `lo > hi`.
-struct Range {
-    lo: i128,
-    hi: i128,
-}
-
-impl Range {
-    /// Intersects with `e·i ≥ f`.
-    fn at_least(&mut self, e: i128, f: i128) {
-        match e.cmp(&0) {
-            std::cmp::Ordering::Greater => self.lo = self.lo.max(ceil_div(f, e)),
-            std::cmp::Ordering::Less => self.hi = self.hi.min(floor_div(f, e)),
-            // 0 ≥ f: all or nothing.
-            std::cmp::Ordering::Equal if f > 0 => self.hi = self.lo - 1,
-            std::cmp::Ordering::Equal => {}
-        }
-    }
+    let i_star = if a > T::ZERO { lo } else { hi };
+    let k_num = a.mul(i_star)?.add(b)?;
+    let p = ceil_div(k_num, dn)?.sub(T::ONE)?;
+    Some(Dist::Fin(p.to_u64()?))
 }
 
 /// May-mode *definite kill* rule (paper §3.3): only a killer of the form
 /// `X[f(i) + c]` (constant k) definitely destroys instances — and only
 /// when the loop runs long enough (`UB ≥ c + 1`) for a killed instance to
-/// exist at all.
+/// exist at all. No step can overflow.
 fn definite_kill(qa: (i64, i64), qb: (i64, i64), pr: u64, ub: Option<i64>) -> Dist {
-    if qa.0 != 0 {
+    let c = qb.0;
+    if qa.0 != 0 || qb.1 != 1 || c < 0 || (c as u64) < pr || ub.is_some_and(|ub| ub <= c) {
         return Dist::Top;
     }
-    let (n, d) = (qb.0 as i128, qb.1 as i128);
-    let pr = pr as i128;
-    if d == 1 && n >= pr {
-        let c = n;
-        if let Some(ub) = ub {
-            if (ub as i128) < c + 1 {
-                return Dist::Top;
-            }
-        }
-        if c == pr {
-            return Dist::Bottom; // kills every instance it can ever see
-        }
-        return Dist::Fin((c - 1) as u64);
-    }
-    Dist::Top
-}
-
-fn ceil_div(a: i128, b: i128) -> i128 {
-    debug_assert!(b != 0);
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) == (b < 0)) {
-        q + 1
+    if c as u64 == pr {
+        Dist::Bottom // kills every instance it can ever see
     } else {
-        q
-    }
-}
-
-fn floor_div(a: i128, b: i128) -> i128 {
-    debug_assert!(b != 0);
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
+        Dist::Fin(c as u64 - 1)
     }
 }
 
@@ -749,17 +718,5 @@ mod tests {
             AffineSub::simple(-1, i64::MIN),
         );
         assert_eq!(p_of(hi, lo, None, Mode::Must), Dist::Bottom);
-    }
-
-    #[test]
-    fn div_helpers() {
-        assert_eq!(ceil_div(7, 2), 4);
-        assert_eq!(ceil_div(-7, 2), -3);
-        assert_eq!(ceil_div(7, -2), -3);
-        assert_eq!(floor_div(7, 2), 3);
-        assert_eq!(floor_div(-7, 2), -4);
-        assert_eq!(floor_div(7, -2), -4);
-        assert_eq!(floor_div(6, 3), 2);
-        assert_eq!(ceil_div(6, 3), 2);
     }
 }

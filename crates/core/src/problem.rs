@@ -128,9 +128,9 @@ pub struct CustomSpec {
 
 impl CustomSpec {
     /// Largest dependence-distance bound an `analyze` or `custom` request
-    /// may carry. The service rejects anything above it: the bound sizes
-    /// a linear scan in dependence extraction, so an attacker's
-    /// `u64::MAX` must not become a near-infinite loop.
+    /// may carry; the service rejects anything above it as part of its
+    /// wire contract. Dependence extraction costs the same at every bound
+    /// (each pair's first overlap is solved in closed form).
     pub const MAX_DISTANCE_BOUND: u64 = 1_000_000;
 
     /// Canonical 6-bit encoding: bit 0 `gen_defs`, bit 1 `gen_uses`,

@@ -658,6 +658,7 @@ impl Engine {
                         Problem::Canned(problems) => AnalysisReport::of_loop_ctrl(
                             l,
                             &p.symbols,
+                            fingerprint,
                             problems,
                             dep_max_distance,
                             should_stop,
@@ -665,6 +666,7 @@ impl Engine {
                         Problem::Custom(spec) => AnalysisReport::of_custom_ctrl(
                             l,
                             &p.symbols,
+                            fingerprint,
                             spec,
                             dep_max_distance,
                             should_stop,

@@ -156,21 +156,24 @@ impl AnalysisReport {
         problems: ProblemSet,
         dep_max_distance: u64,
     ) -> Result<Self, AnalyzeError> {
-        Self::of_loop_ctrl(l, symbols, problems, dep_max_distance, None)
+        let fingerprint = arrayflow_ir::fingerprint_loop(l, symbols);
+        Self::of_loop_ctrl(l, symbols, fingerprint, problems, dep_max_distance, None)
     }
 
     /// Like [`AnalysisReport::of_loop`], but polls `should_stop` between
     /// solver passes and yields [`AnalyzeError::Stopped`] — with the
-    /// wasted pass count — instead of a report. With `None` the result is
-    /// identical to [`AnalysisReport::of_loop`].
+    /// wasted pass count — instead of a report, and takes the loop's
+    /// `fingerprint` (`fingerprint_loop(l, symbols)`) from a caller that
+    /// has already computed it for its cache key. With `None` the result
+    /// is identical to [`AnalysisReport::of_loop`].
     pub fn of_loop_ctrl(
         l: &Loop,
         symbols: &SymbolTable,
+        fingerprint: Fingerprint,
         problems: ProblemSet,
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> Result<Self, AnalyzeError> {
-        let fingerprint = arrayflow_ir::fingerprint_loop(l, symbols);
         // The full LoopAnalysis solves the three column families behind
         // all four instances; distill only what was asked for. The solver
         // is cheap (≤ 3 passes per family), so a finer-grained lazy scheme
@@ -264,19 +267,20 @@ impl AnalysisReport {
         spec: CustomSpec,
         dep_max_distance: u64,
     ) -> Result<Self, AnalyzeError> {
-        Self::of_custom_ctrl(l, symbols, spec, dep_max_distance, None)
+        let fingerprint = arrayflow_ir::fingerprint_loop(l, symbols);
+        Self::of_custom_ctrl(l, symbols, fingerprint, spec, dep_max_distance, None)
     }
 
-    /// [`AnalysisReport::of_custom`] with a cooperative stop check (see
-    /// [`AnalysisReport::of_loop_ctrl`]).
+    /// [`AnalysisReport::of_custom`] with a cooperative stop check and the
+    /// loop's fingerprint (see [`AnalysisReport::of_loop_ctrl`]).
     pub fn of_custom_ctrl(
         l: &Loop,
         symbols: &SymbolTable,
+        fingerprint: Fingerprint,
         spec: CustomSpec,
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> Result<Self, AnalyzeError> {
-        let fingerprint = arrayflow_ir::fingerprint_loop(l, symbols);
         let (graph, sites, _) = prepare_loop(l, symbols)?;
         let instance = Instance::run(
             &graph,

@@ -523,8 +523,7 @@ impl Session {
     ) -> Result<DeltaOutcome, DeltaError> {
         let source = &self.source_program().symbols;
         let (stmt, symbols) = parse_stmt_with(source, &edit.text).map_err(EditError::from)?;
-        let same =
-            symbols.num_vars() == source.num_vars() && symbols.num_arrays() == source.num_arrays();
+        let same = symbols.is_none();
         // The incremental path replaces an array assignment of the loop
         // body by another. A scalar assignment appearing or disappearing
         // changes the scalar environment that site classification depends
@@ -542,7 +541,6 @@ impl Session {
         }
         // Assignment-for-assignment replacement keeps every statement id.
         assign.id = edit.stmt;
-        let symbols = (!same).then_some(symbols);
 
         // ---- Fast path: land the edit, patch the graph, re-solve dirty
         // columns. ----

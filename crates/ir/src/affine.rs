@@ -48,6 +48,12 @@ impl AffineSub {
         }
     }
 
+    /// `(a, b)` when the subscript is `a·i + b` with symbol-free parts —
+    /// the form the integer subscript kernels take.
+    pub fn as_constants(&self) -> Option<(i64, i64)> {
+        Some((self.coef.as_constant()?, self.rest.as_constant()?))
+    }
+
     /// Extracts the affine form of `expr` with respect to `iv`.
     ///
     /// Every scalar other than `iv` is treated as a symbolic constant

@@ -107,7 +107,9 @@ pub fn apply_edit(program: &mut Program, edit: &Edit) -> Result<EditShape, EditE
     if !replace_in_block(&mut program.body, edit.stmt, &mut slot) {
         return Err(EditError::NoSuchStmt(edit.stmt));
     }
-    program.symbols = symbols;
+    if let Some(symbols) = symbols {
+        program.symbols = symbols;
+    }
     program.renumber();
     Ok(shape)
 }

@@ -19,6 +19,7 @@
 //! Identifiers used with brackets denote arrays (rank fixed by first use);
 //! all other identifiers are scalars.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::expr::{BinOp, Cond, Expr, RelOp};
@@ -291,14 +292,15 @@ impl<'a> Lexer<'a> {
 /// overflow — the analysis service feeds untrusted bytes to this parser.
 const MAX_DEPTH: usize = 256;
 
-struct Parser {
+struct Parser<'s> {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     depth: usize,
-    program: Program,
+    /// The table names resolve through; copied on the first name it lacks.
+    symbols: Cow<'s, SymbolTable>,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].0
     }
@@ -348,16 +350,24 @@ impl Parser {
     /// inconsistencies as a [`ParseError`] rather than panicking in
     /// [`SymbolTable::array_with`](crate::SymbolTable::array_with).
     fn intern_array(&mut self, name: &str, rank: usize) -> Result<crate::ArrayId, ParseError> {
-        if let Some(id) = self.program.symbols.lookup_array(name) {
-            if self.program.symbols.array_info(id).rank != rank {
+        if let Some(id) = self.symbols.lookup_array(name) {
+            if self.symbols.array_info(id).rank != rank {
                 return Err(self.err(format!("array `{name}` used with inconsistent rank")));
             }
             return Ok(id);
         }
         Ok(self
-            .program
             .symbols
+            .to_mut()
             .array_with(name, rank, vec![None; rank]))
+    }
+
+    /// Interns the scalar `name`.
+    fn intern_var(&mut self, name: &str) -> crate::VarId {
+        match self.symbols.lookup_var(name) {
+            Some(id) => id,
+            None => self.symbols.to_mut().var(name),
+        }
     }
 
     fn parse_block(&mut self, stop_at_else: bool) -> Result<Block, ParseError> {
@@ -394,7 +404,7 @@ impl Parser {
             Tok::Ident(s) => s,
             other => return Err(self.err(format!("expected loop variable, found {other}"))),
         };
-        let iv = self.program.symbols.var(&name);
+        let iv = self.intern_var(&name);
         match self.bump() {
             Tok::Rel(RelOp::Eq) => {}
             other => return Err(self.err(format!("expected `=`, found {other}"))),
@@ -469,7 +479,7 @@ impl Parser {
             let id = self.intern_array(&name, subs.len())?;
             LValue::Elem(ArrayRef { array: id, subs })
         } else {
-            LValue::Scalar(self.program.symbols.var(&name))
+            LValue::Scalar(self.intern_var(&name))
         };
         self.expect(&Tok::Assign)?;
         let rhs = self.parse_expr()?;
@@ -546,7 +556,7 @@ impl Parser {
                     let id = self.intern_array(&name, subs.len())?;
                     Ok(Expr::Elem(ArrayRef { array: id, subs }))
                 } else {
-                    Ok(Expr::Scalar(self.program.symbols.var(&name)))
+                    Ok(Expr::Scalar(self.intern_var(&name)))
                 }
             }
             other => Err(ParseError {
@@ -589,7 +599,8 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// required to apply a single-statement edit to an already-parsed program:
 /// identifiers resolve to the program's variables and arrays (array ranks
 /// stay consistent with prior uses; new names are interned). Returns the
-/// statement and the possibly-extended symbol table. Trailing input after
+/// statement and, only when it interns a name, the extended symbol table
+/// — a statement over known names copies nothing. Trailing input after
 /// the statement is an error.
 ///
 /// The statement's assignments carry [`StmtId::UNASSIGNED`](crate::stmt::StmtId::UNASSIGNED)
@@ -597,7 +608,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 pub fn parse_stmt_with(
     symbols: &SymbolTable,
     src: &str,
-) -> Result<(Stmt, SymbolTable), ParseError> {
+) -> Result<(Stmt, Option<SymbolTable>), ParseError> {
     let mut lexer = Lexer::new(src.as_bytes());
     let mut toks = Vec::new();
     loop {
@@ -608,13 +619,11 @@ pub fn parse_stmt_with(
             break;
         }
     }
-    let mut program = Program::new();
-    program.symbols = symbols.clone();
     let mut parser = Parser {
         toks,
         pos: 0,
         depth: 0,
-        program,
+        symbols: Cow::Borrowed(symbols),
     };
     let stmt = parser.parse_stmt()?;
     if parser.peek() != &Tok::Eof {
@@ -623,7 +632,11 @@ pub fn parse_stmt_with(
             parser.peek()
         )));
     }
-    Ok((stmt, parser.program.symbols))
+    let interned = match parser.symbols {
+        Cow::Borrowed(_) => None,
+        Cow::Owned(symbols) => Some(symbols),
+    };
+    Ok((stmt, interned))
 }
 
 /// [`parse_program`] over raw bytes, for callers that receive programs
@@ -647,14 +660,16 @@ pub fn parse_program_bytes(src: &[u8]) -> Result<Program, ParseError> {
         toks,
         pos: 0,
         depth: 0,
-        program: Program::new(),
+        symbols: Cow::Owned(SymbolTable::new()),
     };
     let body = parser.parse_block(false)?;
     if parser.peek() != &Tok::Eof {
         return Err(parser.err(format!("unexpected {}", parser.peek())));
     }
-    let mut program = parser.program;
-    program.body = body;
+    let mut program = Program {
+        symbols: parser.symbols.into_owned(),
+        body,
+    };
     program.renumber();
     Ok(program)
 }
@@ -663,6 +678,17 @@ pub fn parse_program_bytes(src: &[u8]) -> Result<Program, ParseError> {
 mod tests {
     use super::*;
     use crate::visit::count_stmts;
+
+    #[test]
+    fn statement_over_known_names_copies_no_symbol_table() {
+        let p = parse_program("do i = 1, 10 A[i] := A[i-1] + x; end").unwrap();
+        let (_, symbols) = parse_stmt_with(&p.symbols, "A[i+1] := A[i] * x;").unwrap();
+        assert!(symbols.is_none());
+        let (_, symbols) = parse_stmt_with(&p.symbols, "B[i] := A[i] + y;").unwrap();
+        let symbols = symbols.expect("B and y are new names");
+        assert!(symbols.lookup_array("B").is_some() && symbols.lookup_var("y").is_some());
+        assert_eq!(symbols.num_arrays(), p.symbols.num_arrays() + 1);
+    }
 
     #[test]
     fn parses_paper_fig1() {

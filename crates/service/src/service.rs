@@ -788,9 +788,8 @@ impl Service {
                 (c.fingerprint, c.source, Problem::Custom(spec), bound)
             }
         };
-        // The bound sizes a linear scan in dependence extraction, which
-        // polls no stop check: an untrusted huge bound would tie up a
-        // worker long past the request's deadline.
+        // The bound is part of the wire contract; dependence extraction
+        // costs the same at any bound up to it.
         if distance_bound > CustomSpec::MAX_DISTANCE_BOUND {
             return Err(protocol(format!(
                 "distance bound {distance_bound} exceeds the {} cap",

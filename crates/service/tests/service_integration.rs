@@ -315,6 +315,46 @@ fn deadline_miss_is_cancelled_and_connection_survives() {
     service.join_workers();
 }
 
+/// An E16-sized analyze at the largest distance bound answers `ok`
+/// inside a 500 ms budget: dependence extraction finds each pair's first
+/// overlap in closed form, whatever the bound, where a scan of every
+/// distance up to 10⁶ took seconds per loop and never polled the budget.
+#[test]
+fn largest_distance_bound_answers_within_its_deadline() {
+    use arrayflow_workloads::{random_loop, LoopShape};
+    let shape = LoopShape {
+        stmts: 128,
+        arrays: 16,
+        ..LoopShape::default()
+    };
+    let program = arrayflow_ir::pretty::print_program(&random_loop(&shape, 42)).replace('\n', " ");
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let frame = format!(
+        r#"{{"id":1,"verb":"analyze","program":"{program}","distance_bound":1000000,"deadline_ms":500}}"#
+    );
+    let start = std::time::Instant::now();
+    let resp = service.handle_frame(Frame::Json(frame.as_bytes()));
+    let elapsed = start.elapsed();
+    let resp = String::from_utf8(resp).unwrap();
+    assert!(
+        resp.starts_with(r#"{"id":1,"ok":true"#),
+        "{}",
+        &resp[..resp.len().min(300)]
+    );
+    assert!(
+        resp.contains("maxdist=1000000"),
+        "the bound reached the report"
+    );
+    assert!(resp.contains("  dep "), "the loop has dependences");
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    service.shutdown();
+    service.join_workers();
+}
+
 #[test]
 fn overload_is_reported_when_queue_is_full() {
     // Queue of 1 and a single worker: pipelining many analyzes from many
