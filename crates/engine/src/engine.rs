@@ -343,6 +343,7 @@ struct EngineInstruments {
     /// then `custom`.
     passes: Vec<(&'static str, Histogram)>,
     phase_normalize: Histogram,
+    phase_fingerprint: Histogram,
     phase_cache_get: Histogram,
     phase_solve: Histogram,
     phase_cache_insert: Histogram,
@@ -408,6 +409,7 @@ impl EngineInstruments {
                 .map(|name| (name, pass(name)))
                 .collect(),
             phase_normalize: phase("normalize"),
+            phase_fingerprint: phase("fingerprint"),
             phase_cache_get: phase("cache_get"),
             phase_solve: phase("solve"),
             phase_cache_insert: phase("cache_insert"),
@@ -546,7 +548,7 @@ impl Engine {
     pub fn analyze_one(&self, index: usize, program: &Program) -> BatchResult {
         self.solve(
             index,
-            program,
+            program.clone(),
             Problem::Canned(ProblemSet::ALL),
             self.config.dep_max_distance,
             None,
@@ -561,6 +563,8 @@ impl Engine {
     /// from (and populates) the canned entry, byte-identical to the
     /// built-in selection; every custom request, folded or answered from
     /// cache alike, counts in `arrayflow_custom_requests_total{spec=...}`.
+    /// The program is taken by value and normalized in place, so a caller
+    /// that has just parsed it pays for no copy.
     ///
     /// `should_stop` is polled between solver passes: when it fires the
     /// result carries [`AnalysisError::Cancelled`] with the wasted pass
@@ -576,7 +580,7 @@ impl Engine {
     pub fn solve(
         &self,
         index: usize,
-        program: &Program,
+        program: Program,
         problem: Problem,
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
@@ -591,9 +595,9 @@ impl Engine {
                 .inc();
         }
         let problem = problem.folded();
-        // The closure borrows `self` and `program` immutably; the caches
-        // it touches guard their state behind their own locks, which a
-        // panic in the (lock-free) solve phase cannot poison.
+        // The closure borrows `self` immutably and owns `program`; the
+        // caches it touches guard their state behind their own locks,
+        // which a panic in the (lock-free) solve phase cannot poison.
         self.isolated("solver", || {
             self.solve_inner(index, program, problem, dep_max_distance, should_stop)
         })
@@ -612,7 +616,7 @@ impl Engine {
     fn solve_inner(
         &self,
         index: usize,
-        program: &Program,
+        mut p: Program,
         problem: Problem,
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
@@ -621,10 +625,8 @@ impl Engine {
         let mut stats = QueryStats::default();
         let mut error: Option<AnalysisError> = None;
 
-        // Work on a private normalized copy: the framework requires
-        // `do i = 1, UB` step 1, and renumbered statements make StmtIds in
-        // reports deterministic.
-        let mut p = program.clone();
+        // The framework requires `do i = 1, UB` step 1, and renumbered
+        // statements make StmtIds in reports deterministic.
         {
             let _span = observed_span("normalize", &self.ins.phase_normalize);
             arrayflow_ir::normalize(&mut p);
@@ -633,7 +635,10 @@ impl Engine {
 
         let mut loops = Vec::new();
         for l in loops_innermost_first(&p) {
-            let fingerprint = fingerprint_loop(l, &p.symbols);
+            let fingerprint = {
+                let _span = observed_span("fingerprint", &self.ins.phase_fingerprint);
+                fingerprint_loop(l, &p.symbols)
+            };
             let key = problem.key(fingerprint, dep_max_distance);
             let hit = {
                 let _span = observed_span("cache_get", &self.ins.phase_cache_get);

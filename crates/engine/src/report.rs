@@ -8,10 +8,8 @@
 //! canonical fingerprint: alpha-equivalent loops produce byte-identical
 //! reports, so the memo cache can return one `Arc` for all of them.
 
-use std::fmt::Write as _;
-
 use arrayflow_analyses::{
-    dependences, prepare_loop, redundant_stores, reuse_pairs, AnalyzeError, Dep, Instance,
+    dependences, prepare_loop, redundant_stores, reuse_pairs, AnalyzeError, Dep, DepKind, Instance,
     LoopAnalysis, RedundantStore, Reuse, GK,
 };
 use arrayflow_core::{CustomSpec, Dist, SolveStats, CANNED};
@@ -355,29 +353,142 @@ impl AnalysisReport {
     /// Renders the report as stable, name-free text. Two reports render
     /// identically iff they are equal — the determinism regression tests
     /// compare these bytes across thread counts and against the sequential
-    /// driver.
+    /// driver. Numbers go straight into the buffer, sized up front for the
+    /// report's lines.
     pub fn render(&self) -> String {
+        let values = self.custom.as_ref().map_or(0, |c| c.values.len());
+        let lines =
+            6 + values + self.reuses.len() + self.redundant_stores.len() + self.dependences.len();
+        let mut t = Text(String::with_capacity(48 * lines));
+        t.s("loop fp=")
+            .fingerprint(self.fingerprint)
+            .s(" problems=0b");
+        let bits = self.problems.bits();
+        for k in (0..4).rev() {
+            t.s(["0", "1"][usize::from(bits >> k & 1)]);
+        }
+        t.s(" maxdist=").n(self.dep_max_distance);
+        t.s(" nodes=").n(self.nodes as u64);
+        t.s(" sites=").n(self.sites as u64).s("\n");
+        if let Some(c) = &self.custom {
+            t.s("  custom spec=").s(&c.spec.label());
+            t.s(" width=").n(c.width as u64).s("\n");
+        }
+        for (name, s) in self.instance_stats() {
+            t.s("  solve ").s(name).s(": init=").n(s.init_visits as u64);
+            t.s(" iter=").n(s.iter_visits as u64);
+            t.s(" passes=").n(s.passes as u64);
+            t.s(" changing=").n(s.changing_passes as u64).s("\n");
+        }
+        for v in self.custom.iter().flat_map(|c| &c.values) {
+            t.s("  val gen=").n(v.gen.into());
+            t.s(" site=").n(v.gen_site.into());
+            t.s(" node=").n(v.node.into()).s(" dist=");
+            match v.dist {
+                Dist::Bottom => t.s("bot"),
+                Dist::Fin(x) => t.n(x),
+                Dist::Top => t.s("top"),
+            }
+            .s("\n");
+        }
+        for r in &self.reuses {
+            t.s("  reuse use_site=").n(r.use_site as u64);
+            t.s(" gen_site=").n(r.gen_site as u64);
+            t.s(" dist=").n(r.distance);
+            t.s(" gen_is_def=")
+                .s(if r.gen_is_def { "true" } else { "false" });
+            t.s("\n");
+        }
+        for s in &self.redundant_stores {
+            t.s("  redundant_store site=").n(s.store_site as u64);
+            t.s(" killer=").n(s.killer_site as u64);
+            t.s(" dist=").n(s.distance).s("\n");
+        }
+        for d in &self.dependences {
+            let kind = match d.kind {
+                DepKind::Flow => "Flow",
+                DepKind::Anti => "Anti",
+                DepKind::Output => "Output",
+            };
+            t.s("  dep ").s(kind).s(" src=").n(d.src_site as u64);
+            t.s(" dst=").n(d.dst_site as u64);
+            t.s(" dist=").n(d.distance).s("\n");
+        }
+        t.0
+    }
+}
+
+/// [`AnalysisReport::render`]'s output buffer: appends text and numbers
+/// without a formatter call.
+struct Text(String);
+
+impl Text {
+    fn s(&mut self, s: &str) -> &mut Self {
+        self.0.push_str(s);
+        self
+    }
+
+    /// Appends `n` in decimal.
+    fn n(&mut self, n: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut m = n;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (m % 10) as u8;
+            m /= 10;
+            if m == 0 {
+                break;
+            }
+        }
+        self.s(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+    }
+
+    /// Appends the fingerprint as its 32 lower-case hex digits, as its
+    /// `Display` does.
+    fn fingerprint(&mut self, fingerprint: Fingerprint) -> &mut Self {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        for k in (0..32).rev() {
+            self.0
+                .push(char::from(HEX[(fingerprint.0 >> (4 * k)) as usize & 0xf]));
+        }
+        self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fmt::Write as _;
+
+    use arrayflow_workloads::{livermore_kernels, random_loop, LoopShape};
+
+    use super::*;
+    use crate::{Engine, EngineConfig, Problem};
+
+    /// The formatter-based rendering [`AnalysisReport::render`] replaced:
+    /// every line through `writeln!`, and a `String` per custom value.
+    fn reference_render(r: &AnalysisReport) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
             "loop fp={} problems={:#06b} maxdist={} nodes={} sites={}",
-            self.fingerprint,
-            self.problems.bits(),
-            self.dep_max_distance,
-            self.nodes,
-            self.sites
+            r.fingerprint,
+            r.problems.bits(),
+            r.dep_max_distance,
+            r.nodes,
+            r.sites
         );
-        if let Some(c) = &self.custom {
+        if let Some(c) = &r.custom {
             let _ = writeln!(out, "  custom spec={} width={}", c.spec.label(), c.width);
         }
-        for (name, s) in self.instance_stats() {
+        for (name, s) in r.instance_stats() {
             let _ = writeln!(
                 out,
                 "  solve {name}: init={} iter={} passes={} changing={}",
                 s.init_visits, s.iter_visits, s.passes, s.changing_passes
             );
         }
-        if let Some(c) = &self.custom {
+        if let Some(c) = &r.custom {
             for v in &c.values {
                 let dist = match v.dist {
                     Dist::Bottom => "bot".to_string(),
@@ -391,21 +502,21 @@ impl AnalysisReport {
                 );
             }
         }
-        for r in &self.reuses {
+        for u in &r.reuses {
             let _ = writeln!(
                 out,
                 "  reuse use_site={} gen_site={} dist={} gen_is_def={}",
-                r.use_site, r.gen_site, r.distance, r.gen_is_def
+                u.use_site, u.gen_site, u.distance, u.gen_is_def
             );
         }
-        for s in &self.redundant_stores {
+        for s in &r.redundant_stores {
             let _ = writeln!(
                 out,
                 "  redundant_store site={} killer={} dist={}",
                 s.store_site, s.killer_site, s.distance
             );
         }
-        for d in &self.dependences {
+        for d in &r.dependences {
             let _ = writeln!(
                 out,
                 "  dep {:?} src={} dst={} dist={}",
@@ -413,5 +524,45 @@ impl AnalysisReport {
             );
         }
         out
+    }
+
+    #[test]
+    fn render_matches_the_formatter_reference() {
+        let shapes = [
+            LoopShape::default(),
+            LoopShape {
+                stmts: 24,
+                arrays: 4,
+                cond_pct: 35,
+                ..LoopShape::default()
+            },
+        ];
+        let mut programs: Vec<_> = (0..24)
+            .map(|k| random_loop(&shapes[k % shapes.len()], k as u64))
+            .collect();
+        programs.extend(livermore_kernels(100).into_iter().map(|(_, p)| p));
+        let problems = (0..=0b1111)
+            .filter_map(ProblemSet::from_bits)
+            .map(Problem::Canned);
+        let specs = (0..=u8::MAX)
+            .filter_map(CustomSpec::from_bits)
+            .map(Problem::Custom);
+        let queries: Vec<Problem> = problems.chain(specs).collect();
+        let engine = Engine::new(EngineConfig::default());
+        let mut lines = 0;
+        for program in &programs {
+            for &problem in &queries {
+                for bound in [0, 8] {
+                    let result = engine.solve(0, program.clone(), problem, bound, None);
+                    assert!(result.error.is_none(), "{:?}", result.error);
+                    for l in &result.loops {
+                        let text = l.report.render();
+                        assert_eq!(text, reference_render(&l.report));
+                        lines += text.lines().count();
+                    }
+                }
+            }
+        }
+        assert!(lines > 10_000, "the corpus rendered only {lines} lines");
     }
 }

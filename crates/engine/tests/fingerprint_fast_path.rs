@@ -35,7 +35,7 @@ fn miss_then_hit_with_counters() {
 
     // Full analysis populates the cache under the same key.
     let program = parse_program(SRC).unwrap();
-    let full = engine.solve(0, &program, problems, dist, None);
+    let full = engine.solve(0, program, problems, dist, None);
     assert!(full.error.is_none());
     assert_eq!(full.loops.len(), 1);
     assert_eq!(full.loops[0].fingerprint, fp);
@@ -57,7 +57,7 @@ fn distinct_problem_sets_are_distinct_keys() {
     let fp = canonical_fingerprint(SRC);
     let dist = engine.config().dep_max_distance;
     let program = parse_program(SRC).unwrap();
-    engine.solve(0, &program, Problem::Canned(ProblemSet::ALL), dist, None);
+    engine.solve(0, program, Problem::Canned(ProblemSet::ALL), dist, None);
 
     // Same fingerprint, different problem selection: a different key.
     let reaching_only = ProblemSet::from_bits(0b0001).unwrap();

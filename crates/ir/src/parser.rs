@@ -43,9 +43,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers borrow their text from the source, so a token is
+/// a plain copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Assign, // :=
     Semi,
@@ -67,7 +69,7 @@ enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
@@ -116,7 +118,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_tok(&mut self) -> Result<(Tok, usize), ParseError> {
+    fn next_tok(&mut self) -> Result<(Tok<'a>, usize), ParseError> {
         loop {
             while self.pos < self.src.len() {
                 let c = self.src[self.pos];
@@ -273,7 +275,7 @@ impl<'a> Lexer<'a> {
                     "if" => Tok::KwIf,
                     "then" => Tok::KwThen,
                     "else" => Tok::KwElse,
-                    _ => Tok::Ident(text.to_string()),
+                    _ => Tok::Ident(text),
                 }
             }
             other if other.is_ascii() => {
@@ -287,30 +289,44 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Lexes all of `src`, each token with its line, through the final
+/// [`Tok::Eof`].
+fn lex(src: &[u8]) -> Result<Vec<(Tok<'_>, usize)>, ParseError> {
+    let mut lexer = Lexer::new(src);
+    let mut toks = Vec::new();
+    loop {
+        let (tok, line) = lexer.next_tok()?;
+        toks.push((tok, line));
+        if tok == Tok::Eof {
+            return Ok(toks);
+        }
+    }
+}
+
 /// Maximum combined statement/expression nesting depth. Hostile input
 /// (e.g. ten thousand `(`s) must produce a [`ParseError`], not a stack
 /// overflow — the analysis service feeds untrusted bytes to this parser.
 const MAX_DEPTH: usize = 256;
 
-struct Parser<'s> {
-    toks: Vec<(Tok, usize)>,
+struct Parser<'s, 't> {
+    toks: Vec<(Tok<'t>, usize)>,
     pos: usize,
     depth: usize,
     /// The table names resolve through; copied on the first name it lacks.
     symbols: Cow<'s, SymbolTable>,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
+impl<'t> Parser<'_, 't> {
+    fn peek(&self) -> Tok<'t> {
+        self.toks[self.pos].0
     }
 
     fn line(&self) -> usize {
         self.toks[self.pos].1
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
+    fn bump(&mut self) -> Tok<'t> {
+        let t = self.toks[self.pos].0;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -324,7 +340,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, want: &Tok) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Tok<'_>) -> Result<(), ParseError> {
         if self.peek() == want {
             self.bump();
             Ok(())
@@ -399,20 +415,20 @@ impl Parser<'_> {
     }
 
     fn parse_do_inner(&mut self) -> Result<Stmt, ParseError> {
-        self.expect(&Tok::KwDo)?;
+        self.expect(Tok::KwDo)?;
         let name = match self.bump() {
             Tok::Ident(s) => s,
             other => return Err(self.err(format!("expected loop variable, found {other}"))),
         };
-        let iv = self.intern_var(&name);
+        let iv = self.intern_var(name);
         match self.bump() {
             Tok::Rel(RelOp::Eq) => {}
             other => return Err(self.err(format!("expected `=`, found {other}"))),
         }
         let lower = self.parse_expr()?;
-        self.expect(&Tok::Comma)?;
+        self.expect(Tok::Comma)?;
         let upper = self.parse_expr()?;
-        let step = if self.peek() == &Tok::Comma {
+        let step = if self.peek() == Tok::Comma {
             self.bump();
             match self.bump() {
                 Tok::Int(n) => n,
@@ -426,7 +442,7 @@ impl Parser<'_> {
             1
         };
         let body = self.parse_block(false)?;
-        self.expect(&Tok::KwEnd)?;
+        self.expect(Tok::KwEnd)?;
         Ok(Stmt::Do(Loop {
             iv,
             lower: lower.into(),
@@ -444,7 +460,7 @@ impl Parser<'_> {
     }
 
     fn parse_if_inner(&mut self) -> Result<Stmt, ParseError> {
-        self.expect(&Tok::KwIf)?;
+        self.expect(Tok::KwIf)?;
         let lhs = self.parse_expr()?;
         let op = match self.bump() {
             Tok::Rel(op) => op,
@@ -453,15 +469,15 @@ impl Parser<'_> {
             }
         };
         let rhs = self.parse_expr()?;
-        self.expect(&Tok::KwThen)?;
+        self.expect(Tok::KwThen)?;
         let then_blk = self.parse_block(true)?;
-        let else_blk = if self.peek() == &Tok::KwElse {
+        let else_blk = if self.peek() == Tok::KwElse {
             self.bump();
             self.parse_block(false)?
         } else {
             Vec::new()
         };
-        self.expect(&Tok::KwEnd)?;
+        self.expect(Tok::KwEnd)?;
         Ok(Stmt::If {
             cond: Cond::new(lhs, op, rhs),
             then_blk,
@@ -474,27 +490,27 @@ impl Parser<'_> {
             Tok::Ident(s) => s,
             other => return Err(self.err(format!("expected identifier, found {other}"))),
         };
-        let lhs = if self.peek() == &Tok::LBracket {
+        let lhs = if self.peek() == Tok::LBracket {
             let subs = self.parse_subscripts()?;
-            let id = self.intern_array(&name, subs.len())?;
+            let id = self.intern_array(name, subs.len())?;
             LValue::Elem(ArrayRef { array: id, subs })
         } else {
-            LValue::Scalar(self.intern_var(&name))
+            LValue::Scalar(self.intern_var(name))
         };
-        self.expect(&Tok::Assign)?;
+        self.expect(Tok::Assign)?;
         let rhs = self.parse_expr()?;
-        self.expect(&Tok::Semi)?;
+        self.expect(Tok::Semi)?;
         Ok(Stmt::Assign(Assign::new(lhs, rhs)))
     }
 
     fn parse_subscripts(&mut self) -> Result<Vec<Expr>, ParseError> {
-        self.expect(&Tok::LBracket)?;
+        self.expect(Tok::LBracket)?;
         let mut subs = vec![self.parse_expr()?];
-        while self.peek() == &Tok::Comma {
+        while self.peek() == Tok::Comma {
             self.bump();
             subs.push(self.parse_expr()?);
         }
-        self.expect(&Tok::RBracket)?;
+        self.expect(Tok::RBracket)?;
         Ok(subs)
     }
 
@@ -547,16 +563,16 @@ impl Parser<'_> {
             }
             Tok::LParen => {
                 let e = self.parse_expr()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(e)
             }
             Tok::Ident(name) => {
-                if self.peek() == &Tok::LBracket {
+                if self.peek() == Tok::LBracket {
                     let subs = self.parse_subscripts()?;
-                    let id = self.intern_array(&name, subs.len())?;
+                    let id = self.intern_array(name, subs.len())?;
                     Ok(Expr::Elem(ArrayRef { array: id, subs }))
                 } else {
-                    Ok(Expr::Scalar(self.intern_var(&name)))
+                    Ok(Expr::Scalar(self.intern_var(name)))
                 }
             }
             other => Err(ParseError {
@@ -609,24 +625,14 @@ pub fn parse_stmt_with(
     symbols: &SymbolTable,
     src: &str,
 ) -> Result<(Stmt, Option<SymbolTable>), ParseError> {
-    let mut lexer = Lexer::new(src.as_bytes());
-    let mut toks = Vec::new();
-    loop {
-        let (tok, line) = lexer.next_tok()?;
-        let done = tok == Tok::Eof;
-        toks.push((tok, line));
-        if done {
-            break;
-        }
-    }
     let mut parser = Parser {
-        toks,
+        toks: lex(src.as_bytes())?,
         pos: 0,
         depth: 0,
         symbols: Cow::Borrowed(symbols),
     };
     let stmt = parser.parse_stmt()?;
-    if parser.peek() != &Tok::Eof {
+    if parser.peek() != Tok::Eof {
         return Err(parser.err(format!(
             "expected a single statement, found trailing {}",
             parser.peek()
@@ -646,24 +652,14 @@ pub fn parse_stmt_with(
 /// inconsistent array ranks and pathological nesting all surface as
 /// [`ParseError`]s.
 pub fn parse_program_bytes(src: &[u8]) -> Result<Program, ParseError> {
-    let mut lexer = Lexer::new(src);
-    let mut toks = Vec::new();
-    loop {
-        let (tok, line) = lexer.next_tok()?;
-        let done = tok == Tok::Eof;
-        toks.push((tok, line));
-        if done {
-            break;
-        }
-    }
     let mut parser = Parser {
-        toks,
+        toks: lex(src)?,
         pos: 0,
         depth: 0,
         symbols: Cow::Owned(SymbolTable::new()),
     };
     let body = parser.parse_block(false)?;
-    if parser.peek() != &Tok::Eof {
+    if parser.peek() != Tok::Eof {
         return Err(parser.err(format!("unexpected {}", parser.peek())));
     }
     let mut program = Program {

@@ -72,7 +72,7 @@ pub(crate) fn response_frame(id: u64, outcome: Result<Answer, ServiceError>) -> 
             message: e.message,
         },
         Ok(Answer::Text(t)) => text(t.into()),
-        Ok(Answer::Object(json)) => text(json.to_string()),
+        Ok(Answer::Object(json)) => text(json.encode()),
         // Binary metrics ship the Prometheus exposition directly — the
         // form a scraper wants, with no JSON wrapper to unpick.
         Ok(Answer::Metrics(exposition)) => text(exposition),

@@ -6,11 +6,16 @@
 //! compact serializer. Objects preserve insertion order, which keeps
 //! responses byte-deterministic.
 //!
+//! Strings move by runs: the encoder copies each run of bytes between
+//! escapes with one `push_str`, and the parser copies each run between
+//! escapes as one slice. Both find the next `"`, `\` or control byte
+//! with `special_at`, which tests eight bytes per step.
+//!
 //! Only what the protocol needs is implemented: no arbitrary-precision
 //! numbers (values are `f64`, exact for integers up to 2^53 — far beyond
 //! any counter a response carries as a number) and no pretty printing.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum array/object nesting the parser accepts. Deeper input is a
 /// [`JsonError`], not a stack overflow.
@@ -45,6 +50,49 @@ impl Json {
             return Err(p.err("trailing bytes after JSON value"));
         }
         Ok(v)
+    }
+
+    /// Compact serialization (no whitespace), deterministic for a given
+    /// value since objects keep insertion order.
+    pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the compact serialization of `self` to `out`.
+    fn encode_into(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => push_int(out, *n as i64),
+            Json::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => escape_into(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.encode_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(members) => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    escape_into(out, k);
+                    out.push(':');
+                    v.encode_into(out);
+                }
+                out.push('}');
+            }
+        }
     }
 
     /// Member lookup on an object; `None` for other variants or missing
@@ -221,6 +269,10 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut bytes: Vec<u8> = Vec::new();
         loop {
+            let rest = &self.src[self.pos..];
+            let run = special_at(rest);
+            bytes.extend_from_slice(&rest[..run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -249,13 +301,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                Some(c) => {
-                    bytes.push(c);
-                    self.pos += 1;
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
         String::from_utf8(bytes).map_err(|_| self.err("string is not valid UTF-8"))
@@ -332,59 +378,93 @@ impl<'a> Parser<'a> {
 }
 
 impl fmt::Display for Json {
-    /// Compact serialization (no whitespace), deterministic for a given
-    /// value since objects keep insertion order.
+    /// [`Json::encode`], written in one piece.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        f.write_str(&self.encode())
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// True for the bytes a JSON string cannot carry raw: `"`, `\` and the
+/// control bytes below 0x20.
+fn is_special(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// The index of the first [`is_special`] byte of `bytes`, or its length.
+///
+/// Tests a word of eight bytes per step: `w - 0x01…01 & !w & 0x80…80`
+/// flags the zero bytes of `w`, so XOR with a repeated byte flags its
+/// copies, and subtracting `0x20…20` instead flags the bytes below 0x20.
+/// A borrow can flag a byte above a true hit, never below one, so the
+/// lowest flag of a little-endian load is the first special byte.
+fn special_at(bytes: &[u8]) -> usize {
+    const LOW: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    let below = |w: u64, n: u8| w.wrapping_sub(LOW * n as u64) & !w & HIGH;
+    let mut i = 0;
+    while let Some(word) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("an eight-byte slice"));
+        let hits =
+            below(w ^ (LOW * b'"' as u64), 1) | below(w ^ (LOW * b'\\' as u64), 1) | below(w, 0x20);
+        if hits != 0 {
+            return i + (hits.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    let tail = &bytes[i..];
+    i + tail
+        .iter()
+        .position(|&b| is_special(b))
+        .unwrap_or(tail.len())
+}
+
+/// Appends `s` as a JSON string literal, copying each run between
+/// escapes whole.
+fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut rest = s;
+    loop {
+        let run = special_at(rest.as_bytes());
+        out.push_str(&rest[..run]);
+        let Some(&b) = rest.as_bytes().get(run) else {
+            break;
+        };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        // The escaped byte is ASCII, so the rest starts on a boundary.
+        rest = &rest[run + 1..];
+    }
+    out.push('"');
+}
+
+/// Appends `n` in decimal.
+fn push_int(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut m = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -402,8 +482,12 @@ mod tests {
         assert_eq!(roundtrip("false"), "false");
         assert_eq!(roundtrip(" 42 "), "42");
         assert_eq!(roundtrip("-7"), "-7");
+        assert_eq!(roundtrip("-0"), "0");
         assert_eq!(roundtrip("1.5"), "1.5");
+        assert_eq!(roundtrip("-0.25"), "-0.25");
         assert_eq!(roundtrip("1e3"), "1000");
+        assert_eq!(roundtrip("8999999999999999"), "8999999999999999");
+        assert_eq!(roundtrip("9e15"), "9000000000000000");
         assert_eq!(roundtrip("\"hi\""), "\"hi\"");
     }
 
@@ -449,6 +533,130 @@ mod tests {
     fn rejects_pathological_nesting() {
         let deep = "[".repeat(100_000);
         assert!(Json::parse(deep.as_bytes()).is_err());
+    }
+
+    /// The per-character escaper the run-based one replaced: every
+    /// character through `write!`. The oracle for [`escape_into`].
+    fn reference_escaped(s: &str) -> String {
+        let mut f = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => f.push_str("\\\""),
+                '\\' => f.push_str("\\\\"),
+                '\n' => f.push_str("\\n"),
+                '\r' => f.push_str("\\r"),
+                '\t' => f.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32).unwrap(),
+                c => write!(f, "{c}").unwrap(),
+            }
+        }
+        f.push('"');
+        f
+    }
+
+    /// Every character class the escaper and the scan tell apart: each
+    /// control byte, `"`, `\`, DEL, plain ASCII, and 2-, 3- and 4-byte
+    /// UTF-8.
+    fn specials() -> Vec<char> {
+        let mut out: Vec<char> = (0u8..0x20).map(char::from).collect();
+        out.extend(['"', '\\', '\u{7f}', ' ', '~', 'é', '€', '😀']);
+        out
+    }
+
+    /// `s` must encode as the reference does, and parse back to itself,
+    /// as a string and as an object key.
+    fn assert_codec(s: &str) {
+        let encoded = Json::Str(s.to_string()).encode();
+        assert_eq!(encoded, reference_escaped(s), "{s:?}");
+        assert_eq!(
+            Json::parse(encoded.as_bytes()),
+            Ok(Json::Str(s.to_string()))
+        );
+        let obj = Json::Obj(vec![(s.to_string(), Json::Num(-12.0))]);
+        assert_eq!(Json::parse(obj.encode().as_bytes()), Ok(obj));
+    }
+
+    #[test]
+    fn encoder_matches_the_per_character_reference_at_every_word_offset() {
+        // One special character at every offset of strings of 0..=17
+        // filler bytes: offsets 0..=7 of the first and second word, and
+        // the last byte.
+        for special in specials() {
+            for len in 0..=17 {
+                for at in 0..=len {
+                    let mut s: String = "abcdefghijklmnopq"[..len].to_string();
+                    s.insert(at, special);
+                    assert_codec(&s);
+                }
+            }
+        }
+        // Seeded mixes of specials and filler, runs of every length.
+        let pool: Vec<char> = specials()
+            .into_iter()
+            .chain("plain ASCII".chars())
+            .collect();
+        let mut rng = arrayflow_workloads::Prng::seed_from_u64(26);
+        for _ in 0..2_000 {
+            let len = rng.below(40) as usize;
+            let s: String = (0..len)
+                .map(|_| pool[rng.below(pool.len() as u64) as usize])
+                .collect();
+            assert_codec(&s);
+        }
+    }
+
+    #[test]
+    fn word_scan_finds_the_first_special_byte() {
+        // Bytes next to the thresholds, where a borrow between lanes
+        // could flag the wrong byte.
+        let pool = [
+            0x00, 0x01, 0x1f, 0x20, 0x21, b'"', b'#', b'[', b'\\', b']', 0x7f, 0x80, 0xc3, 0xff,
+        ];
+        let mut rng = arrayflow_workloads::Prng::seed_from_u64(7);
+        for _ in 0..20_000 {
+            let len = rng.below(24) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| pool[rng.below(pool.len() as u64) as usize])
+                .collect();
+            let want = bytes.iter().position(|&b| is_special(b)).unwrap_or(len);
+            assert_eq!(special_at(&bytes), want, "{bytes:02x?}");
+        }
+    }
+
+    #[test]
+    fn parse_checks_survive_the_word_scan() {
+        // Each bad byte sits past the first word, after clean filler the
+        // scan skips a word at a time; the error names its exact offset.
+        let filler = "abcdefghijklmnop";
+        for len in 0..=filler.len() {
+            let head = format!("\"{}", &filler[..len]);
+            let bad = |tail: &[u8]| {
+                let mut input = head.clone().into_bytes();
+                input.extend_from_slice(tail);
+                Json::parse(&input).unwrap_err()
+            };
+            for control in 0u8..0x20 {
+                let e = bad(&[control, b'"']);
+                assert_eq!(e.pos, 1 + len, "control 0x{control:02x} after {len}");
+                assert_eq!(e.message, "unescaped control character in string");
+            }
+            let e = bad(b"\\q\"");
+            assert_eq!((e.pos, e.message.as_str()), (2 + len, "invalid escape"));
+            let e = bad(b"\\ud800x\"");
+            assert_eq!(e.message, "expected `\\`");
+            let e = bad(b"\\udc00\"");
+            assert_eq!(e.message, "unpaired surrogate");
+            let e = bad(b"\xff\xfezz\"");
+            assert_eq!(
+                (e.pos, e.message.as_str()),
+                (len + 6, "string is not valid UTF-8")
+            );
+            let e = bad(b"zz");
+            assert_eq!(
+                (e.pos, e.message.as_str()),
+                (len + 3, "unterminated string")
+            );
+        }
     }
 
     #[test]

@@ -390,7 +390,7 @@ impl JsonRequest {
             .chain([("deadline_ms", self.deadline_ms.map(num))])
             .filter_map(|(name, value)| Some((name.to_string(), value?)))
             .collect();
-        Ok(Json::Obj(members).to_string())
+        Ok(Json::Obj(members).encode())
     }
 }
 
@@ -500,7 +500,7 @@ pub fn encode_ok(id: &Json, result: Json) -> String {
         ("ok".into(), Json::Bool(true)),
         ("result".into(), result),
     ])
-    .to_string()
+    .encode()
 }
 
 /// Encodes an error response line (without trailing newline).
@@ -516,7 +516,7 @@ pub fn encode_err(id: &Json, err: &ServiceError) -> String {
             ]),
         ),
     ])
-    .to_string()
+    .encode()
 }
 
 /// Splits a response line into ok / structured error / protocol noise:

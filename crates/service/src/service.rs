@@ -243,6 +243,7 @@ struct ServiceInstruments {
     wasted_passes: Histogram,
     phase_decode: Histogram,
     phase_parse: Histogram,
+    phase_encode: Histogram,
 }
 
 impl ServiceInstruments {
@@ -325,6 +326,7 @@ impl ServiceInstruments {
             ),
             phase_decode: phase("decode"),
             phase_parse: phase("parse"),
+            phase_encode: phase("encode"),
         }
     }
 }
@@ -581,6 +583,14 @@ impl Service {
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.job_ready.notify_all();
+        // Wake the supervisor from its poll so a join need not wait it out.
+        let slot = self
+            .supervisor
+            .lock()
+            .expect("no panic holds the supervisor slot");
+        if let Some(supervisor) = slot.as_ref() {
+            supervisor.thread().unpark();
+        }
     }
 
     /// Joins the worker pool. Call after [`Service::shutdown`]; returns
@@ -588,8 +598,14 @@ impl Service {
     /// and (with a store) every queued append has reached disk.
     pub fn join_workers(&self) {
         // The supervisor goes first so it cannot respawn a worker while
-        // the pool drains below.
-        if let Some(h) = self.supervisor.lock().unwrap().take() {
+        // the pool drains below. Its handle leaves the lock before the
+        // join, so a concurrent `shutdown` can still take the lock.
+        let supervisor = self
+            .supervisor
+            .lock()
+            .expect("no panic holds the supervisor slot")
+            .take();
+        if let Some(h) = supervisor {
             let _ = h.join();
         }
         let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
@@ -637,7 +653,12 @@ impl Service {
                 (e.kind.as_str(), e.kind == ErrorKind::Cancelled)
             }
         };
-        let encoded = edge.encode(outcome);
+        // The reply may run after the worker uninstalled the trace, so
+        // the encode span is recorded on the request's trace here.
+        let encoded = with_current(trace, || {
+            let _span = observed_span("encode", &self.ins.phase_encode);
+            edge.encode(outcome)
+        });
         // Cancelled work answered nobody in time: like oversized frames it
         // keeps its own counters and stays out of `requests` and the
         // latency histogram, where a flood of dead requests would otherwise
@@ -942,10 +963,11 @@ impl Service {
     /// reasons — shutdown, or a crash (today reachable only through the
     /// `worker_exit` fault seam; the job path is panic-isolated) — so the
     /// supervisor polls cheaply and respawns until shutdown, keeping the
-    /// pool at full strength no matter how many workers chaos kills.
+    /// pool at full strength no matter how many workers chaos kills. The
+    /// poll parks, and [`Service::shutdown`] unparks it.
     fn supervisor_loop(self: Arc<Self>) {
         while !self.is_shutdown() {
-            std::thread::sleep(Duration::from_millis(20));
+            std::thread::park_timeout(Duration::from_millis(20));
             let mut workers = self.workers.lock().unwrap();
             let mut i = 0;
             while i < workers.len() {
@@ -1035,7 +1057,7 @@ impl Service {
             } => {
                 let mut result =
                     self.engine
-                        .solve(0, &parse(source)?, *problem, *distance_bound, should_stop);
+                        .solve(0, parse(source)?, *problem, *distance_bound, should_stop);
                 match result.error.take() {
                     Some(e) => Err(failed(e)),
                     None => Ok(Answer::Loops(result)),
@@ -1161,6 +1183,26 @@ mod tests {
         assert_eq!(responses(&svc, "cancelled"), Some(1));
         svc.shutdown();
         svc.join_workers();
+    }
+
+    #[test]
+    fn shutdown_wakes_the_supervisor_instead_of_waiting_out_its_poll() {
+        // Each idle service lives 2 ms, long enough for its supervisor to
+        // enter its 20 ms poll. A join that waited the poll out would put
+        // forty cycles past 720 ms.
+        let started = Instant::now();
+        for _ in 0..40 {
+            let svc = Service::start(ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            })
+            .unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            svc.shutdown();
+            svc.join_workers();
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(400), "40 cycles took {took:?}");
     }
 
     #[test]

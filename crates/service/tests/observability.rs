@@ -175,7 +175,7 @@ fn pass_histograms_and_effort_counters_sum_the_reports() {
         .collect();
     let specs = CANNED.iter().map(|&(_, spec)| spec).chain([live]);
     for (p, spec) in programs[6..].iter().zip(specs) {
-        results.push(engine.solve(0, p, Problem::Custom(spec), 8, None));
+        results.push(engine.solve(0, p.clone(), Problem::Custom(spec), 8, None));
     }
     let reports: Vec<_> = results
         .iter()
@@ -552,9 +552,10 @@ fn serve_store_open_failure_is_structured_and_nonzero() {
 }
 
 /// `--slow-log 0` logs every request to stderr with its trace id and
-/// per-phase span breakdown, and each request's spans fit within its
-/// latency: without a store the recorded spans are disjoint, and each is
-/// truncated to whole microseconds, so they sum to at most `total_us`.
+/// per-phase span breakdown — the answer's `encode` included — and each
+/// request's spans fit within its latency: without a store the recorded
+/// spans are disjoint, and each is truncated to whole microseconds, so
+/// they sum to at most `total_us`.
 #[test]
 fn slow_log_zero_emits_span_breakdown_per_request() {
     use std::io::Write;
@@ -610,7 +611,15 @@ fn slow_log_zero_emits_span_breakdown_per_request() {
         .iter()
         .find(|l| l.contains("queue_wait="))
         .unwrap_or_else(|| panic!("no analyze slow-log line with spans: {slow:?}"));
-    for span in ["decode=", "queue_wait=", "parse=", "solve=", "total_us="] {
+    for span in [
+        "decode=",
+        "queue_wait=",
+        "parse=",
+        "fingerprint=",
+        "solve=",
+        "encode=",
+        "total_us=",
+    ] {
         assert!(
             analyze_line.contains(span),
             "slow-log line missing {span}: {analyze_line}"
