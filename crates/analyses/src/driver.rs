@@ -183,14 +183,26 @@ impl LoopAnalysis {
         ]
     }
 
+    /// Iteration passes the solves of the three column families spent:
+    /// what an analysis stopped after its last solve has wasted.
+    pub fn solved_passes(&self) -> u64 {
+        let instances = self.instances();
+        (0..CANNED.len())
+            .filter(|&k| canned_source(k) == k)
+            .map(|k| instances[k].sol.stats.passes as u64)
+            .sum()
+    }
+
     /// All guaranteed constant-distance reuse pairs (§4.1.1).
     pub fn reuse_pairs(&self) -> Vec<Reuse> {
-        reuse_pairs(&self.graph, &self.sites, &self.available, None)
+        reuse_pairs(&self.graph, &self.sites, &self.available, None, None)
+            .expect("no stop check installed")
     }
 
     /// All δ-redundant stores (§4.2.1).
     pub fn redundant_stores(&self) -> Vec<RedundantStore> {
-        redundant_stores(&self.graph, &self.sites, &self.busy, None)
+        redundant_stores(&self.graph, &self.sites, &self.busy, None, None)
+            .expect("no stop check installed")
     }
 
     /// All potential dependences with distance at most `max_distance`
@@ -202,7 +214,9 @@ impl LoopAnalysis {
             &self.reaching_refs,
             max_distance,
             None,
+            None,
         )
+        .expect("no stop check installed")
     }
 
     /// Renders a site as source text, e.g. `A[i + 2]`.

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use arrayflow_graph::{LoopGraph, NodeId, NodeKind};
 use arrayflow_ir::stmt::StmtId;
 use arrayflow_ir::visit::modified_scalars;
-use arrayflow_ir::{AffineSub, ArrayRef, Block, LinExpr, Loop, Stmt, SymbolTable, VarId};
+use arrayflow_ir::{AffineSub, ArrayId, ArrayRef, Block, LinExpr, Loop, Stmt, SymbolTable, VarId};
 
 /// One array reference site in the loop, with its analysis classification.
 ///
@@ -33,6 +33,10 @@ use arrayflow_ir::{AffineSub, ArrayRef, Block, LinExpr, Loop, Stmt, SymbolTable,
 pub struct Site {
     /// Node the site occurs in.
     pub node: NodeId,
+    /// The referenced array, `aref.array` kept inline: the report
+    /// distillers and the incremental patch group sites by array without
+    /// dereferencing the shared reference.
+    pub array: ArrayId,
     /// The reference as written, shared with the graph node it occurs in.
     pub aref: Arc<ArrayRef>,
     /// Linearized affine subscript, when the site is analyzable.
@@ -160,7 +164,7 @@ impl<'a> Linearizer<'a> {
     /// extents of all later dimensions, as a linear expression. Unknown
     /// extents become named symbols; a product of two unknowns becomes a
     /// single fresh symbol so the result stays linear.
-    fn stride(&mut self, array: arrayflow_ir::ArrayId, dim: usize) -> LinExpr {
+    fn stride(&mut self, array: ArrayId, dim: usize) -> LinExpr {
         let info = self.symbols.array_info(array);
         let mut known: i64 = 1;
         let mut unknown: Vec<usize> = Vec::new();
@@ -266,6 +270,7 @@ fn push_node_sites(
             .filter(|s| lin.sound(s, env, &allowed));
         sites.push(Site {
             node: node_id,
+            array: site.aref.array,
             aref: Arc::clone(&site.aref),
             sub: sub.map(Arc::new),
             is_def: site.is_def,

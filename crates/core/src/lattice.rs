@@ -133,6 +133,7 @@ pub(crate) mod lane {
     }
 
     /// Decodes a lane.
+    #[inline]
     pub fn decode(l: u64) -> Dist {
         match l {
             0 => Dist::Bottom,

@@ -27,10 +27,11 @@
 //! is separable (each column evolves independently), and solves each
 //! array's columns on that array's projected flow graph, since every node
 //! without a site on the array is the identity for them. A [`Solution`] carries
-//! the fixed point, each column's [`ColumnProfile`] entry (the pass that
-//! last changed it) and the [`SolveStats`] of the equivalent round-robin
-//! schedule, so incremental re-analysis can re-solve only the columns an
-//! edit dirties and [`Solution::splice`] the rest.
+//! the fixed point, one block of columns per array, each column's
+//! [`ColumnProfile`] entry (the pass that last changed it) and the
+//! [`SolveStats`] of the equivalent round-robin schedule, so incremental
+//! re-analysis can re-solve only the columns an edit dirties and
+//! [`Solution::splice`] the rest, sharing whole blocks.
 //!
 //! ```
 //! use arrayflow_core::{solve, Direction, Mode, ProblemSpec, KillKind, Dist};

@@ -37,9 +37,11 @@
 //! [`SolveStats`] are the round-robin schedule's: `max(profile) + 1`
 //! passes of `N` visits each (the last one confirming), plus the
 //! initialization pass for must-problems. Columns are stored sparse, one
-//! lane pair per projected node; a value anywhere else comes from a
-//! lookup, and a full row is built only when asked for
-//! ([`Solution::before_row`]).
+//! lane pair per projected node, and a group's columns side by side in
+//! one block, so a solve allocates per group rather than per column and a
+//! splice shares a group's columns with one reference count; a value
+//! anywhere else comes from a lookup, and a full row is built only when
+//! asked for ([`Solution::before_row`]).
 
 use std::sync::Arc;
 
@@ -103,56 +105,83 @@ pub type ColumnProfile = Vec<u32>;
 /// exit; for a backward problem "before" is at node *exit* (the paper's
 /// `IN` for backward problems) and "after" at node entry.
 ///
+/// The columns of one group (one generated array) live side by side in
+/// one block, after the group's projection slots; a column is its block
+/// and its offset there. Blocks are immutable once solved, so
+/// solutions that splice or select columns share whole blocks instead of
+/// copying lanes.
+///
 /// Two solutions are equal when they agree on the statistics, the profile
-/// and every value at every node, whatever projections hold them: a
-/// column selected from a wider solve keeps that solve's projection.
+/// and every value at every node, whatever blocks hold them: a column
+/// selected from a wider solve keeps that solve's projection.
 #[derive(Clone)]
 pub struct Solution {
     nodes: usize,
-    /// Columns are immutable once solved, so solutions that splice a
-    /// column share it instead of copying it.
-    columns: Vec<Column>,
+    /// The blocks the columns live in.
+    blocks: Vec<Arc<Block>>,
+    /// Per column: its block's index in `blocks` and the offset of its
+    /// lanes within the block.
+    columns: Vec<(u32, u32)>,
     /// Last changing pass per column (see [`ColumnProfile`]).
     pub profile: ColumnProfile,
     /// Instrumentation, in round-robin-equivalent terms.
     pub stats: SolveStats,
 }
 
-/// One solved column: the before lanes of its group's projected nodes,
-/// then their after lanes.
-#[derive(Clone)]
-struct Column {
-    projection: Arc<Projection>,
-    group: u32,
-    lanes: Arc<[u64]>,
+/// One solved column group, in one buffer pre-sized from its column and
+/// projected node counts: the slot of every node (two per word), then per
+/// column, in column order, the before lanes of the group's projected
+/// nodes and then their after lanes. Node `v`'s slot is its index within
+/// the group's projection with [`OWN`] set when `v` is projected, else the
+/// index of its projected predecessor.
+struct Block {
+    data: Vec<u64>,
+    /// Projected nodes of the group: half a column's lanes.
+    len: u32,
 }
 
-impl Column {
-    /// The lane flowing into (`after = false`) or out of `node`.
-    fn lane(&self, nodes: usize, node: usize, after: bool) -> u64 {
-        let slot = self.projection.slot[self.group as usize * nodes + node];
-        let j = (slot & !OWN) as usize;
-        match slot & OWN != 0 && !after {
-            true => self.lanes[j],
-            false => self.lanes[self.lanes.len() / 2 + j],
-        }
+impl Block {
+    /// Words holding the slots of `nodes` nodes.
+    fn slot_words(nodes: usize) -> usize {
+        nodes.div_ceil(2)
+    }
+
+    #[inline]
+    fn slot(&self, node: usize) -> u32 {
+        (self.data[node / 2] >> (node % 2 * 32)) as u32
     }
 }
 
 impl Solution {
+    /// The lane of column `d` flowing into (`after = false`) or out of
+    /// `node`.
+    #[inline]
+    fn lane(&self, d: usize, node: usize, after: bool) -> u64 {
+        let (b, offset) = self.columns[d];
+        let block = &*self.blocks[b as usize];
+        let slot = block.slot(node);
+        let j = offset as usize + (slot & !OWN) as usize;
+        match slot & OWN != 0 && !after {
+            true => block.data[j],
+            false => block.data[j + block.len as usize],
+        }
+    }
+
     /// Number of tracked references (columns).
     pub fn width(&self) -> usize {
         self.columns.len()
     }
 
     /// The solution component for reference `d` flowing into `node`.
+    #[inline]
     pub fn before_at(&self, node: NodeId, d: RefId) -> Dist {
-        lane::decode(self.columns[d.index()].lane(self.nodes, node.index(), false))
+        lane::decode(self.lane(d.index(), node.index(), false))
     }
 
     /// The solution component for reference `d` flowing out of `node`.
+    #[inline]
     pub fn after_at(&self, node: NodeId, d: RefId) -> Dist {
-        lane::decode(self.columns[d.index()].lane(self.nodes, node.index(), true))
+        lane::decode(self.lane(d.index(), node.index(), true))
     }
 
     /// The tuple flowing into `node`, one value per reference.
@@ -171,41 +200,61 @@ impl Solution {
 
     /// Assembles a converged solution over a `nodes`-node graph column by
     /// column — the incremental splice: each `(source, column)` pair names
-    /// a column of a solution over the same graph, which the result shares
-    /// rather than copies; its profile entry travels with it, and the
+    /// a column of a solution over the same graph, whose block the result
+    /// shares rather than copies (one `Arc` per block, however many of
+    /// its columns are taken); its profile entry travels with it, and the
     /// statistics are re-derived from the spliced profile.
     pub fn splice<'a>(
         nodes: usize,
         mode: Mode,
         columns: impl IntoIterator<Item = (&'a Solution, usize)>,
     ) -> Solution {
-        let (columns, profile): (Vec<_>, ColumnProfile) = columns
-            .into_iter()
-            .map(|(src, d)| (src.columns[d].clone(), src.profile[d]))
-            .unzip();
-        let stats = SolveStats::of_profile(&profile, nodes, mode, None);
-        Solution {
+        let columns = columns.into_iter();
+        let mut spliced = Solution {
             nodes,
-            columns,
-            profile,
-            stats,
+            blocks: Vec::new(),
+            columns: Vec::with_capacity(columns.size_hint().0),
+            profile: Vec::with_capacity(columns.size_hint().0),
+            stats: SolveStats::default(),
+        };
+        // Per source solution, its blocks' indices in the result
+        // (`u32::MAX` until one of their columns is taken).
+        let mut sources: Vec<(&Solution, Vec<u32>)> = Vec::new();
+        for (src, d) in columns {
+            let at = match sources.iter().position(|(s, _)| std::ptr::eq(*s, src)) {
+                Some(at) => at,
+                None => {
+                    sources.push((src, vec![u32::MAX; src.blocks.len()]));
+                    sources.len() - 1
+                }
+            };
+            let (b, offset) = src.columns[d];
+            let index = &mut sources[at].1[b as usize];
+            if *index == u32::MAX {
+                *index = spliced.blocks.len() as u32;
+                spliced.blocks.push(Arc::clone(&src.blocks[b as usize]));
+            }
+            spliced.columns.push((*index, offset));
+            spliced.profile.push(src.profile[d]);
         }
+        spliced.stats = SolveStats::of_profile(&spliced.profile, nodes, mode, None);
+        spliced
     }
 }
 
 impl PartialEq for Solution {
     fn eq(&self, other: &Self) -> bool {
-        let same_lanes = |(a, b): (&Column, &Column)| {
+        let same_lanes = |d: usize| {
             (0..self.nodes).all(|v| {
-                a.lane(self.nodes, v, false) == b.lane(self.nodes, v, false)
-                    && a.lane(self.nodes, v, true) == b.lane(self.nodes, v, true)
+                self.lane(d, v, false) == other.lane(d, v, false)
+                    && self.lane(d, v, true) == other.lane(d, v, true)
             })
         };
         self.nodes == other.nodes
             && self.stats == other.stats
             && self.profile == other.profile
-            && self.columns.len() == other.columns.len()
-            && self.columns.iter().zip(&other.columns).all(same_lanes)
+            && self.width() == other.width()
+            && (0..self.width()).all(same_lanes)
     }
 }
 
@@ -286,10 +335,10 @@ pub fn solve_passes(graph: &LoopGraph, spec: &ProblemSpec, passes: usize) -> Sol
     run(graph, spec, Some(passes), None).expect("no stop check installed")
 }
 
-/// [`Projection::slot`] flag: the node is itself a projected node.
+/// A slot's flag: the node is itself a projected node.
 const OWN: u32 = 1 << 31;
 
-/// [`Projection::slot`] mark of a group's site before its flow-order pass.
+/// The slot mark of a group's site before its flow-order pass.
 const SITE: u32 = u32::MAX;
 
 /// Every column group's projected flow graph, in one set of flat arrays.
@@ -302,7 +351,7 @@ const SITE: u32 = u32::MAX;
 /// value of one projected node, its projected predecessor, into and out
 /// of itself, and within a pass it changes exactly when that value does.
 /// So a column solved over its projection holds the round-robin values at
-/// projected nodes, and through [`Projection::slot`] at every other one,
+/// projected nodes, and through its block's slots at every other one,
 /// after every pass — and changes on the same passes.
 struct Projection {
     /// Group `g`'s projected nodes are `order[first[g]..first[g + 1]]`.
@@ -318,10 +367,6 @@ struct Projection {
     /// reaches within a pass: its last projected successor (`j` itself for
     /// the last).
     reach: Vec<u32>,
-    /// `slot[g * N + v]`: node `v`'s index within group `g`'s projection
-    /// with [`OWN`] set when `v` is projected, else the index of its
-    /// projected predecessor ([`SITE`] while `v` waits for its pass).
-    slot: Vec<u32>,
 }
 
 /// One group's projected flow graph.
@@ -341,7 +386,9 @@ impl View<'_> {
 impl Projection {
     /// Projects `graph`, in `direction`'s flow order, onto each group of
     /// `table`: one flow-order pass per group over flat, shared arrays.
-    fn new(graph: &LoopGraph, direction: Direction, table: &FlowTable) -> Self {
+    /// Each pass leaves its group's slots, which start the group's block,
+    /// sized for the group's columns.
+    fn new(graph: &LoopGraph, direction: Direction, table: &FlowTable) -> (Self, Vec<Block>) {
         let (n, rpo) = (graph.len(), graph.rpo());
         // Flow order is reverse postorder forward and its reverse
         // backward; every node is on it (a `LoopGraph` invariant), and the
@@ -359,17 +406,35 @@ impl Projection {
             starts: vec![0],
             preds: Vec::new(),
             reach: Vec::new(),
-            slot: vec![0; groups * n],
         };
         p.first.push(0);
-        // Each group's pass reads a node's own slot only for this mark,
-        // and only before writing it.
-        for &(g, v) in &table.sites {
-            p.slot[g as usize * n + v as usize] = SITE;
+        // Each group's columns, and its sites: group g's are
+        // `sites[first_site[g]..first_site[g + 1]]`.
+        let (mut width, mut first_site) = (vec![0; groups], vec![0; groups + 1]);
+        for &g in &table.group {
+            width[g as usize] += 1;
+        }
+        for &(g, _) in &table.sites {
+            first_site[g as usize + 1] += 1;
         }
         for g in 0..groups {
+            first_site[g + 1] += first_site[g];
+        }
+        let (mut sites, mut next) = (vec![0; table.sites.len()], first_site.clone());
+        for &(g, v) in &table.sites {
+            sites[next[g as usize]] = v as usize;
+            next[g as usize] += 1;
+        }
+        let mut blocks = Vec::with_capacity(groups);
+        // One row of slots, overwritten by every group's pass.
+        let mut slot = vec![0; n];
+        for g in 0..groups {
             let base = p.order.len();
-            let slot = &mut p.slot[g * n..(g + 1) * n];
+            // The pass reads a node's own slot only for this mark, and
+            // only before writing it.
+            for &v in &sites[first_site[g]..first_site[g + 1]] {
+                slot[v] = SITE;
+            }
             for i in 0..n {
                 let node = at(i);
                 let (v, preds) = (node.index(), flow_preds(node));
@@ -407,8 +472,17 @@ impl Projection {
                 }
             }
             p.first.push(p.order.len());
+            let mut data = Vec::with_capacity(Block::slot_words(n) + 2 * k * width[g]);
+            let pairs = slot.chunks_exact(2);
+            let last = pairs.remainder().first().copied().map(u64::from);
+            data.extend(pairs.map(|pair| u64::from(pair[0]) | u64::from(pair[1]) << 32));
+            data.extend(last);
+            blocks.push(Block {
+                data,
+                len: k as u32,
+            });
         }
-        p
+        (p, blocks)
     }
 
     /// Group `g`'s projected flow graph.
@@ -421,15 +495,6 @@ impl Projection {
             reach: &self.reach[first..last],
         }
     }
-
-    /// Nodes in the largest group's projection.
-    fn widest(&self) -> usize {
-        self.first
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// The one solver: every column in turn over its group's projection,
@@ -441,19 +506,18 @@ fn run(
     should_stop: Option<StopCheck<'_>>,
 ) -> Result<Solution, Stopped> {
     let table = FlowTable::build(graph, spec);
-    let projection = Arc::new(Projection::new(graph, spec.direction, &table));
+    let (projection, mut blocks) = Projection::new(graph, spec.direction, &table);
     let (n, m) = (graph.len(), spec.width());
     let poll = |passes_completed| match should_stop.is_some_and(|stop| stop()) {
         true => Err(Stopped { passes_completed }),
         false => Ok(()),
     };
     poll(0)?;
+    // Each group's block holds its slots and then its columns' lanes side
+    // by side, in column order; column d is solved in place at the end of
+    // its block, which it extends. Its preserve constants are scattered
+    // over the nodes and cleared again after its solve.
     let (mut columns, mut profile) = (Vec::with_capacity(m), Vec::with_capacity(m));
-    // Column d is solved in `lanes` (before, then after, per projected
-    // node), which stays hot in cache, and then copied out once. Its
-    // preserve constants are scattered over the nodes and cleared again
-    // after its solve.
-    let mut lanes = vec![0; 2 * projection.widest()];
     let mut preserve = vec![lane::TOP; n];
     let cap32 = cap.map_or(HARD_CAP, |c| c.min(HARD_CAP as usize) as u32);
     let (mut work, mut polled) = (0, 0);
@@ -462,19 +526,18 @@ fn run(
         for &(node, p) in entries {
             preserve[node as usize] = p;
         }
-        let group = table.group[d];
-        let view = projection.view(group as usize);
-        let lanes = &mut lanes[..2 * view.order.len()];
-        let (b, a) = lanes.split_at_mut(view.order.len());
+        let group = table.group[d] as usize;
+        let view = projection.view(group);
+        let len = view.order.len();
+        let data = &mut blocks[group].data;
+        let offset = data.len();
+        data.resize(offset + 2 * len, 0);
+        let (b, a) = data[offset..].split_at_mut(len);
         let last_change = match spec.mode {
             Mode::Must => solve_column::<true>(&view, &table, d, &preserve, cap32, b, a),
             Mode::May => solve_column::<false>(&view, &table, d, &preserve, cap32, b, a),
         };
-        columns.push(Column {
-            projection: Arc::clone(&projection),
-            group,
-            lanes: Arc::from(&lanes[..]),
-        });
+        columns.push((group as u32, offset as u32));
         profile.push(last_change);
         for &(node, _) in entries {
             preserve[node as usize] = lane::TOP;
@@ -494,6 +557,7 @@ fn run(
     let stats = SolveStats::of_profile(&profile, n, spec.mode, cap);
     Ok(Solution {
         nodes: n,
+        blocks: blocks.into_iter().map(Arc::new).collect(),
         columns,
         profile,
         stats,

@@ -12,7 +12,7 @@ use arrayflow_analyses::{
     dependences, prepare_loop, redundant_stores, reuse_pairs, AnalyzeError, Dep, DepKind, Instance,
     LoopAnalysis, RedundantStore, Reuse, GK,
 };
-use arrayflow_core::{CustomSpec, Dist, SolveStats, CANNED};
+use arrayflow_core::{CustomSpec, Dist, SolveStats, StopCheck, Stopped, CANNED};
 use arrayflow_incremental::Session;
 use arrayflow_ir::{Fingerprint, Loop, SymbolTable};
 
@@ -177,12 +177,11 @@ impl AnalysisReport {
         // is cheap (≤ 3 passes per family), so a finer-grained lazy scheme
         // is not worth the code.
         let a = LoopAnalysis::of_loop_ctrl(l, symbols, should_stop)?;
-        Ok(Self::of_analysis(
-            fingerprint,
-            &a,
-            problems,
-            dep_max_distance,
-        ))
+        Self::distilled(fingerprint, &a, problems, dep_max_distance, should_stop).map_err(|_| {
+            AnalyzeError::Stopped {
+                passes: a.solved_passes(),
+            }
+        })
     }
 
     /// Distills the cacheable report from an already-converged analysis.
@@ -192,18 +191,33 @@ impl AnalysisReport {
         problems: ProblemSet,
         dep_max_distance: u64,
     ) -> Self {
+        Self::distilled(fingerprint, a, problems, dep_max_distance, None)
+            .expect("no stop check installed")
+    }
+
+    /// [`AnalysisReport::of_analysis`], polling `should_stop` once per
+    /// array group of each list it distills.
+    fn distilled(
+        fingerprint: Fingerprint,
+        a: &LoopAnalysis,
+        problems: ProblemSet,
+        dep_max_distance: u64,
+        should_stop: Option<StopCheck<'_>>,
+    ) -> Result<Self, Stopped> {
         let mut report = Self::unlisted(fingerprint, a, problems, dep_max_distance);
+        let (graph, sites) = (&a.graph, &a.sites);
         if problems.available {
-            report.reuses = reuse_pairs(&a.graph, &a.sites, &a.available, None);
+            report.reuses = reuse_pairs(graph, sites, &a.available, None, should_stop)?;
         }
         if problems.busy {
-            report.redundant_stores = redundant_stores(&a.graph, &a.sites, &a.busy, None);
+            report.redundant_stores = redundant_stores(graph, sites, &a.busy, None, should_stop)?;
         }
         if problems.reaching_refs {
+            let reach = &a.reaching_refs;
             report.dependences =
-                dependences(&a.graph, &a.sites, &a.reaching_refs, dep_max_distance, None);
+                dependences(graph, sites, reach, dep_max_distance, None, should_stop)?;
         }
-        report
+        Ok(report)
     }
 
     /// The report of an open [`Session`]'s current analysis under
@@ -564,5 +578,51 @@ mod tests {
             }
         }
         assert!(lines > 10_000, "the corpus rendered only {lines} lines");
+    }
+
+    /// Report distillation polls the stop check after the solver's last
+    /// poll: on the E16 512-statement loop, a check that fires on its
+    /// first poll past the solves yields `Stopped` with the solves'
+    /// passes, and a check that never fires yields `of_loop`'s report.
+    #[test]
+    fn distillation_polls_the_stop_check() {
+        use std::cell::Cell;
+
+        let shape = LoopShape {
+            stmts: 512,
+            arrays: 64,
+            ..LoopShape::default()
+        };
+        let mut p = random_loop(&shape, 42);
+        arrayflow_ir::normalize(&mut p);
+        p.renumber();
+        let (l, symbols) = (p.sole_loop().unwrap(), &p.symbols);
+        let fingerprint = arrayflow_ir::fingerprint_loop(l, symbols);
+        let report = |stop: StopCheck<'_>| {
+            AnalysisReport::of_loop_ctrl(l, symbols, fingerprint, ProblemSet::ALL, 8, Some(stop))
+        };
+        let polls = Cell::new(0);
+        let never = || {
+            polls.set(polls.get() + 1);
+            false
+        };
+        let analysis = LoopAnalysis::of_loop_ctrl(l, symbols, Some(&never)).unwrap();
+        let solver_polls = polls.replace(0);
+        let unstopped = report(&never).unwrap();
+        assert!(polls.get() > solver_polls, "distillation never polled");
+        let plain = AnalysisReport::of_loop(l, symbols, ProblemSet::ALL, 8).unwrap();
+        assert_eq!(unstopped, plain);
+        let polls = Cell::new(0);
+        let past_the_solves = || {
+            polls.set(polls.get() + 1);
+            polls.get() > solver_polls
+        };
+        let passes = analysis.solved_passes();
+        assert!(passes > 0);
+        assert_eq!(
+            report(&past_the_solves),
+            Err(AnalyzeError::Stopped { passes })
+        );
+        assert_eq!(polls.get(), solver_polls + 1);
     }
 }

@@ -94,17 +94,25 @@ fn batch_equals_sequential_driver() {
             let report = &lr.report;
             assert_eq!(
                 report.reuses,
-                reuse_pairs(&a.graph, &a.sites, &a.available, None),
+                reuse_pairs(&a.graph, &a.sites, &a.available, None, None).unwrap(),
                 "program {i} loop {level}: reuse pairs diverge from the driver"
             );
             assert_eq!(
                 report.redundant_stores,
-                redundant_stores(&a.graph, &a.sites, &a.busy, None),
+                redundant_stores(&a.graph, &a.sites, &a.busy, None, None).unwrap(),
                 "program {i} loop {level}: redundant stores diverge from the driver"
             );
             assert_eq!(
                 report.dependences,
-                dependences(&a.graph, &a.sites, &a.reaching_refs, DEP_MAX_DISTANCE, None),
+                dependences(
+                    &a.graph,
+                    &a.sites,
+                    &a.reaching_refs,
+                    DEP_MAX_DISTANCE,
+                    None,
+                    None
+                )
+                .unwrap(),
                 "program {i} loop {level}: dependences diverge from the driver"
             );
             assert_eq!(report.nodes, a.graph.len(), "program {i} loop {level}");

@@ -26,8 +26,9 @@
 //! ([`arrayflow_core::solve`] over a narrowed problem spec). The new
 //! solution then shares every column
 //! ([`arrayflow_core::Solution::splice`]) — re-solved ones from the
-//! narrowed solve, clean ones from the cached fixed point — and reaching
-//! definitions select theirs from δ-available values, as in a fresh
+//! narrowed solve, clean ones from the cached fixed point, one block of
+//! columns per array — and reaching definitions select theirs from
+//! δ-available values, as in a fresh
 //! [`LoopAnalysis`](arrayflow_analyses::LoopAnalysis). The merged
 //! statistics are reconstructed from the profiles, so the result is
 //! **byte-identical** to a from-scratch analysis of the edited program.
@@ -35,7 +36,10 @@
 //! ([`ReportLists`]: reuses, redundant stores, dependences). Every entry
 //! relates two sites of one array, so an edit drops the touched arrays'
 //! entries, renumbers the rest onto the new site table, distills only the
-//! touched arrays and merges the lists back in site order.
+//! touched arrays and merges the lists back in site order. And it keeps
+//! the loop's canonical walk recorded ([`arrayflow_ir::Tape`]): an edit
+//! re-records the edited assignment alone and replays the tape for the
+//! new fingerprint.
 //! Edits that change loop structure (a conditional or nested loop
 //! substituted in, a scalar assignment appearing or disappearing, an edit
 //! inside a nested loop) fall back to a full re-analysis and record that

@@ -1,7 +1,7 @@
 //! One analysis session: cached fixed point plus delta re-convergence.
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 use arrayflow_analyses::instances::Instance;
@@ -12,12 +12,13 @@ use arrayflow_analyses::{
     Reuse,
 };
 use arrayflow_core::{
-    canned_source, solve, CustomSpec, GenRef, ProblemSpec, RefId, Solution, StopCheck, CANNED,
+    canned_source, solve, CustomSpec, GenRef, ProblemSpec, RefId, Solution, StopCheck, Stopped,
+    CANNED,
 };
 use arrayflow_graph::{build_loop_graph, LoopGraph, NodeId, NodeKind};
 use arrayflow_ir::{
-    apply_edit, fingerprint_loop, normalize, parse_stmt_with, ArrayId, Assign, Edit, EditError,
-    Fingerprint, LValue, Program, Stmt, StmtId, SymbolTable,
+    apply_edit, normalize, parse_stmt_with, ArrayId, Assign, Edit, EditError, Fingerprint, LValue,
+    Program, Stmt, StmtId, SymbolTable, Tape,
 };
 
 /// Why a delta could not be applied. The session is left unchanged.
@@ -92,48 +93,53 @@ pub struct ReportLists {
 
 impl ReportLists {
     /// Distills the lists of `a` for the sites on `arrays` (every array
-    /// when `None`).
-    fn distill(a: &LoopAnalysis, dep_max_distance: u64, arrays: Option<&[ArrayId]>) -> Self {
-        ReportLists {
-            reuses: reuse_pairs(&a.graph, &a.sites, &a.available, arrays),
-            redundant_stores: redundant_stores(&a.graph, &a.sites, &a.busy, arrays),
-            dependences: dependences(
-                &a.graph,
-                &a.sites,
-                &a.reaching_refs,
-                dep_max_distance,
-                arrays,
-            ),
-        }
+    /// when `None`), polling `should_stop` once per array group of each.
+    fn distill(
+        a: &LoopAnalysis,
+        dep_max_distance: u64,
+        arrays: Option<&[ArrayId]>,
+        should_stop: Option<StopCheck<'_>>,
+    ) -> Result<Self, Stopped> {
+        let (graph, sites, reach) = (&a.graph, &a.sites, &a.reaching_refs);
+        Ok(ReportLists {
+            reuses: reuse_pairs(graph, sites, &a.available, arrays, should_stop)?,
+            redundant_stores: redundant_stores(graph, sites, &a.busy, arrays, should_stop)?,
+            dependences: dependences(graph, sites, reach, dep_max_distance, arrays, should_stop)?,
+        })
     }
 
-    /// The lists of `new`, the analysis after an edit that touched only
-    /// the `dirty` arrays: an untouched array keeps its entries, whose
-    /// columns and sites the edit left unchanged, renumbered from the old
-    /// site table (`old_sites`) onto the new one by `splice` and onto
-    /// `new`'s δ-available columns; the dirty arrays are distilled afresh,
-    /// and both merge back in site order. An untouched array has no site
-    /// at the edited node, which is all `splice` does not map.
+    /// The lists of `new`, the analysis after an edit of `old` that
+    /// touched only the `dirty` arrays: an untouched array keeps its
+    /// entries, whose columns and sites the edit left unchanged,
+    /// renumbered from the old site table onto the new one by `splice` and
+    /// onto `new`'s δ-available columns; the dirty arrays are distilled
+    /// afresh, and both merge back in site order. An untouched array has
+    /// no site at the edited node, which is all `splice` does not map.
+    /// Polls `should_stop` while distilling the dirty arrays.
     fn patched(
         &self,
-        old_sites: &[Site],
+        old: &LoopAnalysis,
         new: &LoopAnalysis,
         dirty: &[ArrayId],
         dep_max_distance: u64,
         splice: &SiteSplice,
-    ) -> Self {
-        let fresh = Self::distill(new, dep_max_distance, Some(dirty));
-        let clean = |site: usize| !dirty.contains(&old_sites[site].aref.array);
-        let columns = &new.available.built.gen_site;
+        should_stop: Option<StopCheck<'_>>,
+    ) -> Result<Self, Stopped> {
+        let fresh = Self::distill(new, dep_max_distance, Some(dirty), should_stop)?;
+        let clean = |site: usize| !dirty.contains(&old.sites[site].array);
+        // An untouched generator keeps its δ-available column, shifted
+        // past the edited node's columns.
+        let [at_old, at_new] = [(old, &splice.old), (new, &splice.new)]
+            .map(|(a, sites)| columns_at(&a.available.built.gen_site, sites));
         let reuses = self.reuses.iter().filter(|r| clean(r.use_site)).map(|r| {
-            let gen_site = splice.new_site(r.gen_site);
-            let gen = columns
-                .binary_search(&gen_site)
-                .expect("an untouched generator keeps a δ-available column");
+            let gen = match r.gen_site < splice.old.start {
+                true => r.gen,
+                false => RefId((r.gen.index() - at_old.len() + at_new.len()) as u32),
+            };
             Reuse {
                 use_site: splice.new_site(r.use_site),
-                gen: RefId(gen as u32),
-                gen_site,
+                gen,
+                gen_site: splice.new_site(r.gen_site),
                 ..*r
             }
         });
@@ -153,12 +159,20 @@ impl ReportLists {
             dst_site: splice.new_site(d.dst_site),
             ..*d
         });
-        ReportLists {
+        Ok(ReportLists {
             reuses: merged(reuses, fresh.reuses, |r| r.use_site),
             redundant_stores: merged(stores, fresh.redundant_stores, |s| s.store_site),
             dependences: merged(deps, fresh.dependences, |d| d.dst_site),
-        }
+        })
     }
+}
+
+/// The columns whose sites are in `sites`, given each column's site in
+/// site order (`gen_site`). The columns before them keep their indices
+/// when one node's sites are replaced, and those after them shift by the
+/// change in their count.
+fn columns_at(gen_site: &[usize], sites: &Range<usize>) -> Range<usize> {
+    gen_site.partition_point(|&s| s < sites.start)..gen_site.partition_point(|&s| s < sites.end)
 }
 
 /// Merges two lists ascending by `key` that share no key.
@@ -186,6 +200,9 @@ pub struct Session {
     raw: Option<Program>,
     /// Normalized + renumbered form of the source program.
     norm: Program,
+    /// The canonical walk of the normalized sole loop, recorded: an edit
+    /// re-records one assignment's segment and replays it.
+    tape: Tape,
     /// Canonical fingerprint of the normalized sole loop.
     fingerprint: Fingerprint,
     /// The converged analysis of the normalized loop; each instance's
@@ -197,13 +214,22 @@ pub struct Session {
     lists: ReportLists,
 }
 
+/// The analysis of a normalized program's sole loop, the loop's recorded
+/// walk, and the report lists at `dep_max_distance`.
 fn analyze_norm_ctrl(
     norm: &Program,
+    dep_max_distance: u64,
     should_stop: Option<StopCheck<'_>>,
-) -> Result<(Fingerprint, LoopAnalysis), AnalyzeError> {
+) -> Result<(Tape, LoopAnalysis, ReportLists), AnalyzeError> {
     let l = norm.sole_loop().ok_or(AnalyzeError::NotASingleLoop)?;
     let analysis = LoopAnalysis::of_loop_ctrl(l, &norm.symbols, should_stop)?;
-    Ok((fingerprint_loop(l, &norm.symbols), analysis))
+    let lists =
+        ReportLists::distill(&analysis, dep_max_distance, None, should_stop).map_err(|_| {
+            AnalyzeError::Stopped {
+                passes: analysis.solved_passes(),
+            }
+        })?;
+    Ok((Tape::of_loop(l), analysis, lists))
 }
 
 /// The renumbered program and its normalized form, `None` for the
@@ -301,6 +327,8 @@ struct Resolved {
     /// The edited node's sites in the old site table and in the new one.
     splice: SiteSplice,
     outcome: DeltaOutcome,
+    /// Iteration passes the narrowed solves spent.
+    passes: u64,
 }
 
 /// Re-converges `old`, the analysis of the loop before node `en`'s
@@ -328,15 +356,6 @@ fn resolve(
         }
         false => build_loop_graph(l),
     };
-    let touched = [&old.graph, &graph].map(|g| g.node(en).refs.iter());
-    let mut dirty_arrays: Vec<ArrayId> = touched
-        .into_iter()
-        .flatten()
-        .map(|r| r.aref.array)
-        .collect();
-    dirty_arrays.sort_unstable();
-    dirty_arrays.dedup();
-
     let spliced = match same {
         true => splice_sites(l, &graph, &old.symbols, &old.sites, en),
         false => None,
@@ -351,6 +370,11 @@ fn resolve(
     // The edited node's sites occupy one contiguous range of the site
     // table; everything after it shifts by the site-count delta.
     let splice = SiteSplice::of(&old.sites, &sites, en);
+    let touched = old.sites[splice.old.clone()].iter();
+    let touched = touched.chain(&sites[splice.new.clone()]);
+    let mut dirty_arrays: Vec<ArrayId> = touched.map(|s| s.array).collect();
+    dirty_arrays.sort_unstable();
+    dirty_arrays.dedup();
 
     let mut outcome = DeltaOutcome::default();
     let mut spent_passes: u64 = 0;
@@ -364,32 +388,44 @@ fn resolve(
             .spliced(sites, GK::of(spec), &splice),
         false => build_spec(sites, GK::of(spec), spec.direction, spec.mode),
     };
-    let resolve = |graph: &LoopGraph, _: &[Site], k: usize, built: BuiltSpec| {
+    let resolve = |graph: &LoopGraph, sites: &[Site], k: usize, built: BuiltSpec| {
         let (dir, mode) = (built.spec.direction, built.spec.mode);
         let old = old.instances()[k];
-        // Old column index by old site index (columns are in site order).
-        let old_col = |site: usize| old.built.gen_site.binary_search(&site).ok();
+        // A clean column's index in the old solution: the edited node's
+        // columns are the only ones added or removed.
+        let at_old = columns_at(&old.built.gen_site, &splice.old);
+        let at_new = columns_at(&built.gen_site, &splice.new);
+        let old_col = |c: usize| match c < at_new.start {
+            true => c,
+            false => c - at_new.len() + at_old.len(),
+        };
 
         // Classify each new column: clean columns name the old column
         // they splice from, dirty ones are re-solved as the columns of
-        // a narrowed spec.
+        // a narrowed spec. A column's array is its site's.
         let mut gens: Vec<GenRef> = Vec::new();
+        let mut arrays: Vec<ArrayId> = Vec::new();
         let mut columns: Vec<(bool, usize)> = Vec::with_capacity(built.spec.width());
-        for (gen, &site) in built.spec.gens.iter().zip(built.gen_site.iter()) {
-            let clean = gen.node != en && !dirty_arrays.contains(&gen.aref.array);
-            match splice.old_site(site).filter(|_| clean).and_then(old_col) {
-                Some(oc) => columns.push((false, oc)),
-                None => {
+        let rows = built.spec.gens.iter().zip(built.gen_site.iter());
+        for (c, (gen, &site)) in rows.enumerate() {
+            let array = sites[site].array;
+            match gen.node != en && !dirty_arrays.contains(&array) {
+                true => {
+                    let oc = old_col(c);
+                    debug_assert_eq!(Some(old.built.gen_site[oc]), splice.old_site(site));
+                    columns.push((false, oc));
+                }
+                false => {
                     let id = RefId(gens.len() as u32);
                     columns.push((true, id.index()));
                     gens.push(GenRef { id, ..gen.clone() });
+                    arrays.push(array);
                     dirty_sites[k][site] = true;
                 }
             }
         }
         // A column sees only its own array's kills: keep the arrays of
         // the dirty columns.
-        let mut arrays: Vec<ArrayId> = gens.iter().map(|g| g.aref.array).collect();
         arrays.sort_unstable();
         arrays.dedup();
         let kills = built.spec.kills.iter();
@@ -434,6 +470,7 @@ fn resolve(
         dirty_arrays,
         splice,
         outcome,
+        passes: spent_passes,
     })
 }
 
@@ -455,12 +492,12 @@ impl Session {
         should_stop: Option<StopCheck<'_>>,
     ) -> Result<Self, AnalyzeError> {
         let (norm, raw) = normalized(program);
-        let (fingerprint, analysis) = analyze_norm_ctrl(&norm, should_stop)?;
-        let lists = ReportLists::distill(&analysis, dep_max_distance, None);
+        let (mut tape, analysis, lists) = analyze_norm_ctrl(&norm, dep_max_distance, should_stop)?;
         Ok(Self {
             raw,
+            fingerprint: tape.fingerprint(&norm.symbols),
             norm,
-            fingerprint,
+            tape,
             analysis,
             dep_max_distance,
             lists,
@@ -470,6 +507,12 @@ impl Session {
     /// The canonical fingerprint of the current (edited-to-date) loop.
     pub fn fingerprint(&self) -> Fingerprint {
         self.fingerprint
+    }
+
+    /// The recorded canonical walk of the current loop, which
+    /// [`Session::fingerprint`] replays.
+    pub fn tape(&self) -> &Tape {
+        &self.tape
     }
 
     /// The converged analysis of the current loop.
@@ -508,7 +551,8 @@ impl Session {
     }
 
     /// Like [`Session::apply`], but polls `should_stop` between solver
-    /// passes. A stopped apply yields
+    /// passes and per array of the lists it re-distills. A stopped apply
+    /// yields
     /// [`AnalyzeError::Stopped`] (wrapped in [`DeltaError::Analyze`]) and
     /// leaves the session byte-identical to its pre-edit state — exactly
     /// like any other failed apply.
@@ -560,20 +604,29 @@ impl Session {
         };
         let norm = renormalized.as_ref().unwrap_or(&*landed);
         let resolved = resolve(&self.analysis, norm, en, assign, same, should_stop)?;
-        let l = norm.sole_loop().expect("a session's program is one loop");
-        let fingerprint = fingerprint_loop(l, &norm.symbols);
         let lists = self.lists.patched(
-            &self.analysis.sites,
+            &self.analysis,
             &resolved.analysis,
             &resolved.dirty_arrays,
             self.dep_max_distance,
             &resolved.splice,
+            should_stop,
         );
+        let lists = lists.map_err(|_| AnalyzeError::Stopped {
+            passes: resolved.passes,
+        })?;
+        // Nothing fails from here on. An edit that interned a name may
+        // have moved the normalized program's symbol numbers: record its
+        // loop afresh; otherwise re-record the edited assignment alone.
+        match (same, &resolved.analysis.graph.node(en).kind) {
+            (true, NodeKind::Assign { assign, .. }) => self.tape.rerecord(assign),
+            _ => self.tape = Tape::of_loop(norm.sole_loop().expect("one loop")),
+        }
+        self.fingerprint = self.tape.fingerprint(&norm.symbols);
         landed.keep();
         if let Some(norm) = renormalized {
             self.norm = norm;
         }
-        self.fingerprint = fingerprint;
         self.analysis = resolved.analysis;
         self.lists = lists;
         Ok(resolved.outcome)
@@ -589,8 +642,8 @@ impl Session {
         let mut source = self.source_program().clone();
         apply_edit(&mut source, edit)?;
         let (norm, raw) = normalized(source);
-        let (fingerprint, analysis) = analyze_norm_ctrl(&norm, should_stop)?;
-        self.lists = ReportLists::distill(&analysis, self.dep_max_distance, None);
+        let (mut tape, analysis, lists) =
+            analyze_norm_ctrl(&norm, self.dep_max_distance, should_stop)?;
         let mut outcome = DeltaOutcome {
             fallback: true,
             ..DeltaOutcome::default()
@@ -601,9 +654,11 @@ impl Session {
         }
         outcome.full_solver_visits = outcome.solver_visits;
         self.raw = raw;
+        self.fingerprint = tape.fingerprint(&norm.symbols);
         self.norm = norm;
-        self.fingerprint = fingerprint;
+        self.tape = tape;
         self.analysis = analysis;
+        self.lists = lists;
         Ok(outcome)
     }
 }

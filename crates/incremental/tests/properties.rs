@@ -24,7 +24,9 @@ use arrayflow_analyses::{build_spec, enumerate_sites, AnalyzeError, Site, GK};
 use arrayflow_core::{solve, GenRef, KillSite, Mode, Solution, CANNED};
 use arrayflow_graph::build_loop_graph;
 use arrayflow_incremental::{DeltaError, DeltaOutcome, ReportLists, Session};
-use arrayflow_ir::{normalize, parse_program, Edit, Program, StmtId, SymbolTable};
+use arrayflow_ir::{
+    fingerprint_loop, normalize, parse_program, Edit, Program, StmtId, SymbolTable, Tape,
+};
 use arrayflow_workloads::{
     all_kernels, livermore_kernels, random_edit, random_edits, random_loop, LoopShape,
 };
@@ -87,9 +89,16 @@ fn splice_round_trips_on_kernels() {
 }
 
 /// The session after a chain of edits must be byte-identical to a fresh
-/// session opened over the edited source.
+/// session opened over the edited source, and its fingerprint, which it
+/// replays from its recorded walk, must equal a walk over its program.
 fn assert_matches_fresh(session: &Session, context: &str) {
     let fresh = Session::open(session.source_program().clone(), DEP_MAX_DISTANCE).unwrap();
+    let program = session.program();
+    assert_eq!(
+        session.fingerprint(),
+        fingerprint_loop(program.sole_loop().unwrap(), &program.symbols),
+        "fingerprint diverged from the walk: {context}"
+    );
     assert_eq!(
         session.fingerprint(),
         fresh.fingerprint(),
@@ -326,6 +335,7 @@ struct Snapshot {
     raw: Program,
     norm: Program,
     fingerprint: arrayflow_ir::Fingerprint,
+    tape: Tape,
     symbols: SymbolTable,
     sites: Vec<Site>,
     specs: Vec<(Vec<GenRef>, Vec<KillSite>, Vec<usize>)>,
@@ -345,6 +355,7 @@ fn snapshot(session: &Session) -> Snapshot {
         raw: session.source_program().clone(),
         norm: session.program().clone(),
         fingerprint: session.fingerprint(),
+        tape: session.tape().clone(),
         symbols: SymbolTable::clone(&a.symbols),
         sites: a.sites.clone(),
         specs: (0..instances.len()).map(spec).collect(),
@@ -381,12 +392,15 @@ fn apply_stopped_at_every_poll(
     unreachable!("an unstopped apply completes")
 }
 
-/// A fast-path apply stopped at any of its stop-check polls leaves the
-/// session equal to its pre-edit snapshot, and the apply that completes
-/// still matches a fresh session: random edits on two E16 shapes, and the
-/// [`SYMBOL_CHAIN`] under both [`SYMBOL_HEADERS`], whose stopped applies
-/// must put back an interned-into symbol table and, under the header
-/// normalization rewrites, the source program the edit landed in.
+/// A fast-path apply stopped at any of its stop-check polls — the
+/// solver's and the re-distillation's — leaves the session equal to its
+/// pre-edit snapshot, fingerprint and recorded walk included, and the
+/// apply that completes still matches a fresh session: random edits on
+/// two E16 shapes, and the [`SYMBOL_CHAIN`] under both
+/// [`SYMBOL_HEADERS`], whose stopped applies must put back an
+/// interned-into symbol table and, under the header normalization
+/// rewrites, the source program the edit landed in and the walk it
+/// records afresh.
 #[test]
 fn stopped_applies_leave_the_session_unchanged() {
     let mut inputs = Vec::new();

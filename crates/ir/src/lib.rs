@@ -52,7 +52,7 @@ pub mod visit;
 
 pub use affine::AffineSub;
 pub use builder::LoopBuilder;
-pub use canon::{fingerprint_loop, fingerprint_program, fingerprint_source, Fingerprint};
+pub use canon::{fingerprint_loop, fingerprint_program, fingerprint_source, Fingerprint, Tape};
 pub use edit::{apply_edit, Edit, EditError, EditShape};
 pub use expr::{BinOp, Cond, Expr, RelOp};
 pub use indvars::{remove_induction_variables, IndVarRemoval};

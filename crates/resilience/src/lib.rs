@@ -41,7 +41,7 @@ pub use backoff::Backoff;
 pub use breaker::{BreakerState, CircuitBreaker, Transition};
 pub use budget::RetryBudget;
 pub use cancel::CancelToken;
-pub use fault::{FaultCounts, FaultPlan, FaultSurface};
+pub use fault::{FaultPlan, FaultSurface};
 
 /// Extracts the human-readable message from a payload caught by
 /// [`std::panic::catch_unwind`]. Panics carry either a `&'static str`
