@@ -208,7 +208,7 @@ fn run_cluster(n: usize, warm: &[String], lines: &[String]) -> ClusterRun {
         .map(|(i, node)| format!("n{}={}", i + 1, node.addr))
         .collect::<Vec<_>>()
         .join(",");
-    let topology = Topology::parse(&spec, 0).expect("topology");
+    let topology = Topology::parse(&spec).expect("topology");
     let mut config = RouterConfig::new(topology);
     config.probe_interval = Duration::from_secs(3600);
     let router = Router::start(config).expect("start router");

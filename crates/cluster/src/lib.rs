@@ -33,5 +33,5 @@ pub mod topology;
 
 pub use merge::merge_expositions;
 pub use replicate::{Replicator, ReplicatorConfig};
-pub use ring::{Ring, DEFAULT_VNODES};
+pub use ring::{source_route_hash, Ring, DEFAULT_VNODES};
 pub use topology::{NodeSpec, Topology};

@@ -27,6 +27,12 @@ use arrayflow_store::{encode_record, Record, ReplicationSink, Store};
 use arrayflow_wire::proto::{Request, Response};
 use arrayflow_wire::Connection;
 
+/// Queue bound in records; overflow is dropped and counted.
+const MAX_BUFFER: usize = 4096;
+
+/// Cap on the replica's answer to one replicate frame.
+const MAX_FRAME_BYTES: usize = 64 << 20;
+
 /// Replicator tuning.
 #[derive(Debug, Clone)]
 pub struct ReplicatorConfig {
@@ -35,10 +41,6 @@ pub struct ReplicatorConfig {
     /// Ship interval: queued records wait at most this long (a flush
     /// barrier ships them sooner).
     pub interval: Duration,
-    /// Queue bound in records; overflow is dropped and counted.
-    pub max_buffer: usize,
-    /// Cap on a single replicate frame's payload.
-    pub max_frame_bytes: usize,
     /// Deadline on dialing the replica and on each replicate round trip
     /// (frame write and ack read). An unreachable or wedged replica costs
     /// at most this long per attempt instead of hanging the ship thread
@@ -47,14 +49,11 @@ pub struct ReplicatorConfig {
 }
 
 impl ReplicatorConfig {
-    /// Defaults: 250 ms interval, 4096-record buffer, 64 MiB frames,
-    /// 10 s round-trip deadline.
+    /// Defaults: 250 ms interval, 10 s round-trip deadline.
     pub fn to(replica_addr: impl Into<String>) -> Self {
         ReplicatorConfig {
             replica_addr: replica_addr.into(),
             interval: Duration::from_millis(250),
-            max_buffer: 4096,
-            max_frame_bytes: 64 << 20,
             request_timeout: Duration::from_secs(10),
         }
     }
@@ -109,7 +108,6 @@ pub struct Replicator {
     queue: Mutex<Queue>,
     cv: Condvar,
     shipper: Mutex<Option<JoinHandle<()>>>,
-    max_buffer: usize,
     ins: ReplicatorInstruments,
 }
 
@@ -130,7 +128,6 @@ impl Replicator {
             queue: Mutex::new(Queue::default()),
             cv: Condvar::new(),
             shipper: Mutex::new(None),
-            max_buffer: config.max_buffer.max(1),
             ins: ins.clone(),
         });
         let worker = Arc::clone(&replicator);
@@ -186,9 +183,12 @@ impl Replicator {
                         if shutdown {
                             return;
                         }
-                        std::thread::sleep(backoff.next_delay());
-                        // Anything batched is covered by the sync that
-                        // will run when the connect finally succeeds.
+                        // Shutdown cuts the backoff short. Anything batched
+                        // is covered by the sync of the next connect.
+                        let q = self.queue.lock().unwrap();
+                        let _ = self
+                            .cv
+                            .wait_timeout_while(q, backoff.next_delay(), |q| !q.shutdown);
                         continue;
                     }
                 }
@@ -254,7 +254,7 @@ impl Replicator {
         *next_id += 1;
         let frame = Request::Replicate { id, batch }.to_frame(None);
         let acked = conn
-            .exchange_frame(&frame, config.request_timeout, config.max_frame_bytes)
+            .exchange_frame(&frame, config.request_timeout, MAX_FRAME_BYTES)
             .is_ok_and(|(tag, payload)| {
                 matches!(Response::decode(tag, &payload), Ok(Response::Text { id: rid, .. }) if rid == id)
             });
@@ -277,7 +277,7 @@ impl ReplicationSink for Replicator {
         if q.shutdown {
             return;
         }
-        if q.pending.len() >= self.max_buffer {
+        if q.pending.len() >= MAX_BUFFER {
             self.ins.dropped.inc();
             return;
         }

@@ -1,7 +1,8 @@
 //! The consistent-hash ring: canonical fingerprints → node slots.
 //!
-//! Each node contributes `vnodes` points on a `u64` ring, derived from a
-//! stable hash of its *name* (not its position in the node list), so:
+//! Each node contributes [`DEFAULT_VNODES`] points on a `u64` ring,
+//! derived from a stable hash of its *name* (not its position in the node
+//! list), so:
 //!
 //! * every router instance — and every release — builds the identical
 //!   ring from the identical node list;
@@ -18,17 +19,17 @@
 use arrayflow_engine::fingerprint_route_hash;
 use arrayflow_ir::Fingerprint;
 
-/// Default virtual nodes per node: enough for a max/min shard-load ratio
+/// Virtual nodes per node: enough for a max/min shard-load ratio
 /// comfortably under 1.3 at up to 16 nodes, cheap to build and search.
 pub const DEFAULT_VNODES: usize = 256;
 
-/// FNV-1a 64-bit over a byte string — the stable node-name hash seeding
-/// each node's vnode points.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The FNV-1a loop over a byte string, multiplying by `prime`; with the
+/// FNV prime, the stable node-name hash seeding each node's vnode points.
+fn fnv1a(bytes: &[u8], prime: u64) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        h = h.wrapping_mul(prime);
     }
     h
 }
@@ -42,6 +43,14 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The router's shard key for a program that is not one canonical loop:
+/// the FNV-1a loop over `bytes`, splitmix-finished. Its multiplier is not
+/// the FNV prime, and stays: another would move every such program to
+/// another shard, away from its cached reports.
+pub fn source_route_hash(bytes: &[u8]) -> u64 {
+    splitmix(fnv1a(bytes, 0x1_0000_01B3))
+}
+
 /// A consistent-hash ring over node slots `0..n`.
 #[derive(Debug, Clone)]
 pub struct Ring {
@@ -51,18 +60,17 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// Builds the ring: `vnodes` points per node name. Node *names*
-    /// seed the points, node *positions* are what lookups return, so
-    /// callers index their own node table with the result.
+    /// Builds the ring: [`DEFAULT_VNODES`] points per node name. Node
+    /// *names* seed the points, node *positions* are what lookups return,
+    /// so callers index their own node table with the result.
     ///
-    /// Panics if `node_names` is empty or `vnodes` is zero.
-    pub fn build(node_names: &[impl AsRef<str>], vnodes: usize) -> Ring {
+    /// Panics if `node_names` is empty.
+    pub fn build(node_names: &[impl AsRef<str>]) -> Ring {
         assert!(!node_names.is_empty(), "ring needs at least one node");
-        assert!(vnodes > 0, "ring needs at least one vnode per node");
-        let mut points = Vec::with_capacity(node_names.len() * vnodes);
+        let mut points = Vec::with_capacity(node_names.len() * DEFAULT_VNODES);
         for (slot, name) in node_names.iter().enumerate() {
-            let seed = fnv1a(name.as_ref().as_bytes());
-            for v in 0..vnodes as u64 {
+            let seed = fnv1a(name.as_ref().as_bytes(), 0x0000_0100_0000_01B3);
+            for v in 0..DEFAULT_VNODES as u64 {
                 points.push((splitmix(seed ^ splitmix(v)), slot as u32));
             }
         }
@@ -122,8 +130,8 @@ mod tests {
 
     #[test]
     fn lookup_is_deterministic_and_in_range() {
-        let ring = Ring::build(&names(5), DEFAULT_VNODES);
-        let ring2 = Ring::build(&names(5), DEFAULT_VNODES);
+        let ring = Ring::build(&names(5));
+        let ring2 = Ring::build(&names(5));
         for fp in sample_fingerprints(1000) {
             let a = ring.node_for_fingerprint(fp);
             assert!(a < 5);
@@ -136,7 +144,7 @@ mod tests {
         // Acceptance: max/min shard load ratio ≤ 1.3 on 10k fingerprints.
         let fps = sample_fingerprints(10_000);
         for n in 2..=16 {
-            let ring = Ring::build(&names(n), DEFAULT_VNODES);
+            let ring = Ring::build(&names(n));
             let mut loads = vec![0u64; n];
             for &fp in &fps {
                 loads[ring.node_for_fingerprint(fp)] += 1;
@@ -158,9 +166,9 @@ mod tests {
         // leaves an N-node ring.
         let fps = sample_fingerprints(10_000);
         for n in [2usize, 4, 8, 15] {
-            let before = Ring::build(&names(n), DEFAULT_VNODES);
+            let before = Ring::build(&names(n));
             // Add one node.
-            let grown = Ring::build(&names(n + 1), DEFAULT_VNODES);
+            let grown = Ring::build(&names(n + 1));
             let moved_add = fps
                 .iter()
                 .filter(|&&fp| before.node_for_fingerprint(fp) != grown.node_for_fingerprint(fp))
@@ -199,6 +207,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one node")]
     fn empty_ring_panics() {
-        let _ = Ring::build(&Vec::<String>::new(), 8);
+        let _ = Ring::build(&Vec::<String>::new());
     }
 }

@@ -9,7 +9,7 @@
 //! ring-successor scheme would scatter one node's records across every
 //! peer and need a replication connection per key range.)
 
-use crate::ring::{Ring, DEFAULT_VNODES};
+use crate::ring::Ring;
 
 /// One node: a stable identity (the `node` metrics label, the health
 /// verb's reply) plus its dial address.
@@ -29,19 +29,19 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds a topology over `nodes` with `vnodes` ring points each.
+    /// Builds a topology over `nodes`.
     ///
     /// Panics if `nodes` is empty (the ring does).
-    pub fn new(nodes: Vec<NodeSpec>, vnodes: usize) -> Topology {
+    pub fn new(nodes: Vec<NodeSpec>) -> Topology {
         let ids: Vec<&str> = nodes.iter().map(|n| n.id.as_str()).collect();
-        let ring = Ring::build(&ids, vnodes);
+        let ring = Ring::build(&ids);
         Topology { nodes, ring }
     }
 
     /// Parses a `--router` node list: comma-separated entries, each
     /// either `addr` (id defaults to the address) or `id=addr`.
     /// Duplicate ids are rejected — they would alias every ring point.
-    pub fn parse(spec: &str, vnodes: usize) -> Result<Topology, String> {
+    pub fn parse(spec: &str) -> Result<Topology, String> {
         let mut nodes = Vec::new();
         for entry in spec.split(',') {
             let entry = entry.trim();
@@ -66,10 +66,7 @@ impl Topology {
         if nodes.is_empty() {
             return Err("empty node list".into());
         }
-        Ok(Topology::new(
-            nodes,
-            if vnodes == 0 { DEFAULT_VNODES } else { vnodes },
-        ))
+        Ok(Topology::new(nodes))
     }
 
     /// Number of nodes.
@@ -116,7 +113,7 @@ mod tests {
 
     #[test]
     fn parse_plain_addresses() {
-        let t = Topology::parse("127.0.0.1:7001, 127.0.0.1:7002", 0).unwrap();
+        let t = Topology::parse("127.0.0.1:7001, 127.0.0.1:7002").unwrap();
         assert_eq!(t.len(), 2);
         assert_eq!(t.node(0).id, "127.0.0.1:7001");
         assert_eq!(t.node(0).addr, "127.0.0.1:7001");
@@ -126,7 +123,7 @@ mod tests {
 
     #[test]
     fn parse_named_nodes() {
-        let t = Topology::parse("a=127.0.0.1:7001,b=127.0.0.1:7002,c=127.0.0.1:7003", 64).unwrap();
+        let t = Topology::parse("a=127.0.0.1:7001,b=127.0.0.1:7002,c=127.0.0.1:7003").unwrap();
         assert_eq!(t.len(), 3);
         assert_eq!(t.node(1).id, "b");
         assert_eq!(t.node(1).addr, "127.0.0.1:7002");
@@ -135,15 +132,15 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(Topology::parse("", 0).is_err());
-        assert!(Topology::parse(" , ,", 0).is_err());
-        assert!(Topology::parse("a=,b=x", 0).is_err());
-        assert!(Topology::parse("a=x,a=y", 0).is_err());
+        assert!(Topology::parse("").is_err());
+        assert!(Topology::parse(" , ,").is_err());
+        assert!(Topology::parse("a=,b=x").is_err());
+        assert!(Topology::parse("a=x,a=y").is_err());
     }
 
     #[test]
     fn single_node_replica_is_self() {
-        let t = Topology::parse("only=127.0.0.1:7001", 0).unwrap();
+        let t = Topology::parse("only=127.0.0.1:7001").unwrap();
         assert_eq!(t.replica_of(0), 0);
         assert_eq!(t.primary_for([7; 16]), 0);
     }
@@ -152,8 +149,8 @@ mod tests {
     fn routing_is_stable_under_renames_of_others() {
         // A node keeps its keys when an unrelated node is renamed only if
         // names seed the ring — position must not matter.
-        let base = Topology::parse("a=1,b=2,c=3", 128).unwrap();
-        let reordered = Topology::parse("c=3,a=1,b=2", 128).unwrap();
+        let base = Topology::parse("a=1,b=2,c=3").unwrap();
+        let reordered = Topology::parse("c=3,a=1,b=2").unwrap();
         for i in 0..1000u128 {
             let fp = (i * 0x9E37_79B9_7F4A_7C15).to_le_bytes();
             let p1 = &base.node(base.primary_for(fp)).id;

@@ -256,3 +256,27 @@ fn shutdown_is_prompt_while_the_replica_drops_syns() {
     let took = started.elapsed();
     assert!(took < Duration::from_secs(3), "shutdown took {took:?}");
 }
+
+/// Shutdown wakes the shipper from its reconnect backoff instead of
+/// waiting it out: after a second of failed connects the jittered backoff
+/// has grown toward its 2 s cap.
+#[test]
+fn shutdown_cuts_the_reconnect_backoff_short() {
+    let src_dir = TempDir::new("repl-backoff-src");
+    let src = open(StoreConfig::at(&src_dir.0));
+    // Reserve an address nothing listens on.
+    let placeholder = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = placeholder.local_addr().unwrap().to_string();
+    drop(placeholder);
+
+    let registry = Registry::new();
+    let mut config = ReplicatorConfig::to(&addr);
+    config.interval = Duration::from_millis(20);
+    let replicator = Replicator::start(Arc::clone(&src), config, &registry);
+    std::thread::sleep(Duration::from_secs(1));
+    assert!(count(&registry, "arrayflow_replica_errors_total") > 1);
+    let started = Instant::now();
+    replicator.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+}

@@ -11,7 +11,7 @@
 //!   input) and [`FaultSurface::solve_latency`] whether to stall first
 //!   (a pathological, slow-to-converge input);
 //! * the service's worker loop asks [`FaultSurface::worker_exit`]
-//!   whether the thread should die (a crashed worker the supervisor must
+//!   whether the thread should die (a crashed worker its drop guard must
 //!   replace).
 //!
 //! With no surface installed every seam is a `None` check — zero
@@ -48,8 +48,9 @@ pub trait FaultSurface: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// Worker seam: `true` makes the service worker thread exit, as if
-    /// it had crashed; the supervisor must replace it.
+    /// Worker seam, consulted between jobs: `true` makes the service
+    /// worker thread exit, as if it had crashed; its drop guard must
+    /// start a replacement.
     fn worker_exit(&self) -> bool {
         false
     }

@@ -18,7 +18,7 @@
 //!   `--store-breaker-cooldown-ms N`, `--slow-log MICROS`,
 //!   `--fault-plan SPEC`, `--node-id ID`, `--replicate-to ADDR`,
 //!   `--replicate-interval-ms N`;
-//! * a router: `--probe-interval-ms N`, `--vnodes N`.
+//! * a router: `--probe-interval-ms N`.
 //!
 //! Cluster mode: `--router NODES` (comma-separated `addr` or `id=addr`
 //! entries) turns this process into the coordinator — it owns no engine
@@ -31,8 +31,8 @@
 //! serve this node's reports warm after a failover.
 //!
 //! TCP serving is one `poll(2)` event loop multiplexing every connection
-//! onto the worker pool, or in router mode onto the forwarder pool (unix
-//! only; elsewhere use `--stdio`). A TCP node and a router share the
+//! onto the work pool: solver workers on a node, forwarders on a router
+//! (unix only; elsewhere use `--stdio`). A TCP node and a router share the
 //! listener: it
 //! sniffs each connection's first bytes — `AFWIRE01` magic selects the
 //! binary protocol, anything else newline-JSON — and
@@ -65,8 +65,8 @@
 //! `--store-breaker-cooldown-ms` (default 5000). `--fault-plan SPEC`
 //! installs a seeded, deterministic fault plan for chaos drills — e.g.
 //! `seed=42,solver_panic=10%,store_io=5%,store_io_first=20,latency_us=500,worker_exit=1%`
-//! injects solver panics, store I/O errors and worker crashes that the
-//! isolation/supervision/breaker machinery must contain. Never set it in
+//! injects solver panics, store I/O errors and worker crashes that panic
+//! isolation, drop-guard worker replacement and the breaker must contain. Never set it in
 //! production; without the flag every seam is a single branch.
 
 use std::process::ExitCode;
@@ -87,7 +87,7 @@ const ALL: u8 = NODE | ROUTER;
 
 /// Every flag, the placeholder of its value (empty for a switch) and the
 /// modes that read it: the one table `--help` prints and `main` checks.
-const FLAGS: [(&str, &str, u8); 24] = [
+const FLAGS: [(&str, &str, u8); 23] = [
     ("--listen", "ADDR", TCP | ROUTER),
     ("--stdio", "", STDIO),
     ("--router", "NODES", ROUTER),
@@ -111,7 +111,6 @@ const FLAGS: [(&str, &str, u8); 24] = [
     ("--replicate-to", "ADDR", NODE),
     ("--replicate-interval-ms", "N", NODE),
     ("--probe-interval-ms", "N", ROUTER),
-    ("--vnodes", "N", ROUTER),
 ];
 
 /// The modes in `modes`, by name.
@@ -147,7 +146,6 @@ struct Args {
     config: ServiceConfig,
     router_nodes: Option<String>,
     probe_interval: Duration,
-    vnodes: usize,
     /// Every flag given, with the modes that read it.
     given: Vec<(&'static str, u8)>,
 }
@@ -160,7 +158,6 @@ fn parse_args() -> Result<Args, String> {
         config: ServiceConfig::default(),
         router_nodes: None,
         probe_interval: Duration::from_millis(500),
-        vnodes: 0,
         given: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -222,7 +219,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--router" => args.router_nodes = Some(value()?),
             "--probe-interval-ms" => args.probe_interval = Duration::from_millis(parse(&value()?)?),
-            "--vnodes" => args.vnodes = parse(&value()?)?,
             "--fault-plan" => {
                 let spec = value()?;
                 let plan = FaultPlan::parse(&spec)
@@ -270,10 +266,10 @@ fn run_listener<H: FrameHandler>(_: &Args, _: Arc<H>) -> std::io::Result<std::io
     unreachable!("TCP serving is refused before anything starts off unix")
 }
 
-/// Router mode: no engine, no store — the forwarder pool behind the
-/// event loop.
+/// Router mode: no engine, no store — the forwarders behind the event
+/// loop.
 fn start_router(args: &Args, spec: &str) -> Result<Arc<Router>, ExitCode> {
-    let topology = match Topology::parse(spec, args.vnodes) {
+    let topology = match Topology::parse(spec) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("serve: invalid --router `{spec}`: {e}");
@@ -301,13 +297,13 @@ fn start_router(args: &Args, spec: &str) -> Result<Arc<Router>, ExitCode> {
 }
 
 /// Node mode: starting the service opens (and crash-recovers) the report
-/// store; failure is a structured one-line diagnostic and a nonzero
-/// exit, never a panic.
+/// store and starts the worker pool; failure is a structured one-line
+/// diagnostic naming which, and a nonzero exit, never a panic.
 fn start_node(args: &Args) -> Result<Arc<Service>, ExitCode> {
     let service = match Service::start(args.config.clone()) {
         Ok(service) => service,
         Err(e) => {
-            eprintln!("serve: error: cannot open report store: {e}");
+            eprintln!("serve: error: {e}");
             return Err(ExitCode::FAILURE);
         }
     };

@@ -49,8 +49,8 @@
 //!   at boot, and a **`compact` verb** reclaims space from superseded
 //!   records;
 //! * **panic isolation and supervision** — a worker that panics answers
-//!   its own request with a framed `analysis` error and a supervisor
-//!   thread replaces dead workers (`arrayflow_worker_restarts_total`);
+//!   its own request with a framed `analysis` error; dead workers are
+//!   replaced by their drop guards (`arrayflow_worker_restarts_total`);
 //!   deterministic fault plans ([`ServiceConfig::faults`], `--fault-plan`
 //!   on `serve`) drill the whole containment stack;
 //! * a **resilient [`Client`]** with transparent reconnect, per-request
@@ -79,6 +79,7 @@ pub mod client;
 #[cfg(unix)]
 pub mod event_server;
 pub mod json;
+mod pool;
 pub mod proto;
 pub mod router;
 pub mod server;

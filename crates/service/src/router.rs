@@ -32,19 +32,18 @@
 //! **Serving.** The router is a [`FrameHandler`] on the node's own event
 //! loop, so sniffing, framing, idle reaping and response order are the
 //! node's. Cheap verbs answer on the loop's thread; forwards and fan-outs
-//! go to a fixed pool of forwarder threads (`POOL_CAP` per node) doing
+//! go to the node's own work pool, `POOL_CAP` forwarders per node doing
 //! blocking round trips. A connection's pipelined requests are forwarded
 //! concurrently, and the loop writes the answers back in request order.
 
-use std::collections::VecDeque;
-use std::io::{self, PipeReader, PipeWriter, Read, Write};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use arrayflow_cluster::{merge_expositions, Topology};
+use arrayflow_cluster::{merge_expositions, source_route_hash, Topology};
 use arrayflow_engine::fingerprint_route_hash;
 use arrayflow_ir as ir;
 use arrayflow_obs::{Counter, Registry};
@@ -56,12 +55,10 @@ use arrayflow_wire::{encode_frame, Connection};
 
 use crate::binproto::answer_of;
 use crate::json::Json;
+use crate::pool::Pool;
 use crate::proto::{ErrorKind, ServiceError};
 use crate::server::{Edge, Frame, FrameHandler, Respond};
 use crate::service::Answer;
-
-/// How often the prober re-checks the shutdown flag between rounds.
-const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 
 /// Deadline for dialing a backend.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
@@ -227,67 +224,24 @@ impl RouterInstruments {
     }
 }
 
-/// The routing core: the event loop's handler, its forwarder pool and
-/// the health prober share it.
+/// The routing core: the event loop's handler, its forwarders and the
+/// health prober share it.
 pub struct Router {
     config: RouterConfig,
     backends: Vec<Backend>,
     registry: Registry,
     ins: RouterInstruments,
-    shutdown: AtomicBool,
     next_id: AtomicU64,
-    /// Forwards waiting for a forwarder, and the forwarders waiting for
-    /// work.
-    pool: Mutex<Pool>,
-    /// Per forwarder, the pipe that wakes it (see [`Pool::idle`]).
-    wakers: Vec<PipeWriter>,
-    /// The forwarders and the prober, joined by [`FrameHandler::drain`].
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-/// The forwarder pool's shared state.
-#[derive(Default)]
-struct Pool {
-    /// Forwards waiting for a forwarder, oldest first.
-    queue: VecDeque<Forward>,
-    /// Idle forwarders, most recently idle last. A forwarder waits for
-    /// work by reading its own pipe rather than on a condition variable:
-    /// a pipe wake-up tells the scheduler the waker is about to sleep, so
-    /// the forwarder runs on the loop's CPU as soon as the loop polls
-    /// again instead of queueing behind a busy one.
-    idle: Vec<usize>,
-}
-
-/// A frame waiting for a forwarder: the connection's token, cancelled
-/// when the loop reaps the connection, and the forward itself.
-struct Forward {
-    cancel: CancelToken,
-    run: Box<dyn FnOnce(&Router) + Send>,
+    /// The forwarders.
+    pool: Arc<Pool>,
+    /// The health prober, joined by [`FrameHandler::drain`].
+    prober: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Router {
     /// Builds the routing core over `config.topology` and starts its
-    /// forwarder pool (`POOL_CAP` threads per node) and health prober.
+    /// forwarders (`POOL_CAP` per node) and health prober.
     pub fn start(config: RouterConfig) -> io::Result<Arc<Router>> {
-        let (router, waits) = Router::new(config)?;
-        let router = Arc::new(router);
-        let mut threads: Vec<_> = waits
-            .into_iter()
-            .enumerate()
-            .map(|(me, wait)| {
-                let router = Arc::clone(&router);
-                std::thread::spawn(move || router.forward_loop(me, wait))
-            })
-            .collect();
-        let prober = Arc::clone(&router);
-        threads.push(std::thread::spawn(move || prober.probe_loop()));
-        *router.threads.lock().unwrap() = threads;
-        Ok(router)
-    }
-
-    /// The routing core alone, with no threads, and the pipe each
-    /// forwarder waits on.
-    fn new(config: RouterConfig) -> io::Result<(Router, Vec<PipeReader>)> {
         let registry = Registry::new();
         let ins = RouterInstruments::registered(&registry);
         let backends = config
@@ -300,23 +254,22 @@ impl Router {
                 pool: Mutex::new(Vec::new()),
             })
             .collect::<Vec<_>>();
-        let (waits, wakers) = (0..POOL_CAP * backends.len())
-            .map(|_| io::pipe())
-            .collect::<io::Result<Vec<_>>>()?
-            .into_iter()
-            .unzip();
-        let router = Router {
+        let forwarders = POOL_CAP * backends.len();
+        let capacity = QUEUE_PER_FORWARDER * forwarders;
+        let pool = Pool::start("router", forwarders, capacity, None, Counter::new())?;
+        let router = Arc::new(Router {
             config,
             backends,
             registry,
             ins,
-            shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
-            pool: Mutex::new(Pool::default()),
-            wakers,
-            threads: Mutex::new(Vec::new()),
-        };
-        Ok((router, waits))
+            pool,
+            prober: Mutex::new(None),
+        });
+        let weak = Arc::downgrade(&router);
+        let prober = std::thread::spawn(move || Router::probe_loop(weak));
+        *router.prober.lock().expect("a fresh lock") = Some(prober);
+        Ok(router)
     }
 
     /// The router's own metrics registry.
@@ -326,17 +279,15 @@ impl Router {
 
     /// True once a `shutdown` request was accepted.
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.pool.is_shutdown()
     }
 
     /// Begins shutdown: the event loop stops accepting and reading, the
-    /// forwarders finish what is queued, the prober stops.
+    /// forwarders finish what is queued, the prober wakes and stops.
     pub fn shutdown(&self) {
-        // Under the pool lock, so no forwarder goes idle after the wake-ups.
-        let mut pool = self.pool.lock().unwrap();
-        self.shutdown.store(true, Ordering::SeqCst);
-        for me in pool.idle.drain(..) {
-            let _ = (&self.wakers[me]).write(&[1]);
+        self.pool.shutdown();
+        if let Some(prober) = &*self.prober.lock().unwrap_or_else(PoisonError::into_inner) {
+            prober.thread().unpark();
         }
     }
 
@@ -459,15 +410,15 @@ impl Router {
     }
 
     /// The prober thread: a probe round every `probe_interval` until
-    /// shutdown.
-    fn probe_loop(&self) {
-        while !self.is_shutdown() {
-            self.probe_all();
-            let mut waited = Duration::ZERO;
-            while waited < self.config.probe_interval && !self.is_shutdown() {
-                std::thread::sleep(SHUTDOWN_POLL);
-                waited += SHUTDOWN_POLL;
-            }
+    /// shutdown, parked in between ([`Router::shutdown`] unparks it). It
+    /// holds the router weakly, so a router dropped without shutdown
+    /// stops it too.
+    fn probe_loop(weak: Weak<Router>) {
+        while let Some(router) = weak.upgrade().filter(|r| !r.is_shutdown()) {
+            router.probe_all();
+            let interval = router.config.probe_interval;
+            drop(router);
+            std::thread::park_timeout(interval);
         }
     }
 
@@ -607,38 +558,20 @@ impl Router {
         }
         Ok((tag, payload))
     }
+}
 
-    /// Forwarder `me`: takes queued frames until shutdown has drained the
-    /// queue, reading `wait` while idle. Work whose connection the loop
-    /// reaped is skipped, since nobody is left to read its answer.
-    fn forward_loop(&self, me: usize, mut wait: PipeReader) {
-        loop {
-            let job = {
-                let mut pool = self.pool.lock().unwrap();
-                let job = pool.queue.pop_front();
-                if job.is_none() {
-                    if self.is_shutdown() {
-                        return;
-                    }
-                    pool.idle.push(me);
-                }
-                job
-            };
-            match job {
-                Some(job) if !job.cancel.is_cancelled() => (job.run)(self),
-                Some(_) => {}
-                None => {
-                    let _ = wait.read(&mut [0u8]);
-                }
-            }
-        }
+impl Drop for Router {
+    fn drop(&mut self) {
+        // Stops the forwarders and the prober without joining them: the
+        // last `Arc<Router>` can drop on either.
+        self.shutdown();
     }
 }
 
 /// The router's side of the event loop. Decode errors and cheap verbs
 /// are answered right here, on the loop's thread; forwards and fan-outs
-/// are queued for the forwarder pool, and a full queue answers
-/// `overloaded`, as a node's does.
+/// are queued for the forwarders, and a full queue answers `overloaded`,
+/// as a node's does.
 impl FrameHandler for Router {
     fn answer(self: &Arc<Self>, frame: Frame<'_>, cancel: CancelToken, respond: Respond) {
         let accepted = Instant::now();
@@ -654,28 +587,14 @@ impl FrameHandler for Router {
         {
             return respond(encode(&edge, self.handle(req, budget_ms, accepted)));
         }
-        let mut pool = self.pool.lock().unwrap();
-        let rejection = if self.is_shutdown() {
-            "router is shutting down".to_string()
-        } else if pool.queue.len() >= QUEUE_PER_FORWARDER * self.wakers.len() {
-            format!("queue full ({} in flight)", pool.queue.len())
-        } else {
-            let run = move |router: &Router| {
-                respond(guarded(&edge, || router.handle(req, budget_ms, accepted)))
-            };
-            pool.queue.push_back(Forward {
-                cancel,
-                run: Box::new(run),
-            });
-            let idle = pool.idle.pop();
-            drop(pool);
-            if let Some(me) = idle {
-                let _ = (&self.wakers[me]).write(&[1]);
-            }
-            return;
-        };
-        drop(pool);
-        respond(edge.encode(Err(ServiceError::new(ErrorKind::Overloaded, rejection))));
+        let router = Arc::clone(self);
+        self.pool.submit(Box::new(move |admitted| match admitted {
+            // The loop reaped the connection: nobody is left to read the
+            // answer.
+            Ok(()) if cancel.is_cancelled() => {}
+            Ok(()) => respond(guarded(&edge, || router.handle(req, budget_ms, accepted))),
+            Err(refusal) => respond(edge.encode(Err(refusal))),
+        }));
     }
 
     fn max_frame_bytes(&self) -> usize {
@@ -691,9 +610,10 @@ impl FrameHandler for Router {
     }
 
     fn drain(&self) {
-        let threads: Vec<_> = self.threads.lock().unwrap().drain(..).collect();
-        for handle in threads {
-            let _ = handle.join();
+        self.pool.join();
+        let prober = self.prober.lock().expect("no panic holds it").take();
+        if let Some(prober) = prober {
+            let _ = prober.join();
         }
     }
 
@@ -790,22 +710,6 @@ fn route_key(req: &mut WireRequest) -> u64 {
     fingerprint_route_hash(fp)
 }
 
-/// FNV-1a over the source bytes, splitmix-finished — the fallback
-/// routing hash for multi-loop or unparseable programs. Any stable
-/// function works (the shard only has to be deterministic); this one
-/// spreads well.
-fn source_route_hash(source: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in source {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01B3);
-    }
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -890,6 +794,14 @@ mod tests {
         let h1 = key(analyze(None, Some(src)));
         assert_eq!(h1, source_route_hash(src.as_bytes()));
         assert_ne!(h1, source_route_hash(b"different"));
+        // Pinned: a change of the byte hash would move every such program
+        // to another shard, away from its cached reports.
+        assert_eq!(h1, 0xc98f_4f9d_35f4_7174);
+        let not_utf8 = WireRequest::Open {
+            id: 1,
+            source: vec![b'd', b'o', 0xff, 0xfe, b' ', 0x80],
+        };
+        assert_eq!(key(not_utf8), 0xd72c_d536_6927_651b);
     }
 
     #[test]
@@ -919,7 +831,7 @@ mod tests {
     #[test]
     fn unroutable_request_is_a_structured_overloaded_error() {
         // Nothing listens on these ports; both candidates fail fast.
-        let topology = Topology::parse("a=127.0.0.1:1,b=127.0.0.1:1", 16).unwrap();
+        let topology = Topology::parse("a=127.0.0.1:1,b=127.0.0.1:1").unwrap();
         let router = Router::start(RouterConfig::new(topology)).unwrap();
         let line = ask_json(
             &router,
@@ -938,7 +850,7 @@ mod tests {
         // Regression: hand-crafted delta frames with a missing
         // `fingerprint` or `session` used to reach `.expect()` calls that
         // trusted decode invariants, taking the router thread down.
-        let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
+        let topology = Topology::parse("a=127.0.0.1:1").unwrap();
         let router = Router::start(RouterConfig::new(topology)).unwrap();
         let fp = "000102030405060708090a0b0c0d0e0f";
         let frames = [
@@ -982,7 +894,7 @@ mod tests {
     fn zero_budget_requests_are_cancelled_without_a_forward() {
         // A dead-on-arrival budget must never consume a backend round
         // trip: the router answers `cancelled` itself, on both protocols.
-        let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
+        let topology = Topology::parse("a=127.0.0.1:1").unwrap();
         let router = Router::start(RouterConfig::new(topology)).unwrap();
 
         let line = ask_json(
@@ -1010,26 +922,33 @@ mod tests {
 
     #[test]
     fn a_full_queue_answers_overloaded() {
-        // No forwarders run, so every forward stays queued.
-        let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
-        let router = Arc::new(Router::new(RouterConfig::new(topology)).unwrap().0);
+        // Every forwarder holds a gate, so every forward stays queued.
+        let topology = Topology::parse("a=127.0.0.1:1").unwrap();
+        let router = Router::start(RouterConfig::new(topology)).unwrap();
+        let gate = router.pool.occupy();
         let line = br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i] := 1; end"}"#;
+        // Reaped before the gate opens, so no queued forward answers.
+        let reaped = CancelToken::new();
         for _ in 0..QUEUE_PER_FORWARDER * POOL_CAP {
             let queued = Box::new(|_| panic!("queued"));
-            router.answer(Frame::Json(line), CancelToken::new(), queued);
+            router.answer(Frame::Json(line), reaped.clone(), queued);
         }
         let line = ask_json(&router, line);
         assert!(line.contains(r#""kind":"overloaded""#), "{line}");
+        assert!(line.contains("queue full (2048 in flight)"), "{line}");
         // Cheap verbs never queue.
         let line = ask_json(&router, br#"{"id": 2, "verb": "ping"}"#);
         assert_eq!(line, r#"{"id":2,"ok":true,"result":"pong"}"#);
+        reaped.cancel();
+        gate.wait();
+        stop(router);
     }
 
     #[test]
     fn forwarders_skip_reaped_connections_and_spend_the_budget_from_acceptance() {
-        let topology = Topology::parse("a=127.0.0.1:1", 16).unwrap();
-        let (router, mut waits) = Router::new(RouterConfig::new(topology)).unwrap();
-        let router = Arc::new(router);
+        let topology = Topology::parse("a=127.0.0.1:1").unwrap();
+        let router = Router::start(RouterConfig::new(topology)).unwrap();
+        let gate = router.pool.occupy();
         let analyze = |budget: &str| {
             format!(
                 r#"{{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i] := 1; end"{budget}}}"#
@@ -1054,7 +973,8 @@ mod tests {
 
         std::thread::sleep(Duration::from_millis(30));
         router.shutdown();
-        router.forward_loop(0, waits.remove(0));
+        gate.wait();
+        router.drain();
 
         assert!(skipped.try_recv().is_err(), "reaped work is skipped");
         let line = String::from_utf8(wait(&expired)).unwrap();
@@ -1070,6 +990,46 @@ mod tests {
             1,
             "only the live frame was tried"
         );
+    }
+
+    #[test]
+    fn shutdown_wakes_the_prober_instead_of_waiting_out_its_sleep() {
+        // The prober sleeps 500 ms after each round. A drain that waited
+        // for it, even in 50 ms steps, would put twenty cycles near a
+        // second.
+        let started = Instant::now();
+        for _ in 0..20 {
+            let topology = Topology::parse("a=127.0.0.1:1").unwrap();
+            let router = Router::start(RouterConfig::new(topology)).unwrap();
+            // Once a round has begun, the prober sleeps after it.
+            while router.ins.probes.get() == 0 {
+                std::thread::yield_now();
+            }
+            stop(router);
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(400), "20 cycles took {took:?}");
+    }
+
+    #[test]
+    fn a_dropped_router_stops_its_pool() {
+        let topology = Topology::parse("a=127.0.0.1:1").unwrap();
+        let router = Router::start(RouterConfig::new(topology)).unwrap();
+        let line = ask_json(
+            &router,
+            br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i] := 1; end"}"#,
+        );
+        assert!(line.contains(r#""kind":"overloaded""#), "{line}");
+        let pool = Arc::downgrade(&router.pool);
+        let weak = Arc::downgrade(&router);
+        drop(router);
+        // The forwarders hold the pool until they exit; the prober holds
+        // the router only weakly.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while pool.upgrade().is_some() || weak.upgrade().is_some() {
+            assert!(Instant::now() < deadline, "the router left threads behind");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

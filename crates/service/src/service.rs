@@ -16,12 +16,10 @@
 //! stop check are the only deadline: an expired request answers
 //! `cancelled` on every transport.
 
-use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arrayflow_cluster::{Replicator, ReplicatorConfig};
@@ -38,6 +36,7 @@ use arrayflow_store::{PersistentTier, Store, StoreConfig};
 use arrayflow_wire::proto::Request;
 
 use crate::json::Json;
+use crate::pool::Pool;
 use crate::proto::{ErrorKind, ServiceError};
 use crate::server::{wait_for, Edge, Frame, FrameHandler, Respond};
 
@@ -187,7 +186,6 @@ struct Job {
     task: Task,
     /// When the frame was accepted by the answer entry — the deadline base.
     accepted: Instant,
-    enqueued: Instant,
     deadline: Duration,
     /// Cooperative cancellation: set by the event loop when it reaps the
     /// request's connection. Workers check it at dequeue, and the solver
@@ -197,22 +195,17 @@ struct Job {
     /// The request's trace, carried across the queue so worker-side spans
     /// (parse, solve, tier I/O) land on the same per-request record.
     trace: Arc<Trace>,
-    reply: Reply,
 }
 
-/// A long-lived analysis service: shared engine, bounded queue, worker
-/// pool and counters. Construct with [`Service::start`]; share via `Arc`.
+/// A long-lived analysis service: shared engine, work pool and counters.
+/// Construct with [`Service::start`]; share via `Arc`.
 pub struct Service {
     config: ServiceConfig,
     engine: Engine,
     registry: Registry,
     tier: Option<Arc<PersistentTier>>,
     replicator: Option<Arc<Replicator>>,
-    queue: Mutex<VecDeque<Job>>,
-    job_ready: Condvar,
-    shutdown: AtomicBool,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    supervisor: Mutex<Option<JoinHandle<()>>>,
+    pool: Arc<Pool>,
     next_trace_id: AtomicU64,
     ins: ServiceInstruments,
 }
@@ -400,10 +393,10 @@ impl std::fmt::Debug for Service {
 }
 
 impl Service {
-    /// Builds the service and spawns its worker pool. When a store is
+    /// Builds the service and starts its worker pool. When a store is
     /// configured this opens (and crash-recovers) it, wires it under the
     /// engine's cache as the second tier, and warm-starts the cache from
-    /// every live record on disk. A store that cannot be opened is an
+    /// every live record on disk. A store or pool that cannot start is an
     /// error, never a panic — the `serve` binary turns it into a
     /// structured one-line diagnostic and a nonzero exit.
     pub fn start(config: ServiceConfig) -> io::Result<Arc<Service>> {
@@ -416,7 +409,9 @@ impl Service {
         let mut replicator = None;
         if let Some(store_config) = &config.store {
             let queue_bound = store_config.writer_queue;
-            let store = Arc::new(Store::open_in(store_config.clone(), &registry)?);
+            let store = Store::open_in(store_config.clone(), &registry)
+                .map_err(|e| io::Error::new(e.kind(), format!("cannot open report store: {e}")))?;
+            let store = Arc::new(store);
             if let Some(faults) = &config.faults {
                 store.set_fault_surface(Arc::clone(faults));
             }
@@ -437,7 +432,6 @@ impl Service {
                 // that comes up late still converges.
                 let mut rconfig = ReplicatorConfig::to(replica_addr.clone());
                 rconfig.interval = config.replicate_interval;
-                rconfig.max_frame_bytes = 64 << 20;
                 let r = Replicator::start(Arc::clone(&store), rconfig, &registry);
                 t.set_replication_sink(r.clone());
                 replicator = Some(r);
@@ -450,38 +444,24 @@ impl Service {
             ));
         }
         let ins = ServiceInstruments::registered(&registry);
-        let svc = Arc::new(Service {
+        let pool = Pool::start(
+            "service",
+            config.effective_workers(),
+            config.queue_capacity,
+            config.faults.clone(),
+            ins.worker_restarts.clone(),
+        )
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot start the worker pool: {e}")))?;
+        Ok(Arc::new(Service {
             engine,
             registry,
             tier,
             replicator,
-            queue: Mutex::new(VecDeque::new()),
-            job_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            workers: Mutex::new(Vec::new()),
-            supervisor: Mutex::new(None),
+            pool,
             next_trace_id: AtomicU64::new(1),
             ins,
             config,
-        });
-        let n = svc.config.effective_workers();
-        let mut workers = svc.workers.lock().unwrap();
-        for _ in 0..n {
-            let svc = Arc::clone(&svc);
-            workers.push(std::thread::spawn(move || svc.worker_loop()));
-        }
-        drop(workers);
-        {
-            let supervisor = {
-                let svc = Arc::clone(&svc);
-                std::thread::Builder::new()
-                    .name("service-supervisor".into())
-                    .spawn(move || svc.supervisor_loop())
-                    .expect("spawn service supervisor")
-            };
-            *svc.supervisor.lock().unwrap() = Some(supervisor);
-        }
-        Ok(svc)
+        }))
     }
 
     /// The configuration the service was built with.
@@ -574,44 +554,21 @@ impl Service {
     /// True once shutdown has been requested. Transports stop reading new
     /// frames when they observe this.
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.pool.is_shutdown()
     }
 
     /// Requests graceful shutdown: no new `analyze` submissions are
     /// accepted, workers drain what is already queued, transports close
     /// after their current frame.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.job_ready.notify_all();
-        // Wake the supervisor from its poll so a join need not wait it out.
-        let slot = self
-            .supervisor
-            .lock()
-            .expect("no panic holds the supervisor slot");
-        if let Some(supervisor) = slot.as_ref() {
-            supervisor.thread().unpark();
-        }
+        self.pool.shutdown();
     }
 
     /// Joins the worker pool. Call after [`Service::shutdown`]; returns
     /// once every queued request has been answered, all workers exited,
     /// and (with a store) every queued append has reached disk.
     pub fn join_workers(&self) {
-        // The supervisor goes first so it cannot respawn a worker while
-        // the pool drains below. Its handle leaves the lock before the
-        // join, so a concurrent `shutdown` can still take the lock.
-        let supervisor = self
-            .supervisor
-            .lock()
-            .expect("no panic holds the supervisor slot")
-            .take();
-        if let Some(h) = supervisor {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.pool.join();
         if let Some(tier) = &self.tier {
             tier.flush();
         }
@@ -718,7 +675,7 @@ impl Service {
     /// answered inline (or the queue rejected it), from a worker
     /// otherwise.
     fn dispatch(
-        &self,
+        self: &Arc<Self>,
         req: Request,
         budget_ms: Option<u64>,
         cancel: CancelToken,
@@ -739,7 +696,21 @@ impl Service {
             Ok(Step::Done(answer)) => reply(Ok(answer)),
             Err(e) => reply(Err(e)),
             Ok(Step::Queue(task)) => {
-                self.enqueue_job(task, accepted, deadline, cancel, Arc::clone(trace), reply)
+                let job = Job {
+                    task,
+                    accepted,
+                    deadline,
+                    cancel,
+                    trace: Arc::clone(trace),
+                };
+                let (svc, enqueued) = (Arc::clone(self), Instant::now());
+                let queued = self.pool.submit(Box::new(move |admitted| match admitted {
+                    Ok(()) => reply(svc.work(&job, enqueued)),
+                    Err(refusal) => reply(Err(refusal)),
+                }));
+                if let Some(depth) = queued {
+                    self.ins.queue_depth_hwm.set_max(depth as u64);
+                }
             }
         }
     }
@@ -872,120 +843,31 @@ impl Service {
         ]))
     }
 
-    /// Pushes a job onto the bounded queue; a worker then invokes `reply`
-    /// exactly once. When the queue is full or the service is stopping,
-    /// `reply` gets the `overloaded` error right here.
-    fn enqueue_job(
-        &self,
-        task: Task,
-        accepted: Instant,
-        deadline: Duration,
-        cancel: CancelToken,
-        trace: Arc<Trace>,
-        reply: Reply,
-    ) {
-        let mut q = self.queue.lock().unwrap();
-        let rejection = if self.is_shutdown() {
-            "service is shutting down".to_string()
-        } else if q.len() >= self.config.queue_capacity {
-            format!("queue full ({} in flight)", q.len())
-        } else {
-            q.push_back(Job {
-                task,
-                accepted,
-                enqueued: Instant::now(),
-                deadline,
-                cancel,
-                trace,
-                reply,
-            });
-            self.ins.queue_depth_hwm.set_max(q.len() as u64);
-            drop(q);
-            self.job_ready.notify_one();
-            return;
-        };
-        drop(q);
-        reply(Err(ServiceError::new(ErrorKind::Overloaded, rejection)));
-    }
-
-    fn worker_loop(self: Arc<Self>) {
-        loop {
-            // Worker-crash seam, consulted between jobs so an injected
-            // death never takes a claimed job with it: the job stays
-            // queued for a surviving (or respawned) worker.
-            if let Some(faults) = &self.config.faults {
-                if faults.worker_exit() {
-                    eprintln!("serve: worker-exit injected=true");
-                    return;
-                }
-            }
-            let job = {
-                let mut q = self.queue.lock().unwrap();
-                loop {
-                    if let Some(job) = q.pop_front() {
-                        break Some(job);
-                    }
-                    if self.is_shutdown() {
-                        break None;
-                    }
-                    q = self.job_ready.wait(q).unwrap();
-                }
-            };
-            let Some(job) = job else { return };
-            // Queue wait ends now: record it as both a histogram
-            // observation and a span on the request's trace (the span's
-            // start is back-dated to the enqueue instant).
-            let wait_us = job.enqueued.elapsed().as_micros() as u64;
-            self.ins.queue_wait.observe(wait_us);
-            let now_us = job.trace.elapsed_us();
-            job.trace
-                .record("queue_wait", now_us.saturating_sub(wait_us), wait_us);
-            // Defense in depth under the engine's own panic isolation: a
-            // panic anywhere in the job path still answers the request
-            // (a dropped reply would leave its transport owed an answer).
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                with_current(&job.trace, || self.run_job(&job))
-            }))
-            .unwrap_or_else(|payload| {
-                Err(ServiceError::new(
-                    ErrorKind::Analysis,
-                    format!(
-                        "internal: worker panicked: {}",
-                        panic_message(payload.as_ref())
-                    ),
-                ))
-            });
-            (job.reply)(outcome);
-        }
-    }
-
-    /// Replaces dead workers. Workers only exit on their own for two
-    /// reasons — shutdown, or a crash (today reachable only through the
-    /// `worker_exit` fault seam; the job path is panic-isolated) — so the
-    /// supervisor polls cheaply and respawns until shutdown, keeping the
-    /// pool at full strength no matter how many workers chaos kills. The
-    /// poll parks, and [`Service::shutdown`] unparks it.
-    fn supervisor_loop(self: Arc<Self>) {
-        while !self.is_shutdown() {
-            std::thread::park_timeout(Duration::from_millis(20));
-            let mut workers = self.workers.lock().unwrap();
-            let mut i = 0;
-            while i < workers.len() {
-                if workers[i].is_finished() && !self.is_shutdown() {
-                    let _ = workers.swap_remove(i).join();
-                    self.ins.worker_restarts.inc();
-                    eprintln!(
-                        "serve: worker-restart total={} pool={}",
-                        self.ins.worker_restarts.get(),
-                        workers.len() + 1
-                    );
-                    let svc = Arc::clone(&self);
-                    workers.push(std::thread::spawn(move || svc.worker_loop()));
-                } else {
-                    i += 1;
-                }
-            }
-        }
+    /// Runs a job on its worker, `enqueued` being when it was queued.
+    fn work(&self, job: &Job, enqueued: Instant) -> Result<Answer, ServiceError> {
+        // Queue wait ends now: record it as both a histogram observation
+        // and a span on the request's trace (the span's start is
+        // back-dated to the enqueue instant).
+        let wait_us = enqueued.elapsed().as_micros() as u64;
+        self.ins.queue_wait.observe(wait_us);
+        let now_us = job.trace.elapsed_us();
+        job.trace
+            .record("queue_wait", now_us.saturating_sub(wait_us), wait_us);
+        // Defense in depth under the engine's own panic isolation: a
+        // panic anywhere in the job path still answers the request
+        // (a dropped reply would leave its transport owed an answer).
+        catch_unwind(AssertUnwindSafe(|| {
+            with_current(&job.trace, || self.run_job(job))
+        }))
+        .unwrap_or_else(|payload| {
+            Err(ServiceError::new(
+                ErrorKind::Analysis,
+                format!(
+                    "internal: worker panicked: {}",
+                    panic_message(payload.as_ref())
+                ),
+            ))
+        })
     }
 
     /// Counts one abandoned job (reason + wasted-work histogram) and
@@ -1090,11 +972,10 @@ impl Service {
 
 impl Drop for Service {
     fn drop(&mut self) {
-        // Defensive: a service dropped without an explicit shutdown still
-        // stops its workers (they hold Arc<Service>, so by the time Drop
-        // runs they have already exited — this is for the join handles).
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.job_ready.notify_all();
+        // A service dropped without `shutdown` still stops its workers,
+        // which hold the pool, not the service. No join: the last
+        // `Arc<Service>` can drop on a worker, inside a job.
+        self.pool.shutdown();
     }
 }
 
@@ -1102,6 +983,7 @@ impl Drop for Service {
 mod tests {
     use super::*;
     use arrayflow_engine::CANNED;
+    use std::sync::atomic::AtomicBool;
 
     /// One JSON line through the one answer entry, in process.
     fn ask(svc: &Arc<Service>, line: &[u8]) -> String {
@@ -1186,10 +1068,10 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_wakes_the_supervisor_instead_of_waiting_out_its_poll() {
-        // Each idle service lives 2 ms, long enough for its supervisor to
-        // enter its 20 ms poll. A join that waited the poll out would put
-        // forty cycles past 720 ms.
+    fn shutdown_wakes_idle_workers_instead_of_waiting_out_a_poll() {
+        // Each idle service lives 2 ms, long enough for its worker to go
+        // idle. A join that waited out a 20 ms poll would put forty cycles
+        // past 720 ms.
         let started = Instant::now();
         for _ in 0..40 {
             let svc = Service::start(ServiceConfig {
@@ -1285,18 +1167,21 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_replaces_dead_workers() {
+    fn drop_guards_replace_dead_workers() {
         let svc = Service::start(ServiceConfig {
             workers: 1,
             faults: Some(Arc::new(ExitOnce::default())),
             ..ServiceConfig::default()
         })
         .unwrap();
-        // The lone worker dies at its first seam check. Wait for the
-        // supervisor to notice and respawn it.
+        // The lone worker dies at its first seam check. Wait for its drop
+        // guard to respawn it.
         let deadline = Instant::now() + Duration::from_secs(5);
         while count(&svc, "arrayflow_worker_restarts_total") == Some(0) {
-            assert!(Instant::now() < deadline, "supervisor never respawned");
+            assert!(
+                Instant::now() < deadline,
+                "the dead worker was never replaced"
+            );
             std::thread::sleep(Duration::from_millis(5));
         }
         // The replacement worker serves requests normally.
@@ -1308,6 +1193,24 @@ mod tests {
         assert_eq!(count(&svc, "arrayflow_worker_restarts_total"), Some(1));
         svc.shutdown();
         svc.join_workers();
+    }
+
+    #[test]
+    fn a_dropped_service_stops_its_pool() {
+        let svc = start_small();
+        let r = ask(
+            &svc,
+            br#"{"id": 1, "verb": "analyze", "program": "do i = 1, 9 A[i+2] := A[i]; end"}"#,
+        );
+        assert!(r.contains(r#""ok":true"#), "{}", r);
+        let pool = Arc::downgrade(&svc.pool);
+        drop(svc);
+        // The workers hold the pool until they exit.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while pool.upgrade().is_some() {
+            assert!(Instant::now() < deadline, "the pool outlived its service");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -254,9 +254,9 @@ fn chaos_drill_contains_every_injected_fault() {
         0
     );
 
-    // Workers were killed by the plan and replaced by the supervisor.
-    // The supervisor polls every 20 ms, so give the last injected exit a
-    // moment to be noticed.
+    // Workers were killed by the plan and replaced by their drop guards.
+    // A replacement starts as its predecessor exits, so poll briefly for
+    // the counter to show it.
     loop {
         let restarts = metric_value(&mut client, "arrayflow_worker_restarts_total");
         if restarts >= 1 {

@@ -234,7 +234,7 @@ fn killed_node_fails_over_to_a_warm_replica_with_identical_reports() {
     // The victim: the node that owns the first program's shard. Same
     // topology the router built, so the choice is exact, and the kill is
     // guaranteed to force failovers for that shard's re-requests.
-    let topology = Topology::parse(&spec, 0).expect("topology");
+    let topology = Topology::parse(&spec).expect("topology");
     let victim = topology.primary_for(fingerprint_of(&programs[0]));
 
     // Load thread: hammer the router while the victim dies under it.

@@ -61,7 +61,7 @@ impl Stack {
             };
         }
         let node = serve(service, Duration::from_secs(60));
-        let topology = Topology::parse(&format!("n1={}", node.0), 0).expect("topology");
+        let topology = Topology::parse(&format!("n1={}", node.0)).expect("topology");
         let mut config = RouterConfig::new(topology);
         config.max_frame_bytes = max_frame_bytes;
         let (addr, front) = serve(Router::start(config).expect("router"), idle_timeout);
