@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use arrayflow_core::{canned_source, CustomSpec, CANNED};
+use arrayflow_core::{canned_solves, canned_source, CustomSpec, Mode, CANNED};
 use arrayflow_graph::{build_loop_graph, LoopGraph};
 use arrayflow_ir::{Loop, Program, Stmt, SymbolTable};
 
@@ -50,8 +50,10 @@ impl std::error::Error for AnalyzeError {}
 
 /// The complete analysis of one loop level: the flow graph, the classified
 /// reference sites, and the four canned framework instances of
-/// [`CANNED`], in its order. Three column families are solved; reaching
-/// definitions select their columns from δ-available values
+/// [`CANNED`], in its order. Three column families are solved, in two
+/// solves: δ-available values and δ-reaching references are the same rows
+/// in must and may mode, solved together, and δ-busy stores on their own.
+/// Reaching definitions select their columns from δ-available values
 /// ([`canned_source`]).
 #[derive(Debug, Clone)]
 pub struct LoopAnalysis {
@@ -99,10 +101,11 @@ impl LoopAnalysis {
     }
 
     /// Like [`LoopAnalysis::of_loop`], but polls `should_stop` between
-    /// solver passes of each solved column family and yields
+    /// solver passes of each solved column family — δ-available values,
+    /// δ-reaching references, then δ-busy stores — and yields
     /// [`AnalyzeError::Stopped`] — carrying the iteration passes already
-    /// spent — as soon as it returns `true`. With `None` the result is
-    /// identical to [`LoopAnalysis::of_loop`].
+    /// spent, summed over the families — as soon as it returns `true`.
+    /// With `None` the result is identical to [`LoopAnalysis::of_loop`].
     pub fn of_loop_ctrl(
         l: &Loop,
         symbols: &SymbolTable,
@@ -113,48 +116,57 @@ impl LoopAnalysis {
         let build = |sites: &[Site], _, spec: CustomSpec| {
             build_spec(sites, GK::of(spec), spec.direction, spec.mode)
         };
-        Self::assemble(symbols.into(), graph, sites, build, |graph, _, k, built| {
-            let solved = Instance::of_spec(graph, GK::of(CANNED[k].1), built, should_stop)
-                .map_err(|s| AnalyzeError::Stopped {
-                    passes: spent + s.passes_completed as u64,
-                })?;
-            spent += solved.sol.stats.passes as u64;
-            Ok(solved)
-        })
+        Self::assemble(
+            symbols.into(),
+            graph,
+            sites,
+            build,
+            |graph, _, rows, built| {
+                let modes: Vec<Mode> = rows.iter().map(|&k| CANNED[k].1.mode).collect();
+                let gk = GK::of(CANNED[rows[0]].1);
+                let solved =
+                    Instance::of_modes(graph, gk, built, &modes, should_stop).map_err(|s| {
+                        AnalyzeError::Stopped {
+                            passes: spent + s.passes_completed as u64,
+                        }
+                    })?;
+                spent += solved
+                    .iter()
+                    .map(|i| i.sol.stats.passes as u64)
+                    .sum::<u64>();
+                Ok(solved)
+            },
+        )
     }
 
-    /// Builds the analysis of a prepared loop. For every [`CANNED`] row
-    /// that is its own [`canned_source`] — one per column family — in
-    /// table order, `build` supplies the spec rows given the site table,
-    /// the row's index and its spec, and `solve` solves them. A family of
-    /// the roles and direction of an earlier one (δ-reaching references
-    /// and δ-available values differ only in mode) takes that family's
-    /// rows instead of building its own. Every other row selects its
-    /// columns from its source's instance ([`Instance::select`]).
+    /// Builds the analysis of a prepared loop. The [`CANNED`] rows that
+    /// are their own [`canned_source`] — one per column family — are
+    /// solved in [`canned_solves`]' groups: the families of one roles and
+    /// direction (δ-available values and δ-reaching references differ
+    /// only in mode) share their spec rows and one solve. In that order —
+    /// the forward pair, then δ-busy stores — `build` supplies the spec
+    /// rows given the site table, the group's first row and its spec, and
+    /// `solve` solves them in the mode of each row of the group, one
+    /// instance per row in order. Every other row selects its columns from
+    /// its source's instance ([`Instance::select`]).
     pub fn assemble(
         symbols: Arc<SymbolTable>,
         graph: LoopGraph,
         sites: Vec<Site>,
         mut build: impl FnMut(&[Site], usize, CustomSpec) -> BuiltSpec,
-        mut solve: impl FnMut(&LoopGraph, &[Site], usize, BuiltSpec) -> Result<Instance, AnalyzeError>,
+        mut solve: impl FnMut(
+            &LoopGraph,
+            &[Site],
+            &[usize],
+            BuiltSpec,
+        ) -> Result<Vec<Instance>, AnalyzeError>,
     ) -> Result<Self, AnalyzeError> {
         let mut rows: [Option<Instance>; 4] = Default::default();
-        for (k, &(_, spec)) in CANNED.iter().enumerate() {
-            if canned_source(k) != k {
-                continue;
+        for group in canned_solves() {
+            let built = build(&sites, group[0], CANNED[group[0]].1);
+            for (&k, solved) in group.iter().zip(solve(&graph, &sites, &group, built)?) {
+                rows[k] = Some(solved);
             }
-            // The same roles and direction, whatever the mode.
-            let same_rows = |j: &usize| {
-                CustomSpec {
-                    mode: spec.mode,
-                    ..CANNED[*j].1
-                } == spec
-            };
-            let built = match (0..k).filter(same_rows).find_map(|j| rows[j].as_ref()) {
-                Some(earlier) => earlier.built.with_mode(spec.mode),
-                None => build(&sites, k, spec),
-            };
-            rows[k] = Some(solve(&graph, &sites, k, built)?);
         }
         let mut selected: [Option<Instance>; 4] = std::array::from_fn(|k| {
             let source = rows[canned_source(k)].as_ref()?;

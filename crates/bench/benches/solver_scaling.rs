@@ -1,9 +1,12 @@
 //! Solver scaling: where a solve's time goes as the loop body grows. On
 //! the E16 tier shapes (8/32/128/512 statements over 4/8/16/64 arrays,
-//! the loops of `incremental_throughput`), each row times
-//! `FlowTable::build` alone and the complete fresh `solve` of the three
-//! column families `analyze_loop` solves (the [`CANNED`] rows that are
-//! their own [`canned_source`]; it selects the fourth); the fixpoint
+//! the loops of `incremental_throughput`), each row times the flow table
+//! builds alone and the complete fresh solves of the three column
+//! families `analyze_loop` solves (the [`CANNED`] rows that are their own
+//! `canned_source`; it selects the fourth), as it solves them: the
+//! families of one roles and direction together ([`canned_solves`]), in
+//! one `FlowTable::build_modes` and one `solve_modes` per group; the
+//! fixpoint
 //! iteration is the median of their paired differences (timed back to
 //! back), which stays meaningful even where the table build is most of
 //! the solve. The paper's claim is linear work — 3·N node visits for
@@ -23,7 +26,7 @@ use std::time::Instant;
 
 use arrayflow_analyses::{build_spec, enumerate_sites, BuiltSpec, GK};
 use arrayflow_bench::{bench, report};
-use arrayflow_core::{canned_source, solve, FlowTable, CANNED};
+use arrayflow_core::{canned_solves, solve_modes, FlowTable, Mode, CANNED};
 use arrayflow_graph::build_loop_graph;
 use arrayflow_workloads::{random_loop, LoopShape};
 
@@ -83,22 +86,29 @@ fn main() {
         let l = p.sole_loop().unwrap();
         let graph = build_loop_graph(l);
         let (sites, _) = enumerate_sites(l, &graph, &p.symbols);
-        let specs: Vec<BuiltSpec> = (0..CANNED.len())
-            .filter(|&k| canned_source(k) == k)
-            .map(|k| {
-                let spec = CANNED[k].1;
-                build_spec(&sites, GK::of(spec), spec.direction, spec.mode)
+        // The solves `analyze_loop` runs: per group of families, the spec
+        // rows of the first and the modes of all.
+        let families: Vec<(BuiltSpec, Vec<Mode>)> = canned_solves()
+            .into_iter()
+            .map(|group| {
+                let spec = CANNED[group[0]].1;
+                let built = build_spec(&sites, GK::of(spec), spec.direction, spec.mode);
+                (built, group.iter().map(|&k| CANNED[k].1.mode).collect())
             })
             .collect();
         let (table_us, solve_us, fixpoint_us) = paired(
             || {
-                for built in &specs {
-                    black_box(FlowTable::build(&graph, black_box(&built.spec)));
+                for (built, modes) in &families {
+                    black_box(FlowTable::build_modes(
+                        &graph,
+                        black_box(&built.spec),
+                        modes,
+                    ));
                 }
             },
             || {
-                for built in &specs {
-                    black_box(solve(&graph, black_box(&built.spec), None).unwrap());
+                for (built, modes) in &families {
+                    black_box(solve_modes(&graph, black_box(&built.spec), modes, None).unwrap());
                 }
             },
         );

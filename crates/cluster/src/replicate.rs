@@ -103,11 +103,18 @@ impl ReplicatorInstruments {
 }
 
 /// Ships the local store to one replica. See the module docs for the
-/// delivery contract.
+/// delivery contract. Dropping the last handle stops and joins the
+/// shipping thread, which holds only the queue it shares with the
+/// replicator.
 pub struct Replicator {
+    shared: Arc<Shared>,
+    shipper: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// What the replicator shares with its shipping thread.
+struct Shared {
     queue: Mutex<Queue>,
     cv: Condvar,
-    shipper: Mutex<Option<JoinHandle<()>>>,
     ins: ReplicatorInstruments,
 }
 
@@ -123,34 +130,36 @@ impl Replicator {
         config: ReplicatorConfig,
         registry: &Registry,
     ) -> Arc<Replicator> {
-        let ins = ReplicatorInstruments::registered(registry);
-        let replicator = Arc::new(Replicator {
+        let shared = Arc::new(Shared {
             queue: Mutex::new(Queue::default()),
             cv: Condvar::new(),
-            shipper: Mutex::new(None),
-            ins: ins.clone(),
+            ins: ReplicatorInstruments::registered(registry),
         });
-        let worker = Arc::clone(&replicator);
+        let worker = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("replica-shipper".into())
             .spawn(move || worker.run(store, config))
             .expect("spawn replica shipper thread");
-        *replicator.shipper.lock().unwrap() = Some(handle);
-        replicator
+        Arc::new(Replicator {
+            shared,
+            shipper: Mutex::new(Some(handle)),
+        })
     }
 
     /// Signals the shipper to drain and exit, then joins it. Idempotent.
     pub fn shutdown(&self) {
         {
-            let mut q = self.queue.lock().unwrap();
+            let mut q = self.shared.queue.lock().unwrap();
             q.shutdown = true;
-            self.cv.notify_all();
+            self.shared.cv.notify_all();
         }
         if let Some(handle) = self.shipper.lock().unwrap().take() {
             let _ = handle.join();
         }
     }
+}
 
+impl Shared {
     fn run(&self, store: Arc<Store>, config: ReplicatorConfig) {
         let mut conn: Option<Connection> = None;
         let mut backoff = Backoff::new(Duration::from_millis(50), Duration::from_secs(2));
@@ -273,21 +282,22 @@ impl Drop for Replicator {
 
 impl ReplicationSink for Replicator {
     fn record(&self, key: &CacheKey, report: &Arc<AnalysisReport>) {
-        let mut q = self.queue.lock().unwrap();
+        let shared = &*self.shared;
+        let mut q = shared.queue.lock().unwrap();
         if q.shutdown {
             return;
         }
         if q.pending.len() >= MAX_BUFFER {
-            self.ins.dropped.inc();
+            shared.ins.dropped.inc();
             return;
         }
         q.pending.push((*key, Arc::clone(report)));
-        self.cv.notify_all();
+        shared.cv.notify_all();
     }
 
     fn barrier(&self) {
-        let mut q = self.queue.lock().unwrap();
+        let mut q = self.shared.queue.lock().unwrap();
         q.barrier = true;
-        self.cv.notify_all();
+        self.shared.cv.notify_all();
     }
 }

@@ -26,7 +26,9 @@
 //! at a time over packed `u64` lanes, which is sound because the framework
 //! is separable (each column evolves independently), and solves each
 //! array's columns on that array's projected flow graph, since every node
-//! without a site on the array is the identity for them. A [`Solution`] carries
+//! without a site on the array is the identity for them. Problems that
+//! differ only in their mode share that work: [`solve_modes`] builds one
+//! table and one projection for all of them. A [`Solution`] carries
 //! the fixed point, one block of columns per array, each column's
 //! [`ColumnProfile`] entry (the pass that last changed it) and the
 //! [`SolveStats`] of the equivalent round-robin schedule, so incremental
@@ -73,9 +75,10 @@ pub use flow::FlowTable;
 pub use lattice::Dist;
 pub use preserve::preserve_constant;
 pub use problem::{
-    canned_source, CustomSpec, Direction, GenRef, KillKind, KillSite, Mode, ProblemSpec, RefId,
-    CANNED,
+    canned_solves, canned_source, CustomSpec, Direction, GenRef, KillKind, KillSite, Mode,
+    ProblemSpec, RefId, CANNED,
 };
 pub use solver::{
-    solve, solve_bounded, solve_passes, ColumnProfile, Solution, SolveStats, StopCheck, Stopped,
+    solve, solve_bounded, solve_modes, solve_passes, ColumnProfile, Solution, SolveStats,
+    StopCheck, Stopped,
 };

@@ -12,7 +12,7 @@ use arrayflow_workloads::{random_loop, LoopShape};
 use crate::lattice::Dist;
 use crate::preserve::{post_preserve, preserve_constant};
 use crate::problem::{CustomSpec, Direction, KillKind, Mode, ProblemSpec, CANNED};
-use crate::solver::{solve, solve_bounded, solve_passes, Solution, SolveStats};
+use crate::solver::{solve, solve_bounded, solve_modes, solve_passes, Solution, SolveStats};
 
 /// `(before, after)` tuples per node.
 type State = (Vec<Vec<Dist>>, Vec<Vec<Dist>>);
@@ -187,7 +187,8 @@ fn assert_state(sol: &Solution, (before, after): &State, ctx: &str) {
 
 /// Values, statistics, profile, the bounded schedule and every per-pass
 /// snapshot of the column solver against the oracle's. `snapshots: false`
-/// checks the fixed point alone.
+/// checks the fixed point alone. The fixed point is also checked as
+/// either mode of a solve in both modes at once, first and second.
 fn check(graph: &LoopGraph, spec: &ProblemSpec, snapshots: bool, ctx: &str) {
     let sol = solve(graph, spec, None).unwrap();
     let (fixed, stats, profile) = round_robin(graph, spec, None, |k, state| {
@@ -202,6 +203,17 @@ fn check(graph: &LoopGraph, spec: &ProblemSpec, snapshots: bool, ctx: &str) {
     assert_state(&sol, &fixed, ctx);
     assert_eq!(sol.stats, stats, "{ctx}: stats");
     assert_eq!(sol.profile, profile, "{ctx}: profile");
+    let other = match spec.mode {
+        Mode::Must => Mode::May,
+        Mode::May => Mode::Must,
+    };
+    for (at, modes) in [(0, [spec.mode, other]), (1, [other, spec.mode])] {
+        let fused = &solve_modes(graph, spec, &modes, None).unwrap()[at];
+        let ctx = format!("{ctx} fused as {modes:?}");
+        assert_state(fused, &fixed, &ctx);
+        assert_eq!(fused.stats, stats, "{ctx}: stats");
+        assert_eq!(fused.profile, profile, "{ctx}: profile");
+    }
     if snapshots {
         let (bounded, bounded_stats, _) = round_robin(graph, spec, Some(2), |_, _| {});
         let sol = solve_bounded(graph, spec);
@@ -299,5 +311,77 @@ fn column_solver_matches_round_robin_on_fig1() {
             true,
             &format!("fig1 {custom}"),
         );
+    }
+}
+
+#[test]
+fn a_fused_solve_stopped_at_every_poll_counts_each_mode_in_its_own_terms() {
+    use crate::solver::{StopCheck, Stopped};
+    use std::cell::Cell;
+
+    // Runs `f` with a stop check that fires on its `stop_at`-th poll
+    // (1-based; never for 0), and returns its result and the polls made.
+    fn stopped_at<T>(
+        stop_at: usize,
+        f: impl FnOnce(StopCheck<'_>) -> Result<T, Stopped>,
+    ) -> (Result<T, Stopped>, usize) {
+        let polls = Cell::new(0);
+        let stop = || {
+            polls.set(polls.get() + 1);
+            polls.get() == stop_at
+        };
+        let result = f(&stop);
+        (result, polls.get())
+    }
+
+    let shape = LoopShape {
+        stmts: 32,
+        arrays: 8,
+        ..LoopShape::default()
+    };
+    for seed in 0..4 {
+        let p = random_loop(&shape, 42 + seed);
+        let graph = build_loop_graph(p.sole_loop().unwrap());
+        // δ-available values and δ-reaching references: the forward pair.
+        let spec = spec_of(&graph, CANNED[1].1);
+        let modes = [Mode::Must, Mode::May];
+        let one = |mode: Mode, stop: Option<StopCheck<'_>>| {
+            let spec = ProblemSpec {
+                mode,
+                ..spec.clone()
+            };
+            solve(&graph, &spec, stop)
+        };
+        let (must, must_polls) = stopped_at(0, |stop| one(Mode::Must, Some(stop)));
+        let (_, may_polls) = stopped_at(0, |stop| one(Mode::May, Some(stop)));
+        let must_passes = must.unwrap().stats.passes;
+        assert!(
+            must_polls > 1 && may_polls > 1,
+            "seed {seed}: too few polls"
+        );
+        let (_, polls) = stopped_at(0, |stop| solve_modes(&graph, &spec, &modes, Some(stop)));
+        assert_eq!(polls, must_polls + may_polls, "seed {seed}: poll count");
+        for at in 1..=polls {
+            let (fused, _) = stopped_at(at, |stop| solve_modes(&graph, &spec, &modes, Some(stop)));
+            // The must mode is polled first, then the may mode, which
+            // adds its own passes to the must mode's.
+            let want = match at <= must_polls {
+                true => stopped_at(at, |stop| one(Mode::Must, Some(stop))).0,
+                false => {
+                    let (may, _) = stopped_at(at - must_polls, |stop| one(Mode::May, Some(stop)));
+                    let Err(Stopped { passes_completed }) = may else {
+                        panic!("the may solve ran past its poll {}", at - must_polls)
+                    };
+                    Err(Stopped {
+                        passes_completed: must_passes + passes_completed,
+                    })
+                }
+            };
+            assert_eq!(
+                fused.map(|_| ()),
+                want.map(|_| ()),
+                "seed {seed}: stopped at poll {at}"
+            );
+        }
     }
 }

@@ -16,12 +16,17 @@
 //! `pr(d, n) = 0` iff `d`'s node precedes `n` within the iteration, else 1.
 //! May-problems use the *definite kill* rule instead, and backward problems
 //! negate `k`'s numerator. Everything here is exact integer/rational
-//! arithmetic. Symbol-free subscripts are differenced and divided in `i64`
-//! directly; symbolic coefficients are resolved through
-//! [`LinExpr::ratio`](arrayflow_ir::LinExpr::ratio). Either way `k` reaches
-//! one integer kernel, run in checked `i64` and re-run in `i128` when a step
-//! overflows; undecidable cases fall back to the sound side of the
-//! respective mode.
+//! arithmetic.
+//!
+//! The subscripts of one (generator, kill) pair are related once, into a
+//! `Relation`, which every mode and the post-generate constant then
+//! read. Symbol-free subscripts are read as `i64` rows `(a, b)` and
+//! related by their unreduced differences over `a₁`; symbolic coefficients
+//! are resolved through [`LinExpr::ratio`](arrayflow_ir::LinExpr::ratio)
+//! into reduced rationals. Either way `k` reaches one integer kernel, run
+//! in checked `i64`; a step that overflows re-runs the reduced derivation,
+//! in `i64` and then `i128`, and undecidable cases fall back to the sound
+//! side of the respective mode.
 
 use arrayflow_graph::LoopGraph;
 use arrayflow_ir::{AffineSub, LinExpr};
@@ -74,54 +79,125 @@ pub fn preserve_constant_with_pr(
     if kill.array != gen.aref.array {
         return Dist::Top;
     }
-    let kill_sub = match &kill.kind {
-        KillKind::AllOfArray => {
-            // Summary nodes / non-affine definitions: assume the worst for
-            // must-information, the best (nothing definitely killed) for
-            // may-information (paper §3.2, §3.3).
-            return match mode {
-                Mode::Must => Dist::Bottom,
-                Mode::May => Dist::Top,
-            };
-        }
-        KillKind::Exact(sub) => sub,
-    };
+    Relation::of(Row::of(&gen.sub), Row::of_kill(kill), direction).constant(pr, ub, direction, mode)
+}
 
-    let denom = &gen.sub.coef;
-    if denom.is_zero() {
-        return invariant_generator(gen, kill_sub, pr, ub, mode).unwrap_or(undecidable(mode));
+/// One subscript of the pair walk, read once per generator or kill row:
+/// its affine form and, when symbol-free, its `(a, b)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    sub: &'a AffineSub,
+    ints: Option<(i64, i64)>,
+}
+
+impl<'a> Row<'a> {
+    pub(crate) fn of(sub: &'a AffineSub) -> Self {
+        Row {
+            sub,
+            ints: sub.as_constants(),
+        }
     }
-    // Numerator of k(i): forward (a₁−a₂)·i + (b₁−b₂); backward negated.
-    let (g, k) = match direction {
-        Direction::Forward => (&gen.sub, kill_sub),
-        Direction::Backward => (kill_sub, &gen.sub),
-    };
-    let Some((qa, qb)) = quotients(denom, g, k) else {
-        return undecidable(mode);
-    };
-    match mode {
-        Mode::May => definite_kill(qa, qb, pr, ub),
-        Mode::Must => must_constant::<i64>(qa, qb, pr, ub, direction)
-            .or_else(|| must_constant::<i128>(qa, qb, pr, ub, direction))
-            .unwrap_or(undecidable(mode)),
+
+    /// A kill site's row; `None` for a kill of the whole array.
+    pub(crate) fn of_kill(kill: &'a KillSite) -> Option<Self> {
+        match &kill.kind {
+            KillKind::Exact(sub) => Some(Row::of(sub)),
+            KillKind::AllOfArray => None,
+        }
     }
 }
 
-/// `k(i) = qa·i + qb` with `qa = (a_g − a_k)/a₁` and `qb = (b_g − b_k)/a₁`,
-/// both exact reduced rationals when they exist at all (symbolic parts
-/// must cancel). A difference or ratio that overflows `i64` is as
-/// undecidable as a symbolic one: `None`.
-fn quotients(denom: &LinExpr, g: &AffineSub, k: &AffineSub) -> Option<((i64, i64), (i64, i64))> {
-    if let (Some((ga, gb)), Some((ka, kb))) = (g.as_constants(), k.as_constants()) {
-        // `g` or `k` is the generator, so `a₁` is symbol-free too.
-        let a1 = denom.as_constant()?;
-        return Some((
-            ratio(ga.checked_sub(ka)?, a1)?,
-            ratio(gb.checked_sub(kb)?, a1)?,
-        ));
+/// How the subscripts of one (generator, same-array kill) pair relate:
+/// everything its preserve constants depend on besides `pr`, the trip
+/// count and the mode. The flow table's pair walk derives it once per pair
+/// and reads it in every mode.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Relation<'a> {
+    /// Kills the whole array (summary nodes, non-affine definitions).
+    AllOfArray,
+    /// A loop-invariant generator (`a₁ = 0`) and the kill's subscript.
+    Invariant(&'a AffineSub, &'a AffineSub),
+    /// `k(i) = (a·i + b) / d` with `d > 0`: the symbol-free rows'
+    /// unreduced differences over `a₁`, negated together when `a₁ < 0`.
+    /// None of the three is `i64::MIN`, so each step of the kernel scales
+    /// the reduced derivation's by one positive factor and decides alike.
+    Ints { a: i64, b: i64, d: i64 },
+    /// `k(i) = qa·i + qb` as reduced rationals with positive
+    /// denominators: symbolic subscripts, and the `i64::MIN` edges.
+    Ratios((i64, i64), (i64, i64)),
+    /// The relation cannot be decided: symbolic parts that do not cancel,
+    /// or a difference or ratio that overflows `i64`.
+    Undecidable,
+}
+
+impl<'a> Relation<'a> {
+    /// Relates the generator's row `gen` to a kill's (`None` kills the
+    /// whole array).
+    pub(crate) fn of(gen: Row<'a>, kill: Option<Row<'a>>, direction: Direction) -> Self {
+        let Some(kill) = kill else {
+            return Relation::AllOfArray;
+        };
+        let denom = &gen.sub.coef;
+        if denom.is_zero() {
+            return Relation::Invariant(gen.sub, kill.sub);
+        }
+        // Numerator of k(i): forward (a₁−a₂)·i + (b₁−b₂); backward negated.
+        let (g, k) = match direction {
+            Direction::Forward => (gen, kill),
+            Direction::Backward => (kill, gen),
+        };
+        let ratios = |qa: Option<(i64, i64)>, qb: Option<(i64, i64)>| match (qa, qb) {
+            (Some(qa), Some(qb)) => Relation::Ratios(qa, qb),
+            _ => Relation::Undecidable,
+        };
+        let (Some((ga, gb)), Some((ka, kb)), Some((a1, _))) = (g.ints, k.ints, gen.ints) else {
+            let ratio = |a: &LinExpr, b: &LinExpr| a.checked_sub(b)?.ratio(denom);
+            return ratios(
+                ratio(&g.sub.coef, &k.sub.coef),
+                ratio(&g.sub.rest, &k.sub.rest),
+            );
+        };
+        let (Some(a), Some(b)) = (ga.checked_sub(ka), gb.checked_sub(kb)) else {
+            return Relation::Undecidable;
+        };
+        if [a, b, a1].contains(&i64::MIN) {
+            return ratios(ratio(a, a1), ratio(b, a1));
+        }
+        let s = a1.signum();
+        Relation::Ints {
+            a: a * s,
+            b: b * s,
+            d: a1 * s,
+        }
     }
-    let ratio = |a: &LinExpr, b: &LinExpr| a.checked_sub(b)?.ratio(denom);
-    Some((ratio(&g.coef, &k.coef)?, ratio(&g.rest, &k.rest)?))
+
+    /// The preserve constant under `pr`, the trip count `ub` and `mode`.
+    pub(crate) fn constant(
+        self,
+        pr: u64,
+        ub: Option<i64>,
+        direction: Direction,
+        mode: Mode,
+    ) -> Dist {
+        let decided = match (self, mode) {
+            // Summary nodes / non-affine definitions: assume the worst for
+            // must-information, the best (nothing definitely killed) for
+            // may-information (paper §3.2, §3.3).
+            (Relation::AllOfArray | Relation::Undecidable, _) => None,
+            (Relation::Invariant(gen, kill), _) => invariant_generator(gen, kill, pr, ub, mode),
+            (Relation::Ints { a, b, d }, Mode::May) => Some(definite_kill(a, b, d, pr, ub)),
+            (Relation::Ratios(qa, qb), Mode::May) => Some(definite_kill(qa.0, qb.0, qb.1, pr, ub)),
+            (Relation::Ints { a, b, d }, Mode::Must) => must_constant((a, b, d), pr, ub, direction)
+                .or_else(|| {
+                    let (qa, qb) = (ratio(a, d)?, ratio(b, d)?);
+                    reduced_must_constant(qa, qb, pr, ub, direction)
+                }),
+            (Relation::Ratios(qa, qb), Mode::Must) => {
+                reduced_must_constant(qa, qb, pr, ub, direction)
+            }
+        };
+        decided.unwrap_or(undecidable(mode))
+    }
 }
 
 /// Sound fallback when the subscript relation cannot be decided.
@@ -136,14 +212,14 @@ fn undecidable(mode: Mode) -> Dist {
 /// location, so any killer that can touch that location destroys them all.
 /// `None` when the location difference overflows `i64`.
 fn invariant_generator(
-    gen: &GenRef,
+    gen: &AffineSub,
     kill_sub: &AffineSub,
     pr: u64,
     ub: Option<i64>,
     mode: Mode,
 ) -> Option<Dist> {
     // b₁ − b₂: the killer hits the location when a₂·i = b₁ − b₂.
-    let diff = gen.sub.rest.checked_sub(&kill_sub.rest)?;
+    let diff = gen.rest.checked_sub(&kill_sub.rest)?;
     if kill_sub.coef.is_zero() {
         // Invariant vs invariant: overlap iff b₂ = b₁.
         if diff.is_zero() {
@@ -171,8 +247,33 @@ fn invariant_generator(
     }
 }
 
-/// Must-mode constant for `k(i) = qa·i + qb` (rationals as reduced
-/// `(num, den)` pairs with positive denominators).
+/// [`must_constant`] for `k(i) = qa·i + qb` (reduced rationals with
+/// positive denominators) over their common denominator, in checked `i64`
+/// and re-run in `i128` when a step overflows; `None` when an `i128` step
+/// overflows too (e.g. `X[4611686018427387903·i]` over a trip count near
+/// `i64::MAX`), which the caller answers with the sound `undecidable`
+/// constant.
+fn reduced_must_constant(
+    qa: (i64, i64),
+    qb: (i64, i64),
+    pr: u64,
+    ub: Option<i64>,
+    direction: Direction,
+) -> Option<Dist> {
+    fn over<T: Int>(qa: (i64, i64), qb: (i64, i64)) -> Option<(T, T, T)> {
+        let of = T::of;
+        Some((
+            of(qa.0).mul(of(qb.1))?,
+            of(qb.0).mul(of(qa.1))?,
+            of(qa.1).mul(of(qb.1))?,
+        ))
+    }
+    over::<i64>(qa, qb)
+        .and_then(|k| must_constant(k, pr, ub, direction))
+        .or_else(|| must_constant(over::<i128>(qa, qb)?, pr, ub, direction))
+}
+
+/// Must-mode constant for `k(i) = (a·i + b) / dn` with `dn > 0`.
 ///
 /// A kill at distance `δ = k(i)` is only real when the killed instance
 /// *exists*: the generator must have run at iteration `i − δ ≥ 1`
@@ -183,26 +284,25 @@ fn invariant_generator(
 /// the loop) and keeps the subsumption property over the dependence-based
 /// baseline.
 ///
-/// Every step is checked arithmetic in `T`: `None` when one overflows.
-/// The caller runs the kernel in `i64` and re-runs it in `i128` on `None`;
-/// an `i128` overflow (e.g. `X[4611686018427387903·i]` over a trip count
-/// near `i64::MAX`) is answered with the sound `undecidable` constant.
+/// Every test below answers alike when `(a, b, dn)` are scaled by one
+/// positive factor, so the reduced and the unreduced forms of one `k`
+/// decide the same constant. Every step is checked arithmetic in `T`:
+/// `None` when one overflows.
 fn must_constant<T: Int>(
-    qa: (i64, i64),
-    qb: (i64, i64),
+    (a, b, dn): (T, T, T),
     pr: u64,
     ub: Option<i64>,
     direction: Direction,
 ) -> Option<Dist> {
     let (of, pr) = (T::of, T::of_u64(pr)?);
-    if qa.0 == 0 {
-        // k is the constant qb.
-        let (n, d) = (of(qb.0), of(qb.1));
-        let pr_d = pr.mul(d)?;
-        if n < pr_d {
+    debug_assert!(dn > T::ZERO);
+    let pr_d = pr.mul(dn)?;
+    if a == T::ZERO {
+        // k is the constant b / dn.
+        if b < pr_d {
             return Some(Dist::Top); // k < pr: no instance killed
         }
-        if d != T::ONE && n != pr_d {
+        if b.rem(dn)? != T::ZERO {
             // Non-integer constant: a kill would need an integer distance,
             // so none ever occurs. (Slightly sharper than the paper's
             // ⌈k⌉ − 1 approximation, and exact.)
@@ -210,36 +310,30 @@ fn must_constant<T: Int>(
         }
         // Integer constant c ≥ pr: a kill at distance c needs a valid
         // source iteration, i.e. the loop must run at least c + 1 times.
-        let c = n.div(d)?;
+        let c = b.div(dn)?;
         if ub.is_some_and(|ub| of(ub) <= c) {
             return Some(Dist::Top);
         }
-        return Some(if n == pr_d {
+        return Some(if b == pr_d {
             Dist::Bottom // k ≡ pr: every instance killed
         } else {
             Dist::Fin(c.sub(T::ONE)?.to_u64()?) // c > pr: p = c − 1
         });
     }
 
-    // Common denominator: k(i) = (A·i + B) / Dn with Dn > 0.
-    let a = of(qa.0).mul(of(qb.1))?;
-    let b = of(qb.0).mul(of(qa.1))?;
-    let dn = of(qa.1).mul(of(qb.1))?;
-    debug_assert!(dn > T::ZERO);
-
     // Feasible killing iterations satisfy, simultaneously:
     //   1 ≤ i ≤ UB                              (iteration space)
     //   instance existence (see above)
-    //   A·i + B ≥ pr·Dn (+1 for strict)         (kill depth)
+    //   a·i + b ≥ pr·dn (+1 for strict)         (kill depth)
     // All are linear in i; intersect them into [lo, hi].
     let mut range = Range {
         lo: T::ONE,
         hi: ub.map_or(T::UNBOUNDED, of),
     };
     match (direction, ub) {
-        // i − k(i) ≥ 1  ⟺  (Dn − A)·i ≥ B + Dn
+        // i − k(i) ≥ 1  ⟺  (dn − a)·i ≥ b + dn
         (Direction::Forward, _) => range.at_least(dn.sub(a)?, b.add(dn)?)?,
-        // i + k(i) ≤ UB ⟺ −(Dn + A)·i ≥ B − UB·Dn (only with a known UB)
+        // i + k(i) ≤ UB ⟺ −(dn + a)·i ≥ b − UB·dn (only with a known UB)
         (Direction::Backward, Some(u)) => {
             range.at_least(dn.add(a)?.neg()?, b.sub(of(u).mul(dn)?)?)?
         }
@@ -249,12 +343,12 @@ fn must_constant<T: Int>(
     // Exact hit at distance pr within the feasible range → ⊥ (the paper's
     // case-1 answer extended to non-constant k; its ⌈min k > pr⌉ − 1
     // approximation alone would be unsound here).
-    let c0 = pr.mul(dn)?.sub(b)?; // A·i == c0 ⟺ k(i) == pr
+    let c0 = pr_d.sub(b)?; // a·i == c0 ⟺ k(i) == pr
     if c0.rem(a)? == T::ZERO && (range.lo..=range.hi).contains(&c0.div(a)?) {
         return Some(Dist::Bottom);
     }
 
-    // Strictly-above-pr kills: add A·i ≥ pr·Dn − B + 1 and take the minimum
+    // Strictly-above-pr kills: add a·i ≥ pr·dn − b + 1 and take the minimum
     // k over the interval (at the lo end when k increases, hi when it
     // decreases).
     range.at_least(a, c0.add(T::ONE)?)?;
@@ -268,13 +362,17 @@ fn must_constant<T: Int>(
     Some(Dist::Fin(p.to_u64()?))
 }
 
-/// May-mode *definite kill* rule (paper §3.3): only a killer of the form
-/// `X[f(i) + c]` (constant k) definitely destroys instances — and only
-/// when the loop runs long enough (`UB ≥ c + 1`) for a killed instance to
-/// exist at all. No step can overflow.
-fn definite_kill(qa: (i64, i64), qb: (i64, i64), pr: u64, ub: Option<i64>) -> Dist {
-    let c = qb.0;
-    if qa.0 != 0 || qb.1 != 1 || c < 0 || (c as u64) < pr || ub.is_some_and(|ub| ub <= c) {
+/// May-mode *definite kill* rule (paper §3.3) for `k(i) = (a·i + b) / d`
+/// with `d > 0`: only a killer of the form `X[f(i) + c]` (integer constant
+/// k) definitely destroys instances — and only when the loop runs long
+/// enough (`UB ≥ c + 1`) for a killed instance to exist at all. No step
+/// can overflow.
+fn definite_kill(a: i64, b: i64, d: i64, pr: u64, ub: Option<i64>) -> Dist {
+    if a != 0 || b % d != 0 {
+        return Dist::Top;
+    }
+    let c = b / d;
+    if c < 0 || (c as u64) < pr || ub.is_some_and(|ub| ub <= c) {
         return Dist::Top;
     }
     if c as u64 == pr {
@@ -304,6 +402,20 @@ pub fn post_preserve(
     direction: Direction,
     mode: Mode,
 ) -> Dist {
+    match post_kills(gen, kill, graph, direction) {
+        true => preserve_constant_with_pr(gen, kill, graph.ub, direction, mode, 0),
+        false => Dist::Top,
+    }
+}
+
+/// Whether `kill`, a site in `gen`'s own node, can post-kill it (see
+/// [`post_preserve`]), in every mode alike.
+pub(crate) fn post_kills(
+    gen: &GenRef,
+    kill: &KillSite,
+    graph: &LoopGraph,
+    direction: Direction,
+) -> bool {
     let self_site = match (gen.origin, kill.origin) {
         (Some(a), Some(b)) => a == b,
         // Hand-built specs without origins: a def kill with the generator's
@@ -315,10 +427,7 @@ pub fn post_preserve(
             Direction::Forward => kill.is_def && !gen.is_def,
             Direction::Backward => !kill.is_def && gen.is_def,
         };
-    if self_site || !applies {
-        return Dist::Top;
-    }
-    preserve_constant_with_pr(gen, kill, graph.ub, direction, mode, 0)
+    !self_site && applies
 }
 
 #[cfg(test)]

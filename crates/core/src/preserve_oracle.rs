@@ -298,29 +298,41 @@ mod tests {
 
     /// Requires the kernel and the reference to agree on every pair of
     /// `subs`, `pr ∈ {0, 1}`, every trip count of `ubs`, both directions
-    /// and both modes.
+    /// and both modes. The kernel is read as the flow table's pair walk
+    /// reads it — each subscript read once as a row, each pair related
+    /// once per direction and that relation read in both modes, `pr = 0`
+    /// being the post-generate constant — and through the one-pair
+    /// `preserve_constant_with_pr`.
     fn agree(subs: &[AffineSub], ubs: &[Option<i64>]) -> usize {
+        use crate::preserve::{Relation, Row};
         let gens: Vec<GenRef> = subs.iter().cloned().map(gen_of).collect();
         let kills: Vec<KillSite> = subs.iter().cloned().map(kill_of).collect();
+        let kill_rows: Vec<Option<Row>> = kills.iter().map(Row::of_kill).collect();
         let mut cases = 0;
         for gen in &gens {
-            for kill in &kills {
-                for (pr, &ub) in [0, 1]
-                    .into_iter()
-                    .flat_map(|pr| ubs.iter().map(move |ub| (pr, ub)))
-                {
-                    for direction in [Direction::Forward, Direction::Backward] {
+            let gen_row = Row::of(&gen.sub);
+            for (kill, &kill_row) in kills.iter().zip(&kill_rows) {
+                for direction in [Direction::Forward, Direction::Backward] {
+                    let relation = Relation::of(gen_row, kill_row, direction);
+                    for (pr, &ub) in [0, 1]
+                        .into_iter()
+                        .flat_map(|pr| ubs.iter().map(move |ub| (pr, ub)))
+                    {
                         for mode in [Mode::Must, Mode::May] {
-                            let kernel = crate::preserve::preserve_constant_with_pr(
-                                gen, kill, ub, direction, mode, pr,
-                            );
                             let reference =
                                 preserve_constant_with_pr(gen, kill, ub, direction, mode, pr);
-                            assert_eq!(
-                                kernel, reference,
-                                "gen {:?}, kill {:?}, pr {pr}, ub {ub:?}, {direction:?}, {mode:?}",
-                                gen.sub, kill.kind
+                            let ctx = || {
+                                format!(
+                                    "gen {:?}, kill {:?}, pr {pr}, ub {ub:?}, {direction:?}, {mode:?}",
+                                    gen.sub, kill.kind
+                                )
+                            };
+                            let row = relation.constant(pr, ub, direction, mode);
+                            assert_eq!(row, reference, "row kernel: {}", ctx());
+                            let one = crate::preserve::preserve_constant_with_pr(
+                                gen, kill, ub, direction, mode, pr,
                             );
+                            assert_eq!(one, reference, "one pair: {}", ctx());
                             cases += 1;
                         }
                     }

@@ -269,6 +269,27 @@ pub fn canned_source(k: usize) -> usize {
         .expect("every row selects itself")
 }
 
+/// The solves behind the [`CANNED`] rows: the rows that are their own
+/// [`canned_source`], grouped by roles and direction — one spec's rows
+/// serve a group, solved in each row's mode — in table order of each
+/// group's first row. δ-available values and δ-reaching references differ
+/// only in mode, so the canned rows take two solves: `[[1, 3], [2]]`.
+pub fn canned_solves() -> Vec<Vec<usize>> {
+    let rows = || (0..CANNED.len()).filter(|&k| canned_source(k) == k);
+    let mut solves: Vec<Vec<usize>> = Vec::new();
+    for k in rows() {
+        let roles = |j: usize| CustomSpec {
+            mode: Mode::Must,
+            ..CANNED[j].1
+        };
+        match solves.iter_mut().find(|s| roles(s[0]) == roles(k)) {
+            Some(solve) => solve.push(k),
+            None => solves.push(vec![k]),
+        }
+    }
+    solves
+}
+
 /// A complete problem instance over one loop flow graph.
 ///
 /// The generator and kill rows are shared: a clone — e.g. the same rows
@@ -398,6 +419,7 @@ mod tests {
             (0..CANNED.len()).map(canned_source).collect::<Vec<_>>(),
             [1, 1, 2, 3]
         );
+        assert_eq!(canned_solves(), [vec![1, 3], vec![2]]);
         let (reaching, available) = (CANNED[0].1, CANNED[1].1);
         assert!(available.selects(reaching) && !reaching.selects(available));
         // The may-mode twin of δ-available shares its roles but not its columns.

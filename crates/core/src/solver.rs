@@ -42,6 +42,13 @@
 //! splice shares a group's columns with one reference count; a value
 //! anywhere else comes from a lookup, and a full row is built only when
 //! asked for ([`Solution::before_row`]).
+//!
+//! The projection depends only on the rows and the direction, not on the
+//! mode. So [`solve_modes`] solves one spec's rows in several modes at
+//! once (δ-available values and δ-reaching references are the same rows
+//! in must and may mode): one flow table build, one projection, and one
+//! block per group holding every mode's columns, one mode after the
+//! other. [`solve`] is its one-mode case.
 
 use std::sync::Arc;
 
@@ -278,7 +285,10 @@ impl std::fmt::Debug for Solution {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stopped {
     /// Whole round-robin-equivalent passes (`N · m` node-column visits
-    /// each) the columns finished before the stop add up to.
+    /// each) the columns finished before the stop add up to. A solve of
+    /// several modes ([`solve_modes`]) solves them in turn and counts
+    /// each in its own terms: the passes of the modes it finished, plus
+    /// the stopped mode's.
     pub passes_completed: usize,
 }
 
@@ -290,11 +300,12 @@ impl std::fmt::Display for Stopped {
 
 impl std::error::Error for Stopped {}
 
-/// A cooperative stop check. The solver polls it before its first column
-/// and then at the first column boundary after each further pass of work
-/// (see [`Stopped::passes_completed`]), so a request that dies mid-solve
-/// costs at most about one more pass. `None` costs a single branch per
-/// poll — the same dormant-seam contract as the fault surface.
+/// A cooperative stop check. The solver polls it before the first column
+/// of each mode and then at the first column boundary after each further
+/// pass of that mode's work (see [`Stopped::passes_completed`]), so a
+/// request that dies mid-solve costs at most about one more pass. `None`
+/// costs a single branch per poll — the same dormant-seam contract as the
+/// fault surface.
 pub type StopCheck<'a> = &'a (dyn Fn() -> bool + 'a);
 
 /// A pass cap no structured loop graph comes near: columns converge within
@@ -316,7 +327,27 @@ pub fn solve(
     spec: &ProblemSpec,
     should_stop: Option<StopCheck<'_>>,
 ) -> Result<Solution, Stopped> {
-    run(graph, spec, None, should_stop)
+    run(graph, spec, &[spec.mode], None, should_stop).map(one)
+}
+
+/// Solves the rows and direction of `spec` in each of `modes` (`spec.mode`
+/// is not read), one [`Solution`] per mode in order, each equal to
+/// [`solve`]'s in that mode. The modes share one flow table build, one
+/// projection and one block per array, which holds every mode's columns;
+/// each solution's profile and statistics are its own. The modes are
+/// solved in turn, and `should_stop` is polled as [`solve`] polls it for
+/// each (see [`Stopped::passes_completed`]).
+///
+/// # Panics
+///
+/// As [`solve`].
+pub fn solve_modes(
+    graph: &LoopGraph,
+    spec: &ProblemSpec,
+    modes: &[Mode],
+    should_stop: Option<StopCheck<'_>>,
+) -> Result<Vec<Solution>, Stopped> {
+    run(graph, spec, modes, None, should_stop)
 }
 
 /// Runs exactly the paper's schedule: the initialization pass (must) plus
@@ -332,7 +363,12 @@ pub fn solve_bounded(graph: &LoopGraph, spec: &ProblemSpec) -> Solution {
 /// is the initialization pass alone). Statistics report exactly `passes`
 /// iteration passes.
 pub fn solve_passes(graph: &LoopGraph, spec: &ProblemSpec, passes: usize) -> Solution {
-    run(graph, spec, Some(passes), None).expect("no stop check installed")
+    one(run(graph, spec, &[spec.mode], Some(passes), None).expect("no stop check installed"))
+}
+
+/// The solution of a one-mode run.
+fn one(mut solutions: Vec<Solution>) -> Solution {
+    solutions.pop().expect("one solution per mode")
 }
 
 /// A slot's flag: the node is itself a projected node.
@@ -387,7 +423,7 @@ impl Projection {
     /// Projects `graph`, in `direction`'s flow order, onto each group of
     /// `table`: one flow-order pass per group over flat, shared arrays.
     /// Each pass leaves its group's slots, which start the group's block,
-    /// sized for the group's columns.
+    /// sized for the group's columns in every mode of the table.
     fn new(graph: &LoopGraph, direction: Direction, table: &FlowTable) -> (Self, Vec<Block>) {
         let (n, rpo) = (graph.len(), graph.rpo());
         // Flow order is reverse postorder forward and its reverse
@@ -399,7 +435,7 @@ impl Projection {
             true => graph.succs(v),
             false => graph.preds(v),
         };
-        let groups = table.groups;
+        let (groups, modes) = (table.groups, table.modes.len());
         let mut p = Projection {
             first: Vec::with_capacity(groups + 1),
             order: Vec::new(),
@@ -472,7 +508,7 @@ impl Projection {
                 }
             }
             p.first.push(p.order.len());
-            let mut data = Vec::with_capacity(Block::slot_words(n) + 2 * k * width[g]);
+            let mut data = Vec::with_capacity(Block::slot_words(n) + 2 * k * width[g] * modes);
             let pairs = slot.chunks_exact(2);
             let last = pairs.remainder().first().copied().map(u64::from);
             data.extend(pairs.map(|pair| u64::from(pair[0]) | u64::from(pair[1]) << 32));
@@ -497,89 +533,105 @@ impl Projection {
     }
 }
 
-/// The one solver: every column in turn over its group's projection,
-/// passes capped at `cap` when set.
+/// The one solver: in each of `modes` in turn, every column in turn over
+/// its group's projection, passes capped at `cap` when set.
 fn run(
     graph: &LoopGraph,
     spec: &ProblemSpec,
+    modes: &[Mode],
     cap: Option<usize>,
     should_stop: Option<StopCheck<'_>>,
-) -> Result<Solution, Stopped> {
-    let table = FlowTable::build(graph, spec);
+) -> Result<Vec<Solution>, Stopped> {
+    let table = FlowTable::build_modes(graph, spec, modes);
     let (projection, mut blocks) = Projection::new(graph, spec.direction, &table);
     let (n, m) = (graph.len(), spec.width());
     let poll = |passes_completed| match should_stop.is_some_and(|stop| stop()) {
         true => Err(Stopped { passes_completed }),
         false => Ok(()),
     };
-    poll(0)?;
     // Each group's block holds its slots and then its columns' lanes side
-    // by side, in column order; column d is solved in place at the end of
-    // its block, which it extends. Its preserve constants are scattered
-    // over the nodes and cleared again after its solve.
-    let (mut columns, mut profile) = (Vec::with_capacity(m), Vec::with_capacity(m));
+    // by side, mode by mode in column order; column d is solved in place
+    // at the end of its block, which it extends. Its preserve constants
+    // are scattered over the nodes and cleared again after its solve.
     let mut preserve = vec![lane::TOP; n];
     let cap32 = cap.map_or(HARD_CAP, |c| c.min(HARD_CAP as usize) as u32);
-    let (mut work, mut polled) = (0, 0);
-    for d in 0..m {
-        let entries = &table.entries[table.starts[d]..table.starts[d + 1]];
-        for &(node, p) in entries {
-            preserve[node as usize] = p;
+    // Whole passes of the modes solved so far.
+    let mut spent = 0;
+    let mut solved = Vec::with_capacity(modes.len());
+    for constants in &table.modes {
+        poll(spent)?;
+        let (mut columns, mut profile) = (Vec::with_capacity(m), Vec::with_capacity(m));
+        let (mut work, mut polled) = (0, 0);
+        for d in 0..m {
+            let entries = &constants.entries[constants.starts[d]..constants.starts[d + 1]];
+            for &(node, p) in entries {
+                preserve[node as usize] = p;
+            }
+            let group = table.group[d] as usize;
+            let view = projection.view(group);
+            let len = view.order.len();
+            let data = &mut blocks[group].data;
+            let offset = data.len();
+            data.resize(offset + 2 * len, 0);
+            let lanes = &mut data[offset..];
+            let post = constants.post[d];
+            let last_change = match constants.mode {
+                Mode::Must => solve_column::<true>(&view, &table, d, post, &preserve, cap32, lanes),
+                Mode::May => solve_column::<false>(&view, &table, d, post, &preserve, cap32, lanes),
+            };
+            columns.push((group as u32, offset as u32));
+            profile.push(last_change);
+            for &(node, _) in entries {
+                preserve[node as usize] = lane::TOP;
+            }
+            assert!(
+                cap.is_some() || last_change < HARD_CAP,
+                "fixed point not reached within {HARD_CAP} passes — non-structured graph?"
+            );
+            // One pass of work is one column-pass per column: poll once
+            // more each time the finished columns complete another.
+            work += last_change as usize + 1;
+            if work / m > polled && d + 1 < m {
+                polled = work / m;
+                poll(spent + polled)?;
+            }
         }
-        let group = table.group[d] as usize;
-        let view = projection.view(group);
-        let len = view.order.len();
-        let data = &mut blocks[group].data;
-        let offset = data.len();
-        data.resize(offset + 2 * len, 0);
-        let (b, a) = data[offset..].split_at_mut(len);
-        let last_change = match spec.mode {
-            Mode::Must => solve_column::<true>(&view, &table, d, &preserve, cap32, b, a),
-            Mode::May => solve_column::<false>(&view, &table, d, &preserve, cap32, b, a),
-        };
-        columns.push((group as u32, offset as u32));
-        profile.push(last_change);
-        for &(node, _) in entries {
-            preserve[node as usize] = lane::TOP;
-        }
-        assert!(
-            cap.is_some() || last_change < HARD_CAP,
-            "fixed point not reached within {HARD_CAP} passes — non-structured graph?"
-        );
-        // One pass of work is one column-pass per column: poll once more
-        // each time the finished columns complete another.
-        work += last_change as usize + 1;
-        if work / m > polled && d + 1 < m {
-            polled = work / m;
-            poll(polled)?;
-        }
+        let stats = SolveStats::of_profile(&profile, n, constants.mode, cap);
+        spent += stats.passes;
+        solved.push((columns, profile, stats));
     }
-    let stats = SolveStats::of_profile(&profile, n, spec.mode, cap);
-    Ok(Solution {
-        nodes: n,
-        blocks: blocks.into_iter().map(Arc::new).collect(),
-        columns,
-        profile,
-        stats,
-    })
+    let blocks: Vec<Arc<Block>> = blocks.into_iter().map(Arc::new).collect();
+    Ok(solved
+        .into_iter()
+        .map(|(columns, profile, stats)| Solution {
+            nodes: n,
+            blocks: blocks.clone(),
+            columns,
+            profile,
+            stats,
+        })
+        .collect())
 }
 
 /// Initializes and iterates column `d` of table `t` over its group's
-/// projection `s` in place, returning the last pass that changed it (at
-/// most `cap`). `preserve` holds the column's preserve lane per node (`⊤`
-/// = identity); `MUST` selects the meet: `min` for must-problems, `max`
+/// projection `s` in place, in `lanes` (its before lanes, then its after
+/// lanes), returning the last pass that changed it (at most `cap`). `post`
+/// is the column's post-generate constant and `preserve` holds its
+/// preserve lane per node (`⊤` = identity), both in the mode `MUST`
+/// selects, which also selects the meet: `min` for must-problems, `max`
 /// for may-problems.
 fn solve_column<const MUST: bool>(
     s: &View<'_>,
     t: &FlowTable,
     d: usize,
+    post: u64,
     preserve: &[u64],
     cap: u32,
-    before: &mut [u64],
-    after: &mut [u64],
+    lanes: &mut [u64],
 ) -> u32 {
+    let (before, after) = lanes.split_at_mut(s.order.len());
     // The generating node is out of range when the column has none.
-    let (gen, post, increment) = (t.gen_node[d], t.post[d], t.increment.0);
+    let (gen, increment) = (t.gen_node[d], t.increment.0);
     if MUST {
         // Initialization pass in flow order over the acyclic body:
         // OUT⁰ = ⊤ at the generator, IN⁰ propagated, kills ignored.

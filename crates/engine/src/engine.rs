@@ -1,6 +1,7 @@
 //! The batch engine: configuration, worker pool, per-query and global
 //! statistics.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -542,13 +543,15 @@ impl Engine {
         self.cache.preload(key, report);
     }
 
-    /// Analyzes one program (normalizing a private copy first) for every
-    /// canned instance, answering each loop from the cache when possible.
-    /// Uses the engine-wide distance bound from [`EngineConfig`].
+    /// Analyzes one program for every canned instance, answering each
+    /// loop from the cache when possible. A program already in normal
+    /// form ([`arrayflow_ir::is_normal_form`]) is analyzed as it is;
+    /// any other is normalized in a private copy. Uses the engine-wide
+    /// distance bound from [`EngineConfig`].
     pub fn analyze_one(&self, index: usize, program: &Program) -> BatchResult {
-        self.solve(
+        self.solve_in(
             index,
-            program.clone(),
+            Cow::Borrowed(program),
             Problem::Canned(ProblemSet::ALL),
             self.config.dep_max_distance,
             None,
@@ -585,6 +588,19 @@ impl Engine {
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> BatchResult {
+        let program = Cow::Owned(program);
+        self.solve_in(index, program, problem, dep_max_distance, should_stop)
+    }
+
+    /// [`Engine::solve`] over a borrowed or an owned program.
+    fn solve_in(
+        &self,
+        index: usize,
+        program: Cow<'_, Program>,
+        problem: Problem,
+        dep_max_distance: u64,
+        should_stop: Option<arrayflow_core::StopCheck<'_>>,
+    ) -> BatchResult {
         if let Problem::Custom(spec) = problem {
             self.registry
                 .counter_with(
@@ -616,7 +632,7 @@ impl Engine {
     fn solve_inner(
         &self,
         index: usize,
-        mut p: Program,
+        p: Cow<'_, Program>,
         problem: Problem,
         dep_max_distance: u64,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
@@ -626,12 +642,20 @@ impl Engine {
         let mut error: Option<AnalysisError> = None;
 
         // The framework requires `do i = 1, UB` step 1, and renumbered
-        // statements make StmtIds in reports deterministic.
-        {
+        // statements make StmtIds in reports deterministic. A program
+        // already in that form is read as it is, borrowed or not.
+        let p = {
             let _span = observed_span("normalize", &self.ins.phase_normalize);
-            arrayflow_ir::normalize(&mut p);
-            p.renumber();
-        }
+            match arrayflow_ir::is_normal_form(&p) {
+                true => p,
+                false => {
+                    let mut p = p.into_owned();
+                    arrayflow_ir::normalize(&mut p);
+                    p.renumber();
+                    Cow::Owned(p)
+                }
+            }
+        };
 
         let mut loops = Vec::new();
         for l in loops_innermost_first(&p) {

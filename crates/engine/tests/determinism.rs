@@ -142,3 +142,62 @@ fn duplicated_stream_hits_the_cache() {
     assert!(misses < loops);
     assert_eq!(hits + misses, loops);
 }
+
+/// What a result says about its program: every loop's fingerprint and
+/// rendered report, the error, and the effort counters but the clock.
+fn transcript(r: &arrayflow_engine::BatchResult) -> String {
+    let mut out = format!(
+        "{} {:?} {} {} {} {}\n",
+        r.index,
+        r.error,
+        r.stats.cache_hits,
+        r.stats.cache_misses,
+        r.stats.solver_passes,
+        r.stats.node_visits
+    );
+    for lr in &r.loops {
+        out.push_str(&format!("{:?}\n{}", lr.fingerprint, lr.report.render()));
+    }
+    out
+}
+
+#[test]
+fn programs_in_normal_form_are_analyzed_as_they_are() {
+    use arrayflow_analyses::loops_innermost_first;
+    use arrayflow_ir::{is_normal_form, parse_program, Stmt};
+
+    let normal = parse_program(
+        "do i = 1, 60 A[i+2] := A[i] + x; if A[i] > 0 then B[i] := A[i+1]; end \
+         do j = 1, 8 C[j] := B[i] + C[j+1]; end end",
+    )
+    .unwrap();
+    let strided =
+        parse_program("do i = 3, 90, 2 A[i+4] := A[i] + B[i]; B[i+2] := A[i+4]; end").unwrap();
+    let mut stale = normal.clone();
+    let Stmt::Do(l) = &mut stale.body[0] else {
+        panic!("one loop")
+    };
+    let Stmt::Assign(a) = &mut l.body[0] else {
+        panic!("an assignment first")
+    };
+    a.id.0 = 7;
+    assert!(is_normal_form(&normal));
+    assert!(!is_normal_form(&strided) && !is_normal_form(&stale));
+    for (name, program) in [("normal", normal), ("strided", strided), ("stale", stale)] {
+        let before = format!("{program:?}");
+        let got = Engine::new(config(1)).analyze_one(0, &program);
+        assert_eq!(
+            format!("{program:?}"),
+            before,
+            "{name}: the caller's program changed"
+        );
+        // The reference: normalize and renumber a copy, then analyze it.
+        let mut p = program.clone();
+        arrayflow_ir::normalize(&mut p);
+        p.renumber();
+        assert!(loops_innermost_first(&p).iter().all(|l| l.is_normalized()));
+        let want = Engine::new(config(1)).analyze_one(0, &p);
+        assert!(got.error.is_none(), "{name}: {:?}", got.error);
+        assert_eq!(transcript(&got), transcript(&want), "{name}");
+    }
+}

@@ -12,8 +12,8 @@ use arrayflow_analyses::{
     Reuse,
 };
 use arrayflow_core::{
-    canned_source, solve, CustomSpec, GenRef, ProblemSpec, RefId, Solution, StopCheck, Stopped,
-    CANNED,
+    canned_source, solve_modes, CustomSpec, GenRef, Mode, ProblemSpec, RefId, Solution, StopCheck,
+    Stopped, CANNED,
 };
 use arrayflow_graph::{build_loop_graph, LoopGraph, NodeId, NodeKind};
 use arrayflow_ir::{
@@ -388,12 +388,13 @@ fn resolve(
             .spliced(sites, GK::of(spec), &splice),
         false => build_spec(sites, GK::of(spec), spec.direction, spec.mode),
     };
-    let resolve = |graph: &LoopGraph, sites: &[Site], k: usize, built: BuiltSpec| {
-        let (dir, mode) = (built.spec.direction, built.spec.mode);
-        let old = old.instances()[k];
+    let resolve = |graph: &LoopGraph, sites: &[Site], rows: &[usize], built: BuiltSpec| {
+        // The rows are the families solved together: one classification
+        // of the columns and one narrowed solve serve them all.
+        let old_rows = old.instances()[rows[0]];
         // A clean column's index in the old solution: the edited node's
         // columns are the only ones added or removed.
-        let at_old = columns_at(&old.built.gen_site, &splice.old);
+        let at_old = columns_at(&old_rows.built.gen_site, &splice.old);
         let at_new = columns_at(&built.gen_site, &splice.new);
         let old_col = |c: usize| match c < at_new.start {
             true => c,
@@ -406,13 +407,13 @@ fn resolve(
         let mut gens: Vec<GenRef> = Vec::new();
         let mut arrays: Vec<ArrayId> = Vec::new();
         let mut columns: Vec<(bool, usize)> = Vec::with_capacity(built.spec.width());
-        let rows = built.spec.gens.iter().zip(built.gen_site.iter());
-        for (c, (gen, &site)) in rows.enumerate() {
+        let spec_rows = built.spec.gens.iter().zip(built.gen_site.iter());
+        for (c, (gen, &site)) in spec_rows.enumerate() {
             let array = sites[site].array;
             match gen.node != en && !dirty_arrays.contains(&array) {
                 true => {
                     let oc = old_col(c);
-                    debug_assert_eq!(Some(old.built.gen_site[oc]), splice.old_site(site));
+                    debug_assert_eq!(Some(old_rows.built.gen_site[oc]), splice.old_site(site));
                     columns.push((false, oc));
                 }
                 false => {
@@ -420,7 +421,9 @@ fn resolve(
                     columns.push((true, id.index()));
                     gens.push(GenRef { id, ..gen.clone() });
                     arrays.push(array);
-                    dirty_sites[k][site] = true;
+                    for &k in rows {
+                        dirty_sites[k][site] = true;
+                    }
                 }
             }
         }
@@ -431,32 +434,41 @@ fn resolve(
         let kills = built.spec.kills.iter();
         let kills = kills.filter(|k| arrays.binary_search(&k.array).is_ok());
         let narrow = ProblemSpec {
-            direction: dir,
-            mode,
+            direction: built.spec.direction,
+            mode: built.spec.mode,
             gens: Arc::new(gens),
             kills: Arc::new(kills.cloned().collect()),
         };
 
-        // Re-converge the dirtied columns, then splice every column,
-        // re-solved or clean, into the new solution.
-        let dirty = solve(graph, &narrow, should_stop).map_err(|s| AnalyzeError::Stopped {
-            passes: spent_passes + s.passes_completed as u64,
+        // Re-converge the dirtied columns in every family's mode at once,
+        // then splice every column, re-solved or clean, into each
+        // family's new solution.
+        let modes: Vec<Mode> = rows.iter().map(|&k| CANNED[k].1.mode).collect();
+        let dirty = solve_modes(graph, &narrow, &modes, should_stop).map_err(|s| {
+            AnalyzeError::Stopped {
+                passes: spent_passes + s.passes_completed as u64,
+            }
         })?;
-        spent_passes += dirty.stats.passes as u64;
-        outcome.solver_visits += dirty.stats.init_visits + dirty.stats.iter_visits;
-        let sol = Solution::splice(
-            graph.len(),
-            mode,
-            columns.iter().map(|&(is_dirty, c)| match is_dirty {
-                true => (&dirty, c),
-                false => (&old.sol, c),
-            }),
-        );
-        Ok(Instance {
-            gk: GK::of(CANNED[k].1),
-            built,
-            sol,
-        })
+        let mut solved = Vec::with_capacity(rows.len());
+        for (&k, dirty) in rows.iter().zip(&dirty) {
+            spent_passes += dirty.stats.passes as u64;
+            outcome.solver_visits += dirty.stats.init_visits + dirty.stats.iter_visits;
+            let (old, mode) = (old.instances()[k], CANNED[k].1.mode);
+            let sol = Solution::splice(
+                graph.len(),
+                mode,
+                columns.iter().map(|&(is_dirty, c)| match is_dirty {
+                    true => (dirty, c),
+                    false => (&old.sol, c),
+                }),
+            );
+            solved.push(Instance {
+                gk: GK::of(CANNED[k].1),
+                built: built.with_mode(mode),
+                sol,
+            });
+        }
+        Ok(solved)
     };
     let analysis = LoopAnalysis::assemble(symbols, graph, sites, build, resolve)?;
     for (k, inst) in analysis.instances().into_iter().enumerate() {

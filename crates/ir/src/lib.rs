@@ -58,7 +58,7 @@ pub use expr::{BinOp, Cond, Expr, RelOp};
 pub use indvars::{remove_induction_variables, IndVarRemoval};
 pub use interp::{Env, InterpError};
 pub use linexpr::LinExpr;
-pub use normalize::normalize;
+pub use normalize::{is_normal_form, normalize};
 pub use parser::{parse_program, parse_program_bytes, parse_stmt_with, ParseError};
 pub use stmt::{ArrayRef, Assign, Block, LValue, Loop, LoopBound, Program, Stmt, StmtId};
 pub use symbols::{ArrayId, ArrayInfo, SymbolTable, VarId};

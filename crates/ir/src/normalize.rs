@@ -30,6 +30,25 @@ pub fn normalize(program: &mut Program) -> usize {
     rewritten
 }
 
+/// True when [`normalize`] would leave `program` as it is: every loop is
+/// normalized and the statements are numbered as
+/// [`Program::renumber`] numbers them.
+pub fn is_normal_form(program: &Program) -> bool {
+    fn walk(block: &Block, next: &mut u32) -> bool {
+        block.iter().all(|stmt| match stmt {
+            Stmt::Assign(a) => {
+                *next += 1;
+                a.id.0 == *next - 1
+            }
+            Stmt::If {
+                then_blk, else_blk, ..
+            } => walk(then_blk, next) && walk(else_blk, next),
+            Stmt::Do(l) => l.is_normalized() && walk(&l.body, next),
+        })
+    }
+    walk(&program.body, &mut 0)
+}
+
 fn normalize_block(symbols: &mut SymbolTable, block: &mut Block, rewritten: &mut usize) {
     for stmt in block {
         match stmt {
@@ -194,6 +213,37 @@ mod tests {
         let before = crate::pretty::print_program(&p);
         assert_eq!(normalize(&mut p), 0);
         assert_eq!(crate::pretty::print_program(&p), before);
+    }
+
+    #[test]
+    fn normal_form_is_what_normalizing_leaves_alone() {
+        let nested =
+            "do i = 1, 10 do j = 1, 4 A[i+j] := 0; end if A[i] > 0 then B[i] := 1; end end";
+        let mut p = parse_program(nested).unwrap();
+        p.renumber();
+        assert!(is_normal_form(&p));
+        // A stale statement id.
+        let mut stale = p.clone();
+        let Stmt::Do(outer) = &mut stale.body[0] else {
+            panic!("a loop")
+        };
+        let Stmt::If { then_blk, .. } = &mut outer.body[1] else {
+            panic!("a conditional")
+        };
+        let Stmt::Assign(a) = &mut then_blk[0] else {
+            panic!("an assignment")
+        };
+        a.id.0 += 1;
+        assert!(!is_normal_form(&stale));
+        stale.renumber();
+        assert!(is_normal_form(&stale));
+        // An inner loop normalization rewrites.
+        let mut strided =
+            parse_program("do i = 1, 10 do j = 2, 8, 2 A[i+j] := 0; end end").unwrap();
+        strided.renumber();
+        assert!(!is_normal_form(&strided));
+        normalize(&mut strided);
+        assert!(is_normal_form(&strided));
     }
 
     #[test]

@@ -296,7 +296,7 @@ impl ServiceInstruments {
             ),
             worker_restarts: registry.counter(
                 "arrayflow_worker_restarts_total",
-                "dead worker threads replaced by the supervisor",
+                "dead worker threads replaced by their drop guards",
             ),
             queue_depth_hwm: registry.gauge(
                 "arrayflow_queue_depth_hwm",
