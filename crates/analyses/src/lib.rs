@@ -20,6 +20,15 @@
 //! Entry points: [`analyze_loop`] for single loops, [`analyze_nest`] for
 //! loop nests (hierarchical, innermost first — §3.2), or [`Instance::run`]
 //! for custom (G, K) combinations over a [`prepare_loop`]d loop.
+//!
+//! The optimizations read three lists off the solved instances: reuse
+//! pairs ([`reuse_pairs`], §4.1.1), redundant stores
+//! ([`redundant_stores`], §4.2.1) and dependences ([`dependences`],
+//! §4.3), all one pair walk over the site table. [`AnalysisReport`]
+//! carries them with the solver counters as the cacheable, name-free
+//! answer for one loop; its module, [`report`], is the one place an
+//! analysis becomes that report, whether distilled fresh or patched after
+//! an edit.
 
 pub mod driver;
 pub mod instances;
@@ -37,6 +46,7 @@ pub use instances::{
     Reuse,
 };
 pub use nestvec::{nest_distance_vectors, nest_sites, NestDep, NestError, NestSite};
+pub use report::{AnalysisReport, CustomResult, CustomValue, ProblemSet};
 pub use scalars::{scalar_live_ranges, scalar_liveness, ScalarLiveness, ScalarRange};
 pub use sites::{constant_distance, enumerate_sites, Linearizer, Site};
 pub use spec::{build_spec, BuiltSpec, GK};

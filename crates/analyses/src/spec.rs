@@ -82,6 +82,15 @@ impl BuiltSpec {
         }
     }
 
+    /// The columns generated at the sites in `sites`. Rows are in site
+    /// order, so when one node's sites are replaced, the columns before
+    /// the node's keep their indices and those after them shift by the
+    /// change in their count.
+    pub fn columns_at(&self, sites: &Range<usize>) -> Range<usize> {
+        let at = |site: usize| self.gen_site.partition_point(|&s| s < site);
+        at(sites.start)..at(sites.end)
+    }
+
     /// This spec rebuilt for a site table in which one node's sites were
     /// replaced (`splice`; see [`crate::sites::splice_sites`]), every
     /// other site unchanged. Rows before the replaced sites keep their ids

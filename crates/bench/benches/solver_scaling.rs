@@ -14,7 +14,9 @@
 //! the table build must not outgrow the iteration.
 //!
 //! Results go to `BENCH_solver.json` at the workspace root, one line per
-//! (row, tier). A run writes its rows under the label given as the first
+//! (row, tier), each timing's median beside its first and third quartiles
+//! (`_q1_us`, `_q3_us`): one run's rows swing by more than a small
+//! change, so two rows differ only where their ranges do not overlap. A run writes its rows under the label given as the first
 //! argument (`change` by default; a second argument records a commit)
 //! and keeps every row of other labels already in the file, so the
 //! baseline is the same bench run on the parent commit with
@@ -38,11 +40,36 @@ const TIERS: [(&str, usize, usize); 4] = [
     ("xlarge", 512, 64),
 ];
 
+/// Microseconds per call: the first quartile, the median and the third
+/// quartile of seven timings.
+#[derive(Clone, Copy)]
+struct Quartiles([f64; 3]);
+
+impl Quartiles {
+    fn of(mut v: Vec<f64>) -> Self {
+        v.sort_by(f64::total_cmp);
+        // Nearest rank: the ⌈n·q/4⌉-th smallest of n timings.
+        let at = |q: usize| v[(v.len() * q).div_ceil(4) - 1];
+        Quartiles([at(1), at(2), at(3)])
+    }
+
+    fn median(self) -> f64 {
+        self.0[1]
+    }
+
+    /// The row fields of a timing named `name`: its median, then its
+    /// quartiles.
+    fn fields(self, name: &str) -> String {
+        let [q1, median, q3] = self.0;
+        format!(r#""{name}_us": {median:.1}, "{name}_q1_us": {q1:.1}, "{name}_q3_us": {q3:.1}"#)
+    }
+}
+
 /// Times `part` and `whole` back to back, seven times each with the same
 /// iteration count (calibrated so one timing of `whole` lasts ≥ 20 ms),
-/// and returns the median microseconds per call of `part`, of `whole`,
-/// and of their paired difference.
-fn paired(mut part: impl FnMut(), mut whole: impl FnMut()) -> (f64, f64, f64) {
+/// and returns the quartiles of the microseconds per call of `part`, of
+/// `whole`, and of their paired difference.
+fn paired(mut part: impl FnMut(), mut whole: impl FnMut()) -> [Quartiles; 3] {
     let iters = bench("calibration", &mut whole).iters;
     let time = |f: &mut dyn FnMut()| {
         let start = Instant::now();
@@ -58,11 +85,7 @@ fn paired(mut part: impl FnMut(), mut whole: impl FnMut()) -> (f64, f64, f64) {
         wholes.push(w);
         diffs.push(w - p);
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    (median(&mut parts), median(&mut wholes), median(&mut diffs))
+    [parts, wholes, diffs].map(Quartiles::of)
 }
 
 fn main() {
@@ -96,7 +119,7 @@ fn main() {
                 (built, group.iter().map(|&k| CANNED[k].1.mode).collect())
             })
             .collect();
-        let (table_us, solve_us, fixpoint_us) = paired(
+        let [table, solve, fixpoint] = paired(
             || {
                 for (built, modes) in &families {
                     black_box(FlowTable::build_modes(
@@ -116,13 +139,17 @@ fn main() {
             black_box(arrayflow_analyses::analyze_loop(black_box(&p)).unwrap());
         });
         let analyze_us = end_to_end.ns() / 1e3;
+        let [table_us, solve_us, fixpoint_us] = [table, solve, fixpoint].map(Quartiles::median);
         println!(
             "{tier:<7} {stmts:>4} stmts  flow table {table_us:>12.1} us  fixpoint {fixpoint_us:>10.1} us  \
              solve {solve_us:>12.1} us  analyze_loop {analyze_us:>12.1} us"
         );
         lines.push(format!(
-            r#"    {{"row": "{label}", {commit}"tier": "{tier}", "stmts": {stmts}, "arrays": {arrays}, "nodes": {}, "flow_table_us": {table_us:.1}, "fixpoint_us": {fixpoint_us:.1}, "solve_us": {solve_us:.1}, "analyze_loop_us": {analyze_us:.1}}}"#,
+            r#"    {{"row": "{label}", {commit}"tier": "{tier}", "stmts": {stmts}, "arrays": {arrays}, "nodes": {}, {}, {}, {}, "analyze_loop_us": {analyze_us:.1}}}"#,
             graph.len(),
+            table.fields("flow_table"),
+            fixpoint.fields("fixpoint"),
+            solve.fields("solve"),
         ));
         rows.push(end_to_end);
     }
@@ -137,7 +164,7 @@ fn main() {
         .collect();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"solver_scaling\",\n  \"unit\": \"microseconds per call of the three solved column families; medians of 7 back-to-back runs, fixpoint_us the median paired difference of solve and flow table\",\n  \"host_threads\": {threads},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"solver_scaling\",\n  \"unit\": \"microseconds per call of the three solved column families; medians of 7 back-to-back runs with their first and third quartiles (_q1_us, _q3_us), fixpoint_us the median paired difference of solve and flow table\",\n  \"host_threads\": {threads},\n  \"rows\": [\n{}\n  ]\n}}\n",
         kept.into_iter().chain(lines).collect::<Vec<_>>().join(",\n")
     );
     std::fs::write(&out, json).expect("write BENCH_solver.json");

@@ -23,11 +23,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 
+use arrayflow_analyses::{AnalysisReport, ProblemSet};
 use arrayflow_core::CustomSpec;
 use arrayflow_ir::Fingerprint;
 use arrayflow_obs::{Counter, Registry};
-
-use crate::report::{AnalysisReport, ProblemSet};
 
 /// Full cache key: which loop (canonically) and which analysis of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,16 +42,6 @@ pub struct CacheKey {
     /// the key: two distinct specs over the same loop never collide, and
     /// a custom query never aliases a canned one.
     pub custom: Option<CustomSpec>,
-}
-
-impl CacheKey {
-    /// The 64-bit routing hash of this key's fingerprint — see
-    /// [`fingerprint_route_hash`]. Problem-set / distance variants of one
-    /// loop share the hash on purpose: a cluster routes by *loop*, so all
-    /// analyses of one program hit the same node's caches.
-    pub fn route_hash(&self) -> u64 {
-        fingerprint_route_hash(self.fingerprint)
-    }
 }
 
 /// Folds a canonical 128-bit fingerprint into the 64-bit routing hash
@@ -413,9 +402,6 @@ mod tests {
         // aliases canned.
         assert!(c.get(&key(7)).is_none());
         assert!(c.get(&live).is_some());
-        // All analyses of one loop share the routing hash by design.
-        assert_eq!(live.route_hash(), key(7).route_hash());
-        assert_eq!(other.route_hash(), live.route_hash());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use arrayflow_analyses::loops_innermost_first;
+use arrayflow_analyses::{loops_innermost_first, AnalysisReport, ProblemSet};
 use arrayflow_core::{CustomSpec, SolveStats, CANNED};
 use arrayflow_incremental::{Session, SessionEvent, SessionStore, StoreConfig};
 use arrayflow_ir::{fingerprint_loop, Edit, Fingerprint, Program};
@@ -15,7 +15,6 @@ use arrayflow_obs::{observed_span, Counter, Gauge, Histogram, Registry, PHASE_BU
 use arrayflow_resilience::{panic_message, FaultSurface};
 
 use crate::cache::{CacheCounters, CacheKey, MemoCache, SecondTier};
-use crate::report::{AnalysisReport, ProblemSet};
 
 /// Upper edges of the per-instance solver pass-count histograms
 /// (`arrayflow_solver_passes{problem=...}`). The paper's bound — three
@@ -642,8 +641,9 @@ impl Engine {
         let mut error: Option<AnalysisError> = None;
 
         // The framework requires `do i = 1, UB` step 1, and renumbered
-        // statements make StmtIds in reports deterministic. A program
-        // already in that form is read as it is, borrowed or not.
+        // statements make StmtIds in reports deterministic; normalizing
+        // renumbers. A program already in that form is read as it is,
+        // borrowed or not.
         let p = {
             let _span = observed_span("normalize", &self.ins.phase_normalize);
             match arrayflow_ir::is_normal_form(&p) {
@@ -651,7 +651,6 @@ impl Engine {
                 false => {
                     let mut p = p.into_owned();
                     arrayflow_ir::normalize(&mut p);
-                    p.renumber();
                     Cow::Owned(p)
                 }
             }
@@ -785,8 +784,8 @@ impl Engine {
     /// Opens an interactive analysis session: fully analyzes the program
     /// once and retains the converged lattice state so subsequent
     /// [`Engine::analyze_delta`] calls can re-converge from it instead of
-    /// starting over. Returns the session id and the initial report (also
-    /// inserted into the memo cache under [`ProblemSet::ALL`]).
+    /// starting over. Returns the session id and the session's report
+    /// (also inserted into the memo cache under [`ProblemSet::ALL`]).
     ///
     /// Sessions require a single normalized loop — the shape the
     /// incremental solver is defined over; other programs get an
@@ -795,36 +794,36 @@ impl Engine {
         &self,
         program: &Program,
     ) -> Result<(u64, Arc<AnalysisReport>), AnalysisError> {
-        self.open_session_ctrl(program, None)
+        self.open_session_ctrl(program.clone(), None)
     }
 
-    /// [`Engine::open_session`] with a cooperative stop check (see
-    /// [`Engine::solve`]): a cancelled open yields
+    /// [`Engine::open_session`] over an owned program, with a cooperative
+    /// stop check (see [`Engine::solve`]): a cancelled open yields
     /// [`AnalysisError::Cancelled`] before any session, cache entry or
     /// memoization exists.
     pub fn open_session_ctrl(
         &self,
-        program: &Program,
+        program: Program,
         should_stop: Option<arrayflow_core::StopCheck<'_>>,
     ) -> Result<(u64, Arc<AnalysisReport>), AnalysisError> {
         let bound = self.config.dep_max_distance;
-        let session =
-            Session::open_ctrl(program.clone(), bound, should_stop).map_err(|e| match e {
-                arrayflow_analyses::AnalyzeError::Stopped { passes } => {
-                    AnalysisError::Cancelled { passes }
-                }
-                e => AnalysisError::Analysis(e.to_string()),
-            })?;
-        let report = Arc::new(AnalysisReport::of_session(&session));
+        let session = Session::open_ctrl(program, bound, should_stop).map_err(|e| match e {
+            arrayflow_analyses::AnalyzeError::Stopped { passes } => {
+                AnalysisError::Cancelled { passes }
+            }
+            e => AnalysisError::Analysis(e.to_string()),
+        })?;
+        let report = Arc::clone(session.report());
         self.memoize_session_report(&report);
         let id = self.sessions.insert(session);
-        Ok((id, Arc::clone(&report)))
+        Ok((id, report))
     }
 
     /// Applies one single-statement edit to an open session and
-    /// re-converges, returning a report byte-identical to a fresh analysis
-    /// of the edited source. Unknown, evicted or expired sessions are an
-    /// [`AnalysisError::Analysis`] — the client reopens and retries.
+    /// re-converges, returning the session's new report, byte-identical to
+    /// a fresh analysis of the edited source. Unknown, evicted or expired
+    /// sessions are an [`AnalysisError::SessionLost`] — the client reopens
+    /// and retries.
     ///
     /// Counts every request in `arrayflow_delta_requests_total`, applied
     /// deltas in `arrayflow_delta_applied_total` and full re-analysis
@@ -851,7 +850,7 @@ impl Engine {
             .isolated("delta", || {
                 self.sessions.with_session(session, |s| {
                     s.apply_ctrl(edit, should_stop)
-                        .map(|outcome| (outcome, AnalysisReport::of_session(s)))
+                        .map(|outcome| (outcome, Arc::clone(s.report())))
                 })
             })
             .map_err(AnalysisError::Internal)?;
@@ -871,7 +870,6 @@ impl Engine {
             self.ins.delta_fallbacks.inc();
         }
         self.ins.observe_passes(&report);
-        let report = Arc::new(report);
         self.memoize_session_report(&report);
         Ok(DeltaReport {
             session,
@@ -967,6 +965,56 @@ impl Engine {
             busy_micros: self.ins.busy_us.get(),
             fingerprint_fast_hits: self.ins.fingerprint_fast_hits.get(),
             fingerprint_misses: self.ins.fingerprint_misses.get(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use arrayflow_ir::{parse_program, StmtId};
+
+    use super::*;
+
+    /// The report an open or a delta returns is the session's own
+    /// allocation and the memo cache's entry: the engine hands out the
+    /// report the session keeps and copies none. Two fast-path edits and a
+    /// fallback.
+    #[test]
+    fn session_reports_are_the_sessions_own() {
+        let engine = Engine::new(EngineConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let p = parse_program("do i = 1, 100 A[i+1] := A[i]; B[i] := A[i] + 1; end").unwrap();
+        let (id, opened) = engine.open_session(&p).unwrap();
+        let kept = || {
+            let kept = engine.sessions.with_session(id, |s| Arc::clone(s.report()));
+            kept.expect("the session is open")
+        };
+        let memoized = |r: &AnalysisReport| {
+            let all = Problem::Canned(ProblemSet::ALL);
+            let hit = engine.probe(r.fingerprint, all, r.dep_max_distance);
+            hit.expect("the report is memoized")
+        };
+        assert!(Arc::ptr_eq(&opened, &kept()));
+        assert!(Arc::ptr_eq(&opened, &memoized(&opened)));
+        let edits = [
+            (1, "B[i] := A[i-1] + 2;"),
+            (0, "A[i+2] := A[i];"),
+            (1, "if A[i] > 0 then B[i] := 1; end"),
+        ];
+        for (k, (stmt, text)) in edits.into_iter().enumerate() {
+            let edit = Edit {
+                stmt: StmtId(stmt),
+                text: text.to_string(),
+            };
+            let delta = engine.analyze_delta(id, &edit).unwrap();
+            assert_eq!(delta.fallback, k == 2, "{text}");
+            assert!(Arc::ptr_eq(&delta.report, &kept()), "{text}");
+            assert!(
+                Arc::ptr_eq(&delta.report, &memoized(&delta.report)),
+                "{text}"
+            );
         }
     }
 }

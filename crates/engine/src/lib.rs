@@ -12,15 +12,20 @@
 //!   loops a compiler or autotuner emits are analyzed once;
 //! * a **sharded memo cache** ([`MemoCache`]) keyed by
 //!   `(fingerprint, problem selection)` stores completed
-//!   [`AnalysisReport`]s behind per-shard `RwLock`s with hit/miss/eviction
-//!   counters;
+//!   [`AnalysisReport`]s (defined beside the analysis they are distilled
+//!   from, in `arrayflow-analyses`, and re-exported here) behind
+//!   per-shard `RwLock`s with hit/miss/eviction counters;
 //! * a **worker pool** ([`Engine::analyze_batch`]) fans a `Vec<Program>`
 //!   out across `std::thread` workers; within each program, loops are
 //!   analyzed innermost first so summary-level results are cached before
 //!   enclosing loops (and later duplicates) need them;
 //! * per-query [`QueryStats`] carry cache hits, solver passes, node
 //!   visits and wall-clock; engine-wide counts live on the
-//!   [registry](Engine::registry), where a scrape reads them too.
+//!   [registry](Engine::registry), where a scrape reads them too;
+//! * **analysis sessions** ([`Engine::open_session`],
+//!   [`Engine::analyze_delta`]) keep an `arrayflow-incremental` session
+//!   per interactive client and answer each open and delta with the
+//!   report the session keeps, the same allocation the memo cache holds.
 //!
 //! Reports are *alpha-invariant* — every fact is in terms of site indices
 //! and iteration distances, never names — which is precisely why one cached
@@ -46,12 +51,11 @@
 
 pub mod cache;
 pub mod engine;
-pub mod report;
 
+pub use arrayflow_analyses::{AnalysisReport, CustomResult, CustomValue, ProblemSet};
 pub use arrayflow_core::{CustomSpec, Direction, Mode, SolveStats, StopCheck, CANNED};
 pub use cache::{fingerprint_route_hash, CacheCounters, CacheKey, MemoCache, SecondTier};
 pub use engine::{
     passes_to_fix, AnalysisError, BatchResult, DeltaReport, Engine, EngineConfig, EngineStats,
     LoopReport, Problem, QueryStats, SOLVER_PASS_BUCKETS,
 };
-pub use report::{AnalysisReport, CustomResult, CustomValue, ProblemSet};

@@ -32,14 +32,17 @@
 //! [`LoopAnalysis`](arrayflow_analyses::LoopAnalysis). The merged
 //! statistics are reconstructed from the profiles, so the result is
 //! **byte-identical** to a from-scratch analysis of the edited program.
-//! The session also keeps the report lists distilled from its analysis
-//! ([`ReportLists`]: reuses, redundant stores, dependences). Every entry
-//! relates two sites of one array, so an edit drops the touched arrays'
-//! entries, renumbers the rest onto the new site table, distills only the
-//! touched arrays and merges the lists back in site order. And it keeps
-//! the loop's canonical walk recorded ([`arrayflow_ir::Tape`]): an edit
-//! re-records the edited assignment alone and replays the tape for the
-//! new fingerprint.
+//! The session also keeps the report it answers with
+//! ([`Session::report`], an
+//! [`AnalysisReport`](arrayflow_analyses::AnalysisReport) shared by
+//! `Arc`), distilled at open as a fresh analysis distills it. Every list
+//! entry relates two sites of one array, so an edit patches the report
+//! ([`AnalysisReport::patched`](arrayflow_analyses::AnalysisReport::patched)):
+//! it drops the touched arrays' entries, renumbers the rest onto the new
+//! site table, distills only the touched arrays and merges the lists back
+//! in site order. And it keeps the loop's canonical walk recorded
+//! ([`arrayflow_ir::Tape`]): an edit re-records the edited assignment
+//! alone and replays the tape for the new fingerprint.
 //! Edits that change loop structure (a conditional or nested loop
 //! substituted in, a scalar assignment appearing or disappearing, an edit
 //! inside a nested loop) fall back to a full re-analysis and record that
@@ -52,5 +55,5 @@
 pub mod session;
 pub mod store;
 
-pub use session::{DeltaError, DeltaOutcome, ReportLists, Session};
+pub use session::{DeltaError, DeltaOutcome, Session};
 pub use store::{SessionEvent, SessionStore, StoreConfig};

@@ -1,24 +1,20 @@
 //! One analysis session: cached fixed point plus delta re-convergence.
 
 use std::fmt;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use arrayflow_analyses::instances::Instance;
 use arrayflow_analyses::sites::{enumerate_sites, splice_sites, Site, SiteSplice};
 use arrayflow_analyses::spec::{build_spec, BuiltSpec, GK};
-use arrayflow_analyses::{
-    dependences, redundant_stores, reuse_pairs, AnalyzeError, Dep, LoopAnalysis, RedundantStore,
-    Reuse,
-};
+use arrayflow_analyses::{AnalysisReport, AnalyzeError, LoopAnalysis, ProblemSet};
 use arrayflow_core::{
-    canned_source, solve_modes, CustomSpec, GenRef, Mode, ProblemSpec, RefId, Solution, StopCheck,
-    Stopped, CANNED,
+    solve_modes, CustomSpec, GenRef, Mode, ProblemSpec, RefId, Solution, StopCheck, Stopped, CANNED,
 };
 use arrayflow_graph::{build_loop_graph, LoopGraph, NodeId, NodeKind};
 use arrayflow_ir::{
-    apply_edit, normalize, parse_stmt_with, ArrayId, Assign, Edit, EditError, Fingerprint, LValue,
-    Program, Stmt, StmtId, SymbolTable, Tape,
+    apply_edit, is_normal_form, normalize, parse_stmt_with, ArrayId, Assign, Edit, EditError,
+    Fingerprint, LValue, Program, Stmt, StmtId, SymbolTable, Tape,
 };
 
 /// Why a delta could not be applied. The session is left unchanged.
@@ -76,122 +72,8 @@ pub struct DeltaOutcome {
     pub full_solver_visits: usize,
 }
 
-/// The three lists a canned report distills from a loop's analysis, each
-/// in site order: reuse pairs (by use site), redundant stores (by store
-/// site) and dependences (by sink site). Every entry relates two sites of
-/// one array, which is what lets a session re-distill only the arrays an
-/// edit touches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportLists {
-    /// Guaranteed constant-distance reuse pairs (§4.1.1).
-    pub reuses: Vec<Reuse>,
-    /// δ-redundant stores (§4.2.1).
-    pub redundant_stores: Vec<RedundantStore>,
-    /// Potential dependences up to the session's distance bound (§4.3).
-    pub dependences: Vec<Dep>,
-}
-
-impl ReportLists {
-    /// Distills the lists of `a` for the sites on `arrays` (every array
-    /// when `None`), polling `should_stop` once per array group of each.
-    fn distill(
-        a: &LoopAnalysis,
-        dep_max_distance: u64,
-        arrays: Option<&[ArrayId]>,
-        should_stop: Option<StopCheck<'_>>,
-    ) -> Result<Self, Stopped> {
-        let (graph, sites, reach) = (&a.graph, &a.sites, &a.reaching_refs);
-        Ok(ReportLists {
-            reuses: reuse_pairs(graph, sites, &a.available, arrays, should_stop)?,
-            redundant_stores: redundant_stores(graph, sites, &a.busy, arrays, should_stop)?,
-            dependences: dependences(graph, sites, reach, dep_max_distance, arrays, should_stop)?,
-        })
-    }
-
-    /// The lists of `new`, the analysis after an edit of `old` that
-    /// touched only the `dirty` arrays: an untouched array keeps its
-    /// entries, whose columns and sites the edit left unchanged,
-    /// renumbered from the old site table onto the new one by `splice` and
-    /// onto `new`'s δ-available columns; the dirty arrays are distilled
-    /// afresh, and both merge back in site order. An untouched array has
-    /// no site at the edited node, which is all `splice` does not map.
-    /// Polls `should_stop` while distilling the dirty arrays.
-    fn patched(
-        &self,
-        old: &LoopAnalysis,
-        new: &LoopAnalysis,
-        dirty: &[ArrayId],
-        dep_max_distance: u64,
-        splice: &SiteSplice,
-        should_stop: Option<StopCheck<'_>>,
-    ) -> Result<Self, Stopped> {
-        let fresh = Self::distill(new, dep_max_distance, Some(dirty), should_stop)?;
-        let clean = |site: usize| !dirty.contains(&old.sites[site].array);
-        // An untouched generator keeps its δ-available column, shifted
-        // past the edited node's columns.
-        let [at_old, at_new] = [(old, &splice.old), (new, &splice.new)]
-            .map(|(a, sites)| columns_at(&a.available.built.gen_site, sites));
-        let reuses = self.reuses.iter().filter(|r| clean(r.use_site)).map(|r| {
-            let gen = match r.gen_site < splice.old.start {
-                true => r.gen,
-                false => RefId((r.gen.index() - at_old.len() + at_new.len()) as u32),
-            };
-            Reuse {
-                use_site: splice.new_site(r.use_site),
-                gen,
-                gen_site: splice.new_site(r.gen_site),
-                ..*r
-            }
-        });
-        let stores = self.redundant_stores.iter();
-        let stores = stores.filter(|s| clean(s.store_site)).map(|s| {
-            let store_site = splice.new_site(s.store_site);
-            RedundantStore {
-                store_site,
-                stmt: new.sites[store_site].stmt,
-                killer_site: splice.new_site(s.killer_site),
-                ..*s
-            }
-        });
-        let deps = self.dependences.iter().filter(|d| clean(d.dst_site));
-        let deps = deps.map(|d| Dep {
-            src_site: splice.new_site(d.src_site),
-            dst_site: splice.new_site(d.dst_site),
-            ..*d
-        });
-        Ok(ReportLists {
-            reuses: merged(reuses, fresh.reuses, |r| r.use_site),
-            redundant_stores: merged(stores, fresh.redundant_stores, |s| s.store_site),
-            dependences: merged(deps, fresh.dependences, |d| d.dst_site),
-        })
-    }
-}
-
-/// The columns whose sites are in `sites`, given each column's site in
-/// site order (`gen_site`). The columns before them keep their indices
-/// when one node's sites are replaced, and those after them shift by the
-/// change in their count.
-fn columns_at(gen_site: &[usize], sites: &Range<usize>) -> Range<usize> {
-    gen_site.partition_point(|&s| s < sites.start)..gen_site.partition_point(|&s| s < sites.end)
-}
-
-/// Merges two lists ascending by `key` that share no key.
-fn merged<T>(kept: impl Iterator<Item = T>, fresh: Vec<T>, key: impl Fn(&T) -> usize) -> Vec<T> {
-    let kept_at_most = kept.size_hint().1.unwrap_or(0);
-    let mut out = Vec::with_capacity(kept_at_most + fresh.len());
-    let mut fresh = fresh.into_iter().peekable();
-    for item in kept {
-        while let Some(f) = fresh.next_if(|f| key(f) < key(&item)) {
-            out.push(f);
-        }
-        out.push(item);
-    }
-    out.extend(fresh);
-    out
-}
-
 /// An open analysis session: the edited-to-date program, its converged
-/// analysis state and the report lists distilled from it.
+/// analysis state and the report distilled from it.
 #[derive(Debug, Clone)]
 pub struct Session {
     /// The program as submitted plus all applied edits, renumbered, when
@@ -203,46 +85,45 @@ pub struct Session {
     /// The canonical walk of the normalized sole loop, recorded: an edit
     /// re-records one assignment's segment and replays it.
     tape: Tape,
-    /// Canonical fingerprint of the normalized sole loop.
-    fingerprint: Fingerprint,
     /// The converged analysis of the normalized loop; each instance's
     /// solution carries its column profile.
     analysis: LoopAnalysis,
-    /// The dependence distance bound `lists` are distilled at.
-    dep_max_distance: u64,
-    /// The report lists of `analysis`.
-    lists: ReportLists,
+    /// The report of `analysis` under [`ProblemSet::ALL`]: the loop's
+    /// fingerprint, the dependence distance bound and the lists an edit
+    /// patches.
+    report: Arc<AnalysisReport>,
 }
 
-/// The analysis of a normalized program's sole loop, the loop's recorded
-/// walk, and the report lists at `dep_max_distance`.
+/// A normalized program's sole loop recorded, its analysis, and its
+/// report at `dep_max_distance`.
 fn analyze_norm_ctrl(
     norm: &Program,
     dep_max_distance: u64,
     should_stop: Option<StopCheck<'_>>,
-) -> Result<(Tape, LoopAnalysis, ReportLists), AnalyzeError> {
+) -> Result<(Tape, LoopAnalysis, Arc<AnalysisReport>), AnalyzeError> {
     let l = norm.sole_loop().ok_or(AnalyzeError::NotASingleLoop)?;
     let analysis = LoopAnalysis::of_loop_ctrl(l, &norm.symbols, should_stop)?;
-    let lists =
-        ReportLists::distill(&analysis, dep_max_distance, None, should_stop).map_err(|_| {
-            AnalyzeError::Stopped {
-                passes: analysis.solved_passes(),
-            }
-        })?;
-    Ok((Tape::of_loop(l), analysis, lists))
+    let mut tape = Tape::of_loop(l);
+    let fingerprint = tape.fingerprint(&norm.symbols);
+    let (all, bound) = (ProblemSet::ALL, dep_max_distance);
+    let stopped = |_: Stopped| AnalyzeError::Stopped {
+        passes: analysis.solved_passes(),
+    };
+    let report = AnalysisReport::distilled(fingerprint, &analysis, all, bound, None, should_stop);
+    let report = Arc::new(report.map_err(stopped)?);
+    Ok((tape, analysis, report))
 }
 
 /// The renumbered program and its normalized form, `None` for the
 /// normalized form when normalization leaves the program as it is.
 fn normalized(mut program: Program) -> (Program, Option<Program>) {
     program.renumber();
-    let mut norm = program.clone();
-    let rewritten = normalize(&mut norm);
-    norm.renumber();
-    match rewritten {
-        0 => (program, None),
-        _ => (norm, Some(program)),
+    if is_normal_form(&program) {
+        return (program, None);
     }
+    let mut norm = program.clone();
+    normalize(&mut norm);
+    (norm, Some(program))
 }
 
 fn find_assign_mut(block: &mut [Stmt], id: StmtId) -> Option<&mut Assign> {
@@ -319,7 +200,7 @@ fn writes_array(graph: &LoopGraph, node: NodeId) -> bool {
 }
 
 /// A fast-path re-convergence: the analysis after the edit, and what
-/// the patched report lists need to know about it.
+/// patching the report needs to know about it.
 struct Resolved {
     analysis: LoopAnalysis,
     /// Arrays the old or new statement references, sorted.
@@ -376,12 +257,14 @@ fn resolve(
     dirty_arrays.sort_unstable();
     dirty_arrays.dedup();
 
+    // A column is re-solved exactly when its site is on the edited node
+    // or on an array the edit touches, whichever family it belongs to.
+    let dirty = |sites: &[Site], site: usize| {
+        splice.new.contains(&site) || dirty_arrays.binary_search(&sites[site].array).is_ok()
+    };
+
     let mut outcome = DeltaOutcome::default();
     let mut spent_passes: u64 = 0;
-    // Per canned row, per new site: whether the row's column at that
-    // site is re-solved. A row that selects its columns from another
-    // row's family shares that row's dirty columns.
-    let mut dirty_sites = vec![vec![false; sites.len()]; CANNED.len()];
     let build = |sites: &[Site], k: usize, spec: CustomSpec| match spliced {
         true => old.instances()[k]
             .built
@@ -394,8 +277,8 @@ fn resolve(
         let old_rows = old.instances()[rows[0]];
         // A clean column's index in the old solution: the edited node's
         // columns are the only ones added or removed.
-        let at_old = columns_at(&old_rows.built.gen_site, &splice.old);
-        let at_new = columns_at(&built.gen_site, &splice.new);
+        let at_old = old_rows.built.columns_at(&splice.old);
+        let at_new = built.columns_at(&splice.new);
         let old_col = |c: usize| match c < at_new.start {
             true => c,
             false => c - at_new.len() + at_old.len(),
@@ -409,21 +292,17 @@ fn resolve(
         let mut columns: Vec<(bool, usize)> = Vec::with_capacity(built.spec.width());
         let spec_rows = built.spec.gens.iter().zip(built.gen_site.iter());
         for (c, (gen, &site)) in spec_rows.enumerate() {
-            let array = sites[site].array;
-            match gen.node != en && !dirty_arrays.contains(&array) {
-                true => {
+            match dirty(sites, site) {
+                false => {
                     let oc = old_col(c);
                     debug_assert_eq!(Some(old_rows.built.gen_site[oc]), splice.old_site(site));
                     columns.push((false, oc));
                 }
-                false => {
+                true => {
                     let id = RefId(gens.len() as u32);
                     columns.push((true, id.index()));
                     gens.push(GenRef { id, ..gen.clone() });
-                    arrays.push(array);
-                    for &k in rows {
-                        dirty_sites[k][site] = true;
-                    }
+                    arrays.push(sites[site].array);
                 }
             }
         }
@@ -471,9 +350,9 @@ fn resolve(
         Ok(solved)
     };
     let analysis = LoopAnalysis::assemble(symbols, graph, sites, build, resolve)?;
-    for (k, inst) in analysis.instances().into_iter().enumerate() {
-        let dirty = &dirty_sites[canned_source(k)];
-        outcome.dirty_columns += inst.built.gen_site.iter().filter(|&&s| dirty[s]).count();
+    for inst in analysis.instances() {
+        let gen_sites = inst.built.gen_site.iter();
+        outcome.dirty_columns += gen_sites.filter(|&&s| dirty(&analysis.sites, s)).count();
         outcome.total_columns += inst.sol.width();
         outcome.full_solver_visits += inst.sol.stats.init_visits + inst.sol.stats.iter_visits;
     }
@@ -488,7 +367,7 @@ fn resolve(
 
 impl Session {
     /// Opens a session over a parsed program: normalizes, renumbers, runs
-    /// the full analysis once and distills its report lists, reporting
+    /// the full analysis once and distills its report, reporting
     /// dependences up to `dep_max_distance`.
     pub fn open(program: Program, dep_max_distance: u64) -> Result<Self, AnalyzeError> {
         Self::open_ctrl(program, dep_max_distance, None)
@@ -504,21 +383,19 @@ impl Session {
         should_stop: Option<StopCheck<'_>>,
     ) -> Result<Self, AnalyzeError> {
         let (norm, raw) = normalized(program);
-        let (mut tape, analysis, lists) = analyze_norm_ctrl(&norm, dep_max_distance, should_stop)?;
+        let (tape, analysis, report) = analyze_norm_ctrl(&norm, dep_max_distance, should_stop)?;
         Ok(Self {
             raw,
-            fingerprint: tape.fingerprint(&norm.symbols),
             norm,
             tape,
             analysis,
-            dep_max_distance,
-            lists,
+            report,
         })
     }
 
     /// The canonical fingerprint of the current (edited-to-date) loop.
     pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
+        self.report.fingerprint
     }
 
     /// The recorded canonical walk of the current loop, which
@@ -532,14 +409,11 @@ impl Session {
         &self.analysis
     }
 
-    /// The report lists of the current analysis.
-    pub fn lists(&self) -> &ReportLists {
-        &self.lists
-    }
-
-    /// The dependence distance bound the report lists are distilled at.
-    pub fn dep_max_distance(&self) -> u64 {
-        self.dep_max_distance
+    /// The report of the current analysis under [`ProblemSet::ALL`], at
+    /// the distance bound the session was opened with: the allocation an
+    /// engine hands out and memoizes.
+    pub fn report(&self) -> &Arc<AnalysisReport> {
+        &self.report
     }
 
     /// The current normalized program.
@@ -563,11 +437,11 @@ impl Session {
     }
 
     /// Like [`Session::apply`], but polls `should_stop` between solver
-    /// passes and per array of the lists it re-distills. A stopped apply
-    /// yields
-    /// [`AnalyzeError::Stopped`] (wrapped in [`DeltaError::Analyze`]) and
-    /// leaves the session byte-identical to its pre-edit state — exactly
-    /// like any other failed apply.
+    /// passes and per array of the report lists it re-distills. A stopped
+    /// apply yields [`AnalyzeError::Stopped`] (wrapped in
+    /// [`DeltaError::Analyze`]) and leaves the session byte-identical to
+    /// its pre-edit state, report included — exactly like any other failed
+    /// apply.
     ///
     /// On the incremental path the edit lands in the stored program in
     /// place (and is put back if the apply fails), and the new analysis
@@ -608,7 +482,6 @@ impl Session {
                 let landed = Landed::new(raw, assign.clone(), symbols);
                 let mut norm = Program::clone(&landed);
                 normalize(&mut norm);
-                norm.renumber();
                 let normalized = find_assign_mut(&mut norm.body, edit.stmt);
                 assign = normalized.expect("normalization keeps ids").clone();
                 (landed, Some(norm))
@@ -616,15 +489,10 @@ impl Session {
         };
         let norm = renormalized.as_ref().unwrap_or(&*landed);
         let resolved = resolve(&self.analysis, norm, en, assign, same, should_stop)?;
-        let lists = self.lists.patched(
-            &self.analysis,
-            &resolved.analysis,
-            &resolved.dirty_arrays,
-            self.dep_max_distance,
-            &resolved.splice,
-            should_stop,
-        );
-        let lists = lists.map_err(|_| AnalyzeError::Stopped {
+        let (old, new, splice) = (&self.analysis, &resolved.analysis, &resolved.splice);
+        let dirty = &resolved.dirty_arrays;
+        let report = AnalysisReport::patched(&self.report, old, new, dirty, splice, should_stop);
+        let report = report.map_err(|_| AnalyzeError::Stopped {
             passes: resolved.passes,
         })?;
         // Nothing fails from here on. An edit that interned a name may
@@ -634,13 +502,16 @@ impl Session {
             (true, NodeKind::Assign { assign, .. }) => self.tape.rerecord(assign),
             _ => self.tape = Tape::of_loop(norm.sole_loop().expect("one loop")),
         }
-        self.fingerprint = self.tape.fingerprint(&norm.symbols);
+        let fingerprint = self.tape.fingerprint(&norm.symbols);
         landed.keep();
         if let Some(norm) = renormalized {
             self.norm = norm;
         }
         self.analysis = resolved.analysis;
-        self.lists = lists;
+        self.report = Arc::new(AnalysisReport {
+            fingerprint,
+            ..report
+        });
         Ok(resolved.outcome)
     }
 
@@ -654,8 +525,8 @@ impl Session {
         let mut source = self.source_program().clone();
         apply_edit(&mut source, edit)?;
         let (norm, raw) = normalized(source);
-        let (mut tape, analysis, lists) =
-            analyze_norm_ctrl(&norm, self.dep_max_distance, should_stop)?;
+        let bound = self.report.dep_max_distance;
+        let (tape, analysis, report) = analyze_norm_ctrl(&norm, bound, should_stop)?;
         let mut outcome = DeltaOutcome {
             fallback: true,
             ..DeltaOutcome::default()
@@ -666,11 +537,10 @@ impl Session {
         }
         outcome.full_solver_visits = outcome.solver_visits;
         self.raw = raw;
-        self.fingerprint = tape.fingerprint(&norm.symbols);
         self.norm = norm;
         self.tape = tape;
         self.analysis = analysis;
-        self.lists = lists;
+        self.report = report;
         Ok(outcome)
     }
 }

@@ -11,19 +11,23 @@
 //! 2. a session that re-converges after an edit is byte-identical to a
 //!    fresh analysis of the edited program — the programs, the extended
 //!    symbol table, the site table, every instance's spec rows and
-//!    solution values, and the report lists it patches instead of
-//!    re-distilling — on the incremental fast path and on the recorded
-//!    fallback path alike, including edits that make the linearizer or
-//!    the normalizer invent symbols;
+//!    solution values, and the report it patches instead of
+//!    re-distilling, which must equal a fresh distillation — on the
+//!    incremental fast path and on the recorded fallback path alike,
+//!    including edits that make the linearizer or the normalizer invent
+//!    symbols;
 //! 3. an apply stopped at any of its stop-check polls leaves the session
-//!    exactly as it was.
+//!    exactly as it was, still holding its pre-edit report.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
-use arrayflow_analyses::{build_spec, enumerate_sites, AnalyzeError, Site, GK};
+use arrayflow_analyses::{
+    build_spec, enumerate_sites, AnalysisReport, AnalyzeError, ProblemSet, Site, GK,
+};
 use arrayflow_core::{solve, GenRef, KillSite, Mode, Solution, CANNED};
 use arrayflow_graph::build_loop_graph;
-use arrayflow_incremental::{DeltaError, DeltaOutcome, ReportLists, Session};
+use arrayflow_incremental::{DeltaError, DeltaOutcome, Session};
 use arrayflow_ir::{
     fingerprint_loop, normalize, parse_program, Edit, Program, StmtId, SymbolTable, Tape,
 };
@@ -89,8 +93,9 @@ fn splice_round_trips_on_kernels() {
 }
 
 /// The session after a chain of edits must be byte-identical to a fresh
-/// session opened over the edited source, and its fingerprint, which it
-/// replays from its recorded walk, must equal a walk over its program.
+/// session opened over the edited source, its fingerprint, which it
+/// replays from its recorded walk, must equal a walk over its program,
+/// and its report must equal a fresh distillation of the fresh analysis.
 fn assert_matches_fresh(session: &Session, context: &str) {
     let fresh = Session::open(session.source_program().clone(), DEP_MAX_DISTANCE).unwrap();
     let program = session.program();
@@ -137,11 +142,18 @@ fn assert_matches_fresh(session: &Session, context: &str) {
             "instance {k} problem diverged: {context}"
         );
     }
-    assert_eq!(
-        session.lists(),
-        fresh.lists(),
-        "report lists diverged: {context}"
+    let distilled = AnalysisReport::of_analysis(
+        fresh.fingerprint(),
+        fresh.analysis(),
+        ProblemSet::ALL,
+        DEP_MAX_DISTANCE,
     );
+    assert_eq!(
+        **fresh.report(),
+        distilled,
+        "open's report diverged: {context}"
+    );
+    assert_eq!(**session.report(), distilled, "report diverged: {context}");
 }
 
 #[test]
@@ -340,7 +352,7 @@ struct Snapshot {
     sites: Vec<Site>,
     specs: Vec<(Vec<GenRef>, Vec<KillSite>, Vec<usize>)>,
     solutions: Vec<Solution>,
-    lists: ReportLists,
+    report: AnalysisReport,
 }
 
 fn snapshot(session: &Session) -> Snapshot {
@@ -360,20 +372,21 @@ fn snapshot(session: &Session) -> Snapshot {
         sites: a.sites.clone(),
         specs: (0..instances.len()).map(spec).collect(),
         solutions: instances.iter().map(|i| i.sol.clone()).collect(),
-        lists: session.lists().clone(),
+        report: AnalysisReport::clone(session.report()),
     }
 }
 
 /// Applies `edit` stopped at its n-th stop-check poll, for every n until
 /// an apply completes, requiring the session to equal its pre-edit
-/// snapshot after each stop. Returns the completing apply's outcome and
-/// the number of stops.
+/// snapshot after each stop and to hold its pre-edit report allocation.
+/// Returns the completing apply's outcome and the number of stops.
 fn apply_stopped_at_every_poll(
     session: &mut Session,
     edit: &Edit,
     context: &str,
 ) -> (DeltaOutcome, usize) {
     let before = snapshot(session);
+    let report = Arc::clone(session.report());
     for n in 1.. {
         let polls = Cell::new(0);
         let stop = || {
@@ -382,10 +395,16 @@ fn apply_stopped_at_every_poll(
         };
         match session.apply_ctrl(edit, Some(&stop)) {
             Ok(outcome) => return (outcome, n - 1),
-            Err(DeltaError::Analyze(AnalyzeError::Stopped { .. })) => assert!(
-                snapshot(session) == before,
-                "{context}: stopped at poll {n}, the session changed"
-            ),
+            Err(DeltaError::Analyze(AnalyzeError::Stopped { .. })) => {
+                assert!(
+                    snapshot(session) == before,
+                    "{context}: stopped at poll {n}, the session changed"
+                );
+                assert!(
+                    Arc::ptr_eq(session.report(), &report),
+                    "{context}: stopped at poll {n}, the report was replaced"
+                );
+            }
             Err(err) => panic!("{context}: {err}"),
         }
     }

@@ -244,6 +244,19 @@ mod tests {
         assert!(!is_normal_form(&strided));
         normalize(&mut strided);
         assert!(is_normal_form(&strided));
+        // A strided loop with a stale statement id: normalizing alone,
+        // with no renumbering before or after, leaves it in normal form.
+        let mut stale = parse_program("do i = 2, 20, 3 A[i] := A[i-3]; B[i] := A[i]; end").unwrap();
+        let Stmt::Do(l) = &mut stale.body[0] else {
+            panic!("a loop")
+        };
+        let Stmt::Assign(b) = &mut l.body[1] else {
+            panic!("an assignment")
+        };
+        b.id.0 = 7;
+        assert!(!is_normal_form(&stale));
+        assert_eq!(normalize(&mut stale), 1);
+        assert!(is_normal_form(&stale));
     }
 
     #[test]

@@ -23,22 +23,6 @@ pub fn for_each_assign<'a>(block: &'a Block, f: &mut impl FnMut(&'a Assign)) {
     }
 }
 
-/// Mutable variant of [`for_each_assign`].
-pub fn for_each_assign_mut(block: &mut Block, f: &mut impl FnMut(&mut Assign)) {
-    for stmt in block {
-        match stmt {
-            Stmt::Assign(a) => f(a),
-            Stmt::If {
-                then_blk, else_blk, ..
-            } => {
-                for_each_assign_mut(then_blk, f);
-                for_each_assign_mut(else_blk, f);
-            }
-            Stmt::Do(l) => for_each_assign_mut(&mut l.body, f),
-        }
-    }
-}
-
 /// Collects every array read inside an expression, in evaluation order.
 pub fn array_uses_in_expr<'a>(expr: &'a Expr, out: &mut Vec<&'a ArrayRef>) {
     match expr {

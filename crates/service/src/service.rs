@@ -947,7 +947,7 @@ impl Service {
             }
             Task::Open { source } => self
                 .engine
-                .open_session_ctrl(&parse(source)?, should_stop)
+                .open_session_ctrl(parse(source)?, should_stop)
                 .map(|(session, report)| Answer::Session(session, report))
                 .map_err(failed),
             Task::Delta { session, edit } => self
